@@ -627,14 +627,7 @@ impl Database {
         }
         let report = esdb_wal::recovery::recover(&records, &tables)
             .expect("recovery I/O on the surviving page store");
-        // The new log continues the old LSN stream far past every page LSN
-        // recovery may have stamped (undo LSNs run up to durable + ~1M).
-        let resume_lsn = self.wal().durable_lsn() + (1 << 24);
-        let wal = Arc::new(Wal::new_at(
-            resume_lsn,
-            self.config.log.into(),
-            self.config.flush_latency,
-        ));
+        let wal = Arc::new(self.wal().successor(self.config.log.into(), self.config.flush_latency));
         let recovered = Database::assemble(self.config.clone(), disk, pool, wal);
         for (id, table) in tables {
             recovered.txn_mgr.register_table(table.clone());

@@ -77,59 +77,25 @@ pub fn run_conventional(mgr: &Arc<TxnManager>, retries: usize, spec: &TxnSpec) -
     }
 }
 
-/// Runs `spec` as a conventional 2PL transaction whose commit record is
-/// appended but *not* flushed. On commit, returns the LSN the caller must
-/// pass to `Wal::wait_durable` before acknowledging (`None` for read-only
-/// transactions, which have no commit record).
+/// The retry loop under the deferred-commit and prepare paths: begin, apply
+/// every op, and hand the live transaction (locks held, nothing logged as
+/// finished) to `finish`. On failure the transaction aborts — exactly once,
+/// here; the returned outcome is only a description, never a second abort
+/// path.
 ///
 /// Mirrors [`TxnManager::run`]'s retry policy: lock victims retry up to
 /// `retries` times; logical failures abort immediately.
-pub fn run_conventional_deferred(
+fn run_conventional_then<T>(
     mgr: &Arc<TxnManager>,
     retries: usize,
     spec: &TxnSpec,
-) -> (SpecOutcome, Option<Lsn>) {
+    finish: impl FnOnce(Txn, Vec<Option<Vec<i64>>>) -> T,
+) -> Result<T, SpecOutcome> {
     let mut attempt = 0;
     loop {
         let mut txn = mgr.begin();
         match apply_ops(&mut txn, spec) {
-            Ok(reads) => {
-                let lsn = txn.commit_deferred();
-                return (SpecOutcome::Committed { reads }, lsn);
-            }
-            Err(e) => {
-                txn.abort();
-                match e {
-                    TxnError::Lock(_) if attempt < retries => attempt += 1,
-                    TxnError::Lock(_) => return (SpecOutcome::ConflictFailure, None),
-                    _ => return (SpecOutcome::LogicalFailure, None),
-                }
-            }
-        }
-    }
-}
-
-/// Runs `spec` as a conventional 2PL transaction and, instead of
-/// committing, *prepares* it for two-phase commit: the `Prepare { gtid }`
-/// record is durable and every lock stays held when this returns `Ok`. The
-/// caller owns the [`PreparedTxn`] and must deliver the coordinator's
-/// decision to finish it.
-///
-/// On failure the transaction aborts — exactly once, inside this function;
-/// the returned outcome is only a description, never a second abort path.
-/// Lock victims retry up to `retries` times, mirroring
-/// [`run_conventional_deferred`].
-pub fn run_conventional_prepare(
-    mgr: &Arc<TxnManager>,
-    retries: usize,
-    gtid: u64,
-    spec: &TxnSpec,
-) -> Result<(PreparedTxn, Vec<Option<Vec<i64>>>), SpecOutcome> {
-    let mut attempt = 0;
-    loop {
-        let mut txn = mgr.begin();
-        match apply_ops(&mut txn, spec) {
-            Ok(reads) => return Ok((txn.prepare(gtid), reads)),
+            Ok(reads) => return Ok(finish(txn, reads)),
             Err(e) => {
                 txn.abort();
                 match e {
@@ -140,6 +106,35 @@ pub fn run_conventional_prepare(
             }
         }
     }
+}
+
+/// Runs `spec` as a conventional 2PL transaction whose commit record is
+/// appended but *not* flushed. On commit, returns the LSN the caller must
+/// pass to `Wal::wait_durable` before acknowledging (`None` for read-only
+/// transactions, which have no commit record).
+pub fn run_conventional_deferred(
+    mgr: &Arc<TxnManager>,
+    retries: usize,
+    spec: &TxnSpec,
+) -> (SpecOutcome, Option<Lsn>) {
+    run_conventional_then(mgr, retries, spec, |txn, reads| {
+        (SpecOutcome::Committed { reads }, txn.commit_deferred())
+    })
+    .unwrap_or_else(|failure| (failure, None))
+}
+
+/// Runs `spec` as a conventional 2PL transaction and, instead of
+/// committing, *prepares* it for two-phase commit: the `Prepare { gtid }`
+/// record is durable and every lock stays held when this returns `Ok`. The
+/// caller owns the [`PreparedTxn`] and must deliver the coordinator's
+/// decision to finish it. On failure the transaction has already aborted.
+pub fn run_conventional_prepare(
+    mgr: &Arc<TxnManager>,
+    retries: usize,
+    gtid: u64,
+    spec: &TxnSpec,
+) -> Result<(PreparedTxn, Vec<Option<Vec<i64>>>), SpecOutcome> {
+    run_conventional_then(mgr, retries, spec, |txn, reads| (txn.prepare(gtid), reads))
 }
 
 /// Translates one workload op into a DORA action.

@@ -166,10 +166,21 @@ pub struct Snapshot {
     pub pages: Vec<(u64, Vec<u8>)>,
 }
 
+/// The least free space `recv` keeps at the end of the inbox for a read.
+const RECV_CHUNK: usize = 64 * 1024;
+
 /// A connection to an esdb server.
 pub struct Client {
     stream: TcpStream,
+    /// Receive buffer. The whole vector is initialised memory the socket
+    /// reads straight into; `inbox[head..tail]` holds the bytes received but
+    /// not yet decoded.
     inbox: Vec<u8>,
+    head: usize,
+    tail: usize,
+    /// Encode scratch: requests are framed here, written out, and the
+    /// buffer kept for the next call.
+    outbox: Vec<u8>,
     /// When set, a socket read/write that stalls past the timeout surfaces
     /// as the typed [`FrameError::Timeout`] instead of a raw I/O error (see
     /// [`Client::set_op_timeout`]).
@@ -182,7 +193,14 @@ impl Client {
     pub fn connect(addr: SocketAddr) -> Result<Client, NetError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let mut client = Client { stream, inbox: Vec::new(), op_timeout: None };
+        let mut client = Client {
+            stream,
+            inbox: Vec::new(),
+            head: 0,
+            tail: 0,
+            outbox: Vec::new(),
+            op_timeout: None,
+        };
         match client.recv()? {
             Response::Hello => Ok(client),
             Response::Busy => Err(NetError::ServerBusy),
@@ -235,10 +253,16 @@ impl Client {
     }
 
     fn send(&mut self, req: &Request) -> Result<(), NetError> {
-        let mut buf = Vec::new();
-        encode_request(req, &mut buf);
-        self.stream.write_all(&buf).map_err(|e| self.stall_error(e))?;
-        Ok(())
+        encode_request(req, &mut self.outbox);
+        self.flush_outbox()
+    }
+
+    /// Writes out the frames staged in the outbox. Every request leaves
+    /// through here, so a stalled write is the typed timeout on every call.
+    fn flush_outbox(&mut self) -> Result<(), NetError> {
+        let written = self.stream.write_all(&self.outbox);
+        self.outbox.clear();
+        written.map_err(|e| self.stall_error(e))
     }
 
     /// Maps a socket stall into the typed timeout when an op timeout is
@@ -258,20 +282,33 @@ impl Client {
 
     /// Reads the next response frame (blocking).
     fn recv(&mut self) -> Result<Response, NetError> {
-        let mut chunk = [0u8; 64 * 1024];
         loop {
-            if let Some((resp, used)) = decode_response(&self.inbox)? {
-                self.inbox.drain(..used);
+            if let Some((resp, used)) = decode_response(&self.inbox[self.head..self.tail])? {
+                self.head += used;
                 return Ok(resp);
             }
-            let n = self.stream.read(&mut chunk).map_err(|e| self.stall_error(e))?;
+            // Make room for the next read: a drained inbox restarts at the
+            // front for free; otherwise a pending partial frame moves to the
+            // front, and the buffer grows if that frame outsizes it.
+            if self.head == self.tail {
+                (self.head, self.tail) = (0, 0);
+            }
+            if self.inbox.len() - self.tail < RECV_CHUNK {
+                if self.head > 0 {
+                    self.inbox.copy_within(self.head..self.tail, 0);
+                    (self.head, self.tail) = (0, self.tail - self.head);
+                }
+                self.inbox.resize(self.inbox.len().max(self.tail + RECV_CHUNK), 0);
+            }
+            let spare = &mut self.inbox[self.tail..];
+            let n = self.stream.read(spare).map_err(|e| self.stall_error(e))?;
             if n == 0 {
                 return Err(NetError::Io(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "server closed the connection",
                 )));
             }
-            self.inbox.extend_from_slice(&chunk[..n]);
+            self.tail += n;
         }
     }
 
@@ -309,9 +346,8 @@ impl Client {
     /// Executes one one-shot transaction and waits for its outcome. The
     /// acknowledgment implies the commit is durable on the server.
     pub fn one_shot(&mut self, spec: &TxnSpec) -> Result<SpecOutcome, NetError> {
-        let mut buf = Vec::new();
-        encode_spec(spec, &mut buf);
-        self.stream.write_all(&buf)?;
+        encode_spec(spec, &mut self.outbox);
+        self.flush_outbox()?;
         self.read_outcome()
     }
 
@@ -319,11 +355,10 @@ impl Client {
     /// before any response is read, so the server can commit the whole batch
     /// under a single WAL flush. Outcomes come back in submission order.
     pub fn run_pipelined(&mut self, specs: &[TxnSpec]) -> Result<Vec<SpecOutcome>, NetError> {
-        let mut buf = Vec::new();
         for spec in specs {
-            encode_spec(spec, &mut buf);
+            encode_spec(spec, &mut self.outbox);
         }
-        self.stream.write_all(&buf)?;
+        self.flush_outbox()?;
         let mut outcomes = Vec::with_capacity(specs.len());
         for _ in specs {
             outcomes.push(self.read_outcome()?);

@@ -5,6 +5,12 @@
 //! little-endian throughout; rows are a `u16` column count followed by that
 //! many `i64`s.
 //!
+//! The layout of every frame is declared exactly once, as a row of the
+//! `wire_enum!` tables at the bottom of this file: tag byte, variant, and
+//! the ordered fields with their [`Wire`] type. The encoder, the decoder and
+//! the generator behind the round-trip properties are all derived from that
+//! row, and `tests/wire_golden.rs` pins the resulting bytes.
+//!
 //! Decoding distinguishes **incomplete** input (the frame's bytes have not
 //! all arrived — try again after reading more) from **malformed** input (the
 //! bytes can never become a valid frame — the connection is beyond repair).
@@ -14,9 +20,9 @@
 use bytes::{Buf, BufMut};
 use esdb_core::spec_exec::SpecOutcome;
 use esdb_core::{ObsSnapshot, StatsSnapshot, OBS_SNAPSHOT_VERSION};
-use esdb_obs::{HistogramSnapshot, WaitProfile, BUCKETS};
+use esdb_obs::{HistogramSnapshot, WaitProfile};
 use esdb_staged::{AggFunc, CmpOp};
-use esdb_workload::{TxnSpec, WorkloadOp};
+use esdb_workload::{Rng, TxnSpec, WorkloadOp};
 
 /// Frame header size: the `u32` payload length.
 pub const HEADER_LEN: usize = 4;
@@ -446,129 +452,16 @@ pub enum Response {
     },
 }
 
-// Payload tags. Requests and responses share one byte space so a tag is
-// self-describing in traces.
-const T_PING: u8 = 0x01;
-const T_STATS: u8 = 0x02;
-const T_ONE_SHOT: u8 = 0x03;
-const T_OBS_STATS: u8 = 0x04;
-const T_BEGIN: u8 = 0x10;
-const T_READ: u8 = 0x11;
-const T_UPDATE: u8 = 0x12;
-const T_INSERT: u8 = 0x13;
-const T_COMMIT: u8 = 0x14;
-const T_ABORT: u8 = 0x15;
-const T_REPL_SNAPSHOT: u8 = 0x20;
-const T_REPL_SUBSCRIBE: u8 = 0x21;
-const T_COMMIT_TOKEN: u8 = 0x22;
-const T_READ_AT: u8 = 0x23;
-const T_REPL_ACK: u8 = 0x24;
-const T_QUERY: u8 = 0x25;
-const T_SHARD_PREPARE: u8 = 0x30;
-const T_SHARD_DECIDE: u8 = 0x31;
-const T_SHARD_STATUS: u8 = 0x32;
-const T_SHARD_IN_DOUBT: u8 = 0x33;
-const T_ROUTING_SNAPSHOT: u8 = 0x34;
-const T_MIG_FETCH: u8 = 0x35;
-const T_HELLO: u8 = 0x80;
-const T_BUSY: u8 = 0x81;
-const T_PONG: u8 = 0x82;
-const T_STATS_REPLY: u8 = 0x83;
-const T_OUTCOME: u8 = 0x84;
-const T_ROW: u8 = 0x85;
-const T_OK: u8 = 0x86;
-const T_ERROR: u8 = 0x87;
-const T_OBS_REPLY: u8 = 0x88;
-const T_SNAP_BEGIN: u8 = 0x90;
-const T_SNAP_PAGE: u8 = 0x91;
-const T_SNAP_END: u8 = 0x92;
-const T_LOG_CHUNK: u8 = 0x93;
-const T_TOKEN: u8 = 0x94;
-const T_LAGGING: u8 = 0x95;
-const T_SHARD_VOTE: u8 = 0x96;
-const T_SHARD_DECISION: u8 = 0x97;
-const T_SHARD_GTIDS: u8 = 0x98;
-const T_FENCED: u8 = 0x99;
-const T_QUORUM_TIMEOUT: u8 = 0x9A;
-const T_ROWS: u8 = 0x9B;
-const T_ROUTING: u8 = 0x9C;
-const T_MIG_ROWS: u8 = 0x9D;
-const T_WRONG_SHARD: u8 = 0x9E;
-
-// Op tags inside OneShot.
-const OP_READ: u8 = 0;
-const OP_WRITE: u8 = 1;
-const OP_ADD: u8 = 2;
-const OP_INSERT: u8 = 3;
-const OP_DELETE: u8 = 4;
-
-// Outcome tags.
-const OUT_COMMITTED: u8 = 0;
-const OUT_LOGICAL: u8 = 1;
-const OUT_CONFLICT: u8 = 2;
-
-// Plan node tags inside Query.
-const WP_SCAN: u8 = 0;
-const WP_INDEX_SCAN: u8 = 1;
-const WP_FILTER: u8 = 2;
-const WP_PROJECT: u8 = 3;
-const WP_AGGREGATE: u8 = 4;
-const WP_SORT: u8 = 5;
-
-fn cmp_to_u8(op: CmpOp) -> u8 {
-    match op {
-        CmpOp::Eq => 0,
-        CmpOp::Ne => 1,
-        CmpOp::Lt => 2,
-        CmpOp::Le => 3,
-        CmpOp::Gt => 4,
-        CmpOp::Ge => 5,
-    }
-}
-
-fn cmp_from_u8(tag: u8) -> Result<CmpOp, FrameError> {
-    Ok(match tag {
-        0 => CmpOp::Eq,
-        1 => CmpOp::Ne,
-        2 => CmpOp::Lt,
-        3 => CmpOp::Le,
-        4 => CmpOp::Gt,
-        5 => CmpOp::Ge,
-        _ => return Err(FrameError::Malformed("unknown comparison tag")),
-    })
-}
-
-fn agg_to_u8(func: AggFunc) -> u8 {
-    match func {
-        AggFunc::Sum => 0,
-        AggFunc::Count => 1,
-        AggFunc::Min => 2,
-        AggFunc::Max => 3,
-    }
-}
-
-fn agg_from_u8(tag: u8) -> Result<AggFunc, FrameError> {
-    Ok(match tag {
-        0 => AggFunc::Sum,
-        1 => AggFunc::Count,
-        2 => AggFunc::Min,
-        3 => AggFunc::Max,
-        _ => return Err(FrameError::Malformed("unknown aggregate tag")),
-    })
-}
-
 /// Checked cursor over a payload: every read verifies length first, so
 /// truncated or lying frames surface as [`FrameError::Malformed`], never as
 /// a panic out of the underlying [`Buf`].
 struct Reader<'a> {
     buf: &'a [u8],
+    /// [`SubPlan`]s entered so far on the way down the current plan.
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf }
-    }
-
     fn need(&self, n: usize) -> Result<(), FrameError> {
         if self.buf.remaining() < n {
             Err(FrameError::Malformed("truncated field"))
@@ -577,57 +470,12 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
-    }
-
-    fn u16(&mut self) -> Result<u16, FrameError> {
-        self.need(2)?;
-        Ok(self.buf.get_u16_le())
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
-    }
-
-    fn i64(&mut self) -> Result<i64, FrameError> {
-        self.need(8)?;
-        Ok(self.buf.get_i64_le())
-    }
-
-    fn row(&mut self) -> Result<Vec<i64>, FrameError> {
-        let cols = self.u16()? as usize;
-        // 8 bytes per column must actually be present; checked per-read.
-        let mut row = Vec::with_capacity(cols.min(1024));
-        for _ in 0..cols {
-            row.push(self.i64()?);
-        }
-        Ok(row)
-    }
-
-    fn string(&mut self) -> Result<String, FrameError> {
-        let len = self.u16()? as usize;
-        self.need(len)?;
-        let mut bytes = vec![0u8; len];
-        self.buf.copy_to_slice(&mut bytes);
-        String::from_utf8(bytes).map_err(|_| FrameError::Malformed("non-utf8 string"))
-    }
-
-    /// u32-length-prefixed byte blob (pages and log spans overflow the
-    /// u16-prefixed [`Reader::string`] encoding).
-    fn bytes(&mut self) -> Result<Vec<u8>, FrameError> {
-        let len = self.u32()? as usize;
-        self.need(len)?;
-        let mut bytes = vec![0u8; len];
-        self.buf.copy_to_slice(&mut bytes);
-        Ok(bytes)
+    /// Splits off the next `n` bytes.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
+        self.need(n)?;
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
     }
 
     fn finish(self) -> Result<(), FrameError> {
@@ -639,546 +487,556 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_stats(out: &mut Vec<u8>, s: &StatsSnapshot) {
-    out.put_u64_le(s.commits);
-    out.put_u64_le(s.aborts);
-    out.put_u64_le(s.durable_lsn);
-    out.put_u64_le(s.current_lsn);
-    out.put_u64_le(s.wal_flushes);
+/// One wire type: how a field is written, read back, and generated. A frame
+/// layout in the tables below is a sequence of wire types, so the encoder,
+/// the decoder and the test generator of every frame all come from the one
+/// row that declares it.
+trait Wire {
+    /// The in-memory value this wire type carries.
+    type V;
+    /// Appends the encoding of `v`.
+    fn put(v: &Self::V, out: &mut Vec<u8>);
+    /// Reads one value. Total: any bytes yield a value or a [`FrameError`].
+    fn get(r: &mut Reader<'_>) -> Result<Self::V, FrameError>;
+    /// A random value (what the round-trip properties feed the codec).
+    fn arbitrary(rng: &mut Rng) -> Self::V;
 }
 
-fn get_stats(r: &mut Reader<'_>) -> Result<StatsSnapshot, FrameError> {
-    Ok(StatsSnapshot {
-        commits: r.u64()?,
-        aborts: r.u64()?,
-        durable_lsn: r.u64()?,
-        current_lsn: r.u64()?,
-        wal_flushes: r.u64()?,
-    })
-}
-
-fn put_profile(out: &mut Vec<u8>, p: &WaitProfile) {
-    out.put_u64_le(p.useful);
-    out.put_u64_le(p.lock_wait);
-    out.put_u64_le(p.latch_spin);
-    out.put_u64_le(p.log_wait);
-    out.put_u64_le(p.io_retry);
-    out.put_u64_le(p.commit_flush);
-}
-
-fn get_profile(r: &mut Reader<'_>) -> Result<WaitProfile, FrameError> {
-    Ok(WaitProfile {
-        useful: r.u64()?,
-        lock_wait: r.u64()?,
-        latch_spin: r.u64()?,
-        log_wait: r.u64()?,
-        io_retry: r.u64()?,
-        commit_flush: r.u64()?,
-    })
-}
-
-fn put_hist(out: &mut Vec<u8>, h: &HistogramSnapshot) {
-    out.put_u64_le(h.count);
-    out.put_u64_le(h.sum);
-    for b in &h.buckets {
-        out.put_u64_le(*b);
-    }
-}
-
-fn get_hist(r: &mut Reader<'_>) -> Result<HistogramSnapshot, FrameError> {
-    let mut h = HistogramSnapshot { count: r.u64()?, sum: r.u64()?, ..Default::default() };
-    for i in 0..BUCKETS {
-        h.buckets[i] = r.u64()?;
-    }
-    Ok(h)
-}
-
-fn put_row(out: &mut Vec<u8>, row: &[i64]) {
-    debug_assert!(row.len() <= u16::MAX as usize);
-    out.put_u16_le(row.len() as u16);
-    for v in row {
-        out.put_i64_le(*v);
-    }
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    let bytes = &s.as_bytes()[..s.len().min(u16::MAX as usize)];
-    out.put_u16_le(bytes.len() as u16);
-    out.put_slice(bytes);
-}
-
-fn encode_op(out: &mut Vec<u8>, op: &WorkloadOp) {
-    match op {
-        WorkloadOp::Read { table, key } => {
-            out.put_u8(OP_READ);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-        }
-        WorkloadOp::Write { table, key, row } => {
-            out.put_u8(OP_WRITE);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-            put_row(out, row);
-        }
-        WorkloadOp::Add { table, key, col, delta } => {
-            out.put_u8(OP_ADD);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-            out.put_u16_le(*col as u16);
-            out.put_i64_le(*delta);
-        }
-        WorkloadOp::Insert { table, key, row } => {
-            out.put_u8(OP_INSERT);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-            put_row(out, row);
-        }
-        WorkloadOp::Delete { table, key } => {
-            out.put_u8(OP_DELETE);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-        }
-    }
-}
-
-fn decode_op(r: &mut Reader<'_>) -> Result<WorkloadOp, FrameError> {
-    match r.u8()? {
-        OP_READ => Ok(WorkloadOp::Read { table: r.u32()?, key: r.u64()? }),
-        OP_WRITE => Ok(WorkloadOp::Write { table: r.u32()?, key: r.u64()?, row: r.row()? }),
-        OP_ADD => Ok(WorkloadOp::Add {
-            table: r.u32()?,
-            key: r.u64()?,
-            col: r.u16()? as usize,
-            delta: r.i64()?,
-        }),
-        OP_INSERT => Ok(WorkloadOp::Insert { table: r.u32()?, key: r.u64()?, row: r.row()? }),
-        OP_DELETE => Ok(WorkloadOp::Delete { table: r.u32()?, key: r.u64()? }),
-        _ => Err(FrameError::Malformed("unknown op tag")),
-    }
-}
-
-fn encode_plan(out: &mut Vec<u8>, plan: &WirePlan) {
-    match plan {
-        WirePlan::Scan { table } => {
-            out.put_u8(WP_SCAN);
-            out.put_u32_le(*table);
-        }
-        WirePlan::IndexScan { table, index, lo, hi } => {
-            out.put_u8(WP_INDEX_SCAN);
-            out.put_u32_le(*table);
-            out.put_u32_le(*index);
-            out.put_i64_le(*lo);
-            out.put_i64_le(*hi);
-        }
-        WirePlan::Filter { input, col, op, value } => {
-            out.put_u8(WP_FILTER);
-            encode_plan(out, input);
-            out.put_u32_le(*col);
-            out.put_u8(cmp_to_u8(*op));
-            out.put_i64_le(*value);
-        }
-        WirePlan::Project { input, cols } => {
-            out.put_u8(WP_PROJECT);
-            encode_plan(out, input);
-            debug_assert!(cols.len() <= u16::MAX as usize);
-            out.put_u16_le(cols.len() as u16);
-            for c in cols {
-                out.put_u32_le(*c);
+macro_rules! wire_int {
+    ($($t:ident $put:ident $get:ident,)*) => {$(
+        impl Wire for $t {
+            type V = $t;
+            fn put(v: &$t, out: &mut Vec<u8>) {
+                out.$put(*v)
+            }
+            fn get(r: &mut Reader<'_>) -> Result<$t, FrameError> {
+                r.need(std::mem::size_of::<$t>())?;
+                Ok(r.buf.$get())
+            }
+            fn arbitrary(rng: &mut Rng) -> $t {
+                rng.next_u64() as $t
             }
         }
-        WirePlan::Aggregate { input, group_col, agg_col, func } => {
-            out.put_u8(WP_AGGREGATE);
-            encode_plan(out, input);
-            match group_col {
-                Some(g) => {
-                    out.put_u8(1);
-                    out.put_u32_le(*g);
+    )*};
+}
+
+wire_int! {
+    u8 put_u8 get_u8,
+    u16 put_u16_le get_u16_le,
+    u32 put_u32_le get_u32_le,
+    u64 put_u64_le get_u64_le,
+    i64 put_i64_le get_i64_le,
+}
+
+/// One byte, strictly `0` or `1`.
+impl Wire for bool {
+    type V = bool;
+    fn put(v: &bool, out: &mut Vec<u8>) {
+        out.put_u8(u8::from(*v))
+    }
+    fn get(r: &mut Reader<'_>) -> Result<bool, FrameError> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(FrameError::Malformed("bad bool")),
+        }
+    }
+    fn arbitrary(rng: &mut Rng) -> bool {
+        rng.below(2) == 1
+    }
+}
+
+/// A column offset: `usize` in memory, `u16` on the wire.
+struct Col;
+
+impl Wire for Col {
+    type V = usize;
+    fn put(v: &usize, out: &mut Vec<u8>) {
+        out.put_u16_le(*v as u16)
+    }
+    fn get(r: &mut Reader<'_>) -> Result<usize, FrameError> {
+        Ok(u16::get(r)? as usize)
+    }
+    fn arbitrary(rng: &mut Rng) -> usize {
+        u16::arbitrary(rng) as usize
+    }
+}
+
+/// The integer widths a [`Counted`] length prefix comes in.
+trait Count: Wire<V = Self> + Sized {
+    fn from_len(len: usize) -> Self;
+    fn to_len(self) -> usize;
+}
+
+impl Count for u16 {
+    fn from_len(len: usize) -> u16 {
+        debug_assert!(len <= u16::MAX as usize);
+        len as u16
+    }
+    fn to_len(self) -> usize {
+        self as usize
+    }
+}
+
+impl Count for u32 {
+    fn from_len(len: usize) -> u32 {
+        debug_assert!(len <= u32::MAX as usize);
+        len as u32
+    }
+    fn to_len(self) -> usize {
+        self as usize
+    }
+}
+
+/// A `C`-typed element count followed by that many `E`s — the protocol's
+/// only counted-vector codec.
+struct Counted<C, E>(std::marker::PhantomData<(C, E)>);
+/// `u16`-counted vector.
+type Vec16<E> = Counted<u16, E>;
+/// `u32`-counted vector.
+type Vec32<E> = Counted<u32, E>;
+/// A row: a `u16` column count followed by that many `i64`s.
+type Row = Vec16<i64>;
+
+impl<C: Count, E: Wire> Wire for Counted<C, E> {
+    type V = Vec<E::V>;
+    fn put(v: &Vec<E::V>, out: &mut Vec<u8>) {
+        C::put(&C::from_len(v.len()), out);
+        for e in v {
+            E::put(e, out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Vec<E::V>, FrameError> {
+        let n = C::get(r)?.to_len();
+        // The count is untrusted, so it only sizes the allocation up to a
+        // cap; the elements must actually be present, checked per read.
+        let mut v = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            v.push(E::get(r)?);
+        }
+        Ok(v)
+    }
+    fn arbitrary(rng: &mut Rng) -> Vec<E::V> {
+        (0..rng.below(6)).map(|_| E::arbitrary(rng)).collect()
+    }
+}
+
+/// `u16`-length-prefixed UTF-8; longer strings are cut at the prefix's reach.
+struct Str;
+
+impl Wire for Str {
+    type V = String;
+    fn put(v: &String, out: &mut Vec<u8>) {
+        let bytes = &v.as_bytes()[..v.len().min(u16::MAX as usize)];
+        out.put_u16_le(bytes.len() as u16);
+        out.put_slice(bytes);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<String, FrameError> {
+        let len = u16::get(r)? as usize;
+        String::from_utf8(r.take(len)?.to_vec())
+            .map_err(|_| FrameError::Malformed("non-utf8 string"))
+    }
+    fn arbitrary(rng: &mut Rng) -> String {
+        (0..rng.below(12)).map(|_| (b'a' + rng.below(26) as u8) as char).collect()
+    }
+}
+
+/// `u32`-length-prefixed byte blob (pages and log spans overflow the
+/// `u16`-prefixed [`Str`] encoding), copied as one slice.
+struct Bytes;
+
+impl Wire for Bytes {
+    type V = Vec<u8>;
+    fn put(v: &Vec<u8>, out: &mut Vec<u8>) {
+        out.put_u32_le(u32::from_len(v.len()));
+        out.put_slice(v);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Vec<u8>, FrameError> {
+        let len = u32::get(r)? as usize;
+        Ok(r.take(len)?.to_vec())
+    }
+    fn arbitrary(rng: &mut Rng) -> Vec<u8> {
+        (0..rng.below(512)).map(|_| rng.next_u64() as u8).collect()
+    }
+}
+
+/// A presence byte (strictly `0` or `1`), then the value if present.
+impl<E: Wire> Wire for Option<E> {
+    type V = Option<E::V>;
+    fn put(v: &Option<E::V>, out: &mut Vec<u8>) {
+        match v {
+            Some(e) => {
+                out.put_u8(1);
+                E::put(e, out);
+            }
+            None => out.put_u8(0),
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Option<E::V>, FrameError> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(E::get(r)?)),
+            _ => Err(FrameError::Malformed("bad option tag")),
+        }
+    }
+    fn arbitrary(rng: &mut Rng) -> Option<E::V> {
+        bool::arbitrary(rng).then(|| E::arbitrary(rng))
+    }
+}
+
+/// Boxed in memory, inline on the wire.
+impl<E: Wire> Wire for Box<E> {
+    type V = Box<E::V>;
+    fn put(v: &Box<E::V>, out: &mut Vec<u8>) {
+        E::put(v, out)
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Box<E::V>, FrameError> {
+        E::get(r).map(Box::new)
+    }
+    fn arbitrary(rng: &mut Rng) -> Box<E::V> {
+        Box::new(E::arbitrary(rng))
+    }
+}
+
+/// A plan's input: a [`WirePlan`] one level further down, refused past
+/// [`MAX_PLAN_DEPTH`] so the decoder's recursion is bounded.
+struct SubPlan;
+
+impl Wire for SubPlan {
+    type V = Box<WirePlan>;
+    fn put(v: &Box<WirePlan>, out: &mut Vec<u8>) {
+        WirePlan::put(v, out)
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Box<WirePlan>, FrameError> {
+        r.depth += 1;
+        if r.depth >= MAX_PLAN_DEPTH {
+            return Err(FrameError::Malformed("plan nested too deeply"));
+        }
+        let plan = WirePlan::get(r)?;
+        r.depth -= 1;
+        Ok(Box::new(plan))
+    }
+    fn arbitrary(rng: &mut Rng) -> Box<WirePlan> {
+        Box::new(WirePlan::arbitrary(rng))
+    }
+}
+
+/// The leading field of an [`ObsSnapshot`]: a `u32` that must be this
+/// build's [`OBS_SNAPSHOT_VERSION`]. Read before anything else, so a
+/// snapshot from a newer build decodes to a typed error, never a guess at
+/// its layout.
+struct ObsVersion;
+
+impl Wire for ObsVersion {
+    type V = u32;
+    fn put(v: &u32, out: &mut Vec<u8>) {
+        out.put_u32_le(*v)
+    }
+    fn get(r: &mut Reader<'_>) -> Result<u32, FrameError> {
+        match u32::get(r)? {
+            OBS_SNAPSHOT_VERSION => Ok(OBS_SNAPSHOT_VERSION),
+            other => Err(FrameError::UnsupportedVersion(other)),
+        }
+    }
+    fn arbitrary(_: &mut Rng) -> u32 {
+        OBS_SNAPSHOT_VERSION
+    }
+}
+
+impl Wire for HistogramSnapshot {
+    type V = HistogramSnapshot;
+    fn put(v: &HistogramSnapshot, out: &mut Vec<u8>) {
+        out.put_u64_le(v.count);
+        out.put_u64_le(v.sum);
+        for b in &v.buckets {
+            out.put_u64_le(*b);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<HistogramSnapshot, FrameError> {
+        let (count, sum) = (u64::get(r)?, u64::get(r)?);
+        let mut h = HistogramSnapshot { count, sum, ..Default::default() };
+        for b in &mut h.buckets {
+            *b = u64::get(r)?;
+        }
+        Ok(h)
+    }
+    fn arbitrary(rng: &mut Rng) -> HistogramSnapshot {
+        let mut h = HistogramSnapshot::default();
+        for _ in 0..rng.below(12) {
+            h.record(rng.next_u64());
+        }
+        h
+    }
+}
+
+/// A tuple is its members in order.
+macro_rules! wire_tuple {
+    ($($e:ident)+) => {
+        #[allow(non_snake_case)]
+        impl<$($e: Wire),+> Wire for ($($e,)+) {
+            type V = ($($e::V,)+);
+            fn put(($($e,)+): &Self::V, out: &mut Vec<u8>) {
+                $($e::put($e, out);)+
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self::V, FrameError> {
+                Ok(($($e::get(r)?,)+))
+            }
+            fn arbitrary(rng: &mut Rng) -> Self::V {
+                ($($e::arbitrary(rng),)+)
+            }
+        }
+    };
+}
+
+wire_tuple!(A B);
+wire_tuple!(A B C D);
+wire_tuple!(A B C D E);
+
+/// A struct is its fields in declaration order: `field: wire type`.
+macro_rules! wire_struct {
+    ($ty:ident { $($f:ident: $w:ty),* $(,)? }) => {
+        impl Wire for $ty {
+            type V = $ty;
+            fn put(v: &$ty, out: &mut Vec<u8>) {
+                $(<$w as Wire>::put(&v.$f, out);)*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<$ty, FrameError> {
+                Ok($ty { $($f: <$w as Wire>::get(r)?),* })
+            }
+            fn arbitrary(rng: &mut Rng) -> $ty {
+                $ty { $($f: <$w as Wire>::arbitrary(rng)),* }
+            }
+        }
+    };
+}
+
+/// A tagged union is one tag byte, then the tagged variant's fields in
+/// order. Each row is `tag => Variant`, `tag => Variant { field: wire type,
+/// .. }` or `tag => Variant(name: wire type)`; a tag no row claims decodes
+/// to `Malformed($unknown)`. Besides the [`Wire`] impl, every row yields a
+/// by-reference encoder `$by_ref::Variant(out, &field, ..)` for callers that
+/// hold the fields but not the enum.
+macro_rules! wire_enum {
+    ($ty:ident in $by_ref:ident, $unknown:literal {
+        $($tag:literal => $variant:ident
+            $({ $($f:ident: $w:ty),* $(,)? })?
+            $(($nf:ident: $nw:ty))?
+        ),* $(,)?
+    }) => {
+        #[allow(non_snake_case)]
+        mod $by_ref {
+            use super::*;
+            $(pub(super) fn $variant(
+                out: &mut Vec<u8>
+                $($(, $f: &<$w as Wire>::V)*)?
+                $(, $nf: &<$nw as Wire>::V)?
+            ) {
+                out.put_u8($tag);
+                $($(<$w as Wire>::put($f, out);)*)?
+                $(<$nw as Wire>::put($nf, out);)?
+            })*
+        }
+
+        impl Wire for $ty {
+            type V = $ty;
+            fn put(v: &$ty, out: &mut Vec<u8>) {
+                match v {
+                    $($ty::$variant $({ $($f),* })? $(($nf))? => {
+                        $by_ref::$variant(out $($(, $f)*)? $(, $nf)?)
+                    })*
                 }
-                None => out.put_u8(0),
             }
-            out.put_u32_le(*agg_col);
-            out.put_u8(agg_to_u8(*func));
+            fn get(r: &mut Reader<'_>) -> Result<$ty, FrameError> {
+                Ok(match u8::get(r)? {
+                    $($tag => $ty::$variant
+                        $({ $($f: <$w as Wire>::get(r)?),* })?
+                        $((<$nw as Wire>::get(r)?))?,)*
+                    _ => return Err(FrameError::Malformed($unknown)),
+                })
+            }
+            fn arbitrary(rng: &mut Rng) -> $ty {
+                let rows: &[fn(&mut Rng) -> $ty] = &[$(|_rng| $ty::$variant
+                    $({ $($f: <$w as Wire>::arbitrary(_rng)),* })?
+                    $((<$nw as Wire>::arbitrary(_rng)))?),*];
+                rows[rng.below(rows.len() as u64) as usize](rng)
+            }
         }
-        WirePlan::Sort { input, col } => {
-            out.put_u8(WP_SORT);
-            encode_plan(out, input);
-            out.put_u32_le(*col);
-        }
-    }
+    };
 }
 
-fn decode_plan(r: &mut Reader<'_>, depth: usize) -> Result<WirePlan, FrameError> {
-    if depth >= MAX_PLAN_DEPTH {
-        return Err(FrameError::Malformed("plan nested too deeply"));
-    }
-    Ok(match r.u8()? {
-        WP_SCAN => WirePlan::Scan { table: r.u32()? },
-        WP_INDEX_SCAN => WirePlan::IndexScan {
-            table: r.u32()?,
-            index: r.u32()?,
-            lo: r.i64()?,
-            hi: r.i64()?,
-        },
-        WP_FILTER => {
-            let input = Box::new(decode_plan(r, depth + 1)?);
-            WirePlan::Filter {
-                input,
-                col: r.u32()?,
-                op: cmp_from_u8(r.u8()?)?,
-                value: r.i64()?,
-            }
-        }
-        WP_PROJECT => {
-            let input = Box::new(decode_plan(r, depth + 1)?);
-            let n = r.u16()? as usize;
-            let mut cols = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                cols.push(r.u32()?);
-            }
-            WirePlan::Project { input, cols }
-        }
-        WP_AGGREGATE => {
-            let input = Box::new(decode_plan(r, depth + 1)?);
-            let group_col = match r.u8()? {
-                0 => None,
-                1 => Some(r.u32()?),
-                _ => return Err(FrameError::Malformed("bad option tag")),
-            };
-            WirePlan::Aggregate {
-                input,
-                group_col,
-                agg_col: r.u32()?,
-                func: agg_from_u8(r.u8()?)?,
-            }
-        }
-        WP_SORT => {
-            let input = Box::new(decode_plan(r, depth + 1)?);
-            WirePlan::Sort { input, col: r.u32()? }
-        }
-        _ => return Err(FrameError::Malformed("unknown plan tag")),
-    })
-}
+wire_struct!(StatsSnapshot {
+    commits: u64,
+    aborts: u64,
+    durable_lsn: u64,
+    current_lsn: u64,
+    wal_flushes: u64,
+});
 
-/// Outcome payload: shared by [`Response::Outcome`] and
-/// [`Response::ShardVote`].
-fn put_outcome(out: &mut Vec<u8>, outcome: &SpecOutcome) {
-    match outcome {
-        SpecOutcome::Committed { reads } => {
-            out.put_u8(OUT_COMMITTED);
-            debug_assert!(reads.len() <= u16::MAX as usize);
-            out.put_u16_le(reads.len() as u16);
-            for read in reads {
-                match read {
-                    Some(row) => {
-                        out.put_u8(1);
-                        put_row(out, row);
-                    }
-                    None => out.put_u8(0),
-                }
-            }
-        }
-        SpecOutcome::LogicalFailure => out.put_u8(OUT_LOGICAL),
-        SpecOutcome::ConflictFailure => out.put_u8(OUT_CONFLICT),
-    }
-}
+wire_struct!(WaitProfile {
+    useful: u64,
+    lock_wait: u64,
+    latch_spin: u64,
+    log_wait: u64,
+    io_retry: u64,
+    commit_flush: u64,
+});
 
-fn get_outcome(r: &mut Reader<'_>) -> Result<SpecOutcome, FrameError> {
-    match r.u8()? {
-        OUT_COMMITTED => {
-            let n = r.u16()? as usize;
-            let mut reads = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                match r.u8()? {
-                    0 => reads.push(None),
-                    1 => reads.push(Some(r.row()?)),
-                    _ => return Err(FrameError::Malformed("bad option tag")),
-                }
-            }
-            Ok(SpecOutcome::Committed { reads })
-        }
-        OUT_LOGICAL => Ok(SpecOutcome::LogicalFailure),
-        OUT_CONFLICT => Ok(SpecOutcome::ConflictFailure),
-        _ => Err(FrameError::Malformed("unknown outcome tag")),
-    }
+wire_struct!(ServerStats {
+    engine: StatsSnapshot,
+    sessions_accepted: u64,
+    sessions_shed: u64,
+    sessions_active: u64,
+    txns_executed: u64,
+    txns_committed: u64,
+    batches: u64,
+});
+
+wire_struct!(ObsSnapshot {
+    version: ObsVersion,
+    stats: StatsSnapshot,
+    breakdown: WaitProfile,
+    lock_wait: HistogramSnapshot,
+    wal_flush: HistogramSnapshot,
+    pool_miss: HistogramSnapshot,
+    txn_latency: HistogramSnapshot,
+});
+
+wire_enum!(CmpOp in put_cmp, "unknown comparison tag" {
+    0 => Eq,
+    1 => Ne,
+    2 => Lt,
+    3 => Le,
+    4 => Gt,
+    5 => Ge,
+});
+
+wire_enum!(AggFunc in put_agg, "unknown aggregate tag" {
+    0 => Sum,
+    1 => Count,
+    2 => Min,
+    3 => Max,
+});
+
+// Operations inside `OneShot` and `ShardPrepare`.
+wire_enum!(WorkloadOp in put_op, "unknown op tag" {
+    0 => Read { table: u32, key: u64 },
+    1 => Write { table: u32, key: u64, row: Row },
+    2 => Add { table: u32, key: u64, col: Col, delta: i64 },
+    3 => Insert { table: u32, key: u64, row: Row },
+    4 => Delete { table: u32, key: u64 },
+});
+
+// Shared by `Outcome` and `ShardVote`.
+wire_enum!(SpecOutcome in put_outcome, "unknown outcome tag" {
+    0 => Committed { reads: Vec16<Option<Row>> },
+    1 => LogicalFailure,
+    2 => ConflictFailure,
+});
+
+// Plan nodes inside `Query`.
+wire_enum!(WirePlan in put_plan, "unknown plan tag" {
+    0 => Scan { table: u32 },
+    1 => IndexScan { table: u32, index: u32, lo: i64, hi: i64 },
+    2 => Filter { input: SubPlan, col: u32, op: CmpOp, value: i64 },
+    3 => Project { input: SubPlan, cols: Vec16<u32> },
+    4 => Aggregate { input: SubPlan, group_col: Option<u32>, agg_col: u32, func: AggFunc },
+    5 => Sort { input: SubPlan, col: u32 },
+});
+
+// The frame tables. Requests and responses share one tag byte space so a
+// tag is self-describing in traces. Adding a frame is one row here (plus
+// its variant above and its golden fixture in `tests/wire_golden.rs`).
+wire_enum!(Request in put_request, "unknown request tag" {
+    0x01 => Ping,
+    0x02 => Stats,
+    0x03 => OneShot { may_fail: bool, ops: Vec16<WorkloadOp> },
+    0x04 => ObsStats,
+    0x10 => Begin,
+    0x11 => Read { table: u32, key: u64 },
+    0x12 => Update { table: u32, key: u64, row: Row },
+    0x13 => Insert { table: u32, key: u64, row: Row },
+    0x14 => Commit,
+    0x15 => Abort,
+    0x20 => ReplSnapshot,
+    0x21 => ReplSubscribe { from: u64, term: u64 },
+    0x22 => CommitToken,
+    0x23 => ReadAt { table: u32, key: u64, min_lsn: u64 },
+    0x24 => ReplAck { term: u64, lsn: u64 },
+    0x25 => Query { min_lsn: u64, plan: WirePlan },
+    0x30 => ShardPrepare { gtid: u64, ops: Vec16<WorkloadOp> },
+    0x31 => ShardDecide { gtid: u64, commit: bool },
+    0x32 => ShardStatus { gtid: u64 },
+    0x33 => ShardInDoubt,
+    0x34 => RoutingSnapshot,
+    0x35 => MigFetch { table: u32, slot: u32, slot_count: u32 },
+});
+
+wire_enum!(Response in put_response, "unknown response tag" {
+    0x80 => Hello,
+    0x81 => Busy,
+    0x82 => Pong,
+    0x83 => Stats(stats: ServerStats),
+    0x84 => Outcome(outcome: SpecOutcome),
+    0x85 => Row(row: Row),
+    0x86 => Ok,
+    0x87 => Error(msg: Str),
+    0x88 => ObsStats(snapshot: Box<ObsSnapshot>),
+    0x90 => SnapBegin {
+        start_lsn: u64,
+        catalog: Vec16<(u32, Str, u32, Vec32<u64>)>,
+        indexes: Vec16<(u32, u32, Str, u32, u8)>,
+    },
+    0x91 => SnapPage { page_id: u64, bytes: Bytes },
+    0x92 => SnapEnd { page_count: u64 },
+    0x93 => LogChunk { term: u64, start: u64, bytes: Bytes },
+    0x94 => Token { lsn: u64 },
+    0x95 => Lagging { applied: u64 },
+    0x96 => ShardVote { gtid: u64, outcome: SpecOutcome },
+    0x97 => ShardDecision { gtid: u64, commit: bool },
+    0x98 => ShardGtids(gtids: Vec32<u64>),
+    0x99 => Fenced { term: u64 },
+    0x9A => QuorumTimeout { lsn: u64, acked: u32, needed: u32 },
+    0x9B => Rows(rows: Vec32<Row>),
+    0x9C => Routing { epoch: u64, slots: Vec32<u32> },
+    0x9D => MigRows { rows: Vec32<(u64, Row)> },
+    0x9E => WrongShard { epoch: u64, hint: u32 },
+});
+
+/// Appends one frame: a header slot, the payload `put` writes, then the
+/// header patched with the payload's length.
+fn put_frame(out: &mut Vec<u8>, put: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.put_u32_le(0);
+    put(out);
+    let len = out.len() - at - HEADER_LEN;
+    debug_assert!(len <= MAX_FRAME, "encoded frame exceeds MAX_FRAME");
+    out[at..at + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// Appends one framed request to `out`.
 pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
-    let at = begin_frame(out);
-    match req {
-        Request::Ping => out.put_u8(T_PING),
-        Request::Stats => out.put_u8(T_STATS),
-        Request::ObsStats => out.put_u8(T_OBS_STATS),
-        Request::OneShot { may_fail, ops } => {
-            out.put_u8(T_ONE_SHOT);
-            out.put_u8(u8::from(*may_fail));
-            debug_assert!(ops.len() <= u16::MAX as usize);
-            out.put_u16_le(ops.len() as u16);
-            for op in ops {
-                encode_op(out, op);
-            }
-        }
-        Request::Begin => out.put_u8(T_BEGIN),
-        Request::Read { table, key } => {
-            out.put_u8(T_READ);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-        }
-        Request::Update { table, key, row } => {
-            out.put_u8(T_UPDATE);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-            put_row(out, row);
-        }
-        Request::Insert { table, key, row } => {
-            out.put_u8(T_INSERT);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-            put_row(out, row);
-        }
-        Request::Commit => out.put_u8(T_COMMIT),
-        Request::Abort => out.put_u8(T_ABORT),
-        Request::ReplSnapshot => out.put_u8(T_REPL_SNAPSHOT),
-        Request::ReplSubscribe { from, term } => {
-            out.put_u8(T_REPL_SUBSCRIBE);
-            out.put_u64_le(*from);
-            out.put_u64_le(*term);
-        }
-        Request::ReplAck { term, lsn } => {
-            out.put_u8(T_REPL_ACK);
-            out.put_u64_le(*term);
-            out.put_u64_le(*lsn);
-        }
-        Request::CommitToken => out.put_u8(T_COMMIT_TOKEN),
-        Request::ReadAt { table, key, min_lsn } => {
-            out.put_u8(T_READ_AT);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-            out.put_u64_le(*min_lsn);
-        }
-        Request::ShardPrepare { gtid, ops } => {
-            out.put_u8(T_SHARD_PREPARE);
-            out.put_u64_le(*gtid);
-            debug_assert!(ops.len() <= u16::MAX as usize);
-            out.put_u16_le(ops.len() as u16);
-            for op in ops {
-                encode_op(out, op);
-            }
-        }
-        Request::ShardDecide { gtid, commit } => {
-            out.put_u8(T_SHARD_DECIDE);
-            out.put_u64_le(*gtid);
-            out.put_u8(u8::from(*commit));
-        }
-        Request::ShardStatus { gtid } => {
-            out.put_u8(T_SHARD_STATUS);
-            out.put_u64_le(*gtid);
-        }
-        Request::ShardInDoubt => out.put_u8(T_SHARD_IN_DOUBT),
-        Request::Query { min_lsn, plan } => {
-            out.put_u8(T_QUERY);
-            out.put_u64_le(*min_lsn);
-            encode_plan(out, plan);
-        }
-        Request::RoutingSnapshot => out.put_u8(T_ROUTING_SNAPSHOT),
-        Request::MigFetch { table, slot, slot_count } => {
-            out.put_u8(T_MIG_FETCH);
-            out.put_u32_le(*table);
-            out.put_u32_le(*slot);
-            out.put_u32_le(*slot_count);
-        }
-    }
-    end_frame(out, at);
+    put_frame(out, |out| Request::put(req, out));
 }
 
 /// Encodes a one-shot request straight from a workload spec (the `kind`
 /// string stays client-side; the client keys its per-kind report off the
 /// specs it sent, so the name never crosses the wire).
 pub fn encode_spec(spec: &TxnSpec, out: &mut Vec<u8>) {
-    encode_request(
-        &Request::OneShot { may_fail: spec.may_fail, ops: spec.ops.clone() },
-        out,
-    );
+    put_frame(out, |out| put_request::OneShot(out, &spec.may_fail, &spec.ops));
 }
 
 /// Appends one framed response to `out`.
 pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
-    let at = begin_frame(out);
-    match resp {
-        Response::Hello => out.put_u8(T_HELLO),
-        Response::Busy => out.put_u8(T_BUSY),
-        Response::Pong => out.put_u8(T_PONG),
-        Response::Stats(s) => {
-            out.put_u8(T_STATS_REPLY);
-            put_stats(out, &s.engine);
-            out.put_u64_le(s.sessions_accepted);
-            out.put_u64_le(s.sessions_shed);
-            out.put_u64_le(s.sessions_active);
-            out.put_u64_le(s.txns_executed);
-            out.put_u64_le(s.txns_committed);
-            out.put_u64_le(s.batches);
-        }
-        Response::ObsStats(snap) => {
-            out.put_u8(T_OBS_REPLY);
-            out.put_u32_le(snap.version);
-            put_stats(out, &snap.stats);
-            put_profile(out, &snap.breakdown);
-            put_hist(out, &snap.lock_wait);
-            put_hist(out, &snap.wal_flush);
-            put_hist(out, &snap.pool_miss);
-            put_hist(out, &snap.txn_latency);
-        }
-        Response::Outcome(outcome) => {
-            out.put_u8(T_OUTCOME);
-            put_outcome(out, outcome);
-        }
-        Response::Row(row) => {
-            out.put_u8(T_ROW);
-            put_row(out, row);
-        }
-        Response::Ok => out.put_u8(T_OK),
-        Response::Error(msg) => {
-            out.put_u8(T_ERROR);
-            put_string(out, msg);
-        }
-        Response::SnapBegin { start_lsn, catalog, indexes } => {
-            out.put_u8(T_SNAP_BEGIN);
-            out.put_u64_le(*start_lsn);
-            debug_assert!(catalog.len() <= u16::MAX as usize);
-            out.put_u16_le(catalog.len() as u16);
-            for (id, name, arity, pages) in catalog {
-                out.put_u32_le(*id);
-                put_string(out, name);
-                out.put_u32_le(*arity);
-                debug_assert!(pages.len() <= u32::MAX as usize);
-                out.put_u32_le(pages.len() as u32);
-                for page in pages {
-                    out.put_u64_le(*page);
-                }
-            }
-            debug_assert!(indexes.len() <= u16::MAX as usize);
-            out.put_u16_le(indexes.len() as u16);
-            for (table, index, name, col, kind) in indexes {
-                out.put_u32_le(*table);
-                out.put_u32_le(*index);
-                put_string(out, name);
-                out.put_u32_le(*col);
-                out.put_u8(*kind);
-            }
-        }
-        Response::SnapPage { page_id, bytes } => {
-            out.put_u8(T_SNAP_PAGE);
-            out.put_u64_le(*page_id);
-            put_bytes(out, bytes);
-        }
-        Response::SnapEnd { page_count } => {
-            out.put_u8(T_SNAP_END);
-            out.put_u64_le(*page_count);
-        }
-        Response::LogChunk { term, start, bytes } => {
-            out.put_u8(T_LOG_CHUNK);
-            out.put_u64_le(*term);
-            out.put_u64_le(*start);
-            put_bytes(out, bytes);
-        }
-        Response::Token { lsn } => {
-            out.put_u8(T_TOKEN);
-            out.put_u64_le(*lsn);
-        }
-        Response::Lagging { applied } => {
-            out.put_u8(T_LAGGING);
-            out.put_u64_le(*applied);
-        }
-        Response::ShardVote { gtid, outcome } => {
-            out.put_u8(T_SHARD_VOTE);
-            out.put_u64_le(*gtid);
-            put_outcome(out, outcome);
-        }
-        Response::ShardDecision { gtid, commit } => {
-            out.put_u8(T_SHARD_DECISION);
-            out.put_u64_le(*gtid);
-            out.put_u8(u8::from(*commit));
-        }
-        Response::ShardGtids(gtids) => {
-            out.put_u8(T_SHARD_GTIDS);
-            debug_assert!(gtids.len() <= u32::MAX as usize);
-            out.put_u32_le(gtids.len() as u32);
-            for g in gtids {
-                out.put_u64_le(*g);
-            }
-        }
-        Response::Fenced { term } => {
-            out.put_u8(T_FENCED);
-            out.put_u64_le(*term);
-        }
-        Response::QuorumTimeout { lsn, acked, needed } => {
-            out.put_u8(T_QUORUM_TIMEOUT);
-            out.put_u64_le(*lsn);
-            out.put_u32_le(*acked);
-            out.put_u32_le(*needed);
-        }
-        Response::Rows(rows) => {
-            out.put_u8(T_ROWS);
-            debug_assert!(rows.len() <= u32::MAX as usize);
-            out.put_u32_le(rows.len() as u32);
-            for row in rows {
-                put_row(out, row);
-            }
-        }
-        Response::Routing { epoch, slots } => {
-            out.put_u8(T_ROUTING);
-            out.put_u64_le(*epoch);
-            debug_assert!(slots.len() <= u32::MAX as usize);
-            out.put_u32_le(slots.len() as u32);
-            for shard in slots {
-                out.put_u32_le(*shard);
-            }
-        }
-        Response::MigRows { rows } => {
-            out.put_u8(T_MIG_ROWS);
-            debug_assert!(rows.len() <= u32::MAX as usize);
-            out.put_u32_le(rows.len() as u32);
-            for (key, row) in rows {
-                out.put_u64_le(*key);
-                put_row(out, row);
-            }
-        }
-        Response::WrongShard { epoch, hint } => {
-            out.put_u8(T_WRONG_SHARD);
-            out.put_u64_le(*epoch);
-            out.put_u32_le(*hint);
-        }
-    }
-    end_frame(out, at);
-}
-
-/// u32-length-prefixed byte blob, the writer side of [`Reader::bytes`].
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    debug_assert!(bytes.len() <= u32::MAX as usize);
-    out.put_u32_le(bytes.len() as u32);
-    out.extend_from_slice(bytes);
-}
-
-/// Reserves a frame header; returns the patch offset for [`end_frame`].
-fn begin_frame(out: &mut Vec<u8>) -> usize {
-    let at = out.len();
-    out.put_u32_le(0);
-    at
-}
-
-/// Patches the header with the payload length written since [`begin_frame`].
-fn end_frame(out: &mut Vec<u8>, at: usize) {
-    let len = out.len() - at - HEADER_LEN;
-    debug_assert!(len <= MAX_FRAME, "encoded frame exceeds MAX_FRAME");
-    out[at..at + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+    put_frame(out, |out| Response::put(resp, out));
 }
 
 /// Result of trying to decode one frame from a byte stream.
 pub type Decoded<T> = Result<Option<(T, usize)>, FrameError>;
 
-/// Splits off one frame payload: `Ok(None)` while bytes are still missing,
-/// `Err` if the length prefix is unusable.
-fn take_frame(buf: &[u8]) -> Decoded<&[u8]> {
+/// Decodes one `T` frame from the front of `buf`: `Ok(None)` while bytes are
+/// still missing, `Err` if the length prefix is unusable or the payload is
+/// not exactly one `T`.
+fn decode_frame<T: Wire>(buf: &[u8]) -> Decoded<T::V> {
     if buf.len() < HEADER_LEN {
         return Ok(None);
     }
@@ -1190,543 +1048,37 @@ fn take_frame(buf: &[u8]) -> Decoded<&[u8]> {
     if len == 0 {
         return Err(FrameError::Malformed("empty payload"));
     }
-    if buf.len() < HEADER_LEN + len {
+    let consumed = HEADER_LEN + len;
+    if buf.len() < consumed {
         return Ok(None);
     }
-    Ok(Some((&buf[HEADER_LEN..HEADER_LEN + len], HEADER_LEN + len)))
+    let mut r = Reader { buf: &buf[HEADER_LEN..consumed], depth: 0 };
+    let value = T::get(&mut r)?;
+    r.finish()?;
+    Ok(Some((value, consumed)))
 }
 
 /// Decodes one request frame from the front of `buf`. Returns the request
 /// and the number of bytes consumed, `Ok(None)` if the frame is incomplete,
 /// or an error if it can never parse.
 pub fn decode_request(buf: &[u8]) -> Decoded<Request> {
-    let Some((payload, consumed)) = take_frame(buf)? else {
-        return Ok(None);
-    };
-    let mut r = Reader::new(payload);
-    let req = match r.u8()? {
-        T_PING => Request::Ping,
-        T_STATS => Request::Stats,
-        T_OBS_STATS => Request::ObsStats,
-        T_ONE_SHOT => {
-            let may_fail = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(FrameError::Malformed("bad bool")),
-            };
-            let n = r.u16()? as usize;
-            let mut ops = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                ops.push(decode_op(&mut r)?);
-            }
-            Request::OneShot { may_fail, ops }
-        }
-        T_BEGIN => Request::Begin,
-        T_READ => Request::Read { table: r.u32()?, key: r.u64()? },
-        T_UPDATE => Request::Update { table: r.u32()?, key: r.u64()?, row: r.row()? },
-        T_INSERT => Request::Insert { table: r.u32()?, key: r.u64()?, row: r.row()? },
-        T_COMMIT => Request::Commit,
-        T_ABORT => Request::Abort,
-        T_REPL_SNAPSHOT => Request::ReplSnapshot,
-        T_REPL_SUBSCRIBE => Request::ReplSubscribe { from: r.u64()?, term: r.u64()? },
-        T_REPL_ACK => Request::ReplAck { term: r.u64()?, lsn: r.u64()? },
-        T_COMMIT_TOKEN => Request::CommitToken,
-        T_READ_AT => Request::ReadAt { table: r.u32()?, key: r.u64()?, min_lsn: r.u64()? },
-        T_SHARD_PREPARE => {
-            let gtid = r.u64()?;
-            let n = r.u16()? as usize;
-            let mut ops = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                ops.push(decode_op(&mut r)?);
-            }
-            Request::ShardPrepare { gtid, ops }
-        }
-        T_SHARD_DECIDE => {
-            let gtid = r.u64()?;
-            let commit = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(FrameError::Malformed("bad bool")),
-            };
-            Request::ShardDecide { gtid, commit }
-        }
-        T_SHARD_STATUS => Request::ShardStatus { gtid: r.u64()? },
-        T_SHARD_IN_DOUBT => Request::ShardInDoubt,
-        T_QUERY => {
-            let min_lsn = r.u64()?;
-            Request::Query { min_lsn, plan: decode_plan(&mut r, 0)? }
-        }
-        T_ROUTING_SNAPSHOT => Request::RoutingSnapshot,
-        T_MIG_FETCH => Request::MigFetch {
-            table: r.u32()?,
-            slot: r.u32()?,
-            slot_count: r.u32()?,
-        },
-        _ => return Err(FrameError::Malformed("unknown request tag")),
-    };
-    r.finish()?;
-    Ok(Some((req, consumed)))
+    decode_frame::<Request>(buf)
 }
 
 /// Decodes one response frame from the front of `buf` (client side).
 pub fn decode_response(buf: &[u8]) -> Decoded<Response> {
-    let Some((payload, consumed)) = take_frame(buf)? else {
-        return Ok(None);
-    };
-    let mut r = Reader::new(payload);
-    let resp = match r.u8()? {
-        T_HELLO => Response::Hello,
-        T_BUSY => Response::Busy,
-        T_PONG => Response::Pong,
-        T_STATS_REPLY => Response::Stats(ServerStats {
-            engine: get_stats(&mut r)?,
-            sessions_accepted: r.u64()?,
-            sessions_shed: r.u64()?,
-            sessions_active: r.u64()?,
-            txns_executed: r.u64()?,
-            txns_committed: r.u64()?,
-            batches: r.u64()?,
-        }),
-        T_OBS_REPLY => {
-            // Version gate first: a snapshot from a newer build decodes to a
-            // typed error, never a guess at its layout (and never a panic).
-            let version = r.u32()?;
-            if version != OBS_SNAPSHOT_VERSION {
-                return Err(FrameError::UnsupportedVersion(version));
-            }
-            Response::ObsStats(Box::new(ObsSnapshot {
-                version,
-                stats: get_stats(&mut r)?,
-                breakdown: get_profile(&mut r)?,
-                lock_wait: get_hist(&mut r)?,
-                wal_flush: get_hist(&mut r)?,
-                pool_miss: get_hist(&mut r)?,
-                txn_latency: get_hist(&mut r)?,
-            }))
-        }
-        T_OUTCOME => Response::Outcome(get_outcome(&mut r)?),
-        T_ROW => Response::Row(r.row()?),
-        T_OK => Response::Ok,
-        T_ERROR => Response::Error(r.string()?),
-        T_SNAP_BEGIN => {
-            let start_lsn = r.u64()?;
-            let n = r.u16()? as usize;
-            let mut catalog = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let id = r.u32()?;
-                let name = r.string()?;
-                let arity = r.u32()?;
-                let pn = r.u32()? as usize;
-                // 8 bytes per page id must actually be present; checked per-read.
-                let mut pages = Vec::with_capacity(pn.min(1024));
-                for _ in 0..pn {
-                    pages.push(r.u64()?);
-                }
-                catalog.push((id, name, arity, pages));
-            }
-            let ni = r.u16()? as usize;
-            let mut indexes = Vec::with_capacity(ni.min(1024));
-            for _ in 0..ni {
-                indexes.push((r.u32()?, r.u32()?, r.string()?, r.u32()?, r.u8()?));
-            }
-            Response::SnapBegin { start_lsn, catalog, indexes }
-        }
-        T_SNAP_PAGE => Response::SnapPage { page_id: r.u64()?, bytes: r.bytes()? },
-        T_SNAP_END => Response::SnapEnd { page_count: r.u64()? },
-        T_LOG_CHUNK => Response::LogChunk { term: r.u64()?, start: r.u64()?, bytes: r.bytes()? },
-        T_TOKEN => Response::Token { lsn: r.u64()? },
-        T_LAGGING => Response::Lagging { applied: r.u64()? },
-        T_SHARD_VOTE => Response::ShardVote { gtid: r.u64()?, outcome: get_outcome(&mut r)? },
-        T_SHARD_DECISION => {
-            let gtid = r.u64()?;
-            let commit = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(FrameError::Malformed("bad bool")),
-            };
-            Response::ShardDecision { gtid, commit }
-        }
-        T_SHARD_GTIDS => {
-            let n = r.u32()? as usize;
-            let mut gtids = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                gtids.push(r.u64()?);
-            }
-            Response::ShardGtids(gtids)
-        }
-        T_FENCED => Response::Fenced { term: r.u64()? },
-        T_QUORUM_TIMEOUT => Response::QuorumTimeout {
-            lsn: r.u64()?,
-            acked: r.u32()?,
-            needed: r.u32()?,
-        },
-        T_ROWS => {
-            let n = r.u32()? as usize;
-            let mut rows = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                rows.push(r.row()?);
-            }
-            Response::Rows(rows)
-        }
-        T_ROUTING => {
-            let epoch = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut slots = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                slots.push(r.u32()?);
-            }
-            Response::Routing { epoch, slots }
-        }
-        T_MIG_ROWS => {
-            let n = r.u32()? as usize;
-            let mut rows = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let key = r.u64()?;
-                rows.push((key, r.row()?));
-            }
-            Response::MigRows { rows }
-        }
-        T_WRONG_SHARD => Response::WrongShard { epoch: r.u64()?, hint: r.u32()? },
-        _ => return Err(FrameError::Malformed("unknown response tag")),
-    };
-    r.finish()?;
-    Ok(Some((resp, consumed)))
+    decode_frame::<Response>(buf)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// A random request drawn from the frame table — the generator behind the
+/// round-trip properties in `tests/protocol_props.rs`.
+#[doc(hidden)]
+pub fn arbitrary_request(rng: &mut Rng) -> Request {
+    Request::arbitrary(rng)
+}
 
-    fn roundtrip_request(req: Request) {
-        let mut buf = Vec::new();
-        encode_request(&req, &mut buf);
-        let (decoded, consumed) = decode_request(&buf).unwrap().unwrap();
-        assert_eq!(decoded, req);
-        assert_eq!(consumed, buf.len());
-    }
-
-    fn roundtrip_response(resp: Response) {
-        let mut buf = Vec::new();
-        encode_response(&resp, &mut buf);
-        let (decoded, consumed) = decode_response(&buf).unwrap().unwrap();
-        assert_eq!(decoded, resp);
-        assert_eq!(consumed, buf.len());
-    }
-
-    #[test]
-    fn request_roundtrips() {
-        roundtrip_request(Request::Ping);
-        roundtrip_request(Request::Stats);
-        roundtrip_request(Request::Begin);
-        roundtrip_request(Request::Commit);
-        roundtrip_request(Request::Abort);
-        roundtrip_request(Request::Read { table: 3, key: u64::MAX });
-        roundtrip_request(Request::Update { table: 0, key: 1, row: vec![i64::MIN, 0, i64::MAX] });
-        roundtrip_request(Request::Insert { table: 9, key: 2, row: vec![] });
-        roundtrip_request(Request::OneShot {
-            may_fail: true,
-            ops: vec![
-                WorkloadOp::Read { table: 1, key: 2 },
-                WorkloadOp::Write { table: 1, key: 2, row: vec![-5] },
-                WorkloadOp::Add { table: 2, key: 3, col: 1, delta: -7 },
-                WorkloadOp::Insert { table: 3, key: 4, row: vec![1, 2] },
-                WorkloadOp::Delete { table: 4, key: 5 },
-            ],
-        });
-        roundtrip_request(Request::ReplSnapshot);
-        roundtrip_request(Request::ReplSubscribe { from: u64::MAX, term: 0 });
-        roundtrip_request(Request::ReplSubscribe { from: 8, term: 1 << 33 });
-        roundtrip_request(Request::ReplAck { term: 3, lsn: u64::MAX });
-        roundtrip_request(Request::CommitToken);
-        roundtrip_request(Request::ReadAt { table: 7, key: 11, min_lsn: 1 << 40 });
-    }
-
-    #[test]
-    fn query_frames_roundtrip() {
-        roundtrip_request(Request::Query {
-            min_lsn: 1 << 33,
-            plan: WirePlan::Scan { table: 2 },
-        });
-        roundtrip_request(Request::Query {
-            min_lsn: 0,
-            plan: WirePlan::Aggregate {
-                input: Box::new(WirePlan::Filter {
-                    input: Box::new(WirePlan::IndexScan {
-                        table: 0,
-                        index: 1,
-                        lo: i64::MIN,
-                        hi: 99,
-                    }),
-                    col: 2,
-                    op: CmpOp::Ne,
-                    value: -4,
-                }),
-                group_col: Some(1),
-                agg_col: 2,
-                func: AggFunc::Sum,
-            },
-        });
-        roundtrip_request(Request::Query {
-            min_lsn: 7,
-            plan: WirePlan::Sort {
-                input: Box::new(WirePlan::Project {
-                    input: Box::new(WirePlan::Scan { table: 1 }),
-                    cols: vec![2, 0],
-                }),
-                col: 0,
-            },
-        });
-        roundtrip_request(Request::Query {
-            min_lsn: 7,
-            plan: WirePlan::Aggregate {
-                input: Box::new(WirePlan::Scan { table: 1 }),
-                group_col: None,
-                agg_col: 0,
-                func: AggFunc::Count,
-            },
-        });
-        roundtrip_response(Response::Rows(vec![]));
-        roundtrip_response(Response::Rows(vec![vec![1, 2], vec![], vec![i64::MIN]]));
-    }
-
-    #[test]
-    fn over_deep_plan_is_malformed_not_a_stack_overflow() {
-        let mut plan = WirePlan::Scan { table: 0 };
-        for _ in 0..MAX_PLAN_DEPTH + 10 {
-            plan = WirePlan::Sort { input: Box::new(plan), col: 0 };
-        }
-        let mut buf = Vec::new();
-        encode_request(&Request::Query { min_lsn: 0, plan }, &mut buf);
-        assert_eq!(
-            decode_request(&buf),
-            Err(FrameError::Malformed("plan nested too deeply"))
-        );
-    }
-
-    #[test]
-    fn shard_request_roundtrips() {
-        roundtrip_request(Request::ShardPrepare {
-            gtid: u64::MAX,
-            ops: vec![
-                WorkloadOp::Add { table: 2, key: 3, col: 1, delta: -7 },
-                WorkloadOp::Insert { table: 3, key: 4, row: vec![1, 2, 3] },
-            ],
-        });
-        roundtrip_request(Request::ShardPrepare { gtid: 0, ops: vec![] });
-        roundtrip_request(Request::ShardDecide { gtid: 7, commit: true });
-        roundtrip_request(Request::ShardDecide { gtid: 8, commit: false });
-        roundtrip_request(Request::ShardStatus { gtid: 1 << 50 });
-        roundtrip_request(Request::ShardInDoubt);
-    }
-
-    #[test]
-    fn rebalance_frames_roundtrip() {
-        roundtrip_request(Request::RoutingSnapshot);
-        roundtrip_request(Request::MigFetch { table: 7, slot: 3, slot_count: 16 });
-        roundtrip_request(Request::MigFetch { table: u32::MAX, slot: 0, slot_count: 1 });
-        roundtrip_response(Response::Routing { epoch: 0, slots: vec![] });
-        roundtrip_response(Response::Routing {
-            epoch: u64::MAX,
-            slots: vec![0, 1, 2, 1, 0, u32::MAX],
-        });
-        roundtrip_response(Response::MigRows { rows: vec![] });
-        roundtrip_response(Response::MigRows {
-            rows: vec![(0, vec![]), (u64::MAX, vec![i64::MIN, 0, i64::MAX])],
-        });
-        roundtrip_response(Response::WrongShard { epoch: 9, hint: 2 });
-        roundtrip_response(Response::WrongShard { epoch: u64::MAX, hint: u32::MAX });
-    }
-
-    #[test]
-    fn shard_response_roundtrips() {
-        roundtrip_response(Response::ShardVote {
-            gtid: 42,
-            outcome: SpecOutcome::Committed { reads: vec![None, Some(vec![5, -6])] },
-        });
-        roundtrip_response(Response::ShardVote {
-            gtid: 43,
-            outcome: SpecOutcome::ConflictFailure,
-        });
-        roundtrip_response(Response::ShardDecision { gtid: 9, commit: true });
-        roundtrip_response(Response::ShardDecision { gtid: 10, commit: false });
-        roundtrip_response(Response::ShardGtids(vec![]));
-        roundtrip_response(Response::ShardGtids(vec![1, 2, u64::MAX]));
-    }
-
-    #[test]
-    fn shard_decide_rejects_bad_bool() {
-        let mut buf = Vec::new();
-        encode_request(&Request::ShardDecide { gtid: 1, commit: true }, &mut buf);
-        let last = buf.len() - 1;
-        buf[last] = 2;
-        assert_eq!(decode_request(&buf), Err(FrameError::Malformed("bad bool")));
-    }
-
-    #[test]
-    fn response_roundtrips() {
-        roundtrip_response(Response::Hello);
-        roundtrip_response(Response::Busy);
-        roundtrip_response(Response::Pong);
-        roundtrip_response(Response::Ok);
-        roundtrip_response(Response::Row(vec![7, -8]));
-        roundtrip_response(Response::Error("no open transaction".into()));
-        roundtrip_response(Response::Outcome(SpecOutcome::LogicalFailure));
-        roundtrip_response(Response::Outcome(SpecOutcome::ConflictFailure));
-        roundtrip_response(Response::Outcome(SpecOutcome::Committed {
-            reads: vec![None, Some(vec![1, 2, 3]), Some(vec![])],
-        }));
-        roundtrip_response(Response::Stats(ServerStats {
-            engine: StatsSnapshot {
-                commits: 1,
-                aborts: 2,
-                durable_lsn: 3,
-                current_lsn: 4,
-                wal_flushes: 5,
-            },
-            sessions_accepted: 6,
-            sessions_shed: 7,
-            sessions_active: 8,
-            txns_executed: 9,
-            txns_committed: 10,
-            batches: 11,
-        }));
-        roundtrip_response(Response::SnapBegin {
-            start_lsn: 8192,
-            catalog: vec![
-                (0, "accounts".into(), 2, vec![3, 9, 11]),
-                (1, "".into(), 0, vec![]),
-            ],
-            indexes: vec![
-                (0, 0, "accounts_branch".into(), 1, 0),
-                (0, 1, "accounts_balance".into(), 0, 1),
-            ],
-        });
-        roundtrip_response(Response::SnapBegin {
-            start_lsn: 0,
-            catalog: vec![],
-            indexes: vec![],
-        });
-        roundtrip_response(Response::SnapPage { page_id: 42, bytes: vec![0xAB; 8192] });
-        roundtrip_response(Response::SnapEnd { page_count: 17 });
-        roundtrip_response(Response::LogChunk { term: 1, start: 1 << 30, bytes: vec![1, 2, 3] });
-        roundtrip_response(Response::LogChunk { term: 0, start: 8, bytes: vec![] });
-        roundtrip_response(Response::Token { lsn: u64::MAX });
-        roundtrip_response(Response::Lagging { applied: 99 });
-        roundtrip_response(Response::Fenced { term: u64::MAX });
-        roundtrip_response(Response::QuorumTimeout { lsn: 1 << 40, acked: 1, needed: 2 });
-    }
-
-    fn sample_snapshot() -> ObsSnapshot {
-        let mut lock_wait = HistogramSnapshot::default();
-        lock_wait.record(1);
-        lock_wait.record(100);
-        let mut txn_latency = HistogramSnapshot::default();
-        for v in [0u64, 1, 2, 4_096, u64::MAX] {
-            txn_latency.record(v);
-        }
-        ObsSnapshot {
-            version: OBS_SNAPSHOT_VERSION,
-            stats: StatsSnapshot {
-                commits: 10,
-                aborts: 1,
-                durable_lsn: 900,
-                current_lsn: 1000,
-                wal_flushes: 4,
-            },
-            breakdown: WaitProfile {
-                useful: 500,
-                lock_wait: 40,
-                latch_spin: 3,
-                log_wait: 70,
-                io_retry: 0,
-                commit_flush: 120,
-            },
-            lock_wait,
-            wal_flush: HistogramSnapshot::default(),
-            pool_miss: HistogramSnapshot::default(),
-            txn_latency,
-        }
-    }
-
-    #[test]
-    fn obs_frames_roundtrip() {
-        roundtrip_request(Request::ObsStats);
-        roundtrip_response(Response::ObsStats(Box::new(sample_snapshot())));
-    }
-
-    #[test]
-    fn unknown_snapshot_version_is_a_typed_error() {
-        let mut buf = Vec::new();
-        encode_response(&Response::ObsStats(Box::new(sample_snapshot())), &mut buf);
-        // Pretend a newer peer sent this: bump the version field (first 4
-        // payload bytes after the length prefix and tag).
-        let evil = OBS_SNAPSHOT_VERSION + 7;
-        buf[5..9].copy_from_slice(&evil.to_le_bytes());
-        assert_eq!(decode_response(&buf), Err(FrameError::UnsupportedVersion(evil)));
-    }
-
-    #[test]
-    fn incomplete_frames_ask_for_more() {
-        let mut buf = Vec::new();
-        encode_request(&Request::Read { table: 1, key: 2 }, &mut buf);
-        for cut in 0..buf.len() {
-            assert_eq!(decode_request(&buf[..cut]).unwrap(), None, "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn pipelined_frames_decode_in_sequence() {
-        let mut buf = Vec::new();
-        encode_request(&Request::Ping, &mut buf);
-        encode_request(&Request::Stats, &mut buf);
-        encode_request(&Request::Commit, &mut buf);
-        let mut at = 0;
-        let mut seen = Vec::new();
-        while let Some((req, used)) = decode_request(&buf[at..]).unwrap() {
-            seen.push(req);
-            at += used;
-        }
-        assert_eq!(seen, vec![Request::Ping, Request::Stats, Request::Commit]);
-        assert_eq!(at, buf.len());
-    }
-
-    #[test]
-    fn hostile_length_prefix_is_rejected_not_allocated() {
-        let mut buf = Vec::new();
-        buf.put_u32_le(u32::MAX);
-        buf.put_u8(T_PING);
-        assert!(matches!(decode_request(&buf), Err(FrameError::Oversized(_))));
-    }
-
-    #[test]
-    fn malformed_payloads_error_without_panic() {
-        // Unknown tag.
-        let mut buf = Vec::new();
-        buf.put_u32_le(1);
-        buf.put_u8(0x77);
-        assert!(decode_request(&buf).is_err());
-        // Truncated field inside a complete frame: READ needs 12 more bytes.
-        let mut buf = Vec::new();
-        buf.put_u32_le(2);
-        buf.put_u8(T_READ);
-        buf.put_u8(9);
-        assert!(decode_request(&buf).is_err());
-        // Trailing garbage after a valid PING.
-        let mut buf = Vec::new();
-        buf.put_u32_le(3);
-        buf.put_u8(T_PING);
-        buf.put_u16_le(0);
-        assert!(decode_request(&buf).is_err());
-        // Row claims more columns than the payload holds.
-        let mut buf = Vec::new();
-        buf.put_u32_le(1 + 4 + 8 + 2);
-        buf.put_u8(T_UPDATE);
-        buf.put_u32_le(1);
-        buf.put_u64_le(1);
-        buf.put_u16_le(100);
-        assert!(decode_request(&buf).is_err());
-        // Zero-length payload.
-        let buf = 0u32.to_le_bytes();
-        assert!(decode_request(&buf).is_err());
-    }
+/// A random response drawn from the frame table (see [`arbitrary_request`]).
+#[doc(hidden)]
+pub fn arbitrary_response(rng: &mut Rng) -> Response {
+    Response::arbitrary(rng)
 }

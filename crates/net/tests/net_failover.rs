@@ -85,6 +85,42 @@ fn client_op_timeout_surfaces_typed() {
     stall.join().unwrap();
 }
 
+/// The same on the write side: a peer that stops *reading* stalls a large
+/// pipelined batch once the socket buffers fill, and that too must surface
+/// as the typed timeout — `one_shot`/`run_pipelined` share `send`'s write
+/// path rather than leaking a raw `WouldBlock`/`TimedOut` I/O error.
+#[test]
+fn client_write_stall_surfaces_typed() {
+    // A fake "server" that greets and then never reads a byte.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    let stall = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        let mut hello = Vec::new();
+        esdb_net::protocol::encode_response(&esdb_net::protocol::Response::Hello, &mut hello);
+        sock.write_all(&hello).unwrap();
+        let _ = done_rx.recv(); // hold the socket open until the client gave up
+    });
+    let mut client = Client::connect(addr).unwrap();
+    client.set_op_timeout(Some(Duration::from_millis(80))).unwrap();
+    // ~16 MiB of frames: far past what loopback socket buffers absorb.
+    let wide = TxnSpec {
+        kind: "wide",
+        ops: vec![WorkloadOp::Insert { table: 0, key: 1, row: vec![7; 2_000] }],
+        may_fail: false,
+    };
+    let batch = vec![wide; 1_000];
+    let started = Instant::now();
+    match client.run_pipelined(&batch) {
+        Err(NetError::Protocol(FrameError::Timeout)) => {}
+        other => panic!("expected typed timeout, got {other:?}"),
+    }
+    assert!(started.elapsed() < Duration::from_secs(5), "must not block to the bitter end");
+    done_tx.send(()).unwrap();
+    stall.join().unwrap();
+}
+
 /// Tentpole, quorum over the wire: with no follower acks the commit path
 /// degrades to a typed QuorumTimeout (the txn *is* durable locally); once a
 /// subscriber acks durability past the commit LSN, commits succeed again.

@@ -18,10 +18,9 @@
 //! that onto the idempotent restart rule: anything before `CutOver`
 //! restarts the copy; `CutOver` and later roll forward.
 
-use esdb_wal::{LogBody, LogPolicy, Wal, NULL_LSN};
+use esdb_wal::{LogBody, LogPolicy, Wal};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The migration state machine. Ordinals are the durable wire form (the
 /// `phase` byte of [`LogBody::MigrationStep`]); ordering is meaningful —
@@ -92,7 +91,7 @@ pub const FENCE_MARK: u8 = 0xFE;
 /// The migration coordinator's write-ahead log: one forced
 /// [`LogBody::MigrationStep`] per state-machine transition.
 pub struct MigrationLog {
-    wal: Arc<Wal>,
+    wal: Wal,
     /// Latest `(phase, mark)` per migration id, this incarnation plus
     /// whatever recovery salvaged.
     state: Mutex<HashMap<u64, (Phase, u64)>>,
@@ -108,7 +107,7 @@ impl MigrationLog {
     /// A fresh coordinator log.
     pub fn new() -> MigrationLog {
         MigrationLog {
-            wal: Arc::new(Wal::new(LogPolicy::Serial, None)),
+            wal: Wal::new(LogPolicy::Serial, None),
             state: Mutex::new(HashMap::new()),
         }
     }
@@ -117,12 +116,8 @@ impl MigrationLog {
     /// is durable. The caller acts on the transition only after this
     /// returns — write-ahead, like every other log in the system.
     pub fn record(&self, mid: u64, phase: Phase, slot: u32, from: u32, to: u32, mark: u64) {
-        let r = self.wal.append(
-            0,
-            NULL_LSN,
-            &LogBody::MigrationStep { mid, phase: phase.as_u8(), slot, from, to, mark },
-        );
-        self.wal.wait_durable(r.end);
+        let step = LogBody::MigrationStep { mid, phase: phase.as_u8(), slot, from, to, mark };
+        self.wal.append_forced(&step);
         self.state.lock().insert(mid, (phase, mark));
     }
 
@@ -147,9 +142,7 @@ impl MigrationLog {
             }
         }
         MigrationLog {
-            // Resume the LSN stream past everything the dead incarnation
-            // may have handed to the device.
-            wal: Arc::new(Wal::new_at(self.wal.durable_lsn() + (1 << 24), LogPolicy::Serial, None)),
+            wal: self.wal.successor(LogPolicy::Serial, None),
             state: Mutex::new(state),
         }
     }

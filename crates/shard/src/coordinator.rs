@@ -32,7 +32,7 @@ struct CoordState {
 
 /// The coordinator's write-ahead decision log.
 pub struct DecisionLog {
-    wal: Arc<Wal>,
+    wal: Wal,
     state: Mutex<CoordState>,
 }
 
@@ -46,7 +46,7 @@ impl DecisionLog {
     /// A fresh coordinator with an empty log.
     pub fn new() -> Self {
         DecisionLog {
-            wal: Arc::new(Wal::new(LogPolicy::Serial, None)),
+            wal: Wal::new(LogPolicy::Serial, None),
             state: Mutex::new(CoordState {
                 next: 0,
                 durable_bound: 0,
@@ -64,8 +64,7 @@ impl DecisionLog {
         s.next += 1;
         if gtid >= s.durable_bound {
             let bound = gtid + GTID_BATCH;
-            let r = self.wal.append(0, NULL_LSN, &LogBody::GtidWatermark { next: bound });
-            self.wal.wait_durable(r.end);
+            self.wal.append_forced(&LogBody::GtidWatermark { next: bound });
             s.durable_bound = bound;
         }
         gtid
@@ -74,12 +73,12 @@ impl DecisionLog {
     /// Records the verdict for `gtid`. Commit verdicts are forced to the
     /// log before this returns; abort verdicts are fire-and-forget.
     pub fn decide(&self, gtid: u64, commit: bool) {
-        let mut s = self.state.lock();
-        s.decisions.insert(gtid, commit);
-        let r = self.wal.append(0, NULL_LSN, &LogBody::Decide { gtid, commit });
-        drop(s);
+        self.state.lock().decisions.insert(gtid, commit);
+        let verdict = LogBody::Decide { gtid, commit };
         if commit {
-            self.wal.wait_durable(r.end);
+            self.wal.append_forced(&verdict);
+        } else {
+            self.wal.append(0, NULL_LSN, &verdict);
         }
     }
 
@@ -113,13 +112,7 @@ impl DecisionLog {
             }
         }
         DecisionLog {
-            // The fresh incarnation resumes the LSN stream past everything
-            // the dead one may have handed to the device.
-            wal: Arc::new(Wal::new_at(
-                self.wal.durable_lsn() + (1 << 24),
-                LogPolicy::Serial,
-                None,
-            )),
+            wal: self.wal.successor(LogPolicy::Serial, None),
             state: Mutex::new(CoordState {
                 // Skip the whole covered batch: some of it may be in use.
                 next: bound,

@@ -5,7 +5,7 @@ use crate::consolidated::ConsolidatedLogBuffer;
 use crate::decoupled::DecoupledLogBuffer;
 use crate::record::{self, LogBody, LogRecord};
 use crate::serial::SerialLogBuffer;
-use crate::Lsn;
+use crate::{Lsn, NULL_LSN};
 use std::str::FromStr;
 use std::time::Duration;
 
@@ -51,6 +51,12 @@ impl FromStr for LogPolicy {
     }
 }
 
+/// How far past its predecessor's durable end a [`Wal::successor`] starts:
+/// clear of everything the dead incarnation may have handed to the device
+/// and of every page LSN recovery may stamp (undo LSNs run up to durable +
+/// ~1M).
+pub const INCARNATION_GAP: Lsn = 1 << 24;
+
 /// The engine-facing write-ahead log.
 pub struct Wal {
     buffer: Box<dyn LogBuffer>,
@@ -87,6 +93,13 @@ impl Wal {
         Self::with_buffer(buffer)
     }
 
+    /// The log a restarted node continues on: a fresh, empty incarnation of
+    /// this log's LSN stream, [`INCARNATION_GAP`] past the durable prefix
+    /// (all that survives a crash; read it with [`Wal::durable_records`]).
+    pub fn successor(&self, policy: LogPolicy, flush_latency: Option<Duration>) -> Self {
+        Self::new_at(self.durable_lsn() + INCARNATION_GAP, policy, flush_latency)
+    }
+
     /// Wraps an explicit buffer implementation (used by benchmarks).
     pub fn with_buffer(buffer: Box<dyn LogBuffer>) -> Self {
         Wal {
@@ -106,6 +119,14 @@ impl Wal {
     pub fn append(&self, txn_id: u64, prev_lsn: Lsn, body: &LogBody) -> LsnRange {
         let bytes = record::encode(txn_id, prev_lsn, body);
         self.buffer.insert(&bytes)
+    }
+
+    /// Appends one stand-alone record (no transaction, no chain) and returns
+    /// once it is durable — the write-ahead step of a coordinator log, whose
+    /// caller acts on the record only after this returns.
+    pub fn append_forced(&self, body: &LogBody) {
+        let range = self.append(0, NULL_LSN, body);
+        self.wait_durable(range.end);
     }
 
     /// Appends a commit record and makes it durable (group commit: one
@@ -283,7 +304,6 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NULL_LSN;
 
     #[test]
     fn policy_roundtrip() {

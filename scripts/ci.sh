@@ -14,6 +14,21 @@ cargo build --release
 echo "== tier 1: tests =="
 cargo test -q
 
+echo "== referee: benchmark package builds against the program and passes its own tests =="
+# benchmark/ is a package of its own (path-deps on crates/*), so tier 1 never
+# compiles it: a program change that breaks the public surface listed in
+# benchmark/src/sut.rs must fail here, not in the next refereed run.
+(cd benchmark && cargo build --release --offline && cargo test --offline -q)
+
+echo "== net: whole esdb-net suite + golden wire bytes (release) =="
+# Unit tests, protocol_props (round-trip/totality properties generated from
+# the frame table), reactor_sm (split-point properties of the nonblocking
+# decoder), net_server, net_scale, net_failover (typed QuorumTimeout/Fenced
+# frames, stalled-peer and stalled-write timeouts, dead-feed reads) — and
+# the root-level golden fixtures pinning every frame's exact bytes.
+cargo test --release -q -p esdb-net
+cargo test --release -q --test wire_golden
+
 echo "== smoke: fig1_scaling (reduced sweep) =="
 FIG1_CONTEXTS="1,4" FIG1_SUBSCRIBERS=1000 \
     cargo run --release -p esdb-bench --bin fig1_scaling
@@ -45,19 +60,17 @@ echo "== smoke: failover (quorum commit, fencing, promotion torture matrix) =="
 # primary returns} x {before ship, after ship/before ack, after quorum} x 3
 # seeds (36 seeded rounds) plus the double-promotion split-brain scenario;
 # the oracle asserts no quorum-acked commit is lost and no divergent commit
-# survives. net_failover covers the same machinery at the wire level
-# (typed QuorumTimeout/Fenced frames, stalled-peer timeout, dead-feed reads).
+# survives. (net_failover, the same machinery at the wire level, ran in the
+# net stage above.)
 cargo test --release -q -p esdb-repl --test failover_torture
-cargo test --release -q -p esdb-net --test net_failover
 
 echo "== smoke: reactor scale (tab3 loopback at 1 and 2 reactors + reduced herd) =="
 # The same tab3 loopback run pinned to one reactor and then two: numbers
 # may differ, behavior may not — every row must complete with zero failures
 # however sessions shard across event loops. The reduced net_scale run then
 # holds a 300-connection idle herd against an active session (p99 bounded)
-# and drains pipelined in-flight txns through a shutdown. reactor_sm pins
-# the nonblocking decoder's split-point properties. The herd row here is
-# smoke-sized; the committed 1000-connection snapshot row comes from
+# and drains pipelined in-flight txns through a shutdown. The herd row here
+# is smoke-sized; the committed 1000-connection snapshot row comes from
 # bench_tables.sh below.
 TAB3_CONNS=2 TAB3_TXNS=1000 TAB3_SUBSCRIBERS=1000 TAB3_REPS=1 \
     TAB3_REACTORS=1 TAB3_MAX_CONNS=300 ESDB_BENCH_DIR=bench_out/reactor_smoke \
@@ -66,7 +79,6 @@ TAB3_CONNS=2 TAB3_TXNS=1000 TAB3_SUBSCRIBERS=1000 TAB3_REPS=1 \
     TAB3_REACTORS=2 TAB3_MAX_CONNS=300 ESDB_BENCH_DIR=bench_out/reactor_smoke \
     cargo run --release -q -p esdb-bench --bin tab3_server
 NET_SCALE_CONNS=300 cargo test --release -q -p esdb-net --test net_scale
-cargo test --release -q -p esdb-net --test reactor_sm
 
 echo "== smoke: htap (follower OLAP under primary writes, index=scan + token-pinned query) =="
 # Reduced tab_htap run (<10 s): one rep, small burst. The run itself asserts

@@ -11,8 +11,8 @@
 use esdb::core::spec_exec::SpecOutcome;
 use esdb::core::{ObsSnapshot, StatsSnapshot, OBS_SNAPSHOT_VERSION};
 use esdb::net::protocol::{
-    decode_request, decode_response, encode_request, encode_response, encode_spec, Request,
-    Response, ServerStats, WirePlan,
+    decode_request, decode_response, encode_request, encode_response, encode_spec, FrameError,
+    Request, Response, ServerStats, WirePlan, HEADER_LEN, MAX_FRAME,
 };
 use esdb::obs::{HistogramSnapshot, WaitProfile};
 use esdb::staged::{AggFunc, CmpOp};
@@ -24,7 +24,7 @@ fn hex(bytes: &[u8]) -> String {
 
 fn unhex(s: &str) -> Vec<u8> {
     let digits: Vec<u8> = s.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
-    assert!(digits.len() % 2 == 0, "odd hex string");
+    assert!(digits.len().is_multiple_of(2), "odd hex string");
     digits
         .chunks(2)
         .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
@@ -43,6 +43,9 @@ fn op_samples() -> Vec<WorkloadOp> {
     ]
 }
 
+const CMP_OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+const AGG_FUNCS: [AggFunc; 4] = [AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Max];
+
 fn scan() -> Box<WirePlan> {
     Box::new(WirePlan::Scan { table: 1 })
 }
@@ -57,15 +60,11 @@ fn plan_samples() -> Vec<WirePlan> {
             col: 3,
         },
     ];
-    for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+    for op in CMP_OPS {
         plans.push(WirePlan::Filter { input: scan(), col: 2, op, value: -4 });
     }
-    for (func, group_col) in [
-        (AggFunc::Sum, Some(1)),
-        (AggFunc::Count, None),
-        (AggFunc::Min, Some(u32::MAX)),
-        (AggFunc::Max, None),
-    ] {
+    // `Sum`/`Min` grouped, `Count`/`Max` ungrouped.
+    for (func, group_col) in AGG_FUNCS.into_iter().zip([Some(1), None, Some(u32::MAX), None]) {
         plans.push(WirePlan::Aggregate { input: scan(), group_col, agg_col: 2, func });
     }
     plans
@@ -111,7 +110,8 @@ fn request_samples() -> Vec<Request> {
         Request::RoutingSnapshot,
         Request::MigFetch { table: 7, slot: 3, slot_count: 16 },
     ];
-    reqs.extend(op_samples().into_iter().map(|op| Request::OneShot { may_fail: false, ops: vec![op] }));
+    let one_op = |op| Request::OneShot { may_fail: false, ops: vec![op] };
+    reqs.extend(op_samples().into_iter().map(one_op));
     reqs.extend(plan_samples().into_iter().map(|plan| Request::Query { min_lsn: 1 << 33, plan }));
     reqs
 }
@@ -482,10 +482,143 @@ fn every_tag_has_a_fixture() {
     // filter-over-scan's comparison sits at byte 23 and an aggregate's
     // function is the frame's last byte.
     assert_eq!(distinct(op_samples().iter().map(op_golden).collect(), |_| 8), 5, "ops");
-    assert_eq!(distinct(outcome_samples().iter().map(outcome_golden).collect(), |_| 5), 3, "outcomes");
+    let outcomes = outcome_samples();
+    assert_eq!(distinct(outcomes.iter().map(outcome_golden).collect(), |_| 5), 3, "outcomes");
     assert_eq!(distinct(plans.iter().map(plan_golden).collect(), |_| 13), 6, "plan nodes");
-    let filters = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
-    assert_eq!(distinct(filters.map(cmp_golden).to_vec(), |_| 23), 6, "comparisons");
-    let aggs = [AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Max];
-    assert_eq!(distinct(aggs.map(agg_golden).to_vec(), |f| f.len() - 1), 4, "aggregates");
+    assert_eq!(distinct(CMP_OPS.map(cmp_golden).to_vec(), |_| 23), 6, "comparisons");
+    assert_eq!(distinct(AGG_FUNCS.map(agg_golden).to_vec(), |f| f.len() - 1), 4, "aggregates");
+}
+
+// ---------------------------------------------------------------- totality
+//
+// The decoders are total: whatever is done to a golden frame, decoding
+// yields a value, "incomplete", or a typed error — never a panic.
+
+/// Every golden frame, tagged with whether it is a request.
+fn golden_frames() -> Vec<(bool, Vec<u8>)> {
+    let requests = request_samples().into_iter().map(|r| (true, unhex(request_golden(&r))));
+    let responses = response_samples().into_iter().map(|r| (false, unhex(response_golden(&r))));
+    requests.chain(responses).collect()
+}
+
+/// Decodes with the matching decoder, keeping only the consumed length.
+fn decode(is_request: bool, buf: &[u8]) -> Result<Option<usize>, FrameError> {
+    if is_request {
+        decode_request(buf).map(|d| d.map(|(_, used)| used))
+    } else {
+        decode_response(buf).map(|d| d.map(|(_, used)| used))
+    }
+}
+
+/// `frame` with its payload replaced and the length prefix made to match.
+fn reframed(payload: &[u8]) -> Vec<u8> {
+    let mut buf = (payload.len() as u32).to_le_bytes().to_vec();
+    buf.extend_from_slice(payload);
+    buf
+}
+
+#[test]
+fn strict_prefixes_are_incomplete_and_short_payloads_are_malformed() {
+    for (is_request, frame) in golden_frames() {
+        for cut in 0..frame.len() {
+            assert_eq!(decode(is_request, &frame[..cut]), Ok(None), "prefix {cut}: {}", hex(&frame));
+        }
+        // The same cuts with an honest length prefix: the frame is complete
+        // but a field is missing.
+        let payload = &frame[HEADER_LEN..];
+        assert_eq!(decode(is_request, &reframed(&[])), Err(FrameError::Malformed("empty payload")));
+        for cut in 1..payload.len() {
+            assert_eq!(
+                decode(is_request, &reframed(&payload[..cut])),
+                Err(FrameError::Malformed("truncated field")),
+                "payload cut at {cut} of {}",
+                hex(&frame)
+            );
+        }
+    }
+}
+
+#[test]
+fn a_byte_past_the_last_field_is_trailing_garbage() {
+    for (is_request, frame) in golden_frames() {
+        let mut payload = frame[HEADER_LEN..].to_vec();
+        payload.push(0);
+        assert_eq!(
+            decode(is_request, &reframed(&payload)),
+            Err(FrameError::Malformed("trailing bytes")),
+            "{}",
+            hex(&frame)
+        );
+    }
+}
+
+#[test]
+fn bad_tags_bools_and_strings_are_typed_errors() {
+    let sum = agg_golden(AggFunc::Sum);
+    let ops = op_samples();
+    let one_shot = request_golden(&Request::OneShot { may_fail: true, ops: ops.clone() });
+    let decide = request_golden(&Request::ShardDecide { gtid: 7, commit: true });
+    let decision = response_golden(&Response::ShardDecision { gtid: 9, commit: true });
+    let committed = outcome_golden(&SpecOutcome::Committed { reads: vec![] });
+    let error = response_golden(&Response::Error(String::new()));
+    // (is_request, golden frame, byte offset, replacement, expected rejection)
+    let cases = [
+        (true, one_shot, 5, 2, "bad bool"),
+        (true, decide, 13, 2, "bad bool"),
+        (false, decision, 13, 2, "bad bool"),
+        (true, request_golden(&Request::Ping), 4, 0x77, "unknown request tag"),
+        (true, response_golden(&Response::Hello), 4, 0x80, "unknown request tag"),
+        (false, response_golden(&Response::Hello), 4, 0x77, "unknown response tag"),
+        (false, request_golden(&Request::Ping), 4, 0x01, "unknown response tag"),
+        (true, op_golden(&ops[0]), 8, 5, "unknown op tag"),
+        (false, outcome_golden(&SpecOutcome::LogicalFailure), 5, 3, "unknown outcome tag"),
+        (true, plan_golden(&WirePlan::Scan { table: 0 }), 13, 6, "unknown plan tag"),
+        (true, cmp_golden(CmpOp::Eq), 23, 6, "unknown comparison tag"),
+        (true, sum, unhex(sum).len() - 1, 4, "unknown aggregate tag"),
+        (true, sum, 19, 2, "bad option tag"),
+        (false, committed, 8, 2, "bad option tag"),
+        (false, error, 7, 0xff, "non-utf8 string"),
+    ];
+    for (is_request, golden, at, byte, why) in cases {
+        let mut frame = unhex(golden);
+        frame[at] = byte;
+        assert_eq!(decode(is_request, &frame), Err(FrameError::Malformed(why)), "{golden} @ {at}");
+    }
+}
+
+#[test]
+fn hostile_length_prefixes_are_rejected_not_allocated() {
+    for is_request in [true, false] {
+        let mut buf = u32::MAX.to_le_bytes().to_vec();
+        buf.push(0x01);
+        assert_eq!(decode(is_request, &buf), Err(FrameError::Oversized(u32::MAX as usize)));
+        let mut buf = (MAX_FRAME as u32 + 1).to_le_bytes().to_vec();
+        buf.push(0x01);
+        assert_eq!(decode(is_request, &buf), Err(FrameError::Oversized(MAX_FRAME + 1)));
+        // A count field that promises more elements than the payload holds
+        // runs out of bytes long before it runs out of memory.
+        let lying = if is_request {
+            // Update { table: 1, key: 1, row: 65535 columns, none present }
+            unhex("0f000000 12 01000000 0100000000000000 ffff")
+        } else {
+            // ShardGtids with u32::MAX gtids, none present
+            unhex("05000000 98 ffffffff")
+        };
+        assert_eq!(decode(is_request, &lying), Err(FrameError::Malformed("truncated field")));
+    }
+}
+
+#[test]
+fn smashing_any_byte_of_any_frame_never_panics_or_over_reads() {
+    for (is_request, frame) in golden_frames() {
+        for at in 0..frame.len() {
+            for byte in [0x00, 0x02, 0x7f, 0xff] {
+                let mut smashed = frame.clone();
+                smashed[at] = byte;
+                if let Ok(Some(used)) = decode(is_request, &smashed) {
+                    assert!(used <= smashed.len());
+                }
+            }
+        }
+    }
 }
