@@ -60,11 +60,6 @@ impl Recorder {
         self.committed.lock().unwrap().insert(txn);
     }
 
-    /// Number of committed attempts.
-    pub fn committed_count(&self) -> usize {
-        self.committed.lock().unwrap().len()
-    }
-
     /// Runs the conflict-graph cycle check over the committed history.
     /// Returns a description of a cycle if one exists.
     pub fn serializability_violation(&self) -> Option<String> {

@@ -108,26 +108,6 @@ pub struct ObsSnapshot {
     pub txn_latency: esdb_obs::HistogramSnapshot,
 }
 
-/// A participant's two-phase-commit vote on one transaction spec.
-#[derive(Debug)]
-pub enum PrepareVote {
-    /// Yes: the transaction is prepared — its `Prepare` record is durable
-    /// and every lock stays held until [`Database::decide`] delivers the
-    /// coordinator's answer. `reads` carries per-op results exactly as in
-    /// [`SpecOutcome::Committed`].
-    Commit {
-        /// Per-op read results.
-        reads: Vec<Option<Vec<i64>>>,
-    },
-    /// No: the transaction aborted locally (locks released, buffered writes
-    /// undone — exactly once, on this side of the vote). The outcome says
-    /// why; the coordinator must now decide abort globally.
-    Abort {
-        /// Why the participant voted no.
-        outcome: SpecOutcome,
-    },
-}
-
 /// A running esdb database instance.
 pub struct Database {
     config: EngineConfig,
@@ -308,18 +288,21 @@ impl Database {
         }
     }
 
-    /// Two-phase-commit participant hook: runs `spec` and, on success,
-    /// leaves the transaction *prepared* — `Prepare { gtid }` durable, all
-    /// locks held — registered under `gtid` until [`Database::decide`].
-    /// A failed run aborts locally, exactly once, and votes no.
+    /// Two-phase-commit participant hook: runs `spec` and returns the vote.
+    /// [`SpecOutcome::Committed`] is a yes: the transaction is *prepared* —
+    /// `Prepare { gtid }` durable, all locks held — and registered under
+    /// `gtid` until [`Database::decide`]. Any other outcome is a no: the run
+    /// aborted locally (locks released, buffered writes undone — exactly
+    /// once, on this side of the vote), the outcome says why, and the
+    /// coordinator must now decide abort globally.
     ///
     /// Only the conventional engine participates in 2PC; DORA configs vote
     /// no (their executors commit internally and cannot hold a transaction
     /// open across the vote). A gtid already registered here also votes no
     /// — gtids are single-use by the coordinator's contract.
-    pub fn run_spec_prepare(&self, gtid: u64, spec: &esdb_workload::TxnSpec) -> PrepareVote {
+    pub fn run_spec_prepare(&self, gtid: u64, spec: &esdb_workload::TxnSpec) -> SpecOutcome {
         if !matches!(self.config.execution, ExecutionModel::Conventional { .. }) {
-            return PrepareVote::Abort { outcome: SpecOutcome::LogicalFailure };
+            return SpecOutcome::LogicalFailure;
         }
         match spec_exec::run_conventional_prepare(&self.txn_mgr, self.config.retries, gtid, spec) {
             Ok((handle, reads)) => {
@@ -327,12 +310,12 @@ impl Database {
                 if reg.contains_key(&gtid) {
                     drop(reg);
                     handle.abort_decided();
-                    return PrepareVote::Abort { outcome: SpecOutcome::LogicalFailure };
+                    return SpecOutcome::LogicalFailure;
                 }
                 reg.insert(gtid, handle);
-                PrepareVote::Commit { reads }
+                SpecOutcome::Committed { reads }
             }
-            Err(outcome) => PrepareVote::Abort { outcome },
+            Err(outcome) => outcome,
         }
     }
 
@@ -780,7 +763,7 @@ mod tests {
             may_fail: false,
         };
         let vote = db.run_spec_prepare(77, &spec);
-        let PrepareVote::Commit { reads } = vote else {
+        let SpecOutcome::Committed { reads } = vote else {
             panic!("clean prepare must vote commit: {vote:?}")
         };
         assert_eq!(reads, vec![Some(vec![10])]);
@@ -816,7 +799,7 @@ mod tests {
         };
         let vote = db.run_spec_prepare(5, &spec);
         assert!(
-            matches!(vote, PrepareVote::Abort { outcome: SpecOutcome::LogicalFailure }),
+            matches!(vote, SpecOutcome::LogicalFailure),
             "{vote:?}"
         );
         assert_eq!(db.txn_manager().stats().aborts, aborts_before + 1, "exactly one abort");
@@ -847,10 +830,10 @@ mod tests {
             ops: vec![WorkloadOp::Add { table: t, key, col: 0, delta: 1 }],
             may_fail: false,
         };
-        assert!(matches!(db.run_spec_prepare(9, &mk(1)), PrepareVote::Commit { .. }));
+        assert!(db.run_spec_prepare(9, &mk(1)).is_committed());
         // Same gtid again (different key, so no lock conflict): rejected,
         // and the rejected attempt's work is rolled back.
-        assert!(matches!(db.run_spec_prepare(9, &mk(2)), PrepareVote::Abort { .. }));
+        assert!(!db.run_spec_prepare(9, &mk(2)).is_committed());
         assert!(db.decide(9, true));
         assert_eq!(db.read_committed(t, 1).unwrap(), vec![1]);
         assert_eq!(db.read_committed(t, 2).unwrap(), vec![0], "duplicate's write undone");
@@ -865,7 +848,7 @@ mod tests {
             ops: vec![WorkloadOp::Insert { table: t, key: 1, row: vec![1] }],
             may_fail: false,
         };
-        assert!(matches!(db.run_spec_prepare(1, &spec), PrepareVote::Abort { .. }));
+        assert!(!db.run_spec_prepare(1, &spec).is_committed());
     }
 
     #[test]
@@ -882,7 +865,7 @@ mod tests {
                 ops: vec![WorkloadOp::Add { table: t, key: 1, col: 0, delta: 5 }],
                 may_fail: false,
             };
-            assert!(matches!(db.run_spec_prepare(33, &spec), PrepareVote::Commit { .. }));
+            assert!(db.run_spec_prepare(33, &spec).is_committed());
             let records = db.wal().durable_records();
             let (recovered, report) = db.simulate_crash_with_report(false);
             std::mem::forget(db); // crashed processes don't run Drop rollbacks

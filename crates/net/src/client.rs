@@ -1,12 +1,11 @@
 //! Client library and multi-connection load generator.
 
-use crate::protocol::{
-    decode_response, encode_request, encode_spec, FrameError, Request, Response, ServerStats,
-};
+use crate::protocol::{encode_request, encode_spec, FrameError, Request, Response, ServerStats};
+use crate::reactor::FrameCursor;
 use esdb_core::spec_exec::SpecOutcome;
 use esdb_core::WorkloadReport;
 use esdb_workload::{TxnSpec, Workload, WorkloadOp};
-use std::io::{Read as IoRead, Write as IoWrite};
+use std::io::Write as IoWrite;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -76,7 +75,18 @@ impl NetError {
     /// Replication runners use this to decide between reconnecting and
     /// halting with a typed error.
     pub fn is_reconnectable(&self) -> bool {
-        is_reconnectable(self)
+        match self {
+            NetError::ServerBusy => true,
+            NetError::Io(io) => matches!(
+                io.kind(),
+                std::io::ErrorKind::ConnectionRefused
+                    | std::io::ErrorKind::ConnectionReset
+                    | std::io::ErrorKind::ConnectionAborted
+                    | std::io::ErrorKind::BrokenPipe
+                    | std::io::ErrorKind::UnexpectedEof
+            ),
+            _ => false,
+        }
     }
 }
 
@@ -133,23 +143,6 @@ impl ReconnectPolicy {
     }
 }
 
-/// `true` for errors worth retrying the connection over: admission sheds and
-/// the I/O failures a restarting or draining server produces.
-fn is_reconnectable(e: &NetError) -> bool {
-    match e {
-        NetError::ServerBusy => true,
-        NetError::Io(io) => matches!(
-            io.kind(),
-            std::io::ErrorKind::ConnectionRefused
-                | std::io::ErrorKind::ConnectionReset
-                | std::io::ErrorKind::ConnectionAborted
-                | std::io::ErrorKind::BrokenPipe
-                | std::io::ErrorKind::UnexpectedEof
-        ),
-        _ => false,
-    }
-}
-
 /// A checkpoint-consistent page snapshot fetched from a primary — a
 /// replica's bootstrap image (see [`Client::fetch_snapshot`]).
 #[derive(Debug, Clone)]
@@ -166,18 +159,18 @@ pub struct Snapshot {
     pub pages: Vec<(u64, Vec<u8>)>,
 }
 
-/// The least free space `recv` keeps at the end of the inbox for a read.
-const RECV_CHUNK: usize = 64 * 1024;
+/// How a socket read or write that outlived its timeout reports it (which of
+/// the two kinds is platform-dependent).
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+}
 
 /// A connection to an esdb server.
 pub struct Client {
     stream: TcpStream,
-    /// Receive buffer. The whole vector is initialised memory the socket
-    /// reads straight into; `inbox[head..tail]` holds the bytes received but
-    /// not yet decoded.
-    inbox: Vec<u8>,
-    head: usize,
-    tail: usize,
+    /// Receive buffer: the same cursor a server session reads through,
+    /// popping responses instead of requests.
+    inbox: FrameCursor<Response>,
     /// Encode scratch: requests are framed here, written out, and the
     /// buffer kept for the next call.
     outbox: Vec<u8>,
@@ -193,38 +186,13 @@ impl Client {
     pub fn connect(addr: SocketAddr) -> Result<Client, NetError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let mut client = Client {
-            stream,
-            inbox: Vec::new(),
-            head: 0,
-            tail: 0,
-            outbox: Vec::new(),
-            op_timeout: None,
-        };
+        let mut client =
+            Client { stream, inbox: FrameCursor::new(), outbox: Vec::new(), op_timeout: None };
         match client.recv()? {
             Response::Hello => Ok(client),
             Response::Busy => Err(NetError::ServerBusy),
             _ => Err(NetError::Unexpected("greeting")),
         }
-    }
-
-    /// Like [`Client::connect`], retrying Busy sheds with a linear backoff.
-    /// Thin wrapper over [`Client::connect_with_backoff`] kept for callers
-    /// that want the old linear pacing knob.
-    pub fn connect_with_retry(
-        addr: SocketAddr,
-        attempts: usize,
-        backoff: Duration,
-    ) -> Result<Client, NetError> {
-        Client::connect_with_backoff(
-            addr,
-            &ReconnectPolicy {
-                attempts,
-                base: backoff,
-                cap: backoff * 64,
-                seed: 1,
-            },
-        )
     }
 
     /// Connects with bounded, jittered exponential backoff, retrying both
@@ -241,11 +209,11 @@ impl Client {
         for attempt in 0..policy.attempts.max(1) {
             match Client::connect(addr) {
                 Ok(c) => return Ok(c),
-                Err(e) if attempt + 1 < policy.attempts.max(1) && is_reconnectable(&e) => {
+                Err(e) if attempt + 1 < policy.attempts.max(1) && e.is_reconnectable() => {
                     last = e;
                     std::thread::sleep(policy.delay(attempt as u32, &mut rng));
                 }
-                Err(e) if is_reconnectable(&e) => last = e,
+                Err(e) if e.is_reconnectable() => last = e,
                 Err(e) => return Err(e),
             }
         }
@@ -268,66 +236,69 @@ impl Client {
     /// Maps a socket stall into the typed timeout when an op timeout is
     /// armed; every other I/O failure passes through untouched.
     fn stall_error(&self, e: std::io::Error) -> NetError {
-        if self.op_timeout.is_some()
-            && matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            )
-        {
+        if self.op_timeout.is_some() && timed_out(&e) {
             NetError::Protocol(FrameError::Timeout)
         } else {
             NetError::Io(e)
         }
     }
 
-    /// Reads the next response frame (blocking).
+    /// Reads the next response frame (blocking). The answers any request
+    /// can get in place of its own — a server error and the typed
+    /// degradations — become their [`NetError`]s here, once, so every caller
+    /// matches only the variant it asked for.
     fn recv(&mut self) -> Result<Response, NetError> {
         loop {
-            if let Some((resp, used)) = decode_response(&self.inbox[self.head..self.tail])? {
-                self.head += used;
-                return Ok(resp);
+            if let Some(resp) = self.inbox.next()? {
+                return match resp {
+                    Response::Error(msg) => Err(NetError::Server(msg)),
+                    Response::Fenced { term } => Err(NetError::Fenced { term }),
+                    Response::QuorumTimeout { lsn, acked, needed } => {
+                        Err(NetError::QuorumTimeout { lsn, acked, needed })
+                    }
+                    Response::WrongShard { epoch, hint } => {
+                        Err(NetError::WrongShard { epoch, hint })
+                    }
+                    resp => Ok(resp),
+                };
             }
-            // Make room for the next read: a drained inbox restarts at the
-            // front for free; otherwise a pending partial frame moves to the
-            // front, and the buffer grows if that frame outsizes it.
-            if self.head == self.tail {
-                (self.head, self.tail) = (0, 0);
-            }
-            if self.inbox.len() - self.tail < RECV_CHUNK {
-                if self.head > 0 {
-                    self.inbox.copy_within(self.head..self.tail, 0);
-                    (self.head, self.tail) = (0, self.tail - self.head);
-                }
-                self.inbox.resize(self.inbox.len().max(self.tail + RECV_CHUNK), 0);
-            }
-            let spare = &mut self.inbox[self.tail..];
-            let n = self.stream.read(spare).map_err(|e| self.stall_error(e))?;
+            let n = self.inbox.fill_from(&mut self.stream).map_err(|e| self.stall_error(e))?;
             if n == 0 {
                 return Err(NetError::Io(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "server closed the connection",
                 )));
             }
-            self.tail += n;
+        }
+    }
+
+    /// One request, one answer: the path every request/response method
+    /// takes.
+    fn call(&mut self, req: &Request) -> Result<Response, NetError> {
+        self.send(req)?;
+        self.recv()
+    }
+
+    /// [`Client::call`] for the requests acknowledged with a bare `Ok`.
+    fn call_ok(&mut self, req: &Request) -> Result<(), NetError> {
+        match self.call(req)? {
+            Response::Ok => Ok(()),
+            _ => Err(NetError::Unexpected("ok")),
         }
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), NetError> {
-        self.send(&Request::Ping)?;
-        match self.recv()? {
+        match self.call(&Request::Ping)? {
             Response::Pong => Ok(()),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("pong")),
         }
     }
 
     /// Engine + server counters.
     pub fn stats(&mut self) -> Result<ServerStats, NetError> {
-        self.send(&Request::Stats)?;
-        match self.recv()? {
+        match self.call(&Request::Stats)? {
             Response::Stats(s) => Ok(s),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("stats")),
         }
     }
@@ -335,10 +306,8 @@ impl Client {
     /// Full observability snapshot: counters plus the server's wait
     /// breakdown and per-component latency histograms.
     pub fn obs_stats(&mut self) -> Result<esdb_core::ObsSnapshot, NetError> {
-        self.send(&Request::ObsStats)?;
-        match self.recv()? {
+        match self.call(&Request::ObsStats)? {
             Response::ObsStats(snap) => Ok(*snap),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("obs stats")),
         }
     }
@@ -369,66 +338,41 @@ impl Client {
     fn read_outcome(&mut self) -> Result<SpecOutcome, NetError> {
         match self.recv()? {
             Response::Outcome(outcome) => Ok(outcome),
-            Response::QuorumTimeout { lsn, acked, needed } => {
-                Err(NetError::QuorumTimeout { lsn, acked, needed })
-            }
-            Response::Fenced { term } => Err(NetError::Fenced { term }),
-            Response::WrongShard { epoch, hint } => Err(NetError::WrongShard { epoch, hint }),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("outcome")),
-        }
-    }
-
-    fn expect_ok(&mut self) -> Result<(), NetError> {
-        match self.recv()? {
-            Response::Ok => Ok(()),
-            Response::QuorumTimeout { lsn, acked, needed } => {
-                Err(NetError::QuorumTimeout { lsn, acked, needed })
-            }
-            Response::Fenced { term } => Err(NetError::Fenced { term }),
-            Response::Error(msg) => Err(NetError::Server(msg)),
-            _ => Err(NetError::Unexpected("ok")),
         }
     }
 
     /// Opens an interactive transaction on this session.
     pub fn begin(&mut self) -> Result<(), NetError> {
-        self.send(&Request::Begin)?;
-        self.expect_ok()
+        self.call_ok(&Request::Begin)
     }
 
     /// Reads a row inside the open transaction.
     pub fn read(&mut self, table: u32, key: u64) -> Result<Vec<i64>, NetError> {
-        self.send(&Request::Read { table, key })?;
-        match self.recv()? {
+        match self.call(&Request::Read { table, key })? {
             Response::Row(row) => Ok(row),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("row")),
         }
     }
 
     /// Overwrites a row inside the open transaction.
     pub fn update(&mut self, table: u32, key: u64, row: Vec<i64>) -> Result<(), NetError> {
-        self.send(&Request::Update { table, key, row })?;
-        self.expect_ok()
+        self.call_ok(&Request::Update { table, key, row })
     }
 
     /// Inserts a row inside the open transaction.
     pub fn insert(&mut self, table: u32, key: u64, row: Vec<i64>) -> Result<(), NetError> {
-        self.send(&Request::Insert { table, key, row })?;
-        self.expect_ok()
+        self.call_ok(&Request::Insert { table, key, row })
     }
 
     /// Commits the open transaction; returns once the commit is durable.
     pub fn commit(&mut self) -> Result<(), NetError> {
-        self.send(&Request::Commit)?;
-        self.expect_ok()
+        self.call_ok(&Request::Commit)
     }
 
     /// Aborts the open transaction.
     pub fn abort(&mut self) -> Result<(), NetError> {
-        self.send(&Request::Abort)?;
-        self.expect_ok()
+        self.call_ok(&Request::Abort)
     }
 
     /// Sets the socket read timeout; `recv` surfaces expiry as
@@ -458,13 +402,10 @@ impl Client {
     /// Fetches a checkpoint-consistent page snapshot from the primary: the
     /// replica's bootstrap image plus the LSN its log apply must start at.
     pub fn fetch_snapshot(&mut self) -> Result<Snapshot, NetError> {
-        self.send(&Request::ReplSnapshot)?;
-        let (start_lsn, catalog, indexes) = match self.recv()? {
-            Response::SnapBegin { start_lsn, catalog, indexes } => {
-                (start_lsn, catalog, indexes)
-            }
-            Response::Error(msg) => return Err(NetError::Server(msg)),
-            _ => return Err(NetError::Unexpected("snap begin")),
+        let Response::SnapBegin { start_lsn, catalog, indexes } =
+            self.call(&Request::ReplSnapshot)?
+        else {
+            return Err(NetError::Unexpected("snap begin"));
         };
         let mut pages = Vec::new();
         loop {
@@ -476,7 +417,6 @@ impl Client {
                     }
                     return Ok(Snapshot { start_lsn, catalog, indexes, pages });
                 }
-                Response::Error(msg) => return Err(NetError::Server(msg)),
                 _ => return Err(NetError::Unexpected("snap page")),
             }
         }
@@ -506,8 +446,6 @@ impl Client {
     pub fn next_chunk(&mut self) -> Result<(u64, u64, Vec<u8>), NetError> {
         match self.recv()? {
             Response::LogChunk { term, start, bytes } => Ok((term, start, bytes)),
-            Response::Fenced { term } => Err(NetError::Fenced { term }),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("log chunk")),
         }
     }
@@ -518,14 +456,7 @@ impl Client {
     pub fn try_next_chunk(&mut self) -> Result<Option<(u64, u64, Vec<u8>)>, NetError> {
         match self.next_chunk() {
             Ok(chunk) => Ok(Some(chunk)),
-            Err(NetError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                Ok(None)
-            }
+            Err(NetError::Io(e)) if timed_out(&e) => Ok(None),
             Err(e) => Err(e),
         }
     }
@@ -533,10 +464,8 @@ impl Client {
     /// Read-your-writes token: the primary's durable LSN right now. Commits
     /// acknowledged on this session are covered by the returned token.
     pub fn commit_token(&mut self) -> Result<u64, NetError> {
-        self.send(&Request::CommitToken)?;
-        match self.recv()? {
+        match self.call(&Request::CommitToken)? {
             Response::Token { lsn } => Ok(lsn),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("token")),
         }
     }
@@ -550,11 +479,9 @@ impl Client {
         key: u64,
         min_lsn: u64,
     ) -> Result<Result<Vec<i64>, u64>, NetError> {
-        self.send(&Request::ReadAt { table, key, min_lsn })?;
-        match self.recv()? {
+        match self.call(&Request::ReadAt { table, key, min_lsn })? {
             Response::Row(row) => Ok(Ok(row)),
             Response::Lagging { applied } => Ok(Err(applied)),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("row or lagging")),
         }
     }
@@ -571,11 +498,9 @@ impl Client {
         min_lsn: u64,
         plan: &crate::protocol::WirePlan,
     ) -> Result<Result<Vec<Vec<i64>>, u64>, NetError> {
-        self.send(&Request::Query { min_lsn, plan: plan.clone() })?;
-        match self.recv()? {
+        match self.call(&Request::Query { min_lsn, plan: plan.clone() })? {
             Response::Rows(rows) => Ok(Ok(rows)),
             Response::Lagging { applied } => Ok(Err(applied)),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("rows or lagging")),
         }
     }
@@ -588,11 +513,8 @@ impl Client {
         gtid: u64,
         ops: Vec<WorkloadOp>,
     ) -> Result<SpecOutcome, NetError> {
-        self.send(&Request::ShardPrepare { gtid, ops })?;
-        match self.recv()? {
+        match self.call(&Request::ShardPrepare { gtid, ops })? {
             Response::ShardVote { gtid: g, outcome } if g == gtid => Ok(outcome),
-            Response::WrongShard { epoch, hint } => Err(NetError::WrongShard { epoch, hint }),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("shard vote")),
         }
     }
@@ -600,28 +522,23 @@ impl Client {
     /// 2PC phase two: deliver the coordinator's decision for `gtid`. Safe to
     /// retry — deciding an unknown gtid is acknowledged without effect.
     pub fn shard_decide(&mut self, gtid: u64, commit: bool) -> Result<(), NetError> {
-        self.send(&Request::ShardDecide { gtid, commit })?;
-        self.expect_ok()
+        self.call_ok(&Request::ShardDecide { gtid, commit })
     }
 
     /// Asks the server's coordinator decision log what became of `gtid`.
     /// `false` covers both a logged abort and no decision at all (presumed
     /// abort). Errors when the server has no decision source configured.
     pub fn shard_status(&mut self, gtid: u64) -> Result<bool, NetError> {
-        self.send(&Request::ShardStatus { gtid })?;
-        match self.recv()? {
+        match self.call(&Request::ShardStatus { gtid })? {
             Response::ShardDecision { gtid: g, commit } if g == gtid => Ok(commit),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("shard decision")),
         }
     }
 
     /// The shard's in-doubt set: gtids prepared but undecided, sorted.
     pub fn shard_in_doubt(&mut self) -> Result<Vec<u64>, NetError> {
-        self.send(&Request::ShardInDoubt)?;
-        match self.recv()? {
+        match self.call(&Request::ShardInDoubt)? {
             Response::ShardGtids(gtids) => Ok(gtids),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("shard gtids")),
         }
     }
@@ -629,10 +546,8 @@ impl Client {
     /// The server's current routing table: `(epoch, slot → shard map)`.
     /// Errors when the server has no routing source configured.
     pub fn routing_snapshot(&mut self) -> Result<(u64, Vec<u32>), NetError> {
-        self.send(&Request::RoutingSnapshot)?;
-        match self.recv()? {
+        match self.call(&Request::RoutingSnapshot)? {
             Response::Routing { epoch, slots } => Ok((epoch, slots)),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("routing")),
         }
     }
@@ -645,10 +560,8 @@ impl Client {
         slot: u32,
         slot_count: u32,
     ) -> Result<Vec<(u64, Vec<i64>)>, NetError> {
-        self.send(&Request::MigFetch { table, slot, slot_count })?;
-        match self.recv()? {
+        match self.call(&Request::MigFetch { table, slot, slot_count })? {
             Response::MigRows { rows } => Ok(rows),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("migration rows")),
         }
     }

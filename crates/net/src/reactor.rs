@@ -7,31 +7,45 @@
 //!
 //! 1. **Wait** for readiness (or a doorbell: new sockets routed by the
 //!    acceptor, a sibling reactor announcing a WAL flush, shutdown).
-//! 2. **Ingest + execute**: drain every readable socket to `WouldBlock`,
-//!    decode complete frames incrementally ([`FrameCursor`]), execute each
-//!    session's pipelined batch inline.
+//! 2. **Ingest + execute**: one read per readable socket, straight into the
+//!    session's [`FrameCursor`] (readiness is level-triggered: whatever a
+//!    read leaves behind reports readable again), re-check parked freshness
+//!    waits, decode complete frames incrementally, execute each session's
+//!    pipelined batch inline.
 //! 3. **Flush once**: every commit LSN produced this tick rides a single
 //!    [`esdb_wal::Wal::flush_batch`] — group commit across sessions.
 //! 4. **Ship + quorum**: log-subscriber sessions drain follower acks and
 //!    stage newly durable chunks; sessions parked on a semi-sync quorum
 //!    re-check the ack table.
 //! 5. **Write**: push outboxes until `WouldBlock`, arming write interest
-//!    only while bytes remain.
+//!    only while bytes remain; sweep closed sessions; note whether anything
+//!    is left parked (that shortens the next wait).
+//!
+//! Graceful shutdown is steps 2–3 run one last time over *every* session
+//! (`immediate`: each is read to `WouldBlock`, freshness waits answer now
+//! instead of parking), then a blocking tail — `wait_quorum`, then blocking
+//! write-out.
 //!
 //! Each session is a state machine, not a thread:
 //!
 //! ```text
 //!             bytes/frames                batch done, commit LSNs
 //!   ReadingFrame ──────────► Executing ───────────────────────► (flush)
-//!        ▲                       │ ReadAt lagging   │ quorum configured
-//!        │                       ▼                  ▼
-//!        │                  AwaitReadAt        AwaitQuorum
+//!        ▲                       │ ReadAt/Query    │ quorum configured
+//!        │                       ▼ behind token    ▼
+//!        │                  AwaitFresh         AwaitQuorum
 //!        │                       │ frontier/deadline │ acks/fence/deadline
 //!        └──── WritingResponse ◄─┴───────────────────┘
 //! ```
 //!
 //! (`ReadingFrame` and `Executing` are the inline `Phase::Request` path;
 //! the parked states are explicit [`Phase`] variants re-checked per tick.)
+//!
+//! Each session mechanism exists once: **one read site**
+//! ([`FrameCursor::fill_from`], the receive buffer of sessions, ship feeds
+//! and [`crate::Client`] alike), **one freshness wait** (`resolve_fresh`:
+//! the only reader of the apply watermark), **one tick** (shutdown reuses
+//! it), and on the other end of the socket **one client call path**.
 //!
 //! **Why parked quorum waits are load-bearing:** the follower ack channel is
 //! itself a session (the subscribe feed), and fd-hash sharding may place it
@@ -51,7 +65,8 @@
 //! answer and stays out of scope here.
 
 use crate::protocol::{
-    decode_request, encode_response, FrameError, Request, Response, WirePlan, MAX_FRAME,
+    decode_request, decode_response, encode_response, Decoded, FrameError, Request, Response,
+    WirePlan, MAX_FRAME,
 };
 use crate::server::Shared;
 use esdb_core::config::ExecutionModel;
@@ -61,8 +76,9 @@ use esdb_wal::Lsn;
 use esdb_workload::{TxnSpec, WorkloadOp};
 use minipoll::{Event, Interest, Poller, WakeHandle, Waker};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read as IoRead, Write as IoWrite};
+use std::marker::PhantomData;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -70,13 +86,21 @@ use std::time::{Duration, Instant};
 
 /// Token reserved for the reactor's wake pipe.
 pub(crate) const WAKER_TOKEN: u64 = 0;
-/// Socket read granularity.
+/// The spare capacity [`FrameCursor::fill_from`] offers a read: `MIN_READ`
+/// to begin with, doubled up to `READ_CHUNK` each time the source fills the
+/// offer — an idle or request/response session stays at 4 KiB, a pipelined
+/// one or a log feed earns the full chunk within five reads.
+const MIN_READ: usize = 4 * 1024;
 const READ_CHUNK: usize = 64 * 1024;
+/// Largest log span per shipped [`Response::LogChunk`]; leaves frame
+/// headroom below [`MAX_FRAME`].
+const SHIP_CHUNK: usize = 256 * 1024;
+const _: () = assert!(SHIP_CHUNK <= MAX_FRAME - 64);
 /// Ship-feed outbox bound: chunks staged per tick per subscriber. The next
 /// tick continues where this one stopped; backpressure, not truncation.
 const MAX_SHIP_CHUNKS_PER_TICK: usize = 8;
-/// Tick cap while any session is parked (quorum, read-at, shipping, stall):
-/// parked states are re-checked on this cadence even if no fd fires.
+/// Tick cap while any session is parked (quorum, freshness, shipping,
+/// stall): parked states are re-checked on this cadence even if no fd fires.
 const PARKED_TICK: Duration = Duration::from_millis(1);
 
 /// The raw fd a stream registers under (also the acceptor's shard key).
@@ -120,70 +144,142 @@ impl ReactorHandle {
     }
 }
 
-/// Incremental, nonblocking frame decoder: feed bytes as the socket delivers
-/// them, pop complete requests as they materialize.
+/// A frame a [`FrameCursor`] can pop: requests on the server end of a
+/// socket, responses on the client end.
+pub trait Frame: Sized {
+    /// Decodes one frame from the front of `buf`: the frame and the bytes
+    /// it consumed, `Ok(None)` if incomplete, or an error if it can never
+    /// parse.
+    fn decode(buf: &[u8]) -> Decoded<Self>;
+}
+
+impl Frame for Request {
+    fn decode(buf: &[u8]) -> Decoded<Request> {
+        decode_request(buf)
+    }
+}
+
+impl Frame for Response {
+    fn decode(buf: &[u8]) -> Decoded<Response> {
+        decode_response(buf)
+    }
+}
+
+/// Incremental frame decoder and the receive buffer of both ends of every
+/// socket: bytes go in as the socket delivers them ([`FrameCursor::fill_from`]
+/// reads straight into the buffer), complete frames pop out as they
+/// materialize.
 ///
 /// `Ok(None)` means *need more bytes* — the caller must wait for readiness,
 /// never re-poll in a loop: with no new input, `next` is a pure function of
 /// buffered state (a cheap length check), so the decoder can never busy-spin
 /// or consume CPU proportional to wall time. Bytes are consumed exactly once
 /// and never reordered, so any split of an input stream into `feed` calls —
-/// down to one byte each — yields the same request sequence as one big
+/// down to one byte each — yields the same frame sequence as one big
 /// buffer; the property tests in `reactor_sm.rs` pin this down.
-#[derive(Default)]
-pub struct FrameCursor {
+pub struct FrameCursor<F = Request> {
+    /// Initialised memory a read lands in directly; `buf[head..tail]` holds
+    /// the bytes received but not yet decoded.
     buf: Vec<u8>,
-    pos: usize,
+    head: usize,
+    tail: usize,
+    /// What the next [`FrameCursor::fill_from`] offers its source.
+    chunk: usize,
+    frame: PhantomData<fn() -> F>,
 }
 
-impl FrameCursor {
+impl<F: Frame> Default for FrameCursor<F> {
+    fn default() -> Self {
+        FrameCursor::from_bytes(Vec::new())
+    }
+}
+
+impl<F: Frame> FrameCursor<F> {
     /// An empty cursor.
-    pub fn new() -> FrameCursor {
+    pub fn new() -> FrameCursor<F> {
         FrameCursor::default()
     }
 
     /// A cursor pre-seeded with already-received bytes (e.g. ack frames
     /// pipelined behind a subscribe).
-    pub fn from_bytes(buf: Vec<u8>) -> FrameCursor {
-        FrameCursor { buf, pos: 0 }
+    pub fn from_bytes(buf: Vec<u8>) -> FrameCursor<F> {
+        FrameCursor { tail: buf.len(), buf, head: 0, chunk: MIN_READ, frame: PhantomData }
     }
 
-    /// Appends newly received bytes. Consumed prefix is compacted here, so
-    /// memory is bounded by the unconsumed suffix plus one read chunk.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+    /// Makes `buf[tail..]` at least `need` bytes long. A drained cursor
+    /// restarts at the front for free; otherwise a pending partial frame
+    /// moves to the front, and the buffer grows if that frame outsizes it —
+    /// so memory is bounded by the unconsumed suffix plus one read offer.
+    fn spare(&mut self, need: usize) -> &mut [u8] {
+        if self.head == self.tail {
+            (self.head, self.tail) = (0, 0);
         }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Pops the next complete request frame, `Ok(None)` when more bytes are
-    /// needed, or the decode error on malformed input (the connection is
-    /// then unrecoverable — framing is lost).
-    pub fn next(&mut self) -> Result<Option<Request>, FrameError> {
-        match decode_request(&self.buf[self.pos..]) {
-            Ok(Some((req, used))) => {
-                self.pos += used;
-                Ok(Some(req))
+        if self.buf.len() - self.tail < need {
+            if self.head > 0 {
+                self.buf.copy_within(self.head..self.tail, 0);
+                (self.head, self.tail) = (0, self.tail - self.head);
             }
-            Ok(None) => Ok(None),
-            Err(e) => Err(e),
+            self.buf.resize(self.buf.len().max(self.tail + need), 0);
         }
+        &mut self.buf[self.tail..]
+    }
+
+    /// One read from `src` straight into the cursor's spare capacity — the
+    /// only place a session, a ship feed or a client touches its socket for
+    /// input. Returns the bytes received; `Ok(0)` is end of stream.
+    /// `Interrupted` is retried; every other error (including the
+    /// `WouldBlock` of a nonblocking source with nothing to deliver) passes
+    /// through with the buffered bytes intact. Readiness is level-triggered,
+    /// so a source holding more than one read's worth reports readable again
+    /// (and a read that fills the offer doubles the next one).
+    pub fn fill_from(&mut self, src: &mut impl IoRead) -> std::io::Result<usize> {
+        loop {
+            let spare = self.spare(self.chunk);
+            let offered = spare.len();
+            match src.read(spare) {
+                Ok(n) => {
+                    self.tail += n;
+                    if n == offered {
+                        self.chunk = (2 * self.chunk).min(READ_CHUNK);
+                    }
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Appends already-received bytes.
+    pub fn feed(&mut self, bytes: &[u8]) {
+        self.spare(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.tail += bytes.len();
+    }
+
+    /// Pops the next complete frame, `Ok(None)` when more bytes are needed,
+    /// or the decode error on malformed input (the connection is then
+    /// unrecoverable — framing is lost).
+    pub fn next(&mut self) -> Result<Option<F>, FrameError> {
+        Ok(F::decode(&self.buf[self.head..self.tail])?.map(|(frame, used)| {
+            self.head += used;
+            frame
+        }))
     }
 
     /// Unconsumed bytes currently buffered (a nonzero value after `next`
     /// returned `Ok(None)` means a partial frame is pending).
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.tail - self.head
     }
 
-    /// Takes every unconsumed byte out of the cursor (used when a session
-    /// flips into a subscribe feed: trailing bytes are ack frames).
+    /// Takes every unconsumed byte out of the cursor, buffer and all (used
+    /// when a session flips into a subscribe feed: trailing bytes are ack
+    /// frames, and the feed's ack decoder inherits the allocation).
     pub fn take_rest(&mut self) -> Vec<u8> {
-        let rest = self.buf.split_off(self.pos);
-        self.buf.clear();
-        self.pos = 0;
+        let mut rest = std::mem::take(&mut self.buf);
+        rest.truncate(self.tail);
+        rest.drain(..self.head);
+        (self.head, self.tail) = (0, 0);
         rest
     }
 }
@@ -194,15 +290,21 @@ impl FrameCursor {
 enum Phase {
     /// Decoding and executing request frames inline.
     Request,
-    /// A follower read waiting for the apply frontier (or its deadline).
-    AwaitReadAt { table: u32, key: u64, min_lsn: Lsn, deadline: Instant },
-    /// A follower OLAP query waiting for the apply frontier (or its
-    /// deadline); once fresh, the plan runs pinned under the apply gate.
-    AwaitQuery { min_lsn: Lsn, plan: WirePlan, deadline: Instant },
+    /// A follower read or OLAP query waiting for the apply frontier to
+    /// reach `min_lsn` (or for its deadline).
+    AwaitFresh { min_lsn: Lsn, deadline: Instant, then: Fresh },
     /// A completed batch whose commit acks wait for the follower quorum.
     AwaitQuorum { lsn: Lsn, deadline: Instant },
     /// A one-way log feed (post-subscribe): ships chunks, drains acks.
     Shipping(Ship),
+}
+
+/// What a freshness wait serves once the frontier covers its token.
+enum Fresh {
+    /// A point read through a throwaway read-only transaction.
+    Read { table: u32, key: u64 },
+    /// A plan run pinned under the apply gate.
+    Query(WirePlan),
 }
 
 /// Shipping-state fields: the feed cursor, the follower's ack decoder, and
@@ -219,6 +321,8 @@ struct Conn {
     stream: TcpStream,
     fd: i32,
     token: u64,
+    /// The poller reported the socket readable for the current tick.
+    readable: bool,
     cursor: FrameCursor,
     /// Responses staged for the in-progress batch; encoded only at batch
     /// finalization so quorum failures can rewrite commit acks in place.
@@ -234,6 +338,10 @@ struct Conn {
     /// At most one open interactive transaction.
     txn: Option<Txn>,
     phase: Phase,
+    /// Since when a partial frame has sat behind a quiet peer. Tracked only
+    /// under a configured [`crate::ServerConfig::stall_timeout`]: without a
+    /// budget nothing ever acts on the clock, and it must not shorten the
+    /// tick.
     stalled_since: Option<Instant>,
     fatal: Option<FrameError>,
     /// A decoded subscribe frame: the batch ends and the session flips into
@@ -251,6 +359,7 @@ impl Conn {
             stream,
             fd,
             token,
+            readable: false,
             cursor: FrameCursor::new(),
             staged: Vec::new(),
             commit_acks: Vec::new(),
@@ -269,9 +378,14 @@ impl Conn {
         }
     }
 
+    /// Notes a deferred commit whose acknowledgement is the response staged
+    /// next: its LSN joins the tick's group flush, and the ack is marked for
+    /// rewriting should the quorum fail. Read-only commits have no LSN and
+    /// owe neither.
     fn note(&mut self, lsn: Option<Lsn>) {
         if let Some(lsn) = lsn {
-            self.flush_to = Some(self.flush_to.map_or(lsn, |m| m.max(lsn)));
+            self.commit_acks.push(self.staged.len());
+            self.flush_to = self.flush_to.max(Some(lsn));
         }
     }
 
@@ -341,8 +455,13 @@ struct Reactor {
 impl Reactor {
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
+        // Whether the last tick left a session in a state only a tick (not
+        // an fd event) can advance: the poll wait then shortens from the
+        // configured interval to [`PARKED_TICK`].
+        let mut parked = false;
         loop {
-            let timeout = self.tick_timeout();
+            let base = self.shared.config.poll_interval;
+            let timeout = if parked { base.min(PARKED_TICK) } else { base };
             let poll_start = Instant::now();
             let _ = self.poller.wait(&mut events, Some(timeout));
             if esdb_obs::enabled() {
@@ -362,35 +481,13 @@ impl Reactor {
             for stream in self.handle.take_injected() {
                 self.register(stream);
             }
-            self.tick(&events, tick_start);
+            parked = self.tick(&events, tick_start);
             if esdb_obs::enabled() {
                 esdb_obs::record_component(
                     esdb_obs::Component::ReactorTick,
                     tick_start.elapsed().as_nanos() as u64,
                 );
             }
-        }
-    }
-
-    /// The effective poll timeout: the configured interval, shortened to
-    /// [`PARKED_TICK`] while any session is in a parked state that only a
-    /// tick (not an fd event) can advance.
-    fn tick_timeout(&self) -> Duration {
-        let base = self.shared.config.poll_interval;
-        let parked = self.conns.values().any(|c| {
-            matches!(
-                c.phase,
-                Phase::AwaitQuorum { .. }
-                    | Phase::AwaitReadAt { .. }
-                    | Phase::AwaitQuery { .. }
-                    | Phase::Shipping(_)
-            ) || c.stalled_since.is_some()
-                || c.outbox.len() > c.out_pos
-        });
-        if parked {
-            base.min(PARKED_TICK)
-        } else {
-            base
         }
     }
 
@@ -407,80 +504,135 @@ impl Reactor {
         self.conns.insert(token, Conn::new(stream, fd, token));
     }
 
-    /// One reactor tick over `events`.
-    fn tick(&mut self, events: &[Event], now: Instant) {
-        let shared = Arc::clone(&self.shared);
-        let readable: HashSet<u64> = events
-            .iter()
-            .filter(|e| e.readable && e.token != WAKER_TOKEN)
-            .map(|e| e.token)
-            .collect();
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
+    /// One reactor tick over `events`. Returns whether any session is left
+    /// parked (see [`Reactor::run`]).
+    fn tick(&mut self, events: &[Event], now: Instant) -> bool {
+        for e in events.iter().filter(|e| e.readable) {
+            if let Some(conn) = self.conns.get_mut(&e.token) {
+                conn.readable = true;
+            }
+        }
+        self.ingest_execute_flush(now, false);
+        let shared = &self.shared;
 
-        // Phase A — ingest, park resolution, inline execution.
-        let mut tick_flush: Vec<Lsn> = Vec::new();
-        let mut flushed: Vec<u64> = Vec::new();
-        for &t in &tokens {
-            let conn = self.conns.get_mut(&t).expect("conn");
-            if conn.closed || matches!(conn.phase, Phase::Shipping(_)) {
+        // Phase C — ship feeds: drain follower acks (feeding the quorum ack
+        // table *before* quorum resolution below), then stage newly durable
+        // chunks.
+        for conn in self.conns.values_mut() {
+            if conn.closed || !matches!(conn.phase, Phase::Shipping(_)) {
                 continue;
             }
-            if readable.contains(&t) {
-                let got = ingest(&mut conn.stream, &mut conn.cursor);
-                if got.received {
-                    conn.stalled_since = None;
-                }
-                match got.end {
-                    IngestEnd::Open => {}
-                    // EOF still owes responses for what was received; close
-                    // once the outbox drains.
-                    IngestEnd::Eof => conn.close_after_drain = true,
-                    IngestEnd::Error => {
-                        conn.closed = true;
-                        continue;
+            let mut phase = std::mem::replace(&mut conn.phase, Phase::Request);
+            if let Phase::Shipping(ship) = &mut phase {
+                ship_tick(shared, conn, ship);
+            }
+            conn.phase = phase;
+        }
+
+        // Phase C2 — batches past the flush either park on the quorum or
+        // finalize straight away; parked quorum waits re-check
+        // acks/fencing/deadline. A session that resolves may have buffered
+        // frames that arrived during the wait; execute them now (their
+        // commits flush inline — the rare continuation path) so no input
+        // ever waits on an fd event that will never fire.
+        for conn in self.conns.values_mut().filter(|c| !c.closed) {
+            if matches!(conn.phase, Phase::Request) && conn.flush_to.is_some() {
+                after_flush(shared, conn, now);
+            }
+            if let Phase::AwaitQuorum { lsn, deadline } = conn.phase {
+                if resolve_quorum(shared, conn, lsn, deadline, now) {
+                    exec_pending(shared, conn, now, false);
+                    if matches!(conn.phase, Phase::Request) {
+                        if let Some(lsn) = conn.flush_to {
+                            let _wait = esdb_obs::wait_timer(esdb_obs::WaitClass::CommitFlush);
+                            shared.db.wal().wait_durable(lsn);
+                        }
+                        after_flush(shared, conn, now);
                     }
                 }
             }
-            if let Phase::AwaitReadAt { table, key, min_lsn, deadline } = conn.phase {
-                resolve_read_at(&shared, conn, table, key, min_lsn, Some(deadline), now);
+        }
+
+        // Phase D — write pass and interest maintenance, the sweep, and the
+        // next poll's timeout. Dropping a swept conn aborts any open
+        // interactive transaction and deregisters any follower slot.
+        let poller = &self.poller;
+        let mut parked = false;
+        self.conns.retain(|_, conn| {
+            flush_outbox(poller, conn);
+            if conn.closed {
+                let _ = poller.delete(conn.fd);
+                shared.counters.active.fetch_sub(1, Ordering::SeqCst);
+                return false;
             }
-            if matches!(conn.phase, Phase::AwaitQuery { .. }) {
+            conn.readable = false;
+            parked |= !matches!(conn.phase, Phase::Request)
+                || conn.stalled_since.is_some()
+                || conn.outbox.len() > conn.out_pos;
+            true
+        });
+        parked
+    }
+
+    /// Phases A and B, the part of a tick that the last tick of a shutdown
+    /// (`immediate`) runs too: one read per readable session (every session,
+    /// to `WouldBlock`, when `immediate` — everything that has already
+    /// arrived is part of the contract),
+    /// freshness waits re-checked (`immediate`: answered now, never parked),
+    /// inline execution, and the group-commit flush.
+    fn ingest_execute_flush(&mut self, now: Instant, immediate: bool) {
+        let shared = &self.shared;
+
+        // Phase A — ingest, park resolution, inline execution.
+        let mut tick_flush: Option<Lsn> = None;
+        for conn in self.conns.values_mut().filter(|c| !c.closed) {
+            if matches!(conn.phase, Phase::Shipping(_)) {
+                // A feed is one-way: at shutdown it is owed nothing.
+                conn.closed = immediate;
+                continue;
+            }
+            // A tick reads a readable session once: readiness is
+            // level-triggered, leftovers report again. The last tick reads
+            // every session to the end of what has arrived.
+            while conn.readable || immediate {
+                match conn.cursor.fill_from(&mut conn.stream) {
+                    // EOF still owes responses for what was received; close
+                    // once the outbox drains.
+                    Ok(0) => conn.close_after_drain = true,
+                    Ok(_) => {
+                        conn.stalled_since = None;
+                        if immediate {
+                            continue;
+                        }
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                    Err(_) => conn.closed = true,
+                }
+                break;
+            }
+            if conn.closed {
+                continue;
+            }
+            if matches!(conn.phase, Phase::AwaitFresh { .. }) {
                 // The plan is not Copy: take the phase out, re-park inside
-                // resolve_query if the frontier is still short.
-                if let Phase::AwaitQuery { min_lsn, plan, deadline } =
+                // resolve_fresh if the frontier is still short.
+                if let Phase::AwaitFresh { min_lsn, deadline, then } =
                     std::mem::replace(&mut conn.phase, Phase::Request)
                 {
-                    resolve_query(&shared, conn, min_lsn, plan, Some(deadline), now);
+                    let deadline = (!immediate).then_some(deadline);
+                    resolve_fresh(shared, conn, min_lsn, then, deadline, now);
                 }
             }
             if matches!(conn.phase, Phase::Request) {
-                exec_pending(&shared, conn, now, false);
-                // Stall accounting: a partial frame with a quiet peer.
-                if conn.fatal.is_none() && conn.subscribe.is_none() {
-                    if matches!(conn.phase, Phase::Request) && conn.cursor.buffered() > 0 {
-                        let began = *conn.stalled_since.get_or_insert(now);
-                        if let Some(budget) = shared.config.stall_timeout {
-                            if now.duration_since(began) >= budget {
-                                encode_response(
-                                    &Response::Error(FrameError::Timeout.to_string()),
-                                    &mut conn.outbox,
-                                );
-                                conn.close_after_drain = true;
-                                conn.stalled_since = None;
-                            }
-                        }
-                    } else {
-                        conn.stalled_since = None;
-                    }
-                }
+                exec_pending(shared, conn, now, immediate);
+                note_stall(shared, conn, now);
             }
             if matches!(conn.phase, Phase::Request) {
                 if let Some(lsn) = conn.flush_to {
                     // Batch complete with commits: joins the tick flush.
-                    tick_flush.push(lsn);
-                    flushed.push(t);
+                    tick_flush = tick_flush.max(Some(lsn));
                 } else if conn.has_output() {
-                    finalize(&shared, conn);
+                    finalize(shared, conn);
                 }
             }
         }
@@ -489,10 +641,10 @@ impl Reactor {
         // batch that completed this tick, across all of this reactor's
         // sessions. Accounted as commit-flush wait; sibling reactors are
         // woken so ship feeds they host notice the new durable bytes.
-        if !tick_flush.is_empty() {
+        if tick_flush.is_some() {
             {
                 let _wait = esdb_obs::wait_timer(esdb_obs::WaitClass::CommitFlush);
-                shared.db.wal().flush_batch(tick_flush.iter().copied());
+                shared.db.wal().flush_batch(tick_flush);
             }
             for (i, peer) in self.peers.iter().enumerate() {
                 if i != self.id {
@@ -500,132 +652,18 @@ impl Reactor {
                 }
             }
         }
-
-        // Phase C — ship feeds: drain follower acks (feeding the quorum ack
-        // table *before* quorum resolution below), then stage newly durable
-        // chunks.
-        for &t in &tokens {
-            let conn = self.conns.get_mut(&t).expect("conn");
-            if conn.closed || !matches!(conn.phase, Phase::Shipping(_)) {
-                continue;
-            }
-            let mut phase = std::mem::replace(&mut conn.phase, Phase::Request);
-            if let Phase::Shipping(ship) = &mut phase {
-                ship_tick(&shared, conn, ship, readable.contains(&t));
-            }
-            conn.phase = phase;
-        }
-
-        // Phase B2 — batches past the flush either park on the quorum or
-        // finalize straight away.
-        for &t in &flushed {
-            let conn = self.conns.get_mut(&t).expect("conn");
-            if !conn.closed {
-                after_flush(&shared, conn, now);
-            }
-        }
-
-        // Phase B3 — parked quorum waits re-check acks/fencing/deadline.
-        // A session that resolves may have buffered frames that arrived
-        // during the wait; execute them now (their commits flush inline —
-        // the rare continuation path) so no input ever waits on an fd event
-        // that will never fire.
-        for &t in &tokens {
-            let conn = self.conns.get_mut(&t).expect("conn");
-            if conn.closed {
-                continue;
-            }
-            if let Phase::AwaitQuorum { lsn, deadline } = conn.phase {
-                if resolve_quorum(&shared, conn, lsn, deadline, now) {
-                    exec_pending(&shared, conn, now, false);
-                    if matches!(conn.phase, Phase::Request) {
-                        if let Some(lsn) = conn.flush_to {
-                            let _wait = esdb_obs::wait_timer(esdb_obs::WaitClass::CommitFlush);
-                            shared.db.wal().wait_durable(lsn);
-                            after_flush(&shared, conn, now);
-                        } else if conn.has_output() {
-                            finalize(&shared, conn);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Phase D — write pass and interest maintenance, then the sweep.
-        for &t in &tokens {
-            let conn = self.conns.get_mut(&t).expect("conn");
-            flush_outbox(&self.poller, conn);
-        }
-        let dead: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.closed)
-            .map(|(&t, _)| t)
-            .collect();
-        for t in dead {
-            let conn = self.conns.remove(&t).expect("conn");
-            let _ = self.poller.delete(conn.fd);
-            self.shared.counters.active.fetch_sub(1, Ordering::SeqCst);
-            // Dropping the conn aborts any open interactive transaction and
-            // deregisters any follower slot.
-        }
     }
 
-    /// Graceful shutdown: one final ingest per session (everything already
-    /// received is part of the contract), execute it, one flush covering all
-    /// of it, resolve quorum waits with the blocking primitive (no new acks
-    /// will route anywhere after the drain, and the feed sessions on this
-    /// reactor have already taken their last drain), then write out every
-    /// outbox with blocking sockets.
+    /// Graceful shutdown is one last tick plus a blocking tail. The last
+    /// tick is [`Reactor::ingest_execute_flush`] with `immediate`. Only the
+    /// tail differs from a tick: quorum waits resolve through the blocking
+    /// primitive (no new acks will route anywhere after the drain, and the
+    /// feed sessions on this reactor have already taken their last drain),
+    /// then every outbox is written out with blocking sockets.
     fn drain_and_exit(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        let now = Instant::now();
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        let mut tick_flush: Vec<Lsn> = Vec::new();
-        for &t in &tokens {
-            let conn = self.conns.get_mut(&t).expect("conn");
-            match conn.phase {
-                Phase::Shipping(_) => {
-                    conn.closed = true;
-                    continue;
-                }
-                Phase::AwaitReadAt { table, key, min_lsn, .. } => {
-                    // No more ticks are coming: resolve now or lag now.
-                    resolve_read_at(&shared, conn, table, key, min_lsn, None, now);
-                }
-                Phase::AwaitQuery { .. } => {
-                    if let Phase::AwaitQuery { min_lsn, plan, .. } =
-                        std::mem::replace(&mut conn.phase, Phase::Request)
-                    {
-                        resolve_query(&shared, conn, min_lsn, plan, None, now);
-                    }
-                }
-                _ => {}
-            }
-            if conn.closed {
-                continue;
-            }
-            let got = ingest(&mut conn.stream, &mut conn.cursor);
-            if matches!(got.end, IngestEnd::Error) {
-                conn.closed = true;
-                continue;
-            }
-            if matches!(conn.phase, Phase::Request) {
-                exec_pending(&shared, conn, now, true);
-            }
-            if let Some(lsn) = conn.flush_to {
-                tick_flush.push(lsn);
-            }
-        }
-        if !tick_flush.is_empty() {
-            let _wait = esdb_obs::wait_timer(esdb_obs::WaitClass::CommitFlush);
-            shared.db.wal().flush_batch(tick_flush);
-        }
-        for &t in &tokens {
-            let conn = self.conns.get_mut(&t).expect("conn");
-            if conn.closed {
-                continue;
-            }
+        self.ingest_execute_flush(Instant::now(), true);
+        let shared = &self.shared;
+        for conn in self.conns.values_mut().filter(|c| !c.closed) {
             let quorum_lsn = match conn.phase {
                 Phase::AwaitQuorum { lsn, .. } => Some(lsn),
                 _ => conn.flush_to.take(),
@@ -647,9 +685,8 @@ impl Reactor {
                     }
                 }
             }
-            conn.flush_to = None;
             conn.phase = Phase::Request;
-            finalize(&shared, conn);
+            finalize(shared, conn);
             let _ = conn.stream.set_nonblocking(false);
             let _ = conn.stream.write_all(&conn.outbox[conn.out_pos..]);
         }
@@ -658,35 +695,20 @@ impl Reactor {
     }
 }
 
-enum IngestEnd {
-    Open,
-    Eof,
-    Error,
-}
-
-struct IngestOutcome {
-    end: IngestEnd,
-    received: bool,
-}
-
-/// Reads the socket to `WouldBlock` (the level-triggered contract), feeding
-/// every byte into `cursor`.
-fn ingest(stream: &mut TcpStream, cursor: &mut FrameCursor) -> IngestOutcome {
-    let mut chunk = [0u8; READ_CHUNK];
-    let mut received = false;
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return IngestOutcome { end: IngestEnd::Eof, received },
-            Ok(n) => {
-                cursor.feed(&chunk[..n]);
-                received = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                return IngestOutcome { end: IngestEnd::Open, received }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return IngestOutcome { end: IngestEnd::Error, received },
-        }
+/// Stall accounting: a partial frame behind a quiet peer ages against the
+/// configured budget, and a session that outlives it is closed with a typed
+/// timeout frame instead of holding its slot forever.
+fn note_stall(shared: &Shared, conn: &mut Conn, now: Instant) {
+    let Some(budget) = shared.config.stall_timeout else { return };
+    if conn.fatal.is_some() || conn.subscribe.is_some() {
+        return;
+    }
+    if !matches!(conn.phase, Phase::Request) || conn.cursor.buffered() == 0 {
+        conn.stalled_since = None;
+    } else if now.duration_since(*conn.stalled_since.get_or_insert(now)) >= budget {
+        encode_response(&Response::Error(FrameError::Timeout.to_string()), &mut conn.outbox);
+        conn.close_after_drain = true;
+        conn.stalled_since = None;
     }
 }
 
@@ -712,7 +734,7 @@ fn exec_pending(shared: &Arc<Shared>, conn: &mut Conn, now: Instant, immediate: 
 /// Executes one request inline, staging its response. The port of the
 /// threaded server's batch executor, minus everything that blocked: commits
 /// only *note* their LSN (the tick flush pays durability), quorum and
-/// read-at waits become parked phases.
+/// freshness waits become parked phases.
 fn exec_one(shared: &Arc<Shared>, conn: &mut Conn, req: Request, now: Instant, immediate: bool) {
     let db = &shared.db;
     let resp = match req {
@@ -736,9 +758,6 @@ fn exec_one(shared: &Arc<Shared>, conn: &mut Conn, req: Request, now: Instant, i
             }
             if outcome.is_committed() {
                 shared.counters.txns_committed.fetch_add(1, Ordering::Relaxed);
-                if lsn.is_some() {
-                    conn.commit_acks.push(conn.staged.len());
-                }
             }
             conn.note(lsn);
             Response::Outcome(outcome)
@@ -759,34 +778,18 @@ fn exec_one(shared: &Arc<Shared>, conn: &mut Conn, req: Request, now: Instant, i
             }
         },
         Request::Read { table, key } => {
-            match conn.txn.as_mut().map(|txn| txn.read(table, key)) {
-                None => Response::Error("no open transaction".into()),
-                Some(Ok(row)) => Response::Row(row),
-                Some(Err(e)) => abort_with(conn, e),
-            }
+            statement(conn, |txn| txn.read(table, key).map(Response::Row))
         }
         Request::Update { table, key, row } => {
-            match conn.txn.as_mut().map(|txn| txn.update(table, key, &row)) {
-                None => Response::Error("no open transaction".into()),
-                Some(Ok(_)) => Response::Ok,
-                Some(Err(e)) => abort_with(conn, e),
-            }
+            statement(conn, |txn| txn.update(table, key, &row).map(|_| Response::Ok))
         }
         Request::Insert { table, key, row } => {
-            match conn.txn.as_mut().map(|txn| txn.insert(table, key, &row)) {
-                None => Response::Error("no open transaction".into()),
-                Some(Ok(())) => Response::Ok,
-                Some(Err(e)) => abort_with(conn, e),
-            }
+            statement(conn, |txn| txn.insert(table, key, &row).map(|()| Response::Ok))
         }
         Request::Commit => match conn.txn.take() {
             None => Response::Error("no open transaction".into()),
             Some(txn) => {
-                let lsn = txn.commit_deferred();
-                if lsn.is_some() {
-                    conn.commit_acks.push(conn.staged.len());
-                }
-                conn.note(lsn);
+                conn.note(txn.commit_deferred());
                 Response::Ok
             }
         },
@@ -815,29 +818,9 @@ fn exec_one(shared: &Arc<Shared>, conn: &mut Conn, req: Request, now: Instant, i
         }
         Request::CommitToken => Response::Token { lsn: db.wal().durable_lsn() },
         Request::ReadAt { table, key, min_lsn } => {
-            if let Some(watermark) = &shared.config.applied_watermark {
-                let applied = watermark.load(Ordering::Acquire);
-                if applied < min_lsn {
-                    if immediate || feed_dead(shared) {
-                        Response::Lagging { applied }
-                    } else {
-                        // Park: the reactor keeps serving everyone else
-                        // while this session waits for the frontier.
-                        conn.phase = Phase::AwaitReadAt {
-                            table,
-                            key,
-                            min_lsn,
-                            deadline: now + shared.config.read_at_wait,
-                        };
-                        return;
-                    }
-                } else {
-                    fresh_read(db, table, key)
-                }
-            } else {
-                // A primary: every read is trivially fresh.
-                fresh_read(db, table, key)
-            }
+            let deadline = (!immediate).then(|| now + shared.config.read_at_wait);
+            resolve_fresh(shared, conn, min_lsn, Fresh::Read { table, key }, deadline, now);
+            return;
         }
         // 2PC phase one: execute the ops, force the Prepare record, and
         // vote. A yes-vote parks the transaction (locks held) in the
@@ -852,13 +835,7 @@ fn exec_one(shared: &Arc<Shared>, conn: &mut Conn, req: Request, now: Instant, i
             }
             shared.counters.txns_executed.fetch_add(1, Ordering::Relaxed);
             let spec = TxnSpec { kind: "shard", ops, may_fail: true };
-            let outcome = match db.run_spec_prepare(gtid, &spec) {
-                esdb_core::PrepareVote::Commit { reads } => {
-                    esdb_core::spec_exec::SpecOutcome::Committed { reads }
-                }
-                esdb_core::PrepareVote::Abort { outcome } => outcome,
-            };
-            Response::ShardVote { gtid, outcome }
+            Response::ShardVote { gtid, outcome: db.run_spec_prepare(gtid, &spec) }
         }
         // 2PC phase two: finish a prepared transaction. Unknown gtids are
         // acknowledged too — a retried decision must be idempotent.
@@ -880,18 +857,9 @@ fn exec_one(shared: &Arc<Shared>, conn: &mut Conn, req: Request, now: Instant, i
         },
         Request::ShardInDoubt => Response::ShardGtids(db.prepared_gtids()),
         Request::Query { min_lsn, plan } => {
-            if shared.config.applied_watermark.is_some() {
-                // Follower: resolve now if fresh, park otherwise (or answer
-                // Lagging straight away during a shutdown drain).
-                let deadline =
-                    if immediate { None } else { Some(now + shared.config.read_at_wait) };
-                resolve_query(shared, conn, min_lsn, plan, deadline, now);
-                return;
-            }
-            // A primary never serves plans: its heap has no consistent-cut
-            // pin (writers mutate it mid-scan). OLAP is the followers' job —
-            // that asymmetry is the HTAP design, not an accident.
-            Response::Error("queries are served by followers; connect to a replica".into())
+            let deadline = (!immediate).then(|| now + shared.config.read_at_wait);
+            resolve_fresh(shared, conn, min_lsn, Fresh::Query(plan), deadline, now);
+            return;
         }
         Request::RoutingSnapshot => match &shared.config.routing_source {
             Some(source) => {
@@ -942,13 +910,7 @@ const MIG_FETCH_MAX_ROWS: usize = 8192;
 fn ownership_refusal(shared: &Arc<Shared>, ops: &[WorkloadOp]) -> Option<Response> {
     let check = shared.config.ownership_check.as_ref()?;
     for op in ops {
-        let (table, key) = match *op {
-            WorkloadOp::Read { table, key }
-            | WorkloadOp::Write { table, key, .. }
-            | WorkloadOp::Add { table, key, .. }
-            | WorkloadOp::Insert { table, key, .. }
-            | WorkloadOp::Delete { table, key } => (table, key),
-        };
+        let (table, key) = op.target();
         if let Some((epoch, hint)) = (check.0)(table, key) {
             return Some(Response::WrongShard { epoch, hint });
         }
@@ -956,37 +918,48 @@ fn ownership_refusal(shared: &Arc<Shared>, ops: &[WorkloadOp]) -> Option<Respons
     None
 }
 
-/// Re-checks a parked follower query (or resolves a fresh one). `deadline:
-/// None` means resolve now: run pinned if the frontier arrived, `Lagging`
-/// otherwise. Re-parks the session when the frontier is short but the
-/// deadline has not passed and the feed is alive.
-fn resolve_query(
+/// The one freshness gate, for a token-gated follower request on first
+/// sight and for every re-check of a parked one: serve it if the apply
+/// frontier covers `min_lsn`, answer `Lagging` if it does not and waiting is
+/// over — the deadline passed, there is none (`deadline: None`, the shutdown
+/// drain: no more ticks are coming), or the feed is dead and the frontier
+/// will never move — and otherwise park the session (the reactor keeps
+/// serving everyone else). Entered in [`Phase::Request`]; leaves the session
+/// there unless it parks.
+fn resolve_fresh(
     shared: &Arc<Shared>,
     conn: &mut Conn,
     min_lsn: Lsn,
-    plan: WirePlan,
+    then: Fresh,
     deadline: Option<Instant>,
     now: Instant,
 ) {
-    let applied = shared
-        .config
-        .applied_watermark
-        .as_ref()
-        .map_or(u64::MAX, |w| w.load(Ordering::Acquire));
-    if applied >= min_lsn {
-        conn.phase = Phase::Request;
-        let resp = run_query(shared, &plan);
-        conn.staged.push(resp);
-    } else if deadline.map_or(true, |d| now >= d) || feed_dead(shared) {
-        conn.phase = Phase::Request;
-        conn.staged.push(Response::Lagging { applied });
-    } else {
-        conn.phase = Phase::AwaitQuery {
-            min_lsn,
-            plan,
-            deadline: deadline.expect("parking requires a deadline"),
-        };
-    }
+    let applied = match (&shared.config.applied_watermark, &then) {
+        (Some(watermark), _) => watermark.load(Ordering::Acquire),
+        // A primary: every read is trivially fresh.
+        (None, Fresh::Read { .. }) => Lsn::MAX,
+        // But a primary never serves plans: its heap has no consistent-cut
+        // pin (writers mutate it mid-scan). OLAP is the followers' job —
+        // that asymmetry is the HTAP design, not an accident.
+        (None, Fresh::Query(_)) => {
+            conn.staged.push(Response::Error(
+                "queries are served by followers; connect to a replica".into(),
+            ));
+            return;
+        }
+    };
+    let resp = match deadline {
+        _ if applied >= min_lsn => match then {
+            Fresh::Read { table, key } => fresh_read(&shared.db, table, key),
+            Fresh::Query(plan) => run_query(shared, &plan),
+        },
+        Some(deadline) if now < deadline && !feed_dead(shared) => {
+            conn.phase = Phase::AwaitFresh { min_lsn, deadline, then };
+            return;
+        }
+        _ => Response::Lagging { applied },
+    };
+    conn.staged.push(resp);
 }
 
 /// Result-size bounds: the whole result rides one frame, so refuse anything
@@ -1092,35 +1065,7 @@ fn feed_dead(shared: &Shared) -> bool {
         .is_some_and(|live| !live.load(Ordering::Acquire))
 }
 
-/// Re-checks a parked follower read. `deadline: None` (shutdown drain)
-/// means resolve now: fresh if the frontier arrived, `Lagging` otherwise.
-fn resolve_read_at(
-    shared: &Arc<Shared>,
-    conn: &mut Conn,
-    table: u32,
-    key: u64,
-    min_lsn: Lsn,
-    deadline: Option<Instant>,
-    now: Instant,
-) {
-    let applied = shared
-        .config
-        .applied_watermark
-        .as_ref()
-        .map_or(u64::MAX, |w| w.load(Ordering::Acquire));
-    if applied >= min_lsn {
-        conn.phase = Phase::Request;
-        let resp = fresh_read(&shared.db, table, key);
-        conn.staged.push(resp);
-    } else if deadline.map_or(true, |d| now >= d) || feed_dead(shared) {
-        // A dead feed means the frontier will never move: answer Lagging
-        // now instead of burning the full bounded wait.
-        conn.phase = Phase::Request;
-        conn.staged.push(Response::Lagging { applied });
-    }
-}
-
-/// The fresh half of a follower read: serve the row through a throwaway
+/// The served half of a follower read: the row, through a throwaway
 /// read-only transaction.
 fn fresh_read(db: &Arc<Database>, table: u32, key: u64) -> Response {
     if matches!(db.config().execution, ExecutionModel::Dora { .. }) {
@@ -1135,7 +1080,8 @@ fn fresh_read(db: &Arc<Database>, table: u32, key: u64) -> Response {
     resp
 }
 
-/// A flushed batch either parks on the semi-sync quorum or finalizes.
+/// A flushed batch either parks on the semi-sync quorum or finalizes; one
+/// with no commit to flush finalizes whatever it staged.
 fn after_flush(shared: &Arc<Shared>, conn: &mut Conn, now: Instant) {
     let Some(lsn) = conn.flush_to.take() else {
         if conn.has_output() {
@@ -1235,16 +1181,19 @@ fn begin_shipping(shared: &Arc<Shared>, conn: &mut Conn, from: Lsn, sub_term: u6
 /// One tick of a ship feed: drain follower acks into the group's ack table,
 /// re-check fencing, then stage newly durable chunks (bounded per tick;
 /// an undrained outbox is backpressure and defers shipping).
-fn ship_tick(shared: &Arc<Shared>, conn: &mut Conn, ship: &mut Ship, readable: bool) {
+fn ship_tick(shared: &Arc<Shared>, conn: &mut Conn, ship: &mut Ship) {
     if conn.close_after_drain {
         return;
     }
-    if readable {
-        let got = ingest(&mut conn.stream, &mut ship.acks);
-        if !matches!(got.end, IngestEnd::Open) {
+    if conn.readable {
+        match ship.acks.fill_from(&mut conn.stream) {
+            Ok(n) if n > 0 => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
             // The subscriber hung up (or errored): the feed is over.
-            conn.closed = true;
-            return;
+            _ => {
+                conn.closed = true;
+                return;
+            }
         }
     }
     loop {
@@ -1294,12 +1243,11 @@ fn ship_tick(shared: &Arc<Shared>, conn: &mut Conn, ship: &mut Ship, readable: b
     if avail == 0 {
         return;
     }
-    let chunk_cap = shared.config.ship_chunk.min(MAX_FRAME - 64).max(1);
     let term = group.map_or(0, |g| g.term());
     let mut off = 0;
     let mut chunks = 0;
     while off < avail && chunks < MAX_SHIP_CHUNKS_PER_TICK {
-        let n = (avail - off).min(chunk_cap);
+        let n = (avail - off).min(SHIP_CHUNK);
         encode_response(
             &Response::LogChunk {
                 term,
@@ -1407,12 +1355,21 @@ fn snapshot_into(db: &Arc<Database>, responses: &mut Vec<Response>) {
     responses.push(Response::SnapEnd { page_count });
 }
 
-/// An interactive statement failed: abort the open transaction (2PL already
-/// released nothing early) and report the error. The session stays usable —
-/// the client may BEGIN again.
-fn abort_with(conn: &mut Conn, e: esdb_txn::TxnError) -> Response {
-    if let Some(txn) = conn.txn.take() {
-        txn.abort();
+/// Runs one statement of the open interactive transaction. A statement that
+/// fails aborts the transaction (2PL already released nothing early) and
+/// reports the error; the session stays usable — the client may BEGIN again.
+fn statement(
+    conn: &mut Conn,
+    run: impl FnOnce(&mut Txn) -> Result<Response, esdb_txn::TxnError>,
+) -> Response {
+    match conn.txn.as_mut().map(run) {
+        None => Response::Error("no open transaction".into()),
+        Some(Ok(resp)) => resp,
+        Some(Err(e)) => {
+            if let Some(txn) = conn.txn.take() {
+                txn.abort();
+            }
+            Response::Error(format!("transaction aborted: {e}"))
+        }
     }
-    Response::Error(format!("transaction aborted: {e}"))
 }

@@ -90,8 +90,8 @@ pub struct ServerConfig {
     /// go a long way.
     pub reactors: usize,
     /// Upper bound on a reactor tick: how long the readiness wait may block
-    /// when nothing is happening. Parked sessions (quorum/read-at waits, log
-    /// shipping) shorten the effective tick to ~1ms.
+    /// when nothing is happening. Parked sessions (quorum/freshness waits,
+    /// log shipping) shorten the effective tick to ~1ms.
     pub poll_interval: Duration,
     /// Replica-side only: the apply loop's durable frontier. When set,
     /// [`crate::protocol::Request::ReadAt`] waits (up to
@@ -103,9 +103,6 @@ pub struct ServerConfig {
     /// apply frontier before the server gives up with [`Response::Lagging`].
     /// The session parks; its reactor keeps serving everyone else.
     pub read_at_wait: Duration,
-    /// Largest log span per shipped [`Response::LogChunk`]; must leave frame
-    /// headroom below [`crate::protocol::MAX_FRAME`].
-    pub ship_chunk: usize,
     /// Participant-side 2PC recovery oracle: answers
     /// [`crate::protocol::Request::ShardStatus`] from the coordinator's
     /// decision log. `None` on servers that never act as 2PC participants
@@ -161,7 +158,6 @@ impl Default for ServerConfig {
             poll_interval: Duration::from_millis(20),
             applied_watermark: None,
             read_at_wait: Duration::from_millis(500),
-            ship_chunk: 256 * 1024,
             decision_source: None,
             repl_group: None,
             quorum: None,

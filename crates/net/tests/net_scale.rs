@@ -10,7 +10,7 @@
 
 use esdb_core::{Database, EngineConfig};
 use esdb_net::protocol::{decode_response, encode_request, Request, Response};
-use esdb_net::{Client, Server, ServerConfig};
+use esdb_net::{Client, FrameCursor, Server, ServerConfig};
 use esdb_workload::{TxnSpec, WorkloadOp};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -177,4 +177,53 @@ fn graceful_drain_flushes_in_flight_pipelined_txns() {
             "txn {key} lost across the drain"
         );
     }
+}
+
+/// The same drain with far more in flight than one read delivers: 20,000
+/// pipelined one-shots (620 KB) are written to one session and the server is
+/// shut down the moment the last byte is accepted. A tick reads a session
+/// once; the last tick must read on to `WouldBlock`, or the tail of the
+/// burst goes unanswered and the close resets the connection.
+#[test]
+fn graceful_drain_reads_to_the_end_of_a_burst_many_reads_deep() {
+    const BURST: u64 = 20_000;
+    let db = Arc::new(Database::open(EngineConfig::conventional_baseline()));
+    let t = db.create_table("kv", 1).unwrap();
+    let server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let mut greeting = [0u8; 5];
+    raw.read_exact(&mut greeting).unwrap(); // Hello
+    let mut wire = Vec::new();
+    for key in 0..BURST {
+        encode_request(
+            &Request::OneShot {
+                may_fail: false,
+                ops: vec![WorkloadOp::Insert { table: t, key, row: vec![9] }],
+            },
+            &mut wire,
+        );
+    }
+    assert!(wire.len() > 8 * 64 * 1024);
+
+    // Answers are read as they come (300 KB of them would otherwise wedge
+    // both socket buffers), until the server closes its end.
+    let mut rx = raw.try_clone().unwrap();
+    rx.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let reader = std::thread::spawn(move || {
+        let mut replies: FrameCursor<Response> = FrameCursor::new();
+        let mut committed = 0;
+        loop {
+            while let Some(resp) = replies.next().unwrap() {
+                assert!(matches!(resp, Response::Outcome(ref o) if o.is_committed()), "{resp:?}");
+                committed += 1;
+            }
+            if replies.fill_from(&mut rx).expect("a clean close, not a reset") == 0 {
+                return committed;
+            }
+        }
+    });
+    raw.write_all(&wire).unwrap();
+    server.shutdown();
+    assert_eq!(reader.join().unwrap(), BURST, "drain must answer every pipelined txn");
 }

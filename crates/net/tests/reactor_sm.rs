@@ -1,82 +1,75 @@
 //! Reactor state-machine properties: the nonblocking frame cursor at the
-//! heart of every reactor session must decode a byte stream *identically*
-//! no matter how the kernel fragments it, must never lose or re-read a
-//! byte, and must be a pure function of its buffered state — `Ok(None)` on
-//! a partial frame is a stable answer, not a spin loop. The last test
-//! drives the property end-to-end through a real socket: a byte-by-byte
-//! dribbled session gets the same responses as a well-behaved one.
+//! heart of every reactor session — and, popping responses, of every client
+//! — must decode a byte stream *identically* no matter how the kernel
+//! fragments it, must never lose or re-read a byte, and must be a pure
+//! function of its buffered state — `Ok(None)` on a partial frame is a
+//! stable answer, not a spin loop. Frames come from the frame table
+//! (`arbitrary_request` / `arbitrary_response`), so every shape the wire has
+//! is covered. The last test drives the property end-to-end through a real
+//! socket: a byte-by-byte dribbled session gets the same responses as a
+//! well-behaved one.
 
 use esdb_core::{Database, EngineConfig};
-use esdb_net::protocol::{decode_response, encode_request, FrameError, Request, Response};
+use esdb_net::protocol::{
+    arbitrary_request, arbitrary_response, decode_response, encode_request, encode_response,
+    FrameError, Request, Response,
+};
+use esdb_net::reactor::Frame;
 use esdb_net::{Client, FrameCursor, Server, ServerConfig};
-use esdb_workload::{TxnSpec, WorkloadOp};
+use esdb_workload::{Rng, TxnSpec, WorkloadOp};
 use proptest::prelude::*;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn row_strategy() -> BoxedStrategy<Vec<i64>> {
-    prop::collection::vec((-1_000i64..1_000).boxed(), 0..4).boxed()
-}
-
-fn ops_strategy() -> BoxedStrategy<Vec<WorkloadOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0u32..8, 0u64..100).prop_map(|(table, key)| WorkloadOp::Read { table, key }),
-            (0u32..8, 0u64..100, row_strategy())
-                .prop_map(|(table, key, row)| WorkloadOp::Write { table, key, row }),
-            (0u32..8, 0u64..100, row_strategy())
-                .prop_map(|(table, key, row)| WorkloadOp::Insert { table, key, row }),
-        ],
-        1..4,
-    )
-    .boxed()
-}
-
-/// Every request shape a reactor session can see on its inline path.
-fn request_strategy() -> BoxedStrategy<Request> {
-    prop_oneof![
-        Just(Request::Ping).boxed(),
-        Just(Request::Stats).boxed(),
-        Just(Request::Begin).boxed(),
-        Just(Request::Commit).boxed(),
-        Just(Request::Abort).boxed(),
-        Just(Request::CommitToken).boxed(),
-        ops_strategy().prop_map(|ops| Request::OneShot { may_fail: true, ops }).boxed(),
-        (0u32..8, 0u64..100).prop_map(|(table, key)| Request::Read { table, key }).boxed(),
-        (0u32..8, 0u64..100, row_strategy())
-            .prop_map(|(table, key, row)| Request::Update { table, key, row })
-            .boxed(),
-        (0u32..8, 0u64..100, row_strategy())
-            .prop_map(|(table, key, row)| Request::Insert { table, key, row })
-            .boxed(),
-        (0u64..10_000, 1u64..5).prop_map(|(lsn, term)| Request::ReplAck { lsn, term }).boxed(),
-        (0u32..8, 0u64..100, 0u64..10_000)
-            .prop_map(|(table, key, min_lsn)| Request::ReadAt { table, key, min_lsn })
-            .boxed(),
-    ]
-    .boxed()
-}
-
-fn encode_all(reqs: &[Request]) -> Vec<u8> {
+/// `n` frames drawn from the table by `draw`, and their encoding.
+fn stream<F>(
+    seed: u64,
+    n: usize,
+    draw: fn(&mut Rng) -> F,
+    encode: fn(&F, &mut Vec<u8>),
+) -> (Vec<F>, Vec<u8>) {
+    let mut rng = Rng::new(seed);
+    let frames: Vec<F> = (0..n).map(|_| draw(&mut rng)).collect();
     let mut wire = Vec::new();
-    for r in reqs {
-        encode_request(r, &mut wire);
+    for f in &frames {
+        encode(f, &mut wire);
     }
-    wire
+    (frames, wire)
+}
+
+fn requests(seed: u64, n: usize) -> (Vec<Request>, Vec<u8>) {
+    stream(seed, n, arbitrary_request, encode_request)
 }
 
 /// Drains every complete frame currently buffered in `cursor`.
-fn drain(cursor: &mut FrameCursor) -> Vec<Request> {
+fn drain<F: Frame>(cursor: &mut FrameCursor<F>) -> Vec<F> {
     let mut out = Vec::new();
     loop {
         match cursor.next() {
-            Ok(Some(req)) => out.push(req),
+            Ok(Some(frame)) => out.push(frame),
             Ok(None) => return out,
             Err(e) => panic!("valid stream must never error: {e}"),
         }
     }
+}
+
+/// Feeds `wire` in pieces sized by cycling through `chunks`, draining after
+/// each; returns the frames popped and what is left buffered.
+fn feed_in_chunks<F: Frame>(wire: &[u8], chunks: &[usize]) -> (Vec<F>, usize) {
+    let mut cursor = FrameCursor::new();
+    let mut got = Vec::new();
+    let mut off = 0;
+    let mut i = 0;
+    while off < wire.len() {
+        let n = chunks[i % chunks.len()].min(wire.len() - off);
+        i += 1;
+        cursor.feed(&wire[off..off + n]);
+        off += n;
+        got.extend(drain(&mut cursor));
+    }
+    (got, cursor.buffered())
 }
 
 proptest! {
@@ -88,38 +81,32 @@ proptest! {
     /// end. Fragmentation is invisible above the cursor.
     #[test]
     fn any_split_of_the_stream_decodes_identically(
-        reqs in prop::collection::vec(request_strategy(), 1..6),
+        seed in any::<u64>(),
+        n in 1usize..6,
         chunks in prop::collection::vec(1usize..9, 1..64),
     ) {
-        let wire = encode_all(&reqs);
-        let mut cursor = FrameCursor::new();
-        let mut got = Vec::new();
-        let mut off = 0;
-        let mut i = 0;
-        while off < wire.len() {
-            let n = chunks[i % chunks.len()].min(wire.len() - off);
-            i += 1;
-            cursor.feed(&wire[off..off + n]);
-            off += n;
-            got.extend(drain(&mut cursor));
-        }
-        prop_assert_eq!(got, reqs);
-        prop_assert_eq!(cursor.buffered(), 0);
+        let (reqs, wire) = requests(seed, n);
+        prop_assert_eq!(feed_in_chunks(&wire, &chunks), (reqs, 0));
+    }
+
+    /// The mirror for the client end of the socket: the same cursor popping
+    /// responses is just as blind to fragmentation.
+    #[test]
+    fn any_split_of_a_response_stream_decodes_identically(
+        seed in any::<u64>(),
+        n in 1usize..6,
+        chunks in prop::collection::vec(1usize..9, 1..64),
+    ) {
+        let (resps, wire) = stream(seed, n, arbitrary_response, encode_response);
+        prop_assert_eq!(feed_in_chunks(&wire, &chunks), (resps, 0));
     }
 
     /// One byte at a time is the worst case the kernel can serve; it must
     /// still reconstruct the stream exactly.
     #[test]
-    fn byte_by_byte_feed_loses_nothing(reqs in prop::collection::vec(request_strategy(), 1..4)) {
-        let wire = encode_all(&reqs);
-        let mut cursor = FrameCursor::new();
-        let mut got = Vec::new();
-        for b in &wire {
-            cursor.feed(std::slice::from_ref(b));
-            got.extend(drain(&mut cursor));
-        }
-        prop_assert_eq!(got, reqs);
-        prop_assert_eq!(cursor.buffered(), 0);
+    fn byte_by_byte_feed_loses_nothing(seed in any::<u64>(), n in 1usize..4) {
+        let (reqs, wire) = requests(seed, n);
+        prop_assert_eq!(feed_in_chunks(&wire, &[1]), (reqs, 0));
     }
 
     /// No-busy-spin contract: a partial frame answers `Ok(None)` and calling
@@ -127,10 +114,9 @@ proptest! {
     /// buffered byte count never moves until new bytes arrive. Feeding the
     /// tail then completes the very request that was cut.
     #[test]
-    fn partial_frame_is_a_stable_need_more(req in request_strategy(), cut_seed in 1usize..10_000) {
-        let wire = encode_all(std::slice::from_ref(&req));
-        let cut = 1 + cut_seed % (wire.len() - 1).max(1); // strict, non-empty prefix
-        let cut = cut.min(wire.len() - 1);
+    fn partial_frame_is_a_stable_need_more(seed in any::<u64>(), cut_seed in 1usize..10_000) {
+        let (mut reqs, wire) = requests(seed, 1);
+        let cut = 1 + cut_seed % (wire.len() - 1); // strict, non-empty prefix
         let mut cursor = FrameCursor::new();
         cursor.feed(&wire[..cut]);
         for _ in 0..16 {
@@ -138,7 +124,7 @@ proptest! {
             prop_assert_eq!(cursor.buffered(), cut);
         }
         cursor.feed(&wire[cut..]);
-        prop_assert_eq!(cursor.next().unwrap(), Some(req));
+        prop_assert_eq!(cursor.next().unwrap(), reqs.pop());
         prop_assert_eq!(cursor.buffered(), 0);
     }
 
@@ -147,27 +133,132 @@ proptest! {
     /// complete or partial — survive verbatim, and the cursor is empty after.
     #[test]
     fn take_rest_returns_exactly_the_unconsumed_suffix(
-        consumed in prop::collection::vec(request_strategy(), 0..3),
-        trailing in prop::collection::vec(request_strategy(), 0..3),
+        seed in any::<u64>(),
+        n_consumed in 0usize..3,
+        n_trailing in 0usize..3,
         partial_tail in prop::collection::vec(any::<u8>(), 0..3),
     ) {
-        let mut wire = encode_all(&consumed);
-        let mut suffix = encode_all(&trailing);
+        let (consumed, mut wire) = requests(seed, n_consumed);
+        let (trailing, suffix) = requests(!seed, n_trailing);
+        wire.extend_from_slice(&suffix);
         // A few raw bytes mimic a frame still in flight at flip time. Three
         // bytes is shorter than any length prefix, so they cannot complete
         // a frame and perturb the consumed count.
-        suffix.extend_from_slice(&partial_tail);
-        wire.extend_from_slice(&suffix);
+        wire.extend_from_slice(&partial_tail);
 
         let mut cursor = FrameCursor::new();
         cursor.feed(&wire);
         for expected in &consumed {
             prop_assert_eq!(cursor.next().unwrap().as_ref(), Some(expected));
         }
-        let mut rest = FrameCursor::from_bytes(cursor.take_rest());
+        let mut rest: FrameCursor = FrameCursor::from_bytes(cursor.take_rest());
         prop_assert_eq!(cursor.buffered(), 0);
         prop_assert_eq!(drain(&mut rest), trailing);
         prop_assert_eq!(rest.buffered(), partial_tail.len());
+    }
+}
+
+/// A source as unhelpful as a socket gets: one byte per read, every third
+/// call interrupted, and `WouldBlock` once it runs dry.
+struct Choppy<'a> {
+    bytes: &'a [u8],
+    calls: usize,
+}
+
+impl Read for Choppy<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        if self.calls.is_multiple_of(3) {
+            return Err(ErrorKind::Interrupted.into());
+        }
+        let Some((first, rest)) = self.bytes.split_first() else {
+            return Err(ErrorKind::WouldBlock.into());
+        };
+        buf[0] = *first;
+        self.bytes = rest;
+        Ok(1)
+    }
+}
+
+/// Pumps `bytes` through `fill_from` until the source runs dry, returning
+/// the frames that completed on the way.
+fn pump(cursor: &mut FrameCursor, bytes: &[u8]) -> Vec<Request> {
+    let mut src = Choppy { bytes, calls: 0 };
+    let mut got = Vec::new();
+    let dry = loop {
+        match cursor.fill_from(&mut src) {
+            Ok(n) => assert_eq!(n, 1, "one read per call"),
+            Err(e) => break e,
+        }
+        got.extend(drain(cursor));
+    };
+    assert_eq!(dry.kind(), ErrorKind::WouldBlock, "interrupts are retried, not surfaced");
+    got
+}
+
+/// `fill_from` is the one place a socket is read: each call is one read
+/// straight into the cursor, `Interrupted` is retried inside it, and
+/// `WouldBlock` passes through leaving a half-arrived frame buffered for the
+/// bytes that complete it. End of stream is `Ok(0)`.
+#[test]
+fn fill_from_survives_short_reads_interrupts_and_would_block() {
+    let (reqs, wire) = requests(7, 5);
+    let cut = wire.len() - 3;
+    let mut cursor = FrameCursor::new();
+    let mut got = pump(&mut cursor, &wire[..cut]);
+    assert_eq!(got, reqs[..4]);
+    assert!(cursor.buffered() > 0, "the cut frame waits, intact");
+    got.extend(pump(&mut cursor, &wire[cut..]));
+    assert_eq!(got, reqs);
+    assert_eq!(cursor.buffered(), 0);
+    assert_eq!(cursor.fill_from(&mut std::io::empty()).unwrap(), 0, "end of stream");
+}
+
+/// An endless stream of pipelined pings that records how much room each read
+/// was offered and delivers `deliver(room)` bytes of it.
+struct Offers<D> {
+    seen: Vec<usize>,
+    sent: usize,
+    deliver: D,
+}
+
+impl<D: Fn(usize) -> usize> Read for Offers<D> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        const PING: [u8; 5] = [1, 0, 0, 0, 0x01];
+        self.seen.push(buf.len());
+        let n = (self.deliver)(buf.len());
+        for byte in &mut buf[..n] {
+            *byte = PING[self.sent % PING.len()];
+            self.sent += 1;
+        }
+        Ok(n)
+    }
+}
+
+/// What a session's buffer costs follows what its socket delivers: short
+/// reads leave the offer at one page however many arrive, reads that fill
+/// the offer double it, and it stops at 64 KiB.
+#[test]
+fn fill_from_offers_a_page_until_reads_fill_it() {
+    let mut quiet = Offers { seen: Vec::new(), sent: 0, deliver: |_| 31 };
+    let mut cursor: FrameCursor = FrameCursor::new();
+    let mut pings = 0;
+    for _ in 0..1000 {
+        cursor.fill_from(&mut quiet).unwrap();
+        pings += drain(&mut cursor).len();
+    }
+    assert_eq!(pings, 31 * 1000 / 5);
+    assert!(quiet.seen.iter().all(|&room| room <= 4096 + 5), "{:?}", quiet.seen);
+
+    let mut firehose = Offers { seen: Vec::new(), sent: 0, deliver: |room| room };
+    let mut cursor: FrameCursor = FrameCursor::new();
+    for _ in 0..8 {
+        cursor.fill_from(&mut firehose).unwrap();
+        drain(&mut cursor);
+    }
+    for (read, &room) in firehose.seen.iter().enumerate() {
+        let earned = (4096 << read).min(65536);
+        assert!((earned..earned + 5).contains(&room), "read {read}: {:?}", firehose.seen);
     }
 }
 
@@ -177,7 +268,7 @@ proptest! {
 fn malformed_bytes_error_typed_and_sticky() {
     // An oversized length prefix — the same hostile frame net_server.rs
     // throws at the full server.
-    let mut cursor = FrameCursor::new();
+    let mut cursor: FrameCursor = FrameCursor::new();
     cursor.feed(&[0xFF, 0xFF, 0xFF, 0xFF, 0x00]);
     assert_eq!(cursor.next(), Err(FrameError::Oversized(0xFFFF_FFFF)));
     assert_eq!(

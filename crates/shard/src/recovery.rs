@@ -65,7 +65,7 @@ pub fn resolve_in_doubt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esdb_core::{EngineConfig, PrepareVote};
+    use esdb_core::EngineConfig;
     use esdb_workload::{TxnSpec, WorkloadOp};
 
     /// A shard with row `[10]` at key 1 and an in-doubt gtid-77 increment of
@@ -79,8 +79,7 @@ mod tests {
             ops: vec![WorkloadOp::Add { table: t, key: 1, col: 0, delta: 5 }],
             may_fail: false,
         };
-        let vote = db.run_spec_prepare(77, &spec);
-        assert!(matches!(vote, PrepareVote::Commit { .. }));
+        assert!(db.run_spec_prepare(77, &spec).is_committed());
         let records = db.wal().durable_records();
         let (recovered, report) = db.simulate_crash_with_report(false);
         // The dead instance still holds the PreparedTxn handle; dropping it

@@ -4,7 +4,7 @@ use crate::coordinator::DecisionLog;
 use crate::partition::Partitioner;
 use crate::ShardError;
 use esdb_core::spec_exec::SpecOutcome;
-use esdb_core::{Database, PrepareVote};
+use esdb_core::Database;
 use esdb_net::Client;
 use esdb_workload::{TxnSpec, WorkloadOp};
 use std::sync::Arc;
@@ -34,10 +34,7 @@ impl ShardBackend for LocalShard {
 
     fn prepare(&mut self, gtid: u64, ops: Vec<WorkloadOp>) -> Result<SpecOutcome, ShardError> {
         let spec = TxnSpec { kind: "shard", ops, may_fail: true };
-        Ok(match self.0.run_spec_prepare(gtid, &spec) {
-            PrepareVote::Commit { reads } => SpecOutcome::Committed { reads },
-            PrepareVote::Abort { outcome } => outcome,
-        })
+        Ok(self.0.run_spec_prepare(gtid, &spec))
     }
 
     fn decide(&mut self, gtid: u64, commit: bool) -> Result<(), ShardError> {
@@ -171,11 +168,6 @@ impl ShardRouter {
         self.routing.as_ref().map(|r| r.snapshot())
     }
 
-    /// Number of shards behind this router.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The coordinator decision log.
     pub fn coordinator(&self) -> &Arc<DecisionLog> {
         &self.coord
@@ -192,7 +184,7 @@ impl ShardRouter {
         let n = self.shards.len();
         let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
         for (i, op) in spec.ops.iter().enumerate() {
-            let (table, key) = op_target(op);
+            let (table, key) = op.target();
             let shard = self.part.shard_of(table, key, n);
             match groups.iter_mut().find(|(s, _)| *s == shard) {
                 Some((_, idxs)) => idxs.push(i),
@@ -348,17 +340,6 @@ impl ShardRouter {
             votes.pop().expect("a no-vote ended phase one").1
         };
         Ok(TwoPcTrace { gtid, prepared, decision: Some(all_yes), outcome: Some(outcome) })
-    }
-}
-
-/// The `(table, key)` an op addresses — what placement is decided on.
-pub fn op_target(op: &WorkloadOp) -> (u32, u64) {
-    match op {
-        WorkloadOp::Read { table, key }
-        | WorkloadOp::Write { table, key, .. }
-        | WorkloadOp::Add { table, key, .. }
-        | WorkloadOp::Insert { table, key, .. }
-        | WorkloadOp::Delete { table, key } => (*table, *key),
     }
 }
 

@@ -184,23 +184,6 @@ impl Simulation {
         });
     }
 
-    /// Convenience: `n` identical clients built by `make`.
-    pub fn add_tasks(&mut self, n: usize, mut make: impl FnMut(usize) -> Box<dyn FnMut(u64) -> Program>) {
-        for i in 0..n {
-            let g = make(i);
-            self.tasks.push(Task {
-                gen: g,
-                program: Program::new(),
-                pc: 0,
-                state: TaskState::Ready,
-                ctx: None,
-                txns: 0,
-                wait_start: 0,
-                wait_gen: 0,
-            });
-        }
-    }
-
     fn push_event(&mut self, time: u64, e: Event) {
         self.seq += 1;
         self.events.push(Reverse((time, self.seq, EventKey::from(e))));

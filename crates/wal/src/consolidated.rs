@@ -79,9 +79,8 @@ pub struct ConsolidatedLogBuffer {
     slots: Vec<Slot>,
     /// Group byte cap: min(MAX_GROUP_BYTES, ring capacity / 4).
     max_group: u32,
-    /// Diagnostic counters for the benchmark harness.
+    /// Diagnostic counter for the benchmark harness.
     groups: AtomicU64,
-    consolidations: AtomicU64,
 }
 
 impl ConsolidatedLogBuffer {
@@ -105,7 +104,6 @@ impl ConsolidatedLogBuffer {
             max_group: MAX_GROUP_BYTES.min((capacity / 4).max(1) as u32),
             slots: (0..slots.max(1)).map(|_| Slot::new()).collect(),
             groups: AtomicU64::new(0),
-            consolidations: AtomicU64::new(0),
         }
     }
 
@@ -113,12 +111,6 @@ impl ConsolidatedLogBuffer {
     /// array path).
     pub fn group_count(&self) -> u64 {
         self.groups.load(Ordering::Relaxed)
-    }
-
-    /// Number of inserts that rode along as followers — the contention the
-    /// array absorbed.
-    pub fn consolidation_count(&self) -> u64 {
-        self.consolidations.load(Ordering::Relaxed)
     }
 
     /// Number of physical flush operations issued.
@@ -213,7 +205,6 @@ impl ConsolidatedLogBuffer {
     }
 
     fn follow(&self, slot: &Slot, gen: u16, rel: u32, payload: &[u8]) -> LsnRange {
-        self.consolidations.fetch_add(1, Ordering::Relaxed);
         // Bounded spin, then yield: on an oversubscribed host the leader may
         // be descheduled between our join and its publish. Waiting on the
         // leader is time spent in the log subsystem.

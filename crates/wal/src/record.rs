@@ -15,7 +15,7 @@
 //! dropped, exactly as before.
 
 use crate::crc::Crc32;
-use crate::{Lsn, NULL_LSN};
+use crate::Lsn;
 use bytes::BufMut;
 use esdb_storage::rid::Rid;
 use esdb_storage::schema::TableId;
@@ -241,7 +241,7 @@ pub struct LogRecord {
     pub lsn: Lsn,
     /// Owning transaction (0 for system records such as checkpoints).
     pub txn_id: u64,
-    /// Previous record of the same transaction ([`NULL_LSN`] if none).
+    /// Previous record of the same transaction ([`crate::NULL_LSN`] if none).
     pub prev_lsn: Lsn,
     /// Payload.
     pub body: LogBody,
@@ -541,14 +541,10 @@ pub fn decode_stream(bytes: &[u8], base_lsn: Lsn) -> Vec<LogRecord> {
     decode_stream_checked(bytes, base_lsn).records
 }
 
-/// Convenience: `prev_lsn == NULL_LSN` means first record of its transaction.
-pub fn is_first_of_txn(r: &LogRecord) -> bool {
-    r.prev_lsn == NULL_LSN
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NULL_LSN;
 
     fn roundtrip(bodies: Vec<(u64, Lsn, LogBody)>) {
         let mut stream = Vec::new();

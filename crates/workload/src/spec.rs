@@ -70,6 +70,18 @@ impl WorkloadOp {
     pub fn is_read(&self) -> bool {
         matches!(self, WorkloadOp::Read { .. })
     }
+
+    /// The `(table, key)` the op addresses — what placement and slot
+    /// ownership are decided on.
+    pub fn target(&self) -> (u32, u64) {
+        match *self {
+            WorkloadOp::Read { table, key }
+            | WorkloadOp::Write { table, key, .. }
+            | WorkloadOp::Add { table, key, .. }
+            | WorkloadOp::Insert { table, key, .. }
+            | WorkloadOp::Delete { table, key } => (table, key),
+        }
+    }
 }
 
 /// A transaction: a named op list. Ops may legitimately fail (e.g. TATP

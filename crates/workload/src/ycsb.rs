@@ -41,11 +41,6 @@ impl Ycsb {
         Self::new(records, 50, 0.8, 1, seed)
     }
 
-    /// Workload B preset: 95/5 read/update, moderate skew.
-    pub fn workload_b(records: u64, seed: u64) -> Self {
-        Self::new(records, 95, 0.8, 1, seed)
-    }
-
     /// Workload C preset: read-only.
     pub fn workload_c(records: u64, seed: u64) -> Self {
         Self::new(records, 100, 0.8, 1, seed)

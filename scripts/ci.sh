@@ -2,7 +2,10 @@
 # CI gate for esdb: tier-1 correctness plus a fast smoke of the experiment
 # binaries that exercise the full stack (simulator sweep + TCP server).
 #
-# Tier 1 (must stay green): release build + full test suite.
+# Tier 1 (must stay green): release build + the root package's tests (the
+# engine suites, the golden wire bytes, and tests/wire_session.rs driving a
+# loopback server). Every other crate's tests run only where a stage below
+# names them.
 # Smoke (seconds, not minutes): reduced fig1 scaling sweep and a short
 # loopback tab3_server run, both via the env knobs the binaries expose.
 set -euo pipefail
@@ -24,10 +27,30 @@ echo "== net: whole esdb-net suite + golden wire bytes (release) =="
 # Unit tests, protocol_props (round-trip/totality properties generated from
 # the frame table), reactor_sm (split-point properties of the nonblocking
 # decoder), net_server, net_scale, net_failover (typed QuorumTimeout/Fenced
-# frames, stalled-peer and stalled-write timeouts, dead-feed reads) — and
-# the root-level golden fixtures pinning every frame's exact bytes.
+# frames, stalled-peer and stalled-write timeouts, dead-feed reads),
+# idle_tick (a quiet peer leaves the reactor idle; alone in its binary, it
+# counts ticks in the process-global obs registry) — and the root-level
+# golden fixtures pinning every frame's exact bytes.
 cargo test --release -q -p esdb-net
 cargo test --release -q --test wire_golden
+
+echo "== seam: sockets are named only in esdb-net, and read in one function =="
+# ROADMAP item 4's premise (a Transport + Clock seam under the sessions is a
+# single-site edit), kept true mechanically. No crate outside net names a
+# socket type. Inside it, a stream read compiles only where `std::io::Read`
+# is in scope, so that is what is counted: reactor.rs imports it once, as
+# `IoRead`, and names it once more — the bound on FrameCursor::fill_from's
+# source. A second import, or a third mention, is a second read site.
+if grep -rnE 'Tcp(Stream|Listener)' crates/*/src --include='*.rs' | grep -v '^crates/net/src/'; then
+    echo "FAIL: a socket type is named outside crates/net/src" >&2
+    exit 1
+fi
+io_read=$(grep -nE '\bIoRead\b|io::(\{[^}]*)?\bRead\b|io::(prelude::)?\*' crates/net/src/*.rs || true)
+if [ "$(echo "$io_read" | grep -c .)" -ne 2 ] || [ "$(echo "$io_read" | grep -c 'fn fill_from')" -ne 1 ]; then
+    echo "FAIL: expected io::Read in crates/net/src only as reactor.rs's import and fill_from's bound, found:" >&2
+    echo "$io_read" >&2
+    exit 1
+fi
 
 echo "== smoke: fig1_scaling (reduced sweep) =="
 FIG1_CONTEXTS="1,4" FIG1_SUBSCRIBERS=1000 \
