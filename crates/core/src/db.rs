@@ -301,21 +301,40 @@ impl Database {
     /// open across the vote). A gtid already registered here also votes no
     /// — gtids are single-use by the coordinator's contract.
     pub fn run_spec_prepare(&self, gtid: u64, spec: &esdb_workload::TxnSpec) -> SpecOutcome {
+        let (vote, lsn) = self.run_spec_prepare_deferred(gtid, spec);
+        if let Some(lsn) = lsn {
+            self.wal().wait_durable(lsn);
+        }
+        vote
+    }
+
+    /// [`Database::run_spec_prepare`] *without waiting for durability*: a
+    /// yes-vote comes back with the LSN of its `Prepare` record, and the
+    /// caller must not let the vote leave until `Wal::wait_durable` covers
+    /// it (`None`: a no-vote or a read-only slice, nothing to wait on). The
+    /// network server's hook for folding a prepare into the tick's one
+    /// group-commit flush, as [`Database::run_spec_deferred`] is for
+    /// one-shots.
+    pub fn run_spec_prepare_deferred(
+        &self,
+        gtid: u64,
+        spec: &esdb_workload::TxnSpec,
+    ) -> (SpecOutcome, Option<esdb_wal::Lsn>) {
         if !matches!(self.config.execution, ExecutionModel::Conventional { .. }) {
-            return SpecOutcome::LogicalFailure;
+            return (SpecOutcome::LogicalFailure, None);
         }
         match spec_exec::run_conventional_prepare(&self.txn_mgr, self.config.retries, gtid, spec) {
-            Ok((handle, reads)) => {
+            Ok((handle, vote, lsn)) => {
                 let mut reg = self.prepared.lock();
                 if reg.contains_key(&gtid) {
                     drop(reg);
                     handle.abort_decided();
-                    return SpecOutcome::LogicalFailure;
+                    return (SpecOutcome::LogicalFailure, None);
                 }
                 reg.insert(gtid, handle);
-                SpecOutcome::Committed { reads }
+                (vote, lsn)
             }
-            Err(outcome) => outcome,
+            Err(outcome) => (outcome, None),
         }
     }
 
@@ -332,6 +351,23 @@ impl Database {
             None => return false,
         }
         true
+    }
+
+    /// [`Database::decide`] *without waiting for durability*: a commit
+    /// verdict appends the commit record and releases the locks, and the
+    /// caller owes a `Wal::wait_durable` on the returned LSN before
+    /// acknowledging the verdict as applied (`None`: an abort, a read-only
+    /// slice or an unknown gtid, nothing to wait on).
+    pub fn decide_deferred(&self, gtid: u64, commit: bool) -> (bool, Option<esdb_wal::Lsn>) {
+        let handle = self.prepared.lock().remove(&gtid);
+        match handle {
+            Some(h) if commit => (true, h.commit_decided_deferred()),
+            Some(h) => {
+                h.abort_decided();
+                (true, None)
+            }
+            None => (false, None),
+        }
     }
 
     /// Gtids of transactions prepared on this database and still awaiting a

@@ -125,16 +125,22 @@ pub fn run_conventional_deferred(
 
 /// Runs `spec` as a conventional 2PL transaction and, instead of
 /// committing, *prepares* it for two-phase commit: the `Prepare { gtid }`
-/// record is durable and every lock stays held when this returns `Ok`. The
-/// caller owns the [`PreparedTxn`] and must deliver the coordinator's
-/// decision to finish it. On failure the transaction has already aborted.
+/// record is appended and every lock stays held when this returns `Ok` with
+/// the [`PreparedTxn`], the yes-vote and the record's LSN. The caller owns
+/// the handle, must deliver the coordinator's decision to finish it, and
+/// must not let the vote leave before `Wal::wait_durable` covers the LSN
+/// (`None`: read-only, nothing to wait on). On failure the transaction has
+/// already aborted.
 pub fn run_conventional_prepare(
     mgr: &Arc<TxnManager>,
     retries: usize,
     gtid: u64,
     spec: &TxnSpec,
-) -> Result<(PreparedTxn, Vec<Option<Vec<i64>>>), SpecOutcome> {
-    run_conventional_then(mgr, retries, spec, |txn, reads| (txn.prepare(gtid), reads))
+) -> Result<(PreparedTxn, SpecOutcome, Option<Lsn>), SpecOutcome> {
+    run_conventional_then(mgr, retries, spec, |txn, reads| {
+        let (prepared, lsn) = txn.prepare_deferred(gtid);
+        (prepared, SpecOutcome::Committed { reads }, lsn)
+    })
 }
 
 /// Translates one workload op into a DORA action.

@@ -178,7 +178,19 @@ pub struct Client {
     /// as the typed [`FrameError::Timeout`] instead of a raw I/O error (see
     /// [`Client::set_op_timeout`]).
     op_timeout: Option<Duration>,
+    /// `Ok` answers still on their way to posted requests (see
+    /// [`Client::shard_decide`]). The connection is FIFO, so they sit ahead
+    /// of the next call's own answer and [`Client::recv`] consumes them
+    /// first.
+    owed: usize,
+    /// An owed answer was not `Ok`: which response belongs to which request
+    /// can no longer be known, so every later call fails typed instead of
+    /// handing a caller somebody else's answer.
+    poisoned: bool,
 }
+
+/// What every call on a poisoned [`Client`] answers.
+const POISONED: NetError = NetError::Unexpected("ok for a posted verdict");
 
 impl Client {
     /// Connects and consumes the admission greeting. Returns
@@ -186,8 +198,14 @@ impl Client {
     pub fn connect(addr: SocketAddr) -> Result<Client, NetError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let mut client =
-            Client { stream, inbox: FrameCursor::new(), outbox: Vec::new(), op_timeout: None };
+        let mut client = Client {
+            stream,
+            inbox: FrameCursor::new(),
+            outbox: Vec::new(),
+            op_timeout: None,
+            owed: 0,
+            poisoned: false,
+        };
         match client.recv()? {
             Response::Hello => Ok(client),
             Response::Busy => Err(NetError::ServerBusy),
@@ -228,9 +246,13 @@ impl Client {
     /// Writes out the frames staged in the outbox. Every request leaves
     /// through here, so a stalled write is the typed timeout on every call.
     fn flush_outbox(&mut self) -> Result<(), NetError> {
-        let written = self.stream.write_all(&self.outbox);
+        let written = if self.poisoned {
+            Err(POISONED)
+        } else {
+            self.stream.write_all(&self.outbox).map_err(|e| self.stall_error(e))
+        };
         self.outbox.clear();
-        written.map_err(|e| self.stall_error(e))
+        written
     }
 
     /// Maps a socket stall into the typed timeout when an op timeout is
@@ -243,24 +265,12 @@ impl Client {
         }
     }
 
-    /// Reads the next response frame (blocking). The answers any request
-    /// can get in place of its own — a server error and the typed
-    /// degradations — become their [`NetError`]s here, once, so every caller
-    /// matches only the variant it asked for.
-    fn recv(&mut self) -> Result<Response, NetError> {
+    /// Reads the next response frame off the socket (blocking), whoever it
+    /// answers.
+    fn next_frame(&mut self) -> Result<Response, NetError> {
         loop {
             if let Some(resp) = self.inbox.next()? {
-                return match resp {
-                    Response::Error(msg) => Err(NetError::Server(msg)),
-                    Response::Fenced { term } => Err(NetError::Fenced { term }),
-                    Response::QuorumTimeout { lsn, acked, needed } => {
-                        Err(NetError::QuorumTimeout { lsn, acked, needed })
-                    }
-                    Response::WrongShard { epoch, hint } => {
-                        Err(NetError::WrongShard { epoch, hint })
-                    }
-                    resp => Ok(resp),
-                };
+                return Ok(resp);
             }
             let n = self.inbox.fill_from(&mut self.stream).map_err(|e| self.stall_error(e))?;
             if n == 0 {
@@ -269,6 +279,45 @@ impl Client {
                     "server closed the connection",
                 )));
             }
+        }
+    }
+
+    /// Waits out every answer still owed to a posted request: when this
+    /// returns `Ok`, the server has executed everything this client ever
+    /// posted. An I/O failure leaves the count as it stands (a retry picks up
+    /// where this stopped); an owed answer other than `Ok` poisons the
+    /// client.
+    pub fn settle(&mut self) -> Result<(), NetError> {
+        if self.poisoned {
+            return Err(POISONED);
+        }
+        while self.owed > 0 {
+            match self.next_frame()? {
+                Response::Ok => self.owed -= 1,
+                _ => {
+                    self.poisoned = true;
+                    return Err(POISONED);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads this call's own answer (blocking), past whatever is owed to
+    /// earlier posted requests. The answers any request can get in place of
+    /// its own — a server error and the typed degradations — become their
+    /// [`NetError`]s here, once, so every caller matches only the variant it
+    /// asked for.
+    fn recv(&mut self) -> Result<Response, NetError> {
+        self.settle()?;
+        match self.next_frame()? {
+            Response::Error(msg) => Err(NetError::Server(msg)),
+            Response::Fenced { term } => Err(NetError::Fenced { term }),
+            Response::QuorumTimeout { lsn, acked, needed } => {
+                Err(NetError::QuorumTimeout { lsn, acked, needed })
+            }
+            Response::WrongShard { epoch, hint } => Err(NetError::WrongShard { epoch, hint }),
+            resp => Ok(resp),
         }
     }
 
@@ -519,10 +568,24 @@ impl Client {
         }
     }
 
-    /// 2PC phase two: deliver the coordinator's decision for `gtid`. Safe to
-    /// retry — deciding an unknown gtid is acknowledged without effect.
+    /// 2PC phase two: *posts* the coordinator's decision for `gtid` — the
+    /// frame is written at once and this returns without waiting for the
+    /// shard's `Ok`, which the next call on this client (or
+    /// [`Client::settle`]) consumes ahead of its own answer. Nothing is
+    /// parked client-side: how long the participant holds its locks must not
+    /// depend on when the caller next has something to say.
+    ///
+    /// `Ok` therefore means *on its way*, not *applied*. The connection is
+    /// FIFO and the server executes a session's frames in order, so every
+    /// later request on this client finds the verdict applied; if the
+    /// connection dies first, the gtid stays in the shard's in-doubt set
+    /// ([`Client::shard_in_doubt`]) and the in-doubt protocol delivers the
+    /// verdict. Safe to repeat — deciding an unknown gtid is acknowledged
+    /// without effect.
     pub fn shard_decide(&mut self, gtid: u64, commit: bool) -> Result<(), NetError> {
-        self.call_ok(&Request::ShardDecide { gtid, commit })
+        self.send(&Request::ShardDecide { gtid, commit })?;
+        self.owed += 1;
+        Ok(())
     }
 
     /// Asks the server's coordinator decision log what became of `gtid`.

@@ -13,7 +13,11 @@
 //!    waits, decode complete frames incrementally, execute each session's
 //!    pipelined batch inline.
 //! 3. **Flush once**: every commit LSN produced this tick rides a single
-//!    [`esdb_wal::Wal::flush_batch`] — group commit across sessions.
+//!    [`esdb_wal::Wal::flush_batch`] — group commit across sessions. The 2PC
+//!    participant verbs ride it too: a `ShardPrepare`'s vote and a
+//!    `ShardDecide`'s `Ok` are withheld until the flush has forced their
+//!    records, so a tick holding a router's posted verdict and its next
+//!    prepare pays one force and one socket write for both.
 //! 4. **Ship + quorum**: log-subscriber sessions drain follower acks and
 //!    stage newly durable chunks; sessions parked on a semi-sync quorum
 //!    re-check the ack table.
@@ -383,10 +387,18 @@ impl Conn {
     /// rewriting should the quorum fail. Read-only commits have no LSN and
     /// owe neither.
     fn note(&mut self, lsn: Option<Lsn>) {
-        if let Some(lsn) = lsn {
+        if lsn.is_some() {
             self.commit_acks.push(self.staged.len());
-            self.flush_to = self.flush_to.max(Some(lsn));
         }
+        self.force(lsn);
+    }
+
+    /// Raises the batch's flush target to `lsn`: nothing this batch staged
+    /// leaves before the tick's group flush has made `lsn` durable. The 2PC
+    /// verbs owe exactly this and no more — their answers are never commit
+    /// acks, so no quorum gates them.
+    fn force(&mut self, lsn: Option<Lsn>) {
+        self.flush_to = self.flush_to.max(lsn);
     }
 
     /// Anything pending that finalization would turn into output?
@@ -471,15 +483,17 @@ impl Reactor {
                 );
             }
             let tick_start = Instant::now();
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                self.drain_and_exit();
-                return;
-            }
             if events.iter().any(|e| e.token == WAKER_TOKEN) {
                 self.waker.drain();
             }
+            // Before the shutdown check: an admitted session is owed its
+            // last tick like any other.
             for stream in self.handle.take_injected() {
                 self.register(stream);
+            }
+            if self.shared.shutdown.load(Ordering::SeqCst) {
+                self.drain_and_exit();
+                return;
             }
             parked = self.tick(&events, tick_start);
             if esdb_obs::enabled() {
@@ -596,22 +610,21 @@ impl Reactor {
             // every session to the end of what has arrived.
             while conn.readable || immediate {
                 match conn.cursor.fill_from(&mut conn.stream) {
-                    // EOF still owes responses for what was received; close
-                    // once the outbox drains.
-                    Ok(0) => conn.close_after_drain = true,
-                    Ok(_) => {
+                    Ok(n) if n > 0 => {
                         conn.stalled_since = None;
                         if immediate {
                             continue;
                         }
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-                    Err(_) => conn.closed = true,
+                    // End of input, by EOF or by a reset (a peer that hung up
+                    // with answers unread): what was received still executes
+                    // — a posted verdict must not die in the buffer — and the
+                    // session closes once the outbox drains or the write
+                    // fails.
+                    _ => conn.close_after_drain = true,
                 }
                 break;
-            }
-            if conn.closed {
-                continue;
             }
             if matches!(conn.phase, Phase::AwaitFresh { .. }) {
                 // The plan is not Copy: take the phase out, re-park inside
@@ -666,7 +679,7 @@ impl Reactor {
         for conn in self.conns.values_mut().filter(|c| !c.closed) {
             let quorum_lsn = match conn.phase {
                 Phase::AwaitQuorum { lsn, .. } => Some(lsn),
-                _ => conn.flush_to.take(),
+                _ => conn.flush_to.take().filter(|_| !conn.commit_acks.is_empty()),
             };
             if let (Some(lsn), Some(group), Some(policy)) = (
                 quorum_lsn,
@@ -822,9 +835,10 @@ fn exec_one(shared: &Arc<Shared>, conn: &mut Conn, req: Request, now: Instant, i
             resolve_fresh(shared, conn, min_lsn, Fresh::Read { table, key }, deadline, now);
             return;
         }
-        // 2PC phase one: execute the ops, force the Prepare record, and
+        // 2PC phase one: execute the ops, append the Prepare record, and
         // vote. A yes-vote parks the transaction (locks held) in the
-        // engine's prepared registry until a ShardDecide arrives.
+        // engine's prepared registry until a ShardDecide arrives, and is
+        // withheld until the tick's group flush has forced the record.
         Request::ShardPrepare { gtid, ops } => {
             // The gate runs before the prepare executes, so a refused slice
             // registers nothing — the coordinator sees a clean no-vote
@@ -835,14 +849,21 @@ fn exec_one(shared: &Arc<Shared>, conn: &mut Conn, req: Request, now: Instant, i
             }
             shared.counters.txns_executed.fetch_add(1, Ordering::Relaxed);
             let spec = TxnSpec { kind: "shard", ops, may_fail: true };
-            Response::ShardVote { gtid, outcome: db.run_spec_prepare(gtid, &spec) }
+            let (outcome, lsn) = db.run_spec_prepare_deferred(gtid, &spec);
+            conn.force(lsn);
+            Response::ShardVote { gtid, outcome }
         }
         // 2PC phase two: finish a prepared transaction. Unknown gtids are
-        // acknowledged too — a retried decision must be idempotent.
+        // acknowledged too — a retried decision must be idempotent. The
+        // commit record rides the same group flush as whatever else the
+        // tick holds — typically this router's next ShardPrepare, which a
+        // posted verdict sits directly in front of on the wire.
         Request::ShardDecide { gtid, commit } => {
-            if db.decide(gtid, commit) && commit {
+            let (applied, lsn) = db.decide_deferred(gtid, commit);
+            if applied && commit {
                 shared.counters.txns_committed.fetch_add(1, Ordering::Relaxed);
             }
+            conn.force(lsn);
             Response::Ok
         }
         // Participant recovery asks the coordinator's decision log what
@@ -1089,12 +1110,12 @@ fn after_flush(shared: &Arc<Shared>, conn: &mut Conn, now: Instant) {
         }
         return;
     };
-    if let (Some(_), Some(policy)) =
-        (shared.config.repl_group.as_ref(), shared.config.quorum.as_ref())
-    {
-        conn.phase = Phase::AwaitQuorum { lsn, deadline: now + policy.timeout };
-    } else {
-        finalize(shared, conn);
+    match (&shared.config.repl_group, &shared.config.quorum) {
+        // A batch that only forced (2PC verbs) has no commit ack to gate.
+        (Some(_), Some(policy)) if !conn.commit_acks.is_empty() => {
+            conn.phase = Phase::AwaitQuorum { lsn, deadline: now + policy.timeout };
+        }
+        _ => finalize(shared, conn),
     }
 }
 

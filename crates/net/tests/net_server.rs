@@ -340,3 +340,61 @@ fn shutdown_with_mid_frame_peer_answers_prefix_and_exits() {
     let recovered = db.simulate_crash(false);
     assert!(recovered.read_committed(t, 1).is_err(), "nothing was ever committed");
 }
+
+/// A peer that writes a whole 2PC exchange — `ShardPrepare` then the
+/// `ShardDecide` a router posts without waiting — and hangs up at once, with
+/// every answer unread. Returns the database, the server and the row's key.
+fn hang_up_behind_a_posted_verdict() -> (Arc<Database>, Server, u32) {
+    let (db, server) = start_server(EngineConfig::conventional_baseline(), 4);
+    let t = db.create_table("t", 1).unwrap();
+    db.execute(|txn| txn.insert(t, 1, &[10])).unwrap();
+
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let mut wire = Vec::new();
+    // The Pong proves a reactor owns the session before the burst — and is
+    // left unread, as a router leaves the `Ok` to its last verdict, so the
+    // hang-up reaches the server as a reset rather than an orderly EOF.
+    esdb_net::protocol::encode_request(&esdb_net::Request::Ping, &mut wire);
+    raw.write_all(&wire).unwrap();
+    let mut hello = [0u8; 5];
+    raw.read_exact(&mut hello).unwrap();
+    raw.peek(&mut hello).unwrap();
+
+    wire.clear();
+    let ops = vec![WorkloadOp::Add { table: t, key: 1, col: 0, delta: 5 }];
+    esdb_net::protocol::encode_request(&esdb_net::Request::ShardPrepare { gtid: 7, ops }, &mut wire);
+    esdb_net::protocol::encode_request(
+        &esdb_net::Request::ShardDecide { gtid: 7, commit: true },
+        &mut wire,
+    );
+    raw.write_all(&wire).unwrap();
+    drop(raw);
+    (db, server, t)
+}
+
+/// Satellite: the acknowledged-at-the-decision protocol rests on this — a
+/// verdict that reached the server's socket is applied even though its
+/// sender is gone, before the session closes.
+#[test]
+fn frames_behind_a_hang_up_execute_in_a_steady_tick() {
+    let (db, server, t) = hang_up_behind_a_posted_verdict();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().sessions_active > 0 {
+        assert!(Instant::now() < deadline, "the hung-up session never closed");
+        std::thread::yield_now();
+    }
+    assert!(db.prepared_gtids().is_empty(), "the verdict died in the buffer");
+    assert_eq!(db.read_committed(t, 1).unwrap(), vec![15]);
+    server.shutdown();
+}
+
+#[test]
+fn frames_behind_a_hang_up_execute_in_the_shutdown_tick() {
+    let (db, server, t) = hang_up_behind_a_posted_verdict();
+    server.shutdown();
+    assert!(db.prepared_gtids().is_empty(), "the verdict died in the buffer");
+    assert_eq!(db.read_committed(t, 1).unwrap(), vec![15]);
+    // Both forces happened: the exchange survives a crash as a commit.
+    let recovered = db.simulate_crash(false);
+    assert_eq!(recovered.read_committed(t, 1).unwrap(), vec![15]);
+}

@@ -15,11 +15,11 @@ use esdb_net::protocol::{
     FrameError, Request, Response,
 };
 use esdb_net::reactor::Frame;
-use esdb_net::{Client, FrameCursor, Server, ServerConfig};
+use esdb_net::{Client, FrameCursor, NetError, Server, ServerConfig};
 use esdb_workload::{Rng, TxnSpec, WorkloadOp};
 use proptest::prelude::*;
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -155,6 +155,107 @@ proptest! {
         prop_assert_eq!(cursor.buffered(), 0);
         prop_assert_eq!(drain(&mut rest), trailing);
         prop_assert_eq!(rest.buffered(), partial_tail.len());
+    }
+}
+
+/// A peer that follows a script instead of a protocol: greets, writes `wire`
+/// in pieces sized by cycling through `chunks` for as long as the client
+/// listens, then swallows whatever the client sent until it hangs up.
+fn scripted_peer(wire: Vec<u8>, chunks: Vec<usize>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        conn.set_nodelay(true).unwrap();
+        let mut hello = Vec::new();
+        encode_response(&Response::Hello, &mut hello);
+        conn.write_all(&hello).unwrap();
+        let mut off = 0;
+        for n in chunks.iter().cycle() {
+            if off == wire.len() {
+                break;
+            }
+            let n = (*n).min(wire.len() - off);
+            // A poisoned client stops reading and may hang up mid-script.
+            if conn.write_all(&wire[off..off + n]).is_err() {
+                break;
+            }
+            off += n;
+        }
+        let _ = std::io::copy(&mut conn, &mut std::io::sink());
+    });
+    (addr, peer)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Posted and called requests share one FIFO dialogue. For any
+    /// interleaving of the two and any fragmentation of the answers, every
+    /// call gets its own answer (each `ShardStatus` asks about its own gtid
+    /// and checks the gtid that comes back), and after `settle` nothing is
+    /// owed: the next call's answer is the next frame. With `poison`, the
+    /// answer owed to one post is instead the first non-`Ok` response the
+    /// frame table draws: calls ahead of it are untouched, and from the
+    /// operation that meets it onward everything fails typed — nobody is
+    /// ever handed another request's answer.
+    #[test]
+    fn posted_and_called_requests_never_swap_answers(
+        seed in any::<u64>(),
+        posts in prop::collection::vec(any::<bool>(), 1..24),
+        chunks in prop::collection::vec(1usize..12, 1..16),
+        poison in any::<bool>(),
+    ) {
+        let mut rng = Rng::new(seed);
+        let poisoned_post = (poison && posts.contains(&true)).then(|| {
+            let nth = rng.below(posts.iter().filter(|p| **p).count() as u64) as usize;
+            posts.iter().enumerate().filter(|(_, p)| **p).nth(nth).unwrap().0
+        });
+        let mut wire = Vec::new();
+        let mut verdicts = Vec::new();
+        for (i, post) in posts.iter().enumerate() {
+            let commit = rng.pct(50);
+            verdicts.push(commit);
+            let answer = if Some(i) == poisoned_post {
+                std::iter::repeat_with(|| arbitrary_response(&mut rng))
+                    .find(|r| *r != Response::Ok)
+                    .unwrap()
+            } else if *post {
+                Response::Ok
+            } else {
+                Response::ShardDecision { gtid: i as u64, commit }
+            };
+            encode_response(&answer, &mut wire);
+        }
+        encode_response(&Response::Pong, &mut wire);
+        let (addr, peer) = scripted_peer(wire, chunks);
+        let mut client = Client::connect(addr).unwrap();
+
+        // A post never reads, so the poison is met by the first call (or
+        // the closing settle) after the poisoned post.
+        let mut met = false;
+        for (i, post) in posts.iter().enumerate() {
+            let gtid = i as u64;
+            if *post {
+                let posted = client.shard_decide(gtid, verdicts[i]);
+                prop_assert_eq!(posted.is_err(), met, "post {}", i);
+            } else {
+                met |= poisoned_post.is_some_and(|p| p < i);
+                match client.shard_status(gtid) {
+                    Ok(commit) => prop_assert!(!met && commit == verdicts[i], "call {}", i),
+                    Err(e) => prop_assert!(
+                        met && matches!(e, NetError::Unexpected(_)),
+                        "call {}: {}", i, e
+                    ),
+                }
+            }
+        }
+        met |= poisoned_post.is_some();
+        prop_assert_eq!(client.settle().is_err(), met);
+        prop_assert_eq!(client.settle().is_err(), met, "settling twice changes nothing");
+        prop_assert_eq!(client.ping().is_err(), met);
+        drop(client);
+        peer.join().unwrap();
     }
 }
 

@@ -170,6 +170,11 @@ fn migration_under_wire_traffic_and_stale_client_recovery() {
                 may_fail: false,
             };
             assert!(router.execute(&cross).unwrap().is_committed());
+            // The commit is acknowledged at the decision; its verdicts are
+            // only posted. These wire hooks do not register prepared slices
+            // with the fence (in-process `OwnedShard`s do), so have the
+            // verdicts applied before the migration may step into it.
+            router.settle().unwrap();
         }
         m.step().unwrap();
     }

@@ -94,6 +94,14 @@ impl DecisionLog {
         self.decision(gtid).unwrap_or(false)
     }
 
+    /// Physical forces of the coordinator's private log so far — its share
+    /// of a cross-shard commit's durability cost, which no shard's
+    /// `stats_snapshot` sees. Presumed abort makes it one per commit
+    /// verdict, none per abort, one per [`GTID_BATCH`] gtids.
+    pub fn forces(&self) -> u64 {
+        self.wal.flush_count()
+    }
+
     /// Simulates a coordinator crash: a new incarnation built from this
     /// log's *durable* prefix only. Unforced abort verdicts vanish (and
     /// resolve as abort anyway); forced commit verdicts and gtid watermarks
@@ -176,6 +184,25 @@ mod tests {
             log.allocate();
         }
         // 100 allocations within one batch cost exactly one watermark flush.
-        assert_eq!(log.wal.flush_count(), 1);
+        assert_eq!(log.forces(), 1);
+    }
+
+    #[test]
+    fn presumed_abort_forces_once_per_commit_never_per_abort() {
+        let log = DecisionLog::new();
+        let first = log.allocate();
+        assert_eq!(log.forces(), 1, "the first gtid forces its batch's watermark");
+        log.decide(first, true);
+        assert_eq!(log.forces(), 2, "a commit verdict is forced");
+        for _ in 1..GTID_BATCH {
+            let gtid = log.allocate();
+            log.decide(gtid, false);
+        }
+        assert_eq!(log.forces(), 2, "aborts and in-batch gtids force nothing");
+        let next_batch = log.allocate();
+        assert_eq!(next_batch, GTID_BATCH);
+        assert_eq!(log.forces(), 3, "gtid 1,024 forces the next watermark");
+        log.decide(next_batch, true);
+        assert_eq!(log.forces(), 4);
     }
 }

@@ -26,10 +26,15 @@
 //!   allocate gtid (durable watermark)
 //!   PREPARE(gtid, ops)  ─────────────▶  execute, force Prepare record,
 //!   ◀─────────────────────  vote        hold locks
-//!   all yes: force Decide(commit)
-//!   any no:  Decide(abort), no force
+//!   all yes: force Decide(commit)       ◀── the commit point; the caller
+//!   any no:  Decide(abort), no force        is answered here
 //!   DECIDE(gtid, verdict) ───────────▶  commit or roll back, release
+//!     (posted: sent at once, not awaited)
 //! ```
+//!
+//! The verdict reaches a participant ahead of anything the same router sends
+//! it next (connection FIFO); if the connection dies first, the transaction
+//! stays prepared there and the in-doubt protocol below delivers the verdict.
 //!
 //! A participant that crashes between Prepare and Decide recovers the
 //! transaction *in doubt*: redone, not undone, locks conceptually held. It

@@ -18,8 +18,20 @@ pub trait ShardBackend: Send {
     /// committed outcome is a yes-vote; the shard then holds its locks
     /// until [`ShardBackend::decide`].
     fn prepare(&mut self, gtid: u64, ops: Vec<WorkloadOp>) -> Result<SpecOutcome, ShardError>;
-    /// 2PC phase two: apply the coordinator's verdict.
+    /// 2PC phase two: send the coordinator's verdict on its way. `Ok` means
+    /// the verdict *will* reach the shard ahead of anything this backend is
+    /// asked next — an in-process shard has applied it, a [`NetShard`] has
+    /// posted it and relies on connection FIFO — not that the caller waited
+    /// for it. A verdict that cannot be delivered (`Err`, or a connection
+    /// that dies with it in flight) leaves the gtid in the shard's in-doubt
+    /// set, where the in-doubt protocol resolves it from the decision log.
     fn decide(&mut self, gtid: u64, commit: bool) -> Result<(), ShardError>;
+    /// Barrier: returns once every verdict handed to
+    /// [`ShardBackend::decide`] has been applied by the shard. Nothing to do
+    /// for a backend whose `decide` applies inline.
+    fn settle(&mut self) -> Result<(), ShardError> {
+        Ok(())
+    }
 }
 
 /// An in-process shard: an [`esdb_core::Database`] behind the same verbs the
@@ -57,6 +69,10 @@ impl ShardBackend for NetShard {
 
     fn decide(&mut self, gtid: u64, commit: bool) -> Result<(), ShardError> {
         Ok(self.0.shard_decide(gtid, commit)?)
+    }
+
+    fn settle(&mut self) -> Result<(), ShardError> {
+        Ok(self.0.settle()?)
     }
 }
 
@@ -100,6 +116,10 @@ pub struct RouterStats {
     pub cross_aborts: u64,
     /// `WrongShard` refusals absorbed by a routing refresh + retry.
     pub wrong_shard_retries: u64,
+    /// Verdicts a participant's backend failed to take. The transaction's
+    /// outcome stood regardless (it was fixed at the decision); the gtid is
+    /// left to the in-doubt protocol.
+    pub decides_undelivered: u64,
 }
 
 /// How a router refreshes a stale routing table after a `WrongShard`
@@ -176,6 +196,19 @@ impl ShardRouter {
     /// Traffic counters so far.
     pub fn stats(&self) -> RouterStats {
         self.stats
+    }
+
+    /// Barrier over every backend ([`ShardBackend::settle`]): once this
+    /// returns `Ok`, every verdict of every transaction this router has
+    /// acknowledged is applied on its participants. Tests and orderly
+    /// shutdown want it; the transaction path never does. Every backend is
+    /// tried; the first failure is reported.
+    pub fn settle(&mut self) -> Result<(), ShardError> {
+        let mut settled = Ok(());
+        for shard in &mut self.shards {
+            settled = settled.and(shard.settle());
+        }
+        settled
     }
 
     /// Groups a spec's ops by owning shard, preserving op order within each
@@ -291,11 +324,7 @@ impl ShardRouter {
                 // residue, and recovery must resolve this gtid as aborted.
                 Err(e @ ShardError::WrongShard { .. }) => {
                     self.coord.decide(gtid, false);
-                    for (s, v) in &votes {
-                        if v.is_committed() {
-                            self.shards[*s].decide(gtid, false)?;
-                        }
-                    }
+                    self.post_verdict(gtid, false, &yes_voters(&votes));
                     return Err(e);
                 }
                 Err(e) => return Err(e),
@@ -307,11 +336,7 @@ impl ShardRouter {
                 break;
             }
         }
-        let prepared: Vec<usize> = votes
-            .iter()
-            .filter(|(_, v)| v.is_committed())
-            .map(|(s, _)| *s)
-            .collect();
+        let prepared = yes_voters(&votes);
         if crash == Some(CrashPoint::AfterPrepare) {
             return Ok(TwoPcTrace { gtid, prepared, decision: None, outcome: None });
         }
@@ -321,11 +346,11 @@ impl ShardRouter {
         if crash == Some(CrashPoint::AfterDecision) {
             return Ok(TwoPcTrace { gtid, prepared, decision: Some(all_yes), outcome: None });
         }
-        // Phase two: yes-voters apply the verdict; a no-voter already
-        // rolled itself back while voting.
-        for &s in &prepared {
-            self.shards[s].decide(gtid, all_yes)?;
-        }
+        // The outcome is now fixed — the forced verdict *is* the commit —
+        // so phase two is off the caller's critical path: yes-voters are sent
+        // the verdict (a no-voter already rolled itself back while voting)
+        // and nobody waits for them to apply it.
+        self.post_verdict(gtid, all_yes, &prepared);
         let outcome = if all_yes {
             let mut reads = vec![None; spec.ops.len()];
             for ((_, idxs), (_, vote)) in groups.iter().zip(&votes) {
@@ -341,6 +366,24 @@ impl ShardRouter {
         };
         Ok(TwoPcTrace { gtid, prepared, decision: Some(all_yes), outcome: Some(outcome) })
     }
+
+    /// Sends the logged verdict for `gtid` to each of `voters`. Called only
+    /// after [`DecisionLog::decide`], when the transaction's outcome no
+    /// longer depends on anyone hearing it: every voter is attempted, and a
+    /// backend that fails is counted and left holding the gtid in doubt —
+    /// never reported to the caller as the transaction's failure.
+    fn post_verdict(&mut self, gtid: u64, commit: bool, voters: &[usize]) {
+        for &s in voters {
+            if self.shards[s].decide(gtid, commit).is_err() {
+                self.stats.decides_undelivered += 1;
+            }
+        }
+    }
+}
+
+/// The shards whose vote was yes: the ones holding locks for the gtid.
+fn yes_voters(votes: &[(usize, SpecOutcome)]) -> Vec<usize> {
+    votes.iter().filter(|(_, v)| v.is_committed()).map(|(s, _)| *s).collect()
 }
 
 #[cfg(test)]
@@ -459,6 +502,90 @@ mod tests {
         }
         assert_eq!(dbs[1].read_committed(0, 1).unwrap(), vec![103]);
         assert_eq!(dbs[0].read_committed(0, 2).unwrap(), vec![103]);
+    }
+
+    /// Prepares like the shard it wraps, but can never be told a verdict.
+    struct DeafToVerdicts(LocalShard);
+
+    impl ShardBackend for DeafToVerdicts {
+        fn one_shot(&mut self, spec: &TxnSpec) -> Result<SpecOutcome, ShardError> {
+            self.0.one_shot(spec)
+        }
+        fn prepare(&mut self, gtid: u64, ops: Vec<WorkloadOp>) -> Result<SpecOutcome, ShardError> {
+            self.0.prepare(gtid, ops)
+        }
+        fn decide(&mut self, _gtid: u64, _commit: bool) -> Result<(), ShardError> {
+            Err(ShardError::Net(esdb_net::NetError::Unexpected("a live connection")))
+        }
+    }
+
+    /// Refuses every prepare as unowned.
+    struct Unowned;
+
+    impl ShardBackend for Unowned {
+        fn one_shot(&mut self, _spec: &TxnSpec) -> Result<SpecOutcome, ShardError> {
+            Err(ShardError::WrongShard { epoch: 3, hint: 0 })
+        }
+        fn prepare(&mut self, _gtid: u64, _ops: Vec<WorkloadOp>) -> Result<SpecOutcome, ShardError> {
+            Err(ShardError::WrongShard { epoch: 3, hint: 0 })
+        }
+        fn decide(&mut self, _gtid: u64, _commit: bool) -> Result<(), ShardError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn an_undeliverable_verdict_never_turns_a_commit_into_an_error() {
+        let (_, dbs) = two_shard_router();
+        // Shard 1 (odd keys) prepares first and cannot be reached afterwards.
+        let shards: Vec<Box<dyn ShardBackend>> = vec![
+            Box::new(LocalShard(Arc::clone(&dbs[0]))),
+            Box::new(DeafToVerdicts(LocalShard(Arc::clone(&dbs[1])))),
+        ];
+        let mut router =
+            ShardRouter::new(shards, Arc::new(KeyParity), Arc::new(DecisionLog::new())).unwrap();
+        let spec = TxnSpec { kind: "t", ops: vec![add(1, 7), add(2, -7)], may_fail: false };
+        let outcome = router.execute(&spec).expect("the verdict was forced: this is a commit");
+        assert!(outcome.is_committed());
+        // The participant after the failing one was still told.
+        assert_eq!(dbs[0].read_committed(0, 2).unwrap(), vec![93]);
+        assert!(dbs[0].prepared_gtids().is_empty());
+        assert_eq!(
+            router.stats(),
+            RouterStats {
+                cross_shard: 1,
+                cross_commits: 1,
+                decides_undelivered: 1,
+                ..Default::default()
+            }
+        );
+        // The unreachable one is in doubt, and the decision log resolves it.
+        let in_doubt = dbs[1].prepared_gtids();
+        assert_eq!(in_doubt.len(), 1);
+        assert!(router.coordinator().resolve(in_doubt[0]));
+        assert!(dbs[1].decide(in_doubt[0], true));
+        assert_eq!(dbs[1].read_committed(0, 1).unwrap(), vec![107]);
+    }
+
+    #[test]
+    fn a_refusal_surfaces_as_wrong_shard_whatever_the_abort_delivery_does() {
+        let (_, dbs) = two_shard_router();
+        let shards: Vec<Box<dyn ShardBackend>> =
+            vec![Box::new(Unowned), Box::new(DeafToVerdicts(LocalShard(Arc::clone(&dbs[1]))))];
+        let mut router =
+            ShardRouter::new(shards, Arc::new(KeyParity), Arc::new(DecisionLog::new())).unwrap();
+        // Shard 1 votes yes, shard 0 refuses: the abort cannot reach shard 1,
+        // and the retry envelope must still see the refusal it acts on.
+        let spec = TxnSpec { kind: "t", ops: vec![add(1, 7), add(2, -7)], may_fail: false };
+        assert!(matches!(
+            router.execute(&spec),
+            Err(ShardError::WrongShard { epoch: 3, hint: 0 })
+        ));
+        assert_eq!(router.stats().decides_undelivered, 1);
+        let in_doubt = dbs[1].prepared_gtids();
+        assert_eq!(in_doubt.len(), 1);
+        assert_eq!(router.coordinator().decision(in_doubt[0]), Some(false));
+        dbs[1].decide(in_doubt[0], false);
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //! router running mixed single/cross-shard TPC-B, a coordinator crash in
 //! the in-doubt window, and resolution over the wire.
 
+use esdb_core::spec_exec::SpecOutcome;
 use esdb_core::{Database, EngineConfig};
-use esdb_net::{Client, Server, ServerConfig};
+use esdb_net::{Client, NetError, Server, ServerConfig};
 use esdb_shard::{
-    load_shard_population, CrashPoint, DecisionLog, NetShard, ShardBackend, ShardRouter,
-    ShardedTpcb,
+    load_shard_population, CrashPoint, DecisionLog, NetShard, ShardBackend, ShardError,
+    ShardRouter, ShardedTpcb,
 };
-use esdb_workload::{tpcb, TxnSpec, Workload};
+use esdb_workload::{tpcb, TxnSpec, Workload, WorkloadOp};
 use std::sync::Arc;
 
 const SHARDS: usize = 2;
@@ -24,17 +25,16 @@ fn connect_shards(servers: &[Server]) -> Vec<Box<dyn ShardBackend>> {
         .collect()
 }
 
-#[test]
-fn loopback_cluster_runs_2pc_crashes_the_coordinator_and_recovers() {
-    let w = ShardedTpcb::new(BRANCHES, ACCOUNTS_PER_BRANCH, 30, SHARDS, 5);
+/// Two loopback shard servers loaded with `w`'s population, answering
+/// `ShardStatus` from `coord`.
+fn start_cluster(w: &ShardedTpcb, coord: &Arc<DecisionLog>) -> (Vec<Arc<Database>>, Vec<Server>) {
     let part = w.partitioner();
-    let coord = Arc::new(DecisionLog::new());
     let config = EngineConfig { buffer_frames: 512, ..EngineConfig::default() };
     let mut dbs = Vec::new();
     let mut servers = Vec::new();
     for idx in 0..SHARDS {
         let db = Arc::new(Database::open(config.clone()));
-        load_shard_population(&db, &w, &part, idx, SHARDS).unwrap();
+        load_shard_population(&db, w, &part, idx, SHARDS).unwrap();
         let server = Server::start(
             Arc::clone(&db),
             "127.0.0.1:0",
@@ -47,6 +47,40 @@ fn loopback_cluster_runs_2pc_crashes_the_coordinator_and_recovers() {
         dbs.push(db);
         servers.push(server);
     }
+    (dbs, servers)
+}
+
+/// TPC-B conservation summed across both shards, read straight off the
+/// engines — so every verdict must have been settled first.
+fn assert_conservation(dbs: &[Arc<Database>]) {
+    let sum = |table: u32, col: usize| -> i64 {
+        let mut total = 0;
+        for db in dbs {
+            db.table(table).unwrap().scan(|_, row| total += row[col]).unwrap();
+        }
+        total
+    };
+    let b = sum(tpcb::BRANCHES, 0);
+    assert_eq!(sum(tpcb::ACCOUNTS, 1), b, "accounts out of conservation");
+    assert_eq!(sum(tpcb::TELLERS, 1), b, "tellers out of conservation");
+    assert_eq!(sum(tpcb::HISTORY, 2), b, "history out of conservation");
+}
+
+fn next_cross_shard(gen: &mut ShardedTpcb) -> TxnSpec {
+    loop {
+        let spec = gen.next_txn();
+        if spec.kind == "CrossShard" {
+            return spec;
+        }
+    }
+}
+
+#[test]
+fn loopback_cluster_runs_2pc_crashes_the_coordinator_and_recovers() {
+    let w = ShardedTpcb::new(BRANCHES, ACCOUNTS_PER_BRANCH, 30, SHARDS, 5);
+    let part = w.partitioner();
+    let coord = Arc::new(DecisionLog::new());
+    let (dbs, servers) = start_cluster(&w, &coord);
 
     // Mixed burst: ~30% of transactions straddle both shards and pay 2PC.
     let mut gen = ShardedTpcb::new(BRANCHES, ACCOUNTS_PER_BRANCH, 30, SHARDS, 6);
@@ -68,12 +102,7 @@ fn loopback_cluster_runs_2pc_crashes_the_coordinator_and_recovers() {
 
     // Abandon one cross-shard transaction in its in-doubt window and crash
     // the coordinator.
-    let victim: TxnSpec = loop {
-        let spec = gen.next_txn();
-        if spec.kind == "CrossShard" {
-            break spec;
-        }
-    };
+    let victim = next_cross_shard(&mut gen);
     let trace = router.execute_crashing(&victim, CrashPoint::AfterPrepare).unwrap();
     assert_eq!(trace.prepared.len(), 2, "victim must prepare on both shards");
     assert!(trace.decision.is_none());
@@ -102,18 +131,107 @@ fn loopback_cluster_runs_2pc_crashes_the_coordinator_and_recovers() {
     for _ in 0..50 {
         assert!(router.execute(&gen.next_txn()).unwrap().is_committed());
     }
-    drop(router);
+    // The last verdicts were posted, not awaited: wait them out before
+    // looking at the engines behind the servers' backs.
+    router.settle().unwrap();
+    assert_conservation(&dbs);
+}
 
-    // Conservation summed across both shards, read straight off the engines.
-    let sum = |table: u32, col: usize| -> i64 {
-        let mut total = 0;
-        for db in &dbs {
-            db.table(table).unwrap().scan(|_, row| total += row[col]).unwrap();
-        }
-        total
-    };
-    let b = sum(tpcb::BRANCHES, 0);
-    assert_eq!(sum(tpcb::ACCOUNTS, 1), b, "accounts out of conservation");
-    assert_eq!(sum(tpcb::TELLERS, 1), b, "tellers out of conservation");
-    assert_eq!(sum(tpcb::HISTORY, 2), b, "history out of conservation");
+/// A [`NetShard`] whose connection is cut the moment it is handed a verdict:
+/// the decision is logged, the delivery never happens.
+struct CutAtTheVerdict(Option<NetShard>);
+
+impl CutAtTheVerdict {
+    fn live(&mut self) -> Result<&mut NetShard, ShardError> {
+        self.0.as_mut().ok_or(ShardError::Net(NetError::Unexpected("a live connection")))
+    }
+}
+
+impl ShardBackend for CutAtTheVerdict {
+    fn one_shot(&mut self, spec: &TxnSpec) -> Result<SpecOutcome, ShardError> {
+        self.live()?.one_shot(spec)
+    }
+    fn prepare(&mut self, gtid: u64, ops: Vec<WorkloadOp>) -> Result<SpecOutcome, ShardError> {
+        self.live()?.prepare(gtid, ops)
+    }
+    fn decide(&mut self, _gtid: u64, _commit: bool) -> Result<(), ShardError> {
+        self.0 = None;
+        self.live().map(|_| ())
+    }
+}
+
+#[test]
+fn a_verdict_lost_with_its_connection_is_resolved_from_the_decision_log() {
+    let w = ShardedTpcb::new(BRANCHES, ACCOUNTS_PER_BRANCH, 100, SHARDS, 7);
+    let part = w.partitioner();
+    let coord = Arc::new(DecisionLog::new());
+    let (dbs, servers) = start_cluster(&w, &coord);
+    let connect = |idx: usize| NetShard(Client::connect(servers[idx].local_addr()).unwrap());
+
+    let shards: Vec<Box<dyn ShardBackend>> =
+        vec![Box::new(connect(0)), Box::new(CutAtTheVerdict(Some(connect(1))))];
+    let mut router = ShardRouter::new(shards, Arc::new(part), Arc::clone(&coord)).unwrap();
+    let mut gen = ShardedTpcb::new(BRANCHES, ACCOUNTS_PER_BRANCH, 100, SHARDS, 8);
+    // Acknowledged at the decision: the caller sees the commit it got.
+    assert!(router.execute(&next_cross_shard(&mut gen)).unwrap().is_committed());
+    assert_eq!(router.stats().cross_commits, 1);
+    assert_eq!(router.stats().decides_undelivered, 1);
+    router.settle().unwrap();
+    assert!(dbs[0].prepared_gtids().is_empty(), "the reachable participant was told");
+
+    // The cut participant holds the gtid in doubt; the decision log says
+    // commit; delivering that resolves it.
+    let mut resolver = Client::connect(servers[1].local_addr()).unwrap();
+    let in_doubt = resolver.shard_in_doubt().unwrap();
+    assert_eq!(in_doubt.len(), 1);
+    assert!(resolver.shard_status(in_doubt[0]).unwrap(), "a forced commit verdict");
+    resolver.shard_decide(in_doubt[0], true).unwrap();
+    assert!(resolver.shard_in_doubt().unwrap().is_empty());
+    assert_conservation(&dbs);
+}
+
+#[test]
+fn back_to_back_commits_on_the_same_rows_never_wait_for_a_lock() {
+    const TXNS: u64 = 2_000;
+    let w = ShardedTpcb::new(BRANCHES, ACCOUNTS_PER_BRANCH, 100, SHARDS, 9);
+    let part = w.partitioner();
+    let coord = Arc::new(DecisionLog::new());
+    let (dbs, servers) = start_cluster(&w, &coord);
+    let mut router =
+        ShardRouter::new(connect_shards(&servers), Arc::new(part), Arc::clone(&coord)).unwrap();
+
+    // Branch 0 and its teller live on shard 0, branch 1's first account on
+    // shard 1: every transaction prepares on the very rows whose locks the
+    // previous one's posted verdicts release.
+    let account = ACCOUNTS_PER_BRANCH;
+    for h in 0..TXNS {
+        let spec = TxnSpec {
+            kind: "CrossShard",
+            ops: vec![
+                WorkloadOp::Add { table: tpcb::ACCOUNTS, key: account, col: 1, delta: 1 },
+                WorkloadOp::Add { table: tpcb::TELLERS, key: 0, col: 1, delta: 1 },
+                WorkloadOp::Add { table: tpcb::BRANCHES, key: 0, col: 0, delta: 1 },
+                WorkloadOp::Insert {
+                    table: tpcb::HISTORY,
+                    key: h << 8,
+                    row: vec![account as i64, 0, 1],
+                },
+            ],
+            may_fail: false,
+        };
+        let outcome = router.execute(&spec).unwrap();
+        assert!(outcome.is_committed(), "txn {h}: {outcome:?}");
+    }
+    router.settle().unwrap();
+    assert_eq!(router.stats().cross_commits, TXNS);
+    assert_eq!(router.stats().decides_undelivered, 0);
+    // The verdict always precedes the next prepare on its connection, so no
+    // prepare ever found the previous transaction's lock still held.
+    for db in &dbs {
+        // Counted where the `LockWait` obs sample is taken, per engine.
+        assert_eq!(db.txn_manager().locks().stats().waits, 0, "a prepare overtook a verdict");
+    }
+    assert_eq!(dbs[0].read_committed(tpcb::BRANCHES, 0).unwrap(), vec![TXNS as i64]);
+    assert_eq!(dbs[1].read_committed(tpcb::ACCOUNTS, account).unwrap()[1], TXNS as i64);
+    assert_conservation(&dbs);
 }

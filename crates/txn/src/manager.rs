@@ -383,13 +383,27 @@ impl Txn {
     ///
     /// Read-only transactions log nothing (there is nothing to redo or
     /// undo) but still hold their locks until decided.
-    pub fn prepare(mut self, gtid: u64) -> PreparedTxn {
+    pub fn prepare(self, gtid: u64) -> PreparedTxn {
+        let (prepared, lsn) = self.prepare_deferred(gtid);
+        if let Some(lsn) = lsn {
+            prepared.txn.mgr.wal.wait_durable(lsn);
+        }
+        prepared
+    }
+
+    /// [`Txn::prepare`] *without waiting for durability*: the `Prepare`
+    /// record is appended, and the caller must not let the yes-vote leave
+    /// until [`Wal::wait_durable`] covers the returned LSN (`None` for a
+    /// read-only transaction: nothing to wait on). The group-commit hook for
+    /// participants, as [`Txn::commit_deferred`] is for one-shots.
+    pub fn prepare_deferred(mut self, gtid: u64) -> (PreparedTxn, Option<Lsn>) {
+        let mut lsn = None;
         if self.last_lsn != NULL_LSN {
             let r = self.mgr.wal.append(self.id, self.last_lsn, &LogBody::Prepare { gtid });
             self.last_lsn = r.start;
-            self.mgr.wal.wait_durable(r.end);
+            lsn = Some(r.end);
         }
-        PreparedTxn { txn: self, gtid }
+        (PreparedTxn { txn: self, gtid }, lsn)
     }
 
     /// Aborts: replays the undo chain (logging compensations), writes the
@@ -490,6 +504,14 @@ impl PreparedTxn {
     /// and releases locks via the ordinary commit path.
     pub fn commit_decided(self) {
         self.txn.commit();
+    }
+
+    /// [`PreparedTxn::commit_decided`] through [`Txn::commit_deferred`]:
+    /// the commit record is appended and locks are released, and the caller
+    /// owes a [`Wal::wait_durable`] on the returned LSN before acknowledging
+    /// the verdict as applied.
+    pub fn commit_decided_deferred(self) -> Option<Lsn> {
+        self.txn.commit_deferred()
     }
 
     /// Applies the coordinator's abort decision: replays the undo chain and

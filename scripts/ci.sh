@@ -110,13 +110,13 @@ echo "== smoke: htap (follower OLAP under primary writes, index=scan + token-pin
 TABH_WRITERS=2 TABH_WRITES=500 TABH_REPS=1 ESDB_BENCH_DIR=bench_out/htap_smoke \
     cargo run --release -q -p esdb-bench --bin tab_htap
 
-echo "== smoke: sharding (2-shard loopback cluster, 2PC burst, coordinator crash + recover) =="
-# The shard_net integration test is the smoke: two shard servers over TCP, a
-# mixed single/cross-shard TPC-B burst through the router, one cross-shard
-# transaction abandoned in its in-doubt window, a coordinator crash, and
-# wire-protocol resolution — then cross-shard conservation. Seconds, not
-# minutes.
-cargo test --release -q -p esdb-shard --test shard_net
+echo "== sharding: esdb-shard (unit tests, loopback 2PC cluster, 27-cell crash matrix) =="
+# Everything the crate has: the router/coordinator/recovery unit tests, the
+# shard_net loopback cluster (2PC burst, a verdict lost with its connection,
+# 2,000 back-to-back commits on the same rows, coordinator crash + wire
+# resolution) and the shard_torture crash matrix with its double-recovery
+# idempotence check. Seconds, not minutes.
+cargo test --release -q -p esdb-shard
 
 echo "== smoke: rebalancing (crash-torture matrix + wire-level migration) =="
 # migration_torture sweeps {coordinator, source, dest} crashes x {copy,
