@@ -2,7 +2,7 @@
 //! the lock-table partition count called out in DESIGN.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use esdb_lock::{LockManager, LockMode};
+use esdb_lock::{HeldLocks, LockManager, LockMode};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -20,8 +20,9 @@ fn bench_lock_manager(c: &mut Criterion) {
         b.iter(|| {
             txn += 1;
             key = key.wrapping_add(7_919);
-            m.lock_row(txn, 1, key, LockMode::X).unwrap();
-            m.release_all(txn);
+            let mut held = HeldLocks::new(txn);
+            m.lock_row(&mut held, 1, key, LockMode::X).unwrap();
+            m.release_all(&mut held);
         });
     });
 
@@ -38,9 +39,9 @@ fn bench_lock_manager(c: &mut Criterion) {
                             let m = Arc::clone(&m);
                             s.spawn(move || {
                                 for i in 0..500u64 {
-                                    let txn = t * 1_000_000 + i + 1;
-                                    m.lock_row(txn, 1, t * 100_000 + i, LockMode::X).unwrap();
-                                    m.release_all(txn);
+                                    let mut held = HeldLocks::new(t * 1_000_000 + i + 1);
+                                    m.lock_row(&mut held, 1, t * 100_000 + i, LockMode::X).unwrap();
+                                    m.release_all(&mut held);
                                 }
                             });
                         }

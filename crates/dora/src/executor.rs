@@ -14,8 +14,9 @@ use crate::action::{Action, ActionOp};
 use crate::rvp::{FailKind, Rvp};
 use crossbeam::channel::Receiver;
 use esdb_storage::schema::TableId;
-use esdb_storage::Table;
-use esdb_wal::{LogBody, Wal};
+use esdb_storage::{Rid, Table};
+use esdb_wal::record::RowOp;
+use esdb_wal::Wal;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -205,98 +206,42 @@ impl Executor {
     }
 
     /// Applies one action. `Ok(Some(row))` carries a result for the client.
+    /// Each mutation is one `Table` call whose log record is appended under
+    /// the row's page latch.
     fn apply(&mut self, txn: u64, action: &Action) -> Result<Option<Vec<i64>>, ()> {
         let t = self.tables.get(&action.table).ok_or(())?.clone();
         let table = action.table;
         let key = action.key;
-        match &action.op {
-            ActionOp::Read => Ok(Some(t.get(key).map_err(|_| ())?)),
+        let log = |rid: Rid, op: RowOp<'_>| self.wal.append_row(txn, 0, table, key, rid, op).start;
+        let (undo, read) = match &action.op {
+            ActionOp::Read => return Ok(Some(t.get(key).map_err(|_| ())?)),
             ActionOp::Write(row) => {
-                let rid = t.rid_of(key).map_err(|_| ())?;
-                let before = t.update_logged(key, row, 0).map_err(|_| ())?;
-                let lsn = self
-                    .wal
-                    .append(txn, 0, &LogBody::Update {
-                        table,
-                        key,
-                        rid,
-                        before: before.clone(),
-                        after: row.clone(),
-                    })
-                    .start;
-                let _ = t.heap().stamp_page_lsn(rid.page, lsn);
-                self.undo
-                    .entry(txn)
-                    .or_default()
-                    .push(UndoOp::Update { table, key, before });
-                Ok(None)
+                let before = t
+                    .update_logged(key, row, |rid, before| log(rid, RowOp::Update { before, after: row }))
+                    .map_err(|_| ())?;
+                (UndoOp::Update { table, key, before }, None)
             }
             ActionOp::Add { col, delta } => {
-                let before = t.get(key).map_err(|_| ())?;
-                if *col >= before.len() {
-                    return Err(());
-                }
-                let mut after = before.clone();
-                after[*col] += delta;
-                let rid = t.rid_of(key).map_err(|_| ())?;
-                t.update_logged(key, &after, 0).map_err(|_| ())?;
-                let lsn = self
-                    .wal
-                    .append(txn, 0, &LogBody::Update {
-                        table,
-                        key,
-                        rid,
-                        before: before.clone(),
-                        after,
-                    })
-                    .start;
-                let _ = t.heap().stamp_page_lsn(rid.page, lsn);
-                self.undo.entry(txn).or_default().push(UndoOp::Update {
-                    table,
-                    key,
-                    before: before.clone(),
-                });
-                Ok(Some(before))
+                let mut after = t.get(key).map_err(|_| ())?;
+                *after.get_mut(*col).ok_or(())? += delta;
+                let before = t
+                    .update_logged(key, &after, |rid, before| log(rid, RowOp::Update { before, after: &after }))
+                    .map_err(|_| ())?;
+                (UndoOp::Update { table, key, before: before.clone() }, Some(before))
             }
             ActionOp::Insert(row) => {
-                let rid = t.insert_logged(key, row, 0).map_err(|_| ())?;
-                let lsn = self
-                    .wal
-                    .append(txn, 0, &LogBody::Insert {
-                        table,
-                        key,
-                        rid,
-                        row: row.clone(),
-                    })
-                    .start;
-                let _ = t.heap().stamp_page_lsn(rid.page, lsn);
-                self.undo
-                    .entry(txn)
-                    .or_default()
-                    .push(UndoOp::Insert { table, key });
-                Ok(None)
+                t.insert_logged(key, row, |rid| log(rid, RowOp::Insert { row })).map_err(|_| ())?;
+                (UndoOp::Insert { table, key }, None)
             }
             ActionOp::Delete => {
-                let rid = t.rid_of(key).map_err(|_| ())?;
-                let before = t.delete_logged(key, 0).map_err(|_| ())?;
-                let lsn = self
-                    .wal
-                    .append(txn, 0, &LogBody::Delete {
-                        table,
-                        key,
-                        rid,
-                        before: before.clone(),
-                    })
-                    .start;
-                let _ = t.heap().stamp_page_lsn(rid.page, lsn);
-                self.undo.entry(txn).or_default().push(UndoOp::Delete {
-                    table,
-                    key,
-                    before: before.clone(),
-                });
-                Ok(Some(before))
+                let before = t
+                    .delete_logged(key, |rid, before| log(rid, RowOp::Delete { before }))
+                    .map_err(|_| ())?;
+                (UndoOp::Delete { table, key, before: before.clone() }, Some(before))
             }
-        }
+        };
+        self.undo.entry(txn).or_default().push(undo);
+        Ok(read)
     }
 
     fn handle_complete(&mut self, txn: u64, commit: bool) {
@@ -330,55 +275,25 @@ impl Executor {
     }
 
     fn apply_undo(&mut self, txn: u64, op: UndoOp) {
-        match op {
-            UndoOp::Insert { table, key } => {
-                if let Some(t) = self.tables.get(&table).cloned() {
-                    if let Ok(rid) = t.rid_of(key) {
-                        if let Ok(before) = t.delete_logged(key, 0) {
-                            let lsn = self
-                                .wal
-                                .append(txn, 0, &LogBody::Delete { table, key, rid, before })
-                                .start;
-                            let _ = t.heap().stamp_page_lsn(rid.page, lsn);
-                        }
-                    }
-                }
-            }
-            UndoOp::Update { table, key, before } => {
-                if let Some(t) = self.tables.get(&table).cloned() {
-                    if let Ok(rid) = t.rid_of(key) {
-                        if let Ok(after) = t.update_logged(key, &before, 0) {
-                            let lsn = self
-                                .wal
-                                .append(txn, 0, &LogBody::Update {
-                                    table,
-                                    key,
-                                    rid,
-                                    before: after,
-                                    after: before,
-                                })
-                                .start;
-                            let _ = t.heap().stamp_page_lsn(rid.page, lsn);
-                        }
-                    }
-                }
-            }
-            UndoOp::Delete { table, key, before } => {
-                if let Some(t) = self.tables.get(&table).cloned() {
-                    if let Ok(rid) = t.insert_logged(key, &before, 0) {
-                        let lsn = self
-                            .wal
-                            .append(txn, 0, &LogBody::Insert {
-                                table,
-                                key,
-                                rid,
-                                row: before,
-                            })
-                            .start;
-                        let _ = t.heap().stamp_page_lsn(rid.page, lsn);
-                    }
-                }
-            }
-        }
+        let (UndoOp::Insert { table, key }
+        | UndoOp::Update { table, key, .. }
+        | UndoOp::Delete { table, key, .. }) = op;
+        let Some(t) = self.tables.get(&table) else { return };
+        let log = |rid: Rid, op: RowOp<'_>| self.wal.append_row(txn, 0, table, key, rid, op).start;
+        // A compensation that fails (the row is already as it should be)
+        // logs nothing.
+        let _ = match &op {
+            UndoOp::Insert { .. } => t
+                .delete_logged(key, |rid, before| log(rid, RowOp::Delete { before }))
+                .map(drop),
+            UndoOp::Update { before, .. } => t
+                .update_logged(key, before, |rid, current| {
+                    log(rid, RowOp::Update { before: current, after: before })
+                })
+                .map(drop),
+            UndoOp::Delete { before, .. } => t
+                .insert_logged(key, before, |rid| log(rid, RowOp::Insert { row: before }))
+                .map(drop),
+        };
     }
 }

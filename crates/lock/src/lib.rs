@@ -24,7 +24,7 @@ pub mod manager;
 pub mod mode;
 
 pub use id::LockId;
-pub use manager::{LockError, LockManager, LockStatsSnapshot};
+pub use manager::{HeldLocks, LockError, LockManager, LockStatsSnapshot};
 pub use mode::LockMode;
 
 /// Transaction identifier used by the lock manager.

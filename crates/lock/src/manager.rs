@@ -4,8 +4,9 @@ use crate::deadlock::WaitsForGraph;
 use crate::id::LockId;
 use crate::mode::LockMode;
 use crate::TxnId;
+use esdb_sync::IntMap;
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Duration;
@@ -92,10 +93,57 @@ impl Entry {
     }
 }
 
+/// The locks one transaction holds — owned by the transaction, not by the
+/// manager. It is consulted *before* the lock table (re-acquiring a covered
+/// mode costs no lock-table visit) and it is the release list: there is no
+/// second, manager-side record of who holds what beyond each lock's own
+/// granted set.
+#[derive(Debug)]
+pub struct HeldLocks {
+    txn: TxnId,
+    locks: Vec<(LockId, LockMode)>,
+}
+
+impl HeldLocks {
+    /// An empty list for transaction `txn`, sized so that an OLTP
+    /// transaction's dozen locks never regrow it.
+    pub fn new(txn: TxnId) -> Self {
+        HeldLocks { txn, locks: Vec::with_capacity(16) }
+    }
+
+    /// Mode held on `id`, if any.
+    pub fn mode(&self, id: LockId) -> Option<LockMode> {
+        self.position(id).map(|i| self.locks[i].1)
+    }
+
+    /// Number of distinct locks held.
+    pub fn len(&self) -> usize {
+        self.locks.len()
+    }
+
+    /// `true` when no lock is held.
+    pub fn is_empty(&self) -> bool {
+        self.locks.is_empty()
+    }
+
+    fn position(&self, id: LockId) -> Option<usize> {
+        self.locks.iter().position(|&(held, _)| held == id)
+    }
+
+    /// Records a grant: a new entry, or the stronger mode of an upgrade.
+    fn granted(&mut self, pos: Option<usize>, id: LockId, mode: LockMode) {
+        match pos {
+            Some(i) => self.locks[i].1 = mode,
+            None => self.locks.push((id, mode)),
+        }
+    }
+}
+
 /// Cumulative lock-manager statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockStatsSnapshot {
-    /// Total acquire calls.
+    /// Lock-table visits: acquires the caller's [`HeldLocks`] did not
+    /// already cover.
     pub acquisitions: u64,
     /// Acquires satisfied without waiting.
     pub immediate: u64,
@@ -113,8 +161,7 @@ pub struct LockStatsSnapshot {
 
 /// A centralized multi-granularity lock manager.
 pub struct LockManager {
-    partitions: Vec<Mutex<HashMap<LockId, Entry>>>,
-    held: Vec<Mutex<HashMap<TxnId, Vec<LockId>>>>,
+    partitions: Vec<Mutex<IntMap<LockId, Entry>>>,
     graph: WaitsForGraph,
     timeout: Duration,
     acquisitions: AtomicU64,
@@ -139,8 +186,7 @@ impl LockManager {
     pub fn with_timeout(partitions: usize, timeout: Duration) -> Self {
         let n = partitions.max(1).next_power_of_two();
         LockManager {
-            partitions: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            held: (0..64).map(|_| Mutex::new(HashMap::new())).collect(),
+            partitions: (0..n).map(|_| Mutex::new(IntMap::default())).collect(),
             graph: WaitsForGraph::new(),
             timeout,
             acquisitions: AtomicU64::new(0),
@@ -153,37 +199,38 @@ impl LockManager {
         }
     }
 
-    fn partition(&self, id: LockId) -> &Mutex<HashMap<LockId, Entry>> {
+    fn partition(&self, id: LockId) -> &Mutex<IntMap<LockId, Entry>> {
         let h = id.partition_hash() as usize;
         &self.partitions[h & (self.partitions.len() - 1)]
     }
 
-    fn held_shard(&self, txn: TxnId) -> &Mutex<HashMap<TxnId, Vec<LockId>>> {
-        &self.held[(txn % 64) as usize]
+    /// Acquires `id` in `mode` for `held`'s transaction, blocking as needed.
+    /// A mode `held` already covers returns without visiting the lock table;
+    /// a stronger mode upgrades. `held` changes only on a grant — a deadlock
+    /// victim's or timed-out request leaves it as it was.
+    pub fn acquire(&self, held: &mut HeldLocks, id: LockId, mode: LockMode) -> Result<(), LockError> {
+        let pos = held.position(id);
+        if pos.is_some_and(|i| held.locks[i].1.covers(mode)) {
+            return Ok(());
+        }
+        let granted = self.visit(held.txn, id, mode)?;
+        held.granted(pos, id, granted);
+        Ok(())
     }
 
-    fn record_held(&self, txn: TxnId, id: LockId) {
-        self.held_shard(txn).lock().entry(txn).or_default().push(id);
-    }
-
-    /// Acquires `id` in `mode` for `txn`, blocking as needed. Re-acquiring a
-    /// covered mode is a no-op; a stronger mode upgrades.
-    pub fn acquire(&self, txn: TxnId, id: LockId, mode: LockMode) -> Result<(), LockError> {
+    /// One lock-table visit; returns the mode now granted.
+    fn visit(&self, txn: TxnId, id: LockId, mode: LockMode) -> Result<LockMode, LockError> {
         esdb_sync::sched::yield_now(esdb_sync::YieldPoint::LockAcquire);
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
         let slot;
-        let upgrade;
+        let want;
         {
             let mut part = self.partition(id).lock();
             let entry = part.entry(id).or_default();
 
             if let Some(pos) = entry.granted.iter().position(|&(t, _)| t == txn) {
-                let held_mode = entry.granted[pos].1;
-                if held_mode.covers(mode) {
-                    self.immediate.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
-                }
-                let want = held_mode.supremum(mode);
+                // (`acquire` already answered the covered case from `held`.)
+                want = entry.granted[pos].1.supremum(mode);
                 self.upgrades.fetch_add(1, Ordering::Relaxed);
                 if entry
                     .granted
@@ -192,7 +239,7 @@ impl LockManager {
                 {
                     entry.granted[pos].1 = want;
                     self.immediate.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
+                    return Ok(want);
                 }
                 // Queue the upgrade at the front (it blocks everyone anyway).
                 slot = Arc::new(WaitSlot {
@@ -205,16 +252,13 @@ impl LockManager {
                     upgrade: true,
                     slot: Arc::clone(&slot),
                 });
-                upgrade = true;
             } else {
                 let compatible_now = entry.queue.is_empty()
                     && entry.granted.iter().all(|&(_, m)| m.compatible(mode));
                 if compatible_now {
                     entry.granted.push((txn, mode));
                     self.immediate.fetch_add(1, Ordering::Relaxed);
-                    drop(part);
-                    self.record_held(txn, id);
-                    return Ok(());
+                    return Ok(mode);
                 }
                 slot = Arc::new(WaitSlot {
                     state: StdMutex::new(WaitState::Waiting),
@@ -226,7 +270,7 @@ impl LockManager {
                     upgrade: false,
                     slot: Arc::clone(&slot),
                 });
-                upgrade = false;
+                want = mode;
             }
 
             // Register waits-for edges and check for a cycle while still
@@ -268,10 +312,7 @@ impl LockManager {
             let waited = start.elapsed().as_nanos() as u64;
             self.wait_nanos.fetch_add(waited, Ordering::Relaxed);
             esdb_obs::record_component(esdb_obs::Component::LockWait, waited);
-            if !upgrade {
-                self.record_held(txn, id);
-            }
-            return Ok(());
+            return Ok(want);
         }
         let mut st = slot.slot_state();
         while *st == WaitState::Waiting {
@@ -315,41 +356,43 @@ impl LockManager {
         self.wait_nanos.fetch_add(waited, Ordering::Relaxed);
         esdb_obs::record_component(esdb_obs::Component::LockWait, waited);
         drop(st);
-        if !upgrade {
-            self.record_held(txn, id);
-        }
-        Ok(())
+        Ok(want)
     }
 
     /// Acquires a row lock with the proper intention locks on its ancestors.
-    pub fn lock_row(&self, txn: TxnId, table: u32, key: u64, mode: LockMode) -> Result<(), LockError> {
+    pub fn lock_row(
+        &self,
+        held: &mut HeldLocks,
+        table: u32,
+        key: u64,
+        mode: LockMode,
+    ) -> Result<(), LockError> {
         debug_assert!(!mode.is_intention(), "row locks are absolute");
-        self.acquire(txn, LockId::Database, mode.intention())?;
-        self.acquire(txn, LockId::Table(table), mode.intention())?;
-        self.acquire(txn, LockId::Row(table, key), mode)
+        self.acquire(held, LockId::Database, mode.intention())?;
+        self.acquire(held, LockId::Table(table), mode.intention())?;
+        self.acquire(held, LockId::Row(table, key), mode)
     }
 
     /// Acquires a table lock with the intention lock on the database.
-    pub fn lock_table(&self, txn: TxnId, table: u32, mode: LockMode) -> Result<(), LockError> {
-        self.acquire(txn, LockId::Database, mode.intention())?;
-        self.acquire(txn, LockId::Table(table), mode)
+    pub fn lock_table(&self, held: &mut HeldLocks, table: u32, mode: LockMode) -> Result<(), LockError> {
+        self.acquire(held, LockId::Database, mode.intention())?;
+        self.acquire(held, LockId::Table(table), mode)
     }
 
-    /// Releases every lock held by `txn` (strict 2PL release point) and
-    /// wakes newly grantable waiters.
-    pub fn release_all(&self, txn: TxnId) {
+    /// Releases every lock in `held` (strict 2PL release point), leaving it
+    /// empty, and wakes newly grantable waiters.
+    pub fn release_all(&self, held: &mut HeldLocks) {
         esdb_sync::sched::yield_now(esdb_sync::YieldPoint::LockRelease);
-        let ids = self
-            .held_shard(txn)
-            .lock()
-            .remove(&txn)
-            .unwrap_or_default();
-        for id in ids {
+        let txn = held.txn;
+        for (id, _) in held.locks.drain(..) {
             let mut part = self.partition(id).lock();
             if let Some(entry) = part.get_mut(&id) {
                 entry.granted.retain(|&(t, _)| t != txn);
                 let signals = entry.grant_waiters();
-                if entry.granted.is_empty() && entry.queue.is_empty() {
+                // Row entries are reclaimed; the database and table entries
+                // (one per table, taken by every transaction) keep their
+                // granted-set allocation for the next holder.
+                if matches!(id, LockId::Row(..)) && entry.granted.is_empty() && entry.queue.is_empty() {
                     part.remove(&id);
                 }
                 drop(part);
@@ -402,138 +445,176 @@ mod tests {
         Arc::new(LockManager::with_timeout(16, Duration::from_millis(200)))
     }
 
+    const ROW: LockId = LockId::Row(1, 1);
+
+    /// Acquires on another thread, handing the list back with the result.
+    fn spawn_acquire(
+        m: &Arc<LockManager>,
+        mut held: HeldLocks,
+        id: LockId,
+        mode: LockMode,
+    ) -> std::thread::JoinHandle<(HeldLocks, Result<(), LockError>)> {
+        let m = Arc::clone(m);
+        std::thread::spawn(move || {
+            let r = m.acquire(&mut held, id, mode);
+            (held, r)
+        })
+    }
+
+    /// Spins until `txn`'s request on `id` is queued (no sleeps: the
+    /// interleaving under test is "the waiter is parked, then the holder
+    /// releases").
+    fn wait_until_queued(m: &LockManager, id: LockId, txn: TxnId) {
+        while !m
+            .partition(id)
+            .lock()
+            .get(&id)
+            .is_some_and(|e| e.queue.iter().any(|r| r.txn == txn))
+        {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn shared_locks_coexist() {
         let m = mgr();
-        m.acquire(1, LockId::Row(1, 5), LockMode::S).unwrap();
-        m.acquire(2, LockId::Row(1, 5), LockMode::S).unwrap();
+        let (mut a, mut b) = (HeldLocks::new(1), HeldLocks::new(2));
+        m.acquire(&mut a, LockId::Row(1, 5), LockMode::S).unwrap();
+        m.acquire(&mut b, LockId::Row(1, 5), LockMode::S).unwrap();
         assert_eq!(m.held_mode(1, LockId::Row(1, 5)), Some(LockMode::S));
+        assert_eq!(a.mode(LockId::Row(1, 5)), Some(LockMode::S));
         assert_eq!(m.stats().waits, 0);
     }
 
     #[test]
-    fn reacquire_covered_is_noop() {
+    fn covered_reacquire_makes_no_lock_table_visit() {
         let m = mgr();
-        m.acquire(1, LockId::Row(1, 5), LockMode::X).unwrap();
-        m.acquire(1, LockId::Row(1, 5), LockMode::S).unwrap();
-        m.acquire(1, LockId::Row(1, 5), LockMode::X).unwrap();
+        let mut a = HeldLocks::new(1);
+        m.lock_row(&mut a, 1, 5, LockMode::X).unwrap();
+        assert_eq!(m.stats().acquisitions, 3, "database, table, row");
+        // Same row again in X and in S, and a sibling row: only the sibling's
+        // row lock is new — both intention locks are covered.
+        m.lock_row(&mut a, 1, 5, LockMode::X).unwrap();
+        m.lock_row(&mut a, 1, 5, LockMode::S).unwrap();
+        assert_eq!(m.stats().acquisitions, 3);
+        m.lock_row(&mut a, 1, 6, LockMode::S).unwrap();
+        assert_eq!(m.stats().acquisitions, 4);
+        assert_eq!(a.len(), 4);
         assert_eq!(m.held_mode(1, LockId::Row(1, 5)), Some(LockMode::X));
     }
 
     #[test]
     fn exclusive_blocks_then_releases() {
         let m = mgr();
-        m.acquire(1, LockId::Row(1, 1), LockMode::X).unwrap();
-        let m2 = Arc::clone(&m);
-        let h = std::thread::spawn(move || m2.acquire(2, LockId::Row(1, 1), LockMode::X));
-        std::thread::sleep(Duration::from_millis(30));
-        m.release_all(1);
-        assert_eq!(h.join().unwrap(), Ok(()));
+        let mut a = HeldLocks::new(1);
+        m.acquire(&mut a, ROW, LockMode::X).unwrap();
+        let h = spawn_acquire(&m, HeldLocks::new(2), ROW, LockMode::X);
+        wait_until_queued(&m, ROW, 2);
+        m.release_all(&mut a);
+        assert!(a.is_empty(), "release_all empties the list");
+        let (b, r) = h.join().unwrap();
+        assert_eq!(r, Ok(()));
+        assert_eq!(b.mode(ROW), Some(LockMode::X), "the woken waiter holds the lock");
+        assert_eq!(m.held_mode(1, ROW), None);
         assert_eq!(m.stats().waits, 1);
     }
 
     #[test]
     fn sole_reader_upgrades_in_place() {
         let m = mgr();
-        m.acquire(1, LockId::Row(1, 1), LockMode::S).unwrap();
-        m.acquire(1, LockId::Row(1, 1), LockMode::X).unwrap();
-        assert_eq!(m.held_mode(1, LockId::Row(1, 1)), Some(LockMode::X));
+        let mut a = HeldLocks::new(1);
+        m.acquire(&mut a, ROW, LockMode::S).unwrap();
+        m.acquire(&mut a, ROW, LockMode::X).unwrap();
+        assert_eq!(m.held_mode(1, ROW), Some(LockMode::X));
+        assert_eq!(a.mode(ROW), Some(LockMode::X));
+        assert_eq!(a.len(), 1, "an upgrade updates the entry, it does not add one");
         assert_eq!(m.stats().upgrades, 1);
     }
 
     #[test]
     fn upgrade_waits_for_other_reader() {
         let m = mgr();
-        m.acquire(1, LockId::Row(1, 1), LockMode::S).unwrap();
-        m.acquire(2, LockId::Row(1, 1), LockMode::S).unwrap();
-        let m2 = Arc::clone(&m);
-        let h = std::thread::spawn(move || m2.acquire(1, LockId::Row(1, 1), LockMode::X));
-        std::thread::sleep(Duration::from_millis(30));
-        m.release_all(2);
-        assert_eq!(h.join().unwrap(), Ok(()));
-        assert_eq!(m.held_mode(1, LockId::Row(1, 1)), Some(LockMode::X));
+        let (mut a, mut b) = (HeldLocks::new(1), HeldLocks::new(2));
+        m.acquire(&mut a, ROW, LockMode::S).unwrap();
+        m.acquire(&mut b, ROW, LockMode::S).unwrap();
+        let h = spawn_acquire(&m, a, ROW, LockMode::X);
+        wait_until_queued(&m, ROW, 1);
+        assert_eq!(m.held_mode(1, ROW), Some(LockMode::S), "still blocked behind txn 2");
+        m.release_all(&mut b);
+        let (a, r) = h.join().unwrap();
+        assert_eq!(r, Ok(()));
+        assert_eq!(m.held_mode(1, ROW), Some(LockMode::X));
+        assert_eq!(a.mode(ROW), Some(LockMode::X));
+        assert_eq!(a.len(), 1);
     }
 
     #[test]
     fn deadlock_detected_and_victim_chosen() {
         let m = mgr();
-        m.acquire(1, LockId::Row(1, 1), LockMode::X).unwrap();
-        m.acquire(2, LockId::Row(1, 2), LockMode::X).unwrap();
+        let (mut a, mut b) = (HeldLocks::new(1), HeldLocks::new(2));
+        m.acquire(&mut a, LockId::Row(1, 1), LockMode::X).unwrap();
+        m.acquire(&mut b, LockId::Row(1, 2), LockMode::X).unwrap();
         // txn 1 waits for row 2 (held by 2)...
-        let m1 = Arc::clone(&m);
-        let h = std::thread::spawn(move || {
-            let r = m1.acquire(1, LockId::Row(1, 2), LockMode::X);
-            if r.is_err() {
-                m1.release_all(1);
-            }
-            r
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        // ...and txn 2 closing the cycle must be told immediately.
-        let r2 = m.acquire(2, LockId::Row(1, 1), LockMode::X);
-        if r2 == Err(LockError::Deadlock) {
-            // txn2 is the victim; release so txn1 proceeds.
-            m.release_all(2);
-            assert_eq!(h.join().unwrap(), Ok(()));
-        } else {
-            // txn1 must then be the victim (timing-dependent).
-            assert_eq!(h.join().unwrap(), Err(LockError::Deadlock));
-        }
-        assert!(m.stats().deadlocks >= 1);
+        let h = spawn_acquire(&m, a, LockId::Row(1, 2), LockMode::X);
+        wait_until_queued(&m, LockId::Row(1, 2), 1);
+        // ...and txn 2 closing the cycle is told at once; its withdrawn
+        // request leaves its list as it was.
+        assert_eq!(m.acquire(&mut b, LockId::Row(1, 1), LockMode::X), Err(LockError::Deadlock));
+        assert_eq!(b.len(), 1);
+        assert_eq!(b.mode(LockId::Row(1, 1)), None);
+        assert_eq!(b.mode(LockId::Row(1, 2)), Some(LockMode::X));
+        m.release_all(&mut b);
+        let (a, r) = h.join().unwrap();
+        assert_eq!(r, Ok(()));
+        assert_eq!(a.len(), 2);
+        assert_eq!(m.stats().deadlocks, 1);
     }
 
     #[test]
     fn hierarchy_sets_intentions() {
         let m = mgr();
-        m.lock_row(1, 3, 99, LockMode::X).unwrap();
+        let (mut a, mut b) = (HeldLocks::new(1), HeldLocks::new(2));
+        m.lock_row(&mut a, 3, 99, LockMode::X).unwrap();
         assert_eq!(m.held_mode(1, LockId::Database), Some(LockMode::IX));
         assert_eq!(m.held_mode(1, LockId::Table(3)), Some(LockMode::IX));
         assert_eq!(m.held_mode(1, LockId::Row(3, 99)), Some(LockMode::X));
         // A table scanner blocks on the table lock but not the database.
-        m.acquire(2, LockId::Database, LockMode::IS).unwrap();
-        let m2 = Arc::clone(&m);
-        let h = std::thread::spawn(move || m2.acquire(2, LockId::Table(3), LockMode::S));
-        std::thread::sleep(Duration::from_millis(30));
-        m.release_all(1);
-        assert_eq!(h.join().unwrap(), Ok(()));
+        m.acquire(&mut b, LockId::Database, LockMode::IS).unwrap();
+        let h = spawn_acquire(&m, b, LockId::Table(3), LockMode::S);
+        wait_until_queued(&m, LockId::Table(3), 2);
+        m.release_all(&mut a);
+        assert_eq!(h.join().unwrap().1, Ok(()));
     }
 
     #[test]
     fn timeout_fires_without_release() {
         let m = Arc::new(LockManager::with_timeout(4, Duration::from_millis(50)));
-        m.acquire(1, LockId::Row(1, 1), LockMode::X).unwrap();
-        let r = m.acquire(2, LockId::Row(1, 1), LockMode::S);
-        assert_eq!(r, Err(LockError::Timeout));
+        let (mut a, mut b) = (HeldLocks::new(1), HeldLocks::new(2));
+        m.acquire(&mut a, ROW, LockMode::X).unwrap();
+        assert_eq!(m.acquire(&mut b, ROW, LockMode::S), Err(LockError::Timeout));
+        assert!(b.is_empty(), "a timed-out request is not held");
         assert_eq!(m.stats().timeouts, 1);
         // The holder is unaffected.
-        assert_eq!(m.held_mode(1, LockId::Row(1, 1)), Some(LockMode::X));
+        assert_eq!(m.held_mode(1, ROW), Some(LockMode::X));
     }
 
     #[test]
     fn fifo_no_starvation_of_writer() {
         let m = mgr();
-        m.acquire(1, LockId::Row(1, 1), LockMode::S).unwrap();
+        let mut a = HeldLocks::new(1);
+        m.acquire(&mut a, ROW, LockMode::S).unwrap();
         // Writer queues...
-        let mw = Arc::clone(&m);
-        let writer = std::thread::spawn(move || {
-            
-            mw.acquire(2, LockId::Row(1, 1), LockMode::X)
-        });
-        std::thread::sleep(Duration::from_millis(20));
+        let writer = spawn_acquire(&m, HeldLocks::new(2), ROW, LockMode::X);
+        wait_until_queued(&m, ROW, 2);
         // ...then a reader arrives: FIFO means it must queue behind the writer.
-        let mr = Arc::clone(&m);
-        let reader = std::thread::spawn(move || {
-            let r = mr.acquire(3, LockId::Row(1, 1), LockMode::S);
-            // Reader grants only after writer got and released the lock.
-            assert_eq!(mr.held_mode(2, LockId::Row(1, 1)), None);
-            r
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        m.release_all(1);
-        std::thread::sleep(Duration::from_millis(20));
-        m.release_all(2);
-        assert_eq!(writer.join().unwrap(), Ok(()));
-        assert_eq!(reader.join().unwrap(), Ok(()));
+        let reader = spawn_acquire(&m, HeldLocks::new(3), ROW, LockMode::S);
+        wait_until_queued(&m, ROW, 3);
+        m.release_all(&mut a);
+        let (mut w, r) = writer.join().unwrap();
+        assert_eq!(r, Ok(()));
+        assert_eq!(m.held_mode(3, ROW), None, "reader waits out the writer");
+        m.release_all(&mut w);
+        assert_eq!(reader.join().unwrap().1, Ok(()));
     }
 
     #[test]
@@ -543,10 +624,11 @@ mod tests {
         for t in 0..8u64 {
             let m = Arc::clone(&m);
             handles.push(std::thread::spawn(move || {
+                let mut held = HeldLocks::new(t + 1);
                 for k in 0..200u64 {
-                    m.lock_row(t + 1, 1, t * 1_000 + k, LockMode::X).unwrap();
+                    m.lock_row(&mut held, 1, t * 1_000 + k, LockMode::X).unwrap();
                 }
-                m.release_all(t + 1);
+                m.release_all(&mut held);
             }));
         }
         for h in handles {
@@ -555,6 +637,6 @@ mod tests {
         let s = m.stats();
         assert_eq!(s.deadlocks, 0);
         assert_eq!(s.timeouts, 0);
-        assert!(s.acquisitions >= 8 * 200);
+        assert_eq!(s.acquisitions, 8 * (200 + 2), "each txn: 200 rows + database + table");
     }
 }

@@ -134,10 +134,11 @@ thread_local! {
 /// RAII guard from [`wait_timer`]; records its interval on drop.
 #[must_use = "the timer measures until dropped"]
 pub struct WaitTimer {
-    /// `Some` only for the outermost timer on this thread.
-    start: Option<(WaitClass, Instant)>,
-    /// Whether this guard incremented the TLS depth (false when disabled).
-    tracked: bool,
+    /// When the wait began; `None` once finished, or with obs compiled out.
+    start: Option<Instant>,
+    /// The class to attribute to — `Some` only for the outermost timer on
+    /// this thread.
+    class: Option<WaitClass>,
 }
 
 /// Starts timing a wait of `class`. Drop the guard when the wait ends.
@@ -147,7 +148,7 @@ pub fn wait_timer(class: WaitClass) -> WaitTimer {
     #[cfg(obs_disabled)]
     {
         let _ = class;
-        WaitTimer { start: None, tracked: false }
+        WaitTimer { start: None, class: None }
     }
     #[cfg(not(obs_disabled))]
     {
@@ -157,21 +158,40 @@ pub fn wait_timer(class: WaitClass) -> WaitTimer {
             d == 0
         });
         WaitTimer {
-            start: top_level.then(|| (class, Instant::now())),
-            tracked: true,
+            start: Some(Instant::now()),
+            class: top_level.then_some(class),
         }
+    }
+}
+
+impl WaitTimer {
+    /// Ends the wait now and returns how long it lasted, so a caller that
+    /// also feeds a component histogram reads the clock once for both. A
+    /// nested timer still attributes nothing to a wait class but reports its
+    /// own duration (0 with obs compiled out).
+    pub fn stop(mut self) -> u64 {
+        self.finish(true)
+    }
+
+    fn finish(&mut self, report: bool) -> u64 {
+        let Some(start) = self.start.take() else {
+            return 0;
+        };
+        TLS.with(|t| t.depth.set(t.depth.get() - 1));
+        if self.class.is_none() && !report {
+            return 0;
+        }
+        let nanos = start.elapsed().as_nanos() as u64;
+        if let Some(class) = self.class {
+            record_wait(class, nanos);
+        }
+        nanos
     }
 }
 
 impl Drop for WaitTimer {
     fn drop(&mut self) {
-        if !self.tracked {
-            return;
-        }
-        TLS.with(|t| t.depth.set(t.depth.get() - 1));
-        if let Some((class, start)) = self.start {
-            record_wait(class, start.elapsed().as_nanos() as u64);
-        }
+        self.finish(false);
     }
 }
 
@@ -400,8 +420,9 @@ mod tests {
             let outer = wait_timer(WaitClass::LogWait);
             let inner = wait_timer(WaitClass::LatchSpin);
             std::thread::sleep(Duration::from_millis(4));
-            drop(inner);
-            drop(outer);
+            // A stopped inner timer still reports how long it lasted.
+            assert!(inner.stop() >= 3_000_000);
+            assert!(outer.stop() >= 3_000_000);
         });
         // The inner interval belongs to the outer timer's class only.
         assert_eq!(p.latch_spin, 0, "{p:?}");

@@ -271,7 +271,7 @@ impl Replica {
         }
         let skip = (expected - start) as usize;
         if skip < bytes.len() {
-            self.cursor.append(&bytes[skip..]);
+            self.cursor.append(&[&bytes[skip..]]);
         }
         if esdb_obs::enabled() {
             // Replication lag in bytes: the shipped frontier (a lower bound

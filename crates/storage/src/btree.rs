@@ -22,6 +22,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Maximum keys per node; a node splits when it would exceed this.
 const MAX_KEYS: usize = 32;
 
+/// Deepest tree a writer can hold latched root to leaf. Every internal node
+/// has at least 16 children, so 16 levels index 2^64 keys.
+const MAX_HEIGHT: usize = 16;
+
 enum NodeKind {
     Internal { children: Vec<*mut Node> },
     Leaf { values: Vec<u64>, next: *mut Node },
@@ -130,16 +134,29 @@ impl BTree {
         self.get(key).is_some()
     }
 
-    /// Inserts `key → value`; returns the previous value if the key existed.
+    /// Inserts `key → value`, overwriting; returns the previous value if the
+    /// key existed.
     pub fn insert(&self, key: u64, value: u64) -> Option<u64> {
-        // Exclusive crabbing. `held` is the chain of exclusively latched
-        // nodes (potentially-splitting ancestors down to the current node);
-        // `meta_held` tracks whether the root pointer may still change.
+        self.put(key, value, true)
+    }
+
+    /// Inserts `key → value` only if `key` is absent — one exclusive
+    /// descent decides and acts, so two racing inserts of one key have
+    /// exactly one winner. Returns the existing value, untouched, otherwise.
+    pub fn insert_if_absent(&self, key: u64, value: u64) -> Option<u64> {
+        self.put(key, value, false)
+    }
+
+    fn put(&self, key: u64, value: u64, overwrite: bool) -> Option<u64> {
+        // Exclusive crabbing. `held[..depth]` is the chain of exclusively
+        // latched nodes (potentially-splitting ancestors down to the current
+        // node); `meta_held` tracks whether the root pointer may still change.
         self.meta.lock_exclusive();
         let mut meta_held = true;
         let root = unsafe { *self.root.get() };
         unsafe { (*root).latch.lock_exclusive() };
-        let mut held: Vec<*mut Node> = vec![root];
+        let mut held = [root; MAX_HEIGHT];
+        let mut depth = 1;
 
         if unsafe { (*root).insert_safe() } {
             self.meta.unlock_exclusive();
@@ -148,28 +165,29 @@ impl BTree {
 
         // Descend to the leaf.
         loop {
-            let cur = *held.last().unwrap();
-            let node = unsafe { &*cur };
+            let node = unsafe { &*held[depth - 1] };
             match &node.kind {
                 NodeKind::Internal { children } => {
                     let child = children[node.child_index(key)];
                     unsafe { (*child).latch.lock_exclusive() };
                     if unsafe { (*child).insert_safe() } {
                         // Child cannot split: everything above is safe.
-                        for &n in held.iter() {
+                        for &n in &held[..depth] {
                             unsafe { (*n).latch.unlock_exclusive() };
                         }
-                        held.clear();
+                        depth = 0;
                         if meta_held {
                             self.meta.unlock_exclusive();
                             meta_held = false;
                         }
                     }
-                    held.push(child);
+                    held[depth] = child;
+                    depth += 1;
                 }
                 NodeKind::Leaf { .. } => break,
             }
         }
+        let held = &held[..depth];
 
         // Insert into the leaf.
         let leaf_ptr = *held.last().unwrap();
@@ -180,7 +198,9 @@ impl BTree {
         let old = match leaf.keys.binary_search(&key) {
             Ok(i) => {
                 let prev = values[i];
-                values[i] = value;
+                if overwrite {
+                    values[i] = value;
+                }
                 Some(prev)
             }
             Err(i) => {
@@ -443,6 +463,27 @@ mod tests {
         assert_eq!(t.insert(1, 11), Some(10));
         assert_eq!(t.get(1), Some(11));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn insert_if_absent_never_overwrites() {
+        let t = BTree::new();
+        assert_eq!(t.insert_if_absent(1, 10), None);
+        assert_eq!(t.insert_if_absent(1, 11), Some(10), "existing key answers its value");
+        assert_eq!(t.get(1), Some(10), "value unchanged");
+        assert_eq!(t.len(), 1, "len unchanged");
+        // Across splits too: every even key present, every odd key absent.
+        let t = BTree::new();
+        for k in (0..2_000).step_by(2) {
+            t.insert(k, k);
+        }
+        for k in 0..2_000 {
+            let expect = (k % 2 == 0).then_some(k);
+            assert_eq!(t.insert_if_absent(k, u64::MAX), expect, "key {k}");
+        }
+        assert_eq!(t.len(), 2_000);
+        assert_eq!(t.get(4), Some(4));
+        assert_eq!(t.get(5), Some(u64::MAX));
     }
 
     #[test]

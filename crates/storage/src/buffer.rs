@@ -11,8 +11,8 @@ use crate::disk::PageStore;
 use crate::page::Page;
 use crate::rid::PageId;
 use crate::{Result, StorageError};
+use esdb_sync::IntMap;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -27,7 +27,7 @@ struct Frame {
 }
 
 struct MapState {
-    table: HashMap<PageId, usize>,
+    table: IntMap<PageId, usize>,
     hand: usize,
 }
 
@@ -80,7 +80,7 @@ impl BufferPool {
         BufferPool {
             frames,
             map: Mutex::new(MapState {
-                table: HashMap::new(),
+                table: IntMap::default(),
                 hand: 0,
             }),
             disk,

@@ -2,9 +2,19 @@
 //!
 //! A heap file owns a list of page ids in the buffer pool's store and keeps a
 //! cursor to the page most likely to have free space, so inserts are O(1) in
-//! the common case. All mutating operations take the LSN of the log record
-//! describing them and stamp it into the page header, which is what makes
-//! redo idempotent during recovery.
+//! the common case. Every mutation stamps the LSN of the log record
+//! describing it into the page header, which is what makes redo idempotent
+//! during recovery.
+//!
+//! **Write-ahead under the latch.** `insert`, `update` and `delete` visit
+//! their page once — one pin, one exclusive latch — and take the LSN from a
+//! caller-supplied closure that runs *under that latch*: the transaction
+//! layer appends its log record there (a caller that already holds an LSN
+//! just returns it). A dirty page is therefore never visible, to another
+//! thread or to write-back, without the LSN of the record that describes it,
+//! and the WAL fence always waits for the right prefix of the log. Lock
+//! order is page latch → log buffer; the log flusher and the fence never
+//! take a page latch, so the nesting cannot cycle.
 
 use crate::buffer::BufferPool;
 use crate::rid::{PageId, Rid};
@@ -61,8 +71,11 @@ impl HeapFile {
         self.state.lock().pages.clone()
     }
 
-    /// Inserts `data`, stamping `lsn`, and returns its record id.
-    pub fn insert(&self, data: &[u8], lsn: u64) -> Result<Rid> {
+    /// Places `data` in a page with room and asks `admit` — under the page
+    /// latch, before anyone else can see the tuple — whether it stays:
+    /// `Some(lsn)` keeps it and stamps the page, `None` withdraws it.
+    /// Returns the record id of a kept tuple.
+    pub fn insert(&self, data: &[u8], admit: impl FnOnce(Rid) -> Option<u64>) -> Result<Option<Rid>> {
         if data.len() > crate::page::MAX_TUPLE {
             return Err(StorageError::TupleTooLarge {
                 size: data.len(),
@@ -80,8 +93,17 @@ impl HeapFile {
             {
                 let mut page = pin.write();
                 if let Some(slot) = page.insert(data) {
-                    stamp(&mut page, lsn);
-                    return Ok(Rid::new(page_id, slot));
+                    let rid = Rid::new(page_id, slot);
+                    return Ok(match admit(rid) {
+                        Some(lsn) => {
+                            stamp(&mut page, lsn);
+                            Some(rid)
+                        }
+                        None => {
+                            page.delete(slot);
+                            None
+                        }
+                    });
                 }
             }
             drop(pin);
@@ -121,31 +143,43 @@ impl HeapFile {
         }
     }
 
-    /// Reads the tuple at `rid`.
-    pub fn get(&self, rid: Rid) -> Result<Vec<u8>> {
+    /// Reads the tuple at `rid` in place, under the shared page latch.
+    pub fn read<R>(&self, rid: Rid, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         let pin = self.pool.pin(rid.page)?;
         let page = pin.read();
-        page.get(rid.slot)
-            .map(|d| d.to_vec())
-            .ok_or(StorageError::RecordNotFound(rid))
+        page.get(rid.slot).map(f).ok_or(StorageError::RecordNotFound(rid))
     }
 
-    /// Overwrites the tuple at `rid`, returning the before-image.
-    pub fn update(&self, rid: Rid, data: &[u8], lsn: u64) -> Result<Vec<u8>> {
+    /// Copies out the tuple at `rid`.
+    pub fn get(&self, rid: Rid) -> Result<Vec<u8>> {
+        self.read(rid, <[u8]>::to_vec)
+    }
+
+    /// Overwrites the tuple at `rid`. `log` runs under the page latch with
+    /// the before-image and returns the LSN to stamp; it is not called
+    /// unless the overwrite takes effect.
+    pub fn update(&self, rid: Rid, data: &[u8], log: impl FnOnce(&[u8]) -> u64) -> Result<()> {
         let pin = self.pool.pin(rid.page)?;
         let mut page = pin.write();
-        let old = page
-            .get(rid.slot)
-            .map(|d| d.to_vec())
-            .ok_or(StorageError::RecordNotFound(rid))?;
-        if !page.update(rid.slot, data) {
-            return Err(StorageError::TupleTooLarge {
-                size: data.len(),
-                max: page.free_space() + old.len(),
-            });
-        }
+        let old = page.get(rid.slot).ok_or(StorageError::RecordNotFound(rid))?;
+        let lsn = if data.len() <= old.len() {
+            // In place, cannot fail: the before-image is logged straight
+            // from the page, then overwritten.
+            let lsn = log(old);
+            page.update(rid.slot, data);
+            lsn
+        } else {
+            let old = old.to_vec();
+            if !page.update(rid.slot, data) {
+                return Err(StorageError::TupleTooLarge {
+                    size: data.len(),
+                    max: page.free_space() + old.len(),
+                });
+            }
+            log(&old)
+        };
         stamp(&mut page, lsn);
-        Ok(old)
+        Ok(())
     }
 
     /// Idempotent update used by recovery redo: skipped if the page LSN shows
@@ -163,15 +197,15 @@ impl HeapFile {
         Ok(true)
     }
 
-    /// Deletes the tuple at `rid`, returning the before-image.
-    pub fn delete(&self, rid: Rid, lsn: u64) -> Result<Vec<u8>> {
+    /// Deletes the tuple at `rid`. `log` runs under the page latch with the
+    /// before-image and returns the LSN to stamp.
+    pub fn delete(&self, rid: Rid, log: impl FnOnce(&[u8]) -> u64) -> Result<()> {
         let pin = self.pool.pin(rid.page)?;
         let mut page = pin.write();
-        let old = page
-            .delete(rid.slot)
-            .ok_or(StorageError::RecordNotFound(rid))?;
+        let lsn = log(page.get(rid.slot).ok_or(StorageError::RecordNotFound(rid))?);
+        page.delete(rid.slot);
         stamp(&mut page, lsn);
-        Ok(old)
+        Ok(())
     }
 
     /// Idempotent delete for recovery redo. Returns `true` if applied.
@@ -184,18 +218,6 @@ impl HeapFile {
         let applied = page.delete(rid.slot).is_some();
         stamp(&mut page, lsn);
         Ok(applied)
-    }
-
-    /// Raises the page LSN of `page_id` to at least `lsn`. The transaction
-    /// layer calls this after appending the log record that describes a
-    /// mutation it performed with a provisional LSN; the monotone (max)
-    /// stamp makes the narrow race with a concurrent flush harmless (redo is
-    /// idempotent for every record type).
-    pub fn stamp_page_lsn(&self, page_id: PageId, lsn: u64) -> Result<()> {
-        let pin = self.pool.pin(page_id)?;
-        let mut page = pin.write();
-        stamp(&mut page, lsn);
-        Ok(())
     }
 
     /// Full scan: invokes `f` for every live tuple. Pages are latched shared
@@ -231,27 +253,64 @@ mod tests {
         HeapFile::create(pool).unwrap()
     }
 
+    fn put(h: &HeapFile, data: &[u8], lsn: u64) -> Rid {
+        h.insert(data, |_| Some(lsn)).unwrap().expect("admitted")
+    }
+
+    #[test]
+    fn withdrawn_insert_leaves_no_tuple_and_no_stamp() {
+        let h = heap();
+        let kept = put(&h, b"kept", 7);
+        let mut offered = None;
+        assert_eq!(h.insert(b"withdrawn", |rid| { offered = Some(rid); None }).unwrap(), None);
+        let offered = offered.expect("admit saw the placed tuple");
+        assert_eq!(h.get(offered).unwrap_err(), StorageError::RecordNotFound(offered));
+        assert_eq!(h.count().unwrap(), 1);
+        // The freed slot is the next insert's.
+        assert_eq!(put(&h, b"next", 8), offered);
+        assert_eq!(h.get(kept).unwrap(), b"kept");
+    }
+
     #[test]
     fn insert_get_roundtrip() {
         let h = heap();
-        let rid = h.insert(b"tuple-1", 1).unwrap();
+        let rid = put(&h, b"tuple-1", 1);
         assert_eq!(h.get(rid).unwrap(), b"tuple-1");
     }
 
     #[test]
     fn update_returns_before_image() {
         let h = heap();
-        let rid = h.insert(b"old", 1).unwrap();
-        let before = h.update(rid, b"new", 2).unwrap();
+        let rid = put(&h, b"old", 1);
+        let mut before = Vec::new();
+        h.update(rid, b"new", |old| {
+            before = old.to_vec();
+            2
+        })
+        .unwrap();
         assert_eq!(before, b"old");
         assert_eq!(h.get(rid).unwrap(), b"new");
+        // A growing update takes the copy-first path; same contract.
+        h.update(rid, b"longer than before", |old| {
+            before = old.to_vec();
+            3
+        })
+        .unwrap();
+        assert_eq!(before, b"new");
+        assert_eq!(h.get(rid).unwrap(), b"longer than before");
     }
 
     #[test]
     fn delete_then_get_fails() {
         let h = heap();
-        let rid = h.insert(b"gone", 1).unwrap();
-        assert_eq!(h.delete(rid, 2).unwrap(), b"gone");
+        let rid = put(&h, b"gone", 1);
+        let mut before = Vec::new();
+        h.delete(rid, |old| {
+            before = old.to_vec();
+            2
+        })
+        .unwrap();
+        assert_eq!(before, b"gone");
         assert_eq!(h.get(rid).unwrap_err(), StorageError::RecordNotFound(rid));
     }
 
@@ -261,7 +320,7 @@ mod tests {
         let tuple = [9u8; 512];
         let mut rids = Vec::new();
         for _ in 0..100 {
-            rids.push(h.insert(&tuple, 1).unwrap());
+            rids.push(put(&h, &tuple, 1));
         }
         assert!(h.pages().len() > 1, "100 x 512B tuples should span pages");
         for rid in &rids {
@@ -273,9 +332,9 @@ mod tests {
     #[test]
     fn scan_sees_all_live_tuples() {
         let h = heap();
-        let a = h.insert(b"a", 1).unwrap();
-        let b = h.insert(b"b", 2).unwrap();
-        h.delete(a, 3).unwrap();
+        let a = put(&h, b"a", 1);
+        let b = put(&h, b"b", 2);
+        h.delete(a, |_| 3).unwrap();
         let mut seen = Vec::new();
         h.scan(|rid, data| seen.push((rid, data.to_vec()))).unwrap();
         assert_eq!(seen, vec![(b, b"b".to_vec())]);
@@ -284,7 +343,7 @@ mod tests {
     #[test]
     fn update_if_newer_is_idempotent() {
         let h = heap();
-        let rid = h.insert(b"v1", 5).unwrap();
+        let rid = put(&h, b"v1", 5);
         h.update_if_newer(rid, b"v2", 10).unwrap();
         assert_eq!(h.get(rid).unwrap(), b"v2");
         // Replaying an older change is a no-op.
@@ -303,7 +362,7 @@ mod tests {
                 for i in 0..200u32 {
                     let payload = [t; 64];
                     let _ = i;
-                    rids.push(h.insert(&payload, 1).unwrap());
+                    rids.push(put(&h, &payload, 1));
                 }
                 rids
             }));
@@ -321,7 +380,7 @@ mod tests {
     #[test]
     fn oversized_insert_rejected() {
         let h = heap();
-        let e = h.insert(&vec![0u8; crate::page::MAX_TUPLE + 1], 1).unwrap_err();
+        let e = h.insert(&vec![0u8; crate::page::MAX_TUPLE + 1], |_| Some(1)).unwrap_err();
         assert!(matches!(e, StorageError::TupleTooLarge { .. }));
     }
 }

@@ -3,8 +3,11 @@
 //! `Table` is the storage-level object the transaction layer manipulates.
 //! All methods are physically safe under concurrency (page latches, index
 //! crabbing) but provide **no transactional isolation** — that is the job of
-//! the lock manager and transaction manager layered above. Mutating methods
-//! accept an LSN to stamp pages for recovery; un-logged callers pass 0.
+//! the lock manager and transaction manager layered above. Each mutation is
+//! one index descent, one pin and one page latch; its `*_logged` form takes a
+//! closure that runs under that latch and returns the LSN to stamp — where
+//! the transaction layer appends its log record (see [`crate::heap`]) — and
+//! the plain form stamps nothing.
 
 use crate::btree::BTree;
 use crate::buffer::BufferPool;
@@ -158,23 +161,22 @@ impl Table {
     /// Inserts `key → row`. Fails with [`StorageError::DuplicateKey`] if the
     /// key exists.
     pub fn insert(&self, key: u64, row: &[i64]) -> Result<Rid> {
-        self.insert_logged(key, row, 0)
+        self.insert_logged(key, row, |_| 0)
     }
 
-    /// Insert stamping `lsn` on the touched page.
-    pub fn insert_logged(&self, key: u64, row: &[i64], lsn: u64) -> Result<Rid> {
+    /// Insert whose page is stamped with the LSN `log` returns. `log` runs
+    /// under the page latch once the key is known to be new: the tuple is
+    /// placed, the index admits the key in one exclusive descent (an existing
+    /// key is never overwritten — the loser of a same-key race withdraws its
+    /// own tuple and nothing else), and only then is the record written.
+    pub fn insert_logged(&self, key: u64, row: &[i64], log: impl FnOnce(Rid) -> u64) -> Result<Rid> {
         self.check_arity(row)?;
-        if self.index.contains(key) {
-            return Err(StorageError::DuplicateKey(key));
-        }
-        let rid = self.heap.insert(&encode_row(key, row), lsn)?;
-        if self.index.insert(key, rid.to_u64()).is_some() {
-            // Lost the race with a concurrent insert of the same key: undo
-            // our heap insert and report the duplicate.
-            // (The racing winner's rid is now in the index; restore it.)
-            let _ = self.heap.delete(rid, lsn);
-            return Err(StorageError::DuplicateKey(key));
-        }
+        let rid = self
+            .heap
+            .insert(&encode_row(key, row), |rid| {
+                self.index.insert_if_absent(key, rid.to_u64()).is_none().then(|| log(rid))
+            })?
+            .ok_or(StorageError::DuplicateKey(key))?;
         for ix in &self.secondaries {
             ix.insert_row(key, row);
         }
@@ -183,9 +185,7 @@ impl Table {
 
     /// Reads the row for `key`.
     pub fn get(&self, key: u64) -> Result<Vec<i64>> {
-        let rid = self.rid_of(key)?;
-        let bytes = self.heap.get(rid)?;
-        Ok(decode_row(&bytes)?.1)
+        Ok(self.heap.read(self.rid_of(key)?, decode_row)??.1)
     }
 
     /// Physical address of `key`.
@@ -198,15 +198,22 @@ impl Table {
 
     /// Overwrites the row for `key`, returning the before-image.
     pub fn update(&self, key: u64, row: &[i64]) -> Result<Vec<i64>> {
-        self.update_logged(key, row, 0)
+        self.update_logged(key, row, |_, _| 0)
     }
 
-    /// Update stamping `lsn` on the touched page.
-    pub fn update_logged(&self, key: u64, row: &[i64], lsn: u64) -> Result<Vec<i64>> {
+    /// Update whose page is stamped with the LSN `log` returns. `log` runs
+    /// under the page latch with the row's address and before-image.
+    pub fn update_logged(
+        &self,
+        key: u64,
+        row: &[i64],
+        log: impl FnOnce(Rid, &[i64]) -> u64,
+    ) -> Result<Vec<i64>> {
         self.check_arity(row)?;
         let rid = self.rid_of(key)?;
-        let old = self.heap.update(rid, &encode_row(key, row), lsn)?;
-        let before = decode_row(&old)?.1;
+        let mut before = None;
+        self.heap.update(rid, &encode_row(key, row), |old| Self::log_before(&mut before, old, rid, log))?;
+        let before = before.expect("heap.update ran the closure")?;
         for ix in &self.secondaries {
             ix.update_row(key, &before, row);
         }
@@ -215,19 +222,36 @@ impl Table {
 
     /// Deletes `key`, returning the before-image.
     pub fn delete(&self, key: u64) -> Result<Vec<i64>> {
-        self.delete_logged(key, 0)
+        self.delete_logged(key, |_, _| 0)
     }
 
-    /// Delete stamping `lsn` on the touched page.
-    pub fn delete_logged(&self, key: u64, lsn: u64) -> Result<Vec<i64>> {
+    /// Delete whose page is stamped with the LSN `log` returns. `log` runs
+    /// under the page latch with the row's address and before-image.
+    pub fn delete_logged(&self, key: u64, log: impl FnOnce(Rid, &[i64]) -> u64) -> Result<Vec<i64>> {
         let rid = self.rid_of(key)?;
-        let old = self.heap.delete(rid, lsn)?;
+        let mut before = None;
+        self.heap.delete(rid, |old| Self::log_before(&mut before, old, rid, log))?;
         self.index.remove(key);
-        let before = decode_row(&old)?.1;
+        let before = before.expect("heap.delete ran the closure")?;
         for ix in &self.secondaries {
             ix.remove_row(key, &before);
         }
         Ok(before)
+    }
+
+    /// Decodes the before-image found under the latch, hands it to `log`,
+    /// and keeps it for the caller. An undecodable image is not logged (the
+    /// operation reports [`StorageError::CorruptRow`]).
+    fn log_before(
+        before: &mut Option<Result<Vec<i64>>>,
+        old: &[u8],
+        rid: Rid,
+        log: impl FnOnce(Rid, &[i64]) -> u64,
+    ) -> u64 {
+        let decoded = decode_row(old).map(|(_, row)| row);
+        let lsn = decoded.as_ref().map_or(0, |row| log(rid, row));
+        *before = Some(decoded);
+        lsn
     }
 
     /// Inclusive primary-key range scan, returning `(key, row)` pairs in key
@@ -235,8 +259,7 @@ impl Table {
     pub fn range(&self, start: u64, end: u64) -> Result<Vec<(u64, Vec<i64>)>> {
         let mut out = Vec::new();
         for (key, packed) in self.index.range(start, end) {
-            let bytes = self.heap.get(Rid::from_u64(packed))?;
-            out.push((key, decode_row(&bytes)?.1));
+            out.push((key, self.heap.read(Rid::from_u64(packed), decode_row)??.1));
         }
         Ok(out)
     }
@@ -392,6 +415,52 @@ mod tests {
         t.rebuild_secondaries().unwrap();
         let after: Vec<_> = t.secondaries().iter().map(|ix| ix.entries()).collect();
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn same_key_insert_race_has_one_winner_and_an_intact_index() {
+        const KEYS: u64 = 100_000;
+        const THREADS: u64 = 4;
+        let disk = Arc::new(InMemoryDisk::new());
+        let t = Arc::new(Table::create(1, "t", 1, Arc::new(BufferPool::new(4_096, disk))));
+        let wins: Vec<u64> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..THREADS)
+                .map(|id| {
+                    let t = &t;
+                    scope.spawn(move || (0..KEYS).filter(|&k| t.insert(k, &[id as i64]).is_ok()).count() as u64)
+                })
+                .collect();
+            racers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(wins.iter().sum::<u64>(), KEYS, "exactly one winner per key: {wins:?}");
+        assert_eq!(t.len(), KEYS);
+        for k in 0..KEYS {
+            let row = t.get(k).unwrap_or_else(|e| panic!("key {k}: {e}"));
+            assert!((0..THREADS as i64).contains(&row[0]), "key {k} holds a row nobody inserted: {row:?}");
+        }
+        assert_eq!(t.heap().count().unwrap() as u64, t.len(), "no orphaned tuple");
+    }
+
+    #[test]
+    fn logged_ops_stamp_the_lsn_their_closure_returns() {
+        let pool = Arc::new(BufferPool::new(128, Arc::new(InMemoryDisk::new())));
+        let t = Table::create(1, "t", 1, pool.clone());
+        let page_lsn = |rid: Rid| pool.pin(rid.page).unwrap().read().lsn();
+        let rid = t.insert_logged(1, &[10], |_| 5).unwrap();
+        assert_eq!(page_lsn(rid), 5);
+        let before = t
+            .update_logged(1, &[11], |at, before| {
+                assert_eq!((at, before), (rid, &[10][..]));
+                9
+            })
+            .unwrap();
+        assert_eq!((before, page_lsn(rid)), (vec![10], 9));
+        // A refused insert runs no closure and stamps nothing.
+        assert_eq!(t.insert_logged(1, &[99], |_| unreachable!()).unwrap_err(), StorageError::DuplicateKey(1));
+        assert_eq!(page_lsn(rid), 9);
+        assert_eq!(t.delete_logged(1, |_, before| before[0] as u64).unwrap(), vec![11]);
+        assert_eq!(page_lsn(rid), 11);
+        assert_eq!(t.update_logged(1, &[0], |_, _| unreachable!()).unwrap_err(), StorageError::KeyNotFound(1));
     }
 
     #[test]

@@ -28,7 +28,9 @@ use std::sync::{Arc, RwLock};
 /// recorded schedules and shrunk failure traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum YieldPoint {
-    /// Entry to `LockManager::acquire`.
+    /// A lock-table visit in `LockManager::acquire` (an acquire the caller's
+    /// `HeldLocks` already covers never reaches the table and does not
+    /// yield).
     LockAcquire,
     /// Blocked in `LockManager::acquire` waiting for a grant.
     LockWait,

@@ -1,8 +1,10 @@
 //! Transaction manager and transaction handles.
 
-use esdb_lock::{LockError, LockManager, LockMode};
+use esdb_lock::{HeldLocks, LockError, LockManager, LockMode};
 use esdb_storage::schema::TableId;
-use esdb_storage::{StorageError, Table};
+use esdb_storage::{Rid, StorageError, Table};
+use esdb_sync::IntMap;
+use esdb_wal::record::RowOp;
 use esdb_wal::{LogBody, Lsn, Wal, NULL_LSN};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -74,17 +76,18 @@ enum UndoOp {
 pub struct TxnManager {
     locks: Arc<LockManager>,
     wal: Arc<Wal>,
-    tables: RwLock<HashMap<TableId, Arc<Table>>>,
+    /// Registered tables, indexed by their (dense, small) id.
+    tables: RwLock<Vec<Option<Arc<Table>>>>,
     next_txn: AtomicU64,
     elr: bool,
     commits: AtomicU64,
     aborts: AtomicU64,
     /// First LSN of every transaction that has logged but not finished —
     /// the fuzzy checkpoint's redo low-water mark reads the minimum. The
-    /// lock is held across a transaction's first append (see [`Txn::log`])
-    /// so [`TxnManager::checkpoint_redo_floor`] never misses an in-flight
-    /// first record.
-    active: Mutex<HashMap<u64, Lsn>>,
+    /// lock is held across a transaction's first append (see
+    /// [`Txn::log_row`]) so [`TxnManager::checkpoint_redo_floor`] never
+    /// misses an in-flight first record.
+    active: Mutex<IntMap<u64, Lsn>>,
 }
 
 impl TxnManager {
@@ -93,12 +96,12 @@ impl TxnManager {
         TxnManager {
             locks,
             wal,
-            tables: RwLock::new(HashMap::new()),
+            tables: RwLock::new(Vec::new()),
             next_txn: AtomicU64::new(1),
             elr,
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
-            active: Mutex::new(HashMap::new()),
+            active: Mutex::new(IntMap::default()),
         }
     }
 
@@ -115,21 +118,27 @@ impl TxnManager {
 
     /// Registers a table for transactional access.
     pub fn register_table(&self, table: Arc<Table>) {
-        self.tables.write().insert(table.id(), table);
+        let mut tables = self.tables.write();
+        let slot = table.id() as usize;
+        if tables.len() <= slot {
+            tables.resize(slot + 1, None);
+        }
+        tables[slot] = Some(table);
     }
 
     /// Looks up a registered table.
     pub fn table(&self, id: TableId) -> TxnResult<Arc<Table>> {
         self.tables
             .read()
-            .get(&id)
+            .get(id as usize)
             .cloned()
+            .flatten()
             .ok_or(TxnError::UnknownTable(id))
     }
 
     /// All registered tables (recovery needs the full map).
     pub fn tables(&self) -> HashMap<TableId, Arc<Table>> {
-        self.tables.read().clone()
+        self.tables.read().iter().flatten().map(|t| (t.id(), Arc::clone(t))).collect()
     }
 
     /// The WAL beneath this manager.
@@ -153,6 +162,7 @@ impl TxnManager {
         Txn {
             mgr: Arc::clone(self),
             id,
+            held: HeldLocks::new(id),
             last_lsn: NULL_LSN,
             undo: Vec::new(),
             finished: false,
@@ -199,6 +209,9 @@ impl TxnManager {
 pub struct Txn {
     mgr: Arc<TxnManager>,
     id: u64,
+    /// Every lock this transaction holds: the list the lock manager is
+    /// spared a visit by, and the list it releases from.
+    held: HeldLocks,
     last_lsn: Lsn,
     undo: Vec<UndoOp>,
     finished: bool,
@@ -210,7 +223,10 @@ impl Txn {
         self.id
     }
 
-    fn log(&mut self, body: LogBody) -> Lsn {
+    /// Appends one row-mutation record to this transaction's chain. Runs
+    /// under the page latch of the row it describes (the `*_logged` closures
+    /// below), so the page never carries a change its LSN does not cover.
+    fn log_row(&mut self, table: TableId, key: u64, rid: Rid, op: RowOp<'_>) -> Lsn {
         let prev = if self.last_lsn == NULL_LSN {
             // First record: write Begin implicitly. The active-set lock is
             // held across the append so a concurrent checkpoint either sees
@@ -223,30 +239,38 @@ impl Txn {
         } else {
             self.last_lsn
         };
-        let r = self.mgr.wal.append(self.id, prev, &body);
+        let r = self.mgr.wal.append_row(self.id, prev, table, key, rid, op);
         self.last_lsn = r.start;
         r.start
+    }
+
+    fn lock_row(&mut self, table: TableId, key: u64, mode: LockMode) -> TxnResult<Arc<Table>> {
+        let t = self.mgr.table(table)?;
+        self.mgr.locks.lock_row(&mut self.held, table, key, mode)?;
+        Ok(t)
+    }
+
+    fn release_locks(&mut self) {
+        self.mgr.locks.release_all(&mut self.held);
     }
 
     /// Test-only fault seam: with the `chaos` feature on and the flag set,
     /// drop every lock after each op — deliberately breaking strict 2PL so
     /// the deterministic checker can prove its oracle detects the damage.
     #[cfg(feature = "chaos")]
-    fn chaos_release_early(&self) {
+    fn chaos_release_early(&mut self) {
         if crate::chaos::release_locks_early() {
-            self.mgr.locks.release_all(self.id);
+            self.release_locks();
         }
     }
 
     #[cfg(not(feature = "chaos"))]
     #[inline(always)]
-    fn chaos_release_early(&self) {}
+    fn chaos_release_early(&mut self) {}
 
     /// Reads the row for `key` under a shared lock.
     pub fn read(&mut self, table: TableId, key: u64) -> TxnResult<Vec<i64>> {
-        let t = self.mgr.table(table)?;
-        self.mgr.locks.lock_row(self.id, table, key, LockMode::S)?;
-        let row = t.get(key)?;
+        let row = self.lock_row(table, key, LockMode::S)?.get(key)?;
         self.chaos_release_early();
         Ok(row)
     }
@@ -254,25 +278,15 @@ impl Txn {
     /// Reads the row for `key` under an exclusive lock (read-for-update;
     /// avoids the S→X upgrade deadlocks of read-then-write patterns).
     pub fn read_for_update(&mut self, table: TableId, key: u64) -> TxnResult<Vec<i64>> {
-        let t = self.mgr.table(table)?;
-        self.mgr.locks.lock_row(self.id, table, key, LockMode::X)?;
-        let row = t.get(key)?;
+        let row = self.lock_row(table, key, LockMode::X)?.get(key)?;
         self.chaos_release_early();
         Ok(row)
     }
 
     /// Inserts `key → row`.
     pub fn insert(&mut self, table: TableId, key: u64, row: &[i64]) -> TxnResult<()> {
-        let t = self.mgr.table(table)?;
-        self.mgr.locks.lock_row(self.id, table, key, LockMode::X)?;
-        let rid = t.insert_logged(key, row, 0)?;
-        let lsn = self.log(LogBody::Insert {
-            table,
-            key,
-            rid,
-            row: row.to_vec(),
-        });
-        let _ = t.heap().stamp_page_lsn(rid.page, lsn);
+        let t = self.lock_row(table, key, LockMode::X)?;
+        t.insert_logged(key, row, |rid| self.log_row(table, key, rid, RowOp::Insert { row }))?;
         self.undo.push(UndoOp::Insert { table, key });
         self.chaos_release_early();
         Ok(())
@@ -280,45 +294,21 @@ impl Txn {
 
     /// Updates the row for `key`, returning the before-image.
     pub fn update(&mut self, table: TableId, key: u64, row: &[i64]) -> TxnResult<Vec<i64>> {
-        let t = self.mgr.table(table)?;
-        self.mgr.locks.lock_row(self.id, table, key, LockMode::X)?;
-        let rid = t.rid_of(key)?;
-        let before = t.update_logged(key, row, 0)?;
-        let lsn = self.log(LogBody::Update {
-            table,
-            key,
-            rid,
-            before: before.clone(),
-            after: row.to_vec(),
-        });
-        let _ = t.heap().stamp_page_lsn(rid.page, lsn);
-        self.undo.push(UndoOp::Update {
-            table,
-            key,
-            before: before.clone(),
-        });
+        let t = self.lock_row(table, key, LockMode::X)?;
+        let before = t.update_logged(key, row, |rid, before| {
+            self.log_row(table, key, rid, RowOp::Update { before, after: row })
+        })?;
+        self.undo.push(UndoOp::Update { table, key, before: before.clone() });
         self.chaos_release_early();
         Ok(before)
     }
 
     /// Deletes the row for `key`, returning the before-image.
     pub fn delete(&mut self, table: TableId, key: u64) -> TxnResult<Vec<i64>> {
-        let t = self.mgr.table(table)?;
-        self.mgr.locks.lock_row(self.id, table, key, LockMode::X)?;
-        let rid = t.rid_of(key)?;
-        let before = t.delete_logged(key, 0)?;
-        let lsn = self.log(LogBody::Delete {
-            table,
-            key,
-            rid,
-            before: before.clone(),
-        });
-        let _ = t.heap().stamp_page_lsn(rid.page, lsn);
-        self.undo.push(UndoOp::Delete {
-            table,
-            key,
-            before: before.clone(),
-        });
+        let t = self.lock_row(table, key, LockMode::X)?;
+        let before =
+            t.delete_logged(key, |rid, before| self.log_row(table, key, rid, RowOp::Delete { before }))?;
+        self.undo.push(UndoOp::Delete { table, key, before: before.clone() });
         self.chaos_release_early();
         Ok(before)
     }
@@ -326,7 +316,7 @@ impl Txn {
     /// Inclusive key-range scan under a table-level S lock (phantom-free).
     pub fn range(&mut self, table: TableId, start: u64, end: u64) -> TxnResult<Vec<(u64, Vec<i64>)>> {
         let t = self.mgr.table(table)?;
-        self.mgr.locks.lock_table(self.id, table, LockMode::S)?;
+        self.mgr.locks.lock_table(&mut self.held, table, LockMode::S)?;
         Ok(t.range(start, end)?)
     }
 
@@ -336,7 +326,7 @@ impl Txn {
         self.finished = true;
         self.mgr.commits.fetch_add(1, Ordering::Relaxed);
         if self.last_lsn == NULL_LSN {
-            self.mgr.locks.release_all(self.id);
+            self.release_locks();
             return;
         }
         if self.mgr.elr {
@@ -344,12 +334,12 @@ impl Txn {
             // *then* wait for durability.
             let range = self.mgr.wal.commit_no_flush(self.id, self.last_lsn);
             self.mgr.active.lock().remove(&self.id);
-            self.mgr.locks.release_all(self.id);
+            self.release_locks();
             self.mgr.wal.wait_durable(range.end);
         } else {
             self.mgr.wal.commit(self.id, self.last_lsn);
             self.mgr.active.lock().remove(&self.id);
-            self.mgr.locks.release_all(self.id);
+            self.release_locks();
         }
     }
 
@@ -365,12 +355,12 @@ impl Txn {
         self.finished = true;
         self.mgr.commits.fetch_add(1, Ordering::Relaxed);
         if self.last_lsn == NULL_LSN {
-            self.mgr.locks.release_all(self.id);
+            self.release_locks();
             return None;
         }
         let range = self.mgr.wal.commit_no_flush(self.id, self.last_lsn);
         self.mgr.active.lock().remove(&self.id);
-        self.mgr.locks.release_all(self.id);
+        self.release_locks();
         Some(range.end)
     }
 
@@ -419,53 +409,31 @@ impl Txn {
         // records so recovery can repeat history through a crashed abort.
         let undo = std::mem::take(&mut self.undo);
         for op in undo.into_iter().rev() {
-            match op {
-                UndoOp::Insert { table, key } => {
-                    if let Ok(t) = self.mgr.table(table) {
-                        if let Ok(rid) = t.rid_of(key) {
-                            if let Ok(before) = t.delete_logged(key, 0) {
-                                let lsn = self.log(LogBody::Delete { table, key, rid, before });
-                                let _ = t.heap().stamp_page_lsn(rid.page, lsn);
-                            }
-                        }
-                    }
-                }
-                UndoOp::Update { table, key, before } => {
-                    if let Ok(t) = self.mgr.table(table) {
-                        if let Ok(rid) = t.rid_of(key) {
-                            if let Ok(after_img) = t.update_logged(key, &before, 0) {
-                                let lsn = self.log(LogBody::Update {
-                                    table,
-                                    key,
-                                    rid,
-                                    before: after_img,
-                                    after: before,
-                                });
-                                let _ = t.heap().stamp_page_lsn(rid.page, lsn);
-                            }
-                        }
-                    }
-                }
-                UndoOp::Delete { table, key, before } => {
-                    if let Ok(t) = self.mgr.table(table) {
-                        if let Ok(rid) = t.insert_logged(key, &before, 0) {
-                            let lsn = self.log(LogBody::Insert {
-                                table,
-                                key,
-                                rid,
-                                row: before,
-                            });
-                            let _ = t.heap().stamp_page_lsn(rid.page, lsn);
-                        }
-                    }
-                }
-            }
+            let (UndoOp::Insert { table, key }
+            | UndoOp::Update { table, key, .. }
+            | UndoOp::Delete { table, key, .. }) = op;
+            let Ok(t) = self.mgr.table(table) else { continue };
+            // A compensation that fails (the row is already as it should be)
+            // logs nothing.
+            let _ = match &op {
+                UndoOp::Insert { .. } => t
+                    .delete_logged(key, |rid, before| self.log_row(table, key, rid, RowOp::Delete { before }))
+                    .map(drop),
+                UndoOp::Update { before, .. } => t
+                    .update_logged(key, before, |rid, current| {
+                        self.log_row(table, key, rid, RowOp::Update { before: current, after: before })
+                    })
+                    .map(drop),
+                UndoOp::Delete { before, .. } => t
+                    .insert_logged(key, before, |rid| self.log_row(table, key, rid, RowOp::Insert { row: before }))
+                    .map(drop),
+            };
         }
         if self.last_lsn != NULL_LSN {
             self.mgr.wal.append(self.id, self.last_lsn, &LogBody::Abort);
             self.mgr.active.lock().remove(&self.id);
         }
-        self.mgr.locks.release_all(self.id);
+        self.release_locks();
     }
 }
 

@@ -134,8 +134,10 @@ impl LogStore {
         self.fault.lock().as_ref().is_some_and(|s| s.dead)
     }
 
-    /// Appends `data`, paying the configured device latency.
-    pub fn append(&self, data: &[u8]) {
+    /// Appends the concatenation of `parts` as one device write, paying the
+    /// configured device latency once. (Parts, so a flusher can hand over
+    /// the two halves of a wrapped ring range without joining them first.)
+    pub fn append(&self, parts: &[&[u8]]) {
         if let Some(lat) = self.flush_latency {
             let start = std::time::Instant::now();
             while start.elapsed() < lat {
@@ -152,8 +154,8 @@ impl LogStore {
             }
             if turn == st.config.crash_on_append {
                 st.dead = true;
-                let keep = st.rng.below(data.len() as u64 + 1) as usize;
-                let mut prefix = data[..keep].to_vec();
+                let mut prefix = parts.concat();
+                prefix.truncate(st.rng.below(prefix.len() as u64 + 1) as usize);
                 if st.config.flip_bit && !prefix.is_empty() {
                     let byte = st.rng.below(prefix.len() as u64) as usize;
                     let bit = st.rng.below(8);
@@ -164,7 +166,10 @@ impl LogStore {
             }
         }
         drop(fault);
-        self.bytes.lock().extend_from_slice(data);
+        let mut bytes = self.bytes.lock();
+        for part in parts {
+            bytes.extend_from_slice(part);
+        }
     }
 
     /// Truncates the persisted stream to its first `keep` bytes (direct
@@ -289,24 +294,28 @@ impl Ring {
         }
     }
 
-    /// Copies the stream range `[from, to)` out of the ring.
+    /// Borrows the stream range `[from, to)` in place: the part up to the
+    /// wrap point, and the part after it (empty when the range does not
+    /// wrap).
     ///
     /// # Safety
     /// The caller must guarantee every byte in the range is completely
-    /// written and not yet overwritten.
-    pub unsafe fn read(&self, from: u64, to: u64) -> Vec<u8> {
+    /// written, and that nothing writes to the range while the slices live.
+    pub unsafe fn slices(&self, from: u64, to: u64) -> [&[u8]; 2] {
         debug_assert!(to - from <= self.capacity);
         let len = (to - from) as usize;
         let cap = self.capacity as usize;
         let pos = (from % self.capacity) as usize;
         let first = len.min(cap - pos);
-        let mut out = vec![0u8; len];
         let base = self.data.as_ptr() as *const u8;
+        // SAFETY: both ranges lie inside `data` (`pos + first <= cap`,
+        // `len - first <= pos`); the caller vouches for their contents.
         unsafe {
-            std::ptr::copy_nonoverlapping(base.add(pos), out.as_mut_ptr(), first);
-            std::ptr::copy_nonoverlapping(base, out.as_mut_ptr().add(first), len - first);
+            [
+                std::slice::from_raw_parts(base.add(pos), first),
+                std::slice::from_raw_parts(base, len - first),
+            ]
         }
-        out
     }
 }
 
@@ -320,14 +329,15 @@ mod tests {
         // Write a 10-byte record at offset 12: wraps around the ring edge.
         let payload: Vec<u8> = (0..10).collect();
         unsafe { ring.write(12, &payload) };
-        assert_eq!(unsafe { ring.read(12, 22) }, payload);
+        let [head, tail] = unsafe { ring.slices(12, 22) };
+        assert_eq!((head, tail), (&payload[..4], &payload[4..]));
     }
 
     #[test]
     fn store_append_and_read() {
         let store = LogStore::new(None);
-        store.append(b"hello ");
-        store.append(b"log");
+        store.append(&[b"hello "]);
+        store.append(&[b"log"]);
         assert_eq!(store.read_from(LOG_START), b"hello log");
         assert_eq!(store.read_from(LOG_START + 6), b"log");
         assert_eq!(store.flush_count(), 2);
@@ -336,11 +346,11 @@ mod tests {
     #[test]
     fn lying_device_drops_appends_after_crash() {
         let store = LogStore::new(None);
-        store.append(b"aaaa");
+        store.append(&[b"aaaa"]);
         store.set_fault(LogFault { seed: 5, crash_on_append: 0, flip_bit: false });
-        store.append(b"bbbb"); // crash append: only a prefix persists
+        store.append(&[b"bb", b"bb"]); // crash append: only a prefix persists
         assert!(store.fault_tripped());
-        store.append(b"cccc"); // acked, dropped
+        store.append(&[b"cccc"]); // acked, dropped
         let persisted = store.read_from(LOG_START);
         assert!(persisted.len() <= 8, "nothing after the crash persists");
         assert!(persisted.starts_with(b"aaaa"));
@@ -352,7 +362,7 @@ mod tests {
     #[test]
     fn direct_damage_helpers() {
         let store = LogStore::new(None);
-        store.append(b"hello log");
+        store.append(&[b"hello log"]);
         store.flip_bit(LOG_START, 0);
         assert_eq!(store.read_from(LOG_START)[0], b'h' ^ 1);
         store.truncate_to(4);
@@ -365,7 +375,7 @@ mod tests {
     fn store_latency_paid_per_flush() {
         let store = LogStore::new(Some(Duration::from_micros(300)));
         let t = std::time::Instant::now();
-        store.append(b"x");
+        store.append(&[b"x"]);
         assert!(t.elapsed() >= Duration::from_micros(300));
     }
 }

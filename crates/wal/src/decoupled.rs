@@ -93,10 +93,10 @@ impl DecoupledLogBuffer {
         }
         let durable = self.durable.load(Ordering::Relaxed);
         if tail_snapshot > durable {
-            // Safe: every byte in [durable, tail_snapshot) is filled
-            // (completed count) and not reclaimed (durable watermark).
-            let bytes = unsafe { self.ring.read(durable, tail_snapshot) };
-            self.store.append(&bytes);
+            // SAFETY: every byte in [durable, tail_snapshot) is filled
+            // (completed count); none is rewritten before `durable` moves
+            // past it, which happens only below, after the slices are dead.
+            self.store.append(&unsafe { self.ring.slices(durable, tail_snapshot) });
             self.durable.store(tail_snapshot, Ordering::Release);
         }
     }

@@ -23,7 +23,7 @@ use esdb_storage::schema::TableId;
 /// Smallest legal frame: len(4) + crc(4) + txn(8) + prev(8) + tag(1).
 pub const MIN_RECORD: usize = 25;
 
-/// Largest legal frame. Generously above anything [`encode`] produces
+/// Largest legal frame. Generously above anything [`encode_into`] produces
 /// (bodies are a few rows of `i64`s); lengths beyond this are corruption,
 /// not data.
 pub const MAX_RECORD: usize = 1 << 22;
@@ -215,23 +215,29 @@ pub enum LogBody {
     },
 }
 
-impl LogBody {
-    fn tag(&self) -> u8 {
-        match self {
-            LogBody::Begin => 0,
-            LogBody::Insert { .. } => 1,
-            LogBody::Update { .. } => 2,
-            LogBody::Delete { .. } => 3,
-            LogBody::Commit => 4,
-            LogBody::Abort => 5,
-            LogBody::Checkpoint { .. } => 6,
-            LogBody::Prepare { .. } => 7,
-            LogBody::Decide { .. } => 8,
-            LogBody::GtidWatermark { .. } => 9,
-            LogBody::TermChange { .. } => 10,
-            LogBody::MigrationStep { .. } => 11,
-        }
-    }
+/// The images of one row mutation, borrowed from wherever they already
+/// live — the caller's argument, the row just read under the page latch — so
+/// logging copies each image once, into the record, and builds no owned
+/// [`LogBody`] on the way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowOp<'a> {
+    /// A tuple insert.
+    Insert {
+        /// The inserted row.
+        row: &'a [i64],
+    },
+    /// A tuple update.
+    Update {
+        /// Before-image (undo).
+        before: &'a [i64],
+        /// After-image (redo).
+        after: &'a [i64],
+    },
+    /// A tuple delete.
+    Delete {
+        /// Deleted row.
+        before: &'a [i64],
+    },
 }
 
 /// A fully decoded log record.
@@ -266,72 +272,90 @@ fn put_row(out: &mut Vec<u8>, row: &[i64]) {
     }
 }
 
-/// Serializes a record body into its framed, checksummed wire form.
-pub fn encode(txn_id: u64, prev_lsn: Lsn, body: &LogBody) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+/// Appends one frame to `out`: header, `tag`, whatever `body` writes, then
+/// the length and checksum patched in.
+fn frame(out: &mut Vec<u8>, txn_id: u64, prev_lsn: Lsn, tag: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
     out.put_u32_le(0); // length patched below
     out.put_u32_le(0); // crc patched below
     out.put_u64_le(txn_id);
     out.put_u64_le(prev_lsn);
-    out.put_u8(body.tag());
+    out.put_u8(tag);
+    body(out);
+    let len = (out.len() - at) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    let mut crc = Crc32::new();
+    crc.update(&out[at..at + 4]);
+    crc.update(&out[at + 8..]);
+    out[at + 4..at + 8].copy_from_slice(&crc.finish().to_le_bytes());
+}
+
+/// Appends the framed, checksummed wire form of a row mutation to `out` —
+/// the same bytes as the [`LogBody`] variant of the same name.
+pub fn encode_row_op_into(
+    out: &mut Vec<u8>,
+    txn_id: u64,
+    prev_lsn: Lsn,
+    table: TableId,
+    key: u64,
+    rid: Rid,
+    op: RowOp<'_>,
+) {
+    let (tag, first, second) = match op {
+        RowOp::Insert { row } => (1, row, None),
+        RowOp::Update { before, after } => (2, before, Some(after)),
+        RowOp::Delete { before } => (3, before, None),
+    };
+    frame(out, txn_id, prev_lsn, tag, |out| {
+        out.put_u32_le(table);
+        out.put_u64_le(key);
+        out.put_u64_le(rid.to_u64());
+        put_row(out, first);
+        if let Some(row) = second {
+            put_row(out, row);
+        }
+    });
+}
+
+/// Appends the framed, checksummed wire form of `body` to `out`.
+pub fn encode_into(out: &mut Vec<u8>, txn_id: u64, prev_lsn: Lsn, body: &LogBody) {
     match body {
-        LogBody::Begin | LogBody::Commit | LogBody::Abort => {}
-        LogBody::Checkpoint { redo_lsn } => {
-            out.put_u64_le(*redo_lsn);
+        LogBody::Begin => frame(out, txn_id, prev_lsn, 0, |_| {}),
+        LogBody::Insert { table, key, rid, row } => {
+            encode_row_op_into(out, txn_id, prev_lsn, *table, *key, *rid, RowOp::Insert { row })
         }
-        LogBody::Prepare { gtid } => {
-            out.put_u64_le(*gtid);
+        LogBody::Update { table, key, rid, before, after } => {
+            encode_row_op_into(out, txn_id, prev_lsn, *table, *key, *rid, RowOp::Update { before, after })
         }
-        LogBody::Decide { gtid, commit } => {
+        LogBody::Delete { table, key, rid, before } => {
+            encode_row_op_into(out, txn_id, prev_lsn, *table, *key, *rid, RowOp::Delete { before })
+        }
+        LogBody::Commit => frame(out, txn_id, prev_lsn, 4, |_| {}),
+        LogBody::Abort => frame(out, txn_id, prev_lsn, 5, |_| {}),
+        LogBody::Checkpoint { redo_lsn } => frame(out, txn_id, prev_lsn, 6, |out| out.put_u64_le(*redo_lsn)),
+        LogBody::Prepare { gtid } => frame(out, txn_id, prev_lsn, 7, |out| out.put_u64_le(*gtid)),
+        LogBody::Decide { gtid, commit } => frame(out, txn_id, prev_lsn, 8, |out| {
             out.put_u64_le(*gtid);
             out.put_u8(u8::from(*commit));
-        }
-        LogBody::GtidWatermark { next } => {
-            out.put_u64_le(*next);
-        }
-        LogBody::TermChange { term } => {
-            out.put_u64_le(*term);
-        }
-        LogBody::MigrationStep { mid, phase, slot, from, to, mark } => {
+        }),
+        LogBody::GtidWatermark { next } => frame(out, txn_id, prev_lsn, 9, |out| out.put_u64_le(*next)),
+        LogBody::TermChange { term } => frame(out, txn_id, prev_lsn, 10, |out| out.put_u64_le(*term)),
+        LogBody::MigrationStep { mid, phase, slot, from, to, mark } => frame(out, txn_id, prev_lsn, 11, |out| {
             out.put_u64_le(*mid);
             out.put_u8(*phase);
             out.put_u32_le(*slot);
             out.put_u32_le(*from);
             out.put_u32_le(*to);
             out.put_u64_le(*mark);
-        }
-        LogBody::Insert { table, key, rid, row } => {
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-            out.put_u64_le(rid.to_u64());
-            put_row(&mut out, row);
-        }
-        LogBody::Update {
-            table,
-            key,
-            rid,
-            before,
-            after,
-        } => {
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-            out.put_u64_le(rid.to_u64());
-            put_row(&mut out, before);
-            put_row(&mut out, after);
-        }
-        LogBody::Delete { table, key, rid, before } => {
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-            out.put_u64_le(rid.to_u64());
-            put_row(&mut out, before);
-        }
+        }),
     }
-    let len = out.len() as u32;
-    out[0..4].copy_from_slice(&len.to_le_bytes());
-    let mut crc = Crc32::new();
-    crc.update(&out[0..4]);
-    crc.update(&out[8..]);
-    out[4..8].copy_from_slice(&crc.finish().to_le_bytes());
+}
+
+/// [`encode_into`] a fresh buffer — for cold callers and tests; the append
+/// path reuses a scratch instead.
+pub fn encode(txn_id: u64, prev_lsn: Lsn, body: &LogBody) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    encode_into(&mut out, txn_id, prev_lsn, body);
     out
 }
 

@@ -233,7 +233,7 @@ pub fn recover(
             LogBody::Insert { table, rid, .. } => {
                 // Undo insert: delete the tuple.
                 let Some(t) = tables.get(table) else { continue };
-                let _ = t.heap().delete(*rid, undo_lsn);
+                let _ = t.heap().delete(*rid, |_| undo_lsn);
                 report.undo_applied += 1;
             }
             LogBody::Update {
@@ -244,7 +244,7 @@ pub fn recover(
                 ..
             } => {
                 let Some(t) = tables.get(table) else { continue };
-                let _ = t.heap().update(*rid, &encode_row(*key, before), undo_lsn);
+                let _ = t.heap().update(*rid, &encode_row(*key, before), |_| undo_lsn);
                 report.undo_applied += 1;
             }
             LogBody::Delete {
@@ -297,7 +297,7 @@ pub fn undo_txn(
         match &r.body {
             LogBody::Insert { table, rid, key, row } => {
                 let Some(t) = tables.get(table) else { continue };
-                let _ = t.heap().delete(*rid, undo_lsn);
+                let _ = t.heap().delete(*rid, |_| undo_lsn);
                 t.index().remove(*key);
                 for ix in t.secondaries() {
                     ix.remove_row(*key, row);
@@ -306,7 +306,7 @@ pub fn undo_txn(
             }
             LogBody::Update { table, rid, before, after, key } => {
                 let Some(t) = tables.get(table) else { continue };
-                let _ = t.heap().update(*rid, &encode_row(*key, before), undo_lsn);
+                let _ = t.heap().update(*rid, &encode_row(*key, before), |_| undo_lsn);
                 t.index().insert(*key, rid.to_u64());
                 for ix in t.secondaries() {
                     ix.update_row(*key, after, before);
@@ -380,9 +380,9 @@ mod tests {
         let h = Harness::new();
         // txn 1: insert two rows, commit (records durable, pages NOT flushed).
         let b = h.wal.append(1, NULL_LSN, &LogBody::Begin);
-        let rid1 = h.table.insert_logged(10, &[100], b.end).unwrap();
+        let rid1 = h.table.insert_logged(10, &[100], |_| b.end).unwrap();
         let i1 = h.wal.append(1, b.start, &LogBody::Insert { table: 1, key: 10, rid: rid1, row: vec![100] });
-        let rid2 = h.table.insert_logged(20, &[200], i1.end).unwrap();
+        let rid2 = h.table.insert_logged(20, &[200], |_| i1.end).unwrap();
         let i2 = h.wal.append(1, i1.start, &LogBody::Insert { table: 1, key: 20, rid: rid2, row: vec![200] });
         h.wal.commit(1, i2.start);
 
@@ -399,7 +399,7 @@ mod tests {
         let h = Harness::new();
         // Committed base row.
         let b = h.wal.append(1, NULL_LSN, &LogBody::Begin);
-        let rid = h.table.insert_logged(5, &[50], b.end).unwrap();
+        let rid = h.table.insert_logged(5, &[50], |_| b.end).unwrap();
         let i = h.wal.append(1, b.start, &LogBody::Insert { table: 1, key: 5, rid, row: vec![50] });
         h.wal.commit(1, i.start);
 
@@ -407,9 +407,9 @@ mod tests {
         // before its commit — but after its records reached the durable log
         // and its dirty pages were stolen (flushed).
         let b2 = h.wal.append(2, NULL_LSN, &LogBody::Begin);
-        let before = h.table.update_logged(5, &[51], b2.end).unwrap();
+        let before = h.table.update_logged(5, &[51], |_, _| b2.end).unwrap();
         let u = h.wal.append(2, b2.start, &LogBody::Update { table: 1, key: 5, rid, before: before.clone(), after: vec![51] });
-        let rid9 = h.table.insert_logged(9, &[90], u.end).unwrap();
+        let rid9 = h.table.insert_logged(9, &[90], |_| u.end).unwrap();
         let i9 = h.wal.append(2, u.start, &LogBody::Insert { table: 1, key: 9, rid: rid9, row: vec![90] });
         h.wal.wait_durable(i9.end); // records durable, no commit
 
@@ -425,7 +425,7 @@ mod tests {
     fn undurable_tail_is_simply_lost() {
         let h = Harness::new();
         let b = h.wal.append(1, NULL_LSN, &LogBody::Begin);
-        let rid = h.table.insert_logged(1, &[10], b.end).unwrap();
+        let rid = h.table.insert_logged(1, &[10], |_| b.end).unwrap();
         let i = h.wal.append(1, b.start, &LogBody::Insert { table: 1, key: 1, rid, row: vec![10] });
         let _ = i;
         // No flush at all: the log tail never reached the store.
@@ -438,7 +438,7 @@ mod tests {
     fn redo_is_idempotent_when_pages_flushed() {
         let h = Harness::new();
         let b = h.wal.append(1, NULL_LSN, &LogBody::Begin);
-        let rid = h.table.insert_logged(1, &[10], b.end).unwrap();
+        let rid = h.table.insert_logged(1, &[10], |_| b.end).unwrap();
         let i = h.wal.append(1, b.start, &LogBody::Insert { table: 1, key: 1, rid, row: vec![10] });
         h.wal.commit(1, i.start);
 
@@ -467,24 +467,24 @@ mod tests {
         let mut lsn = b.end;
         for k in 0..10u64 {
             let row = vec![(k % 3) as i64];
-            let rid = table.insert_logged(k, &row, lsn).unwrap();
+            let rid = table.insert_logged(k, &row, |_| lsn).unwrap();
             let rec = wal.append(1, prev, &LogBody::Insert { table: 1, key: k, rid, row });
             prev = rec.start;
             lsn = rec.end;
         }
         let rid4 = table.rid_of(4).unwrap();
-        let before = table.update_logged(4, &[7], lsn).unwrap();
+        let before = table.update_logged(4, &[7], |_, _| lsn).unwrap();
         let rec = wal.append(1, prev, &LogBody::Update { table: 1, key: 4, rid: rid4, before, after: vec![7] });
         prev = rec.start;
         lsn = rec.end;
         let rid9 = table.rid_of(9).unwrap();
-        let before9 = table.delete_logged(9, lsn).unwrap();
+        let before9 = table.delete_logged(9, |_, _| lsn).unwrap();
         let rec = wal.append(1, prev, &LogBody::Delete { table: 1, key: 9, rid: rid9, before: before9 });
         wal.commit(1, rec.start);
 
         // Loser txn: durable insert, no commit — must vanish from indexes.
         let b2 = wal.append(2, NULL_LSN, &LogBody::Begin);
-        let rid100 = table.insert_logged(100, &[1], b2.end).unwrap();
+        let rid100 = table.insert_logged(100, &[1], |_| b2.end).unwrap();
         let i100 = wal.append(2, b2.start, &LogBody::Insert { table: 1, key: 100, rid: rid100, row: vec![1] });
         wal.wait_durable(i100.end);
 
@@ -563,14 +563,14 @@ mod tests {
         let h = Harness::new();
         // Committed base row, then a prepared update+insert with no decision.
         let b = h.wal.append(1, NULL_LSN, &LogBody::Begin);
-        let rid = h.table.insert_logged(5, &[50], b.end).unwrap();
+        let rid = h.table.insert_logged(5, &[50], |_| b.end).unwrap();
         let i = h.wal.append(1, b.start, &LogBody::Insert { table: 1, key: 5, rid, row: vec![50] });
         h.wal.commit(1, i.start);
 
         let b2 = h.wal.append(2, NULL_LSN, &LogBody::Begin);
-        let before = h.table.update_logged(5, &[51], b2.end).unwrap();
+        let before = h.table.update_logged(5, &[51], |_, _| b2.end).unwrap();
         let u = h.wal.append(2, b2.start, &LogBody::Update { table: 1, key: 5, rid, before, after: vec![51] });
-        let rid9 = h.table.insert_logged(9, &[90], u.end).unwrap();
+        let rid9 = h.table.insert_logged(9, &[90], |_| u.end).unwrap();
         let i9 = h.wal.append(2, u.start, &LogBody::Insert { table: 1, key: 9, rid: rid9, row: vec![90] });
         let p = h.wal.append(2, i9.start, &LogBody::Prepare { gtid: 42 });
         h.wal.wait_durable(p.end);

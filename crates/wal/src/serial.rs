@@ -6,7 +6,6 @@
 
 use crate::buffer::{LogBuffer, LogStore, LsnRange, LOG_START};
 use crate::Lsn;
-use esdb_sync::{RawLock, TatasLock};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -23,8 +22,10 @@ pub struct SerialLogBuffer {
     state: Mutex<SerialState>,
     store: LogStore,
     durable: AtomicU64,
-    /// Serializes flushes so each makes one store append (group commit).
-    flush_lock: TatasLock,
+    /// The flusher's batch buffer. Its lock serializes flushes so each makes
+    /// one store append (group commit); a flush swaps it with `pending`, so
+    /// both keep their capacity and steady-state flushing never allocates.
+    batch: Mutex<Vec<u8>>,
 }
 
 impl SerialLogBuffer {
@@ -44,7 +45,7 @@ impl SerialLogBuffer {
             }),
             store: LogStore::new_at(base, flush_latency),
             durable: AtomicU64::new(base),
-            flush_lock: TatasLock::new(),
+            batch: Mutex::new(Vec::new()),
         }
     }
 
@@ -84,20 +85,20 @@ impl LogBuffer for SerialLogBuffer {
         while self.durable.load(Ordering::Acquire) < lsn {
             // One flusher at a time; latecomers whose LSN got covered by the
             // winner's flush exit via the loop condition (group commit).
-            self.flush_lock.lock();
+            let mut batch = self.batch.lock();
             if self.durable.load(Ordering::Acquire) >= lsn {
-                self.flush_lock.unlock();
                 return;
             }
-            let (batch, new_durable) = {
+            let new_durable = {
                 let mut st = self.state.lock();
-                (std::mem::take(&mut st.pending), st.tail)
+                std::mem::swap(&mut st.pending, &mut *batch);
+                st.tail
             };
             if !batch.is_empty() {
-                self.store.append(&batch);
+                self.store.append(&[&batch]);
+                batch.clear();
             }
             self.durable.store(new_durable, Ordering::Release);
-            self.flush_lock.unlock();
         }
     }
 

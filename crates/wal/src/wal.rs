@@ -3,11 +3,21 @@
 use crate::buffer::{LogBuffer, LsnRange, LOG_START};
 use crate::consolidated::ConsolidatedLogBuffer;
 use crate::decoupled::DecoupledLogBuffer;
-use crate::record::{self, LogBody, LogRecord};
+use crate::record::{self, LogBody, LogRecord, RowOp};
 use crate::serial::SerialLogBuffer;
 use crate::{Lsn, NULL_LSN};
+use esdb_storage::rid::Rid;
+use esdb_storage::schema::TableId;
+use std::cell::RefCell;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
+
+thread_local! {
+    /// The appender's encode scratch: a record is built here, checksummed,
+    /// and copied once into the log buffer; the capacity stays.
+    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Which log buffer implementation the engine uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -60,11 +70,15 @@ pub const INCARNATION_GAP: Lsn = 1 << 24;
 /// The engine-facing write-ahead log.
 pub struct Wal {
     buffer: Box<dyn LogBuffer>,
-    /// Durability broadcast: every flush that goes through this facade rings
-    /// the condvar, so log shippers can tail the durable frontier without
-    /// adding any work — or any copy — to the commit path itself.
+    /// Durability broadcast: a flush that goes through this facade rings
+    /// the condvar when somebody is subscribed, so log shippers can tail the
+    /// durable frontier without adding any work — or any copy — to the
+    /// commit path itself.
     /// (Vendored `parking_lot` has no `Condvar`, hence `std::sync` here.)
     hub: (std::sync::Mutex<()>, std::sync::Condvar),
+    /// Callers currently inside [`Wal::wait_durable_beyond`]. With none, a
+    /// flush skips the hub mutex and the wake-up system call altogether.
+    subscribers: AtomicUsize,
 }
 
 impl Wal {
@@ -105,20 +119,63 @@ impl Wal {
         Wal {
             buffer,
             hub: (std::sync::Mutex::new(()), std::sync::Condvar::new()),
+            subscribers: AtomicUsize::new(0),
         }
     }
 
-    /// Wakes every subscriber blocked in [`Wal::wait_durable_beyond`].
+    /// Wakes every subscriber blocked in [`Wal::wait_durable_beyond`]. A
+    /// subscriber that registers just after the count is read finds the new
+    /// durable LSN on its own first check (and re-polls every 5 ms besides),
+    /// so skipping the broadcast with nobody registered loses nothing.
     fn notify_durable(&self) {
-        let _guard = self.hub.0.lock().unwrap();
-        self.hub.1.notify_all();
+        if self.subscribers.load(Ordering::SeqCst) != 0 {
+            let _guard = self.hub.0.lock().unwrap();
+            self.hub.1.notify_all();
+        }
+    }
+
+    /// Encodes one record into this thread's scratch and inserts it.
+    fn append_with(&self, encode: impl FnOnce(&mut Vec<u8>)) -> LsnRange {
+        SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            scratch.clear();
+            encode(&mut scratch);
+            self.buffer.insert(&scratch)
+        })
     }
 
     /// Appends one record. Returns its LSN range; the record is not durable
     /// until a flush covers `range.end`.
     pub fn append(&self, txn_id: u64, prev_lsn: Lsn, body: &LogBody) -> LsnRange {
-        let bytes = record::encode(txn_id, prev_lsn, body);
-        self.buffer.insert(&bytes)
+        self.append_with(|out| record::encode_into(out, txn_id, prev_lsn, body))
+    }
+
+    /// Appends one row-mutation record straight from borrowed images — the
+    /// transaction path's append; same bytes as [`Wal::append`] with the
+    /// [`LogBody`] variant of the same name.
+    pub fn append_row(
+        &self,
+        txn_id: u64,
+        prev_lsn: Lsn,
+        table: TableId,
+        key: u64,
+        rid: Rid,
+        op: RowOp<'_>,
+    ) -> LsnRange {
+        self.append_with(|out| record::encode_row_op_into(out, txn_id, prev_lsn, table, key, rid, op))
+    }
+
+    /// Makes everything up to `lsn` durable, attributing the wait to `class`.
+    /// An LSN that is already durable costs one load: no clock, no flush, no
+    /// broadcast (whoever made it durable rang the hub).
+    fn flush_timed(&self, lsn: Lsn, class: esdb_obs::WaitClass) {
+        if self.buffer.durable_lsn() >= lsn {
+            return;
+        }
+        let wait = esdb_obs::wait_timer(class);
+        self.buffer.flush(lsn);
+        esdb_obs::record_component(esdb_obs::Component::WalFlush, wait.stop());
+        self.notify_durable();
     }
 
     /// Appends one stand-alone record (no transaction, no chain) and returns
@@ -133,18 +190,7 @@ impl Wal {
     /// physical flush may cover many concurrent committers).
     pub fn commit(&self, txn_id: u64, prev_lsn: Lsn) -> Lsn {
         let range = self.append(txn_id, prev_lsn, &LogBody::Commit);
-        if esdb_obs::enabled() {
-            let _wait = esdb_obs::wait_timer(esdb_obs::WaitClass::CommitFlush);
-            let start = std::time::Instant::now();
-            self.buffer.flush(range.end);
-            esdb_obs::record_component(
-                esdb_obs::Component::WalFlush,
-                start.elapsed().as_nanos() as u64,
-            );
-        } else {
-            self.buffer.flush(range.end);
-        }
-        self.notify_durable();
+        self.flush_timed(range.end, esdb_obs::WaitClass::CommitFlush);
         range.start
     }
 
@@ -156,18 +202,7 @@ impl Wal {
 
     /// Blocks until everything up to `lsn` is durable.
     pub fn wait_durable(&self, lsn: Lsn) {
-        if esdb_obs::enabled() {
-            let _wait = esdb_obs::wait_timer(esdb_obs::WaitClass::LogWait);
-            let start = std::time::Instant::now();
-            self.buffer.flush(lsn);
-            esdb_obs::record_component(
-                esdb_obs::Component::WalFlush,
-                start.elapsed().as_nanos() as u64,
-            );
-        } else {
-            self.buffer.flush(lsn);
-        }
-        self.notify_durable();
+        self.flush_timed(lsn, esdb_obs::WaitClass::LogWait);
     }
 
     /// The batched group-commit entry point: makes every LSN in `lsns`
@@ -192,20 +227,24 @@ impl Wal {
     /// on a wakeup arriving.
     pub fn wait_durable_beyond(&self, lsn: Lsn, timeout: Duration) -> Lsn {
         let deadline = std::time::Instant::now() + timeout;
+        // Registered before the first durable check (see `notify_durable`).
+        self.subscribers.fetch_add(1, Ordering::SeqCst);
         let mut guard = self.hub.0.lock().unwrap();
-        loop {
+        let durable = loop {
             let durable = self.buffer.durable_lsn();
             if durable > lsn {
-                return durable;
+                break durable;
             }
             let now = std::time::Instant::now();
             if now >= deadline {
-                return durable;
+                break durable;
             }
             let wait = (deadline - now).min(Duration::from_millis(5));
             let (g, _) = self.hub.1.wait_timeout(guard, wait).unwrap();
             guard = g;
-        }
+        };
+        self.subscribers.fetch_sub(1, Ordering::SeqCst);
+        durable
     }
 
     /// Copies the persisted log tail `[from, end)` for shipping, returning
@@ -370,6 +409,72 @@ mod tests {
         // An empty batch flushes nothing.
         assert_eq!(wal.flush_batch(std::iter::empty()), None);
         assert_eq!(wal.flush_count(), before + 1);
+    }
+
+    #[test]
+    fn append_row_writes_the_same_bytes_as_the_owned_body() {
+        let rid = Rid::new(3, 1);
+        let owned = Wal::new(LogPolicy::Serial, None);
+        let borrowed = Wal::new(LogPolicy::Serial, None);
+        let (before, after) = (vec![1, -2], vec![3, i64::MIN]);
+        for wal in [&owned, &borrowed] {
+            wal.append(9, NULL_LSN, &LogBody::Begin);
+        }
+        owned.append(9, 8, &LogBody::Insert { table: 2, key: 5, rid, row: after.clone() });
+        borrowed.append_row(9, 8, 2, 5, rid, RowOp::Insert { row: &after });
+        owned.append(9, 33, &LogBody::Update { table: 2, key: 5, rid, before: before.clone(), after: after.clone() });
+        borrowed.append_row(9, 33, 2, 5, rid, RowOp::Update { before: &before, after: &after });
+        owned.append(9, 90, &LogBody::Delete { table: 2, key: 5, rid, before: before.clone() });
+        borrowed.append_row(9, 90, 2, 5, rid, RowOp::Delete { before: &before });
+        assert_eq!(owned.records(), borrowed.records());
+        assert_eq!(owned.durable_tail(8), borrowed.durable_tail(8));
+    }
+
+    #[test]
+    fn subscriber_wakes_on_a_commit_not_at_its_deadline() {
+        use std::sync::Arc;
+        use std::time::Instant;
+        let wal = Arc::new(Wal::new(LogPolicy::Serial, None));
+        let from = wal.durable_lsn();
+        let waiter = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || {
+                let durable = wal.wait_durable_beyond(from, Duration::from_secs(1));
+                (durable, Instant::now())
+            })
+        };
+        // Commit only once the subscriber is registered (parked, or about to
+        // check the durable LSN under the hub mutex).
+        while wal.subscribers.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        let b = wal.append(1, NULL_LSN, &LogBody::Begin);
+        wal.commit(1, b.start);
+        let committed = Instant::now();
+        let (durable, woke) = waiter.join().unwrap();
+        assert!(durable > from);
+        assert!(
+            woke.saturating_duration_since(committed) < Duration::from_millis(50),
+            "woken by the commit (or the 5 ms re-poll), not the 1 s deadline"
+        );
+        assert_eq!(wal.subscribers.load(Ordering::SeqCst), 0, "deregistered on return");
+    }
+
+    #[test]
+    fn commits_with_no_subscriber_leave_the_count_at_zero() {
+        let wal = Wal::new(LogPolicy::Serial, None);
+        for txn in 1..=10_000u64 {
+            let b = wal.append(txn, NULL_LSN, &LogBody::Begin);
+            wal.commit(txn, b.start);
+            assert_eq!(wal.subscribers.load(Ordering::SeqCst), 0);
+        }
+        assert_eq!(wal.flush_count(), 10_000);
+        // A wait on an already-durable LSN is not a flush.
+        wal.wait_durable(wal.durable_lsn());
+        assert_eq!(wal.flush_count(), 10_000);
+        // An expired subscription deregisters too.
+        assert_eq!(wal.wait_durable_beyond(wal.durable_lsn(), Duration::ZERO), wal.durable_lsn());
+        assert_eq!(wal.subscribers.load(Ordering::SeqCst), 0);
     }
 
     #[test]

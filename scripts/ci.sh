@@ -3,9 +3,10 @@
 # binaries that exercise the full stack (simulator sweep + TCP server).
 #
 # Tier 1 (must stay green): release build + the root package's tests (the
-# engine suites, the golden wire bytes, and tests/wire_session.rs driving a
-# loopback server). Every other crate's tests run only where a stage below
-# names them.
+# engine suites, the golden wire bytes, tests/wire_session.rs driving a
+# loopback server, and tests/critical_path.rs pinning what one transaction
+# costs in lock-table visits, pins, allocations, log bytes and flushes).
+# Every other crate's tests run only where a stage below names them.
 # Smoke (seconds, not minutes): reduced fig1 scaling sweep and a short
 # loopback tab3_server run, both via the env knobs the binaries expose.
 set -euo pipefail
@@ -22,6 +23,14 @@ echo "== referee: benchmark package builds against the program and passes its ow
 # compiles it: a program change that breaks the public surface listed in
 # benchmark/src/sut.rs must fail here, not in the next refereed run.
 (cd benchmark && cargo build --release --offline && cargo test --offline -q)
+
+echo "== engine: the crates under every transaction (release) =="
+# Unit tests of the lock manager (HeldLocks cases included), transaction
+# manager, WAL (record_golden pins the log bytes; the CRC slice-by-8 vs
+# bytewise property; the durability-subscriber wake-up), storage (index and
+# heap properties, the same-key insert race), core and DORA — none of which
+# tier 1 compiles as tests.
+cargo test --release -q -p esdb-lock -p esdb-txn -p esdb-wal -p esdb-storage -p esdb-core -p esdb-dora
 
 echo "== net: whole esdb-net suite + golden wire bytes (release) =="
 # Unit tests, protocol_props (round-trip/totality properties generated from

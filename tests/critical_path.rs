@@ -1,0 +1,185 @@
+//! Critical-path counts: what one transaction costs, in things that repeat
+//! exactly — lock-table visits, buffer-pool pins, heap allocations, log bytes
+//! and log flushes — on `EngineConfig::conventional_baseline()`, one thread.
+//!
+//! Alone in its binary: it installs a counting global allocator, and every
+//! row runs inside the one `#[test]` so no other thread allocates meanwhile.
+//! Specs are generated before the counted region; the counts are the
+//! engine's (`Database::run_spec`), not the generator's. The limits are the
+//! numbers the engine reaches today (the fractions are heap-page and B-tree
+//! growth, the byte counts include the log store's doubling; all of it
+//! repeats exactly for a seed): a count that moves prints itself.
+//!
+//! At the parent of the change that added this file the same run printed,
+//! per TPC-B transaction: 21 lock visits, 11.009 pins, 58.507 allocations,
+//! 4,681 B.
+
+use esdb::core::{Database, EngineConfig};
+use esdb::workload::{Tatp, Tpcb, TxnSpec, Workload, Ycsb};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(size: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(size as u64, Ordering::Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// plain statistics.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const WARM_UP: usize = 10_000;
+const MEASURED: usize = 10_000;
+
+/// Cumulative counters, all monotone.
+#[derive(Clone, Copy)]
+struct Counters {
+    lock_visits: u64,
+    lock_waits: u64,
+    pins: u64,
+    wal_bytes: u64,
+    wal_flushes: u64,
+    allocs: u64,
+    alloc_bytes: u64,
+}
+
+fn snapshot(db: &Database) -> Counters {
+    let locks = db.txn_manager().locks().stats();
+    let pool = db.pool().stats();
+    Counters {
+        lock_visits: locks.acquisitions,
+        lock_waits: locks.waits,
+        pins: pool.hits + pool.misses,
+        wal_bytes: db.wal().current_lsn(),
+        wal_flushes: db.wal().flush_count(),
+        allocs: ALLOCS.load(Ordering::Relaxed),
+        alloc_bytes: ALLOC_BYTES.load(Ordering::Relaxed),
+    }
+}
+
+/// Per-transaction averages over the measured specs (totals for the exact
+/// counts, so equality is integer equality).
+struct Row {
+    lock_visits: u64,
+    lock_waits: u64,
+    wal_bytes: u64,
+    wal_flushes: u64,
+    pins: f64,
+    allocs: f64,
+    alloc_bytes: f64,
+}
+
+fn measure(workload: &mut dyn Workload, keep: impl Fn(&TxnSpec) -> bool) -> Row {
+    let db = Database::open(EngineConfig::conventional_baseline());
+    db.load_population(workload).expect("population load");
+    let specs: Vec<TxnSpec> = std::iter::repeat_with(|| workload.next_txn())
+        .filter(keep)
+        .take(WARM_UP + MEASURED)
+        .collect();
+    let run = |specs: &[TxnSpec]| {
+        for spec in specs {
+            assert!(db.run_spec(spec).is_committed(), "{spec:?}");
+        }
+    };
+    run(&specs[..WARM_UP]);
+    let before = snapshot(&db);
+    run(&specs[WARM_UP..]);
+    let after = snapshot(&db);
+    let per_txn = |a: u64, b: u64| (a - b) as f64 / MEASURED as f64;
+    Row {
+        lock_visits: after.lock_visits - before.lock_visits,
+        lock_waits: after.lock_waits - before.lock_waits,
+        wal_bytes: after.wal_bytes - before.wal_bytes,
+        wal_flushes: after.wal_flushes - before.wal_flushes,
+        pins: per_txn(after.pins, before.pins),
+        allocs: per_txn(after.allocs, before.allocs),
+        alloc_bytes: per_txn(after.alloc_bytes, before.alloc_bytes),
+    }
+}
+
+impl Row {
+    /// `exact` = per-transaction (lock visits, WAL bytes, WAL flushes);
+    /// `limit` = per-transaction ceilings (pins, allocations, allocated bytes).
+    fn check(&self, name: &str, exact: (u64, u64, u64), limit: (f64, f64, f64)) {
+        let n = MEASURED as u64;
+        println!(
+            "{name}: lock visits {:.3}, pins {:.3}, allocations {:.3} ({:.0} B), wal {:.1} B in {:.3} flushes",
+            self.lock_visits as f64 / n as f64,
+            self.pins,
+            self.allocs,
+            self.alloc_bytes,
+            self.wal_bytes as f64 / n as f64,
+            self.wal_flushes as f64 / n as f64,
+        );
+        assert_eq!(self.lock_waits, 0, "{name}: one thread never waits for a lock");
+        assert_eq!(
+            self.lock_visits,
+            exact.0 * n,
+            "{name}: lock-table visits per txn = {:.3}, pinned at {}",
+            self.lock_visits as f64 / n as f64,
+            exact.0
+        );
+        assert_eq!(
+            self.wal_bytes,
+            exact.1 * n,
+            "{name}: WAL bytes per txn = {:.3}, pinned at {}",
+            self.wal_bytes as f64 / n as f64,
+            exact.1
+        );
+        assert_eq!(
+            self.wal_flushes,
+            exact.2 * n,
+            "{name}: WAL flushes per txn = {:.3}, pinned at {}",
+            self.wal_flushes as f64 / n as f64,
+            exact.2
+        );
+        assert!(self.pins <= limit.0, "{name}: buffer-pool pins per txn = {:.3} > {}", self.pins, limit.0);
+        assert!(self.allocs <= limit.1, "{name}: allocations per txn = {:.3} > {}", self.allocs, limit.1);
+        assert!(
+            self.alloc_bytes <= limit.2,
+            "{name}: allocated bytes per txn = {:.0} > {}",
+            self.alloc_bytes,
+            limit.2
+        );
+    }
+}
+
+#[test]
+fn per_transaction_counts_are_pinned() {
+    // TPC-B: 3 `Add` + 1 `Insert` = 9 distinct locks (database, 4 tables,
+    // 4 rows); Begin 25 + Update 65 + 81 + 81 + Insert 71 + Commit 25 B.
+    measure(&mut Tpcb::new(2, 42), |_| true).check("tpcb", (9, 348, 1), (7.01, 23.5, 2_400.0));
+    // TATP GetSubscriberData: one read, nothing logged.
+    measure(&mut Tatp::new(1_000, 42), |s| s.kind == "GetSubscriberData")
+        .check("tatp.read", (3, 0, 0), (1.0, 4.01, 504.0));
+    // YCSB update: one `Add` on a 2-column row; Begin 25 + Update 81 + Commit 25 B.
+    measure(&mut Ycsb::new(10_000, 0, 0.5, 1, 42), |_| true)
+        .check("ycsb.update", (3, 131, 1), (2.0, 9.01, 1_150.0));
+}
