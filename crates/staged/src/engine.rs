@@ -1,341 +1,392 @@
-//! The staged engine: operators as batch-processing services.
+//! The staged engine: operators as services that drain column packets.
 //!
-//! A plan compiles into a linear pipeline of [`Stage`]s (hash-join build
-//! sides are executed recursively up front, as in StagedDB where the build
-//! is its own service). Two drivers run the pipeline:
+//! A [`Packet`] holds at most `batch` rows as one `Vec<i64>` per column. A
+//! source fills a packet and pushes it through the plan's operator chain;
+//! each operator works through the whole packet in one tight loop over
+//! columns before the next one sees it, so a virtual call, and an operator's
+//! code and state, are paid per packet instead of per row, and every buffer
+//! is owned by its operator and reused: a query allocates per operator and
+//! per result row, never per input row. `Filter` compacts its input in place,
+//! `Project` copies columns, the hash probe gathers matches column-wise;
+//! `Aggregate`, `Sort` and the join build are the blocking operators and emit
+//! on `finish`. Rows become [`Row`]s only in the final result.
 //!
-//! * [`execute_staged`] — single-threaded, batch-at-a-time: each stage
-//!   processes a whole packet before the next stage runs, which isolates the
-//!   locality/dispatch-amortization benefit of staging.
-//! * [`execute_staged_parallel`] — one worker thread per stage, connected by
-//!   bounded packet queues: the service-oriented deployment that also
+//! A stored table is decoded a heap page at a time, straight from the page
+//! bytes into columns, and only the columns something above the scan reads
+//! (`needs` in [`compile`]). The page is pinned and latched inside
+//! `Table::scan_page_into` and nowhere else: **no operator runs under a page
+//! latch or pin**, so an OLTP writer never waits for an analytics operator.
+//!
+//! Two drivers run the same operators over the same packets:
+//!
+//! * [`execute_staged`] — one thread: a packet goes down the whole chain
+//!   before the source fills the next, which isolates the locality and
+//!   dispatch-amortization benefit of staging.
+//! * [`execute_staged_parallel`] — one worker thread per operator, connected
+//!   by bounded packet queues: the service-oriented deployment that also
 //!   exploits pipeline parallelism across cores.
 
-use crate::plan::{AggFunc, CmpOp, PlanNode, Row};
-use crossbeam::channel::bounded;
+use crate::plan::{index_scan_rows, AggFunc, CmpOp, PlanNode, Row};
+use esdb_storage::Table;
 use std::collections::HashMap;
+use std::sync::mpsc::sync_channel;
+use std::sync::Arc;
 
 /// Default packet size (rows per batch).
 pub const DEFAULT_BATCH: usize = 256;
 
-/// A batch-processing operator service.
-pub trait Stage: Send {
-    /// Consumes one input packet, appending output rows to `out`.
-    fn process(&mut self, batch: Vec<Row>, out: &mut Vec<Row>);
-    /// Input exhausted: emit any buffered results (blocking operators).
-    fn finish(&mut self, out: &mut Vec<Row>);
-    /// Stage name for diagnostics.
-    fn name(&self) -> &'static str;
+/// `len` rows, column-wise. A scan leaves a column nothing downstream reads
+/// empty; every other column holds exactly `len` values.
+#[derive(Default)]
+struct Packet {
+    cols: Vec<Vec<i64>>,
+    len: usize,
 }
 
-struct FilterStage {
+impl Packet {
+    /// Empties the packet and gives it `arity` columns, keeping its buffers.
+    fn reset(&mut self, arity: usize) {
+        self.cols.resize_with(arity, Vec::new);
+        self.cols.iter_mut().for_each(Vec::clear);
+        self.len = 0;
+    }
+
+    /// Appends the `n` rows of `from` that start at row `at`.
+    fn append(&mut self, from: &Packet, at: usize, n: usize) {
+        self.cols.resize_with(from.cols.len(), Vec::new);
+        for (to, from) in self.cols.iter_mut().zip(&from.cols).filter(|(_, from)| !from.is_empty()) {
+            to.extend_from_slice(&from[at..at + n]);
+        }
+        self.len += n;
+    }
+
+    /// Fills the columns from `at` on with `rows` of `from`.
+    fn gather(&mut self, at: usize, from: &[Vec<i64>], rows: impl ExactSizeIterator<Item = usize> + Clone) {
+        for (to, from) in self.cols[at..].iter_mut().zip(from) {
+            to.extend(rows.clone().map(|r| from[r]));
+        }
+        self.len = rows.len();
+    }
+
+    fn rows(&self) -> impl Iterator<Item = Row> + '_ {
+        (0..self.len).map(|r| self.cols.iter().map(|col| col[r]).collect())
+    }
+}
+
+/// Where an operator or a source hands a finished packet on. The receiver may
+/// change the packet or take its buffers: `reset` it before refilling.
+type Emit<'a> = &'a mut dyn FnMut(&mut Packet);
+
+enum Source {
+    /// A stored table and the fields of `[key, col0, ..]` to decode.
+    Scan { table: Arc<Table>, fields: Vec<usize> },
+    /// Literal rows: `Values`, an index scan's fetch, a blocking operator's output.
+    Rows(Arc<Vec<Row>>),
+}
+
+impl Source {
+    /// Emits everything, `batch` rows at a time.
+    fn run(self, batch: usize, emit: Emit) {
+        let mut out = Packet::default();
+        match self {
+            Source::Scan { table, fields } => {
+                let arity = table.schema().arity + 1;
+                let (mut cursor, mut page) = (table.scan_cursor(), Packet::default());
+                out.reset(arity);
+                page.reset(arity);
+                while let Some(rows) = table.scan_page_into(&mut cursor, &fields, &mut page.cols).expect("scan") {
+                    // The page is unpinned and unlatched again: operators may run.
+                    let mut at = 0;
+                    while at < rows {
+                        let n = (batch - out.len).min(rows - at);
+                        out.append(&page, at, n);
+                        at += n;
+                        if out.len == batch {
+                            emit(&mut out);
+                            out.reset(arity);
+                        }
+                    }
+                    page.reset(arity);
+                }
+                if out.len > 0 {
+                    emit(&mut out);
+                }
+            }
+            Source::Rows(rows) => {
+                let arity = rows.first().map_or(0, Vec::len);
+                for chunk in rows.chunks(batch) {
+                    out.reset(arity);
+                    for row in chunk {
+                        assert_eq!(row.len(), arity, "literal rows share one arity");
+                        out.cols.iter_mut().zip(row).for_each(|(col, &v)| col.push(v));
+                    }
+                    out.len = chunk.len();
+                    emit(&mut out);
+                }
+            }
+        }
+    }
+}
+
+/// A packet-processing operator service.
+trait Operator: Send {
+    /// Consumes one input packet, emitting any output packets it completes.
+    fn push(&mut self, input: &mut Packet, emit: Emit);
+    /// Input exhausted: emit what a blocking operator buffered.
+    fn finish(&mut self, _emit: Emit) {}
+}
+
+struct Filter {
     col: usize,
     op: CmpOp,
     value: i64,
+    keep: Vec<usize>,
 }
 
-impl Stage for FilterStage {
-    fn process(&mut self, batch: Vec<Row>, out: &mut Vec<Row>) {
-        for row in batch {
-            if self.op.eval(row[self.col], self.value) {
-                out.push(row);
+impl Operator for Filter {
+    fn push(&mut self, input: &mut Packet, emit: Emit) {
+        let (op, value) = (self.op, self.value);
+        let tested = input.cols[self.col].iter().enumerate();
+        self.keep.clear();
+        self.keep.extend(tested.filter(|(_, &v)| op.eval(v, value)).map(|(r, _)| r));
+        for col in input.cols.iter_mut().filter(|col| !col.is_empty()) {
+            for (to, &from) in self.keep.iter().enumerate() {
+                col[to] = col[from];
             }
+            col.truncate(self.keep.len());
+        }
+        input.len = self.keep.len();
+        if input.len > 0 {
+            emit(input);
         }
     }
-    fn finish(&mut self, _out: &mut Vec<Row>) {}
-    fn name(&self) -> &'static str {
-        "filter"
-    }
 }
 
-struct ProjectStage {
+struct Project {
     cols: Vec<usize>,
+    out: Packet,
 }
 
-impl Stage for ProjectStage {
-    fn process(&mut self, batch: Vec<Row>, out: &mut Vec<Row>) {
-        for row in batch {
-            out.push(self.cols.iter().map(|&c| row[c]).collect());
+impl Operator for Project {
+    fn push(&mut self, input: &mut Packet, emit: Emit) {
+        self.out.reset(self.cols.len());
+        for (to, &from) in self.out.cols.iter_mut().zip(&self.cols) {
+            to.extend_from_slice(&input.cols[from]);
         }
-    }
-    fn finish(&mut self, _out: &mut Vec<Row>) {}
-    fn name(&self) -> &'static str {
-        "project"
+        self.out.len = input.len;
+        emit(&mut self.out);
     }
 }
 
-struct ProbeStage {
-    built: HashMap<i64, Vec<Row>>,
+/// Hash-join probe over a build side held column-wise: `head[key]` is the
+/// first build row with that key, `next[row]` the next one after `row`.
+struct Probe {
+    built: Packet,
+    head: HashMap<i64, usize>,
+    next: Vec<Option<usize>>,
     right_col: usize,
+    batch: usize,
+    /// Matched (build row, probe row) pairs not yet emitted.
+    pairs: Vec<(usize, usize)>,
+    out: Packet,
 }
 
-impl Stage for ProbeStage {
-    fn process(&mut self, batch: Vec<Row>, out: &mut Vec<Row>) {
-        for probe in batch {
-            if let Some(matches) = self.built.get(&probe[self.right_col]) {
-                for l in matches {
-                    let mut row = l.clone();
-                    row.extend_from_slice(&probe);
-                    out.push(row);
+impl Probe {
+    /// The build service: runs the left pipeline to completion.
+    fn build(left: &PlanNode, left_col: usize, right_col: usize, batch: usize) -> Probe {
+        let mut built = Packet::default();
+        run_inline(compile(left, None, batch), batch, &mut |p| built.append(p, 0, p.len));
+        let (mut head, mut next) = (HashMap::new(), vec![None; built.len]);
+        for row in (0..built.len).rev() {
+            next[row] = head.insert(built.cols[left_col][row], row);
+        }
+        Probe { built, head, next, right_col, batch, pairs: Vec::new(), out: Packet::default() }
+    }
+
+    fn flush(&mut self, input: &Packet, emit: Emit) {
+        let left_arity = self.built.cols.len();
+        self.out.reset(left_arity + input.cols.len());
+        self.out.gather(0, &self.built.cols, self.pairs.iter().map(|pair| pair.0));
+        self.out.gather(left_arity, &input.cols, self.pairs.iter().map(|pair| pair.1));
+        self.pairs.clear();
+        emit(&mut self.out);
+    }
+}
+
+impl Operator for Probe {
+    fn push(&mut self, input: &mut Packet, emit: Emit) {
+        for row in 0..input.len {
+            let mut matched = self.head.get(&input.cols[self.right_col][row]).copied();
+            while let Some(left) = matched {
+                self.pairs.push((left, row));
+                if self.pairs.len() == self.batch {
+                    self.flush(input, emit);
                 }
+                matched = self.next[left];
             }
         }
-    }
-    fn finish(&mut self, _out: &mut Vec<Row>) {}
-    fn name(&self) -> &'static str {
-        "hash-probe"
+        if !self.pairs.is_empty() {
+            self.flush(input, emit);
+        }
     }
 }
 
-struct AggregateStage {
+struct Aggregate {
     group_col: Option<usize>,
     agg_col: usize,
     func: AggFunc,
+    batch: usize,
     groups: HashMap<i64, i64>,
     single: Option<i64>,
-    saw_any: bool,
 }
 
-impl Stage for AggregateStage {
-    fn process(&mut self, batch: Vec<Row>, _out: &mut Vec<Row>) {
-        for row in batch {
-            self.saw_any = true;
-            match self.group_col {
-                Some(g) => {
-                    let acc = self.groups.get(&row[g]).copied();
-                    self.groups.insert(row[g], self.func.fold(acc, row[self.agg_col]));
+impl Operator for Aggregate {
+    fn push(&mut self, input: &mut Packet, _emit: Emit) {
+        let (func, values) = (self.func, &input.cols[self.agg_col]);
+        match self.group_col {
+            Some(g) => {
+                for (&group, &v) in input.cols[g].iter().zip(values) {
+                    let acc = self.groups.entry(group);
+                    acc.and_modify(|acc| *acc = func.fold(Some(*acc), v)).or_insert_with(|| func.fold(None, v));
                 }
-                None => self.single = Some(self.func.fold(self.single, row[self.agg_col])),
             }
+            None => self.single = values.iter().fold(self.single, |acc, &v| Some(func.fold(acc, v))),
         }
     }
 
-    fn finish(&mut self, out: &mut Vec<Row>) {
-        let mut rows: Vec<Row> = match self.group_col {
-            Some(_) => std::mem::take(&mut self.groups)
-                .into_iter()
-                .map(|(g, v)| vec![g, v])
-                .collect(),
-            None => {
-                if self.saw_any {
-                    vec![vec![self.single.unwrap()]]
-                } else {
-                    Vec::new()
-                }
-            }
-        };
-        rows.sort();
-        out.extend(rows);
-    }
-
-    fn name(&self) -> &'static str {
-        "aggregate"
+    fn finish(&mut self, emit: Emit) {
+        // Whichever accumulator the plan used is the one that holds anything.
+        let groups = self.groups.drain().map(|(g, v)| vec![g, v]);
+        let mut rows: Vec<Row> = groups.chain(self.single.take().map(|v| vec![v])).collect();
+        rows.sort(); // deterministic output order
+        Source::Rows(Arc::new(rows)).run(self.batch, emit);
     }
 }
 
-struct SortStage {
+struct Sort {
     col: usize,
-    buffer: Vec<Row>,
+    batch: usize,
+    buffer: Packet,
+    out: Packet,
 }
 
-impl Stage for SortStage {
-    fn process(&mut self, batch: Vec<Row>, _out: &mut Vec<Row>) {
-        self.buffer.extend(batch);
+impl Operator for Sort {
+    fn push(&mut self, input: &mut Packet, _emit: Emit) {
+        self.buffer.append(input, 0, input.len);
     }
 
-    fn finish(&mut self, out: &mut Vec<Row>) {
-        let col = self.col;
-        self.buffer
-            .sort_by(|a, b| a[col].cmp(&b[col]).then_with(|| a.cmp(b)));
-        out.append(&mut self.buffer);
-    }
-
-    fn name(&self) -> &'static str {
-        "sort"
-    }
-}
-
-/// A compiled pipeline: a source plus the stage chain above it.
-struct Pipeline {
-    source: Vec<Row>,
-    stages: Vec<Box<dyn Stage>>,
-}
-
-/// Recursively compiles `plan` into a pipeline. Build sides of joins run
-/// eagerly (each is its own staged pipeline), mirroring StagedDB services.
-fn compile(plan: &PlanNode, batch: usize) -> Pipeline {
-    match plan {
-        PlanNode::Scan(table) => {
-            let mut rows = Vec::new();
-            table
-                .scan(|key, row| {
-                    let mut r = Vec::with_capacity(row.len() + 1);
-                    r.push(key as i64);
-                    r.extend_from_slice(row);
-                    rows.push(r);
-                })
-                .expect("scan");
-            Pipeline {
-                source: rows,
-                stages: Vec::new(),
-            }
+    fn finish(&mut self, emit: Emit) {
+        let cols = &self.buffer.cols;
+        let row = |r: usize| cols.iter().map(move |col| col[r]);
+        let mut order: Vec<usize> = (0..self.buffer.len).collect();
+        order.sort_by(|&a, &b| cols[self.col][a].cmp(&cols[self.col][b]).then_with(|| row(a).cmp(row(b))));
+        for chunk in order.chunks(self.batch) {
+            self.out.reset(cols.len());
+            self.out.gather(0, cols, chunk.iter().copied());
+            emit(&mut self.out);
         }
-        PlanNode::IndexScan { table, index, lo, hi } => Pipeline {
-            source: crate::plan::index_scan_rows(table, *index, *lo, *hi),
-            stages: Vec::new(),
-        },
-        PlanNode::Values(rows) => Pipeline {
-            source: rows.as_ref().clone(),
-            stages: Vec::new(),
-        },
-        PlanNode::Filter {
-            input,
-            col,
-            op,
-            value,
-        } => {
-            let mut p = compile(input, batch);
-            p.stages.push(Box::new(FilterStage {
-                col: *col,
-                op: *op,
-                value: *value,
-            }));
-            p
+    }
+}
+
+/// A compiled plan: a source and the operator chain above it, first to last.
+type Pipeline = (Source, Vec<Box<dyn Operator>>);
+
+/// Compiles `plan`, passing down which of its output columns anything above
+/// reads (`needs`; `None` = all of them) so that a scan decodes only those.
+/// Build sides of joins run eagerly, mirroring StagedDB's build service.
+fn compile(plan: &PlanNode, needs: Option<Vec<usize>>, batch: usize) -> Pipeline {
+    let source = |source| (source, Vec::new());
+    let (input, needs, op): (_, _, Box<dyn Operator>) = match plan {
+        PlanNode::Scan(table) => {
+            let read = |f: &usize| needs.as_ref().is_none_or(|needs| needs.contains(f));
+            let fields = (0..=table.schema().arity).filter(read).collect();
+            return source(Source::Scan { table: table.clone(), fields });
+        }
+        PlanNode::IndexScan { table, index, lo, hi } => {
+            return source(Source::Rows(Arc::new(index_scan_rows(table, *index, *lo, *hi))));
+        }
+        PlanNode::Values(rows) => return source(Source::Rows(rows.clone())),
+        PlanNode::Filter { input, col, op, value } => {
+            let filter = Filter { col: *col, op: *op, value: *value, keep: Vec::new() };
+            (input, needs.map(|needs| [needs, vec![*col]].concat()), Box::new(filter))
         }
         PlanNode::Project { input, cols } => {
-            let mut p = compile(input, batch);
-            p.stages.push(Box::new(ProjectStage { cols: cols.clone() }));
-            p
+            let read = match needs {
+                Some(needs) => needs.iter().filter_map(|&c| cols.get(c).copied()).collect(),
+                None => cols.clone(),
+            };
+            (input, Some(read), Box::new(Project { cols: cols.clone(), out: Packet::default() }))
         }
-        PlanNode::HashJoin {
-            left,
-            right,
-            left_col,
-            right_col,
-        } => {
-            // Build service: run the left pipeline to completion.
-            let left_rows = run_single(compile(left, batch), batch);
-            let mut built: HashMap<i64, Vec<Row>> = HashMap::new();
-            for row in left_rows {
-                built.entry(row[*left_col]).or_default().push(row);
-            }
-            let mut p = compile(right, batch);
-            p.stages.push(Box::new(ProbeStage {
-                built,
-                right_col: *right_col,
-            }));
-            p
+        PlanNode::HashJoin { left, right, left_col, right_col } => {
+            (right, None, Box::new(Probe::build(left, *left_col, *right_col, batch)))
         }
-        PlanNode::Aggregate {
-            input,
-            group_col,
-            agg_col,
-            func,
-        } => {
-            let mut p = compile(input, batch);
-            p.stages.push(Box::new(AggregateStage {
-                group_col: *group_col,
-                agg_col: *agg_col,
-                func: *func,
-                groups: HashMap::new(),
-                single: None,
-                saw_any: false,
-            }));
-            p
+        PlanNode::Aggregate { input, group_col, agg_col, func } => {
+            let read = group_col.iter().chain([agg_col]).copied().collect();
+            let (group_col, agg_col, func) = (*group_col, *agg_col, *func);
+            (input, Some(read), Box::new(Aggregate { group_col, agg_col, func, batch, groups: HashMap::new(), single: None }))
         }
         PlanNode::Sort { input, col } => {
-            let mut p = compile(input, batch);
-            p.stages.push(Box::new(SortStage {
-                col: *col,
-                buffer: Vec::new(),
-            }));
-            p
+            (input, None, Box::new(Sort { col: *col, batch, buffer: Packet::default(), out: Packet::default() }))
         }
+    };
+    let (source, mut ops) = compile(input, needs, batch);
+    ops.push(op);
+    (source, ops)
+}
+
+/// Sends `packet` down `ops`; what comes out of the last one goes to `sink`.
+fn push(ops: &mut [Box<dyn Operator>], packet: &mut Packet, sink: Emit) {
+    match ops.split_first_mut() {
+        Some((op, rest)) => op.push(packet, &mut |p| push(rest, p, sink)),
+        None => sink(packet),
     }
 }
 
-/// Single-threaded batched driver.
-fn run_single(mut pipeline: Pipeline, batch: usize) -> Vec<Row> {
-    let mut current = pipeline.source;
-    for stage in pipeline.stages.iter_mut() {
-        let mut next = Vec::with_capacity(current.len());
-        let mut iter = current.into_iter();
-        loop {
-            let chunk: Vec<Row> = iter.by_ref().take(batch).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            stage.process(chunk, &mut next);
-        }
-        stage.finish(&mut next);
-        current = next;
+/// Tells `ops` their input is exhausted, first to last.
+fn finish(ops: &mut [Box<dyn Operator>], sink: Emit) {
+    if let Some((op, rest)) = ops.split_first_mut() {
+        op.finish(&mut |p| push(rest, p, sink));
+        finish(rest, sink);
     }
-    current
 }
 
-/// Executes `plan` with the staged engine, batch-at-a-time on one thread.
+/// The inline driver: each packet goes down the whole chain on this thread.
+fn run_inline((source, mut ops): Pipeline, batch: usize, sink: Emit) {
+    source.run(batch, &mut |p| push(&mut ops, p, sink));
+    finish(&mut ops, sink);
+}
+
+/// Executes `plan` with the staged engine, packet-at-a-time on one thread.
 pub fn execute_staged(plan: &PlanNode, batch: usize) -> Vec<Row> {
-    run_single(compile(plan, batch.max(1)), batch.max(1))
+    let (batch, mut result) = (batch.max(1), Vec::new());
+    run_inline(compile(plan, None, batch), batch, &mut |p| result.extend(p.rows()));
+    result
 }
 
-/// Executes `plan` with one worker thread per stage, connected by bounded
+/// Executes `plan` with one worker thread per operator, connected by bounded
 /// packet queues (the service deployment of StagedDB).
 pub fn execute_staged_parallel(plan: &PlanNode, batch: usize) -> Vec<Row> {
     let batch = batch.max(1);
-    let pipeline = compile(plan, batch);
-    if pipeline.stages.is_empty() {
-        return pipeline.source;
-    }
+    let (source, ops) = compile(plan, None, batch);
+    // A worker whose consumer died has nobody to send to; the scope re-raises
+    // the consumer's panic once every worker has returned.
     std::thread::scope(|scope| {
-        // Source feeder.
-        let (src_tx, mut rx) = bounded::<Vec<Row>>(4);
-        let source = pipeline.source;
-        scope.spawn(move || {
-            let mut iter = source.into_iter();
-            loop {
-                let chunk: Vec<Row> = iter.by_ref().take(batch).collect();
-                if chunk.is_empty() {
-                    break;
+        let (tx, mut rx) = sync_channel::<Packet>(4);
+        scope.spawn(move || source.run(batch, &mut |p| drop(tx.send(std::mem::take(p)))));
+        for mut op in ops {
+            let (tx, next_rx) = sync_channel(4);
+            let my_rx = std::mem::replace(&mut rx, next_rx);
+            scope.spawn(move || {
+                let emit: Emit = &mut |p| drop(tx.send(std::mem::take(p)));
+                for mut packet in my_rx {
+                    op.push(&mut packet, emit);
                 }
-                if src_tx.send(chunk).is_err() {
-                    break;
-                }
-            }
-        });
-        // One service per stage.
-        let mut handles = Vec::new();
-        for mut stage in pipeline.stages {
-            let (tx, next_rx) = bounded::<Vec<Row>>(4);
-            let my_rx = rx;
-            handles.push(scope.spawn(move || {
-                let mut out = Vec::new();
-                while let Ok(packet) = my_rx.recv() {
-                    stage.process(packet, &mut out);
-                    // Forward in packet-sized chunks.
-                    while out.len() >= batch {
-                        let rest = out.split_off(batch);
-                        let packet = std::mem::replace(&mut out, rest);
-                        if tx.send(packet).is_err() {
-                            return;
-                        }
-                    }
-                }
-                stage.finish(&mut out);
-                for chunk in out.chunks(batch.max(1)) {
-                    if tx.send(chunk.to_vec()).is_err() {
-                        return;
-                    }
-                }
-            }));
-            rx = next_rx;
+                op.finish(emit);
+            });
         }
-        // Sink.
         let mut result = Vec::new();
-        while let Ok(packet) = rx.recv() {
-            result.extend(packet);
-        }
-        for h in handles {
-            h.join().expect("stage worker");
+        for packet in rx {
+            result.extend(packet.rows());
         }
         result
     })
@@ -410,5 +461,53 @@ mod tests {
             execute_staged_parallel(&plan, 2),
             vec![vec![1], vec![5], vec![9]]
         );
+    }
+
+    fn stored(rows: u64) -> Arc<Table> {
+        use esdb_storage::{buffer::BufferPool, disk::InMemoryDisk};
+        let pool = Arc::new(BufferPool::new(64, Arc::new(InMemoryDisk::new())));
+        let table = Arc::new(Table::create(0, "t", 3, pool));
+        for k in 0..rows {
+            table.insert(k, &[(k % 10) as i64, k as i64 * 2, -(k as i64)]).unwrap();
+        }
+        table
+    }
+
+    #[test]
+    fn a_scan_decodes_only_the_columns_the_plan_reads() {
+        let scan = || PlanNode::scan(stored(1));
+        let decoded = |plan: PlanNode| match compile(&plan, None, DEFAULT_BATCH).0 {
+            Source::Scan { fields, .. } => fields,
+            Source::Rows(_) => panic!("a stored-table plan scans"),
+        };
+        assert_eq!(decoded(scan()), [0, 1, 2, 3]);
+        assert_eq!(decoded(scan().aggregate(None, 2, AggFunc::Sum)), [2]);
+        assert_eq!(decoded(scan().filter(1, CmpOp::Lt, 10).aggregate(Some(1), 2, AggFunc::Sum).sort(0)), [1, 2]);
+        assert_eq!(decoded(scan().filter(1, CmpOp::Eq, 7).project(vec![0, 2]).sort(0)), [0, 1, 2]);
+        assert_eq!(decoded(scan().project(vec![3, 3, 0]).aggregate(Some(0), 1, AggFunc::Max)), [3]);
+        // A sort orders by the whole row and a join emits it: both read everything.
+        assert_eq!(decoded(scan().sort(1).project(vec![2])), [0, 1, 2, 3]);
+        assert_eq!(decoded(PlanNode::values(vec![]).hash_join(scan(), 0, 1).project(vec![0])), [0, 1, 2, 3]);
+    }
+
+    /// The latch rule. The sink below writes to a row of the page the packet
+    /// was just decoded from; the write latch it takes would wait forever for
+    /// the scan's own read latch if packets were pushed from under it.
+    #[test]
+    fn no_packet_is_pushed_under_a_page_latch() {
+        let table = stored(500);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut seen = 0;
+            let pipeline = compile(&PlanNode::scan(table.clone()).filter(0, CmpOp::Ge, 0), None, 16);
+            run_inline(pipeline, 16, &mut |packet| {
+                let last = packet.cols[0][packet.len - 1] as u64;
+                table.update(last, &[0, 0, 0]).expect("update under the scan");
+                seen += packet.len;
+            });
+            done_tx.send(seen).unwrap();
+        });
+        let seen = done_rx.recv_timeout(std::time::Duration::from_secs(30));
+        assert_eq!(seen, Ok(500), "the sink deadlocked against the scan's page latch");
     }
 }

@@ -52,13 +52,15 @@ pub enum AggFunc {
 }
 
 impl AggFunc {
-    /// Folds `value` into `acc` (`None` = empty accumulator).
+    /// Folds `value` into `acc` (`None` = empty accumulator). `Sum` and
+    /// `Count` wrap on overflow (two's complement) in every build: the
+    /// operands are client-written, so overflow is input, not a bug to trap.
     pub fn fold(self, acc: Option<i64>, value: i64) -> i64 {
         match (self, acc) {
             (AggFunc::Sum, None) => value,
-            (AggFunc::Sum, Some(a)) => a + value,
+            (AggFunc::Sum, Some(a)) => a.wrapping_add(value),
             (AggFunc::Count, None) => 1,
-            (AggFunc::Count, Some(a)) => a + 1,
+            (AggFunc::Count, Some(a)) => a.wrapping_add(1),
             (AggFunc::Min, None) => value,
             (AggFunc::Min, Some(a)) => a.min(value),
             (AggFunc::Max, None) => value,
@@ -243,6 +245,14 @@ impl PlanNode {
     }
 }
 
+/// The row a plan sees for a stored tuple: `[key, col0, col1, ...]`.
+pub(crate) fn keyed_row(key: u64, cols: &[i64]) -> Row {
+    let mut row = Vec::with_capacity(cols.len() + 1);
+    row.push(key as i64);
+    row.extend_from_slice(cols);
+    row
+}
+
 /// Materializes an [`PlanNode::IndexScan`]'s rows — shared by both engines
 /// so index-assisted scans are bit-identical across Volcano and staged
 /// execution. Rows come back as `[key, col0, ...]` in primary-key order,
@@ -271,14 +281,7 @@ pub(crate) fn index_scan_rows(
     match pks {
         Some(pks) => pks
             .into_iter()
-            .filter_map(|pk| {
-                table.get(pk).ok().map(|cols| {
-                    let mut r = Vec::with_capacity(cols.len() + 1);
-                    r.push(pk as i64);
-                    r.extend_from_slice(&cols);
-                    r
-                })
-            })
+            .filter_map(|pk| table.get(pk).ok().map(|cols| keyed_row(pk, &cols)))
             .collect(),
         None => {
             // Degrade to a correct (if slower) filtered full scan over the
@@ -288,10 +291,7 @@ pub(crate) fn index_scan_rows(
             table
                 .scan(|key, cols| {
                     if cols.get(col).is_some_and(|v| (lo..=hi).contains(v)) {
-                        let mut r = Vec::with_capacity(cols.len() + 1);
-                        r.push(key as i64);
-                        r.extend_from_slice(cols);
-                        rows.push(r);
+                        rows.push(keyed_row(key, cols));
                     }
                 })
                 .expect("scan");

@@ -4,7 +4,7 @@
 //! interleaves all operators' code per query — the instruction-cache-hostile
 //! design whose CMP behaviour motivated StagedDB.
 
-use crate::plan::{PlanNode, Row};
+use crate::plan::{keyed_row, PlanNode, Row};
 use std::collections::HashMap;
 
 /// A pull iterator over rows.
@@ -91,17 +91,11 @@ impl RowIter for DrainIter {
 fn compile(plan: &PlanNode) -> Box<dyn RowIter> {
     match plan {
         PlanNode::Scan(table) => {
-            // Materialize the scan; the Volcano overhead under study is the
-            // per-row dispatch above the scan, identical for both engines.
+            // Materialize the scan as rows: the baseline pays an allocation
+            // and a virtual call per row from here up, which is the overhead
+            // under study (the staged engine decodes pages into columns).
             let mut rows = Vec::new();
-            table
-                .scan(|key, row| {
-                    let mut r = Vec::with_capacity(row.len() + 1);
-                    r.push(key as i64);
-                    r.extend_from_slice(row);
-                    rows.push(r);
-                })
-                .expect("scan");
+            table.scan(|key, cols| rows.push(keyed_row(key, cols))).expect("scan");
             Box::new(ValuesIter {
                 rows: rows.into_iter(),
             })

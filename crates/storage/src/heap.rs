@@ -17,13 +17,14 @@
 //! take a page latch, so the nesting cannot cycle.
 
 use crate::buffer::BufferPool;
+use crate::page::Page;
 use crate::rid::{PageId, Rid};
 use crate::{Result, StorageError};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Monotone page-LSN stamp: never regresses an already-higher LSN.
-fn stamp(page: &mut crate::page::Page, lsn: u64) {
+fn stamp(page: &mut Page, lsn: u64) {
     if lsn > page.lsn() {
         page.set_lsn(lsn);
     }
@@ -220,16 +221,32 @@ impl HeapFile {
         Ok(applied)
     }
 
-    /// Full scan: invokes `f` for every live tuple. Pages are latched shared
-    /// one at a time, so the scan interleaves with concurrent updates.
+    /// Number of pages in the file right now.
+    pub(crate) fn page_count(&self) -> usize {
+        self.state.lock().pages.len()
+    }
+
+    /// Runs `f` on the `index`-th page of the file under one pin and one
+    /// shared latch, both released before this returns; `None` past the end.
+    pub(crate) fn read_page<R>(&self, index: usize, f: impl FnOnce(PageId, &Page) -> R) -> Result<Option<R>> {
+        let Some(page_id) = self.state.lock().pages.get(index).copied() else {
+            return Ok(None);
+        };
+        let pin = self.pool.pin(page_id)?;
+        let page = pin.read();
+        Ok(Some(f(page_id, &page)))
+    }
+
+    /// Full scan: invokes `f` for every live tuple of the pages the file has
+    /// when the scan starts. Pages are latched shared one at a time, so the
+    /// scan interleaves with concurrent updates.
     pub fn scan(&self, mut f: impl FnMut(Rid, &[u8])) -> Result<()> {
-        let pages = self.pages();
-        for page_id in pages {
-            let pin = self.pool.pin(page_id)?;
-            let page = pin.read();
-            for (slot, data) in page.live_slots() {
-                f(Rid::new(page_id, slot), data);
-            }
+        for index in 0..self.page_count() {
+            self.read_page(index, |page_id, page| {
+                for (slot, data) in page.live_slots() {
+                    f(Rid::new(page_id, slot), data);
+                }
+            })?;
         }
         Ok(())
     }

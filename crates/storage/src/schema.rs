@@ -116,22 +116,51 @@ pub fn encode_row(key: u64, row: &[i64]) -> Vec<u8> {
     out
 }
 
-/// Decodes a row produced by [`encode_row`]. Returns `(key, columns)`.
+/// A borrowed, validated view of one encoded row: the key and the columns
+/// are read straight from the page bytes, so a scan decodes into buffers it
+/// already owns instead of allocating a `Vec` per tuple.
 ///
 /// On-page rows are only ever written by [`encode_row`], so a slice that is
 /// shorter than a key or not a multiple of 8 bytes is corruption — reported
 /// as [`StorageError::CorruptRow`] rather than aborting the process, so a bad
 /// heap page degrades to a failed operation.
-pub fn decode_row(bytes: &[u8]) -> crate::Result<(u64, Vec<i64>)> {
-    if bytes.len() < 8 || !bytes.len().is_multiple_of(8) {
-        return Err(StorageError::CorruptRow { len: bytes.len() });
+#[derive(Debug, Clone, Copy)]
+pub struct RowRef<'a>(&'a [u8]);
+
+impl<'a> RowRef<'a> {
+    /// Validates `bytes` as an encoded row of however many columns it holds.
+    pub fn new(bytes: &'a [u8]) -> crate::Result<Self> {
+        if bytes.len() < 8 || !bytes.len().is_multiple_of(8) {
+            return Err(StorageError::CorruptRow { len: bytes.len() });
+        }
+        Ok(RowRef(bytes))
     }
-    let key = u64::from_le_bytes(bytes[0..8].try_into().expect("8-byte slice"));
-    let row = bytes[8..]
-        .chunks_exact(8)
-        .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect();
-    Ok((key, row))
+
+    /// Number of columns (the key excluded).
+    pub fn arity(self) -> usize {
+        self.0.len() / 8 - 1
+    }
+
+    /// Field `i` of the row read as `[key, col0, col1, ..]` — the shape a
+    /// query plan sees. Panics if `i > arity`.
+    pub fn field(self, i: usize) -> i64 {
+        i64::from_le_bytes(self.0[8 * i..8 * i + 8].try_into().expect("8-byte field"))
+    }
+
+    /// The primary key.
+    pub fn key(self) -> u64 {
+        self.field(0) as u64
+    }
+
+    /// The columns, in order.
+    pub fn cols(self) -> impl Iterator<Item = i64> + 'a {
+        self.0[8..].chunks_exact(8).map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+    }
+}
+
+/// Decodes a row produced by [`encode_row`] into owned `(key, columns)`.
+pub fn decode_row(bytes: &[u8]) -> crate::Result<(u64, Vec<i64>)> {
+    RowRef::new(bytes).map(|row| (row.key(), row.cols().collect()))
 }
 
 /// Decodes only the key of an encoded row.
@@ -156,6 +185,9 @@ mod tests {
         assert_eq!(key, 42);
         assert_eq!(decoded, row);
         assert_eq!(decode_key(&bytes).unwrap(), 42);
+        let view = RowRef::new(&bytes).unwrap();
+        assert_eq!((view.key(), view.arity()), (42, 4));
+        assert_eq!([view.field(0), view.field(1), view.field(4)], [42, 1, i64::MIN]);
     }
 
     #[test]

@@ -13,10 +13,18 @@ use crate::btree::BTree;
 use crate::buffer::BufferPool;
 use crate::heap::HeapFile;
 use crate::rid::Rid;
-use crate::schema::{decode_row, encode_row, IndexDef, IndexId, Schema, TableId};
+use crate::schema::{decode_row, encode_row, IndexDef, IndexId, RowRef, Schema, TableId};
 use crate::secondary::SecondaryIndex;
 use crate::{Result, StorageError};
 use std::sync::Arc;
+
+/// Position of a [`Table::scan_page_into`] scan: the next heap page to decode
+/// and the page count the table had when the scan started.
+#[derive(Debug)]
+pub struct ScanCursor {
+    next: usize,
+    end: usize,
+}
 
 /// A keyed table of fixed-arity `i64` rows.
 pub struct Table {
@@ -108,24 +116,11 @@ impl Table {
         for ix in &self.secondaries {
             ix.clear();
         }
-        let mut bad: Option<StorageError> = None;
-        self.heap.scan(|_rid, bytes| {
-            if bad.is_some() {
-                return;
+        self.scan(|key, row| {
+            for ix in &self.secondaries {
+                ix.insert_row(key, row);
             }
-            match decode_row(bytes) {
-                Ok((key, row)) => {
-                    for ix in &self.secondaries {
-                        ix.insert_row(key, &row);
-                    }
-                }
-                Err(e) => bad = Some(e),
-            }
-        })?;
-        match bad {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        })
     }
 
     /// This table's secondary indexes, in declaration order.
@@ -265,16 +260,22 @@ impl Table {
     }
 
     /// Full scan in heap (physical) order; faster than [`Table::range`] for
-    /// whole-table reads because it avoids index traversal per tuple. Stops
-    /// at the first corrupt row and reports it.
+    /// whole-table reads because it avoids index traversal per tuple. Every
+    /// row is decoded into one reused buffer. Stops at the first corrupt row
+    /// and reports it.
     pub fn scan(&self, mut f: impl FnMut(u64, &[i64])) -> Result<()> {
         let mut bad: Option<StorageError> = None;
+        let mut cols = Vec::with_capacity(self.schema.arity);
         self.heap.scan(|_rid, bytes| {
             if bad.is_some() {
                 return;
             }
-            match decode_row(bytes) {
-                Ok((key, row)) => f(key, &row),
+            match RowRef::new(bytes) {
+                Ok(row) => {
+                    cols.clear();
+                    cols.extend(row.cols());
+                    f(row.key(), &cols);
+                }
                 Err(e) => bad = Some(e),
             }
         })?;
@@ -282,6 +283,49 @@ impl Table {
             Some(e) => Err(e),
             None => Ok(()),
         }
+    }
+
+    /// Starts a page-at-a-time scan over the heap pages the table has now.
+    pub fn scan_cursor(&self) -> ScanCursor {
+        ScanCursor { next: 0, end: self.heap.page_count() }
+    }
+
+    /// Decodes the cursor's next heap page column-wise: for every live tuple
+    /// and every `f` in `fields`, field `f` of the row read as
+    /// `[key, col0, col1, ..]` is appended to `out[f]`; columns not listed
+    /// are left alone. Returns the number of rows decoded, `None` once the
+    /// cursor is exhausted.
+    ///
+    /// The page is pinned and latched shared only inside this call, so
+    /// whatever the caller does with the columns runs under neither. A tuple
+    /// whose width is not the schema's fails the call with
+    /// [`StorageError::CorruptRow`] (and leaves `out` partly filled).
+    pub fn scan_page_into(
+        &self,
+        cursor: &mut ScanCursor,
+        fields: &[usize],
+        out: &mut [Vec<i64>],
+    ) -> Result<Option<usize>> {
+        if cursor.next >= cursor.end {
+            return Ok(None);
+        }
+        assert!(fields.iter().all(|&f| f <= self.schema.arity), "scan of a field the schema lacks");
+        let decoded = self.heap.read_page(cursor.next, |_, page| {
+            let mut rows = 0;
+            for (_, bytes) in page.live_slots() {
+                let row = RowRef::new(bytes)?;
+                if row.arity() != self.schema.arity {
+                    return Err(StorageError::CorruptRow { len: bytes.len() });
+                }
+                for &f in fields {
+                    out[f].push(row.field(f));
+                }
+                rows += 1;
+            }
+            Ok(rows)
+        })?;
+        cursor.next += 1;
+        decoded.transpose()
     }
 
     /// Number of live rows.
@@ -372,6 +416,47 @@ mod tests {
         .unwrap();
         assert_eq!(n, 500);
         assert_eq!(sum, (0..500).sum());
+    }
+
+    #[test]
+    fn page_scan_fills_the_requested_columns_one_page_per_call() {
+        let t = table(2);
+        for k in 0..1_000u64 {
+            t.insert(k, &[k as i64 * 10, -(k as i64)]).unwrap();
+        }
+        for k in (0..1_000).step_by(3) {
+            t.delete(k).unwrap();
+        }
+        let mut out = vec![Vec::new(), vec![7], Vec::new()];
+        let (mut cursor, mut calls, mut rows) = (t.scan_cursor(), 0, 0);
+        while let Some(n) = t.scan_page_into(&mut cursor, &[0, 2], &mut out).unwrap() {
+            calls += 1;
+            rows += n;
+        }
+        assert_eq!(calls, t.heap().pages().len());
+        assert!(calls > 1, "the table spans pages");
+        assert_eq!(rows as u64, t.len());
+        let keys: Vec<i64> = (0..1_000).filter(|k| k % 3 != 0).collect();
+        assert_eq!(out[0], keys);
+        assert_eq!(out[1], [7], "a column not asked for is left alone");
+        assert_eq!(out[2], keys.iter().map(|k| -k).collect::<Vec<_>>());
+        assert_eq!(t.scan_page_into(&mut cursor, &[0], &mut out).unwrap(), None, "exhausted stays exhausted");
+    }
+
+    #[test]
+    fn page_scan_reports_a_short_or_ragged_tuple() {
+        for bad in [encode_row(1, &[5]), encode_row(1, &[5, 6])[..20].to_vec(), encode_row(1, &[5, 6, 7])] {
+            let t = table(2);
+            for k in 0..3u64 {
+                t.insert(k, &[1, 2]).unwrap();
+            }
+            t.heap().update(t.rid_of(1).unwrap(), &bad, |_| 0).unwrap();
+            let mut out = vec![Vec::new(); 3];
+            assert_eq!(
+                t.scan_page_into(&mut t.scan_cursor(), &[2], &mut out).unwrap_err(),
+                StorageError::CorruptRow { len: bad.len() }
+            );
+        }
     }
 
     #[test]

@@ -28,9 +28,14 @@ echo "== engine: the crates under every transaction (release) =="
 # Unit tests of the lock manager (HeldLocks cases included), transaction
 # manager, WAL (record_golden pins the log bytes; the CRC slice-by-8 vs
 # bytewise property; the durability-subscriber wake-up), storage (index and
-# heap properties, the same-key insert race), core and DORA — none of which
-# tier 1 compiles as tests.
-cargo test --release -q -p esdb-lock -p esdb-txn -p esdb-wal -p esdb-storage -p esdb-core -p esdb-dora
+# heap properties, the same-key insert race, the page-at-a-time column scan),
+# core, DORA and the staged executor (its unit tests and the stored-table
+# proptest; tier 1 reaches the crate only through tests/equivalence.rs) —
+# none of which tier 1 compiles as tests. The executor's other callers are
+# built so they cannot rot.
+cargo test --release -q -p esdb-lock -p esdb-txn -p esdb-wal -p esdb-storage -p esdb-core -p esdb-dora -p esdb-staged
+cargo build --release -q -p esdb-bench --bin fig5_staged --bench staged_vs_volcano
+cargo build --release -q --example staged_analytics --example quickstart
 
 echo "== net: whole esdb-net suite + golden wire bytes (release) =="
 # Unit tests, protocol_props (round-trip/totality properties generated from
