@@ -18,15 +18,10 @@
 //! instrumentation live on the host — with one CPU, thread preemption makes
 //! lock waits, not log-head queueing, the dominant measured class.
 //!
-//! Emits `BENCH_fig6.json` for the `bench_regress` snapshot pipeline:
-//! measured cells contribute `engine_tps` (recorded for trajectory, not in
-//! the default gate set — consolidated-log cells are bimodal under
-//! single-vCPU preemption, see tab1_engine) and `log_wait_share`; sim cells
-//! contribute `tpmc` (deterministic, gated) and `log_wait_share`. Env
-//! knobs: FIG6_THREADS / FIG6_CONTEXTS (comma lists), FIG6_TXNS (per
-//! thread), FIG6_REPS (best-of-N for the measured cells).
+//! Section 2's `tpmc` and `log_wait_share` are pinned cell for cell by the
+//! `fig6b_cells_are_pinned_exactly` test in `esdb-core::simbridge`, which
+//! builds each cell exactly as `sim_cell` below does.
 
-use esdb_bench::json::{write_bench_json, BenchRecord};
 use esdb_bench::{header, row};
 use esdb_core::config::LogChoice;
 use esdb_core::{
@@ -36,28 +31,20 @@ use esdb_obs::WaitProfile;
 use esdb_workload::Tpcb;
 use std::sync::Arc;
 
-fn env_list(name: &str, default: &[usize]) -> Vec<usize> {
-    std::env::var(name)
-        .map(|s| {
-            s.split(',')
-                .map(|d| d.trim().parse().unwrap_or_else(|_| panic!("{name}: integers")))
-                .collect()
-        })
-        .unwrap_or_else(|_| default.to_vec())
-}
+/// Worker threads of the measured section.
+const THREADS: [usize; 4] = [1, 2, 4, 8];
+/// Simulated contexts of the modeled section.
+const CONTEXTS: [usize; 6] = [2, 4, 8, 16, 32, 64];
+/// Transactions per worker thread in a measured cell.
+const TXNS: u64 = 300;
+/// Best-of-N repetitions of a measured cell.
+const REPS: usize = 3;
 
 fn pct(part: u64, whole: u64) -> String {
     if whole == 0 {
         return "-".into();
     }
     format!("{:.1}%", 100.0 * part as f64 / whole as f64)
-}
-
-fn share(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        return 0.0;
-    }
-    part as f64 / whole as f64
 }
 
 fn shares(b: &WaitProfile) -> Vec<String> {
@@ -72,19 +59,12 @@ fn shares(b: &WaitProfile) -> Vec<String> {
     ]
 }
 
-fn cell(
-    label: &str,
-    log: LogChoice,
-    threads: usize,
-    txns: u64,
-    reps: usize,
-    records: &mut Vec<BenchRecord>,
-) -> Vec<String> {
+fn cell(label: &str, log: LogChoice, threads: usize) -> Vec<String> {
     // Best-of-N over identical request streams: keep the rep least perturbed
     // by scheduler noise, and report its obs snapshot so the shares describe
     // the same run as the throughput.
     let mut best: Option<(esdb_core::WorkloadReport, _)> = None;
-    for _ in 0..reps.max(1) {
+    for _ in 0..REPS {
         let cfg = EngineConfig {
             execution: ExecutionModel::Conventional { lock_partitions: 16 },
             log,
@@ -98,27 +78,13 @@ fn cell(
         db.load_population(&w).expect("population load");
 
         esdb_obs::global().reset();
-        let report = db.run_workload(&mut w, threads, txns);
+        let report = db.run_workload(&mut w, threads, TXNS);
         let snap = db.obs_snapshot();
         if best.as_ref().map_or(true, |(b, _)| report.throughput() > b.throughput()) {
             best = Some((report, snap));
         }
     }
     let (report, snap) = best.expect("at least one rep");
-
-    let config = format!("measured log={label} threads={threads}");
-    records.push(BenchRecord {
-        config: config.clone(),
-        metric: "engine_tps".into(),
-        value: report.throughput(),
-        seed: 42,
-    });
-    records.push(BenchRecord {
-        config,
-        metric: "log_wait_share".into(),
-        value: share(snap.breakdown.log_wait, snap.breakdown.wall()),
-        seed: 42,
-    });
 
     let lat = &snap.txn_latency;
     let mut out = vec![
@@ -132,12 +98,7 @@ fn cell(
     out
 }
 
-fn sim_cell(
-    label: &str,
-    log: LogChoice,
-    contexts: usize,
-    records: &mut Vec<BenchRecord>,
-) -> Vec<String> {
+fn sim_cell(label: &str, log: LogChoice, contexts: usize) -> Vec<String> {
     // Partition execution away (DORA) so the log is the only shared
     // structure — the isolation the keynote's figure 6 argues from.
     let cfg = EngineConfig {
@@ -149,20 +110,6 @@ fn sim_cell(
     let mut w = Tpcb::new(1024, 11);
     let r = run_sim_workload(&mut w, &cfg, &SimRunConfig::at_contexts(contexts));
     let profile = sim_wait_profile(&r);
-
-    let config = format!("sim log={label} contexts={contexts}");
-    records.push(BenchRecord {
-        config: config.clone(),
-        metric: "tpmc".into(),
-        value: r.tpmc(),
-        seed: 11,
-    });
-    records.push(BenchRecord {
-        config,
-        metric: "log_wait_share".into(),
-        value: share(profile.log_wait, profile.wall()),
-        seed: 11,
-    });
 
     let mut out = vec![
         label.to_string(),
@@ -178,15 +125,6 @@ fn main() {
         eprintln!("fig6: built with obs_disabled — no breakdown to report");
         return;
     }
-    let thread_sweep = env_list("FIG6_THREADS", &[1, 2, 4, 8]);
-    let context_sweep = env_list("FIG6_CONTEXTS", &[2, 4, 8, 16, 32, 64]);
-    let txns: u64 = std::env::var("FIG6_TXNS")
-        .map(|s| s.parse().expect("FIG6_TXNS: integer"))
-        .unwrap_or(300);
-    let reps: usize = std::env::var("FIG6_REPS")
-        .map(|s| s.parse().expect("FIG6_REPS: integer"))
-        .unwrap_or(3);
-    let mut records = Vec::new();
     header(
         "fig6a",
         "measured wait breakdown vs threads (TPC-B, conventional engine, % of accounted wall)",
@@ -195,12 +133,12 @@ fn main() {
             "p50us", "p99us",
         ],
     );
-    for &threads in &thread_sweep {
-        row(&cell("serial", LogChoice::Serial, threads, txns, reps, &mut records));
+    for threads in THREADS {
+        row(&cell("serial", LogChoice::Serial, threads));
     }
     println!();
-    for &threads in &thread_sweep {
-        row(&cell("consolidated", LogChoice::Consolidated, threads, txns, reps, &mut records));
+    for threads in THREADS {
+        row(&cell("consolidated", LogChoice::Consolidated, threads));
     }
 
     println!();
@@ -209,15 +147,13 @@ fn main() {
         "modeled wait breakdown vs contexts (TPC-B on CMP sim, DORA-64, % of accounted cycles)",
         &["log", "contexts", "tpmc", "useful", "lock", "latch", "log_wait", "flush", "io"],
     );
-    for &contexts in &context_sweep {
-        row(&sim_cell("serial", LogChoice::Serial, contexts, &mut records));
+    for contexts in CONTEXTS {
+        row(&sim_cell("serial", LogChoice::Serial, contexts));
     }
     println!();
-    for &contexts in &context_sweep {
-        row(&sim_cell("consolidated", LogChoice::Consolidated, contexts, &mut records));
+    for contexts in CONTEXTS {
+        row(&sim_cell("consolidated", LogChoice::Consolidated, contexts));
     }
-    let path = write_bench_json("fig6", &records).expect("write BENCH_fig6.json");
-    println!("\nwrote {}", path.display());
     println!(
         "\nexpected shape (keynote fig. 6, asserted by the claim6 test in\n\
          esdb-core::simbridge): the serial log_wait share grows with contexts as\n\

@@ -15,14 +15,14 @@
 //!
 //! Headline cells:
 //!
-//! * `degradation_ratio` = pinned primary tps / baseline primary tps — the
+//! * `degradation(pin)` = pinned primary tps / baseline primary tps — the
 //!   paper's embarrassing-scalability claim applied to HTAP: a pinned
 //!   analytical cut on a follower must not tax the primary's commit path
-//!   (target ~1.0). The busy-OLAP ratio is also recorded (`olap_ratio`) but
-//!   not gated: on a single-vCPU host it mostly prices time-sharing between
-//!   the OLAP client and the primary, not engine coupling;
-//! * `index_fullscan_match` = 1.0 iff every index-assisted query returned
-//!   exactly the rows its full-scan twin did — on every probe, mid-stream;
+//!   (target ~1.0). `degradation(olap)` is the busy-OLAP ratio: on a
+//!   single-vCPU host it mostly prices time-sharing between the OLAP client
+//!   and the primary, not engine coupling;
+//! * `ix=scan` — every index-assisted query returned exactly the rows its
+//!   full-scan twin did, on every probe, mid-stream (asserted in every rep);
 //! * OLAP freshness lag (`primary durable LSN − follower watermark`, bytes),
 //!   sampled at each query — how stale the follower's consistent cuts run;
 //! * a read-your-writes probe: after the last commit, a `Query` pinned at
@@ -32,7 +32,6 @@
 //! Env knobs (CI smoke): TABH_WRITERS, TABH_WRITES (total), TABH_REPS
 //! (best-of-N on primary tps; the match/RYW cells must hold in every rep).
 
-use esdb_bench::json::{write_bench_json, BenchRecord};
 use esdb_bench::{header, row};
 use esdb_core::{Database, EngineConfig};
 use esdb_net::{Client, ReconnectPolicy, Server, ServerConfig, WirePlan};
@@ -331,66 +330,6 @@ fn main() {
     row(&["degradation(pin)".into(), format!("{degradation_ratio:.3}"), "".into(), "".into(), "".into(), "".into(), "".into()]);
     row(&["degradation(olap)".into(), format!("{olap_ratio:.3}"), "".into(), "".into(), "".into(), "".into(), "".into()]);
 
-    let records = vec![
-        BenchRecord {
-            config: "baseline".into(),
-            metric: "primary_tps".into(),
-            value: base.primary_tps,
-            seed: 42,
-        },
-        BenchRecord {
-            config: "pinned".into(),
-            metric: "primary_tps".into(),
-            value: pinned.primary_tps,
-            seed: 42,
-        },
-        BenchRecord {
-            config: "htap".into(),
-            metric: "primary_tps".into(),
-            value: htap.primary_tps,
-            seed: 42,
-        },
-        BenchRecord {
-            config: "htap".into(),
-            metric: "olap_ratio".into(),
-            value: olap_ratio,
-            seed: 42,
-        },
-        BenchRecord {
-            config: "htap".into(),
-            metric: "olap_qps".into(),
-            value: htap.olap_qps,
-            seed: 42,
-        },
-        BenchRecord {
-            config: "htap".into(),
-            metric: "freshness_p99_bytes".into(),
-            value: htap.freshness_p99 as f64,
-            seed: 42,
-        },
-        // Gated cells: a pinned analytical cut must not slow the primary
-        // down (zero-CPU pin isolates coupling from time-sharing), and
-        // index-assisted answers must equal their full-scan twins
-        // (1.0 = every probe matched; any divergence => 0). The ratio is
-        // clamped at 1.0 before recording: a pinned run beating baseline is
-        // pure scheduler noise on a time-shared host, and committing a >1.0
-        // baseline would make the regression band flaky for honest ~1.0 runs.
-        BenchRecord {
-            config: "pinned".into(),
-            metric: "degradation_ratio".into(),
-            value: degradation_ratio.min(1.0),
-            seed: 42,
-        },
-        BenchRecord {
-            config: "htap".into(),
-            metric: "index_fullscan_match".into(),
-            value: if htap.index_match && base.index_match { 1.0 } else { 0.0 },
-            seed: 42,
-        },
-    ];
-
-    let path = write_bench_json("tab_htap", &records).expect("write BENCH_tab_htap.json");
-    println!("\nwrote {}", path.display());
     println!(
         "\nreading guide: all three configs run the identical primary write burst.\n\
          pinned adds a zero-CPU thread holding the follower's apply gate for the\n\
@@ -399,7 +338,7 @@ fn main() {
          stream and never touches the primary's commit path. htap adds a busy\n\
          closed-loop analytical client instead; on a single-vCPU host its\n\
          degradation(olap) conflates commit-path coupling with plain CPU\n\
-         time-sharing, so it is reported as ungated context only. Freshness\n\
+         time-sharing, so it is context, not a claim. Freshness\n\
          columns bound how far behind a pinned analytical cut runs (bytes of\n\
          shipped-but-unapplied log). ix=scan asserts every index-assisted probe\n\
          returned exactly its full-scan twin's rows, and ryw that a\n\

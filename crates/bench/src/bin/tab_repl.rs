@@ -15,14 +15,7 @@
 //! freshness price of the offload. A final read-your-writes probe commits on
 //! the primary, takes a token, and requires every follower to serve the new
 //! value under that token.
-//!
-//! Env knobs (CI smoke): TABR_READERS, TABR_READS (total per config),
-//! TABR_WRITES, TABR_REPLICAS (comma-separated counts, default `0,1,2`),
-//! TABR_REPS (best-of-N per replica count — the read burst is short, so a
-//! single run on a loaded single-CPU host swings more than the regression
-//! gate tolerance; the rep with the best read_tps supplies every column).
 
-use esdb_bench::json::{write_bench_json, BenchRecord};
 use esdb_bench::{header, row};
 use esdb_core::{Database, EngineConfig, QuorumPolicy, ReplGroup};
 use esdb_net::{Client, NetError, ReconnectPolicy, Server, ServerConfig};
@@ -34,11 +27,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .map(|s| s.parse().unwrap_or_else(|_| panic!("{name}: integer")))
-        .unwrap_or(default)
-}
+/// Closed-loop reader threads.
+const READERS: usize = 8;
+/// Point reads per replica count, split across the readers.
+const READS: u64 = 40_000;
+/// TPC-B writes streamed on the primary during the reads.
+const WRITES: u64 = 3_000;
+/// Replica counts of the read-offload table.
+const REPLICAS: [usize; 3] = [0, 1, 2];
+/// Best-of-N per cell: the read burst is short, so a single run on a loaded
+/// single-CPU host swings; the rep with the best read_tps supplies every
+/// column.
+const REPS: usize = 3;
+/// TPC-B commits per cell of the commit-modes table.
+const COMMITS: u64 = 4_000;
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
@@ -57,14 +59,14 @@ struct ConfigResult {
     ryw_ok: bool,
 }
 
-fn run_config(n_replicas: usize, readers: usize, reads: u64, writes: u64) -> ConfigResult {
+fn run_config(n_replicas: usize) -> ConfigResult {
     let db = Arc::new(Database::open(EngineConfig::conventional_baseline()));
     let mut workload = Tpcb::new(1, 42);
     db.load_population(&workload).expect("population load");
     let primary = Server::start(
         Arc::clone(&db),
         "127.0.0.1:0",
-        ServerConfig { max_sessions: readers + n_replicas + 4, ..ServerConfig::default() },
+        ServerConfig { max_sessions: READERS + n_replicas + 4, ..ServerConfig::default() },
     )
     .expect("bind primary");
     let primary_addr = primary.local_addr();
@@ -83,7 +85,7 @@ fn run_config(n_replicas: usize, readers: usize, reads: u64, writes: u64) -> Con
             "127.0.0.1:0",
             ServerConfig {
                 applied_watermark: Some(handle.watermark()),
-                max_sessions: readers + 4,
+                max_sessions: READERS + 4,
                 ..ServerConfig::default()
             },
         )
@@ -107,11 +109,11 @@ fn run_config(n_replicas: usize, readers: usize, reads: u64, writes: u64) -> Con
                 Client::connect_with_backoff(primary_addr, &ReconnectPolicy::default())
                     .expect("writer connect");
             let start = Instant::now();
-            for _ in 0..writes {
+            for _ in 0..WRITES {
                 client.one_shot(&gen.next_txn()).expect("write txn");
             }
             done.store(true, Ordering::SeqCst);
-            writes as f64 / start.elapsed().as_secs_f64()
+            WRITES as f64 / start.elapsed().as_secs_f64()
         })
     };
 
@@ -139,9 +141,9 @@ fn run_config(n_replicas: usize, readers: usize, reads: u64, writes: u64) -> Con
     // Closed-loop readers round-robin over the read endpoints.
     let read_start = Instant::now();
     let mut handles = Vec::new();
-    for r in 0..readers {
+    for r in 0..READERS {
         let endpoint = read_endpoints[r % read_endpoints.len()];
-        let per_thread = reads / readers as u64;
+        let per_thread = READS / READERS as u64;
         handles.push(std::thread::spawn(move || {
             let mut client = Client::connect_with_backoff(endpoint, &ReconnectPolicy::default())
                 .expect("reader connect");
@@ -180,7 +182,7 @@ fn run_config(n_replicas: usize, readers: usize, reads: u64, writes: u64) -> Con
     }
 
     let result = ConfigResult {
-        read_tps: reads as f64 / read_secs,
+        read_tps: READS as f64 / read_secs,
         write_tps,
         lag_p50: percentile(&lag, 0.50),
         lag_p99: percentile(&lag, 0.99),
@@ -203,7 +205,7 @@ fn run_config(n_replicas: usize, readers: usize, reads: u64, writes: u64) -> Con
 /// has confirmed the commit LSN durable in its cursor (K=1 quorum). One real
 /// replica is attached in *both* modes so the shipping work is identical and
 /// the measured difference is purely the ack round-trip on the commit path.
-fn run_commit_mode(semisync: bool, conns: usize, depth: usize, commits: u64) -> f64 {
+fn run_commit_mode(semisync: bool, conns: usize, depth: usize) -> f64 {
     let db = Arc::new(Database::open(EngineConfig::conventional_baseline()));
     let mut workload = Tpcb::new(1, 42);
     db.load_population(&workload).expect("population load");
@@ -241,7 +243,7 @@ fn run_commit_mode(semisync: bool, conns: usize, depth: usize, commits: u64) -> 
     let mut handles = Vec::new();
     for c in 0..conns {
         let mut gen = workload.fork();
-        let share = commits / conns as u64;
+        let share = COMMITS / conns as u64;
         handles.push(std::thread::spawn(move || {
             let mut client = Client::connect(primary_addr).expect("writer connect");
             let mut done = 0u64;
@@ -262,33 +264,20 @@ fn run_commit_mode(semisync: bool, conns: usize, depth: usize, commits: u64) -> 
 }
 
 fn main() {
-    let readers = env_u64("TABR_READERS", 4) as usize;
-    let reads = env_u64("TABR_READS", 20_000);
-    let writes = env_u64("TABR_WRITES", 2_000);
-    let replica_counts: Vec<usize> = std::env::var("TABR_REPLICAS")
-        .map(|s| {
-            s.split(',')
-                .map(|d| d.trim().parse().unwrap_or_else(|_| panic!("TABR_REPLICAS: integers")))
-                .collect()
-        })
-        .unwrap_or_else(|_| vec![0, 1, 2]);
-
     header(
         "tab_repl",
         &format!(
-            "TPC-B writes + ReadAt point reads, {readers} reader threads, {reads} reads \
-             and {writes} writes per config"
+            "TPC-B writes + ReadAt point reads, {READERS} reader threads, {READS} reads \
+             and {WRITES} writes per config"
         ),
         &["replicas", "read_tps", "write_tps", "lag_p50_B", "lag_p99_B", "lag_max_B", "ryw"],
     );
-    let reps = env_u64("TABR_REPS", 3) as usize;
-    let mut records = Vec::new();
-    for &n in &replica_counts {
+    for n in REPLICAS {
         // Best-of-N over identical runs; read-your-writes must hold in every
         // rep, not just the reported one.
         let mut best: Option<ConfigResult> = None;
-        for _ in 0..reps.max(1) {
-            let r = run_config(n, readers, reads, writes);
+        for _ in 0..REPS {
+            let r = run_config(n);
             assert!(r.ryw_ok, "{n} replicas: a follower broke read-your-writes");
             if best.as_ref().map_or(true, |b| r.read_tps > b.read_tps) {
                 best = Some(r);
@@ -304,34 +293,14 @@ fn main() {
             format!("{}", r.lag_max),
             if r.ryw_ok { "ok".into() } else { "VIOLATED".into() },
         ]);
-        let config = format!("replicas={n}");
-        records.push(BenchRecord {
-            config: config.clone(),
-            metric: "read_tps".into(),
-            value: r.read_tps,
-            seed: 42,
-        });
-        records.push(BenchRecord {
-            config: config.clone(),
-            metric: "write_tps".into(),
-            value: r.write_tps,
-            seed: 42,
-        });
-        records.push(BenchRecord {
-            config,
-            metric: "lag_p99_bytes".into(),
-            value: r.lag_p99 as f64,
-            seed: 42,
-        });
     }
 
-    let commits = env_u64("TABR_COMMITS", 2_000);
     println!();
     header(
         "tab_repl commit modes",
         &format!(
             "commit acknowledgment cost: async vs semi-sync K=1 (one acking replica \
-             attached in both modes), {commits} TPC-B commits per cell"
+             attached in both modes), {COMMITS} TPC-B commits per cell"
         ),
         &["mode", "conns", "pipeline_depth", "commit_tps", "vs_async"],
     );
@@ -343,9 +312,7 @@ fn main() {
     // ever slows a run down, so the max is the fairest estimate of each
     // mode's capacity.
     let best_of = |semisync: bool, conns: usize, depth: usize| {
-        (0..reps.max(1))
-            .map(|_| run_commit_mode(semisync, conns, depth, commits))
-            .fold(0.0f64, f64::max)
+        (0..REPS).map(|_| run_commit_mode(semisync, conns, depth)).fold(0.0f64, f64::max)
     };
     for &(conns, depth) in &[(1usize, 1usize), (1, 16), (4, 16)] {
         let async_tps = best_of(false, conns, depth);
@@ -364,22 +331,8 @@ fn main() {
             format!("{:.0}", semi_tps),
             format!("{:.2}", semi_tps / async_tps),
         ]);
-        records.push(BenchRecord {
-            config: format!("commit=async conns={conns} depth={depth}"),
-            metric: "commit_tps".into(),
-            value: async_tps,
-            seed: 42,
-        });
-        records.push(BenchRecord {
-            config: format!("commit=semisync_k1 conns={conns} depth={depth}"),
-            metric: "commit_tps".into(),
-            value: semi_tps,
-            seed: 42,
-        });
     }
 
-    let path = write_bench_json("tab_repl", &records).expect("write BENCH_tab_repl.json");
-    println!("\nwrote {}", path.display());
     println!(
         "\nreading guide: 0 replicas is the contended baseline (reads and writes\n\
          share the primary). Adding replicas moves reads onto followers fed by\n\

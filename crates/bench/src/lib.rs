@@ -12,22 +12,18 @@
 //! | `fig5_staged` | staged beats Volcano | query time vs packet size, both engines |
 //! | `fig6_breakdown` | where the cycles go | stacked cycle breakdown vs contexts |
 //! | `fig7_elr` | ELR hides flush latency | throughput vs log-device latency, ELR on/off |
-//! | `tab1_engine` | end-to-end matrix | native-thread throughput per engine config |
 //! | `tab2_recovery` | substrate soundness | crash-recovery outcomes and costs |
 //! | `crash_torture` | soundness under damaged logs | seeded truncation/bit-flip/lying-device crash iterations |
-//! | `tab3_server` | the wire costs, pipelining pays | TATP in-process vs loopback server at pipeline depths |
 //! | `tab_repl` | replicas scale reads | read/write tps and replication lag vs replica count |
-//! | `tab_shard` | partitioning scales writes | TPC-B tps vs shard count at cross-shard ratios |
-//! | `bench_regress` | results don't rot | gated-metric diff of fresh `BENCH_*.json` vs committed |
+//! | `tab_htap` | follower OLAP leaves the primary alone | primary tps ± a pinned or busy follower query, index = scan |
+//! | `tab_rebal` | a live slot move costs only its fence | foreground tps ± a live migration, fence window |
 //!
 //! Every simulated experiment is deterministic; every native experiment
 //! reports medians over repetitions. Run any binary with
-//! `cargo run --release -p esdb-bench --bin <name>`.
-//!
-//! Headline tables additionally emit machine-readable `BENCH_<name>.json`
-//! records (see [`json`]) that `bench_regress` gates CI on.
-
-pub mod json;
+//! `cargo run --release -p esdb-bench --bin <name>`. None is a performance
+//! gate: engine, wire and 2PC numbers are the referee's (`benchmark/`), and
+//! fig6b's simulator cells are pinned by exact equality in `esdb-core`'s
+//! `simbridge` tests.
 
 use std::time::Instant;
 

@@ -175,25 +175,29 @@ mod tests {
         );
     }
 
+    /// One fig6b cell, built exactly as `fig6_breakdown`'s `sim_cell` builds
+    /// it: TPC-B (1024 branches, seed 11) on DORA-64, so the log is the only
+    /// shared structure. Returns `(tpmc, log_wait_share)`.
+    fn fig6b_cell(log: LogChoice, contexts: usize) -> (f64, f64) {
+        let cfg = EngineConfig {
+            execution: ExecutionModel::Dora { partitions: 64 },
+            log,
+            elr: false,
+            ..EngineConfig::default()
+        };
+        let mut w = esdb_workload::Tpcb::new(1024, 11);
+        let r = run_sim_workload(&mut w, &cfg, &SimRunConfig::at_contexts(contexts));
+        let p = sim_wait_profile(&r);
+        (r.tpmc(), p.log_wait as f64 / p.wall().max(1) as f64)
+    }
+
     #[test]
     fn claim6_log_wait_grows_under_serial_log_and_stays_flat_consolidated() {
         // The keynote's claim 6, as a deterministic harness: with execution
         // partitioned away (DORA, ample partitions) the log is the only
         // shared structure left. Under a serial log head its wait share must
         // grow with contexts; the consolidation array must hold it near zero.
-        use esdb_workload::Tpcb;
-        let share = |log: LogChoice, contexts: usize| {
-            let cfg = EngineConfig {
-                execution: ExecutionModel::Dora { partitions: 64 },
-                log,
-                elr: false,
-                ..EngineConfig::default()
-            };
-            let mut w = Tpcb::new(1024, 11);
-            let r = run_sim_workload(&mut w, &cfg, &SimRunConfig::at_contexts(contexts));
-            let p = sim_wait_profile(&r);
-            p.log_wait as f64 / p.wall().max(1) as f64
-        };
+        let share = |log, contexts| fig6b_cell(log, contexts).1;
         let serial_small = share(LogChoice::Serial, 4);
         let serial_big = share(LogChoice::Serial, 32);
         let consolidated_big = share(LogChoice::Consolidated, 32);
@@ -205,6 +209,29 @@ mod tests {
             consolidated_big < serial_big / 4.0,
             "consolidation must absorb the log-head wait: {consolidated_big:.3} vs serial {serial_big:.3}"
         );
+    }
+
+    #[test]
+    fn fig6b_cells_are_pinned_exactly() {
+        // The cells EXPERIMENTS.md's fig6b table prints (tpmc rounded,
+        // log_wait as a whole percent), to the last bit: the simulator is
+        // deterministic, so a changed value is a model change, to be
+        // re-recorded there, never a tolerance to widen.
+        let pinned = [
+            (LogChoice::Serial, 4, 561.0, 0.03165279374303225),
+            (LogChoice::Serial, 16, 1234.3333333333333, 0.5495920739918579),
+            (LogChoice::Serial, 32, 1228.0, 0.5254621658869959),
+            (LogChoice::Consolidated, 4, 561.6666666666666, 0.0),
+            (LogChoice::Consolidated, 32, 4561.0, 0.0),
+            (LogChoice::Consolidated, 64, 8398.333333333334, 0.0),
+        ];
+        for (log, contexts, tpmc, log_wait_share) in pinned {
+            assert_eq!(
+                fig6b_cell(log, contexts),
+                (tpmc, log_wait_share),
+                "{log:?} at {contexts} contexts"
+            );
+        }
     }
 
     #[test]

@@ -1,46 +1,36 @@
 #!/usr/bin/env bash
-# Observability must be (nearly) free: tab3_server loopback throughput with
-# esdb-obs enabled must stay within 5% of a build with it compiled out
-# (RUSTFLAGS="--cfg obs_disabled", separate target dir so the two builds
-# never thrash each other's caches). Seeded TATP, depth-4 pipeline,
-# best-of-N per variant to tame single-CPU scheduler noise.
+# Observability must be (nearly) free: the referee's untraced wire.tatp.d1
+# (two depth-1 TATP connections over loopback, ~85% of each call in the
+# reactor and sockets the obs layer instruments) with esdb-obs enabled must
+# keep its tps within 5% of a build with it compiled out
+# (RUSTFLAGS="--cfg obs_disabled", in a separate target dir so the two builds
+# never thrash each other's caches). Best-of-N per variant, alternating, to
+# tame the shared host's run-to-run noise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUNS=${OBS_GATE_RUNS:-3}
 TOLERANCE=${OBS_GATE_TOLERANCE:-0.95}
-export TAB3_CONNS=${OBS_GATE_CONNS:-2}
-export TAB3_TXNS=${OBS_GATE_TXNS:-400}
-export TAB3_SUBSCRIBERS=${OBS_GATE_SUBSCRIBERS:-500}
-export TAB3_DEPTHS=4
-# tab3_server also emits BENCH_tab3_server.json, and with ESDB_BENCH_DIR
-# unset that lands in the repo root — overwriting the committed regression
-# baseline with this gate's depth-4-only smoke numbers. Park it in target/.
-export ESDB_BENCH_DIR=target/obs-gate
-mkdir -p "$ESDB_BENCH_DIR"
 
-echo "-- building tab3_server, obs enabled --"
-cargo build --release -q -p esdb-bench --bin tab3_server
-echo "-- building tab3_server, obs compiled out --"
-RUSTFLAGS="--cfg obs_disabled" CARGO_TARGET_DIR=target/obs-off \
-    cargo build --release -q -p esdb-bench --bin tab3_server
-
-best_tps() {
-    local bin=$1 best=0 tps
-    for _ in $(seq "$RUNS"); do
-        tps=$("$bin" | awk -F'\t' '$1 == "server/depth-4" { print $4 }')
-        if [ -z "$tps" ]; then
-            echo "no server/depth-4 row in $bin output" >&2
-            exit 1
-        fi
-        best=$(awk -v a="$best" -v b="$tps" 'BEGIN { print (b > a) ? b : a }')
-    done
-    echo "$best"
+# tps of one untraced referee run: the last stdout line is the result JSON.
+tps() {
+    benchmark/run.sh --workload wire.tatp.d1 --seed 42 --seconds 10 --trace 0 \
+        | tail -n 1 | sed -n 's/.*"tps": *{"value": *\([0-9.eE+-]*\).*/\1/p'
 }
 
-on=$(best_tps target/release/tab3_server)
-off=$(best_tps target/obs-off/release/tab3_server)
-echo "obs-enabled best-of-$RUNS: $on tps; obs-disabled best-of-$RUNS: $off tps"
+on=0 off=0
+for _ in $(seq "$RUNS"); do
+    run_on=$(tps)
+    run_off=$(RUSTFLAGS="--cfg obs_disabled" CARGO_TARGET_DIR=target/obs-off tps)
+    if [ -z "$run_on" ] || [ -z "$run_off" ]; then
+        echo "no tps in the referee's result line" >&2
+        exit 1
+    fi
+    on=$(awk -v a="$on" -v b="$run_on" 'BEGIN { print (b > a) ? b : a }')
+    off=$(awk -v a="$off" -v b="$run_off" 'BEGIN { print (b > a) ? b : a }')
+done
+printf "obs-enabled best-of-%s: %.0f tps; obs-disabled best-of-%s: %.0f tps\n" \
+    "$RUNS" "$on" "$RUNS" "$off"
 awk -v on="$on" -v off="$off" -v tol="$TOLERANCE" 'BEGIN {
     if (on < tol * off) {
         printf "FAIL: obs overhead exceeds budget (enabled %.0f < %.2f x disabled %.0f)\n", on, tol, off

@@ -27,37 +27,55 @@ fn start(config: ServerConfig) -> (Arc<Database>, u32, Server) {
 
 #[test]
 fn pipelined_interactive_and_obs_round_trips() {
-    let (_db, t, server) = start(ServerConfig::default());
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    client.ping().unwrap();
+    // On one event loop and on two: how sessions shard across reactors may
+    // change the numbers, never the behaviour.
+    for reactors in [1, 2] {
+        let (_db, t, server) = start(ServerConfig { reactors, ..ServerConfig::default() });
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        client.ping().unwrap();
+        // A second session, on the other reactor when there are two: the
+        // server places a socket by `fd % reactors`, each loopback session
+        // here takes two descriptors (ours and the server's), so one more
+        // held in between flips the parity (unless a concurrent test opens
+        // one meanwhile — the asserts below hold on either placement).
+        let _spacer = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        let mut other = Client::connect(server.local_addr()).unwrap();
 
-    // Sixteen one-shots written before any answer is read: the reactor
-    // executes them as batches and pays one flush per batch, not per commit.
-    let specs: Vec<TxnSpec> = (0..16)
-        .map(|key| TxnSpec { kind: "ins", ops: vec![insert(t, key, vec![1])], may_fail: false })
-        .collect();
-    let outcomes = client.run_pipelined(&specs).unwrap();
-    assert!(outcomes.iter().all(|o| o.is_committed()));
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.txns_committed, 16);
-    assert!(stats.batches < 16, "{} batches for 16 pipelined txns", stats.batches);
-    assert!(stats.engine.wal_flushes < stats.engine.commits);
+        // Sixteen one-shots per session written before any answer is read:
+        // the reactor executes them as batches and pays one flush per batch,
+        // not per commit.
+        let specs = |keys: std::ops::Range<u64>| -> Vec<TxnSpec> {
+            keys.map(|key| TxnSpec { kind: "ins", ops: vec![insert(t, key, vec![1])], may_fail: false })
+                .collect()
+        };
+        let mut outcomes = client.run_pipelined(&specs(0..16)).unwrap();
+        outcomes.extend(other.run_pipelined(&specs(16..32)).unwrap());
+        assert!(outcomes.iter().all(|o| o.is_committed()), "{reactors} reactors: {outcomes:?}");
+        let stats = client.stats().unwrap();
+        assert_eq!(
+            stats.txns_committed,
+            outcomes.len() as u64,
+            "{reactors} reactors: server-side commits = client-observed commits"
+        );
+        assert!(stats.batches < 32, "{} batches for 32 pipelined txns", stats.batches);
+        assert!(stats.engine.wal_flushes < stats.engine.commits);
 
-    // An interactive transaction across five round trips.
-    client.begin().unwrap();
-    assert_eq!(client.read(t, 3).unwrap(), vec![1]);
-    client.update(t, 3, vec![42]).unwrap();
-    client.commit().unwrap();
-    assert_eq!(client.read_committed(t, 3).unwrap(), Some(vec![42]));
-    // A statement outside a transaction is a typed server error, and the
-    // session survives it.
-    assert!(matches!(client.commit(), Err(esdb::net::NetError::Server(_))));
+        // An interactive transaction across five round trips.
+        client.begin().unwrap();
+        assert_eq!(client.read(t, 3).unwrap(), vec![1]);
+        client.update(t, 3, vec![42]).unwrap();
+        client.commit().unwrap();
+        assert_eq!(client.read_committed(t, 3).unwrap(), Some(vec![42]));
+        // A statement outside a transaction is a typed server error, and the
+        // session survives it.
+        assert!(matches!(client.commit(), Err(esdb::net::NetError::Server(_))));
 
-    // The obs frame carries the same counters the stats frame does.
-    let obs = client.obs_stats().unwrap();
-    assert_eq!(obs.version, esdb::core::OBS_SNAPSHOT_VERSION);
-    assert_eq!(obs.stats.commits, client.stats().unwrap().engine.commits);
-    server.shutdown();
+        // The obs frame carries the same counters the stats frame does.
+        let obs = client.obs_stats().unwrap();
+        assert_eq!(obs.version, esdb::core::OBS_SNAPSHOT_VERSION);
+        assert_eq!(obs.stats.commits, client.stats().unwrap().engine.commits);
+        server.shutdown();
+    }
 }
 
 #[test]
