@@ -914,16 +914,10 @@ mod tests {
         assert!(report.losers.is_empty());
         assert_eq!(recovered.read_committed(t, 1).unwrap(), vec![15]);
 
-        // Coordinator says abort (or is presumed to): undo_txn rolls back.
+        // Coordinator says abort (or is presumed to): undo_txns rolls back.
         let (recovered, report, records, t) = mk_crashed();
-        let (&txn_id, _) = report.in_doubt.iter().next().unwrap();
-        let n = esdb_wal::recovery::undo_txn(
-            &records,
-            &recovered.txn_manager().tables(),
-            txn_id,
-            recovered.wal().current_lsn(),
-        )
-        .unwrap();
+        let in_doubt = report.in_doubt.keys().copied().collect();
+        let n = esdb_wal::recovery::undo_txns(&records, &recovered.txn_manager().tables(), &in_doubt).unwrap();
         assert_eq!(n, 1);
         assert_eq!(recovered.read_committed(t, 1).unwrap(), vec![10]);
     }

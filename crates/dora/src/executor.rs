@@ -15,6 +15,7 @@ use crate::rvp::{FailKind, Rvp};
 use crossbeam::channel::Receiver;
 use esdb_storage::schema::TableId;
 use esdb_storage::{Rid, Table};
+use esdb_txn::UndoOp;
 use esdb_wal::record::RowOp;
 use esdb_wal::Wal;
 use std::collections::HashMap;
@@ -52,12 +53,6 @@ pub enum Msg {
 }
 
 type Key = (TableId, u64);
-
-enum UndoOp {
-    Insert { table: TableId, key: u64 },
-    Update { table: TableId, key: u64, before: Vec<i64> },
-    Delete { table: TableId, key: u64, before: Vec<i64> },
-}
 
 /// Executor-internal counters, reported back through the system.
 #[derive(Debug, Default, Clone, Copy)]
@@ -246,12 +241,12 @@ impl Executor {
 
     fn handle_complete(&mut self, txn: u64, commit: bool) {
         if !commit {
-            // Undo in reverse, logging compensations (same convention as the
-            // conventional transaction manager: recovery repeats history).
-            if let Some(ops) = self.undo.remove(&txn) {
-                for op in ops.into_iter().rev() {
-                    self.apply_undo(txn, op);
-                }
+            // Undo in reverse, logging compensations (the conventional
+            // transaction manager's compensation: recovery repeats history).
+            for op in self.undo.remove(&txn).unwrap_or_default().iter().rev() {
+                let (table, key) = op.target();
+                let Some(t) = self.tables.get(&table) else { continue };
+                op.compensate(t, |rid, row| self.wal.append_row(txn, 0, table, key, rid, row).start);
             }
             // Drop parked packages of this transaction.
             for v in self.waiters.values_mut() {
@@ -272,28 +267,5 @@ impl Executor {
                 }
             }
         }
-    }
-
-    fn apply_undo(&mut self, txn: u64, op: UndoOp) {
-        let (UndoOp::Insert { table, key }
-        | UndoOp::Update { table, key, .. }
-        | UndoOp::Delete { table, key, .. }) = op;
-        let Some(t) = self.tables.get(&table) else { return };
-        let log = |rid: Rid, op: RowOp<'_>| self.wal.append_row(txn, 0, table, key, rid, op).start;
-        // A compensation that fails (the row is already as it should be)
-        // logs nothing.
-        let _ = match &op {
-            UndoOp::Insert { .. } => t
-                .delete_logged(key, |rid, before| log(rid, RowOp::Delete { before }))
-                .map(drop),
-            UndoOp::Update { before, .. } => t
-                .update_logged(key, before, |rid, current| {
-                    log(rid, RowOp::Update { before: current, after: before })
-                })
-                .map(drop),
-            UndoOp::Delete { before, .. } => t
-                .insert_logged(key, before, |rid| log(rid, RowOp::Insert { row: before }))
-                .map(drop),
-        };
     }
 }

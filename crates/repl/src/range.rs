@@ -10,10 +10,13 @@
 //!   so it may observe uncommitted rows and miss concurrent writes; the
 //!   delta ship below repairs both.
 //! * [`RangeShip`] — the *delta catch-up*: a cursor over the source's
-//!   durable WAL that replays every `Insert`/`Update`/`Delete` touching the
-//!   slot, in LSN order, as idempotent [`RangeOp`]s (absolute images —
-//!   upsert or delete-if-present). This is **repeat history** logical redo:
-//!   because the engine writes in place at operation time and logs abort
+//!   durable WAL that replays every row record touching the slot, in LSN
+//!   order, as idempotent [`RangeOp`]s (absolute images — upsert or
+//!   delete-if-present). This is **repeat history** as a *logical* redo —
+//!   the destination places rows at rids of its own, so the physical
+//!   [`esdb_wal::redo`] recovery and followers run does not apply — reading
+//!   records through the same one view, [`esdb_wal::LogBody::row`]. Because
+//!   the engine writes in place at operation time and logs abort
 //!   compensations as ordinary records, applying *all* record images in
 //!   order — committed or not — converges the destination to exactly the
 //!   source's heap state for the slot, including the undo of aborted
@@ -27,7 +30,7 @@
 
 use esdb_core::{slot_of, Database};
 use esdb_storage::StorageError;
-use esdb_wal::record::{decode_stream_checked, LogBody};
+use esdb_wal::record::{decode_stream_checked, RowOp};
 use esdb_wal::{Lsn, Wal};
 
 /// One idempotent slot mutation replayed from the source WAL. Absolute
@@ -125,33 +128,17 @@ impl RangeShip {
         }
         let mut emitted = 0u64;
         for rec in &salvaged.records {
-            let op = match &rec.body {
-                LogBody::Insert { table, key, row, .. } => Some(RangeOp::Upsert {
-                    table: *table,
-                    key: *key,
-                    row: row.clone(),
-                }),
-                LogBody::Update { table, key, after, .. } => Some(RangeOp::Upsert {
-                    table: *table,
-                    key: *key,
-                    row: after.clone(),
-                }),
-                LogBody::Delete { table, key, .. } => {
-                    Some(RangeOp::Delete { table: *table, key: *key })
-                }
-                _ => None,
-            };
-            if let Some(op) = op {
-                let (table, key) = match &op {
-                    RangeOp::Upsert { table, key, .. } | RangeOp::Delete { table, key } => {
-                        (*table, *key)
-                    }
-                };
-                if slot_of(table, key, self.slot_count) == self.slot {
-                    apply(op);
-                    emitted += 1;
-                }
+            let Some((table, key, _, op)) = rec.body.row() else { continue };
+            if slot_of(table, key, self.slot_count) != self.slot {
+                continue;
             }
+            apply(match op {
+                RowOp::Insert { row } | RowOp::Update { after: row, .. } => {
+                    RangeOp::Upsert { table, key, row: row.to_vec() }
+                }
+                RowOp::Delete { .. } => RangeOp::Delete { table, key },
+            });
+            emitted += 1;
         }
         self.next = start + salvaged.valid_len;
         Ok(emitted)

@@ -10,7 +10,7 @@ use esdb_storage::disk::PageStore;
 use esdb_storage::{InMemoryDisk, StorageError, Table};
 use esdb_wal::buffer::LogStore;
 use esdb_wal::record::decode_stream_checked;
-use esdb_wal::{apply_redo, LogBody, LogRecord, Lsn, WalError};
+use esdb_wal::{redo, LogBody, LogRecord, Lsn, WalError};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -311,7 +311,7 @@ impl Replica {
             self.decoded_to += salvaged.valid_len;
             self.pending.extend(salvaged.records);
         }
-        self.advance_frontier();
+        self.advance_frontier()?;
         if esdb_obs::enabled() {
             esdb_obs::record_component(
                 esdb_obs::Component::ReplApply,
@@ -334,74 +334,61 @@ impl Replica {
     /// watermark could expose half of a committed transaction whose other
     /// half sits past a stalled record; the cut cannot.
     ///
-    /// Pass 2 redoes the prefix under the write side of the pin gate:
-    /// pinned OLAP readers are excluded for the whole batch and observe the
-    /// heap only at cut boundaries. Together with pass 1 this is the
+    /// Pass 2 redoes the prefix ([`esdb_wal::redo`], the same physical redo
+    /// crash recovery runs) under the write side of the pin gate: pinned
+    /// OLAP readers are excluded for the whole batch and observe the heap
+    /// only at cut boundaries. Together with pass 1 this is the
     /// follower-side snapshot guarantee: a reader that checks the watermark
     /// and then takes the read side sees every record below the watermark
-    /// applied and nothing above it mid-flight.
-    fn advance_frontier(&mut self) {
+    /// applied and nothing above it mid-flight. A redo that fails in storage
+    /// is a [`ReplError::Storage`] with the watermark and the pending batch
+    /// left where they were, so a later pump retries it (redo is
+    /// idempotent).
+    fn advance_frontier(&mut self) -> Result<(), ReplError> {
         let mut open: HashSet<u64> = HashSet::new();
         let mut cut = 0usize;
         for (idx, r) in self.pending.iter().enumerate() {
-            match &r.body {
-                // Term boundaries, checkpoints, and 2PC bookkeeping carry no
-                // page effects (the term itself was adopted at decode time
-                // in `pump`). A Prepare is deliberately *not* a terminator:
-                // data records of an in-doubt transaction keep stalling the
-                // cut below until the participant's Commit/Abort lands, so
-                // pinned reads never observe a half-decided cross-shard txn.
-                LogBody::Begin
-                | LogBody::Checkpoint { .. }
-                | LogBody::TermChange { .. }
-                | LogBody::Prepare { .. }
-                | LogBody::Decide { .. }
-                | LogBody::GtidWatermark { .. }
-                | LogBody::MigrationStep { .. } => {}
-                LogBody::Commit | LogBody::Abort => {
-                    open.remove(&r.txn_id);
-                }
-                LogBody::Insert { .. } | LogBody::Update { .. } | LogBody::Delete { .. } => {
-                    match self.resolved.get(&r.txn_id) {
-                        Some(true) => {
-                            open.insert(r.txn_id);
-                        }
-                        Some(false) => {} // aborted: never touches pages
-                        None => break,    // outcome unknown: the cut stops
+            // Only row records and terminators matter. Term boundaries,
+            // checkpoints, and 2PC bookkeeping carry no page effects (the
+            // term itself was adopted at decode time in `pump`). A Prepare is
+            // deliberately *not* a terminator: data records of an in-doubt
+            // transaction keep stalling the cut below until the
+            // participant's Commit/Abort lands, so pinned reads never observe
+            // a half-decided cross-shard txn.
+            if r.body.row().is_some() {
+                match self.resolved.get(&r.txn_id) {
+                    Some(true) => {
+                        open.insert(r.txn_id);
                     }
+                    Some(false) => {} // aborted: never touches pages
+                    None => break,    // outcome unknown: the cut stops
                 }
+            } else if matches!(r.body, LogBody::Commit | LogBody::Abort) {
+                open.remove(&r.txn_id);
             }
             if open.is_empty() {
                 cut = idx + 1;
             }
         }
         if cut == 0 {
-            return;
+            return Ok(());
         }
-        let cut_lsn = self
-            .pending
-            .get(cut)
-            .map_or(self.decoded_to, |next| next.lsn);
-        {
-            let _apply = self.gate.write();
-            for r in &self.pending[..cut] {
-                match &r.body {
-                    // The terminator is a transaction's last record, so its
-                    // outcome entry is no longer needed once consumed.
-                    LogBody::Commit | LogBody::Abort => {
-                        self.resolved.remove(&r.txn_id);
-                    }
-                    LogBody::Insert { .. } | LogBody::Update { .. } | LogBody::Delete { .. } => {
-                        if self.resolved.get(&r.txn_id) == Some(&true) {
-                            apply_redo(r, &self.tables);
-                        }
-                    }
-                    _ => {}
-                }
+        let cut_lsn = self.pending.get(cut).map_or(self.decoded_to, |next| next.lsn);
+        let _apply = self.gate.write();
+        for r in &self.pending[..cut] {
+            if self.resolved.get(&r.txn_id) == Some(&true) {
+                redo(r, &self.tables)?;
             }
-            self.applied.store(cut_lsn, Ordering::Release);
         }
-        self.pending.drain(..cut);
+        // A terminator is its transaction's last record, so its outcome
+        // entry is no longer needed once consumed.
+        for r in self.pending.drain(..cut) {
+            if matches!(r.body, LogBody::Commit | LogBody::Abort) {
+                self.resolved.remove(&r.txn_id);
+            }
+        }
+        self.applied.store(cut_lsn, Ordering::Release);
+        Ok(())
     }
 
     /// Crash-restarts the replica: all volatile state (the database, decode
@@ -474,7 +461,7 @@ impl Replica {
         for r in &self.pending {
             self.resolved.entry(r.txn_id).or_insert(false);
         }
-        self.advance_frontier();
+        self.advance_frontier()?;
         debug_assert!(self.pending.is_empty());
         self.cursor
             .truncate_to((self.decoded_to - self.cursor.base()) as usize);

@@ -173,6 +173,31 @@ fn lying_primary_ships_damage_typed_halt() {
 }
 
 #[test]
+fn a_slot_reused_around_an_abort_is_a_typed_halt_not_a_wrong_row() {
+    // An aborted delete's slot is taken by a committed insert before the
+    // rollback re-inserts the row elsewhere. The follower skips the aborted
+    // transaction, so its copy of that slot still holds the deleted row when
+    // the insert arrives: a storage error, not a key answering with another
+    // key's row, and the watermark stays short of it.
+    let (db, t) = primary_with_rows(3);
+    let snap = local_snapshot(&db).unwrap();
+    let mut replica = Replica::bootstrap(snap, EngineConfig::conventional_baseline()).unwrap();
+    let mgr = db.txn_manager().clone();
+    let mut deleter = mgr.begin();
+    let freed = db.table(t).unwrap().rid_of(1).unwrap();
+    deleter.delete(t, 1).unwrap();
+    let mut inserter = mgr.begin();
+    inserter.insert(t, 100, &[100, 0]).unwrap();
+    assert_eq!(db.table(t).unwrap().rid_of(100), Ok(freed));
+    inserter.commit();
+    deleter.abort();
+    db.wal().wait_durable(db.wal().current_lsn());
+    let err = ship_available(db.wal(), &mut replica).unwrap_err();
+    assert!(matches!(err, ReplError::Storage(esdb_storage::StorageError::RecordNotFound(r)) if r == freed), "{err}");
+    assert!(replica.applied_lsn() < db.wal().durable_lsn());
+}
+
+#[test]
 fn cursor_bit_flip_detected_on_restart() {
     let (db, t) = primary_with_rows(40);
     let snap = local_snapshot(&db).unwrap();
@@ -308,7 +333,7 @@ fn follower_crash_mid_index_build_converges() {
     let (bytes, start) = wal.durable_tail(from).unwrap();
     let avail = ((wal.durable_lsn() - start) as usize).min(bytes.len());
     replica.ingest(start, &bytes[..avail / 3]).unwrap();
-    let mut replica = replica.reopen().unwrap();
+    let replica = replica.reopen().unwrap();
     let replica2 = replica.reopen().unwrap(); // double restart, mid-build state
     let mut replica = replica2;
     ship_available(wal, &mut replica).unwrap();

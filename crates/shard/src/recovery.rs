@@ -12,7 +12,8 @@
 use esdb_core::Database;
 use esdb_storage::StorageError;
 use esdb_wal::record::LogRecord;
-use esdb_wal::recovery::{undo_txn, RecoveryReport};
+use esdb_wal::recovery::{undo_txns, RecoveryReport};
+use std::collections::HashSet;
 
 /// What [`resolve_in_doubt`] did with each in-doubt gtid.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -34,31 +35,30 @@ pub struct ResolveReport {
 /// means the coordinator itself is unreachable and the gtid stays in doubt.
 /// A reachable coordinator answers *every* gtid — its
 /// [`DecisionLog::resolve`](crate::DecisionLog::resolve) maps "no durable
-/// decision" to abort, which is what presumed abort is.
+/// decision" to abort, which is what presumed abort is. The aborted ones are
+/// rolled back by the same undo recovery ran over its losers, so a later
+/// call — once an unreachable coordinator answers — still applies.
 pub fn resolve_in_doubt(
     db: &Database,
     records: &[LogRecord],
     report: &RecoveryReport,
     decider: impl Fn(u64) -> Option<bool>,
 ) -> Result<ResolveReport, StorageError> {
-    let tables = db.txn_manager().tables();
     let mut pairs: Vec<(u64, u64)> = report.in_doubt.iter().map(|(t, g)| (*t, *g)).collect();
     pairs.sort_unstable();
     let mut out = ResolveReport::default();
-    // Undo LSNs sit above recovery's own undo range but below the revived
-    // WAL's first append, keeping page-LSN ordering monotone.
-    let mut lsn = db.wal().start_lsn().saturating_sub(1 << 20);
+    let mut abort = HashSet::new();
     for (txn_id, gtid) in pairs {
         match decider(gtid) {
             Some(true) => out.committed.push(gtid),
             Some(false) => {
-                let undone = undo_txn(records, &tables, txn_id, lsn)?;
-                lsn += undone as u64 + 1;
+                abort.insert(txn_id);
                 out.aborted.push(gtid);
             }
             None => out.unresolved.push(gtid),
         }
     }
+    undo_txns(records, &db.txn_manager().tables(), &abort)?;
     Ok(out)
 }
 
@@ -123,5 +123,42 @@ mod tests {
         let r2 = resolve_in_doubt(&db, &records, &report, |_| Some(false)).unwrap();
         assert_eq!(r2.aborted, vec![77]);
         assert_eq!(db.read_committed(0, 1).unwrap(), vec![10]);
+    }
+
+    #[test]
+    fn undo_stamps_never_hide_a_later_commit_from_redo() {
+        // Two in-doubt transactions of fifty row updates each, on one heap
+        // page, aborted by two separate resolutions: the second stamps the
+        // same undo LSNs as the first and must still apply.
+        let db = Database::open(EngineConfig::default());
+        let t = db.create_table("t", 1).unwrap();
+        db.execute(|txn| (0..100).try_for_each(|k| txn.insert(t, k, &[k as i64]))).unwrap();
+        assert_eq!(db.table(t).unwrap().heap().pages().len(), 1);
+        let adds = |keys: std::ops::Range<u64>| TxnSpec {
+            kind: "x",
+            ops: keys.map(|key| WorkloadOp::Add { table: t, key, col: 0, delta: 1_000 }).collect(),
+            may_fail: false,
+        };
+        assert!(db.run_spec_prepare(1, &adds(0..50)).is_committed());
+        assert!(db.run_spec_prepare(2, &adds(50..100)).is_committed());
+        let records = db.wal().durable_records();
+        let (revived, report) = db.simulate_crash_with_report(false);
+        std::mem::forget(db);
+        for gtid in [1, 2] {
+            let mut one = report.clone();
+            one.in_doubt.retain(|_, g| *g == gtid);
+            let r = resolve_in_doubt(&revived, &records, &one, |_| Some(false)).unwrap();
+            assert_eq!(r.aborted, vec![gtid]);
+        }
+        // The undone page reaches the store; then a commit lands on it, its
+        // page is lost in a crash, and only redo can bring it back — which a
+        // page stamped past the commit's LSN would skip.
+        revived.pool().flush_all().unwrap();
+        revived.execute(|txn| txn.update(t, 0, &[-1]).map(drop)).unwrap();
+        let again = revived.simulate_crash(false);
+        for k in 0..100u64 {
+            let want = if k == 0 { -1 } else { k as i64 };
+            assert_eq!(again.read_committed(t, k).unwrap(), vec![want], "key {k}");
+        }
     }
 }

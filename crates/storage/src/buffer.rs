@@ -45,7 +45,7 @@ pub struct PoolStats {
 }
 
 /// Attempts per device operation before a transient error is surfaced.
-const IO_ATTEMPTS: u32 = 8;
+pub const IO_ATTEMPTS: u32 = 8;
 
 /// Callback enforcing the WAL rule: invoked with a dirty page's LSN before
 /// the page is written back; must not return until the log is durable up to

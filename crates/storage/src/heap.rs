@@ -123,25 +123,35 @@ impl HeapFile {
         }
     }
 
-    /// Inserts `data` at a specific rid (recovery redo of an insert). The
-    /// target page must be part of this file. Returns `true` if the insert
-    /// was applied, `false` if the page already reflected it (page LSN, or
-    /// an identical live tuple in the slot).
-    pub fn insert_at(&self, rid: Rid, data: &[u8], lsn: u64) -> Result<bool> {
+    /// Redo and undo at a fixed address: runs `change` on `rid`'s page under
+    /// its exclusive latch and stamps `lsn` — unless `gated` (redo) and the
+    /// page LSN shows the change already applied. Undo is not gated: it
+    /// stamps LSNs from a band of its own, which may lie below the page's.
+    /// `change` reports whether the page changed.
+    fn replay(&self, rid: Rid, lsn: u64, gated: bool, change: impl FnOnce(&mut Page) -> Result<bool>) -> Result<bool> {
         let pin = self.pool.pin(rid.page)?;
         let mut page = pin.write();
-        // Redo only applies if the page has not already seen this change.
-        if page.lsn() >= lsn || page.get(rid.slot) == Some(data) {
+        if gated && page.lsn() >= lsn {
             return Ok(false);
         }
-        // Slot-exact placement: concurrent pre-crash histories can replay
-        // in LSN order that differs from original slot-assignment order.
-        if page.insert_at_slot(rid.slot, data) {
-            stamp(&mut page, lsn);
-            Ok(true)
-        } else {
-            Err(StorageError::RecordNotFound(rid))
-        }
+        let changed = change(&mut page)?;
+        stamp(&mut page, lsn);
+        Ok(changed)
+    }
+
+    /// Places `data` in the empty slot at `rid` — redo of an insert, undo of
+    /// a delete (see [`HeapFile::replay`]); `false` if the slot already holds
+    /// exactly `data`. A slot holding other bytes is
+    /// [`StorageError::RecordNotFound`]. The page must be part of this file.
+    pub fn insert_at(&self, rid: Rid, data: &[u8], lsn: u64, gated: bool) -> Result<bool> {
+        self.replay(rid, lsn, gated, |page| {
+            if page.get(rid.slot) == Some(data) {
+                return Ok(false);
+            }
+            // Slot-exact placement: concurrent pre-crash histories can replay
+            // in LSN order that differs from original slot-assignment order.
+            page.insert_at_slot(rid.slot, data).then_some(true).ok_or(StorageError::RecordNotFound(rid))
+        })
     }
 
     /// Reads the tuple at `rid` in place, under the shared page latch.
@@ -183,19 +193,12 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Idempotent update used by recovery redo: skipped if the page LSN shows
-    /// the change already applied. Returns `true` if applied.
-    pub fn update_if_newer(&self, rid: Rid, data: &[u8], lsn: u64) -> Result<bool> {
-        let pin = self.pool.pin(rid.page)?;
-        let mut page = pin.write();
-        if page.lsn() >= lsn {
-            return Ok(false);
-        }
-        if !page.update(rid.slot, data) {
-            return Err(StorageError::RecordNotFound(rid));
-        }
-        stamp(&mut page, lsn);
-        Ok(true)
+    /// Overwrites the live tuple at `rid` — redo and undo of an update (see
+    /// [`HeapFile::replay`]). A dead slot is [`StorageError::RecordNotFound`].
+    pub fn update_at(&self, rid: Rid, data: &[u8], lsn: u64, gated: bool) -> Result<bool> {
+        self.replay(rid, lsn, gated, |page| {
+            page.update(rid.slot, data).then_some(true).ok_or(StorageError::RecordNotFound(rid))
+        })
     }
 
     /// Deletes the tuple at `rid`. `log` runs under the page latch with the
@@ -209,16 +212,10 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Idempotent delete for recovery redo. Returns `true` if applied.
-    pub fn delete_if_newer(&self, rid: Rid, lsn: u64) -> Result<bool> {
-        let pin = self.pool.pin(rid.page)?;
-        let mut page = pin.write();
-        if page.lsn() >= lsn {
-            return Ok(false);
-        }
-        let applied = page.delete(rid.slot).is_some();
-        stamp(&mut page, lsn);
-        Ok(applied)
+    /// Empties the slot at `rid` — redo of a delete, undo of an insert (see
+    /// [`HeapFile::replay`]); `false` if it was already empty.
+    pub fn delete_at(&self, rid: Rid, lsn: u64, gated: bool) -> Result<bool> {
+        self.replay(rid, lsn, gated, |page| Ok(page.delete(rid.slot).is_some()))
     }
 
     /// Number of pages in the file right now.
@@ -358,14 +355,17 @@ mod tests {
     }
 
     #[test]
-    fn update_if_newer_is_idempotent() {
+    fn gated_update_at_is_idempotent() {
         let h = heap();
         let rid = put(&h, b"v1", 5);
-        h.update_if_newer(rid, b"v2", 10).unwrap();
+        h.update_at(rid, b"v2", 10, true).unwrap();
         assert_eq!(h.get(rid).unwrap(), b"v2");
         // Replaying an older change is a no-op.
-        h.update_if_newer(rid, b"v0", 7).unwrap();
+        h.update_at(rid, b"v0", 7, true).unwrap();
         assert_eq!(h.get(rid).unwrap(), b"v2");
+        // Undo is not gated: its lower stamp still applies.
+        h.update_at(rid, b"v1", 7, false).unwrap();
+        assert_eq!(h.get(rid).unwrap(), b"v1");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 pub mod manager;
 
-pub use manager::{PreparedTxn, Txn, TxnError, TxnManager, TxnResult, TxnStats};
+pub use manager::{PreparedTxn, Txn, TxnError, TxnManager, TxnResult, TxnStats, UndoOp};
 
 /// Test-only fault seams (feature `chaos`). Runtime flags, default off:
 /// compiling the feature in changes nothing until a checker flips a flag.

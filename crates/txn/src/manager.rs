@@ -64,11 +64,43 @@ pub struct TxnStats {
     pub aborts: u64,
 }
 
-/// One logged, locked mutation — kept for rollback.
-enum UndoOp {
+/// One logged, locked mutation — kept for rollback, by [`Txn`] and by the
+/// DORA executors alike.
+pub enum UndoOp {
+    /// `key` was inserted.
     Insert { table: TableId, key: u64 },
+    /// `key` was updated from `before`.
     Update { table: TableId, key: u64, before: Vec<i64> },
+    /// `key` was deleted; `before` is the row it held.
     Delete { table: TableId, key: u64, before: Vec<i64> },
+}
+
+impl UndoOp {
+    /// The row this mutation touched.
+    pub fn target(&self) -> (TableId, u64) {
+        let (UndoOp::Insert { table, key }
+        | UndoOp::Update { table, key, .. }
+        | UndoOp::Delete { table, key, .. }) = self;
+        (*table, *key)
+    }
+
+    /// Runtime compensation: rolls this mutation back on `t` (its table),
+    /// logging the inverse as an ordinary row record — `log` runs under the
+    /// row's page latch with its address and images and returns the LSN to
+    /// stamp — so recovery repeats history through a crashed abort. A
+    /// compensation that fails (the row is already as it should be) logs
+    /// nothing.
+    pub fn compensate(&self, t: &Table, log: impl FnOnce(Rid, RowOp<'_>) -> Lsn) {
+        let _ = match self {
+            UndoOp::Insert { key, .. } => t.delete_logged(*key, |rid, before| log(rid, RowOp::Delete { before })).map(drop),
+            UndoOp::Update { key, before, .. } => t
+                .update_logged(*key, before, |rid, current| log(rid, RowOp::Update { before: current, after: before }))
+                .map(drop),
+            UndoOp::Delete { key, before, .. } => {
+                t.insert_logged(*key, before, |rid| log(rid, RowOp::Insert { row: before })).map(drop)
+            }
+        };
+    }
 }
 
 /// The transaction manager: owns the table registry, the lock manager, and
@@ -408,26 +440,10 @@ impl Txn {
         // Undo in reverse order. Compensations are logged as ordinary
         // records so recovery can repeat history through a crashed abort.
         let undo = std::mem::take(&mut self.undo);
-        for op in undo.into_iter().rev() {
-            let (UndoOp::Insert { table, key }
-            | UndoOp::Update { table, key, .. }
-            | UndoOp::Delete { table, key, .. }) = op;
+        for op in undo.iter().rev() {
+            let (table, key) = op.target();
             let Ok(t) = self.mgr.table(table) else { continue };
-            // A compensation that fails (the row is already as it should be)
-            // logs nothing.
-            let _ = match &op {
-                UndoOp::Insert { .. } => t
-                    .delete_logged(key, |rid, before| self.log_row(table, key, rid, RowOp::Delete { before }))
-                    .map(drop),
-                UndoOp::Update { before, .. } => t
-                    .update_logged(key, before, |rid, current| {
-                        self.log_row(table, key, rid, RowOp::Update { before: current, after: before })
-                    })
-                    .map(drop),
-                UndoOp::Delete { before, .. } => t
-                    .insert_logged(key, before, |rid| self.log_row(table, key, rid, RowOp::Insert { row: before }))
-                    .map(drop),
-            };
+            op.compensate(&t, |rid, row| self.log_row(table, key, rid, row));
         }
         if self.last_lsn != NULL_LSN {
             self.mgr.wal.append(self.id, self.last_lsn, &LogBody::Abort);

@@ -34,7 +34,7 @@ pub use buffer::{LogBuffer, LogFault, LsnRange};
 pub use consolidated::ConsolidatedLogBuffer;
 pub use decoupled::DecoupledLogBuffer;
 pub use record::{LogBody, LogRecord, SalvagedLog, WalError};
-pub use recovery::{apply_redo, checkpoint_redo_lsn, slice_from_checkpoint};
+pub use recovery::{checkpoint_redo_lsn, redo, slice_from_checkpoint};
 pub use serial::SerialLogBuffer;
 pub use wal::{LogPolicy, Wal};
 

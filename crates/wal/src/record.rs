@@ -215,10 +215,25 @@ pub enum LogBody {
     },
 }
 
+impl LogBody {
+    /// The one view of a row record — `(table, key, rid, images)` — and
+    /// `None` for every other record. Encoding, redo, undo, the follower's
+    /// apply and the slot catch-up all read row records through here.
+    pub fn row(&self) -> Option<(TableId, u64, Rid, RowOp<'_>)> {
+        let (table, key, rid, op) = match self {
+            LogBody::Insert { table, key, rid, row } => (table, key, rid, RowOp::Insert { row }),
+            LogBody::Update { table, key, rid, before, after } => (table, key, rid, RowOp::Update { before, after }),
+            LogBody::Delete { table, key, rid, before } => (table, key, rid, RowOp::Delete { before }),
+            _ => return None,
+        };
+        Some((*table, *key, *rid, op))
+    }
+}
+
 /// The images of one row mutation, borrowed from wherever they already
-/// live — the caller's argument, the row just read under the page latch — so
-/// logging copies each image once, into the record, and builds no owned
-/// [`LogBody`] on the way.
+/// live — the caller's argument, the row just read under the page latch, a
+/// decoded record — so logging copies each image once, into the record, and
+/// builds no owned [`LogBody`] on the way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowOp<'a> {
     /// A tuple insert.
@@ -238,6 +253,18 @@ pub enum RowOp<'a> {
         /// Deleted row.
         before: &'a [i64],
     },
+}
+
+impl<'a> RowOp<'a> {
+    /// The mutation that takes the row back: an insert's inverse deletes
+    /// the row, an update's swaps its images, a delete's re-inserts it.
+    pub fn inverse(self) -> RowOp<'a> {
+        match self {
+            RowOp::Insert { row } => RowOp::Delete { before: row },
+            RowOp::Update { before, after } => RowOp::Update { before: after, after: before },
+            RowOp::Delete { before } => RowOp::Insert { row: before },
+        }
+    }
 }
 
 /// A fully decoded log record.
@@ -321,15 +348,6 @@ pub fn encode_row_op_into(
 pub fn encode_into(out: &mut Vec<u8>, txn_id: u64, prev_lsn: Lsn, body: &LogBody) {
     match body {
         LogBody::Begin => frame(out, txn_id, prev_lsn, 0, |_| {}),
-        LogBody::Insert { table, key, rid, row } => {
-            encode_row_op_into(out, txn_id, prev_lsn, *table, *key, *rid, RowOp::Insert { row })
-        }
-        LogBody::Update { table, key, rid, before, after } => {
-            encode_row_op_into(out, txn_id, prev_lsn, *table, *key, *rid, RowOp::Update { before, after })
-        }
-        LogBody::Delete { table, key, rid, before } => {
-            encode_row_op_into(out, txn_id, prev_lsn, *table, *key, *rid, RowOp::Delete { before })
-        }
         LogBody::Commit => frame(out, txn_id, prev_lsn, 4, |_| {}),
         LogBody::Abort => frame(out, txn_id, prev_lsn, 5, |_| {}),
         LogBody::Checkpoint { redo_lsn } => frame(out, txn_id, prev_lsn, 6, |out| out.put_u64_le(*redo_lsn)),
@@ -348,6 +366,10 @@ pub fn encode_into(out: &mut Vec<u8>, txn_id: u64, prev_lsn: Lsn, body: &LogBody
             out.put_u32_le(*to);
             out.put_u64_le(*mark);
         }),
+        row => {
+            let (table, key, rid, op) = row.row().expect("every other tag is a row record");
+            encode_row_op_into(out, txn_id, prev_lsn, table, key, rid, op)
+        }
     }
 }
 
@@ -423,33 +445,16 @@ fn decode_payload(r: &mut Reader<'_>) -> Option<(u64, Lsn, Option<LogBody>)> {
     let tag = r.u8()?;
     let body = match tag {
         0 => LogBody::Begin,
-        1 => {
+        1..=3 => {
             let table = r.u32_le()?;
             let key = r.u64_le()?;
             let rid = Rid::from_u64(r.u64_le()?);
-            let row = r.row()?;
-            LogBody::Insert { table, key, rid, row }
-        }
-        2 => {
-            let table = r.u32_le()?;
-            let key = r.u64_le()?;
-            let rid = Rid::from_u64(r.u64_le()?);
-            let before = r.row()?;
-            let after = r.row()?;
-            LogBody::Update {
-                table,
-                key,
-                rid,
-                before,
-                after,
+            let first = r.row()?;
+            match tag {
+                1 => LogBody::Insert { table, key, rid, row: first },
+                2 => LogBody::Update { table, key, rid, before: first, after: r.row()? },
+                _ => LogBody::Delete { table, key, rid, before: first },
             }
-        }
-        3 => {
-            let table = r.u32_le()?;
-            let key = r.u64_le()?;
-            let rid = Rid::from_u64(r.u64_le()?);
-            let before = r.row()?;
-            LogBody::Delete { table, key, rid, before }
         }
         4 => LogBody::Commit,
         5 => LogBody::Abort,
@@ -646,6 +651,21 @@ mod tests {
                 },
             ),
         ]);
+    }
+
+    #[test]
+    fn the_row_view_sees_exactly_the_row_records() {
+        let rid = Rid::new(7, 2);
+        let update = LogBody::Update { table: 3, key: 42, rid, before: vec![1], after: vec![2] };
+        let op = RowOp::Update { before: &[1], after: &[2] };
+        assert_eq!(update.row(), Some((3, 42, rid, op)));
+        assert_eq!(op.inverse(), RowOp::Update { before: &[2], after: &[1] });
+        let insert = RowOp::Insert { row: &[5] };
+        assert_eq!(insert.inverse(), RowOp::Delete { before: &[5] });
+        assert_eq!(insert.inverse().inverse(), insert);
+        for body in [LogBody::Begin, LogBody::Commit, LogBody::Abort, LogBody::Prepare { gtid: 1 }] {
+            assert_eq!(body.row(), None);
+        }
     }
 
     #[test]

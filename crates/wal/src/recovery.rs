@@ -1,4 +1,22 @@
-//! ARIES-style crash recovery: analysis, redo (repeating history), undo.
+//! ARIES-style crash recovery — analysis, redo (repeating history), undo —
+//! and the two row-image appliers everything that repeats history shares.
+//!
+//! A row record is taken apart in one place, [`LogBody::row`], and applied
+//! by one of two functions over one kernel (heap change, then the index
+//! half):
+//!
+//! * [`redo`] — the physical redo: the record's image at its rid, gated by
+//!   the page LSN. Crash recovery runs it over the log; a follower's apply
+//!   loop (`esdb-repl`'s `Replica`) over each commit-consistent batch.
+//! * [`undo_txns`] — the physical undo: the *inverse* image of every record
+//!   of the given transactions, newest first, not gated, stamped from the
+//!   [`undo_band`](crate::wal::undo_band). Recovery runs it over its losers;
+//!   in-doubt resolution (`esdb-shard`) over what the coordinator aborted.
+//!
+//! A migration's slot catch-up (`esdb-repl`'s `RangeShip`) is a *logical*
+//! redo — destination rids differ — that reads records through the same
+//! view; runtime rollback, which logs its compensations, is `esdb-txn`'s
+//! `UndoOp::compensate`.
 //!
 //! Recovery operates on tables whose heap pages were restored from the page
 //! store ([`esdb_storage::table::Table::from_heap`]) but whose in-memory
@@ -10,24 +28,29 @@
 //!    everything else is a loser — except transactions whose last vote
 //!    record is a durable `Prepare`: those are *in doubt* and belong to the
 //!    two-phase-commit coordinator, not to local recovery.
-//! 2. **Redo** — replay *every* update in LSN order, using page LSNs to skip
-//!    changes already on disk (repeating history, including losers).
-//! 3. **Undo** — roll back loser transactions in reverse LSN order using the
-//!    before-images in their records. In-doubt transactions are *not*
-//!    undone: their locks are conceptually still held and their fate is
-//!    decided post-recovery by [`undo_txn`] (coordinator said abort) or by
-//!    keeping the redone state (coordinator said commit).
-//! 4. **Index rebuild** — primary indexes are reconstructed from heap scans.
+//! 2. **Redo** — [`redo`] *every* row record in LSN order (repeating
+//!    history, including losers).
+//! 3. **Undo** — [`undo_txns`] over the losers. In-doubt transactions are
+//!    *not* undone: their locks are conceptually still held and their fate
+//!    is decided post-recovery by [`undo_txns`] (coordinator said abort) or
+//!    by keeping the redone state (coordinator said commit).
+//! 4. **Index rebuild** — primary and secondary indexes are rebuilt from
+//!    heap scans.
+//!
+//! A storage error in redo or undo — a page pin that fails after its
+//! retries, a slot that does not hold what the log says — stops recovery
+//! with `Err`; nothing is counted as applied that was not.
 //!
 //! Simplification vs full ARIES: no compensation log records are written
 //! during recovery, so recovery itself is not restartable mid-undo. For an
 //! in-memory evaluation harness this is immaterial and documented in
 //! DESIGN.md.
 
-use crate::record::{LogBody, LogRecord};
+use crate::record::{LogBody, LogRecord, RowOp};
+use crate::wal::undo_band;
 use crate::Lsn;
 use esdb_storage::schema::{encode_row, TableId};
-use esdb_storage::{StorageError, Table};
+use esdb_storage::{Rid, StorageError, Table};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -114,58 +137,50 @@ pub fn slice_from_checkpoint(records: &[LogRecord]) -> &[LogRecord] {
     }
 }
 
-/// Applies one record's redo action against `tables`, maintaining the
-/// primary and secondary indexes alongside the heap, and returns whether the
-/// page actually changed (`false`: skipped by the page-LSN check, unknown
-/// table, or a non-redo record). Page-LSN skips still perform the
-/// (idempotent) index maintenance, so a caller replaying an already-applied
-/// stream converges to the same indexes it had.
-///
-/// Secondary maintenance is *derived* from the row images the redo records
-/// already carry (full before/after rows) — no separate index-maintenance
-/// record type exists, so a replica or recovery replaying the data stream
-/// reconstructs exactly the indexes the primary maintained, and set
-/// semantics make the re-derivation idempotent under replay.
-///
-/// This is the replica apply loop's kernel: the same repeating-history redo
-/// that crash recovery runs, applied incrementally and in LSN order.
-pub fn apply_redo(r: &LogRecord, tables: &HashMap<TableId, Arc<Table>>) -> bool {
-    match &r.body {
-        LogBody::Insert { table, rid, row, key } => {
-            let Some(t) = tables.get(table) else { return false };
-            let applied = t
-                .heap()
-                .insert_at(*rid, &encode_row(*key, row), r.lsn)
-                .unwrap_or(false);
-            t.index().insert(*key, rid.to_u64());
-            for ix in t.secondaries() {
-                ix.insert_row(*key, row);
-            }
-            applied
+/// Applies one row image to `t` at `rid`, stamping `lsn`: the heap change —
+/// page-LSN `gated` for redo, not for undo — then the index half, which
+/// runs even when the gate skips the heap (a replay of an applied stream
+/// converges to the same indexes). Every index follows the full row images
+/// the record carries, so no index-maintenance record type exists, and set
+/// semantics make the re-derivation idempotent. Returns whether the page
+/// changed.
+fn apply_row(t: &Table, key: u64, rid: Rid, op: RowOp<'_>, lsn: Lsn, gated: bool) -> Result<bool, StorageError> {
+    let heap = t.heap();
+    let changed = match op {
+        RowOp::Insert { row } => heap.insert_at(rid, &encode_row(key, row), lsn, gated)?,
+        RowOp::Update { after, .. } => heap.update_at(rid, &encode_row(key, after), lsn, gated)?,
+        RowOp::Delete { .. } => heap.delete_at(rid, lsn, gated)?,
+    };
+    match op {
+        RowOp::Insert { row } => {
+            t.index().insert(key, rid.to_u64());
+            t.secondaries().iter().for_each(|ix| ix.insert_row(key, row));
         }
-        LogBody::Update { table, rid, before, after, key } => {
-            let Some(t) = tables.get(table) else { return false };
-            let applied = t
-                .heap()
-                .update_if_newer(*rid, &encode_row(*key, after), r.lsn)
-                .unwrap_or(false);
-            t.index().insert(*key, rid.to_u64());
-            for ix in t.secondaries() {
-                ix.update_row(*key, before, after);
-            }
-            applied
+        RowOp::Update { before, after } => {
+            t.index().insert(key, rid.to_u64());
+            t.secondaries().iter().for_each(|ix| ix.update_row(key, before, after));
         }
-        LogBody::Delete { table, rid, key, before } => {
-            let Some(t) = tables.get(table) else { return false };
-            let applied = t.heap().delete_if_newer(*rid, r.lsn).unwrap_or(false);
-            t.index().remove(*key);
-            for ix in t.secondaries() {
-                ix.remove_row(*key, before);
-            }
-            applied
+        RowOp::Delete { before } => {
+            t.index().remove(key);
+            t.secondaries().iter().for_each(|ix| ix.remove_row(key, before));
         }
-        _ => false,
     }
+    Ok(changed)
+}
+
+/// The physical redo — repeating history one record at a time: applies a
+/// row record's image to its table, gated by the page LSN, and keeps the
+/// primary and secondary indexes in step. Returns whether the page changed
+/// (`false`: the page already held the change), or `None` when `r` is not a
+/// row record of a table in `tables`. Crash recovery runs it over the whole
+/// log; a follower's apply loop over each commit-consistent batch.
+///
+/// A failed page pin or a slot that does not hold what the log says is an
+/// `Err`, never a skip: the caller must not count the record as applied.
+pub fn redo(r: &LogRecord, tables: &HashMap<TableId, Arc<Table>>) -> Result<Option<bool>, StorageError> {
+    let Some((table, key, rid, op)) = r.body.row() else { return Ok(None) };
+    let Some(t) = tables.get(&table) else { return Ok(None) };
+    apply_row(t, key, rid, op, r.lsn, true).map(Some)
 }
 
 /// Full recovery over `tables` (keyed by table id). Tables must carry the
@@ -183,88 +198,16 @@ pub fn recover(
     // `redo_lsn` is already fully reflected in the page store.
     let records = slice_from_checkpoint(records);
     let mut report = analyze(records);
-    let mut max_lsn: Lsn = 0;
-
-    // --- Redo: repeat history in LSN order. -----------------------------
     for r in records {
-        max_lsn = max_lsn.max(r.lsn);
-        let applied = match &r.body {
-            LogBody::Insert { table, rid, row, key } => {
-                let Some(t) = tables.get(table) else { continue };
-                t.heap()
-                    .insert_at(*rid, &encode_row(*key, row), r.lsn)
-                    .unwrap_or(false)
-            }
-            LogBody::Update {
-                table,
-                rid,
-                after,
-                key,
-                ..
-            } => {
-                let Some(t) = tables.get(table) else { continue };
-                t.heap()
-                    .update_if_newer(*rid, &encode_row(*key, after), r.lsn)
-                    .unwrap_or(false)
-            }
-            LogBody::Delete { table, rid, .. } => {
-                let Some(t) = tables.get(table) else { continue };
-                t.heap().delete_if_newer(*rid, r.lsn).unwrap_or(false)
-            }
-            _ => continue,
-        };
-        if applied {
-            report.redo_applied += 1;
-        } else {
-            report.redo_skipped += 1;
+        match redo(r, tables)? {
+            Some(true) => report.redo_applied += 1,
+            Some(false) => report.redo_skipped += 1,
+            None => {}
         }
     }
-
-    // --- Undo: roll back losers in reverse LSN order. -------------------
-    // Undo actions get fresh LSNs past the end of the log so page-LSN
-    // ordering stays monotone.
-    let mut undo_lsn = max_lsn + 1_000_000;
-    for r in records.iter().rev() {
-        if !report.losers.contains(&r.txn_id) {
-            continue;
-        }
-        undo_lsn += 1;
-        match &r.body {
-            LogBody::Insert { table, rid, .. } => {
-                // Undo insert: delete the tuple.
-                let Some(t) = tables.get(table) else { continue };
-                let _ = t.heap().delete(*rid, |_| undo_lsn);
-                report.undo_applied += 1;
-            }
-            LogBody::Update {
-                table,
-                rid,
-                before,
-                key,
-                ..
-            } => {
-                let Some(t) = tables.get(table) else { continue };
-                let _ = t.heap().update(*rid, &encode_row(*key, before), |_| undo_lsn);
-                report.undo_applied += 1;
-            }
-            LogBody::Delete {
-                table,
-                rid,
-                before,
-                key,
-            } => {
-                let Some(t) = tables.get(table) else { continue };
-                let _ = t.heap().insert_at(*rid, &encode_row(*key, before), undo_lsn);
-                report.undo_applied += 1;
-            }
-            _ => {}
-        }
-    }
-
-    // --- Index rebuild. --------------------------------------------------
-    // Primary and secondary alike: both are derived, in-memory state, so
-    // both are reconstructed from the settled post-undo heap rather than
-    // maintained record-by-record above.
+    report.undo_applied = undo_txns(records, tables, &report.losers)?;
+    // Redo and undo kept the indexes in step for the rows the log touches;
+    // the rest of the heap is reached only by a scan.
     for t in tables.values() {
         t.rebuild_index()?;
         t.rebuild_secondaries()?;
@@ -272,60 +215,34 @@ pub fn recover(
     Ok(report)
 }
 
-/// Rolls back one transaction's logged effects in reverse order using its
-/// before-images, stamping fresh LSNs from `undo_lsn` upward and keeping
-/// the primary index in step with every heap change. Returns the number of
-/// undo actions applied.
+/// The physical undo: rolls back every logged row change of the
+/// transactions in `txns`, newest first, by applying each record's inverse
+/// image ([`RowOp::inverse`]) through the same kernel as [`redo`] — so the
+/// primary and secondary indexes stay in step. Returns the number of row
+/// records undone.
 ///
-/// This is the post-recovery resolution path for an in-doubt (prepared)
-/// transaction whose coordinator decided — or is presumed to have decided —
-/// abort. `undo_lsn` must exceed every LSN recovery itself stamped, so
-/// page-LSN ordering stays monotone; callers pass the recovered WAL's
-/// current LSN, which restarts far past the pre-crash stream.
-pub fn undo_txn(
+/// Undo is not page-LSN gated. It stamps LSNs from
+/// [`undo_band`](crate::wal::undo_band)`(records)` — past every record, below
+/// the successor log's first LSN — so a second batch of undo over the same
+/// crash image (one in-doubt abort after another) stamps the same, lower
+/// LSNs and still applies. Recovery calls it with its losers; in-doubt
+/// resolution with the transactions whose coordinator decided, or is
+/// presumed to have decided, abort.
+pub fn undo_txns(
     records: &[LogRecord],
     tables: &HashMap<TableId, Arc<Table>>,
-    txn_id: u64,
-    mut undo_lsn: Lsn,
+    txns: &HashSet<u64>,
 ) -> Result<usize, StorageError> {
-    let mut applied = 0usize;
-    for r in records.iter().rev() {
-        if r.txn_id != txn_id {
-            continue;
-        }
-        undo_lsn += 1;
-        match &r.body {
-            LogBody::Insert { table, rid, key, row } => {
-                let Some(t) = tables.get(table) else { continue };
-                let _ = t.heap().delete(*rid, |_| undo_lsn);
-                t.index().remove(*key);
-                for ix in t.secondaries() {
-                    ix.remove_row(*key, row);
-                }
-                applied += 1;
-            }
-            LogBody::Update { table, rid, before, after, key } => {
-                let Some(t) = tables.get(table) else { continue };
-                let _ = t.heap().update(*rid, &encode_row(*key, before), |_| undo_lsn);
-                t.index().insert(*key, rid.to_u64());
-                for ix in t.secondaries() {
-                    ix.update_row(*key, after, before);
-                }
-                applied += 1;
-            }
-            LogBody::Delete { table, rid, before, key } => {
-                let Some(t) = tables.get(table) else { continue };
-                let _ = t.heap().insert_at(*rid, &encode_row(*key, before), undo_lsn);
-                t.index().insert(*key, rid.to_u64());
-                for ix in t.secondaries() {
-                    ix.insert_row(*key, before);
-                }
-                applied += 1;
-            }
-            _ => {}
-        }
+    let band = undo_band(records);
+    let mut undone = 0;
+    for r in records.iter().rev().filter(|r| txns.contains(&r.txn_id)) {
+        let Some((table, key, rid, op)) = r.body.row() else { continue };
+        let Some(t) = tables.get(&table) else { continue };
+        let lsn = (band.start + undone as u64).min(band.end - 1);
+        apply_row(t, key, rid, op.inverse(), lsn, false)?;
+        undone += 1;
     }
-    Ok(applied)
+    Ok(undone)
 }
 
 #[cfg(test)]
@@ -583,13 +500,103 @@ mod tests {
         assert_eq!(table.get(5).unwrap(), vec![51]);
         assert_eq!(table.get(9).unwrap(), vec![90]);
 
-        // Coordinator answer: abort → undo_txn rolls the txn back exactly.
+        // Coordinator answer: abort → undo_txns rolls the txn back exactly.
         let mut tables = HashMap::new();
         tables.insert(1u32, table.clone());
-        let n = undo_txn(&h.wal.durable_records(), &tables, 2, 10_000_000).unwrap();
+        let n = undo_txns(&h.wal.durable_records(), &tables, &HashSet::from([2])).unwrap();
         assert_eq!(n, 2);
         assert_eq!(table.get(5).unwrap(), vec![50], "update restored");
         assert!(table.get(9).is_err(), "insert removed");
         assert_eq!(table.len(), 1);
+    }
+
+    #[test]
+    fn a_losers_freed_slot_reused_by_a_commit_is_an_error_not_a_lost_commit() {
+        // Txn 1 inserts key 10 and rolls it back (the compensation frees the
+        // slot); txn 2 inserts key 20 into that slot and commits; txn 1's
+        // Abort record never becomes durable. Physical undo of txn 1 would
+        // re-insert key 10 over key 20, then delete the slot — losing a
+        // committed row. Until compensations are CLRs that undo skips,
+        // recovery refuses instead.
+        let h = Harness::new();
+        let b = h.wal.append(1, NULL_LSN, &LogBody::Begin);
+        let rid = h.table.insert_logged(10, &[1], |_| b.end).unwrap();
+        let i = h.wal.append(1, b.start, &LogBody::Insert { table: 1, key: 10, rid, row: vec![1] });
+        h.table.delete_logged(10, |_, _| i.end).unwrap();
+        h.wal.append(1, i.start, &LogBody::Delete { table: 1, key: 10, rid, before: vec![1] });
+        let b2 = h.wal.append(2, NULL_LSN, &LogBody::Begin);
+        let reused = h.table.insert_logged(20, &[2], |_| b2.end).unwrap();
+        assert_eq!(reused, rid, "the freed slot is the next insert's");
+        let i2 = h.wal.append(2, b2.start, &LogBody::Insert { table: 1, key: 20, rid, row: vec![2] });
+        h.wal.commit(2, i2.start);
+
+        let pool = Arc::new(BufferPool::new(64, h.disk.clone()));
+        let heap = HeapFile::from_pages(pool, h.table.heap().pages());
+        let table = Arc::new(Table::from_heap(Schema::new(1, "t", 1), heap));
+        let tables = HashMap::from([(1u32, table)]);
+        assert_eq!(recover(&h.wal.durable_records(), &tables), Err(StorageError::RecordNotFound(rid)));
+    }
+
+    /// A page store whose reads of one page fail with a transient error
+    /// until `failures` runs out.
+    struct FlakyPage {
+        inner: Arc<InMemoryDisk>,
+        page: esdb_storage::PageId,
+        failures: std::sync::atomic::AtomicU32,
+    }
+
+    impl esdb_storage::disk::PageStore for FlakyPage {
+        fn allocate(&self) -> esdb_storage::PageId {
+            self.inner.allocate()
+        }
+        fn read(&self, id: esdb_storage::PageId, out: &mut esdb_storage::page::Page) -> esdb_storage::Result<()> {
+            use std::sync::atomic::Ordering::SeqCst;
+            if id == self.page && self.failures.fetch_update(SeqCst, SeqCst, |n| n.checked_sub(1)).is_ok() {
+                return Err(StorageError::TransientIo { op: esdb_storage::IoOp::Read });
+            }
+            self.inner.read(id, out)
+        }
+        fn write(&self, id: esdb_storage::PageId, page: &esdb_storage::page::Page) -> esdb_storage::Result<()> {
+            self.inner.write(id, page)
+        }
+        fn num_pages(&self) -> u64 {
+            self.inner.num_pages()
+        }
+    }
+
+    #[test]
+    fn a_redo_whose_page_pin_fails_is_an_error_not_a_skip() {
+        let h = Harness::new();
+        let b = h.wal.append(1, NULL_LSN, &LogBody::Begin);
+        let rid = h.table.insert_logged(5, &[10], |_| b.end).unwrap();
+        let i = h.wal.append(1, b.start, &LogBody::Insert { table: 1, key: 5, rid, row: vec![10] });
+        h.wal.commit(1, i.start);
+        h.pool.flush_all().unwrap();
+        h.wal.append_forced(&LogBody::Checkpoint { redo_lsn: h.wal.current_lsn() });
+        // A committed update whose page never reached the store.
+        let b2 = h.wal.append(2, NULL_LSN, &LogBody::Begin);
+        let before = h.table.update_logged(5, &[11], |_, _| b2.end).unwrap();
+        let u = h.wal.append(2, b2.start, &LogBody::Update { table: 1, key: 5, rid, before, after: vec![11] });
+        h.wal.commit(2, u.start);
+
+        // The store fails every read of the page the redo pins, retries
+        // included; the index rebuild after it would read the page fine.
+        let flaky = Arc::new(FlakyPage {
+            inner: h.disk.clone(),
+            page: rid.page,
+            failures: esdb_storage::buffer::IO_ATTEMPTS.into(),
+        });
+        let pool = Arc::new(BufferPool::new(64, flaky));
+        let heap = HeapFile::from_pages(pool, h.table.heap().pages());
+        let table = Arc::new(Table::from_heap(Schema::new(1, "t", 1), heap));
+        let tables = HashMap::from([(1u32, table.clone())]);
+        assert_eq!(
+            recover(&h.wal.durable_records(), &tables),
+            Err(StorageError::TransientIo { op: esdb_storage::IoOp::Read }),
+            "a committed update must not be lost to a skipped redo"
+        );
+        // Once the device answers, the same image recovers the update.
+        assert_eq!(recover(&h.wal.durable_records(), &tables).unwrap().redo_applied, 1);
+        assert_eq!(table.get(5).unwrap(), vec![11]);
     }
 }

@@ -63,9 +63,22 @@ impl FromStr for LogPolicy {
 
 /// How far past its predecessor's durable end a [`Wal::successor`] starts:
 /// clear of everything the dead incarnation may have handed to the device
-/// and of every page LSN recovery may stamp (undo LSNs run up to durable +
-/// ~1M).
+/// and of every page LSN undo after the crash may stamp ([`undo_band`]).
 pub const INCARNATION_GAP: Lsn = 1 << 24;
+
+/// Width of the [`undo_band`].
+pub const UNDO_BAND: Lsn = 1 << 20;
+
+/// The page LSNs that undo after a crash stamps — recovery's losers and
+/// every later in-doubt abort alike — given the crashed log's durable
+/// `records`: the top [`UNDO_BAND`] LSNs of the [`INCARNATION_GAP`] above
+/// its last record. So every stamp lies past the records it undoes and
+/// below the successor's first LSN, which a stamp must never reach: redo
+/// of the successor's records is page-LSN gated.
+pub fn undo_band(records: &[LogRecord]) -> std::ops::Range<Lsn> {
+    let top = records.last().map_or(LOG_START, |r| r.lsn) + INCARNATION_GAP;
+    top - UNDO_BAND..top
+}
 
 /// The engine-facing write-ahead log.
 pub struct Wal {
@@ -428,6 +441,35 @@ mod tests {
         borrowed.append_row(9, 90, 2, 5, rid, RowOp::Delete { before: &before });
         assert_eq!(owned.records(), borrowed.records());
         assert_eq!(owned.durable_tail(8), borrowed.durable_tail(8));
+    }
+
+    #[test]
+    fn every_undo_band_lies_between_the_durable_end_and_the_successor() {
+        let rid = Rid::new(0, 0);
+        for policy in LogPolicy::ALL {
+            // Empty, clean, torn-tailed, and lying logs (the device drops
+            // every append from the crash on while the durable LSN advances).
+            for damage in 0..4 {
+                let wal = Wal::new(policy, None);
+                if damage == 3 {
+                    wal.inject_log_fault(crate::LogFault { seed: 7, crash_on_append: 20, flip_bit: false });
+                }
+                for txn in 1..=(if damage == 0 { 0 } else { 50 }) {
+                    let b = wal.append(txn, NULL_LSN, &LogBody::Begin);
+                    let u = wal.append_row(txn, b.start, 1, txn, rid, RowOp::Update { before: &[1], after: &[2] });
+                    wal.commit(txn, u.start);
+                }
+                if damage == 2 {
+                    wal.truncate_durable(wal.durable_len() as usize - 3);
+                }
+                let records = wal.durable_records();
+                let band = undo_band(&records);
+                assert!(records.iter().all(|r| r.lsn < band.start), "{policy} damage {damage}");
+                assert!(wal.durable_lsn() < band.start, "{policy} damage {damage}: {band:?}");
+                assert!(band.end <= wal.successor(policy, None).start_lsn(), "{policy} damage {damage}");
+                assert_eq!(band.end - band.start, UNDO_BAND);
+            }
+        }
     }
 
     #[test]

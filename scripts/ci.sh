@@ -92,20 +92,17 @@ echo "== gate: obs overhead (referee wire.tatp.d1, enabled within 5% of compiled
 # Reuses the referee stage's build for the obs-enabled side.
 CARGO_TARGET_DIR=benchmark/target scripts/obs_overhead_gate.sh
 
-echo "== smoke: replication (loopback primary + replica, TPC-B burst, RYW) =="
-# The repl_net integration test is the smoke: snapshot bootstrap over TCP, a
-# TPC-B burst shipped live, per-table content equality, read-your-writes
-# honored under a commit token, and feed survival across a server bounce.
-cargo test --release -q -p esdb-repl --test repl_net
-
-echo "== smoke: failover (quorum commit, fencing, promotion torture matrix) =="
-# failover_torture sweeps {primary crash, follower crash, partition, old
-# primary returns} x {before ship, after ship/before ack, after quorum} x 3
-# seeds (36 seeded rounds) plus the double-promotion split-brain scenario;
-# the oracle asserts no quorum-acked commit is lost and no divergent commit
-# survives. (net_failover, the same machinery at the wire level, ran in the
-# net stage above.)
-cargo test --release -q -p esdb-repl --test failover_torture
+echo "== replication + failover: whole esdb-repl suite =="
+# Unit tests (RangeShip's slot catch-up among them); repl_net (snapshot
+# bootstrap over TCP, a TPC-B burst shipped live, per-table content
+# equality, read-your-writes under a commit token, feed survival across a
+# server bounce); repl_torture (replica crash/reopen convergence);
+# index_equiv (follower secondary indexes equal to a full scan);
+# failover_net; and failover_torture, which sweeps {primary crash, follower
+# crash, partition, old primary returns} x {before ship, after ship/before
+# ack, after quorum} x 3 seeds plus the double-promotion split-brain
+# scenario — no quorum-acked commit lost, no divergent commit survives.
+cargo test --release -q -p esdb-repl
 
 echo "== smoke: reactor scale (reduced herd) =="
 # One reactor versus two is tier 1's (tests/wire_session.rs). The reduced
@@ -128,17 +125,17 @@ echo "== sharding: esdb-shard (unit tests, loopback 2PC cluster, 27-cell crash m
 # idempotence check. Seconds, not minutes.
 cargo test --release -q -p esdb-shard
 
-echo "== smoke: rebalancing (crash-torture matrix + wire-level migration) =="
-# migration_torture sweeps {coordinator, source, dest} crashes x {copy,
-# catch-up, fence, after cutover} x 3 seeds against the migration oracle
+echo "== rebalancing: whole esdb-rebal suite (crash-torture matrix + wire-level migration) =="
+# The unit tests, and: migration_torture sweeps {coordinator, source, dest}
+# crashes x {copy, catch-up, fence, after cutover} x 3 seeds against the
+# migration oracle
 # (no lost/duplicated/ghost rows, no dual ownership, writes blocked only
 # during the fence), plus in-doubt-2PC resolution at the fence and the
 # blocked-writer -> WrongShard -> retry-to-dest path, and the fence + cutover
 # window held to 250 ms under two concurrent writers. rebal_net runs a
 # live migration under wire traffic with a stale client recovering
 # through the typed refusal + RoutingSnapshot refresh.
-cargo test --release -q -p esdb-rebal --test migration_torture
-cargo test --release -q -p esdb-rebal --test rebal_net
+cargo test --release -q -p esdb-rebal
 
 echo "== referee: every workload once, every output oracle (--quick) =="
 # Fails if any workload's oracle fails or any call errors: TPC-B
