@@ -10,7 +10,10 @@
 //!    themselves and are admitted as daemon virtual threads.
 //! 2. **Exploration** (traced): client virtual threads run their scripts
 //!    while the strategy picks each step. Every decision is recorded, which
-//!    is what makes failing seeds replayable and shrinkable.
+//!    is what makes failing seeds replayable and shrinkable. A conventional
+//!    client runs the engine's own driver, `spec_exec::run_conventional`,
+//!    with the history recorder observing every access, and finishes the
+//!    way in-process callers do or the way the server does by seed parity.
 //!
 //! Teardown detaches every remaining virtual thread (daemons fall back to OS
 //! blocking and drain normally when the database drops). A run that makes no
@@ -24,9 +27,9 @@ use crate::schedule::{
     shrink_trace, MinTag, Pct, RandomWalk, ReplaySchedule, Schedule, Strategy, Trace,
 };
 use crate::vthread::{adopt_and_wait, finish, CheckHook, Cmd, Handshake, Report};
-use esdb_core::spec_exec::SpecOutcome;
-use esdb_core::{Database, ExecutionModel, TxnError};
-use esdb_txn::TxnManager;
+use esdb_core::spec_exec::{self, SpecOutcome};
+use esdb_core::{Database, ExecutionModel};
+use esdb_txn::Txn;
 use esdb_workload::{TxnSpec, WorkloadOp};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -216,25 +219,25 @@ pub fn check(scenario: &Scenario, cfg: &CheckConfig) -> CheckReport {
             Strategy::RandomWalk => Box::new(RandomWalk::new(seed)),
             Strategy::Pct { depth } => Box::new(Pct::new(seed, depth, cfg.max_steps)),
         };
-        let run = run_schedule(scenario, schedule, cfg);
+        let run = run_schedule(scenario, schedule, cfg, seed);
         committed_total += run.committed;
         if let Some(violation) = run.violation {
             let kind = violation.kind();
             let replayed = {
-                let r = replay(scenario, cfg, &run.trace.choices());
+                let r = replay(scenario, cfg, seed, &run.trace.choices());
                 r.violation.as_ref() == Some(&violation) && r.trace == run.trace
             };
             let shrunk_choices = shrink_trace(
                 &run.trace.choices(),
                 kind,
                 |choices| {
-                    replay(scenario, cfg, choices)
+                    replay(scenario, cfg, seed, choices)
                         .violation
                         .map(|v| v.kind().to_string())
                 },
                 cfg.shrink_budget,
             );
-            let shrunk_run = replay(scenario, cfg, &shrunk_choices);
+            let shrunk_run = replay(scenario, cfg, seed, &shrunk_choices);
             let shrunk_violation = shrunk_run.violation.unwrap_or_else(|| violation.clone());
             return CheckReport {
                 schedules_run: i + 1,
@@ -257,9 +260,10 @@ pub fn check(scenario: &Scenario, cfg: &CheckConfig) -> CheckReport {
     }
 }
 
-/// Replays a recorded choice sequence against `scenario`.
-pub fn replay(scenario: &Scenario, cfg: &CheckConfig, choices: &[u64]) -> ScheduleRunPublic {
-    let run = run_schedule(scenario, Box::new(ReplaySchedule::new(choices.to_vec())), cfg);
+/// Replays a recorded choice sequence of schedule `seed` against `scenario`
+/// (the seed also picks how conventional commits finish).
+pub fn replay(scenario: &Scenario, cfg: &CheckConfig, seed: u64, choices: &[u64]) -> ScheduleRunPublic {
+    let run = run_schedule(scenario, Box::new(ReplaySchedule::new(choices.to_vec())), cfg, seed);
     ScheduleRunPublic {
         violation: run.violation,
         trace: run.trace,
@@ -439,7 +443,14 @@ where
     (hs, handle)
 }
 
-fn run_schedule(scenario: &Scenario, mut schedule: Box<dyn Schedule>, cfg: &CheckConfig) -> ScheduleRun {
+/// Conventional clients finish the way the server does — the commit record
+/// appended and the locks released before it is durable, then a wait — on
+/// odd seeds, and in process through `Txn::commit` on even ones.
+fn finishes_deferred(seed: u64) -> bool {
+    seed % 2 == 1
+}
+
+fn run_schedule(scenario: &Scenario, mut schedule: Box<dyn Schedule>, cfg: &CheckConfig, seed: u64) -> ScheduleRun {
     let _run = RUN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let _chaos = ChaosGuard::set(cfg.mutation);
     let hook = Arc::new(CheckHook::new());
@@ -518,15 +529,26 @@ fn run_schedule(scenario: &Scenario, mut schedule: Box<dyn Schedule>, cfg: &Chec
         let panicked = Arc::clone(&panicked);
         let retries = scenario.config.retries;
         let record = conventional;
+        let deferred = finishes_deferred(seed);
         let (hs, handle) = spawn_vthread(tag as u64, move || {
             let mut outcomes = Vec::with_capacity(script.len());
             for spec in &script {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if record {
-                        run_conventional_recorded(db.txn_manager(), retries, spec, &recorder)
-                    } else {
-                        db.run_spec(spec)
+                    if !record {
+                        return db.run_spec(spec);
                     }
+                    // The engine's own driver, every access recorded.
+                    let observe = |txn, table, key, write| recorder.record(txn, table, key, write);
+                    let finish = |txn: Txn| {
+                        let id = txn.id();
+                        if !deferred {
+                            txn.commit();
+                        } else if let Some(lsn) = txn.commit_deferred() {
+                            db.wal().wait_durable(lsn);
+                        }
+                        recorder.commit(id);
+                    };
+                    spec_exec::run_conventional(db.txn_manager(), retries, spec, observe, finish).0
                 }));
                 match result {
                     Ok(outcome) => outcomes.push(outcome),
@@ -635,88 +657,4 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic".to_string()
     }
-}
-
-// ---------------------------------------------------------------------------
-// Recorded conventional execution (mirrors core::spec_exec::apply_ops, with
-// every successful access stamped into the history recorder)
-// ---------------------------------------------------------------------------
-
-fn run_conventional_recorded(
-    mgr: &Arc<TxnManager>,
-    retries: usize,
-    spec: &TxnSpec,
-    rec: &Recorder,
-) -> SpecOutcome {
-    let mut attempt = 0;
-    loop {
-        let mut txn = mgr.begin();
-        let id = txn.id();
-        match apply_ops_recorded(&mut txn, spec, rec) {
-            Ok(reads) => {
-                txn.commit();
-                rec.commit(id);
-                return SpecOutcome::Committed { reads };
-            }
-            Err(e) => {
-                txn.abort();
-                match e {
-                    TxnError::Lock(_) if attempt < retries => attempt += 1,
-                    TxnError::Lock(_) => return SpecOutcome::ConflictFailure,
-                    _ => return SpecOutcome::LogicalFailure,
-                }
-            }
-        }
-    }
-}
-
-fn apply_ops_recorded(
-    txn: &mut esdb_txn::Txn,
-    spec: &TxnSpec,
-    rec: &Recorder,
-) -> Result<Vec<Option<Vec<i64>>>, TxnError> {
-    let id = txn.id();
-    let mut reads: Vec<Option<Vec<i64>>> = Vec::with_capacity(spec.ops.len());
-    for op in &spec.ops {
-        match op {
-            WorkloadOp::Read { table, key } => {
-                let row = txn.read(*table, *key)?;
-                rec.record(id, *table, *key, false);
-                reads.push(Some(row));
-            }
-            WorkloadOp::Write { table, key, row } => {
-                txn.update(*table, *key, row)?;
-                rec.record(id, *table, *key, true);
-                reads.push(None);
-            }
-            WorkloadOp::Add { table, key, col, delta } => {
-                let before = txn.read_for_update(*table, *key)?;
-                rec.record(id, *table, *key, true);
-                let mut after = before.clone();
-                if *col >= after.len() {
-                    return Err(TxnError::Storage(
-                        esdb_storage::StorageError::ArityMismatch {
-                            expected: after.len(),
-                            got: *col + 1,
-                        },
-                    ));
-                }
-                after[*col] += delta;
-                txn.update(*table, *key, &after)?;
-                rec.record(id, *table, *key, true);
-                reads.push(Some(before));
-            }
-            WorkloadOp::Insert { table, key, row } => {
-                txn.insert(*table, *key, row)?;
-                rec.record(id, *table, *key, true);
-                reads.push(None);
-            }
-            WorkloadOp::Delete { table, key } => {
-                let before = txn.delete(*table, *key)?;
-                rec.record(id, *table, *key, true);
-                reads.push(Some(before));
-            }
-        }
-    }
-    Ok(reads)
 }

@@ -99,7 +99,7 @@ fn failing_seed_replays_byte_identically() {
 
     // And replaying the recorded choices once more from scratch still
     // reproduces the identical violation.
-    let again = replay(&scenario, &cfg, &failure.trace.choices());
+    let again = replay(&scenario, &cfg, failure.seed, &failure.trace.choices());
     assert_eq!(again.violation.as_ref(), Some(&failure.violation));
 }
 
@@ -180,8 +180,8 @@ fn same_seed_same_trace() {
     // A clean check records no trace publicly, so compare via replay of an
     // empty recording (MinTag fallback): two identical runs must agree on
     // the committed count and end state reachable through replay.
-    let a = replay(&scenario, &cfg, &[]);
-    let b = replay(&scenario, &cfg, &[]);
+    let a = replay(&scenario, &cfg, cfg.base_seed, &[]);
+    let b = replay(&scenario, &cfg, cfg.base_seed, &[]);
     assert_eq!(a.violation, b.violation);
     assert_eq!(a.committed, b.committed);
     assert_eq!(a.trace, b.trace);

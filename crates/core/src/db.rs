@@ -2,7 +2,7 @@
 
 use crate::config::{EngineConfig, ExecutionModel};
 use crate::metrics::WorkloadReport;
-use crate::spec_exec::{self, SpecOutcome};
+use crate::spec_exec::{self, unobserved, SpecOutcome};
 use esdb_dora::DoraSystem;
 use esdb_lock::LockManager;
 use esdb_storage::disk::PageStore;
@@ -106,6 +106,12 @@ pub struct ObsSnapshot {
     pub pool_miss: esdb_obs::HistogramSnapshot,
     /// Whole-transaction latencies (ns).
     pub txn_latency: esdb_obs::HistogramSnapshot,
+}
+
+/// The in-process finish: [`Txn::commit`], which owes nothing afterwards.
+fn commit_durably(txn: Txn) -> Option<esdb_wal::Lsn> {
+    txn.commit();
+    None
 }
 
 /// A running esdb database instance.
@@ -256,33 +262,39 @@ impl Database {
     }
 
     /// Executes one engine-agnostic transaction spec on whichever execution
-    /// model this database is configured with.
+    /// model this database is configured with. A conventional commit returns
+    /// durable, its locks held until then unless [`EngineConfig::elr`].
     pub fn run_spec(&self, spec: &esdb_workload::TxnSpec) -> SpecOutcome {
-        match self.config.execution {
-            ExecutionModel::Conventional { .. } => {
-                spec_exec::run_conventional(&self.txn_mgr, self.config.retries, spec)
-            }
-            ExecutionModel::Dora { .. } => spec_exec::run_dora(self.dora(), spec),
-        }
+        self.run_spec_then(spec, commit_durably).0
     }
 
     /// Like [`Database::run_spec`], but a committing conventional transaction
-    /// appends its commit record *without* waiting for durability and returns
-    /// the LSN the caller must pass to `Wal::wait_durable` before
-    /// acknowledging the commit. This is the group-commit hook the network
-    /// server uses: a pipelined batch of transactions commits deferred, then
-    /// one physical flush covers the whole batch.
+    /// appends its commit record and releases its locks *without* waiting
+    /// for durability, and returns the LSN the caller must pass to
+    /// `Wal::wait_durable` before acknowledging the commit. This is the
+    /// group-commit hook the network server uses: a pipelined batch of
+    /// transactions commits deferred, then one physical flush covers the
+    /// whole batch.
     ///
     /// `None` means there is nothing to wait on — a read-only commit, an
-    /// abort, or DORA execution (whose executors flush internally before
-    /// reporting).
+    /// abort, or DORA execution (whose client flushes before reporting).
     pub fn run_spec_deferred(
         &self,
         spec: &esdb_workload::TxnSpec,
     ) -> (SpecOutcome, Option<esdb_wal::Lsn>) {
+        self.run_spec_then(spec, Txn::commit_deferred)
+    }
+
+    fn run_spec_then(
+        &self,
+        spec: &esdb_workload::TxnSpec,
+        finish: impl FnOnce(Txn) -> Option<esdb_wal::Lsn>,
+    ) -> (SpecOutcome, Option<esdb_wal::Lsn>) {
         match self.config.execution {
             ExecutionModel::Conventional { .. } => {
-                spec_exec::run_conventional_deferred(&self.txn_mgr, self.config.retries, spec)
+                let (outcome, owed) =
+                    spec_exec::run_conventional(&self.txn_mgr, self.config.retries, spec, unobserved, finish);
+                (outcome, owed.flatten())
             }
             ExecutionModel::Dora { .. } => (spec_exec::run_dora(self.dora(), spec), None),
         }
@@ -323,34 +335,30 @@ impl Database {
         if !matches!(self.config.execution, ExecutionModel::Conventional { .. }) {
             return (SpecOutcome::LogicalFailure, None);
         }
-        match spec_exec::run_conventional_prepare(&self.txn_mgr, self.config.retries, gtid, spec) {
-            Ok((handle, vote, lsn)) => {
-                let mut reg = self.prepared.lock();
-                if reg.contains_key(&gtid) {
-                    drop(reg);
-                    handle.abort_decided();
-                    return (SpecOutcome::LogicalFailure, None);
-                }
-                reg.insert(gtid, handle);
-                (vote, lsn)
-            }
-            Err(outcome) => (outcome, None),
+        let prepare = |txn: Txn| txn.prepare_deferred(gtid);
+        let (vote, prepared) =
+            spec_exec::run_conventional(&self.txn_mgr, self.config.retries, spec, unobserved, prepare);
+        let Some((handle, lsn)) = prepared else {
+            return (vote, None);
+        };
+        let mut reg = self.prepared.lock();
+        if reg.contains_key(&gtid) {
+            drop(reg);
+            handle.abort_decided();
+            return (SpecOutcome::LogicalFailure, None);
         }
+        reg.insert(gtid, handle);
+        (vote, lsn)
     }
 
     /// Delivers the coordinator's decision for `gtid` to the prepared
-    /// transaction registered here. Idempotent: an unknown gtid (already
+    /// transaction registered here; a commit returns durable, as
+    /// [`Database::run_spec`]'s does. Idempotent: an unknown gtid (already
     /// decided, or never prepared on this shard) is a no-op returning
     /// `false` — the decision cannot be applied twice because the handle is
     /// removed from the registry before it is consumed.
     pub fn decide(&self, gtid: u64, commit: bool) -> bool {
-        let handle = self.prepared.lock().remove(&gtid);
-        match handle {
-            Some(h) if commit => h.commit_decided(),
-            Some(h) => h.abort_decided(),
-            None => return false,
-        }
-        true
+        self.decide_then(gtid, commit, commit_durably).0
     }
 
     /// [`Database::decide`] *without waiting for durability*: a commit
@@ -359,9 +367,18 @@ impl Database {
     /// acknowledging the verdict as applied (`None`: an abort, a read-only
     /// slice or an unknown gtid, nothing to wait on).
     pub fn decide_deferred(&self, gtid: u64, commit: bool) -> (bool, Option<esdb_wal::Lsn>) {
+        self.decide_then(gtid, commit, Txn::commit_deferred)
+    }
+
+    fn decide_then(
+        &self,
+        gtid: u64,
+        commit: bool,
+        finish: impl FnOnce(Txn) -> Option<esdb_wal::Lsn>,
+    ) -> (bool, Option<esdb_wal::Lsn>) {
         let handle = self.prepared.lock().remove(&gtid);
         match handle {
-            Some(h) if commit => (true, h.commit_decided_deferred()),
+            Some(h) if commit => (true, h.commit_decided(finish)),
             Some(h) => {
                 h.abort_decided();
                 (true, None)

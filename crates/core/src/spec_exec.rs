@@ -1,8 +1,16 @@
 //! Executing engine-agnostic transaction specs on either execution model.
+//!
+//! The conventional engine has one driver, [`run_conventional`]: the
+//! transaction manager's retry loop over one op applier, finished by the
+//! caller's step — [`Txn::commit`] in process, [`Txn::commit_deferred`] on
+//! the reactor (which then forces the tick's group flush),
+//! [`Txn::prepare_deferred`] for a two-phase-commit vote. The deterministic
+//! checker calls the same driver with its history recorder as the observer.
 
 use esdb_dora::{Action, ActionOp, DoraError, DoraSystem};
-use esdb_txn::{PreparedTxn, Txn, TxnError, TxnManager, TxnResult};
-use esdb_wal::Lsn;
+use esdb_storage::schema::TableId;
+use esdb_storage::StorageError;
+use esdb_txn::{Txn, TxnError, TxnManager, TxnResult};
 use esdb_workload::{TxnSpec, WorkloadOp};
 use std::sync::Arc;
 
@@ -28,119 +36,65 @@ impl SpecOutcome {
     }
 }
 
-/// Applies every op of `spec` inside `txn`, collecting per-op read results.
-fn apply_ops(txn: &mut Txn, spec: &TxnSpec) -> TxnResult<Vec<Option<Vec<i64>>>> {
+/// Applies every op of `spec` inside `txn`, collecting per-op read results
+/// and reporting each successful row access to `observe(txn, table, key,
+/// write)` — an `Add` twice, after its read-for-update and after its update.
+fn apply_ops(
+    txn: &mut Txn,
+    spec: &TxnSpec,
+    observe: &mut impl FnMut(u64, TableId, u64, bool),
+) -> TxnResult<Vec<Option<Vec<i64>>>> {
+    let id = txn.id();
     let mut reads: Vec<Option<Vec<i64>>> = Vec::with_capacity(spec.ops.len());
     for op in &spec.ops {
-        match op {
-            WorkloadOp::Read { table, key } => {
-                reads.push(Some(txn.read(*table, *key)?));
-            }
+        let (table, key, write, read) = match op {
+            WorkloadOp::Read { table, key } => (table, key, false, Some(txn.read(*table, *key)?)),
             WorkloadOp::Write { table, key, row } => {
                 txn.update(*table, *key, row)?;
-                reads.push(None);
+                (table, key, true, None)
             }
             WorkloadOp::Add { table, key, col, delta } => {
                 let before = txn.read_for_update(*table, *key)?;
+                observe(id, *table, *key, true);
                 let mut after = before.clone();
-                if *col >= after.len() {
-                    return Err(TxnError::Storage(
-                        esdb_storage::StorageError::ArityMismatch {
-                            expected: after.len(),
-                            got: *col + 1,
-                        },
-                    ));
-                }
-                after[*col] += delta;
+                let arity = StorageError::ArityMismatch { expected: before.len(), got: *col + 1 };
+                let cell = after.get_mut(*col).ok_or(TxnError::Storage(arity))?;
+                *cell = cell.checked_add(*delta).ok_or(TxnError::Overflow { table: *table, key: *key })?;
                 txn.update(*table, *key, &after)?;
-                reads.push(Some(before));
+                (table, key, true, Some(before))
             }
             WorkloadOp::Insert { table, key, row } => {
                 txn.insert(*table, *key, row)?;
-                reads.push(None);
+                (table, key, true, None)
             }
-            WorkloadOp::Delete { table, key } => {
-                reads.push(Some(txn.delete(*table, *key)?));
-            }
-        }
+            WorkloadOp::Delete { table, key } => (table, key, true, Some(txn.delete(*table, *key)?)),
+        };
+        observe(id, *table, *key, write);
+        reads.push(read);
     }
     Ok(reads)
 }
 
-/// Runs `spec` as a conventional 2PL transaction.
-pub fn run_conventional(mgr: &Arc<TxnManager>, retries: usize, spec: &TxnSpec) -> SpecOutcome {
-    let result = mgr.run(retries, |txn| apply_ops(txn, spec));
-    match result {
-        Ok(reads) => SpecOutcome::Committed { reads },
-        Err(TxnError::Lock(_)) => SpecOutcome::ConflictFailure,
-        Err(_) => SpecOutcome::LogicalFailure,
+/// The observer for callers that record nothing; compiles away.
+pub(crate) fn unobserved(_: u64, _: TableId, _: u64, _: bool) {}
+
+/// The one conventional driver: runs `spec` as a 2PL transaction through
+/// [`TxnManager::run_then`], reporting row accesses to `observe` and handing
+/// the live transaction to `finish` — [`Txn::commit`], [`Txn::commit_deferred`]
+/// or [`Txn::prepare_deferred`]. Returns the outcome, with `finish`'s result
+/// when the transaction got that far; a failed run has already aborted.
+pub fn run_conventional<T>(
+    mgr: &Arc<TxnManager>,
+    retries: usize,
+    spec: &TxnSpec,
+    mut observe: impl FnMut(u64, TableId, u64, bool),
+    finish: impl FnOnce(Txn) -> T,
+) -> (SpecOutcome, Option<T>) {
+    match mgr.run_then(retries, |txn| apply_ops(txn, spec, &mut observe), finish) {
+        Ok((reads, finished)) => (SpecOutcome::Committed { reads }, Some(finished)),
+        Err(TxnError::Lock(_)) => (SpecOutcome::ConflictFailure, None),
+        Err(_) => (SpecOutcome::LogicalFailure, None),
     }
-}
-
-/// The retry loop under the deferred-commit and prepare paths: begin, apply
-/// every op, and hand the live transaction (locks held, nothing logged as
-/// finished) to `finish`. On failure the transaction aborts — exactly once,
-/// here; the returned outcome is only a description, never a second abort
-/// path.
-///
-/// Mirrors [`TxnManager::run`]'s retry policy: lock victims retry up to
-/// `retries` times; logical failures abort immediately.
-fn run_conventional_then<T>(
-    mgr: &Arc<TxnManager>,
-    retries: usize,
-    spec: &TxnSpec,
-    finish: impl FnOnce(Txn, Vec<Option<Vec<i64>>>) -> T,
-) -> Result<T, SpecOutcome> {
-    let mut attempt = 0;
-    loop {
-        let mut txn = mgr.begin();
-        match apply_ops(&mut txn, spec) {
-            Ok(reads) => return Ok(finish(txn, reads)),
-            Err(e) => {
-                txn.abort();
-                match e {
-                    TxnError::Lock(_) if attempt < retries => attempt += 1,
-                    TxnError::Lock(_) => return Err(SpecOutcome::ConflictFailure),
-                    _ => return Err(SpecOutcome::LogicalFailure),
-                }
-            }
-        }
-    }
-}
-
-/// Runs `spec` as a conventional 2PL transaction whose commit record is
-/// appended but *not* flushed. On commit, returns the LSN the caller must
-/// pass to `Wal::wait_durable` before acknowledging (`None` for read-only
-/// transactions, which have no commit record).
-pub fn run_conventional_deferred(
-    mgr: &Arc<TxnManager>,
-    retries: usize,
-    spec: &TxnSpec,
-) -> (SpecOutcome, Option<Lsn>) {
-    run_conventional_then(mgr, retries, spec, |txn, reads| {
-        (SpecOutcome::Committed { reads }, txn.commit_deferred())
-    })
-    .unwrap_or_else(|failure| (failure, None))
-}
-
-/// Runs `spec` as a conventional 2PL transaction and, instead of
-/// committing, *prepares* it for two-phase commit: the `Prepare { gtid }`
-/// record is appended and every lock stays held when this returns `Ok` with
-/// the [`PreparedTxn`], the yes-vote and the record's LSN. The caller owns
-/// the handle, must deliver the coordinator's decision to finish it, and
-/// must not let the vote leave before `Wal::wait_durable` covers the LSN
-/// (`None`: read-only, nothing to wait on). On failure the transaction has
-/// already aborted.
-pub fn run_conventional_prepare(
-    mgr: &Arc<TxnManager>,
-    retries: usize,
-    gtid: u64,
-    spec: &TxnSpec,
-) -> Result<(PreparedTxn, SpecOutcome, Option<Lsn>), SpecOutcome> {
-    run_conventional_then(mgr, retries, spec, |txn, reads| {
-        let (prepared, lsn) = txn.prepare_deferred(gtid);
-        (prepared, SpecOutcome::Committed { reads }, lsn)
-    })
 }
 
 /// Translates one workload op into a DORA action.

@@ -218,7 +218,9 @@ impl Executor {
             }
             ActionOp::Add { col, delta } => {
                 let mut after = t.get(key).map_err(|_| ())?;
-                *after.get_mut(*col).ok_or(())? += delta;
+                let cell = after.get_mut(*col).ok_or(())?;
+                // An overflowing add is a logical failure, the row untouched.
+                *cell = cell.checked_add(*delta).ok_or(())?;
                 let before = t
                     .update_logged(key, &after, |rid, before| log(rid, RowOp::Update { before, after: &after }))
                     .map_err(|_| ())?;

@@ -26,8 +26,11 @@
 //! Cross-partition atomicity: locks (thread-local) are held until the client
 //! observes the global verdict and broadcasts `Complete{commit}`; aborts
 //! replay per-executor undo buffers. Durability: executors append ordinary
-//! WAL records as they apply actions; the client appends the commit record
-//! and flushes before acknowledging (or after releasing, with ELR).
+//! WAL records as they apply actions; the client finishes through the same
+//! [`esdb_txn::commit_rule`] as a conventional transaction, with the
+//! `Complete{commit}` broadcast as its release step — the commit record
+//! forced before the keys are released, or (ELR) after, and always before
+//! the client acknowledges.
 
 pub mod action;
 pub mod executor;

@@ -7,7 +7,8 @@ use crate::rvp::{FailKind, Rvp, Verdict};
 use crossbeam::channel::{unbounded, Sender};
 use esdb_storage::schema::TableId;
 use esdb_storage::Table;
-use esdb_wal::{LogBody, Wal};
+use esdb_txn::commit_rule;
+use esdb_wal::{LogBody, Wal, NULL_LSN};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -137,20 +138,14 @@ impl DoraSystem {
             }
             match rvp.wait() {
                 Verdict::Commit => {
-                    let has_writes = actions.iter().any(|a| !a.is_read_only());
-                    if self.elr {
-                        // Keys released before the flush; client still waits.
-                        let range = has_writes
-                            .then(|| self.wal.commit_no_flush(attempt_txn, 0));
-                        self.broadcast_complete(&involved, attempt_txn, true, None);
-                        if let Some(range) = range {
-                            self.wal.wait_durable(range.end);
-                        }
-                    } else {
-                        if has_writes {
-                            self.wal.commit(attempt_txn, 0);
-                        }
-                        self.broadcast_complete(&involved, attempt_txn, true, None);
+                    // The release step is the `Complete` broadcast; with ELR
+                    // the client still waits before acknowledging.
+                    let prev_lsn = actions.iter().any(|a| !a.is_read_only()).then_some(NULL_LSN);
+                    let owed = commit_rule(&self.wal, attempt_txn, prev_lsn, !self.elr, || {
+                        self.broadcast_complete(&involved, attempt_txn, true, None)
+                    });
+                    if let Some(lsn) = owed {
+                        self.wal.wait_durable(lsn);
                     }
                     self.commits.fetch_add(1, Ordering::Relaxed);
                     return Ok(rvp.take_results());
@@ -365,6 +360,26 @@ mod tests {
             .durable_records()
             .iter()
             .any(|r| matches!(r.body, LogBody::Commit)));
+    }
+
+    #[test]
+    fn a_held_force_is_commit_flush_and_a_wait_after_release_is_log_wait() {
+        if !esdb_obs::enabled() {
+            return;
+        }
+        let floor = 10_000_000; // ns: half the device latency
+        for elr in [false, true] {
+            let pool = Arc::new(BufferPool::new(64, Arc::new(InMemoryDisk::new())));
+            let table = Arc::new(Table::create(1, "t", 1, pool));
+            let tables = HashMap::from([(1u32, table)]);
+            let latency = Some(std::time::Duration::from_millis(20));
+            let sys = DoraSystem::new(2, tables, Arc::new(Wal::new(LogPolicy::Consolidated, latency)), elr);
+            let (r, p) = esdb_obs::profile_scope(|| sys.execute(vec![Action::insert(1, 1, vec![5])]));
+            r.unwrap();
+            let (forced, waited) = if elr { (p.log_wait, p.commit_flush) } else { (p.commit_flush, p.log_wait) };
+            assert!(forced >= floor, "elr={elr}: {p:?}");
+            assert_eq!(waited, 0, "elr={elr}: {p:?}");
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!   centralized [`esdb_lock::LockManager`] (S row locks for reads, X for
 //!   writes, table S locks for range scans — coarse but phantom-free).
 //! * **Durability** — commit appends a commit record and waits for the WAL
-//!   to make it durable (group commit happens inside the log buffer).
+//!   to make it durable (group commit happens inside the log buffer). The
+//!   order of append, force and lock release is [`commit_rule`], which the
+//!   DORA engine finishes through too.
 //!
 //! **Early Lock Release (ELR)**, from the Aether work the keynote cites:
 //! with ELR enabled, a committing transaction releases its locks *after its
@@ -22,7 +24,7 @@
 
 pub mod manager;
 
-pub use manager::{PreparedTxn, Txn, TxnError, TxnManager, TxnResult, TxnStats, UndoOp};
+pub use manager::{commit_rule, PreparedTxn, Txn, TxnError, TxnManager, TxnResult, TxnStats, UndoOp};
 
 /// Test-only fault seams (feature `chaos`). Runtime flags, default off:
 /// compiling the feature in changes nothing until a checker flips a flag.

@@ -20,6 +20,8 @@ pub enum TxnError {
     Storage(StorageError),
     /// Operation on a table id that was never registered.
     UnknownTable(TableId),
+    /// An arithmetic update of `key` would overflow its column.
+    Overflow { table: TableId, key: u64 },
 }
 
 impl From<LockError> for TxnError {
@@ -40,6 +42,7 @@ impl std::fmt::Display for TxnError {
             TxnError::Lock(e) => write!(f, "lock: {e}"),
             TxnError::Storage(e) => write!(f, "storage: {e}"),
             TxnError::UnknownTable(t) => write!(f, "unknown table {t}"),
+            TxnError::Overflow { table, key } => write!(f, "overflow updating key {key} of table {table}"),
         }
     }
 }
@@ -49,10 +52,26 @@ impl std::error::Error for TxnError {}
 /// Result alias for transaction operations.
 pub type TxnResult<T> = Result<T, TxnError>;
 
-/// Returns `true` if the error is transient (deadlock/timeout victim) and the
-/// transaction is worth retrying.
-pub fn is_retryable(e: &TxnError) -> bool {
-    matches!(e, TxnError::Lock(_))
+/// The commit rule, stated once for every engine. If the transaction wrote
+/// (`prev_lsn` is its last record; DORA passes [`NULL_LSN`]), append its
+/// commit record. With `hold`, force the record before running `release` —
+/// no early lock release, the force counted as `commit_flush`. Otherwise
+/// run `release` at once and hand back the LSN still owed: the caller waits
+/// on it (`log_wait`) or gives it to a group flush before acknowledging.
+///
+/// `release` must also take the transaction out of the active set, so the
+/// commit record is appended before [`TxnManager::checkpoint_redo_floor`]
+/// can pass it.
+pub fn commit_rule(
+    wal: &Wal,
+    txn_id: u64,
+    prev_lsn: Option<Lsn>,
+    hold: bool,
+    release: impl FnOnce(),
+) -> Option<Lsn> {
+    let owed = prev_lsn.and_then(|prev| wal.commit(txn_id, prev, hold));
+    release();
+    owed
 }
 
 /// Cumulative transaction statistics.
@@ -183,11 +202,6 @@ impl TxnManager {
         &self.locks
     }
 
-    /// Whether early lock release is enabled.
-    pub fn elr(&self) -> bool {
-        self.elr
-    }
-
     /// Begins a new transaction.
     pub fn begin(self: &Arc<Self>) -> Txn {
         let id = self.next_txn.fetch_add(1, Ordering::Relaxed);
@@ -206,23 +220,32 @@ impl TxnManager {
     pub fn run<R>(
         self: &Arc<Self>,
         retries: usize,
-        mut f: impl FnMut(&mut Txn) -> TxnResult<R>,
+        f: impl FnMut(&mut Txn) -> TxnResult<R>,
     ) -> TxnResult<R> {
+        self.run_then(retries, f, Txn::commit).map(|(r, ())| r)
+    }
+
+    /// The one begin → apply → abort → retry loop. `apply` runs in a fresh
+    /// transaction; on `Ok` the live transaction (locks held, nothing logged
+    /// as finished) goes to `finish`, on `Err` it aborts — exactly once, here.
+    /// Lock victims retry up to `retries` times; other errors do not.
+    pub fn run_then<R, T>(
+        self: &Arc<Self>,
+        retries: usize,
+        mut apply: impl FnMut(&mut Txn) -> TxnResult<R>,
+        finish: impl FnOnce(Txn) -> T,
+    ) -> TxnResult<(R, T)> {
         let mut attempt = 0;
         loop {
             let mut txn = self.begin();
-            match f(&mut txn) {
-                Ok(r) => {
-                    txn.commit();
-                    return Ok(r);
-                }
+            match apply(&mut txn) {
+                Ok(r) => return Ok((r, finish(txn))),
                 Err(e) => {
                     txn.abort();
-                    if is_retryable(&e) && attempt < retries {
-                        attempt += 1;
-                        continue;
+                    if !matches!(e, TxnError::Lock(_)) || attempt == retries {
+                        return Err(e);
                     }
-                    return Err(e);
+                    attempt += 1;
                 }
             }
         }
@@ -352,26 +375,12 @@ impl Txn {
         Ok(t.range(start, end)?)
     }
 
-    /// Commits. Read-only transactions skip the log entirely.
+    /// Commits, returning once the commit is durable: without ELR the locks
+    /// are held until then, with ELR they are released first. Read-only
+    /// transactions skip the log entirely.
     pub fn commit(mut self) {
-        esdb_sync::sched::yield_now(esdb_sync::YieldPoint::CommitLog);
-        self.finished = true;
-        self.mgr.commits.fetch_add(1, Ordering::Relaxed);
-        if self.last_lsn == NULL_LSN {
-            self.release_locks();
-            return;
-        }
-        if self.mgr.elr {
-            // Early lock release: commit record in the buffer, locks out,
-            // *then* wait for durability.
-            let range = self.mgr.wal.commit_no_flush(self.id, self.last_lsn);
-            self.mgr.active.lock().remove(&self.id);
-            self.release_locks();
-            self.mgr.wal.wait_durable(range.end);
-        } else {
-            self.mgr.wal.commit(self.id, self.last_lsn);
-            self.mgr.active.lock().remove(&self.id);
-            self.release_locks();
+        if let Some(lsn) = self.finish(!self.mgr.elr) {
+            self.mgr.wal.wait_durable(lsn);
         }
     }
 
@@ -383,41 +392,35 @@ impl Txn {
     /// hook: a batch of sequential transactions can all commit deferred and
     /// then ride a single physical flush of the highest returned LSN.
     pub fn commit_deferred(mut self) -> Option<Lsn> {
+        self.finish(false)
+    }
+
+    /// [`commit_rule`] for this transaction; the release step leaves the
+    /// active set and drops every lock.
+    fn finish(&mut self, hold: bool) -> Option<Lsn> {
         esdb_sync::sched::yield_now(esdb_sync::YieldPoint::CommitLog);
         self.finished = true;
         self.mgr.commits.fetch_add(1, Ordering::Relaxed);
-        if self.last_lsn == NULL_LSN {
-            self.release_locks();
-            return None;
-        }
-        let range = self.mgr.wal.commit_no_flush(self.id, self.last_lsn);
-        self.mgr.active.lock().remove(&self.id);
-        self.release_locks();
-        Some(range.end)
+        let prev_lsn = (self.last_lsn != NULL_LSN).then_some(self.last_lsn);
+        commit_rule(&self.mgr.wal, self.id, prev_lsn, hold, || {
+            if prev_lsn.is_some() {
+                self.mgr.active.lock().remove(&self.id);
+            }
+            self.mgr.locks.release_all(&mut self.held);
+        })
     }
 
-    /// Two-phase-commit participant vote: durably logs `Prepare { gtid }`
-    /// and returns a [`PreparedTxn`] that keeps every lock, the undo chain,
-    /// and the active-set entry (the fuzzy checkpoint's redo floor must
-    /// keep covering this transaction until its decision lands). From here
-    /// on the transaction may only finish via the coordinator's decision —
+    /// Two-phase-commit participant vote: appends `Prepare { gtid }` and
+    /// returns a [`PreparedTxn`] that keeps every lock, the undo chain, and
+    /// the active-set entry (the fuzzy checkpoint's redo floor must keep
+    /// covering this transaction until its decision lands). From here on the
+    /// transaction may only finish via the coordinator's decision —
     /// [`PreparedTxn::commit_decided`] or [`PreparedTxn::abort_decided`].
     ///
-    /// Read-only transactions log nothing (there is nothing to redo or
-    /// undo) but still hold their locks until decided.
-    pub fn prepare(self, gtid: u64) -> PreparedTxn {
-        let (prepared, lsn) = self.prepare_deferred(gtid);
-        if let Some(lsn) = lsn {
-            prepared.txn.mgr.wal.wait_durable(lsn);
-        }
-        prepared
-    }
-
-    /// [`Txn::prepare`] *without waiting for durability*: the `Prepare`
-    /// record is appended, and the caller must not let the yes-vote leave
-    /// until [`Wal::wait_durable`] covers the returned LSN (`None` for a
-    /// read-only transaction: nothing to wait on). The group-commit hook for
-    /// participants, as [`Txn::commit_deferred`] is for one-shots.
+    /// The caller must not let the yes-vote leave until [`Wal::wait_durable`]
+    /// covers the returned LSN. Read-only transactions log nothing (`None`:
+    /// there is nothing to redo or undo) but still hold their locks until
+    /// decided.
     pub fn prepare_deferred(mut self, gtid: u64) -> (PreparedTxn, Option<Lsn>) {
         let mut lsn = None;
         if self.last_lsn != NULL_LSN {
@@ -484,18 +487,10 @@ impl PreparedTxn {
         self.txn.id
     }
 
-    /// Applies the coordinator's commit decision: logs the commit record
-    /// and releases locks via the ordinary commit path.
-    pub fn commit_decided(self) {
-        self.txn.commit();
-    }
-
-    /// [`PreparedTxn::commit_decided`] through [`Txn::commit_deferred`]:
-    /// the commit record is appended and locks are released, and the caller
-    /// owes a [`Wal::wait_durable`] on the returned LSN before acknowledging
-    /// the verdict as applied.
-    pub fn commit_decided_deferred(self) -> Option<Lsn> {
-        self.txn.commit_deferred()
+    /// Applies the coordinator's commit decision through `finish` — one of
+    /// [`Txn::commit`] and [`Txn::commit_deferred`].
+    pub fn commit_decided<T>(self, finish: impl FnOnce(Txn) -> T) -> T {
+        finish(self.txn)
     }
 
     /// Applies the coordinator's abort decision: replays the undo chain and
@@ -523,6 +518,85 @@ mod tests {
         let mgr = Arc::new(TxnManager::new(locks, wal, elr));
         mgr.register_table(table.clone());
         (mgr, table)
+    }
+
+    /// The in-process vote: prepare, then wait for the record.
+    fn prepare(t: Txn, gtid: u64) -> PreparedTxn {
+        let (prepared, lsn) = t.prepare_deferred(gtid);
+        if let Some(lsn) = lsn {
+            prepared.txn.mgr.wal.wait_durable(lsn);
+        }
+        prepared
+    }
+
+    /// A 20 ms log device, so "locks out" and "record durable" are far
+    /// enough apart to tell which came first.
+    fn setup_slow_log(elr: bool) -> Arc<TxnManager> {
+        let disk = Arc::new(InMemoryDisk::new());
+        let pool = Arc::new(BufferPool::new(64, disk));
+        let table = Arc::new(Table::create(1, "accounts", 2, pool));
+        let locks = Arc::new(LockManager::with_timeout(16, std::time::Duration::from_secs(5)));
+        let latency = Some(std::time::Duration::from_millis(20));
+        let mgr = Arc::new(TxnManager::new(locks, Arc::new(Wal::new(LogPolicy::Consolidated, latency)), elr));
+        mgr.register_table(table);
+        mgr.run(0, |t| t.insert(1, 1, &[0, 0])).unwrap();
+        mgr
+    }
+
+    #[test]
+    fn without_elr_a_blocked_writer_is_granted_only_once_the_commit_is_durable() {
+        let mgr = setup_slow_log(false);
+        let mut committer = mgr.begin();
+        committer.update(1, 1, &[1, 0]).unwrap();
+        let committer_id = committer.id();
+        let waiter = {
+            let mgr = Arc::clone(&mgr);
+            std::thread::spawn(move || {
+                let mut t = mgr.begin();
+                t.read_for_update(1, 1).unwrap();
+                // Checked at the grant, not after a timer: the committer's
+                // record must already be on the device.
+                let durable = mgr
+                    .wal()
+                    .durable_records()
+                    .iter()
+                    .any(|r| r.txn_id == committer_id && matches!(r.body, LogBody::Commit));
+                t.abort();
+                durable
+            })
+        };
+        while mgr.locks().stats().waits == 0 {
+            std::thread::yield_now();
+        }
+        committer.commit();
+        assert!(waiter.join().unwrap(), "lock granted before the commit record was durable");
+    }
+
+    #[test]
+    fn a_deferred_commit_releases_its_locks_before_the_record_is_durable() {
+        let mgr = setup_slow_log(false);
+        let mut t = mgr.begin();
+        t.update(1, 1, &[1, 0]).unwrap();
+        let owed = t.commit_deferred().expect("a writer owes a flush");
+        let mut next = mgr.begin();
+        assert_eq!(next.read_for_update(1, 1).unwrap(), vec![1, 0]);
+        assert!(mgr.wal().durable_lsn() < owed, "the row was locked only after the flush");
+        next.abort();
+    }
+
+    #[test]
+    fn a_held_force_is_commit_flush_and_a_wait_after_release_is_log_wait() {
+        if !esdb_obs::enabled() {
+            return;
+        }
+        let floor = 10_000_000; // ns: half the device latency
+        for elr in [false, true] {
+            let mgr = setup_slow_log(elr);
+            let ((), p) = esdb_obs::profile_scope(|| mgr.run(0, |t| t.update(1, 1, &[2, 0]).map(drop)).unwrap());
+            let (forced, waited) = if elr { (p.log_wait, p.commit_flush) } else { (p.commit_flush, p.log_wait) };
+            assert!(forced >= floor, "elr={elr}: {p:?}");
+            assert_eq!(waited, 0, "elr={elr}: {p:?}");
+        }
     }
 
     #[test]
@@ -746,7 +820,7 @@ mod tests {
 
         let mut t = mgr.begin();
         t.update(1, 1, &[11, 0]).unwrap();
-        let prepared = t.prepare(42);
+        let prepared = prepare(t, 42);
         assert_eq!(prepared.gtid(), 42);
 
         // The Prepare record is durable before the vote returns.
@@ -767,7 +841,7 @@ mod tests {
         // The active-set entry survives too, pinning the checkpoint floor.
         assert!(mgr.checkpoint_redo_floor() < mgr.wal().current_lsn());
 
-        prepared.commit_decided();
+        prepared.commit_decided(Txn::commit);
         assert_eq!(table.get(1).unwrap(), vec![11, 0]);
         assert_eq!(mgr.stats().commits, 2, "population insert + decided commit");
         // Lock released by the decision: a fresh writer gets through.
@@ -784,7 +858,7 @@ mod tests {
         let mut t = mgr.begin();
         t.update(1, 1, &[11, 0]).unwrap();
         t.insert(1, 2, &[20, 0]).unwrap();
-        let prepared = t.prepare(7);
+        let prepared = prepare(t, 7);
         prepared.abort_decided();
 
         assert_eq!(table.get(1).unwrap(), vec![10, 0], "update undone");
@@ -806,14 +880,14 @@ mod tests {
 
         let mut t = mgr.begin();
         t.read(1, 1).unwrap();
-        let prepared = t.prepare(9);
+        let prepared = prepare(t, 9);
         assert_eq!(mgr.wal().current_lsn(), before, "no Prepare for read-only");
 
         let mut rival = mgr.begin();
         assert!(matches!(rival.update(1, 1, &[0, 0]), Err(TxnError::Lock(_))));
         rival.abort();
 
-        prepared.commit_decided();
+        prepared.commit_decided(Txn::commit);
         mgr.run(0, |t| t.update(1, 1, &[5, 5]).map(|_| ())).unwrap();
     }
 
@@ -824,7 +898,7 @@ mod tests {
         {
             let mut t = mgr.begin();
             t.update(1, 1, &[77, 0]).unwrap();
-            let _prepared = t.prepare(3);
+            let _prepared = prepare(t, 3);
             // dropped without a decision
         }
         assert_eq!(table.get(1).unwrap(), vec![10, 0]);

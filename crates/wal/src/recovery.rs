@@ -301,7 +301,7 @@ mod tests {
         let i1 = h.wal.append(1, b.start, &LogBody::Insert { table: 1, key: 10, rid: rid1, row: vec![100] });
         let rid2 = h.table.insert_logged(20, &[200], |_| i1.end).unwrap();
         let i2 = h.wal.append(1, i1.start, &LogBody::Insert { table: 1, key: 20, rid: rid2, row: vec![200] });
-        h.wal.commit(1, i2.start);
+        h.wal.commit(1, i2.start, true);
 
         let (table, report) = h.crash_and_recover(false);
         assert!(report.winners.contains(&1));
@@ -318,7 +318,7 @@ mod tests {
         let b = h.wal.append(1, NULL_LSN, &LogBody::Begin);
         let rid = h.table.insert_logged(5, &[50], |_| b.end).unwrap();
         let i = h.wal.append(1, b.start, &LogBody::Insert { table: 1, key: 5, rid, row: vec![50] });
-        h.wal.commit(1, i.start);
+        h.wal.commit(1, i.start, true);
 
         // txn 2 updates the row and inserts another, then the crash hits
         // before its commit — but after its records reached the durable log
@@ -357,7 +357,7 @@ mod tests {
         let b = h.wal.append(1, NULL_LSN, &LogBody::Begin);
         let rid = h.table.insert_logged(1, &[10], |_| b.end).unwrap();
         let i = h.wal.append(1, b.start, &LogBody::Insert { table: 1, key: 1, rid, row: vec![10] });
-        h.wal.commit(1, i.start);
+        h.wal.commit(1, i.start, true);
 
         // Pages flushed: redo should skip everything via page LSNs.
         let (table, report) = h.crash_and_recover(true);
@@ -397,7 +397,7 @@ mod tests {
         let rid9 = table.rid_of(9).unwrap();
         let before9 = table.delete_logged(9, |_, _| lsn).unwrap();
         let rec = wal.append(1, prev, &LogBody::Delete { table: 1, key: 9, rid: rid9, before: before9 });
-        wal.commit(1, rec.start);
+        wal.commit(1, rec.start, true);
 
         // Loser txn: durable insert, no commit — must vanish from indexes.
         let b2 = wal.append(2, NULL_LSN, &LogBody::Begin);
@@ -442,7 +442,7 @@ mod tests {
     fn analyze_classifies_all_three_kinds() {
         let wal = Wal::new(LogPolicy::Serial, None);
         let b1 = wal.append(1, NULL_LSN, &LogBody::Begin);
-        wal.commit(1, b1.start);
+        wal.commit(1, b1.start, true);
         let b2 = wal.append(2, NULL_LSN, &LogBody::Begin);
         wal.append(2, b2.start, &LogBody::Abort);
         let _b3 = wal.append(3, NULL_LSN, &LogBody::Begin);
@@ -462,7 +462,7 @@ mod tests {
         // txn 2: prepared, then committed → plain winner.
         let b2 = wal.append(2, NULL_LSN, &LogBody::Begin);
         let p2 = wal.append(2, b2.start, &LogBody::Prepare { gtid: 78 });
-        wal.commit(2, p2.start);
+        wal.commit(2, p2.start, true);
         // txn 3: prepared, then aborted (coordinator said no) → aborted.
         let b3 = wal.append(3, NULL_LSN, &LogBody::Begin);
         let p3 = wal.append(3, b3.start, &LogBody::Prepare { gtid: 79 });
@@ -482,7 +482,7 @@ mod tests {
         let b = h.wal.append(1, NULL_LSN, &LogBody::Begin);
         let rid = h.table.insert_logged(5, &[50], |_| b.end).unwrap();
         let i = h.wal.append(1, b.start, &LogBody::Insert { table: 1, key: 5, rid, row: vec![50] });
-        h.wal.commit(1, i.start);
+        h.wal.commit(1, i.start, true);
 
         let b2 = h.wal.append(2, NULL_LSN, &LogBody::Begin);
         let before = h.table.update_logged(5, &[51], |_, _| b2.end).unwrap();
@@ -528,7 +528,7 @@ mod tests {
         let reused = h.table.insert_logged(20, &[2], |_| b2.end).unwrap();
         assert_eq!(reused, rid, "the freed slot is the next insert's");
         let i2 = h.wal.append(2, b2.start, &LogBody::Insert { table: 1, key: 20, rid, row: vec![2] });
-        h.wal.commit(2, i2.start);
+        h.wal.commit(2, i2.start, true);
 
         let pool = Arc::new(BufferPool::new(64, h.disk.clone()));
         let heap = HeapFile::from_pages(pool, h.table.heap().pages());
@@ -570,14 +570,14 @@ mod tests {
         let b = h.wal.append(1, NULL_LSN, &LogBody::Begin);
         let rid = h.table.insert_logged(5, &[10], |_| b.end).unwrap();
         let i = h.wal.append(1, b.start, &LogBody::Insert { table: 1, key: 5, rid, row: vec![10] });
-        h.wal.commit(1, i.start);
+        h.wal.commit(1, i.start, true);
         h.pool.flush_all().unwrap();
         h.wal.append_forced(&LogBody::Checkpoint { redo_lsn: h.wal.current_lsn() });
         // A committed update whose page never reached the store.
         let b2 = h.wal.append(2, NULL_LSN, &LogBody::Begin);
         let before = h.table.update_logged(5, &[11], |_, _| b2.end).unwrap();
         let u = h.wal.append(2, b2.start, &LogBody::Update { table: 1, key: 5, rid, before, after: vec![11] });
-        h.wal.commit(2, u.start);
+        h.wal.commit(2, u.start, true);
 
         // The store fails every read of the page the redo pins, retries
         // included; the index rebuild after it would read the page fine.

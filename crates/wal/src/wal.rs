@@ -10,7 +10,6 @@ use esdb_storage::rid::Rid;
 use esdb_storage::schema::TableId;
 use std::cell::RefCell;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 thread_local! {
@@ -83,15 +82,6 @@ pub fn undo_band(records: &[LogRecord]) -> std::ops::Range<Lsn> {
 /// The engine-facing write-ahead log.
 pub struct Wal {
     buffer: Box<dyn LogBuffer>,
-    /// Durability broadcast: a flush that goes through this facade rings
-    /// the condvar when somebody is subscribed, so log shippers can tail the
-    /// durable frontier without adding any work — or any copy — to the
-    /// commit path itself.
-    /// (Vendored `parking_lot` has no `Condvar`, hence `std::sync` here.)
-    hub: (std::sync::Mutex<()>, std::sync::Condvar),
-    /// Callers currently inside [`Wal::wait_durable_beyond`]. With none, a
-    /// flush skips the hub mutex and the wake-up system call altogether.
-    subscribers: AtomicUsize,
 }
 
 impl Wal {
@@ -117,7 +107,7 @@ impl Wal {
                 flush_latency,
             )),
         };
-        Self::with_buffer(buffer)
+        Wal { buffer }
     }
 
     /// The log a restarted node continues on: a fresh, empty incarnation of
@@ -125,26 +115,6 @@ impl Wal {
     /// (all that survives a crash; read it with [`Wal::durable_records`]).
     pub fn successor(&self, policy: LogPolicy, flush_latency: Option<Duration>) -> Self {
         Self::new_at(self.durable_lsn() + INCARNATION_GAP, policy, flush_latency)
-    }
-
-    /// Wraps an explicit buffer implementation (used by benchmarks).
-    pub fn with_buffer(buffer: Box<dyn LogBuffer>) -> Self {
-        Wal {
-            buffer,
-            hub: (std::sync::Mutex::new(()), std::sync::Condvar::new()),
-            subscribers: AtomicUsize::new(0),
-        }
-    }
-
-    /// Wakes every subscriber blocked in [`Wal::wait_durable_beyond`]. A
-    /// subscriber that registers just after the count is read finds the new
-    /// durable LSN on its own first check (and re-polls every 5 ms besides),
-    /// so skipping the broadcast with nobody registered loses nothing.
-    fn notify_durable(&self) {
-        if self.subscribers.load(Ordering::SeqCst) != 0 {
-            let _guard = self.hub.0.lock().unwrap();
-            self.hub.1.notify_all();
-        }
     }
 
     /// Encodes one record into this thread's scratch and inserts it.
@@ -179,8 +149,7 @@ impl Wal {
     }
 
     /// Makes everything up to `lsn` durable, attributing the wait to `class`.
-    /// An LSN that is already durable costs one load: no clock, no flush, no
-    /// broadcast (whoever made it durable rang the hub).
+    /// An LSN that is already durable costs one load: no clock, no flush.
     fn flush_timed(&self, lsn: Lsn, class: esdb_obs::WaitClass) {
         if self.buffer.durable_lsn() >= lsn {
             return;
@@ -188,7 +157,6 @@ impl Wal {
         let wait = esdb_obs::wait_timer(class);
         self.buffer.flush(lsn);
         esdb_obs::record_component(esdb_obs::Component::WalFlush, wait.stop());
-        self.notify_durable();
     }
 
     /// Appends one stand-alone record (no transaction, no chain) and returns
@@ -199,18 +167,18 @@ impl Wal {
         self.wait_durable(range.end);
     }
 
-    /// Appends a commit record and makes it durable (group commit: one
-    /// physical flush may cover many concurrent committers).
-    pub fn commit(&self, txn_id: u64, prev_lsn: Lsn) -> Lsn {
-        let range = self.append(txn_id, prev_lsn, &LogBody::Commit);
-        self.flush_timed(range.end, esdb_obs::WaitClass::CommitFlush);
-        range.start
-    }
-
-    /// Appends a commit record *without* waiting for durability — the early
-    /// lock release path. The caller later waits via [`Wal::wait_durable`].
-    pub fn commit_no_flush(&self, txn_id: u64, prev_lsn: Lsn) -> LsnRange {
-        self.append(txn_id, prev_lsn, &LogBody::Commit)
+    /// Appends a commit record. With `force` it returns once the record is
+    /// durable (group commit: one physical flush may cover many concurrent
+    /// committers; the wait counts as `commit_flush`) and owes nothing;
+    /// otherwise it returns the LSN the caller still owes a
+    /// [`Wal::wait_durable`] on.
+    pub fn commit(&self, txn_id: u64, prev_lsn: Lsn, force: bool) -> Option<Lsn> {
+        let end = self.append(txn_id, prev_lsn, &LogBody::Commit).end;
+        if !force {
+            return Some(end);
+        }
+        self.flush_timed(end, esdb_obs::WaitClass::CommitFlush);
+        None
     }
 
     /// Blocks until everything up to `lsn` is durable.
@@ -231,33 +199,6 @@ impl Wal {
         let max = lsns.into_iter().max()?;
         self.wait_durable(max);
         Some(max)
-    }
-
-    /// Blocks until the durable LSN advances *past* `lsn` or `timeout`
-    /// expires, returning the durable LSN either way. This is the log
-    /// shipper's subscription point: commits ring the condvar, and the wait
-    /// re-polls on a short cadence regardless, so correctness never depends
-    /// on a wakeup arriving.
-    pub fn wait_durable_beyond(&self, lsn: Lsn, timeout: Duration) -> Lsn {
-        let deadline = std::time::Instant::now() + timeout;
-        // Registered before the first durable check (see `notify_durable`).
-        self.subscribers.fetch_add(1, Ordering::SeqCst);
-        let mut guard = self.hub.0.lock().unwrap();
-        let durable = loop {
-            let durable = self.buffer.durable_lsn();
-            if durable > lsn {
-                break durable;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                break durable;
-            }
-            let wait = (deadline - now).min(Duration::from_millis(5));
-            let (g, _) = self.hub.1.wait_timeout(guard, wait).unwrap();
-            guard = g;
-        };
-        self.subscribers.fetch_sub(1, Ordering::SeqCst);
-        durable
     }
 
     /// Copies the persisted log tail `[from, end)` for shipping, returning
@@ -381,7 +322,7 @@ mod tests {
                     after: vec![2],
                 },
             );
-            wal.commit(1, u.start);
+            wal.commit(1, u.start, true);
             let records = wal.records();
             assert_eq!(records.len(), 3, "policy {policy}");
             assert_eq!(records[0].body, LogBody::Begin);
@@ -392,15 +333,15 @@ mod tests {
     }
 
     #[test]
-    fn commit_no_flush_leaves_log_volatile() {
+    fn unforced_commit_leaves_log_volatile() {
         let wal = Wal::new(LogPolicy::Consolidated, None);
         let b = wal.append(7, NULL_LSN, &LogBody::Begin);
-        let c = wal.commit_no_flush(7, b.start);
+        let owed = wal.commit(7, b.start, false).expect("an unforced commit owes its LSN");
         // Not yet durable...
-        assert!(wal.durable_lsn() < c.end);
+        assert!(wal.durable_lsn() < owed);
         assert!(wal.durable_records().is_empty());
         // ...until explicitly waited on.
-        wal.wait_durable(c.end);
+        wal.wait_durable(owed);
         assert_eq!(wal.durable_records().len(), 2);
     }
 
@@ -410,8 +351,7 @@ mod tests {
         let mut ends = Vec::new();
         for txn in 0..4u64 {
             let b = wal.append(txn, NULL_LSN, &LogBody::Begin);
-            let c = wal.commit_no_flush(txn, b.start);
-            ends.push(c.end);
+            ends.push(wal.commit(txn, b.start, false).unwrap());
         }
         assert!(wal.durable_lsn() < *ends.iter().max().unwrap());
         let before = wal.flush_count();
@@ -457,7 +397,7 @@ mod tests {
                 for txn in 1..=(if damage == 0 { 0 } else { 50 }) {
                     let b = wal.append(txn, NULL_LSN, &LogBody::Begin);
                     let u = wal.append_row(txn, b.start, 1, txn, rid, RowOp::Update { before: &[1], after: &[2] });
-                    wal.commit(txn, u.start);
+                    wal.commit(txn, u.start, true);
                 }
                 if damage == 2 {
                     wal.truncate_durable(wal.durable_len() as usize - 3);
@@ -473,50 +413,16 @@ mod tests {
     }
 
     #[test]
-    fn subscriber_wakes_on_a_commit_not_at_its_deadline() {
-        use std::sync::Arc;
-        use std::time::Instant;
-        let wal = Arc::new(Wal::new(LogPolicy::Serial, None));
-        let from = wal.durable_lsn();
-        let waiter = {
-            let wal = Arc::clone(&wal);
-            std::thread::spawn(move || {
-                let durable = wal.wait_durable_beyond(from, Duration::from_secs(1));
-                (durable, Instant::now())
-            })
-        };
-        // Commit only once the subscriber is registered (parked, or about to
-        // check the durable LSN under the hub mutex).
-        while wal.subscribers.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
-        let b = wal.append(1, NULL_LSN, &LogBody::Begin);
-        wal.commit(1, b.start);
-        let committed = Instant::now();
-        let (durable, woke) = waiter.join().unwrap();
-        assert!(durable > from);
-        assert!(
-            woke.saturating_duration_since(committed) < Duration::from_millis(50),
-            "woken by the commit (or the 5 ms re-poll), not the 1 s deadline"
-        );
-        assert_eq!(wal.subscribers.load(Ordering::SeqCst), 0, "deregistered on return");
-    }
-
-    #[test]
-    fn commits_with_no_subscriber_leave_the_count_at_zero() {
+    fn every_forced_commit_is_one_flush_and_a_durable_wait_is_none() {
         let wal = Wal::new(LogPolicy::Serial, None);
         for txn in 1..=10_000u64 {
             let b = wal.append(txn, NULL_LSN, &LogBody::Begin);
-            wal.commit(txn, b.start);
-            assert_eq!(wal.subscribers.load(Ordering::SeqCst), 0);
+            wal.commit(txn, b.start, true);
         }
         assert_eq!(wal.flush_count(), 10_000);
         // A wait on an already-durable LSN is not a flush.
         wal.wait_durable(wal.durable_lsn());
         assert_eq!(wal.flush_count(), 10_000);
-        // An expired subscription deregisters too.
-        assert_eq!(wal.wait_durable_beyond(wal.durable_lsn(), Duration::ZERO), wal.durable_lsn());
-        assert_eq!(wal.subscribers.load(Ordering::SeqCst), 0);
     }
 
     #[test]

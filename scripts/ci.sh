@@ -11,8 +11,9 @@
 # runs every workload once at --quick size with every output oracle; the
 # obs overhead gate runs one of its workloads with obs compiled in and out.
 # Smokes (seconds, not minutes) run the fig1, crash_torture and tab_htap
-# binaries at reduced sizes via the env knobs they expose; every other
-# experiment binary is built so it cannot rot.
+# binaries at reduced sizes via the env knobs they expose; the checker
+# stage runs esdb-check whole; every other experiment binary is built so it
+# cannot rot.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,10 +31,10 @@ echo "== referee: benchmark package builds against the program and passes its ow
 
 echo "== engine: the crates under every transaction (release) =="
 # Unit tests of the lock manager (HeldLocks cases included), transaction
-# manager, WAL (record_golden pins the log bytes; the CRC slice-by-8 vs
-# bytewise property; the durability-subscriber wake-up), storage (index and
-# heap properties, the same-key insert race, the page-at-a-time column scan),
-# core (its simbridge tests pin fig6b's simulator cells by exact equality),
+# manager (the commit rule's lock/durability order and wait classes), WAL
+# (record_golden pins the log bytes; the CRC slice-by-8 vs bytewise
+# property), storage (index and heap properties, the same-key insert race,
+# the page-at-a-time column scan), core (its simbridge tests pin fig6b's simulator cells by exact equality),
 # DORA and the staged executor (its unit tests and the stored-table
 # proptest; tier 1 reaches the crate only through tests/equivalence.rs) —
 # none of which tier 1 compiles as tests. The executor's other callers are
@@ -75,14 +76,13 @@ echo "== smoke: fig1_scaling (reduced sweep) =="
 FIG1_CONTEXTS="1,4" FIG1_SUBSCRIBERS=1000 \
     cargo run --release -p esdb-bench --bin fig1_scaling
 
-echo "== smoke: checker (300 seeded schedules + mutation detection) =="
-# Clean sweep over ~300 deterministic schedules plus one chaos-mutation run
-# that must be caught with a replayable shrunk trace. Release mode keeps the
-# whole stage well under a minute.
-CHECK_SCHEDULES=300 cargo test --release -q -p esdb-check --test check_engine \
-    clean_engine_passes_seeded_schedules
-cargo test --release -q -p esdb-check --test check_engine \
-    detects_early_lock_release_mutation
+echo "== checker: whole esdb-check package (300 seeded schedules + both mutation hunts) =="
+# The clean sweep over ~300 deterministic schedules, both chaos mutations
+# (early lock release, wait-die disabled) caught with a replayed, shrunk
+# trace, byte-identical replay and seed determinism, and the crate's unit
+# tests (history recorder, FailoverOracle, MigrationOracle). Release mode:
+# under a minute.
+CHECK_SCHEDULES=300 cargo test --release -q -p esdb-check
 
 echo "== smoke: crash_torture (seeded, reduced iterations) =="
 CRASH_ITERS=10 CRASH_SEED=42 CRASH_TXNS=50 \

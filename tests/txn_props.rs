@@ -16,12 +16,19 @@ enum TOp {
     Delete(u64),
 }
 
+/// Stored values and add deltas, small or at the `i64` edges, so adds
+/// overflow in both directions.
+fn arb_value(small: i64) -> impl Strategy<Value = i64> {
+    let edge = prop_oneof![Just(i64::MIN), Just(i64::MIN + 1), Just(i64::MAX - 1), Just(i64::MAX)];
+    prop_oneof![-small..small, -small..small, -small..small, edge]
+}
+
 fn arb_top() -> impl Strategy<Value = TOp> {
     prop_oneof![
         (0u64..20).prop_map(TOp::Read),
-        (0u64..20, -100i64..100).prop_map(|(k, v)| TOp::Write(k, v)),
-        (0u64..20, -10i64..10).prop_map(|(k, d)| TOp::Add(k, d)),
-        (0u64..20, -100i64..100).prop_map(|(k, v)| TOp::Insert(k, v)),
+        (0u64..20, arb_value(100)).prop_map(|(k, v)| TOp::Write(k, v)),
+        (0u64..20, arb_value(10)).prop_map(|(k, d)| TOp::Add(k, d)),
+        (0u64..20, arb_value(100)).prop_map(|(k, v)| TOp::Insert(k, v)),
         (0u64..20).prop_map(TOp::Delete),
     ]
 }
@@ -60,8 +67,8 @@ fn model_apply(model: &mut BTreeMap<u64, i64>, ops: &[TOp]) -> bool {
                 }
                 shadow.insert(*k, *v);
             }
-            TOp::Add(k, d) => match shadow.get_mut(k) {
-                Some(v) => *v += d,
+            TOp::Add(k, d) => match shadow.get_mut(k).and_then(|v| Some((v.checked_add(*d)?, v))) {
+                Some((sum, v)) => *v = sum,
                 None => return false,
             },
             TOp::Insert(k, v) => {

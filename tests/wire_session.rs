@@ -4,6 +4,7 @@
 //! wait that times out and one that parks and resolves, and a graceful
 //! shutdown with a burst in flight.
 
+use esdb::core::spec_exec::SpecOutcome;
 use esdb::core::{Database, EngineConfig};
 use esdb::net::protocol::{decode_response, encode_request};
 use esdb::net::{Client, Request, Response, Server, ServerConfig, WirePlan};
@@ -65,6 +66,15 @@ fn pipelined_interactive_and_obs_round_trips() {
         assert_eq!(client.read(t, 3).unwrap(), vec![1]);
         client.update(t, 3, vec![42]).unwrap();
         client.commit().unwrap();
+        assert_eq!(client.read_committed(t, 3).unwrap(), Some(vec![42]));
+        // An add that would overflow fails logically and leaves the row be;
+        // the reactor thread, and this session on it, carry on.
+        let overflow = TxnSpec {
+            kind: "add",
+            ops: vec![WorkloadOp::Add { table: t, key: 3, col: 0, delta: i64::MAX }],
+            may_fail: true,
+        };
+        assert_eq!(client.one_shot(&overflow).unwrap(), SpecOutcome::LogicalFailure);
         assert_eq!(client.read_committed(t, 3).unwrap(), Some(vec![42]));
         // A statement outside a transaction is a typed server error, and the
         // session survives it.
