@@ -1,9 +1,10 @@
 //! End-to-end checker runs: clean sweeps over both execution models, plus
 //! mutation smoke tests proving the oracles detect seeded engine bugs.
 //!
-//! The clean sweep explores `CHECK_SCHEDULES` seeded schedules in total
-//! (default 500), split across scenario × engine-config × strategy cells.
-//! Set `CHECK_SCHEDULES=50` for a quick local run.
+//! The clean sweep explores `CHECK_SCHEDULES` seeded schedules in total,
+//! split across scenario × engine-config × strategy cells. The default, 60,
+//! keeps a debug `cargo test` in seconds; `scripts/ci.sh` sweeps 300 in
+//! release.
 
 use esdb_check::{
     check, htap_snapshot, replay, tpcb_micro, transfer_snapshot, CheckConfig, Mutation, Strategy,
@@ -16,7 +17,7 @@ fn total_schedules() -> usize {
     std::env::var("CHECK_SCHEDULES")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(500)
+        .unwrap_or(60)
 }
 
 fn conv_config() -> EngineConfig {

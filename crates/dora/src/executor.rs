@@ -201,8 +201,8 @@ impl Executor {
     }
 
     /// Applies one action. `Ok(Some(row))` carries a result for the client.
-    /// Each mutation is one `Table` call whose log record is appended under
-    /// the row's page latch.
+    /// Each mutation — an `Add` included — is one `Table` call whose log
+    /// record is appended under the row's page latch.
     fn apply(&mut self, txn: u64, action: &Action) -> Result<Option<Vec<i64>>, ()> {
         let t = self.tables.get(&action.table).ok_or(())?.clone();
         let table = action.table;
@@ -217,13 +217,12 @@ impl Executor {
                 (UndoOp::Update { table, key, before }, None)
             }
             ActionOp::Add { col, delta } => {
-                let mut after = t.get(key).map_err(|_| ())?;
-                let cell = after.get_mut(*col).ok_or(())?;
-                // An overflowing add is a logical failure, the row untouched.
-                *cell = cell.checked_add(*delta).ok_or(())?;
+                // An overflowing add (`None`) is a logical failure, the row untouched.
                 let before = t
-                    .update_logged(key, &after, |rid, before| log(rid, RowOp::Update { before, after: &after }))
-                    .map_err(|_| ())?;
+                    .add_logged(key, *col, *delta, |rid, before, after| log(rid, RowOp::Update { before, after }))
+                    .ok()
+                    .flatten()
+                    .ok_or(())?;
                 (UndoOp::Update { table, key, before: before.clone() }, Some(before))
             }
             ActionOp::Insert(row) => {

@@ -283,6 +283,17 @@ mod tests {
     }
 
     #[test]
+    fn an_overflowing_add_is_a_logical_failure_with_every_row_untouched() {
+        let (sys, table) = setup(4);
+        sys.execute(vec![Action::insert(1, 1, vec![10, 0]), Action::insert(1, 2, vec![i64::MAX, 0])]).unwrap();
+        let err = sys.execute(vec![Action::add(1, 1, 0, 5), Action::add(1, 2, 0, 1)]).unwrap_err();
+        assert_eq!(err, DoraError::Logical);
+        assert_eq!((table.get(1).unwrap(), table.get(2).unwrap()), (vec![10, 0], vec![i64::MAX, 0]));
+        let res = sys.execute(vec![Action::add(1, 2, 1, -3)]).unwrap();
+        assert_eq!((res[0].clone(), table.get(2).unwrap()), (Some(vec![i64::MAX, 0]), vec![i64::MAX, -3]));
+    }
+
+    #[test]
     fn duplicate_insert_is_logical_failure() {
         let (sys, _table) = setup(2);
         sys.execute(vec![Action::insert(1, 5, vec![1, 1])]).unwrap();

@@ -6,11 +6,11 @@
 //! describing it into the page header, which is what makes redo idempotent
 //! during recovery.
 //!
-//! **Write-ahead under the latch.** `insert`, `update` and `delete` visit
-//! their page once — one pin, one exclusive latch — and take the LSN from a
-//! caller-supplied closure that runs *under that latch*: the transaction
-//! layer appends its log record there (a caller that already holds an LSN
-//! just returns it). A dirty page is therefore never visible, to another
+//! **Write-ahead under the latch.** `insert`, `update`, `modify` and
+//! `delete` visit their page once — one pin, one exclusive latch — and take
+//! the LSN from a caller-supplied closure that runs *under that latch*: the
+//! transaction layer appends its log record there (a caller that already
+//! holds an LSN just returns it). A dirty page is therefore never visible, to another
 //! thread or to write-back, without the LSN of the record that describes it,
 //! and the WAL fence always waits for the right prefix of the log. Lock
 //! order is page latch → log buffer; the log flusher and the fence never
@@ -193,6 +193,19 @@ impl HeapFile {
         Ok(())
     }
 
+    /// Changes the live tuple at `rid` in place, its length fixed. `change`
+    /// runs under the page latch with the tuple's bytes and returns the LSN
+    /// to stamp, or `None` — having changed nothing — to leave the page as
+    /// it was. Returns whether the page was stamped.
+    pub fn modify(&self, rid: Rid, change: impl FnOnce(&mut [u8]) -> Result<Option<u64>>) -> Result<bool> {
+        let pin = self.pool.pin(rid.page)?;
+        let mut page = pin.write();
+        let tuple = page.get_mut(rid.slot).ok_or(StorageError::RecordNotFound(rid))?;
+        let Some(lsn) = change(tuple)? else { return Ok(false) };
+        stamp(&mut page, lsn);
+        Ok(true)
+    }
+
     /// Overwrites the live tuple at `rid` — redo and undo of an update (see
     /// [`HeapFile::replay`]). A dead slot is [`StorageError::RecordNotFound`].
     pub fn update_at(&self, rid: Rid, data: &[u8], lsn: u64, gated: bool) -> Result<bool> {
@@ -312,6 +325,19 @@ mod tests {
         .unwrap();
         assert_eq!(before, b"new");
         assert_eq!(h.get(rid).unwrap(), b"longer than before");
+    }
+
+    #[test]
+    fn modify_changes_in_place_and_a_refusal_stamps_nothing() {
+        let h = heap();
+        let rid = put(&h, b"abcd", 1);
+        assert!(h.modify(rid, |t| { t[0] = b'z'; Ok(Some(4)) }).unwrap());
+        assert!(!h.modify(rid, |_| Ok(None)).unwrap());
+        assert_eq!(h.get(rid).unwrap(), b"zbcd");
+        let lsn = h.read_page(0, |_, page| page.lsn()).unwrap();
+        assert_eq!(lsn, Some(4), "the refusal left the stamp alone");
+        h.delete(rid, |_| 5).unwrap();
+        assert_eq!(h.modify(rid, |_| unreachable!()).unwrap_err(), StorageError::RecordNotFound(rid));
     }
 
     #[test]

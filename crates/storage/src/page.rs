@@ -196,16 +196,23 @@ impl Page {
         true
     }
 
-    /// Reads the tuple in `slot`, if live.
-    pub fn get(&self, slot: u16) -> Option<&[u8]> {
+    /// Byte range of the tuple in `slot`, if live.
+    fn tuple_range(&self, slot: u16) -> Option<std::ops::Range<usize>> {
         if slot >= self.slot_count() {
             return None;
         }
         let (off, len) = self.slot_entry(slot);
-        if off == TOMBSTONE {
-            return None;
-        }
-        Some(&self.bytes[off as usize..off as usize + len as usize])
+        (off != TOMBSTONE).then(|| off as usize..off as usize + len as usize)
+    }
+
+    /// Reads the tuple in `slot`, if live.
+    pub fn get(&self, slot: u16) -> Option<&[u8]> {
+        self.tuple_range(slot).map(|r| &self.bytes[r])
+    }
+
+    /// The tuple in `slot`, if live, to change in place (its length is fixed).
+    pub fn get_mut(&mut self, slot: u16) -> Option<&mut [u8]> {
+        self.tuple_range(slot).map(|r| &mut self.bytes[r])
     }
 
     /// Overwrites the tuple in `slot`. Grows via fresh allocation (compacting
@@ -369,6 +376,17 @@ mod tests {
         assert_eq!(p.get(s0).unwrap(), b"first");
         assert_eq!(p.get(s2).unwrap(), b"third");
         assert!(p.get(s1).is_none());
+    }
+
+    #[test]
+    fn get_mut_changes_a_live_tuple_in_place() {
+        let mut p = Page::new();
+        let s = p.insert(b"abcd").unwrap();
+        p.get_mut(s).unwrap()[1..3].copy_from_slice(b"XY");
+        assert_eq!(p.get(s).unwrap(), b"aXYd");
+        p.delete(s);
+        assert!(p.get_mut(s).is_none());
+        assert!(p.get_mut(99).is_none());
     }
 
     #[test]

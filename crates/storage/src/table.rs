@@ -3,8 +3,9 @@
 //! `Table` is the storage-level object the transaction layer manipulates.
 //! All methods are physically safe under concurrency (page latches, index
 //! crabbing) but provide **no transactional isolation** — that is the job of
-//! the lock manager and transaction manager layered above. Each mutation is
-//! one index descent, one pin and one page latch; its `*_logged` form takes a
+//! the lock manager and transaction manager layered above. Each mutation —
+//! the read-modify-write [`Table::add_logged`] included — is one index
+//! descent, one pin and one page latch; its `*_logged` form takes a
 //! closure that runs under that latch and returns the LSN to stamp — where
 //! the transaction layer appends its log record (see [`crate::heap`]) — and
 //! the plain form stamps nothing.
@@ -213,6 +214,52 @@ impl Table {
             ix.update_row(key, &before, row);
         }
         Ok(before)
+    }
+
+    /// Read-modify-write: adds `delta` to column `col` of `key`'s row in one
+    /// descent, one pin and one page latch, returning the before-image — or
+    /// `None` when the sum overflows, in which case `log` is not called and
+    /// neither the row nor the page LSN changes. `log` runs under the latch
+    /// with the row's address and its before- and after-images and returns
+    /// the LSN to stamp; the changed column is then written in place.
+    pub fn add_logged(
+        &self,
+        key: u64,
+        col: usize,
+        delta: i64,
+        log: impl FnOnce(Rid, &[i64], &[i64]) -> u64,
+    ) -> Result<Option<Vec<i64>>> {
+        let arity = self.schema.arity;
+        if col >= arity {
+            return Err(StorageError::ArityMismatch { expected: arity, got: col + 1 });
+        }
+        let rid = self.rid_of(key)?;
+        // Both images in one buffer, `[before.., after..]`, so the
+        // after-image costs no allocation of its own.
+        let mut images = Vec::new();
+        let added = self.heap.modify(rid, |tuple| {
+            let row = RowRef::new(tuple)?;
+            if row.arity() != arity {
+                return Err(StorageError::CorruptRow { len: tuple.len() });
+            }
+            images.reserve_exact(2 * arity);
+            images.extend(row.cols());
+            let Some(sum) = images[col].checked_add(delta) else { return Ok(None) };
+            images.extend_from_within(..arity);
+            images[arity + col] = sum;
+            let lsn = log(rid, &images[..arity], &images[arity..]);
+            tuple[8 * (col + 1)..8 * (col + 2)].copy_from_slice(&sum.to_le_bytes());
+            Ok(Some(lsn))
+        })?;
+        if !added {
+            return Ok(None);
+        }
+        let (before, after) = images.split_at(arity);
+        for ix in &self.secondaries {
+            ix.update_row(key, before, after);
+        }
+        images.truncate(arity);
+        Ok(Some(images))
     }
 
     /// Deletes `key`, returning the before-image.
@@ -546,6 +593,74 @@ mod tests {
         assert_eq!(t.delete_logged(1, |_, before| before[0] as u64).unwrap(), vec![11]);
         assert_eq!(page_lsn(rid), 11);
         assert_eq!(t.update_logged(1, &[0], |_, _| unreachable!()).unwrap_err(), StorageError::KeyNotFound(1));
+    }
+
+    #[test]
+    fn add_logs_both_images_and_stamps_the_lsn_its_closure_returns() {
+        let pool = Arc::new(BufferPool::new(128, Arc::new(InMemoryDisk::new())));
+        let t = Table::create(1, "t", 2, pool.clone());
+        let page_lsn = |rid: Rid| pool.pin(rid.page).unwrap().read().lsn();
+        let rid = t.insert_logged(1, &[10, 20], |_| 5).unwrap();
+        let before = t
+            .add_logged(1, 1, -7, |at, before, after| {
+                assert_eq!((at, before, after), (rid, &[10, 20][..], &[10, 13][..]));
+                9
+            })
+            .unwrap();
+        assert_eq!((before, t.get(1).unwrap(), page_lsn(rid)), (Some(vec![10, 20]), vec![10, 13], 9));
+    }
+
+    #[test]
+    fn an_overflowing_add_logs_nothing_and_changes_nothing() {
+        let pool = Arc::new(BufferPool::new(128, Arc::new(InMemoryDisk::new())));
+        let t = Table::create(1, "t", 2, pool.clone());
+        let rid = t.insert_logged(1, &[i64::MAX, i64::MIN], |_| 5).unwrap();
+        let bytes = || t.heap().get(rid).unwrap();
+        let image = bytes();
+        assert_eq!(t.add_logged(1, 0, 1, |_, _, _| unreachable!()).unwrap(), None);
+        assert_eq!(t.add_logged(1, 1, -1, |_, _, _| unreachable!()).unwrap(), None);
+        assert_eq!(bytes(), image);
+        assert_eq!(pool.pin(rid.page).unwrap().read().lsn(), 5);
+        // The edges themselves are reachable.
+        assert_eq!(t.add_logged(1, 0, i64::MIN, |_, _, _| 6).unwrap(), Some(vec![i64::MAX, i64::MIN]));
+        assert_eq!(t.get(1).unwrap(), vec![-1, i64::MIN]);
+    }
+
+    #[test]
+    fn add_refuses_a_column_past_the_arity_a_missing_key_and_a_ragged_tuple() {
+        let t = table(2);
+        t.insert(1, &[1, 2]).unwrap();
+        assert_eq!(
+            t.add_logged(1, 2, 1, |_, _, _| unreachable!()).unwrap_err(),
+            StorageError::ArityMismatch { expected: 2, got: 3 }
+        );
+        assert_eq!(t.add_logged(9, 0, 1, |_, _, _| unreachable!()).unwrap_err(), StorageError::KeyNotFound(9));
+        for bad in [encode_row(1, &[5]), encode_row(1, &[5, 6])[..20].to_vec(), encode_row(1, &[5, 6, 7])] {
+            t.heap().update(t.rid_of(1).unwrap(), &bad, |_| 0).unwrap();
+            assert_eq!(
+                t.add_logged(1, 0, 1, |_, _, _| unreachable!()).unwrap_err(),
+                StorageError::CorruptRow { len: bad.len() }
+            );
+            assert_eq!(t.heap().get(t.rid_of(1).unwrap()).unwrap(), bad, "left as it was");
+        }
+    }
+
+    #[test]
+    fn a_secondary_index_on_the_added_column_tracks_the_sum() {
+        use crate::schema::{IndexDef, IndexKind};
+        let pool = Arc::new(BufferPool::new(128, Arc::new(InMemoryDisk::new())));
+        let def = IndexDef { id: 0, name: "r1".into(), col: 1, kind: IndexKind::Range };
+        let t = Table::create_indexed(1, "t", 2, vec![def], pool);
+        t.insert(1, &[0, 100]).unwrap();
+        t.insert(2, &[0, 200]).unwrap();
+        t.add_logged(1, 1, 150, |_, _, _| 0).unwrap();
+        let ix = t.secondary(0).unwrap();
+        assert_eq!(ix.lookup_eq(100), Vec::<u64>::new());
+        assert_eq!(ix.lookup_eq(250), vec![1]);
+        assert_eq!(ix.lookup_range(200, 250).unwrap(), vec![1, 2]);
+        // A refused add leaves the index alone.
+        t.add_logged(2, 1, i64::MAX, |_, _, _| 0).unwrap();
+        assert_eq!(ix.lookup_eq(200), vec![2]);
     }
 
     #[test]

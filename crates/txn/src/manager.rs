@@ -358,6 +358,22 @@ impl Txn {
         Ok(before)
     }
 
+    /// Adds `delta` to column `col` of the row for `key` under an exclusive
+    /// lock, in one visit to the row ([`Table::add_logged`]), returning the
+    /// before-image. An overflowing sum is [`TxnError::Overflow`] and
+    /// changes nothing.
+    pub fn add(&mut self, table: TableId, key: u64, col: usize, delta: i64) -> TxnResult<Vec<i64>> {
+        let t = self.lock_row(table, key, LockMode::X)?;
+        let before = t
+            .add_logged(key, col, delta, |rid, before, after| {
+                self.log_row(table, key, rid, RowOp::Update { before, after })
+            })?
+            .ok_or(TxnError::Overflow { table, key })?;
+        self.undo.push(UndoOp::Update { table, key, before: before.clone() });
+        self.chaos_release_early();
+        Ok(before)
+    }
+
     /// Deletes the row for `key`, returning the before-image.
     pub fn delete(&mut self, table: TableId, key: u64) -> TxnResult<Vec<i64>> {
         let t = self.lock_row(table, key, LockMode::X)?;
@@ -627,6 +643,43 @@ mod tests {
         assert_eq!(table.get(1).unwrap(), vec![10, 0], "update+delete undone");
         assert!(table.get(2).is_err(), "insert undone");
         assert_eq!(mgr.stats().aborts, 1);
+    }
+
+    #[test]
+    fn add_then_abort_restores_the_before_image_and_logs_the_compensation() {
+        let (mgr, table) = setup(false);
+        mgr.run(0, |t| t.insert(1, 1, &[10, 20])).unwrap();
+        let from = mgr.wal().current_lsn();
+        let mut t = mgr.begin();
+        assert_eq!(t.add(1, 1, 1, 5).unwrap(), vec![10, 20]);
+        assert_eq!(table.get(1).unwrap(), vec![10, 25]);
+        t.abort();
+        assert_eq!(table.get(1).unwrap(), vec![10, 20]);
+        mgr.wal().wait_durable(mgr.wal().current_lsn());
+        let bodies: Vec<LogBody> =
+            mgr.wal().durable_records().into_iter().filter(|r| r.lsn >= from).map(|r| r.body).collect();
+        let updates: Vec<(Vec<i64>, Vec<i64>)> = bodies
+            .iter()
+            .filter_map(|b| match b {
+                LogBody::Update { before, after, .. } => Some((before.clone(), after.clone())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(updates, [(vec![10, 20], vec![10, 25]), (vec![10, 25], vec![10, 20])], "the add, then its compensation");
+        assert!(matches!(bodies.last(), Some(LogBody::Abort)));
+    }
+
+    #[test]
+    fn an_overflowing_add_is_a_typed_error_that_logs_nothing() {
+        let (mgr, table) = setup(false);
+        mgr.run(0, |t| t.insert(1, 1, &[i64::MAX, 0])).unwrap();
+        let before = mgr.wal().current_lsn();
+        let mut t = mgr.begin();
+        assert_eq!(t.add(1, 1, 0, 1).unwrap_err(), TxnError::Overflow { table: 1, key: 1 });
+        assert_eq!(mgr.wal().current_lsn(), before, "no record for a refused add");
+        t.abort();
+        assert_eq!(table.get(1).unwrap(), vec![i64::MAX, 0]);
+        assert_eq!(mgr.wal().current_lsn(), before, "nothing to compensate, nothing to abort");
     }
 
     #[test]
