@@ -355,11 +355,15 @@ pub fn htap_snapshot(
 }
 
 /// The follower oracle behind [`htap_snapshot`]: bootstrap a replica from an
-/// *empty* snapshot at the WAL's origin (the population itself loads through
-/// a logged setup transaction, so replay reconstructs everything), feed the
-/// durable stream in seeded cuts, and interrogate every cut with a pinned
-/// aggregate query.
+/// *empty* snapshot at the WAL's origin — the primary's catalog with every
+/// page list emptied, so the follower's heaps are built by adopting the
+/// pages the row records name (the population itself loads through a logged
+/// setup transaction, so replay reconstructs everything) — feed the durable
+/// stream in seeded cuts, and interrogate every cut with a pinned aggregate
+/// query. At quiescence the follower's catalog, page lists included, must
+/// equal the primary's.
 fn follower_cuts_hold(db: &Database, total: i64) -> Result<(), String> {
+    use esdb_core::TableImage;
     use esdb_staged::{AggFunc, PlanNode};
     use std::sync::Arc;
     use std::time::Duration;
@@ -367,16 +371,9 @@ fn follower_cuts_hold(db: &Database, total: i64) -> Result<(), String> {
     let wal = db.wal();
     wal.wait_durable(wal.current_lsn());
     let start = wal.start_lsn();
-    let snap = esdb_net::Snapshot {
-        start_lsn: start,
-        catalog: db
-            .catalog()
-            .into_iter()
-            .map(|(id, name, arity, _)| (id, name, arity as u32, Vec::new()))
-            .collect(),
-        indexes: Vec::new(),
-        pages: Vec::new(),
-    };
+    let tables: Vec<TableImage> =
+        db.catalog().into_iter().map(|t| TableImage { pages: Vec::new(), ..t }).collect();
+    let snap = esdb_net::Snapshot::of(start, &tables, Vec::new());
     let mut replica =
         esdb_repl::Replica::bootstrap(snap, EngineConfig::conventional_baseline())
             .map_err(|e| format!("follower bootstrap: {e}"))?;
@@ -426,6 +423,10 @@ fn follower_cuts_hold(db: &Database, total: i64) -> Result<(), String> {
             "follower frontier {} short of durable {durable} at quiescence",
             replica.applied_lsn()
         ));
+    }
+    let (ours, theirs) = (replica.db().catalog(), db.catalog());
+    if ours != theirs {
+        return Err(format!("follower catalog {ours:?} differs from the primary's {theirs:?}"));
     }
     Ok(())
 }

@@ -8,12 +8,11 @@ use esdb_lock::LockManager;
 use esdb_storage::disk::PageStore;
 use esdb_storage::heap::HeapFile;
 use esdb_storage::schema::{Schema, TableId};
-use esdb_storage::{BufferPool, InMemoryDisk, Table};
+use esdb_storage::{BufferPool, InMemoryDisk, PageId, Table};
 use esdb_txn::{PreparedTxn, Txn, TxnManager, TxnResult};
 use esdb_wal::Wal;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -29,7 +28,8 @@ pub enum DbError {
         /// Name of the table whose creation was rejected.
         name: String,
     },
-    /// A checkpoint or bulk-load page flush hit the page store's error path.
+    /// The page store failed under a checkpoint, a bulk load, a snapshot
+    /// read or a restore's recovery.
     CheckpointIo(esdb_storage::StorageError),
     /// Checkpointing requires the conventional execution model: DORA
     /// executors log outside the transaction manager, so the redo low-water
@@ -51,7 +51,7 @@ impl std::fmt::Display for DbError {
                 "cannot create table {name:?}: DORA executors already started \
                  (the table set is frozen at executor startup)"
             ),
-            DbError::CheckpointIo(e) => write!(f, "checkpoint page flush failed: {e}"),
+            DbError::CheckpointIo(e) => write!(f, "page store failed: {e}"),
             DbError::CheckpointUnsupported => write!(
                 f,
                 "checkpointing requires the conventional execution model \
@@ -114,19 +114,27 @@ fn commit_durably(txn: Txn) -> Option<esdb_wal::Lsn> {
     None
 }
 
+/// One table as stored state: its schema, index declarations included, and
+/// its heap's page ids in heap order (ascending). A list of these plus a
+/// page store holding the pages is everything [`Database::restore`] needs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TableImage {
+    /// The table's schema.
+    pub schema: Schema,
+    /// The heap's page ids, ascending.
+    pub pages: Vec<PageId>,
+}
+
 /// A running esdb database instance.
 pub struct Database {
     config: EngineConfig,
     disk: Arc<dyn PageStore>,
     pool: Arc<BufferPool>,
+    /// Owns the table registry; every table lookup goes through it.
     txn_mgr: Arc<TxnManager>,
     /// DORA executors, spawned lazily on first transaction so tables can be
     /// created first.
     dora: OnceLock<DoraSystem>,
-    /// Registered tables by id (also inside `txn_mgr`, kept here for DORA
-    /// startup and crash simulation).
-    tables: RwLock<HashMap<TableId, Arc<Table>>>,
-    next_table: AtomicU64,
     /// DDL fence: once the DORA system started, table creation is frozen.
     frozen: Mutex<bool>,
     /// Prepared-but-undecided participant transactions by gtid — the live
@@ -145,40 +153,53 @@ impl Database {
     /// crash-torture harness uses to slide a
     /// [`esdb_storage::FaultInjector`] under the buffer pool.
     pub fn open_on(config: EngineConfig, disk: Arc<dyn PageStore>) -> Self {
-        let pool = Arc::new(BufferPool::new(config.buffer_frames, disk.clone()));
-        let wal = Arc::new(Wal::new(config.log.into(), config.flush_latency));
-        Self::assemble(config, disk, pool, wal)
+        let wal = Wal::new(config.log.into(), config.flush_latency);
+        Self::restore(config, disk, wal, &[], &[]).expect("nothing to recover").0
     }
 
-    /// Wires the pieces together (shared by `open` and `simulate_crash`).
-    fn assemble(
+    /// Builds a database from stored state — the one way every `Database`
+    /// comes to be: a page store holding the `tables`' pages, a `wal` to
+    /// continue on, and the durable `log` records to recover from. Builds
+    /// the pool, a heap and table per [`TableImage`], registers them, then
+    /// runs [`esdb_wal::recovery::recover`]; with an empty `log` that only
+    /// rebuilds the indexes. A crash restart passes the durable records and
+    /// the old log's successor; a follower, no records and a log based far
+    /// past any primary LSN; a fresh database, nothing at all.
+    pub fn restore(
         config: EngineConfig,
         disk: Arc<dyn PageStore>,
-        pool: Arc<BufferPool>,
-        wal: Arc<Wal>,
-    ) -> Self {
-        let lock_partitions = match config.execution {
-            ExecutionModel::Conventional { lock_partitions } => lock_partitions,
-            ExecutionModel::Dora { .. } => 16,
-        };
-        let locks = Arc::new(LockManager::with_timeout(lock_partitions, config.lock_timeout));
-        let txn_mgr = Arc::new(TxnManager::new(locks, wal.clone(), config.elr));
+        wal: Wal,
+        tables: &[TableImage],
+        log: &[esdb_wal::LogRecord],
+    ) -> Result<(Database, esdb_wal::recovery::RecoveryReport), DbError> {
+        let pool = Arc::new(BufferPool::new(config.buffer_frames, disk.clone()));
+        let wal = Arc::new(wal);
         // WAL rule: no dirty page reaches the store before its log records.
         {
             let wal = wal.clone();
             pool.set_lsn_barrier(Box::new(move |lsn| wal.wait_durable(lsn)));
         }
-        Database {
+        let lock_partitions = match config.execution {
+            ExecutionModel::Conventional { lock_partitions } => lock_partitions,
+            ExecutionModel::Dora { .. } => 16,
+        };
+        let locks = Arc::new(LockManager::with_timeout(lock_partitions, config.lock_timeout));
+        let txn_mgr = Arc::new(TxnManager::new(locks, wal, config.elr));
+        for image in tables {
+            let heap = HeapFile::from_pages(pool.clone(), image.pages.clone());
+            txn_mgr.register_table(Arc::new(Table::from_heap(image.schema.clone(), heap)));
+        }
+        let report = esdb_wal::recovery::recover(log, &txn_mgr.tables())?;
+        let db = Database {
             config,
             disk,
             pool,
             txn_mgr,
             dora: OnceLock::new(),
-            tables: RwLock::new(HashMap::new()),
-            next_table: AtomicU64::new(0),
             frozen: Mutex::new(false),
             prepared: Mutex::new(HashMap::new()),
-        }
+        };
+        Ok((db, report))
     }
 
     /// The configuration this database runs.
@@ -197,7 +218,7 @@ impl Database {
     /// Creates a table carrying secondary index declarations; returns its
     /// id. The declarations become part of the table's schema, so they are
     /// durable against crash recovery ([`Database::simulate_crash`]) and
-    /// travel with replication snapshots ([`Database::index_catalog`]).
+    /// travel with replication snapshots ([`Database::catalog`]).
     /// Index declarations are create-time only — there is no online index
     /// build.
     pub fn create_table_with_indexes(
@@ -218,16 +239,16 @@ impl Database {
         if *frozen {
             return Err(DbError::TablesFrozen { name: name.to_string() });
         }
-        let id = self.next_table.fetch_add(1, Ordering::Relaxed) as TableId;
-        let table = Arc::new(Table::create_indexed(id, name, arity, indexes, self.pool.clone()));
-        self.txn_mgr.register_table(table.clone());
-        self.tables.write().insert(id, table);
+        // The DDL fence also serializes table creation, so the id is free.
+        let id = self.txn_mgr.next_table_id();
+        self.txn_mgr
+            .register_table(Arc::new(Table::create_indexed(id, name, arity, indexes, self.pool.clone())));
         Ok(id)
     }
 
     /// Looks up a table handle.
     pub fn table(&self, id: TableId) -> Option<Arc<Table>> {
-        self.tables.read().get(&id).cloned()
+        self.txn_mgr.table(id).ok()
     }
 
     fn dora(&self) -> &DoraSystem {
@@ -241,7 +262,7 @@ impl Database {
             };
             DoraSystem::new(
                 partitions,
-                self.tables.read().clone(),
+                self.txn_mgr.tables(),
                 Arc::clone(self.txn_mgr.wal()),
                 self.config.elr,
             )
@@ -461,13 +482,9 @@ impl Database {
             let id = self.create_table(&def.name, def.arity)?;
             debug_assert_eq!(id, def.id, "workload table ids must be dense from 0");
         }
-        {
-            let tables = self.tables.read();
-            for (table, key, row) in workload.population() {
-                tables[&table]
-                    .insert(key, &row)
-                    .map_err(DbError::CheckpointIo)?;
-            }
+        let tables = self.txn_mgr.tables();
+        for (table, key, row) in workload.population() {
+            tables[&table].insert(key, &row)?;
         }
         self.pool.flush_all().map_err(DbError::CheckpointIo)
     }
@@ -504,77 +521,16 @@ impl Database {
         &self.disk
     }
 
-    /// The table catalog as plain data: `(id, name, arity, heap page ids)`
-    /// per table — what a replica needs to rebuild the same tables over
-    /// shipped pages.
-    pub fn catalog(&self) -> Vec<(TableId, String, usize, Vec<u64>)> {
-        let tables = self.tables.read();
-        let mut out: Vec<_> = tables
-            .values()
-            .map(|t| {
-                let s = t.schema();
-                (s.id, s.name.clone(), s.arity, t.heap().pages())
-            })
-            .collect();
-        out.sort_by_key(|(id, ..)| *id);
-        out
-    }
-
-    /// Secondary index declarations per table, sorted by table id; tables
-    /// without indexes are omitted. Ships alongside [`Database::catalog`] in
-    /// replication snapshots so followers rebuild the same indexes.
-    pub fn index_catalog(&self) -> Vec<(TableId, Vec<esdb_storage::IndexDef>)> {
-        let tables = self.tables.read();
-        let mut out: Vec<_> = tables
-            .values()
-            .filter(|t| !t.schema().indexes.is_empty())
-            .map(|t| (t.id(), t.schema().indexes.clone()))
-            .collect();
-        out.sort_by_key(|(id, _)| *id);
-        out
-    }
-
-    /// Rebuilds a database from a shipped snapshot: a page store already
-    /// populated with checkpoint-consistent pages plus the primary's
-    /// [`Database::catalog`] and [`Database::index_catalog`]. Primary and
-    /// secondary indexes are rebuilt from heap scans. The local WAL starts
-    /// far past any primary LSN so page-LSN ordering (and the pool's flush
-    /// barrier) stay trivially satisfied on the replica.
-    pub fn restore_from_snapshot(
-        config: EngineConfig,
-        disk: Arc<dyn PageStore>,
-        catalog: &[(TableId, String, usize, Vec<u64>)],
-        index_catalog: &[(TableId, Vec<esdb_storage::IndexDef>)],
-    ) -> Result<Database, DbError> {
-        let pool = Arc::new(BufferPool::new(config.buffer_frames, disk.clone()));
-        let wal = Arc::new(Wal::new_at(1 << 62, config.log.into(), config.flush_latency));
-        let db = Self::assemble(config, disk, pool.clone(), wal);
-        let mut max_id = 0u64;
-        for (id, name, arity, pages) in catalog {
-            // A table that was empty at snapshot time ships no pages; give
-            // it a fresh heap rather than asserting on the empty page list.
-            let heap = if pages.is_empty() {
-                HeapFile::create(pool.clone()).map_err(DbError::CheckpointIo)?
-            } else {
-                HeapFile::from_pages(pool.clone(), pages.clone())
-            };
-            let indexes = index_catalog
-                .iter()
-                .find(|(t, _)| t == id)
-                .map(|(_, defs)| defs.clone())
-                .unwrap_or_default();
-            let table = Arc::new(Table::from_heap(
-                Schema::with_indexes(*id, name.clone(), *arity, indexes),
-                heap,
-            ));
-            table.rebuild_index().map_err(DbError::CheckpointIo)?;
-            table.rebuild_secondaries().map_err(DbError::CheckpointIo)?;
-            db.txn_mgr.register_table(table.clone());
-            db.tables.write().insert(*id, table);
-            max_id = max_id.max(*id as u64 + 1);
-        }
-        db.next_table.store(max_id, Ordering::Relaxed);
-        Ok(db)
+    /// Every table as a [`TableImage`], by ascending id — what
+    /// [`Database::restore`] rebuilds the same tables from, over the same
+    /// pages.
+    pub fn catalog(&self) -> Vec<TableImage> {
+        let mut tables: Vec<_> = self.txn_mgr.tables().into_values().collect();
+        tables.sort_by_key(|t| t.id());
+        tables
+            .iter()
+            .map(|t| TableImage { schema: t.schema().clone(), pages: t.heap().pages() })
+            .collect()
     }
 
     /// Runs `threads` closed-loop workers, each executing `txns_per_thread`
@@ -650,29 +606,12 @@ impl Database {
         if flush_pages {
             self.pool.flush_all().expect("flush");
         }
-        // What survives: the page store and the durable log prefix.
-        let disk = self.disk.clone();
+        // What survives: the page store and the durable log prefix — and,
+        // until the catalog is logged, the live catalog.
         let records = self.wal().durable_records();
-        let pool = Arc::new(BufferPool::new(self.config.buffer_frames, disk.clone()));
-        let mut tables = HashMap::new();
-        for (id, table) in self.tables.read().iter() {
-            let heap = HeapFile::from_pages(pool.clone(), table.heap().pages());
-            // The full schema — index declarations included — survives the
-            // crash: it is catalog metadata, not volatile index state.
-            tables.insert(*id, Arc::new(Table::from_heap(table.schema().clone(), heap)));
-        }
-        let report = esdb_wal::recovery::recover(&records, &tables)
-            .expect("recovery I/O on the surviving page store");
-        let wal = Arc::new(self.wal().successor(self.config.log.into(), self.config.flush_latency));
-        let recovered = Database::assemble(self.config.clone(), disk, pool, wal);
-        for (id, table) in tables {
-            recovered.txn_mgr.register_table(table.clone());
-            recovered.tables.write().insert(id, table);
-        }
-        recovered
-            .next_table
-            .store(self.next_table.load(Ordering::Relaxed), Ordering::Relaxed);
-        (recovered, report)
+        let wal = self.wal().successor(self.config.log.into(), self.config.flush_latency);
+        Database::restore(self.config.clone(), self.disk.clone(), wal, &self.catalog(), &records)
+            .expect("recovery I/O on the surviving page store")
     }
 }
 
@@ -975,7 +914,7 @@ mod tests {
             txn.insert(t, 3, &[20, 0])
         })
         .unwrap();
-        assert_eq!(db.index_catalog().len(), 1);
+        assert_eq!(db.catalog()[0].schema.indexes.len(), 1);
 
         let recovered = db.simulate_crash(false);
         let table = recovered.table(t).unwrap();

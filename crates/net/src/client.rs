@@ -159,6 +159,57 @@ pub struct Snapshot {
     pub pages: Vec<(u64, Vec<u8>)>,
 }
 
+impl Snapshot {
+    /// Takes a checkpoint on `db` and packages its catalog and the flushed
+    /// pages — the one snapshot producer, behind the wire `ReplSnapshot`
+    /// exchange and every in-process bootstrap alike. Pages may be dirtied
+    /// again while they are read; that is the *fuzzy* part, and a page
+    /// newer than the checkpoint only makes the follower's page-LSN gated
+    /// redo skip records it already holds.
+    pub fn take(db: &esdb_core::Database) -> Result<Snapshot, esdb_core::DbError> {
+        let start_lsn = db.checkpoint()?;
+        let tables = db.catalog();
+        let mut page = esdb_storage::page::Page::new();
+        let mut pages = Vec::new();
+        for &pid in tables.iter().flat_map(|t| &t.pages) {
+            db.disk().read(pid, &mut page)?;
+            pages.push((pid, page.as_bytes().to_vec()));
+        }
+        Ok(Snapshot::of(start_lsn, &tables, pages))
+    }
+
+    /// A snapshot of `tables` in wire shape: index declarations only, since
+    /// index contents are derived state the follower rebuilds.
+    pub fn of(start_lsn: u64, tables: &[esdb_core::TableImage], pages: Vec<(u64, Vec<u8>)>) -> Snapshot {
+        Snapshot {
+            start_lsn,
+            catalog: tables
+                .iter()
+                .map(|t| (t.schema.id, t.schema.name.clone(), t.schema.arity as u32, t.pages.clone()))
+                .collect(),
+            indexes: tables
+                .iter()
+                .flat_map(|t| {
+                    t.schema.indexes.iter().map(|d| (t.schema.id, d.id, d.name.clone(), d.col as u32, d.kind.as_u8()))
+                })
+                .collect(),
+            pages,
+        }
+    }
+
+    /// The frames that ship this snapshot, in order: a
+    /// [`Response::SnapBegin`], a [`Response::SnapPage`] per page (its
+    /// buffer moved, not copied) and a closing [`Response::SnapEnd`] —
+    /// what [`Client::fetch_snapshot`] reassembles.
+    pub(crate) fn into_frames(self) -> impl Iterator<Item = Response> {
+        let Snapshot { start_lsn, catalog, indexes, pages } = self;
+        let page_count = pages.len() as u64;
+        std::iter::once(Response::SnapBegin { start_lsn, catalog, indexes })
+            .chain(pages.into_iter().map(|(page_id, bytes)| Response::SnapPage { page_id, bytes }))
+            .chain(std::iter::once(Response::SnapEnd { page_count }))
+    }
+}
+
 /// How a socket read or write that outlived its timeout reports it (which of
 /// the two kinds is platform-dependent).
 fn timed_out(e: &std::io::Error) -> bool {

@@ -814,7 +814,10 @@ fn exec_one(shared: &Arc<Shared>, conn: &mut Conn, req: Request, now: Instant, i
             }
         },
         Request::ReplSnapshot => {
-            snapshot_into(db, &mut conn.staged);
+            match crate::Snapshot::take(db) {
+                Ok(snap) => conn.staged.extend(snap.into_frames()),
+                Err(e) => conn.staged.push(Response::Error(format!("snapshot failed: {e}"))),
+            }
             return;
         }
         // A subscribe ends the request/response dialogue: the batch
@@ -1319,61 +1322,6 @@ fn flush_outbox(poller: &Poller, conn: &mut Conn) {
             conn.want_write = want;
         }
     }
-}
-
-/// Takes a checkpoint and appends the full page snapshot to `responses`:
-/// one [`Response::SnapBegin`] carrying the redo start LSN and catalog, a
-/// [`Response::SnapPage`] per heap page, and a closing [`Response::SnapEnd`].
-/// Pages may be dirtied again while we read them — that is the *fuzzy* part;
-/// a page newer than the checkpoint just makes the replica's page-LSN
-/// idempotent redo skip the already-applied records.
-fn snapshot_into(db: &Arc<Database>, responses: &mut Vec<Response>) {
-    let start_lsn = match db.checkpoint() {
-        Ok(lsn) => lsn,
-        Err(e) => {
-            responses.push(Response::Error(format!("snapshot failed: {e}")));
-            return;
-        }
-    };
-    let catalog = db.catalog();
-    responses.push(Response::SnapBegin {
-        start_lsn,
-        catalog: catalog
-            .iter()
-            .map(|(id, name, arity, pages)| (*id, name.clone(), *arity as u32, pages.clone()))
-            .collect(),
-        // Declarations only — index contents are derived state the replica
-        // rebuilds from the installed heap.
-        indexes: db
-            .index_catalog()
-            .into_iter()
-            .flat_map(|(tid, defs)| {
-                defs.into_iter()
-                    .map(move |d| (tid, d.id, d.name, d.col as u32, d.kind.as_u8()))
-            })
-            .collect(),
-    });
-    let disk = db.disk();
-    let mut page = esdb_storage::page::Page::new();
-    let mut page_count = 0u64;
-    for (_, _, _, pages) in &catalog {
-        for &pid in pages {
-            match disk.read(pid, &mut page) {
-                Ok(()) => {
-                    responses.push(Response::SnapPage {
-                        page_id: pid,
-                        bytes: page.as_bytes().to_vec(),
-                    });
-                    page_count += 1;
-                }
-                Err(e) => {
-                    responses.push(Response::Error(format!("snapshot page {pid}: {e:?}")));
-                    return;
-                }
-            }
-        }
-    }
-    responses.push(Response::SnapEnd { page_count });
 }
 
 /// Runs one statement of the open interactive transaction. A statement that

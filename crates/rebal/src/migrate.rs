@@ -279,7 +279,7 @@ impl Migration {
         // Clear the destination's slot rows first: a retried copy (crash,
         // WAL gap) must not leave rows a previous attempt landed but the
         // source has since deleted.
-        for (tid, ..) in self.env.dest.db.catalog() {
+        for tid in self.env.dest.db.catalog().into_iter().map(|t| t.schema.id) {
             let t = self.env.dest.db.table(tid).ok_or(RangeShipError::NoTable(tid))?;
             let mut stale = Vec::new();
             t.scan(|key, _| {
@@ -294,7 +294,7 @@ impl Migration {
         }
 
         self.stats.copied_rows = 0;
-        for (tid, ..) in self.env.source.db.catalog() {
+        for tid in self.env.source.db.catalog().into_iter().map(|t| t.schema.id) {
             let rows = range_rows(&self.env.source.db, tid, slot, slot_count)?;
             self.stats.copied_rows += rows.len() as u64;
             for (key, row) in rows {
@@ -379,7 +379,7 @@ impl Migration {
     fn do_cleanup(&mut self) -> Result<(), MigrateError> {
         let MigrationSpec { mid, slot, from, to } = self.spec;
         let slot_count = self.env.routing.slot_count();
-        for (tid, ..) in self.env.source.db.catalog() {
+        for tid in self.env.source.db.catalog().into_iter().map(|t| t.schema.id) {
             let t = self.env.source.db.table(tid).ok_or(RangeShipError::NoTable(tid))?;
             let mut gone = Vec::new();
             t.scan(|key, _| {

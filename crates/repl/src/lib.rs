@@ -10,10 +10,13 @@
 //!
 //! The moving parts:
 //!
-//! * **Bootstrap** — the primary takes a fuzzy checkpoint
-//!   ([`esdb_core::Database::checkpoint`]) and streams the flushed pages plus
-//!   the checkpoint's `redo_lsn`. [`Replica::bootstrap`] installs the pages
-//!   into a fresh [`esdb_core::Database`] via `restore_from_snapshot`.
+//! * **Bootstrap** — the primary takes a fuzzy checkpoint and streams its
+//!   catalog, the flushed pages and the checkpoint's `redo_lsn`
+//!   ([`esdb_net::Snapshot::take`]). [`Replica::bootstrap`] validates them,
+//!   installs the pages and builds its database through
+//!   [`esdb_core::Database::restore`] — the same assembly path a crash
+//!   restart takes. Heaps grow by adoption: a shipped row record names its
+//!   page, and redo adds a page the heap lacks at its sorted position.
 //! * **Shipping** — the primary's server pushes raw durable log spans
 //!   (`LogChunk` frames). The WAL's CRC-framed record encoding rides the wire
 //!   unchanged, so every torn-tail/corruption guarantee of
@@ -39,7 +42,5 @@ pub mod runner;
 
 pub use htap::HtapView;
 pub use range::{apply_range_op, range_rows, RangeOp, RangeShip, RangeShipError};
-pub use replica::{
-    divergence_check, local_snapshot, ship_available, Promotion, Replica, ReplError,
-};
+pub use replica::{divergence_check, ship_available, Promotion, Replica, ReplError};
 pub use runner::{start_replica, ReplicaHandle};

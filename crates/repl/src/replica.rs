@@ -2,15 +2,15 @@
 //! commit-consistent apply loop.
 
 use esdb_core::config::EngineConfig;
-use esdb_core::{Database, DbError};
+use esdb_core::{Database, DbError, TableImage};
 use esdb_net::Snapshot;
-use esdb_storage::page::{Page, PAGE_SIZE};
-use esdb_storage::schema::TableId;
 use esdb_storage::disk::PageStore;
-use esdb_storage::{InMemoryDisk, StorageError, Table};
+use esdb_storage::page::{Page, PAGE_SIZE};
+use esdb_storage::schema::Schema;
+use esdb_storage::{IndexDef, IndexKind, InMemoryDisk, StorageError};
 use esdb_wal::buffer::LogStore;
 use esdb_wal::record::decode_stream_checked;
-use esdb_wal::{redo, LogBody, LogRecord, Lsn, WalError};
+use esdb_wal::{redo, LogBody, LogRecord, Lsn, Wal, WalError};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -117,7 +117,6 @@ impl From<DbError> for ReplError {
 /// wherever the first pass already landed.
 pub struct Replica {
     db: Arc<Database>,
-    tables: HashMap<TableId, Arc<Table>>,
     /// Durable landing zone for shipped bytes — the replication cursor. An
     /// [`esdb_wal::LogFault`] armed on it models a replica whose own log
     /// device crashes or lies.
@@ -164,11 +163,9 @@ impl Replica {
     /// whose apply frontier sits at the snapshot's `start_lsn`.
     pub fn bootstrap(snapshot: Snapshot, config: EngineConfig) -> Result<Replica, ReplError> {
         let db = install_snapshot(&snapshot, config.clone())?;
-        let tables = table_map(&db);
         let start = snapshot.start_lsn;
         Ok(Replica {
             db,
-            tables,
             cursor: Arc::new(LogStore::new_at(start, None)),
             snapshot,
             config,
@@ -374,10 +371,11 @@ impl Replica {
             return Ok(());
         }
         let cut_lsn = self.pending.get(cut).map_or(self.decoded_to, |next| next.lsn);
+        let tables = self.db.txn_manager().tables();
         let _apply = self.gate.write();
         for r in &self.pending[..cut] {
             if self.resolved.get(&r.txn_id) == Some(&true) {
-                redo(r, &self.tables)?;
+                redo(r, &tables)?;
             }
         }
         // A terminator is its transaction's last record, so its outcome
@@ -407,11 +405,9 @@ impl Replica {
         }
         cursor.truncate_to(salvaged.valid_len as usize);
         let db = install_snapshot(&snapshot, config.clone())?;
-        let tables = table_map(&db);
         let start = snapshot.start_lsn;
         let mut replica = Replica {
             db,
-            tables,
             cursor,
             snapshot,
             config,
@@ -523,39 +519,6 @@ pub fn divergence_check(old_wal: &esdb_wal::Wal, fork: Lsn) -> Result<(), ReplEr
     }
 }
 
-/// Takes a checkpoint on `db` and packages the flushed pages as a
-/// [`Snapshot`] — the in-process equivalent of the wire `ReplSnapshot`
-/// exchange, for tests and benches that ship without a socket.
-pub fn local_snapshot(db: &Database) -> Result<Snapshot, ReplError> {
-    let start_lsn = db.checkpoint()?;
-    let catalog = db.catalog();
-    let disk = db.disk();
-    let mut page = Page::new();
-    let mut pages = Vec::new();
-    for (_, _, _, pids) in &catalog {
-        for &pid in pids {
-            disk.read(pid, &mut page)?;
-            pages.push((pid, page.as_bytes().to_vec()));
-        }
-    }
-    Ok(Snapshot {
-        start_lsn,
-        catalog: catalog
-            .into_iter()
-            .map(|(id, name, arity, pages)| (id, name, arity as u32, pages))
-            .collect(),
-        indexes: db
-            .index_catalog()
-            .into_iter()
-            .flat_map(|(tid, defs)| {
-                defs.into_iter()
-                    .map(move |d| (tid, d.id, d.name, d.col as u32, d.kind.as_u8()))
-            })
-            .collect(),
-        pages,
-    })
-}
-
 /// Ships every durable byte the replica is missing straight from a primary's
 /// WAL — one in-process ship-loop round. Returns the byte count shipped.
 /// Fails with [`ReplError::Gap`] when the primary has truncated the log past
@@ -574,66 +537,120 @@ pub fn ship_available(wal: &esdb_wal::Wal, replica: &mut Replica) -> Result<u64,
     Ok(avail as u64)
 }
 
-/// Builds the replica database from a snapshot: a fresh in-memory disk with
-/// every snapshot page installed under its primary page id, wrapped by
-/// `restore_from_snapshot` (which rebuilds heaps, indexes, and a high-based
-/// local WAL so primary page LSNs never block the replica's flush barrier).
-fn install_snapshot(snapshot: &Snapshot, config: EngineConfig) -> Result<Arc<Database>, ReplError> {
-    let disk = Arc::new(InMemoryDisk::new());
-    if let Some(max) = snapshot.pages.iter().map(|(id, _)| *id).max() {
-        while disk.num_pages() <= max {
-            disk.allocate();
+/// The snapshot's catalog as [`TableImage`]s, validated: everything
+/// wire-provided is checked before it touches the engine. Index
+/// *declarations* ship; their contents are derived state the restore
+/// rebuilds. Adoption inserts into page lists by binary search, so each list
+/// must ascend, no page may belong to two heaps, and every listed page must
+/// arrive exactly once — a missing one would read as a blank page.
+fn snapshot_catalog(snapshot: &Snapshot) -> Result<Vec<TableImage>, ReplError> {
+    let mut tables: Vec<TableImage> = snapshot
+        .catalog
+        .iter()
+        .map(|(id, name, arity, pages)| TableImage {
+            schema: Schema::new(*id, name.clone(), *arity as usize),
+            pages: pages.clone(),
+        })
+        .collect();
+    for (tid, iid, name, col, kind) in &snapshot.indexes {
+        let kind = IndexKind::from_u8(*kind).ok_or(ReplError::BadSnapshot("unknown index kind"))?;
+        let Some(t) = tables.iter_mut().find(|t| t.schema.id == *tid) else {
+            return Err(ReplError::BadSnapshot("index on a table missing from the catalog"));
+        };
+        if *col as usize >= t.schema.arity {
+            return Err(ReplError::BadSnapshot("index column out of range"));
+        }
+        t.schema.indexes.push(IndexDef { id: *iid, name: name.clone(), col: *col as usize, kind });
+    }
+    let mut listed = HashSet::new();
+    for t in &tables {
+        if t.pages.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(ReplError::BadSnapshot("a table's page list does not ascend"));
+        }
+        if !t.pages.iter().all(|p| listed.insert(*p)) {
+            return Err(ReplError::BadSnapshot("two tables list the same page"));
         }
     }
+    let mut shipped = HashSet::new();
+    if !snapshot.pages.iter().all(|(pid, _)| listed.contains(pid) && shipped.insert(*pid))
+        || shipped.len() != listed.len()
+    {
+        return Err(ReplError::BadSnapshot("the shipped pages are not the listed pages, once each"));
+    }
+    Ok(tables)
+}
+
+/// Builds the replica database from a snapshot: every shipped page installed
+/// under its primary page id on a fresh in-memory store, then
+/// [`Database::restore`] over the validated catalog, with no log records and
+/// a local WAL based far past any primary LSN, so primary page LSNs never
+/// block the replica's flush barrier.
+fn install_snapshot(snapshot: &Snapshot, config: EngineConfig) -> Result<Arc<Database>, ReplError> {
+    let tables = snapshot_catalog(snapshot)?;
+    let disk = Arc::new(InMemoryDisk::new());
     let mut page = Page::new();
     for (pid, bytes) in &snapshot.pages {
         if bytes.len() != PAGE_SIZE {
             return Err(ReplError::BadSnapshot("page of wrong size"));
         }
+        disk.allocate_through(*pid);
         page.as_bytes_mut().copy_from_slice(bytes);
         disk.write(*pid, &page)?;
     }
-    let catalog: Vec<(TableId, String, usize, Vec<u64>)> = snapshot
-        .catalog
-        .iter()
-        .map(|(id, name, arity, pages)| (*id, name.clone(), *arity as usize, pages.clone()))
-        .collect();
-    for (_, _, _, pages) in &catalog {
-        if pages.iter().any(|p| *p >= disk.num_pages()) {
-            return Err(ReplError::BadSnapshot("catalog references a missing page"));
-        }
-    }
-    // Index *declarations* ship with the snapshot; contents are derived
-    // state, rebuilt from the installed heaps by `restore_from_snapshot`.
-    // Everything wire-provided is validated before it touches the engine.
-    let mut index_catalog: HashMap<TableId, Vec<esdb_storage::IndexDef>> = HashMap::new();
-    for (tid, iid, name, col, kind) in &snapshot.indexes {
-        let Some(kind) = esdb_storage::IndexKind::from_u8(*kind) else {
-            return Err(ReplError::BadSnapshot("unknown index kind"));
-        };
-        let Some((_, _, arity, _)) = catalog.iter().find(|(id, _, _, _)| id == tid) else {
-            return Err(ReplError::BadSnapshot("index on a table missing from the catalog"));
-        };
-        if *col as usize >= *arity {
-            return Err(ReplError::BadSnapshot("index column out of range"));
-        }
-        index_catalog.entry(*tid).or_default().push(esdb_storage::IndexDef {
-            id: *iid,
-            name: name.clone(),
-            col: *col as usize,
-            kind,
-        });
-    }
-    let mut index_catalog: Vec<(TableId, Vec<esdb_storage::IndexDef>)> =
-        index_catalog.into_iter().collect();
-    index_catalog.sort_by_key(|(tid, _)| *tid);
-    let db = Database::restore_from_snapshot(config, disk, &catalog, &index_catalog)?;
+    let wal = Wal::new_at(1 << 62, config.log.into(), config.flush_latency);
+    let (db, _) = Database::restore(config, disk, wal, &tables, &[])?;
     Ok(Arc::new(db))
 }
 
-fn table_map(db: &Arc<Database>) -> HashMap<TableId, Arc<Table>> {
-    db.catalog()
-        .iter()
-        .filter_map(|(id, _, _, _)| db.table(*id).map(|t| (*id, t)))
-        .collect()
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A snapshot with one table per page list, shipping blank pages `shipped`.
+    fn snapshot(lists: &[&[u64]], shipped: &[u64]) -> Snapshot {
+        Snapshot {
+            start_lsn: 0,
+            catalog: lists
+                .iter()
+                .enumerate()
+                .map(|(id, pages)| (id as u32, format!("t{id}"), 1, pages.to_vec()))
+                .collect(),
+            indexes: Vec::new(),
+            pages: shipped.iter().map(|&pid| (pid, Page::new().as_bytes().to_vec())).collect(),
+        }
+    }
+
+    fn refusal(snap: Snapshot) -> &'static str {
+        match Replica::bootstrap(snap, EngineConfig::conventional_baseline()) {
+            Err(ReplError::BadSnapshot(what)) => what,
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_well_formed_snapshot_installs_its_page_lists() {
+        let replica = Replica::bootstrap(snapshot(&[&[0, 2], &[1]], &[2, 0, 1]), EngineConfig::conventional_baseline())
+            .unwrap();
+        let pages: Vec<Vec<u64>> = replica.db().catalog().into_iter().map(|t| t.pages).collect();
+        assert_eq!(pages, vec![vec![0, 2], vec![1]]);
+    }
+
+    #[test]
+    fn a_page_list_that_does_not_ascend_is_refused() {
+        assert_eq!(refusal(snapshot(&[&[2, 0]], &[0, 2])), "a table's page list does not ascend");
+        assert_eq!(refusal(snapshot(&[&[1, 1]], &[1])), "a table's page list does not ascend");
+    }
+
+    #[test]
+    fn page_lists_that_overlap_are_refused() {
+        assert_eq!(refusal(snapshot(&[&[0, 1], &[1, 2]], &[0, 1, 2])), "two tables list the same page");
+    }
+
+    #[test]
+    fn a_listed_page_not_shipped_exactly_once_is_refused() {
+        const WHAT: &str = "the shipped pages are not the listed pages, once each";
+        assert_eq!(refusal(snapshot(&[&[0, 1]], &[0])), WHAT, "missing");
+        assert_eq!(refusal(snapshot(&[&[0, 1]], &[0, 1, 1])), WHAT, "shipped twice");
+        assert_eq!(refusal(snapshot(&[&[0, 1]], &[0, 1, 2])), WHAT, "shipped but unlisted");
+    }
 }

@@ -20,7 +20,8 @@
 use esdb_check::{DistEvent, FailoverOracle};
 use esdb_core::config::EngineConfig;
 use esdb_core::{Database, QuorumError, QuorumPolicy, ReplGroup};
-use esdb_repl::{divergence_check, local_snapshot, ship_available, ReplError, Replica};
+use esdb_net::Snapshot;
+use esdb_repl::{divergence_check, ship_available, ReplError, Replica};
 use esdb_wal::LogBody;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -158,7 +159,7 @@ fn run_round(fault: Fault, point: CrashPoint, seed: u64) {
     let mut oracle = FailoverOracle::new();
 
     let (primary, t) = new_primary();
-    let snap = local_snapshot(&primary).unwrap();
+    let snap = Snapshot::take(&primary).unwrap();
     let group = ReplGroup::new(1);
     let policy = QuorumPolicy { k: 1, timeout: Duration::from_millis(40) };
     let mut followers: Vec<Follower> = (0..2)
@@ -328,7 +329,7 @@ fn run_promotion_arm(
         let gap = ship_available(new_primary.wal(), stale).unwrap_err();
         assert!(matches!(gap, ReplError::Gap { .. }), "expected Gap, got {gap}");
     }
-    let new_snap = local_snapshot(&new_primary).unwrap();
+    let new_snap = Snapshot::take(&new_primary).unwrap();
     let mut resynced = vec![(
         Replica::bootstrap(new_snap.clone(), engine()).unwrap(),
         new_group.register_follower(),
@@ -391,7 +392,7 @@ fn failover_torture_matrix() {
 fn double_promotion_fences_first_claimant() {
     let mut oracle = FailoverOracle::new();
     let (primary, t) = new_primary();
-    let snap = local_snapshot(&primary).unwrap();
+    let snap = Snapshot::take(&primary).unwrap();
     let mut a = Replica::bootstrap(snap.clone(), engine()).unwrap();
     let mut b = Replica::bootstrap(snap, engine()).unwrap();
 
@@ -445,7 +446,7 @@ fn double_promotion_fences_first_claimant() {
     oracle.record(DistEvent::DivergenceReported { node: 1, txns: reported });
 
     // A abandons its history and re-syncs as a follower of B.
-    let b_snap = local_snapshot(&b_db).unwrap();
+    let b_snap = Snapshot::take(&b_db).unwrap();
     let mut a_again = Replica::bootstrap(b_snap, engine()).unwrap();
     commit_key(&b_db, t, KEY0 + 10);
     oracle.record(DistEvent::QuorumCommit { txn: KEY0 + 10, term: 3 });
@@ -476,7 +477,7 @@ fn double_promotion_fences_first_claimant() {
 #[test]
 fn promotion_term_must_ratchet() {
     let (primary, t) = new_primary();
-    let snap = local_snapshot(&primary).unwrap();
+    let snap = Snapshot::take(&primary).unwrap();
     let mut a = Replica::bootstrap(snap.clone(), engine()).unwrap();
     commit_key(&primary, t, KEY0);
     ship_available(primary.wal(), &mut a).unwrap();
@@ -499,7 +500,7 @@ fn promotion_term_must_ratchet() {
 #[test]
 fn stale_term_chunk_is_refused() {
     let (primary, t) = new_primary();
-    let snap = local_snapshot(&primary).unwrap();
+    let snap = Snapshot::take(&primary).unwrap();
     let mut r = Replica::bootstrap(snap, engine()).unwrap();
     commit_key(&primary, t, KEY0);
     let (bytes, start) = primary.wal().durable_tail(r.subscribe_from()).unwrap();

@@ -7,7 +7,8 @@
 
 use esdb_core::config::EngineConfig;
 use esdb_core::Database;
-use esdb_repl::{local_snapshot, ship_available, Replica};
+use esdb_net::Snapshot;
+use esdb_repl::{ship_available, Replica};
 use esdb_storage::{IndexDef, IndexKind, SecondaryIndex, Table};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -201,7 +202,7 @@ proptest! {
         // Seed some pre-snapshot rows so the snapshot ships a non-empty heap
         // whose indexes must be rebuilt (not replayed) on the replica.
         run_ops(&db, t, &ops[..ops.len() / 2]);
-        let snap = local_snapshot(&db).unwrap();
+        let snap = Snapshot::take(&db).unwrap();
         let mut replica = Replica::bootstrap(snap, EngineConfig::conventional_baseline()).unwrap();
         run_ops(&db, t, &ops[ops.len() / 2..]);
         ship_available(db.wal(), &mut replica).unwrap();

@@ -11,7 +11,8 @@
 
 use esdb_core::config::EngineConfig;
 use esdb_core::Database;
-use esdb_repl::{local_snapshot, ship_available, ReplError, Replica};
+use esdb_net::Snapshot;
+use esdb_repl::{ship_available, ReplError, Replica};
 use esdb_storage::{IndexDef, IndexKind};
 use esdb_wal::LogFault;
 use std::sync::Arc;
@@ -71,7 +72,7 @@ fn contents(db: &Database, t: u32) -> Vec<(u64, Vec<i64>)> {
 #[test]
 fn shipped_stream_converges_and_skips_aborts() {
     let (db, t) = primary_with_rows(100);
-    let snap = local_snapshot(&db).unwrap();
+    let snap = Snapshot::take(&db).unwrap();
     let mut replica = Replica::bootstrap(snap, EngineConfig::conventional_baseline()).unwrap();
     mutate(&db, t, 60);
     ship_available(db.wal(), &mut replica).unwrap();
@@ -87,7 +88,7 @@ fn shipped_stream_converges_and_skips_aborts() {
 #[test]
 fn chunk_torn_mid_record_stalls_then_resumes() {
     let (db, t) = primary_with_rows(40);
-    let snap = local_snapshot(&db).unwrap();
+    let snap = Snapshot::take(&db).unwrap();
     let mut replica = Replica::bootstrap(snap, EngineConfig::conventional_baseline()).unwrap();
     mutate(&db, t, 30);
     let wal = db.wal();
@@ -108,7 +109,7 @@ fn chunk_torn_mid_record_stalls_then_resumes() {
 #[test]
 fn replica_cursor_crash_mid_apply_resumes_idempotently() {
     let (db, t) = primary_with_rows(60);
-    let snap = local_snapshot(&db).unwrap();
+    let snap = Snapshot::take(&db).unwrap();
     let mut replica = Replica::bootstrap(snap, EngineConfig::conventional_baseline()).unwrap();
     mutate(&db, t, 50);
     let wal = db.wal();
@@ -156,7 +157,7 @@ fn replica_cursor_crash_mid_apply_resumes_idempotently() {
 #[test]
 fn lying_primary_ships_damage_typed_halt() {
     let (db, t) = primary_with_rows(40);
-    let snap = local_snapshot(&db).unwrap();
+    let snap = Snapshot::take(&db).unwrap();
     let mut replica = Replica::bootstrap(snap, EngineConfig::conventional_baseline()).unwrap();
     mutate(&db, t, 30);
     let wal = db.wal();
@@ -180,7 +181,7 @@ fn a_slot_reused_around_an_abort_is_a_typed_halt_not_a_wrong_row() {
     // the insert arrives: a storage error, not a key answering with another
     // key's row, and the watermark stays short of it.
     let (db, t) = primary_with_rows(3);
-    let snap = local_snapshot(&db).unwrap();
+    let snap = Snapshot::take(&db).unwrap();
     let mut replica = Replica::bootstrap(snap, EngineConfig::conventional_baseline()).unwrap();
     let mgr = db.txn_manager().clone();
     let mut deleter = mgr.begin();
@@ -200,7 +201,7 @@ fn a_slot_reused_around_an_abort_is_a_typed_halt_not_a_wrong_row() {
 #[test]
 fn cursor_bit_flip_detected_on_restart() {
     let (db, t) = primary_with_rows(40);
-    let snap = local_snapshot(&db).unwrap();
+    let snap = Snapshot::take(&db).unwrap();
     let mut replica = Replica::bootstrap(snap, EngineConfig::conventional_baseline()).unwrap();
     mutate(&db, t, 20);
     ship_available(db.wal(), &mut replica).unwrap();
@@ -254,7 +255,7 @@ fn index_dump(db: &Database, t: u32) -> Vec<Vec<(i64, Vec<u64>)>> {
 #[test]
 fn follower_crash_mid_index_maintenance_double_restart_converges() {
     let (db, t) = indexed_primary(80);
-    let snap = local_snapshot(&db).unwrap();
+    let snap = Snapshot::take(&db).unwrap();
     // The uninterrupted control follower.
     let mut control =
         Replica::bootstrap(snap.clone(), EngineConfig::conventional_baseline()).unwrap();
@@ -305,7 +306,7 @@ fn follower_crash_mid_index_build_converges() {
     mutate(&db, t, 40);
     // Snapshot taken mid-history: bootstrap rebuilds indexes over a heap
     // that already carries index entries, then the stream extends them.
-    let snap = local_snapshot(&db).unwrap();
+    let snap = Snapshot::take(&db).unwrap();
     // Post-snapshot churn under fresh keys (mutate's insert keys were used).
     for i in 0..40u64 {
         db.execute(|txn| {
@@ -361,7 +362,7 @@ fn follower_crash_mid_index_build_converges() {
 #[test]
 fn corrupt_stream_halts_index_maintenance_typed() {
     let (db, t) = indexed_primary(50);
-    let snap = local_snapshot(&db).unwrap();
+    let snap = Snapshot::take(&db).unwrap();
     let mut replica = Replica::bootstrap(snap, EngineConfig::conventional_baseline()).unwrap();
     mutate(&db, t, 30);
     let wal = db.wal();
@@ -376,7 +377,7 @@ fn corrupt_stream_halts_index_maintenance_typed() {
 #[test]
 fn overlapping_reship_is_deduplicated() {
     let (db, t) = primary_with_rows(30);
-    let snap = local_snapshot(&db).unwrap();
+    let snap = Snapshot::take(&db).unwrap();
     let mut replica = Replica::bootstrap(snap, EngineConfig::conventional_baseline()).unwrap();
     mutate(&db, t, 20);
     let wal = db.wal();
@@ -391,4 +392,86 @@ fn overlapping_reship_is_deduplicated() {
     replica.ingest(start + cut as u64, &bytes[cut..avail]).unwrap();
     assert_eq!(contents(&db, t), contents(replica.db(), t));
     assert_eq!(replica.subscribe_from(), start + avail as u64);
+}
+
+/// A follower's heaps grow by adopting the pages the shipped row records
+/// name: no log record describes heap growth. Two indexed tables grow
+/// interleaved (their new page ids alternate) by at least three pages each
+/// past the snapshot, and one new page is opened by a transaction that
+/// aborts — the follower skips its records — before a commit reuses it.
+#[test]
+fn follower_heaps_grow_by_adopting_the_pages_row_records_name() {
+    let db = Arc::new(Database::open(EngineConfig::conventional_baseline()));
+    let defs = || {
+        vec![
+            IndexDef { id: 0, name: "by_a".into(), col: 0, kind: IndexKind::Hash },
+            IndexDef { id: 1, name: "by_b".into(), col: 1, kind: IndexKind::Range },
+        ]
+    };
+    let (a, b) = (
+        db.create_table_with_indexes("a", 2, defs()).unwrap(),
+        db.create_table_with_indexes("b", 2, defs()).unwrap(),
+    );
+    let (ta, tb) = (db.table(a).unwrap(), db.table(b).unwrap());
+    db.execute(|txn| (0..50).try_for_each(|k| txn.insert(a, k, &[k as i64 % 7, 0]))).unwrap();
+    let snap = Snapshot::take(&db).unwrap();
+    let mut replica = Replica::bootstrap(snap, EngineConfig::conventional_baseline()).unwrap();
+    let (a0, b0) = (ta.heap().pages().len(), tb.heap().pages().len());
+
+    // Open a fresh page of `a` inside a transaction that then aborts.
+    let mut key = 1_000_000u64;
+    let doomed = db.execute(|txn| {
+        while ta.heap().pages().len() == a0 {
+            txn.insert(a, key, &[-1, -1])?;
+            key += 1;
+        }
+        txn.read(a, u64::MAX)
+    });
+    assert!(doomed.is_err());
+    let reused = *ta.heap().pages().last().unwrap();
+    let mut key = 100u64;
+    while ta.heap().pages().len() < a0 + 3 || tb.heap().pages().len() < b0 + 3 {
+        db.execute(|txn| {
+            for k in key..key + 16 {
+                txn.insert(a, k, &[k as i64 % 7, k as i64 % 5])?;
+                txn.insert(b, k, &[k as i64 % 3, k as i64 % 11])?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        key += 16;
+    }
+    assert_eq!(ta.rid_of(100).unwrap().page, reused, "the first commit after the abort reuses its page");
+    db.wal().wait_durable(db.wal().current_lsn());
+    ship_available(db.wal(), &mut replica).unwrap();
+
+    let equal = |follower: &Database| {
+        assert_eq!(follower.catalog(), db.catalog(), "schemas and page lists, in order");
+        for t in [a, b] {
+            assert_eq!(contents(&db, t), contents(follower, t));
+            let (ours, theirs) = (follower.table(t).unwrap(), db.table(t).unwrap());
+            assert_eq!(ours.index().range(0, u64::MAX), theirs.index().range(0, u64::MAX));
+            assert_eq!(index_dump(&db, t), index_dump(follower, t));
+        }
+    };
+    equal(replica.db());
+    let replica = replica.reopen().unwrap();
+    equal(replica.db());
+
+    // The promoted follower's next page is one no heap already holds.
+    let promoted = replica.promote(1).unwrap().db;
+    let held: Vec<u64> = promoted.catalog().into_iter().flat_map(|t| t.pages).collect();
+    let grown = promoted.table(b).unwrap();
+    let before = grown.heap().pages().len();
+    promoted
+        .execute(|txn| {
+            while grown.heap().pages().len() == before {
+                txn.insert(b, key, &[0, 0])?;
+                key += 1;
+            }
+            Ok(())
+        })
+        .unwrap();
+    let fresh = *grown.heap().pages().last().unwrap();
+    assert!(!held.contains(&fresh), "page {fresh} is already held: {held:?}");
 }

@@ -35,6 +35,12 @@ pub trait PageStore: Send + Sync {
     }
     /// Number of allocated pages.
     fn num_pages(&self) -> u64;
+    /// Allocates fresh pages until page `id` exists.
+    fn allocate_through(&self, id: PageId) {
+        while self.num_pages() <= id {
+            self.allocate();
+        }
+    }
 }
 
 /// Counters describing page store traffic.

@@ -58,12 +58,16 @@ impl HeapFile {
         })
     }
 
-    /// Reconstructs a heap file from a known page list (used by recovery).
+    /// Reconstructs a heap file over pages already on the pool's store, in
+    /// heap order — which is ascending page id, because the store allocates
+    /// monotonically. The list may be empty: the first insert allocates, and
+    /// replay adopts every page a row record names (see
+    /// [`HeapFile::replay`]).
     pub fn from_pages(pool: Arc<BufferPool>, pages: Vec<PageId>) -> Self {
-        assert!(!pages.is_empty(), "a heap file has at least one page");
+        debug_assert!(pages.windows(2).all(|w| w[0] < w[1]), "heap pages ascend: {pages:?}");
         HeapFile {
             pool,
-            state: Mutex::new(HeapState { cursor: pages.len() - 1, pages }),
+            state: Mutex::new(HeapState { cursor: pages.len().saturating_sub(1), pages }),
         }
     }
 
@@ -86,12 +90,12 @@ impl HeapFile {
         loop {
             // Snapshot the target page, then operate on it without holding
             // the heap mutex so unrelated inserts only collide on page latch.
-            let (page_id, cursor, npages) = {
+            let (target, cursor, npages) = {
                 let st = self.state.lock();
-                (st.pages[st.cursor], st.cursor, st.pages.len())
+                (st.pages.get(st.cursor).copied(), st.cursor, st.pages.len())
             };
-            let pin = self.pool.pin(page_id)?;
-            {
+            if let Some(page_id) = target {
+                let pin = self.pool.pin(page_id)?;
                 let mut page = pin.write();
                 if let Some(slot) = page.insert(data) {
                     let rid = Rid::new(page_id, slot);
@@ -107,8 +111,8 @@ impl HeapFile {
                     });
                 }
             }
-            drop(pin);
-            // The target was full: advance the cursor or grow the file.
+            // The target was full, or the file has no page yet: advance the
+            // cursor or grow the file.
             let mut st = self.state.lock();
             if st.cursor == cursor && st.pages.len() == npages {
                 if st.cursor + 1 < st.pages.len() {
@@ -128,7 +132,26 @@ impl HeapFile {
     /// page LSN shows the change already applied. Undo is not gated: it
     /// stamps LSNs from a band of its own, which may lie below the page's.
     /// `change` reports whether the page changed.
+    ///
+    /// A row record names its page, so replay is also how a heap *grows*
+    /// without a log record of its own: a page the file does not hold yet is
+    /// adopted first — allocated on the store if the store is shorter, then
+    /// inserted into the page list at its sorted position, the insert cursor
+    /// staying on its page. Page lists ascend (the store allocates
+    /// monotonically), so a follower's heap scans in the primary's order
+    /// even when it adopts a page below its last one — one whose earlier
+    /// records all belonged to a transaction it skipped as aborted.
     fn replay(&self, rid: Rid, lsn: u64, gated: bool, change: impl FnOnce(&mut Page) -> Result<bool>) -> Result<bool> {
+        {
+            let mut st = self.state.lock();
+            if let Err(at) = st.pages.binary_search(&rid.page) {
+                self.pool.disk().allocate_through(rid.page);
+                st.pages.insert(at, rid.page);
+                if at <= st.cursor && st.pages.len() > 1 {
+                    st.cursor += 1;
+                }
+            }
+        }
         let pin = self.pool.pin(rid.page)?;
         let mut page = pin.write();
         if gated && page.lsn() >= lsn {
@@ -142,7 +165,7 @@ impl HeapFile {
     /// Places `data` in the empty slot at `rid` — redo of an insert, undo of
     /// a delete (see [`HeapFile::replay`]); `false` if the slot already holds
     /// exactly `data`. A slot holding other bytes is
-    /// [`StorageError::RecordNotFound`]. The page must be part of this file.
+    /// [`StorageError::RecordNotFound`].
     pub fn insert_at(&self, rid: Rid, data: &[u8], lsn: u64, gated: bool) -> Result<bool> {
         self.replay(rid, lsn, gated, |page| {
             if page.get(rid.slot) == Some(data) {
@@ -272,7 +295,7 @@ impl HeapFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::InMemoryDisk;
+    use crate::disk::{InMemoryDisk, PageStore};
 
     fn heap() -> HeapFile {
         let disk = Arc::new(InMemoryDisk::new());
@@ -418,6 +441,43 @@ mod tests {
         all.dedup();
         assert_eq!(all.len(), 800, "rids must be unique");
         assert_eq!(h.count().unwrap(), 800);
+    }
+
+    #[test]
+    fn replay_adopts_named_pages_in_sorted_order_and_keeps_the_cursor() {
+        let disk = Arc::new(InMemoryDisk::new());
+        let pool = Arc::new(BufferPool::new(64, disk.clone()));
+        let h = HeapFile::from_pages(pool, Vec::new());
+        assert_eq!(disk.num_pages(), 0, "an empty page list allocates nothing");
+        // A record names page 5 of a store that holds none: the store grows
+        // to it and the file adopts it.
+        assert!(h.insert_at(Rid::new(5, 0), b"five", 10, true).unwrap());
+        assert_eq!((h.pages(), disk.num_pages()), (vec![5], 6));
+        assert!(h.insert_at(Rid::new(9, 0), b"nine", 11, true).unwrap());
+        // A page below the last one (its earlier records were skipped) goes
+        // in at its sorted position.
+        assert!(h.insert_at(Rid::new(7, 0), b"seven", 12, true).unwrap());
+        assert_eq!(h.pages(), vec![5, 7, 9]);
+        let mut seen = Vec::new();
+        h.scan(|rid, _| seen.push(rid.page)).unwrap();
+        assert_eq!(seen, vec![5, 7, 9], "scan follows page order");
+        // Undo adopts too, below the cursor, which stays on page 5; a page
+        // the file holds is not adopted twice.
+        assert!(!h.delete_at(Rid::new(3, 0), 14, false).unwrap());
+        assert!(!h.insert_at(Rid::new(7, 0), b"seven", 12, true).unwrap());
+        assert_eq!(h.pages(), vec![3, 5, 7, 9]);
+        assert_eq!(put(&h, b"next", 15).page, 5);
+    }
+
+    #[test]
+    fn an_empty_heap_allocates_on_its_first_insert() {
+        let disk = Arc::new(InMemoryDisk::new());
+        let pool = Arc::new(BufferPool::new(64, disk.clone()));
+        disk.allocate();
+        let h = HeapFile::from_pages(pool, Vec::new());
+        let rid = put(&h, b"first", 1);
+        assert_eq!((rid.page, h.pages()), (1, vec![1]));
+        assert_eq!(h.get(rid).unwrap(), b"first");
     }
 
     #[test]

@@ -187,6 +187,11 @@ impl TxnManager {
             .ok_or(TxnError::UnknownTable(id))
     }
 
+    /// One past the highest registered table id: the id a new table takes.
+    pub fn next_table_id(&self) -> TableId {
+        self.tables.read().len() as TableId
+    }
+
     /// All registered tables (recovery needs the full map).
     pub fn tables(&self) -> HashMap<TableId, Arc<Table>> {
         self.tables.read().iter().flatten().map(|t| (t.id(), Arc::clone(t))).collect()
