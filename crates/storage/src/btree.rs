@@ -8,10 +8,33 @@
 //! fine-grained enough that index traffic is never the scalability bottleneck
 //! the centralized lock manager is.
 //!
+//! **One allocation per node.** A [`Node`] holds its latch, its keys and its
+//! child pointers (internal) or values and `next` link (leaf) inline, in one
+//! fixed-size box, so each level of a descent is one dependent pointer load,
+//! and an insert that does not split allocates nothing. The arrays have room
+//! for one key past [`MAX_KEYS`]: an insert lands first, then the over-full
+//! node splits.
+//!
+//! **Split rule.** A split normally cuts at the midpoint. An insert at the
+//! *last* position of the *rightmost* leaf — a key-ordered load, an
+//! append-only table — moves only the new key into the new sibling (SQLite's
+//! `balance_quick`), and the separator it pushes up splits each right-spine
+//! ancestor the same way: the new separator moves up and the new child alone
+//! starts the new right node. Ordered loads therefore leave every node full.
+//!
+//! **Height bound.** A node leaves the right spine only by splitting, and
+//! either rule leaves its left half at least half full, so every internal
+//! node off the right spine and below the root has at least 17 children (a
+//! right-spine node may have one). The root splits only when full, so its
+//! first child is off the spine, and under it lie at least `17^(h-2)` leaves
+//! that each held 16 keys when they split: 16 levels ([`MAX_HEIGHT`]) index
+//! 2^64 keys.
+//!
 //! Structural simplification: deletion is *lazy* (keys are removed from
-//! leaves, but nodes are never merged), as in several production engines.
-//! This keeps removal structurally read-only above the leaf level, so deletes
-//! use shared crabbing plus one exclusive leaf latch.
+//! leaves, but nodes are never merged or freed before the tree drops), as in
+//! several production engines. This keeps removal structurally read-only
+//! above the leaf level, so deletes use shared crabbing plus one exclusive
+//! leaf latch.
 //!
 //! Keys and values are `u64`; tables store packed [`crate::rid::Rid`]s as
 //! values.
@@ -22,46 +45,89 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Maximum keys per node; a node splits when it would exceed this.
 const MAX_KEYS: usize = 32;
 
-/// Deepest tree a writer can hold latched root to leaf. Every internal node
-/// has at least 16 children, so 16 levels index 2^64 keys.
+/// Deepest tree a writer can hold latched root to leaf (module doc).
 const MAX_HEIGHT: usize = 16;
 
-enum NodeKind {
-    Internal { children: Vec<*mut Node> },
-    Leaf { values: Vec<u64>, next: *mut Node },
+enum Kind {
+    Internal {
+        children: [*mut Node; MAX_KEYS + 2],
+    },
+    Leaf {
+        values: [u64; MAX_KEYS + 1],
+        next: *mut Node,
+    },
 }
 
 struct Node {
     latch: RwLatch,
-    keys: Vec<u64>,
-    kind: NodeKind,
+    len: u32,
+    keys: [u64; MAX_KEYS + 1],
+    kind: Kind,
 }
 
 impl Node {
-    fn new_leaf() -> *mut Node {
+    fn alloc(kind: Kind) -> *mut Node {
         Box::into_raw(Box::new(Node {
             latch: RwLatch::new(),
-            keys: Vec::new(),
-            kind: NodeKind::Leaf {
-                values: Vec::new(),
-                next: std::ptr::null_mut(),
-            },
+            len: 0,
+            keys: [0; MAX_KEYS + 1],
+            kind,
         }))
     }
 
+    fn new_leaf(next: *mut Node) -> *mut Node {
+        Node::alloc(Kind::Leaf {
+            values: [0; MAX_KEYS + 1],
+            next,
+        })
+    }
+
+    fn new_internal() -> *mut Node {
+        Node::alloc(Kind::Internal {
+            children: [std::ptr::null_mut(); MAX_KEYS + 2],
+        })
+    }
+
+    fn keys(&self) -> &[u64] {
+        &self.keys[..self.len as usize]
+    }
+
     fn is_leaf(&self) -> bool {
-        matches!(self.kind, NodeKind::Leaf { .. })
+        matches!(self.kind, Kind::Leaf { .. })
     }
 
     /// A node is insert-safe if one more key cannot overflow it.
     fn insert_safe(&self) -> bool {
-        self.keys.len() < MAX_KEYS
+        (self.len as usize) < MAX_KEYS
     }
 
-    /// Child index covering `key`: keys[i-1] <= key < keys[i].
+    /// Child index covering `key`: keys[i-1] <= key < keys[i]. Counting
+    /// the keys <= `key` is branch-free and loads the key lines in parallel,
+    /// where a binary search's loads each wait for the one before. A plain
+    /// index loop, not an iterator chain, keeps unoptimised (test) builds as
+    /// fast as the binary search was.
     fn child_index(&self, key: u64) -> usize {
-        self.keys.partition_point(|&k| k <= key)
+        let (mut n, mut i) = (0, 0);
+        while i < self.len as usize {
+            n += (self.keys[i] <= key) as usize;
+            i += 1;
+        }
+        n
     }
+
+    /// `binary_search` over the keys, by [`Node::child_index`].
+    fn search(&self, key: u64) -> Result<usize, usize> {
+        match self.child_index(key) {
+            i if i > 0 && self.keys[i - 1] == key => Ok(i - 1),
+            i => Err(i),
+        }
+    }
+}
+
+/// Opens a gap at `at` in the first `len` elements of `arr` and puts `v` there.
+fn insert_at<T: Copy>(arr: &mut [T], len: usize, at: usize, v: T) {
+    arr.copy_within(at..len, at + 1);
+    arr[at] = v;
 }
 
 /// A concurrent ordered map from `u64` to `u64`.
@@ -72,7 +138,11 @@ pub struct BTree {
     len: AtomicU64,
 }
 
+// SAFETY: the tree owns every node it points to. `root` is read under `meta`
+// and written only with `meta` held exclusively; a node's fields are read
+// under its latch and written only with it held exclusively; `len` is atomic.
 unsafe impl Send for BTree {}
+// SAFETY: as for `Send`: every shared access goes through a latch or an atomic.
 unsafe impl Sync for BTree {}
 
 impl Default for BTree {
@@ -86,7 +156,7 @@ impl BTree {
     pub fn new() -> Self {
         BTree {
             meta: RwLatch::new(),
-            root: std::cell::UnsafeCell::new(Node::new_leaf()),
+            root: std::cell::UnsafeCell::new(Node::new_leaf(std::ptr::null_mut())),
             len: AtomicU64::new(0),
         }
     }
@@ -101,32 +171,37 @@ impl BTree {
         self.len() == 0
     }
 
+    /// Descends with shared latch coupling to the leaf covering `key`;
+    /// returns it shared-latched, with the number of levels walked.
+    fn leaf_shared(&self, key: u64) -> (&Node, usize) {
+        self.meta.lock_shared();
+        // SAFETY: `meta` is held, so the root pointer is stable, and nodes
+        // are freed only when the tree drops.
+        let mut node = unsafe { &**self.root.get() };
+        node.latch.lock_shared();
+        self.meta.unlock_shared();
+        let mut height = 1;
+        while let Kind::Internal { children } = &node.kind {
+            // SAFETY: `node` is shared-latched, so its children are stable,
+            // and nodes live as long as the tree.
+            let child = unsafe { &*children[node.child_index(key)] };
+            child.latch.lock_shared();
+            node.latch.unlock_shared();
+            node = child;
+            height += 1;
+        }
+        (node, height)
+    }
+
     /// Point lookup with shared latch coupling.
     pub fn get(&self, key: u64) -> Option<u64> {
-        self.meta.lock_shared();
-        let mut cur = unsafe { *self.root.get() };
-        unsafe { (*cur).latch.lock_shared() };
-        self.meta.unlock_shared();
-        loop {
-            let node = unsafe { &*cur };
-            match &node.kind {
-                NodeKind::Internal { children } => {
-                    let child = children[node.child_index(key)];
-                    unsafe { (*child).latch.lock_shared() };
-                    node.latch.unlock_shared();
-                    cur = child;
-                }
-                NodeKind::Leaf { values, .. } => {
-                    let result = node
-                        .keys
-                        .binary_search(&key)
-                        .ok()
-                        .map(|i| values[i]);
-                    node.latch.unlock_shared();
-                    return result;
-                }
-            }
-        }
+        let (leaf, _) = self.leaf_shared(key);
+        let Kind::Leaf { values, .. } = &leaf.kind else {
+            unreachable!()
+        };
+        let result = leaf.search(key).ok().map(|i| values[i]);
+        leaf.latch.unlock_shared();
+        result
     }
 
     /// Returns `true` if `key` is present.
@@ -153,12 +228,16 @@ impl BTree {
         // node); `meta_held` tracks whether the root pointer may still change.
         self.meta.lock_exclusive();
         let mut meta_held = true;
+        // SAFETY: `meta` is held exclusively, so the root pointer is stable.
         let root = unsafe { *self.root.get() };
-        unsafe { (*root).latch.lock_exclusive() };
         let mut held = [root; MAX_HEIGHT];
         let mut depth = 1;
-
-        if unsafe { (*root).insert_safe() } {
+        // SAFETY (every `&*` / `&mut *` of a node below): nodes live as long
+        // as the tree, and each one dereferenced is in `held`, latched
+        // exclusively by this thread, or a child just reached through one.
+        let root = unsafe { &*root };
+        root.latch.lock_exclusive();
+        if root.insert_safe() {
             self.meta.unlock_exclusive();
             meta_held = false;
         }
@@ -166,57 +245,55 @@ impl BTree {
         // Descend to the leaf.
         loop {
             let node = unsafe { &*held[depth - 1] };
-            match &node.kind {
-                NodeKind::Internal { children } => {
-                    let child = children[node.child_index(key)];
-                    unsafe { (*child).latch.lock_exclusive() };
-                    if unsafe { (*child).insert_safe() } {
-                        // Child cannot split: everything above is safe.
-                        for &n in &held[..depth] {
-                            unsafe { (*n).latch.unlock_exclusive() };
-                        }
-                        depth = 0;
-                        if meta_held {
-                            self.meta.unlock_exclusive();
-                            meta_held = false;
-                        }
-                    }
-                    held[depth] = child;
-                    depth += 1;
+            let Kind::Internal { children } = &node.kind else {
+                break;
+            };
+            let child_ptr = children[node.child_index(key)];
+            let child = unsafe { &*child_ptr };
+            child.latch.lock_exclusive();
+            if child.insert_safe() {
+                // Child cannot split: everything above is safe.
+                for &n in &held[..depth] {
+                    unsafe { (*n).latch.unlock_exclusive() };
                 }
-                NodeKind::Leaf { .. } => break,
+                depth = 0;
+                if meta_held {
+                    self.meta.unlock_exclusive();
+                    meta_held = false;
+                }
             }
+            held[depth] = child_ptr;
+            depth += 1;
         }
         let held = &held[..depth];
 
-        // Insert into the leaf.
-        let leaf_ptr = *held.last().unwrap();
+        // Insert into the leaf. `append`: the key went past the last key of
+        // the rightmost leaf, so the split (if any) takes the append rule.
+        let leaf_ptr = held[depth - 1];
         let leaf = unsafe { &mut *leaf_ptr };
-        let NodeKind::Leaf { values, .. } = &mut leaf.kind else {
+        let (found, len) = (leaf.search(key), leaf.len as usize);
+        let Kind::Leaf { values, next } = &mut leaf.kind else {
             unreachable!()
         };
-        let old = match leaf.keys.binary_search(&key) {
+        let (old, append) = match found {
             Ok(i) => {
                 let prev = values[i];
                 if overwrite {
                     values[i] = value;
                 }
-                Some(prev)
+                (Some(prev), false)
             }
             Err(i) => {
-                leaf.keys.insert(i, key);
-                values.insert(i, value);
+                insert_at(&mut leaf.keys, len, i, key);
+                insert_at(values, len, i, value);
+                leaf.len += 1;
                 self.len.fetch_add(1, Ordering::Relaxed);
-                None
+                (None, i == len && next.is_null())
             }
         };
 
-        // Split propagation up the held chain.
-        let mut pending: Option<(u64, *mut Node)> = None;
-        if leaf.keys.len() > MAX_KEYS {
-            pending = Some(Self::split(leaf_ptr));
-        }
-        // Walk ancestors (held is root-most .. leaf).
+        // Split propagation up the held chain (root-most .. leaf).
+        let mut pending = (leaf.len as usize > MAX_KEYS).then(|| Self::split(leaf_ptr, append));
         let mut level = held.len();
         while let Some((sep, right)) = pending.take() {
             level = level
@@ -226,27 +303,30 @@ impl BTree {
                 // The topmost held node split: it must have been the root,
                 // and we must still hold the meta latch.
                 debug_assert!(meta_held, "root split without meta latch");
-                let old_root = held[0];
-                let new_root = Box::into_raw(Box::new(Node {
-                    latch: RwLatch::new(),
-                    keys: vec![sep],
-                    kind: NodeKind::Internal {
-                        children: vec![old_root, right],
-                    },
-                }));
+                let new_root = Node::new_internal();
+                let node = unsafe { &mut *new_root };
+                let Kind::Internal { children } = &mut node.kind else {
+                    unreachable!()
+                };
+                node.keys[0] = sep;
+                children[..2].copy_from_slice(&[held[0], right]);
+                node.len = 1;
+                // SAFETY: `meta_held`: no reader or writer is at the root
+                // pointer.
                 unsafe { *self.root.get() = new_root };
                 break;
             }
             let parent_ptr = held[level - 1];
             let parent = unsafe { &mut *parent_ptr };
-            let NodeKind::Internal { children } = &mut parent.kind else {
+            let (idx, len) = (parent.child_index(sep), parent.len as usize);
+            let Kind::Internal { children } = &mut parent.kind else {
                 unreachable!()
             };
-            let idx = parent.keys.partition_point(|&k| k <= sep);
-            parent.keys.insert(idx, sep);
-            children.insert(idx + 1, right);
-            if parent.keys.len() > MAX_KEYS {
-                pending = Some(Self::split(parent_ptr));
+            insert_at(&mut parent.keys, len, idx, sep);
+            insert_at(children, len + 1, idx + 1, right);
+            parent.len += 1;
+            if parent.len as usize > MAX_KEYS {
+                pending = Some(Self::split(parent_ptr, append));
             }
         }
 
@@ -259,40 +339,49 @@ impl BTree {
         old
     }
 
-    /// Splits an over-full node, returning `(separator, right sibling)`.
-    /// Caller holds the node's exclusive latch.
-    fn split(ptr: *mut Node) -> (u64, *mut Node) {
+    /// Splits an over-full node, returning `(separator, right sibling)`: at
+    /// the midpoint, or with `append` (an insert past the right edge) so that
+    /// the node keeps all but its last key. Caller holds the node's exclusive
+    /// latch.
+    fn split(ptr: *mut Node, append: bool) -> (u64, *mut Node) {
+        // SAFETY: the caller holds `ptr`'s exclusive latch; `right` is not
+        // yet reachable by any other thread.
         let node = unsafe { &mut *ptr };
-        let mid = node.keys.len() / 2;
+        let len = node.len as usize;
+        let at = if append { len - 1 } else { len / 2 };
         match &mut node.kind {
-            NodeKind::Leaf { values, next } => {
-                let right_keys = node.keys.split_off(mid);
-                let right_values = values.split_off(mid);
-                let sep = right_keys[0];
-                let right = Box::into_raw(Box::new(Node {
-                    latch: RwLatch::new(),
-                    keys: right_keys,
-                    kind: NodeKind::Leaf {
-                        values: right_values,
-                        next: *next,
-                    },
-                }));
-                *next = right;
-                (sep, right)
+            Kind::Leaf { values, next } => {
+                let right_ptr = Node::new_leaf(*next);
+                let right = unsafe { &mut *right_ptr };
+                let Kind::Leaf {
+                    values: right_values,
+                    ..
+                } = &mut right.kind
+                else {
+                    unreachable!()
+                };
+                right.keys[..len - at].copy_from_slice(&node.keys[at..len]);
+                right_values[..len - at].copy_from_slice(&values[at..len]);
+                right.len = (len - at) as u32;
+                node.len = at as u32;
+                *next = right_ptr;
+                (node.keys[at], right_ptr)
             }
-            NodeKind::Internal { children } => {
-                let sep = node.keys[mid];
-                let right_keys = node.keys.split_off(mid + 1);
-                node.keys.pop(); // drop the separator that moved up
-                let right_children = children.split_off(mid + 1);
-                let right = Box::into_raw(Box::new(Node {
-                    latch: RwLatch::new(),
-                    keys: right_keys,
-                    kind: NodeKind::Internal {
-                        children: right_children,
-                    },
-                }));
-                (sep, right)
+            Kind::Internal { children } => {
+                // keys[at] moves up; the keys and children after it go right.
+                let right_ptr = Node::new_internal();
+                let right = unsafe { &mut *right_ptr };
+                let Kind::Internal {
+                    children: right_children,
+                } = &mut right.kind
+                else {
+                    unreachable!()
+                };
+                right.keys[..len - at - 1].copy_from_slice(&node.keys[at + 1..len]);
+                right_children[..len - at].copy_from_slice(&children[at + 1..=len]);
+                right.len = (len - at - 1) as u32;
+                node.len = at as u32;
+                (node.keys[at], right_ptr)
             }
         }
     }
@@ -300,47 +389,47 @@ impl BTree {
     /// Removes `key`, returning its value. Lazy: no node merging, so the
     /// descent is structurally read-only and uses shared crabbing.
     pub fn remove(&self, key: u64) -> Option<u64> {
-        self.meta.lock_shared();
-        let mut cur = unsafe { *self.root.get() };
-        let root_is_leaf = unsafe { (*cur).is_leaf() };
-        if root_is_leaf {
-            unsafe { (*cur).latch.lock_exclusive() };
-        } else {
-            unsafe { (*cur).latch.lock_shared() };
+        // Shared-latch a node, or exclusively if it is the leaf to change.
+        fn latch(node: &Node) {
+            if node.is_leaf() {
+                node.latch.lock_exclusive();
+            } else {
+                node.latch.lock_shared();
+            }
         }
+        self.meta.lock_shared();
+        // SAFETY: `meta` is held, so the root pointer is stable.
+        let mut cur = unsafe { *self.root.get() };
+        // SAFETY (every node dereference below): nodes live as long as the
+        // tree; `cur` is latched by this thread — shared while internal, so
+        // its children are stable, and exclusively once it is the leaf.
+        latch(unsafe { &*cur });
         self.meta.unlock_shared();
         loop {
             let node = unsafe { &*cur };
-            match &node.kind {
-                NodeKind::Internal { children } => {
-                    let child = children[node.child_index(key)];
-                    if unsafe { (*child).is_leaf() } {
-                        unsafe { (*child).latch.lock_exclusive() };
-                    } else {
-                        unsafe { (*child).latch.lock_shared() };
-                    }
-                    node.latch.unlock_shared();
-                    cur = child;
-                }
-                NodeKind::Leaf { .. } => {
-                    let node = unsafe { &mut *cur };
-                    let NodeKind::Leaf { values, .. } = &mut node.kind else {
-                        unreachable!()
-                    };
-                    let result = match node.keys.binary_search(&key) {
-                        Ok(i) => {
-                            node.keys.remove(i);
-                            let v = values.remove(i);
-                            self.len.fetch_sub(1, Ordering::Relaxed);
-                            Some(v)
-                        }
-                        Err(_) => None,
-                    };
-                    node.latch.unlock_exclusive();
-                    return result;
-                }
-            }
+            let Kind::Internal { children } = &node.kind else {
+                break;
+            };
+            let child = children[node.child_index(key)];
+            latch(unsafe { &*child });
+            node.latch.unlock_shared();
+            cur = child;
         }
+        let leaf = unsafe { &mut *cur };
+        let (found, len) = (leaf.search(key), leaf.len as usize);
+        let Kind::Leaf { values, .. } = &mut leaf.kind else {
+            unreachable!()
+        };
+        let result = found.ok().map(|i| {
+            leaf.keys.copy_within(i + 1..len, i);
+            let v = values[i];
+            values.copy_within(i + 1..len, i);
+            leaf.len -= 1;
+            self.len.fetch_sub(1, Ordering::Relaxed);
+            v
+        });
+        leaf.latch.unlock_exclusive();
+        result
     }
 
     /// Inclusive range scan. Leaves are traversed with latch coupling via
@@ -350,97 +439,148 @@ impl BTree {
         if start > end {
             return out;
         }
-        self.meta.lock_shared();
-        let mut cur = unsafe { *self.root.get() };
-        unsafe { (*cur).latch.lock_shared() };
-        self.meta.unlock_shared();
-        // Descend to the leaf containing `start`.
+        let (mut node, _) = self.leaf_shared(start);
         loop {
-            let node = unsafe { &*cur };
-            match &node.kind {
-                NodeKind::Internal { children } => {
-                    let child = children[node.child_index(start)];
-                    unsafe { (*child).latch.lock_shared() };
-                    node.latch.unlock_shared();
-                    cur = child;
-                }
-                NodeKind::Leaf { .. } => break,
-            }
-        }
-        // Walk the leaf chain.
-        loop {
-            let node = unsafe { &*cur };
-            let NodeKind::Leaf { values, next } = &node.kind else {
+            let Kind::Leaf { values, next } = &node.kind else {
                 unreachable!()
             };
-            for (i, &k) in node.keys.iter().enumerate() {
+            for (&k, &v) in node.keys().iter().zip(values) {
                 if k > end {
                     node.latch.unlock_shared();
                     return out;
                 }
                 if k >= start {
-                    out.push((k, values[i]));
+                    out.push((k, v));
                 }
             }
-            let next = *next;
             if next.is_null() {
                 node.latch.unlock_shared();
                 return out;
             }
-            unsafe { (*next).latch.lock_shared() };
+            // SAFETY: `node` is shared-latched, so `next` is stable, and
+            // nodes live as long as the tree.
+            let next = unsafe { &**next };
+            next.latch.lock_shared();
             node.latch.unlock_shared();
-            cur = next;
+            node = next;
         }
-    }
-
-    /// First key >= `start`, if any (cheap successor probe).
-    pub fn next_key(&self, start: u64) -> Option<(u64, u64)> {
-        self.range(start, u64::MAX).into_iter().next()
     }
 
     /// Tree height (diagnostics; takes shared latches down the leftmost path).
     pub fn height(&self) -> usize {
-        self.meta.lock_shared();
-        let mut cur = unsafe { *self.root.get() };
-        unsafe { (*cur).latch.lock_shared() };
-        self.meta.unlock_shared();
-        let mut h = 1;
-        loop {
-            let node = unsafe { &*cur };
-            match &node.kind {
-                NodeKind::Internal { children } => {
-                    let child = children[0];
-                    unsafe { (*child).latch.lock_shared() };
-                    node.latch.unlock_shared();
-                    cur = child;
-                    h += 1;
-                }
-                NodeKind::Leaf { .. } => {
-                    node.latch.unlock_shared();
-                    return h;
-                }
+        let (leaf, height) = self.leaf_shared(0);
+        leaf.latch.unlock_shared();
+        height
+    }
+
+    /// Panics unless the tree is well formed: keys ascend within every node;
+    /// every subtree lies within its separators; all leaves are at one depth,
+    /// at most [`MAX_HEIGHT`]; every internal node below the root and off the
+    /// right spine is at least half full; and the leaf chain visits the
+    /// leaves in order and yields `range(0, u64::MAX)`, `len()` pairs.
+    /// `&mut self` keeps every writer out while it walks. For tests.
+    #[doc(hidden)]
+    pub fn assert_invariants(&mut self) {
+        /// Checks the subtree under `ptr`, whose keys lie in `lo..hi`, and
+        /// appends its leaves in key order; returns its height.
+        fn walk(
+            ptr: *mut Node,
+            lo: u64,
+            hi: Option<u64>,
+            spine: bool,
+            leaves: &mut Vec<*mut Node>,
+        ) -> usize {
+            // SAFETY: the caller holds the tree exclusively, so no latch is
+            // needed, and every child pointer names a live node.
+            let node = unsafe { &*ptr };
+            let keys = node.keys();
+            assert!(
+                keys.len() <= MAX_KEYS,
+                "node over-full: {} keys",
+                keys.len()
+            );
+            assert!(
+                keys.windows(2).all(|w| w[0] < w[1]),
+                "keys out of order: {keys:?}"
+            );
+            if let (Some(&first), Some(&last)) = (keys.first(), keys.last()) {
+                assert!(
+                    first >= lo && hi.is_none_or(|hi| last < hi),
+                    "keys {keys:?} outside [{lo}, {hi:?})"
+                );
             }
+            let Kind::Internal { children } = &node.kind else {
+                leaves.push(ptr);
+                return 1;
+            };
+            let n = keys.len();
+            assert!(
+                spine || n >= MAX_KEYS / 2,
+                "internal node off the right spine has {n} keys"
+            );
+            let mut heights = (0..=n).map(|i| {
+                let lo = if i == 0 { lo } else { keys[i - 1] };
+                let hi = if i == n { hi } else { Some(keys[i]) };
+                walk(children[i], lo, hi, spine && i == n, leaves)
+            });
+            let h = heights.next().expect("an internal node has a child");
+            assert!(heights.all(|x| x == h), "leaves at different depths");
+            h + 1
         }
+        let root = *self.root.get_mut();
+        let mut leaves = Vec::new();
+        // The root may be as empty as the right spine.
+        let height = walk(root, 0, None, true, &mut leaves);
+        assert!(height <= MAX_HEIGHT, "height {height} > {MAX_HEIGHT}");
+        assert_eq!(height, self.height());
+        let mut chained = Vec::new();
+        let mut pairs = Vec::new();
+        let mut cur = leaves[0];
+        while !cur.is_null() {
+            chained.push(cur);
+            // SAFETY: as in `walk`.
+            let node = unsafe { &*cur };
+            let Kind::Leaf { values, next } = &node.kind else {
+                panic!("an internal node in the leaf chain")
+            };
+            pairs.extend(node.keys().iter().copied().zip(values.iter().copied()));
+            cur = *next;
+        }
+        assert!(
+            chained == leaves,
+            "leaf chain differs from the in-order leaves"
+        );
+        assert!(
+            pairs.windows(2).all(|w| w[0].0 < w[1].0),
+            "leaf chain out of order"
+        );
+        assert_eq!(
+            pairs.len() as u64,
+            self.len(),
+            "len() disagrees with the leaves"
+        );
+        assert_eq!(pairs, self.range(0, u64::MAX));
     }
 }
 
 impl Drop for BTree {
     fn drop(&mut self) {
         fn free(ptr: *mut Node) {
+            // SAFETY: the tree is being dropped, so nothing else refers to
+            // its nodes, and each is reached exactly once from its parent.
             let node = unsafe { Box::from_raw(ptr) };
-            if let NodeKind::Internal { children } = &node.kind {
-                for &c in children {
-                    free(c);
-                }
+            if let Kind::Internal { children } = &node.kind {
+                children[..=node.len as usize].iter().for_each(|&c| free(c));
             }
         }
-        free(unsafe { *self.root.get() });
+        free(*self.root.get_mut());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
     #[test]
@@ -469,7 +609,11 @@ mod tests {
     fn insert_if_absent_never_overwrites() {
         let t = BTree::new();
         assert_eq!(t.insert_if_absent(1, 10), None);
-        assert_eq!(t.insert_if_absent(1, 11), Some(10), "existing key answers its value");
+        assert_eq!(
+            t.insert_if_absent(1, 11),
+            Some(10),
+            "existing key answers its value"
+        );
         assert_eq!(t.get(1), Some(10), "value unchanged");
         assert_eq!(t.len(), 1, "len unchanged");
         // Across splits too: every even key present, every odd key absent.
@@ -535,17 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn next_key_probe() {
-        let t = BTree::new();
-        t.insert(10, 1);
-        t.insert(20, 2);
-        assert_eq!(t.next_key(0), Some((10, 1)));
-        assert_eq!(t.next_key(10), Some((10, 1)));
-        assert_eq!(t.next_key(11), Some((20, 2)));
-        assert_eq!(t.next_key(21), None);
-    }
-
-    #[test]
     fn concurrent_disjoint_inserts() {
         let t = Arc::new(BTree::new());
         let mut handles = Vec::new();
@@ -595,13 +728,86 @@ mod tests {
         }
     }
 
+    /// TPC-B `history` under the reactor: four writers append interleaved
+    /// increasing keys (so the rightmost leaf takes both split rules) while
+    /// two readers `get` and `range` just behind the right edge.
+    #[test]
+    fn concurrent_right_edge_appends_and_reads() {
+        const WRITERS: u64 = 4;
+        const PER_WRITER: u64 = 5_000;
+        let mut t = BTree::new();
+        // `inserted[w]`: how many of writer w's keys (w, w + 4, ...) are in.
+        let inserted: [AtomicU64; WRITERS as usize] = Default::default();
+        let writing = AtomicBool::new(true);
+        std::thread::scope(|s| {
+            let (t, inserted, writing) = (&t, &inserted, &writing);
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    s.spawn(move || {
+                        for i in 0..PER_WRITER {
+                            assert_eq!(t.insert(w + WRITERS * i, i), None);
+                            inserted[w as usize].store(i + 1, Ordering::Release);
+                        }
+                    })
+                })
+                .collect();
+            for _ in 0..2 {
+                s.spawn(move || {
+                    while writing.load(Ordering::Acquire) {
+                        // Every key up to `edge` is in: writer w's keys up
+                        // to its last one are, and each last one is ≥ edge.
+                        let last: Vec<u64> = (0..WRITERS)
+                            .map(|w| {
+                                (w + WRITERS * inserted[w as usize].load(Ordering::Acquire))
+                                    .checked_sub(WRITERS)
+                            })
+                            .collect::<Option<_>>()
+                            .unwrap_or_default();
+                        let Some(&edge) = last.iter().min() else {
+                            continue;
+                        };
+                        for (w, &k) in last.iter().enumerate() {
+                            assert_eq!(t.get(k), Some(k / WRITERS), "writer {w}'s last key {k}");
+                        }
+                        let from = edge.saturating_sub(200);
+                        let got = t.range(from, u64::MAX);
+                        assert!(
+                            got.windows(2).all(|p| p[0].0 < p[1].0),
+                            "range out of order"
+                        );
+                        assert!(
+                            got.iter()
+                                .map(|p| p.0)
+                                .take_while(|&k| k <= edge)
+                                .eq(from..=edge),
+                            "range [{from}, {edge}] incomplete"
+                        );
+                    }
+                });
+            }
+            // Stop the readers before a writer's panic can leave them spinning.
+            let joined: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+            writing.store(false, Ordering::Release);
+            joined.into_iter().for_each(|j| j.expect("writer"));
+        });
+        let n = WRITERS * PER_WRITER;
+        assert_eq!(t.len(), n);
+        assert!(
+            (0..n).all(|k| t.get(k) == Some(k / WRITERS)),
+            "a key is missing"
+        );
+        assert!(t.range(0, u64::MAX).into_iter().map(|p| p.0).eq(0..n));
+        t.assert_invariants();
+    }
+
     #[test]
     fn empty_tree_behaviour() {
-        let t = BTree::new();
+        let mut t = BTree::new();
         assert!(t.is_empty());
         assert_eq!(t.get(1), None);
         assert_eq!(t.remove(1), None);
         assert!(t.range(0, u64::MAX).is_empty());
         assert_eq!(t.height(), 1);
+        t.assert_invariants();
     }
 }

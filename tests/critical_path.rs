@@ -28,10 +28,19 @@
 //! run printed, per query, 882 pins (= heap pages), no lock visit, no log
 //! byte, and 400,805 allocations (33.4 MB) for scan_agg, 400,902 for
 //! filter_group, 402,829 for filter_sort.
+//!
+//! At the parent of the change that made a B+tree node one allocation with
+//! its keys inline, and split an append so that it fills nodes, the same run
+//! printed 14.341 allocations (2,285 B) per TPC-B transaction, where
+//! `history` inserts grew key and value `Vec`s, and the `btree.append` row
+//! printed 33,601 allocations (6.03 MB, 60.32 B/key), made by 12,500 of its
+//! 100,000 inserts, at the same height 4; every other count was the same as
+//! now.
 
 use esdb::core::query::QueryEngine;
 use esdb::core::{Database, EngineConfig};
 use esdb::staged::{AggFunc, CmpOp, DEFAULT_BATCH};
+use esdb::storage::btree::BTree;
 use esdb::workload::{Tatp, Tpcb, TxnSpec, Workload, Ycsb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -229,11 +238,50 @@ fn olap_counts_are_pinned() {
     }
 }
 
+/// 100,000 key-ordered inserts into a fresh `BTree`: a table population, or
+/// TPC-B's `history` appends. A node is one allocation and the append split
+/// leaves every node full, so the allocations are exactly the nodes made:
+/// 3,125 leaves of 32 keys, 95 + 3 + 1 internal nodes of up to 33 children,
+/// less the root leaf `BTree::new` made. Only an insert that splits a leaf
+/// allocates (an internal split or a new root rides on one).
+fn btree_append_counts_are_pinned() {
+    const KEYS: u64 = 100_000;
+    const NODES_MADE: u64 = 3_125 + 95 + 3 + 1 - 1;
+    let tree = BTree::new();
+    let before = ALLOC_BYTES.load(Ordering::Relaxed);
+    let (mut allocs, mut allocating_inserts) = (0, 0);
+    for k in 0..KEYS {
+        let a = ALLOCS.load(Ordering::Relaxed);
+        tree.insert(k, k);
+        let made = ALLOCS.load(Ordering::Relaxed) - a;
+        allocs += made;
+        allocating_inserts += u64::from(made > 0);
+    }
+    let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - before;
+    println!(
+        "btree.append: {KEYS} keys, {allocs} allocations ({bytes} B, {:.2} B/key) in {allocating_inserts} inserts, height {}",
+        bytes as f64 / KEYS as f64,
+        tree.height()
+    );
+    assert_eq!(allocs, NODES_MADE, "btree.append: one allocation per node");
+    assert_eq!(
+        allocating_inserts,
+        3_125 - 1,
+        "btree.append: only a leaf split allocates"
+    );
+    assert_eq!(
+        bytes,
+        NODES_MADE * 560,
+        "btree.append: heap bytes (560 B a node)"
+    );
+    assert_eq!(tree.height(), 4);
+}
+
 #[test]
 fn per_transaction_counts_are_pinned() {
     // TPC-B: 3 `Add` + 1 `Insert` = 9 distinct locks (database, 4 tables,
     // 4 rows); Begin 25 + Update 65 + 81 + 81 + Insert 71 + Commit 25 B.
-    measure(&mut Tpcb::new(2, 42), |_| true).check("tpcb", (9, 348, 1), (4.01, 14.5, 2_300.0));
+    measure(&mut Tpcb::new(2, 42), |_| true).check("tpcb", (9, 348, 1), (4.01, 14.04, 2_300.0));
     // TATP GetSubscriberData: one read, nothing logged.
     measure(&mut Tatp::new(1_000, 42), |s| s.kind == "GetSubscriberData")
         .check("tatp.read", (3, 0, 0), (1.0, 4.01, 504.0));
@@ -241,4 +289,5 @@ fn per_transaction_counts_are_pinned() {
     measure(&mut Ycsb::new(10_000, 0, 0.5, 1, 42), |_| true)
         .check("ycsb.update", (3, 131, 1), (1.0, 6.01, 1_110.0));
     olap_counts_are_pinned();
+    btree_append_counts_are_pinned();
 }

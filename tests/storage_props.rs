@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 enum MapOp {
     Insert(u64, u64),
+    InsertIfAbsent(u64, u64),
     Remove(u64),
     Get(u64),
     Range(u64, u64),
@@ -18,6 +19,7 @@ enum MapOp {
 fn arb_map_op() -> impl Strategy<Value = MapOp> {
     prop_oneof![
         (0u64..500, any::<u64>()).prop_map(|(k, v)| MapOp::Insert(k, v)),
+        (0u64..500, any::<u64>()).prop_map(|(k, v)| MapOp::InsertIfAbsent(k, v)),
         (0u64..500).prop_map(MapOp::Remove),
         (0u64..500).prop_map(MapOp::Get),
         (0u64..500, 0u64..500).prop_map(|(a, b)| MapOp::Range(a.min(b), a.max(b))),
@@ -27,15 +29,42 @@ fn arb_map_op() -> impl Strategy<Value = MapOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The concurrent B+tree agrees with `BTreeMap` on arbitrary op tapes.
+    /// The concurrent B+tree agrees with `BTreeMap` on arbitrary op tapes,
+    /// each after a key-ordered load of the even keys below `2 * len`. A long
+    /// ascending load splits internal nodes on two levels by the append rule
+    /// and leaves every node full, a long descending one splits them at the
+    /// midpoint. Then `fill` inserts odd keys at random across the load, and
+    /// the tape's odd keys below 500 land in its first leaves. The tree's
+    /// invariants hold after every tape.
     #[test]
-    fn btree_matches_btreemap(ops in prop::collection::vec(arb_map_op(), 1..400)) {
-        let tree = BTree::new();
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+    fn btree_matches_btreemap(
+        (ascending, len) in prop_oneof![
+            (Just(true), 0u64..1_200),
+            (Just(true), 35_000u64..36_000),
+            (Just(false), 10_000u64..11_000),
+        ],
+        fill in prop::collection::vec(any::<u64>(), 0..64),
+        ops in prop::collection::vec(arb_map_op(), 1..400),
+    ) {
+        let mut tree = BTree::new();
+        let load = (0..len).map(|i| (2 * if ascending { i } else { len - 1 - i }, i));
+        for (k, v) in load.clone() {
+            prop_assert_eq!(tree.insert(k, v), None);
+        }
+        let mut model: BTreeMap<u64, u64> = load.collect();
+        prop_assert!(len < 10_000 || tree.height() == 4, "a long load splits two internal levels");
+        for x in fill {
+            let k = (x % (2 * len).max(1)) | 1;
+            prop_assert_eq!(tree.insert(k, x), model.insert(k, x));
+        }
         for op in ops {
             match op {
                 MapOp::Insert(k, v) => {
                     prop_assert_eq!(tree.insert(k, v), model.insert(k, v));
+                }
+                MapOp::InsertIfAbsent(k, v) => {
+                    prop_assert_eq!(tree.insert_if_absent(k, v), model.get(&k).copied());
+                    model.entry(k).or_insert(v);
                 }
                 MapOp::Remove(k) => {
                     prop_assert_eq!(tree.remove(k), model.remove(&k));
@@ -52,6 +81,8 @@ proptest! {
             }
             prop_assert_eq!(tree.len() as usize, model.len());
         }
+        tree.assert_invariants();
+        prop_assert!(tree.range(0, u64::MAX).into_iter().eq(model.into_iter()));
     }
 
     /// The partitioned hash index agrees with a plain map.
@@ -70,7 +101,8 @@ proptest! {
                 MapOp::Get(k) => {
                     prop_assert_eq!(idx.get(k), model.get(&k).copied());
                 }
-                MapOp::Range(..) => {} // unordered structure
+                // unordered structure, with no conditional insert
+                MapOp::Range(..) | MapOp::InsertIfAbsent(..) => {}
             }
         }
         prop_assert_eq!(idx.len(), model.len());
