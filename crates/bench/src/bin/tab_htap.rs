@@ -34,7 +34,7 @@
 
 use esdb_bench::{header, row};
 use esdb_core::{Database, EngineConfig};
-use esdb_net::{Client, ReconnectPolicy, Server, ServerConfig, WirePlan};
+use esdb_net::{Client, ReconnectPolicy, Role, Server, ServerConfig, WirePlan};
 use esdb_repl::start_replica;
 use esdb_staged::{AggFunc, CmpOp};
 use esdb_storage::{IndexDef, IndexKind};
@@ -42,7 +42,7 @@ use esdb_workload::tpcb::ACCOUNTS;
 use esdb_workload::{Tpcb, Workload};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -151,16 +151,12 @@ fn run_config(mode: Mode, writers: usize, writes: u64) -> HtapResult {
         ReconnectPolicy::default(),
     )
     .expect("replica bootstrap");
+    let role = handle.follower(Duration::from_millis(500));
+    let (watermark, gate) = (Arc::clone(&role.applied), Arc::clone(&role.gate));
     let follower = Server::start(
         Arc::clone(handle.db()),
         "127.0.0.1:0",
-        ServerConfig {
-            applied_watermark: Some(handle.watermark()),
-            feed_live: Some(handle.feed_live()),
-            apply_gate: Some(handle.apply_gate()),
-            max_sessions: 8,
-            ..ServerConfig::default()
-        },
+        ServerConfig { role: Role::Follower(role), max_sessions: 8, ..ServerConfig::default() },
     )
     .expect("bind follower");
     let follower_addr = follower.local_addr();
@@ -186,7 +182,6 @@ fn run_config(mode: Mode, writers: usize, writes: u64) -> HtapResult {
     // completely (its frontier freezes at one consistent cut), which must
     // cost the primary nothing.
     let pin_thread = if mode == Mode::Pinned {
-        let gate = handle.apply_gate();
         let done = Arc::clone(&writers_done);
         Some(std::thread::spawn(move || {
             let pin = gate.read();
@@ -201,9 +196,10 @@ fn run_config(mode: Mode, writers: usize, writes: u64) -> HtapResult {
 
     // The OLAP loop: wire `Query` frames against the follower until the
     // writers finish, sampling freshness lag after every answered query.
+    // The first probe runs whatever the writers do, so even a burst that
+    // ends before the client connects checks something.
     let olap_thread = if mode == Mode::Olap {
         let done = Arc::clone(&writers_done);
-        let watermark = handle.watermark();
         let db = Arc::clone(&db);
         Some(std::thread::spawn(move || {
             let mut client = Client::connect_with_backoff(follower_addr, &ReconnectPolicy::default())
@@ -212,7 +208,7 @@ fn run_config(mode: Mode, writers: usize, writes: u64) -> HtapResult {
             let mut lag = Vec::new();
             let mut mismatches = 0u64;
             let start = Instant::now();
-            while !done.load(Ordering::SeqCst) {
+            loop {
                 let rows = client
                     .query_at(0, &sum_plan())
                     .expect("olap sum query")
@@ -236,6 +232,9 @@ fn run_config(mode: Mode, writers: usize, writes: u64) -> HtapResult {
                     mismatches += 1;
                 }
                 queries += 1;
+                if done.load(Ordering::SeqCst) {
+                    break;
+                }
             }
             let qps = queries as f64 / start.elapsed().as_secs_f64();
             (qps, lag, mismatches)
@@ -255,6 +254,8 @@ fn run_config(mode: Mode, writers: usize, writes: u64) -> HtapResult {
     }
     let (olap_qps, mut lag, mismatches) =
         olap_thread.map_or((0.0, Vec::new(), 0), |h| h.join().expect("olap thread"));
+    // One lag sample per answered probe.
+    assert!(mode != Mode::Olap || !lag.is_empty(), "an OLAP rep answered no queries");
     lag.sort_unstable();
 
     // Read-your-writes for analytical plans: commit once more, take the

@@ -18,7 +18,7 @@
 
 use esdb_bench::{header, row};
 use esdb_core::{Database, EngineConfig, QuorumPolicy, ReplGroup};
-use esdb_net::{Client, NetError, ReconnectPolicy, Server, ServerConfig};
+use esdb_net::{Client, NetError, ReconnectPolicy, Role, SemiSync, Server, ServerConfig};
 use esdb_repl::start_replica;
 use esdb_workload::tpcb::{ACCOUNTS, ACCOUNTS_PER_BRANCH};
 use esdb_workload::{Tpcb, Workload};
@@ -84,7 +84,7 @@ fn run_config(n_replicas: usize) -> ConfigResult {
             Arc::clone(handle.db()),
             "127.0.0.1:0",
             ServerConfig {
-                applied_watermark: Some(handle.watermark()),
+                role: Role::Follower(handle.follower(Duration::from_millis(500))),
                 max_sessions: READERS + 4,
                 ..ServerConfig::default()
             },
@@ -211,8 +211,10 @@ fn run_commit_mode(semisync: bool, conns: usize, depth: usize) -> f64 {
     db.load_population(&workload).expect("population load");
     let config = if semisync {
         ServerConfig {
-            repl_group: Some(Arc::new(ReplGroup::new(1))),
-            quorum: Some(QuorumPolicy { k: 1, timeout: Duration::from_millis(500) }),
+            role: Role::SemiSync(SemiSync {
+                group: Arc::new(ReplGroup::new(1)),
+                policy: QuorumPolicy { k: 1, timeout: Duration::from_millis(500) },
+            }),
             ..ServerConfig::default()
         }
     } else {

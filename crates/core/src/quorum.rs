@@ -7,7 +7,7 @@
 //!
 //! The group is deliberately engine-agnostic — it lives in `esdb-core` so
 //! the net server (which depends on core, not on repl) can consult it on the
-//! commit path: [`ReplGroup::wait_quorum`] is the bounded wait the
+//! commit path: [`ReplGroup::quorum_verdict`] is the bounded wait the
 //! group-commit flush point adds in semi-sync mode. It never blocks
 //! unboundedly; the failure modes are the typed [`QuorumError`] variants.
 
@@ -61,6 +61,9 @@ impl std::fmt::Display for QuorumError {
 }
 
 impl std::error::Error for QuorumError {}
+
+/// A quorum wait's outcome so far: `None` while it must keep waiting.
+pub type Verdict = Option<Result<(), QuorumError>>;
 
 #[derive(Default)]
 struct AckTable {
@@ -166,22 +169,36 @@ impl ReplGroup {
         self.table.lock().expect("repl group lock poisoned").acks.len()
     }
 
-    /// Blocks until `policy.k` followers have acked durability at/past
-    /// `lsn`, the group is fenced, or the bound expires — whichever first.
+    /// The quorum rule, the one place it is written: a fenced group fails
+    /// first (a deposed primary must not ack), then `policy.k` acks at or
+    /// past `lsn` succeed, then an `expired` wait times out. The reactor's
+    /// parked waits poll this each tick; [`ReplGroup::wait_quorum`] blocks
+    /// on it.
+    pub fn quorum_verdict(&self, lsn: u64, policy: &QuorumPolicy, expired: bool) -> Verdict {
+        let t = self.table.lock().expect("repl group lock poisoned");
+        self.verdict(&t, lsn, policy, expired)
+    }
+
+    fn verdict(&self, t: &AckTable, lsn: u64, policy: &QuorumPolicy, expired: bool) -> Verdict {
+        if let Some(term) = self.fenced_by() {
+            return Some(Err(QuorumError::Fenced { term }));
+        }
+        let acked = t.acks.values().filter(|&&a| a >= lsn).count() as u32;
+        if acked >= policy.k {
+            return Some(Ok(()));
+        }
+        expired.then_some(Err(QuorumError::Timeout { lsn, acked, needed: policy.k }))
+    }
+
+    /// Blocks until [`ReplGroup::quorum_verdict`] decides, with
+    /// `policy.timeout` as the bound.
     pub fn wait_quorum(&self, lsn: u64, policy: &QuorumPolicy) -> Result<(), QuorumError> {
         let deadline = Instant::now() + policy.timeout;
         let mut t = self.table.lock().expect("repl group lock poisoned");
         loop {
-            if let Some(term) = self.fenced_by() {
-                return Err(QuorumError::Fenced { term });
-            }
-            let acked = t.acks.values().filter(|&&a| a >= lsn).count() as u32;
-            if acked >= policy.k {
-                return Ok(());
-            }
             let now = Instant::now();
-            if now >= deadline {
-                return Err(QuorumError::Timeout { lsn, acked, needed: policy.k });
+            if let Some(verdict) = self.verdict(&t, lsn, policy, now >= deadline) {
+                return verdict;
             }
             let (guard, _) = self
                 .cond

@@ -3,7 +3,7 @@
 //! Everything the engine exposes to remote clients, in three layers:
 //!
 //! * [`protocol`] — a length-prefixed binary wire format (`u32` length +
-//!   tagged payload over the `bytes` traits). Decoding distinguishes
+//!   tagged little-endian payload). Decoding distinguishes
 //!   incomplete from malformed input and never panics on hostile bytes.
 //! * [`server`] + [`reactor`] — an event-driven TCP server over `std::net`
 //!   wrapping an `Arc<Database>`: N per-core reactor threads run epoll-style
@@ -45,7 +45,7 @@ pub mod server;
 pub use client::{run_load, Client, LoadConfig, NetError, ReconnectPolicy, Snapshot};
 pub use protocol::{FrameError, Request, Response, ServerStats, WirePlan, MAX_FRAME};
 pub use reactor::FrameCursor;
-pub use server::{DecisionSource, OwnershipCheck, RoutingSource, Server, ServerConfig};
+pub use server::{DecisionSource, Follower, Role, SemiSync, Server, ServerConfig, SlotGate};
 
 use esdb_core::WorkloadReport;
 

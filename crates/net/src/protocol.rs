@@ -17,9 +17,8 @@
 //! A malformed frame is an error value, never a panic: a hostile or buggy
 //! client must not be able to take down the server.
 
-use bytes::{Buf, BufMut};
 use esdb_core::spec_exec::SpecOutcome;
-use esdb_core::{ObsSnapshot, StatsSnapshot, OBS_SNAPSHOT_VERSION};
+use esdb_core::{ObsSnapshot, QuorumError, StatsSnapshot, OBS_SNAPSHOT_VERSION};
 use esdb_obs::{HistogramSnapshot, WaitProfile};
 use esdb_staged::{AggFunc, CmpOp};
 use esdb_workload::{Rng, TxnSpec, WorkloadOp};
@@ -452,9 +451,21 @@ pub enum Response {
     },
 }
 
+/// A failed quorum wait is the typed degradation its commit acks become.
+impl From<QuorumError> for Response {
+    fn from(e: QuorumError) -> Response {
+        match e {
+            QuorumError::Timeout { lsn, acked, needed } => {
+                Response::QuorumTimeout { lsn, acked, needed }
+            }
+            QuorumError::Fenced { term } => Response::Fenced { term },
+        }
+    }
+}
+
 /// Checked cursor over a payload: every read verifies length first, so
 /// truncated or lying frames surface as [`FrameError::Malformed`], never as
-/// a panic out of the underlying [`Buf`].
+/// a panic out of a slice index.
 struct Reader<'a> {
     buf: &'a [u8],
     /// [`SubPlan`]s entered so far on the way down the current plan.
@@ -462,24 +473,18 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn need(&self, n: usize) -> Result<(), FrameError> {
-        if self.buf.remaining() < n {
-            Err(FrameError::Malformed("truncated field"))
-        } else {
-            Ok(())
-        }
-    }
-
     /// Splits off the next `n` bytes.
     fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        self.need(n)?;
+        if self.buf.len() < n {
+            return Err(FrameError::Malformed("truncated field"));
+        }
         let (head, rest) = self.buf.split_at(n);
         self.buf = rest;
         Ok(head)
     }
 
     fn finish(self) -> Result<(), FrameError> {
-        if self.buf.remaining() != 0 {
+        if !self.buf.is_empty() {
             Err(FrameError::Malformed("trailing bytes"))
         } else {
             Ok(())
@@ -503,15 +508,17 @@ trait Wire {
 }
 
 macro_rules! wire_int {
-    ($($t:ident $put:ident $get:ident,)*) => {$(
+    ($($t:ident)*) => {$(
         impl Wire for $t {
             type V = $t;
             fn put(v: &$t, out: &mut Vec<u8>) {
-                out.$put(*v)
+                out.extend_from_slice(&v.to_le_bytes())
             }
             fn get(r: &mut Reader<'_>) -> Result<$t, FrameError> {
-                r.need(std::mem::size_of::<$t>())?;
-                Ok(r.buf.$get())
+                const N: usize = std::mem::size_of::<$t>();
+                let mut le = [0u8; N];
+                le.copy_from_slice(r.take(N)?);
+                Ok($t::from_le_bytes(le))
             }
             fn arbitrary(rng: &mut Rng) -> $t {
                 rng.next_u64() as $t
@@ -520,19 +527,13 @@ macro_rules! wire_int {
     )*};
 }
 
-wire_int! {
-    u8 put_u8 get_u8,
-    u16 put_u16_le get_u16_le,
-    u32 put_u32_le get_u32_le,
-    u64 put_u64_le get_u64_le,
-    i64 put_i64_le get_i64_le,
-}
+wire_int!(u8 u16 u32 u64 i64);
 
 /// One byte, strictly `0` or `1`.
 impl Wire for bool {
     type V = bool;
     fn put(v: &bool, out: &mut Vec<u8>) {
-        out.put_u8(u8::from(*v))
+        out.push(u8::from(*v))
     }
     fn get(r: &mut Reader<'_>) -> Result<bool, FrameError> {
         match u8::get(r)? {
@@ -552,7 +553,7 @@ struct Col;
 impl Wire for Col {
     type V = usize;
     fn put(v: &usize, out: &mut Vec<u8>) {
-        out.put_u16_le(*v as u16)
+        u16::put(&(*v as u16), out)
     }
     fn get(r: &mut Reader<'_>) -> Result<usize, FrameError> {
         Ok(u16::get(r)? as usize)
@@ -628,8 +629,8 @@ impl Wire for Str {
     type V = String;
     fn put(v: &String, out: &mut Vec<u8>) {
         let bytes = &v.as_bytes()[..v.len().min(u16::MAX as usize)];
-        out.put_u16_le(bytes.len() as u16);
-        out.put_slice(bytes);
+        u16::put(&(bytes.len() as u16), out);
+        out.extend_from_slice(bytes);
     }
     fn get(r: &mut Reader<'_>) -> Result<String, FrameError> {
         let len = u16::get(r)? as usize;
@@ -648,8 +649,8 @@ struct Bytes;
 impl Wire for Bytes {
     type V = Vec<u8>;
     fn put(v: &Vec<u8>, out: &mut Vec<u8>) {
-        out.put_u32_le(u32::from_len(v.len()));
-        out.put_slice(v);
+        u32::put(&u32::from_len(v.len()), out);
+        out.extend_from_slice(v);
     }
     fn get(r: &mut Reader<'_>) -> Result<Vec<u8>, FrameError> {
         let len = u32::get(r)? as usize;
@@ -666,10 +667,10 @@ impl<E: Wire> Wire for Option<E> {
     fn put(v: &Option<E::V>, out: &mut Vec<u8>) {
         match v {
             Some(e) => {
-                out.put_u8(1);
+                out.push(1);
                 E::put(e, out);
             }
-            None => out.put_u8(0),
+            None => out.push(0),
         }
     }
     fn get(r: &mut Reader<'_>) -> Result<Option<E::V>, FrameError> {
@@ -730,7 +731,7 @@ struct ObsVersion;
 impl Wire for ObsVersion {
     type V = u32;
     fn put(v: &u32, out: &mut Vec<u8>) {
-        out.put_u32_le(*v)
+        u32::put(v, out)
     }
     fn get(r: &mut Reader<'_>) -> Result<u32, FrameError> {
         match u32::get(r)? {
@@ -746,10 +747,10 @@ impl Wire for ObsVersion {
 impl Wire for HistogramSnapshot {
     type V = HistogramSnapshot;
     fn put(v: &HistogramSnapshot, out: &mut Vec<u8>) {
-        out.put_u64_le(v.count);
-        out.put_u64_le(v.sum);
+        u64::put(&v.count, out);
+        u64::put(&v.sum, out);
         for b in &v.buckets {
-            out.put_u64_le(*b);
+            u64::put(b, out);
         }
     }
     fn get(r: &mut Reader<'_>) -> Result<HistogramSnapshot, FrameError> {
@@ -831,7 +832,7 @@ macro_rules! wire_enum {
                 $($(, $f: &<$w as Wire>::V)*)?
                 $(, $nf: &<$nw as Wire>::V)?
             ) {
-                out.put_u8($tag);
+                u8::put(&$tag, out);
                 $($(<$w as Wire>::put($f, out);)*)?
                 $(<$nw as Wire>::put($nf, out);)?
             })*
@@ -1006,7 +1007,7 @@ wire_enum!(Response in put_response, "unknown response tag" {
 /// header patched with the payload's length.
 fn put_frame(out: &mut Vec<u8>, put: impl FnOnce(&mut Vec<u8>)) {
     let at = out.len();
-    out.put_u32_le(0);
+    out.extend_from_slice(&[0; HEADER_LEN]);
     put(out);
     let len = out.len() - at - HEADER_LEN;
     debug_assert!(len <= MAX_FRAME, "encoded frame exceeds MAX_FRAME");
@@ -1040,8 +1041,7 @@ fn decode_frame<T: Wire>(buf: &[u8]) -> Decoded<T::V> {
     if buf.len() < HEADER_LEN {
         return Ok(None);
     }
-    let mut header = &buf[..HEADER_LEN];
-    let len = header.get_u32_le() as usize;
+    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
     if len > MAX_FRAME {
         return Err(FrameError::Oversized(len));
     }

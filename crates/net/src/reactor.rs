@@ -72,7 +72,7 @@ use crate::protocol::{
     decode_request, decode_response, encode_response, Decoded, FrameError, Request, Response,
     WirePlan, MAX_FRAME,
 };
-use crate::server::Shared;
+use crate::server::{Role, SemiSync, Shared};
 use esdb_core::config::ExecutionModel;
 use esdb_core::{Database, QuorumError, ReplGroup};
 use esdb_txn::Txn;
@@ -294,9 +294,9 @@ impl<F: Frame> FrameCursor<F> {
 enum Phase {
     /// Decoding and executing request frames inline.
     Request,
-    /// A follower read or OLAP query waiting for the apply frontier to
-    /// reach `min_lsn` (or for its deadline).
-    AwaitFresh { min_lsn: Lsn, deadline: Instant, then: Fresh },
+    /// A follower read or OLAP query, arrived at `since`, waiting for the
+    /// apply frontier to reach `min_lsn` (or for its deadline).
+    AwaitFresh { min_lsn: Lsn, since: Instant, then: Fresh },
     /// A completed batch whose commit acks wait for the follower quorum.
     AwaitQuorum { lsn: Lsn, deadline: Instant },
     /// A one-way log feed (post-subscribe): ships chunks, drains acks.
@@ -553,8 +553,10 @@ impl Reactor {
             if matches!(conn.phase, Phase::Request) && conn.flush_to.is_some() {
                 after_flush(shared, conn, now);
             }
-            if let Phase::AwaitQuorum { lsn, deadline } = conn.phase {
-                if resolve_quorum(shared, conn, lsn, deadline, now) {
+            if let (&Phase::AwaitQuorum { lsn, deadline }, Role::SemiSync(semi)) =
+                (&conn.phase, &shared.config.role)
+            {
+                if resolve_quorum(shared, conn, semi, lsn, deadline, now) {
                     exec_pending(shared, conn, now, false);
                     if matches!(conn.phase, Phase::Request) {
                         if let Some(lsn) = conn.flush_to {
@@ -629,11 +631,10 @@ impl Reactor {
             if matches!(conn.phase, Phase::AwaitFresh { .. }) {
                 // The plan is not Copy: take the phase out, re-park inside
                 // resolve_fresh if the frontier is still short.
-                if let Phase::AwaitFresh { min_lsn, deadline, then } =
+                if let Phase::AwaitFresh { min_lsn, since, then } =
                     std::mem::replace(&mut conn.phase, Phase::Request)
                 {
-                    let deadline = (!immediate).then_some(deadline);
-                    resolve_fresh(shared, conn, min_lsn, then, deadline, now);
+                    resolve_fresh(shared, conn, min_lsn, then, since, now, immediate);
                 }
             }
             if matches!(conn.phase, Phase::Request) {
@@ -681,22 +682,8 @@ impl Reactor {
                 Phase::AwaitQuorum { lsn, .. } => Some(lsn),
                 _ => conn.flush_to.take().filter(|_| !conn.commit_acks.is_empty()),
             };
-            if let (Some(lsn), Some(group), Some(policy)) = (
-                quorum_lsn,
-                shared.config.repl_group.as_ref(),
-                shared.config.quorum.as_ref(),
-            ) {
-                if let Err(e) = group.wait_quorum(lsn, policy) {
-                    let downgrade = match e {
-                        QuorumError::Timeout { lsn, acked, needed } => {
-                            Response::QuorumTimeout { lsn, acked, needed }
-                        }
-                        QuorumError::Fenced { term } => Response::Fenced { term },
-                    };
-                    for &i in &conn.commit_acks {
-                        conn.staged[i] = downgrade.clone();
-                    }
-                }
+            if let (Some(lsn), Role::SemiSync(semi)) = (quorum_lsn, &shared.config.role) {
+                settle_quorum(conn, semi.group.wait_quorum(lsn, &semi.policy));
             }
             conn.phase = Phase::Request;
             finalize(shared, conn);
@@ -834,8 +821,7 @@ fn exec_one(shared: &Arc<Shared>, conn: &mut Conn, req: Request, now: Instant, i
         }
         Request::CommitToken => Response::Token { lsn: db.wal().durable_lsn() },
         Request::ReadAt { table, key, min_lsn } => {
-            let deadline = (!immediate).then(|| now + shared.config.read_at_wait);
-            resolve_fresh(shared, conn, min_lsn, Fresh::Read { table, key }, deadline, now);
+            resolve_fresh(shared, conn, min_lsn, Fresh::Read { table, key }, now, now, immediate);
             return;
         }
         // 2PC phase one: execute the ops, append the Prepare record, and
@@ -881,13 +867,12 @@ fn exec_one(shared: &Arc<Shared>, conn: &mut Conn, req: Request, now: Instant, i
         },
         Request::ShardInDoubt => Response::ShardGtids(db.prepared_gtids()),
         Request::Query { min_lsn, plan } => {
-            let deadline = (!immediate).then(|| now + shared.config.read_at_wait);
-            resolve_fresh(shared, conn, min_lsn, Fresh::Query(plan), deadline, now);
+            resolve_fresh(shared, conn, min_lsn, Fresh::Query(plan), now, now, immediate);
             return;
         }
-        Request::RoutingSnapshot => match &shared.config.routing_source {
-            Some(source) => {
-                let (epoch, slots) = (source.0)();
+        Request::RoutingSnapshot => match &shared.config.slot_gate {
+            Some(gate) => {
+                let (epoch, slots) = gate.routing();
                 Response::Routing { epoch, slots }
             }
             None => Response::Error("no routing table configured".into()),
@@ -928,57 +913,58 @@ fn exec_one(shared: &Arc<Shared>, conn: &mut Conn, req: Request, now: Instant, i
 /// typed error telling the operator to migrate on a finer ring.
 const MIG_FETCH_MAX_ROWS: usize = 8192;
 
-/// Runs the configured ownership gate over every op target, returning the
-/// typed [`Response::WrongShard`] refusal for the first key this server
-/// does not own (`None` when unsharded or everything is owned).
+/// Runs the configured slot gate over every op target, returning the typed
+/// [`Response::WrongShard`] refusal for the first key this server does not
+/// own (`None` when unsharded or everything is owned).
 fn ownership_refusal(shared: &Arc<Shared>, ops: &[WorkloadOp]) -> Option<Response> {
-    let check = shared.config.ownership_check.as_ref()?;
-    for op in ops {
+    let gate = shared.config.slot_gate.as_ref()?;
+    ops.iter().find_map(|op| {
         let (table, key) = op.target();
-        if let Some((epoch, hint)) = (check.0)(table, key) {
-            return Some(Response::WrongShard { epoch, hint });
-        }
-    }
-    None
+        gate.refusal(table, key).map(|(epoch, hint)| Response::WrongShard { epoch, hint })
+    })
 }
 
-/// The one freshness gate, for a token-gated follower request on first
-/// sight and for every re-check of a parked one: serve it if the apply
-/// frontier covers `min_lsn`, answer `Lagging` if it does not and waiting is
-/// over — the deadline passed, there is none (`deadline: None`, the shutdown
-/// drain: no more ticks are coming), or the feed is dead and the frontier
-/// will never move — and otherwise park the session (the reactor keeps
-/// serving everyone else). Entered in [`Phase::Request`]; leaves the session
-/// there unless it parks.
+/// The one freshness gate, for a token-gated request (arrived at `since`)
+/// on first sight and for every re-check of a parked one. A follower serves
+/// it if the apply frontier covers `min_lsn`, answers `Lagging` if it does
+/// not and waiting is over — `read_at_wait` has passed since arrival, this
+/// is the shutdown drain (`immediate`: no more ticks are coming), or the
+/// feed is dead and the frontier will never move — and otherwise parks the
+/// session (the reactor keeps serving everyone else). Entered in
+/// [`Phase::Request`]; leaves the session there unless it parks.
 fn resolve_fresh(
     shared: &Arc<Shared>,
     conn: &mut Conn,
     min_lsn: Lsn,
     then: Fresh,
-    deadline: Option<Instant>,
+    since: Instant,
     now: Instant,
+    immediate: bool,
 ) {
-    let applied = match (&shared.config.applied_watermark, &then) {
-        (Some(watermark), _) => watermark.load(Ordering::Acquire),
-        // A primary: every read is trivially fresh.
-        (None, Fresh::Read { .. }) => Lsn::MAX,
-        // But a primary never serves plans: its heap has no consistent-cut
-        // pin (writers mutate it mid-scan). OLAP is the followers' job —
-        // that asymmetry is the HTAP design, not an accident.
-        (None, Fresh::Query(_)) => {
-            conn.staged.push(Response::Error(
-                "queries are served by followers; connect to a replica".into(),
-            ));
-            return;
-        }
-    };
-    let resp = match deadline {
-        _ if applied >= min_lsn => match then {
+    let Role::Follower(follower) = &shared.config.role else {
+        conn.staged.push(match then {
+            // A primary: every read is trivially fresh.
             Fresh::Read { table, key } => fresh_read(&shared.db, table, key),
-            Fresh::Query(plan) => run_query(shared, &plan),
-        },
-        Some(deadline) if now < deadline && !feed_dead(shared) => {
-            conn.phase = Phase::AwaitFresh { min_lsn, deadline, then };
+            // But a primary never serves plans: its heap has no
+            // consistent-cut pin (writers mutate it mid-scan). OLAP is the
+            // followers' job — that asymmetry is the HTAP design, not an
+            // accident.
+            Fresh::Query(_) => Response::Error(
+                "queries are served by followers; connect to a replica".into(),
+            ),
+        });
+        return;
+    };
+    let applied = follower.applied.load(Ordering::Acquire);
+    let fresh = applied >= min_lsn;
+    let waiting = !immediate
+        && now < since + follower.read_at_wait
+        && follower.feed_live.load(Ordering::Acquire);
+    let resp = match then {
+        Fresh::Read { table, key } if fresh => fresh_read(&shared.db, table, key),
+        Fresh::Query(plan) if fresh => run_query(&shared.db, &follower.gate, &plan),
+        _ if waiting => {
+            conn.phase = Phase::AwaitFresh { min_lsn, since, then };
             return;
         }
         _ => Response::Lagging { applied },
@@ -996,9 +982,9 @@ const MAX_QUERY_CELLS: usize = 100_000;
 /// side keeps the apply loop out of its write section for the whole plan,
 /// so every operator sees the heap at one applied frontier — and the
 /// frontier only advances at transaction-consistent cuts.
-fn run_query(shared: &Arc<Shared>, plan: &WirePlan) -> Response {
-    let _pin = shared.config.apply_gate.as_ref().map(|g| g.read());
-    let node = match compile_wire(&shared.db, plan) {
+fn run_query(db: &Arc<Database>, gate: &parking_lot::RwLock<()>, plan: &WirePlan) -> Response {
+    let _pin = gate.read();
+    let node = match compile_wire(db, plan) {
         Ok((node, _)) => node,
         Err(msg) => return Response::Error(msg),
     };
@@ -1081,14 +1067,6 @@ fn compile_wire(
     })
 }
 
-fn feed_dead(shared: &Shared) -> bool {
-    shared
-        .config
-        .feed_live
-        .as_ref()
-        .is_some_and(|live| !live.load(Ordering::Acquire))
-}
-
 /// The served half of a follower read: the row, through a throwaway
 /// read-only transaction.
 fn fresh_read(db: &Arc<Database>, table: u32, key: u64) -> Response {
@@ -1113,46 +1091,45 @@ fn after_flush(shared: &Arc<Shared>, conn: &mut Conn, now: Instant) {
         }
         return;
     };
-    match (&shared.config.repl_group, &shared.config.quorum) {
+    match &shared.config.role {
         // A batch that only forced (2PC verbs) has no commit ack to gate.
-        (Some(_), Some(policy)) if !conn.commit_acks.is_empty() => {
-            conn.phase = Phase::AwaitQuorum { lsn, deadline: now + policy.timeout };
+        Role::SemiSync(semi) if !conn.commit_acks.is_empty() => {
+            conn.phase = Phase::AwaitQuorum { lsn, deadline: now + semi.policy.timeout };
         }
         _ => finalize(shared, conn),
     }
 }
 
-/// Re-checks a parked quorum wait: fencing first (a deposed primary must
-/// not ack), then the ack count, then the deadline. A failed wait never
-/// hangs and never lies — every commit ack in the batch is rewritten to the
-/// typed degradation (the commit *is* durable locally; only its replication
-/// guarantee is unmet). Returns whether the session resumed.
+/// Re-checks a parked quorum wait against the group's one quorum rule
+/// ([`ReplGroup::quorum_verdict`]). Returns whether the session resumed.
 fn resolve_quorum(
     shared: &Arc<Shared>,
     conn: &mut Conn,
+    semi: &SemiSync,
     lsn: Lsn,
     deadline: Instant,
     now: Instant,
 ) -> bool {
-    let group = shared.config.repl_group.as_ref().expect("quorum without group");
-    let policy = shared.config.quorum.as_ref().expect("quorum without policy");
-    let downgrade = if let Some(term) = group.fenced_by() {
-        Some(Response::Fenced { term })
-    } else if group.acked(lsn) >= policy.k {
-        None
-    } else if now >= deadline {
-        Some(Response::QuorumTimeout { lsn, acked: group.acked(lsn), needed: policy.k })
-    } else {
+    let Some(verdict) = semi.group.quorum_verdict(lsn, &semi.policy, now >= deadline) else {
         return false;
     };
-    if let Some(resp) = downgrade {
+    settle_quorum(conn, verdict);
+    conn.phase = Phase::Request;
+    finalize(shared, conn);
+    true
+}
+
+/// Applies a decided quorum wait to its batch. A failed wait never hangs and
+/// never lies: every commit ack in the batch is rewritten to the typed
+/// degradation (the commit *is* durable locally; only its replication
+/// guarantee is unmet).
+fn settle_quorum(conn: &mut Conn, verdict: Result<(), QuorumError>) {
+    if let Err(e) = verdict {
+        let resp = Response::from(e);
         for &i in &conn.commit_acks {
             conn.staged[i] = resp.clone();
         }
     }
-    conn.phase = Phase::Request;
-    finalize(shared, conn);
-    true
 }
 
 /// Batch finalization: encode every staged response into the outbox, count
@@ -1186,7 +1163,7 @@ fn finalize(shared: &Arc<Shared>, conn: &mut Conn) {
 /// its divergent tail.
 fn begin_shipping(shared: &Arc<Shared>, conn: &mut Conn, from: Lsn, sub_term: u64) {
     let mut slot = None;
-    if let Some(g) = shared.config.repl_group.as_ref() {
+    if let Role::SemiSync(SemiSync { group: g, .. }) = &shared.config.role {
         if sub_term > g.term() {
             g.fence(sub_term);
         }
@@ -1235,13 +1212,12 @@ fn ship_tick(shared: &Arc<Shared>, conn: &mut Conn, ship: &mut Ship) {
             Ok(None) => break,
         }
     }
-    let group = shared.config.repl_group.as_ref();
-    if let Some(g) = group {
-        if let Some(t) = g.fenced_by() {
-            encode_response(&Response::Fenced { term: t }, &mut conn.outbox);
-            conn.close_after_drain = true;
-            return;
-        }
+    // Only a semi-sync primary registers its subscribers with a group.
+    let group = ship.slot.as_ref().map(|s| &s.group);
+    if let Some(t) = group.and_then(|g| g.fenced_by()) {
+        encode_response(&Response::Fenced { term: t }, &mut conn.outbox);
+        conn.close_after_drain = true;
+        return;
     }
     if conn.outbox.len() > conn.out_pos {
         return;

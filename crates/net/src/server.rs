@@ -47,33 +47,82 @@ impl std::fmt::Debug for DecisionSource {
     }
 }
 
-/// Where the server reads its current routing table when answering a
-/// [`crate::protocol::Request::RoutingSnapshot`]: the closure returns
-/// `(epoch, slot → shard map)`. Servers without one answer a typed error —
-/// routing observation is a sharded-deployment feature.
-#[derive(Clone)]
-pub struct RoutingSource(pub Arc<dyn Fn() -> (u64, Vec<u32>) + Send + Sync>);
+/// A sharded server's slot gate: the routing table it serves and the
+/// ownership rule it admits transactional work by. `None` in the config is
+/// an unsharded server, which owns every key and has no table to show.
+pub trait SlotGate: Send + Sync {
+    /// `(epoch, slot → shard map)`, the answer to a
+    /// [`crate::protocol::Request::RoutingSnapshot`].
+    fn routing(&self) -> (u64, Vec<u32>);
 
-impl std::fmt::Debug for RoutingSource {
+    /// Whether a transaction may touch `(table, key)` here: `None` admits
+    /// it; `Some((epoch, hint))` refuses it with a typed
+    /// [`crate::protocol::Response::WrongShard`] carrying this server's
+    /// routing epoch and its best guess at the owning shard.
+    fn refusal(&self, table: u32, key: u64) -> Option<(u64, u32)>;
+}
+
+impl std::fmt::Debug for dyn SlotGate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("RoutingSource(..)")
+        f.write_str("SlotGate(..)")
     }
 }
 
-/// Slot-ownership gate for rebalancing. Called with every `(table, key)` a
-/// transactional request touches: `None` means this server owns the key's
-/// slot and the request proceeds; `Some((epoch, hint))` means it does not —
-/// the request is refused with a typed
-/// [`crate::protocol::Response::WrongShard`] carrying the server's routing
-/// epoch and its best guess at the owning shard. `None` in the config means
-/// the server owns everything (an unsharded deployment).
-#[derive(Clone)]
-pub struct OwnershipCheck(pub Arc<dyn Fn(u32, u64) -> Option<(u64, u32)> + Send + Sync>);
+/// What a server is in its replication topology. Each variant carries
+/// everything its behaviour needs, so there is no half-configured role: a
+/// quorum always has its group, a follower always has its apply gate.
+#[derive(Debug, Clone, Default)]
+pub enum Role {
+    /// Commits acknowledge at local durability, a subscriber is shipped the
+    /// log at term 0, every read is trivially fresh, and
+    /// [`crate::protocol::Request::Query`] is refused: queries are served by
+    /// followers, whose heap has a consistent-cut pin.
+    #[default]
+    Primary,
+    /// A primary whose commit acknowledgements also wait for a follower
+    /// quorum.
+    SemiSync(SemiSync),
+    /// A replica serving token-gated reads and pinned queries.
+    Follower(Follower),
+}
 
-impl std::fmt::Debug for OwnershipCheck {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("OwnershipCheck(..)")
-    }
+/// A semi-sync primary's replication state.
+#[derive(Debug, Clone)]
+pub struct SemiSync {
+    /// Term, follower acks, fencing. The ship path runs the term handshake
+    /// against it and feeds follower acks into it.
+    pub group: Arc<ReplGroup>,
+    /// A commit acknowledgement waits until `k` followers have acked
+    /// durability at the commit LSN, degrading to a typed
+    /// [`Response::QuorumTimeout`] when the bound expires. The wait is a
+    /// *parked session state*, not a blocked thread: the reactor keeps
+    /// draining follower acks (possibly on the very same reactor) while the
+    /// committing session waits, so quorum can never deadlock the server.
+    pub policy: QuorumPolicy,
+}
+
+/// A follower's view of its apply loop.
+#[derive(Debug, Clone)]
+pub struct Follower {
+    /// The apply loop's durable frontier. A
+    /// [`crate::protocol::Request::ReadAt`] or
+    /// [`crate::protocol::Request::Query`] waits (up to
+    /// [`Follower::read_at_wait`]) for it to reach the request's token.
+    pub applied: Arc<AtomicU64>,
+    /// The feed thread's liveness. While it is `false`, a request the
+    /// frontier cannot satisfy answers [`Response::Lagging`] at once instead
+    /// of burning the full wait: the frontier is not going to move.
+    pub feed_live: Arc<AtomicBool>,
+    /// The snapshot pin. The apply loop holds the write side while it
+    /// applies a batch of redo; a query runs its whole plan under the read
+    /// side, so it sees the heap only between apply batches, and since
+    /// [`Follower::applied`] advances only at transaction-consistent cuts,
+    /// never a torn transaction.
+    pub gate: Arc<parking_lot::RwLock<()>>,
+    /// How long a token-gated request may wait for the frontier before the
+    /// server gives up with [`Response::Lagging`]. The session parks; its
+    /// reactor keeps serving everyone else.
+    pub read_at_wait: Duration,
 }
 
 /// Server tuning knobs.
@@ -93,61 +142,22 @@ pub struct ServerConfig {
     /// when nothing is happening. Parked sessions (quorum/freshness waits,
     /// log shipping) shorten the effective tick to ~1ms.
     pub poll_interval: Duration,
-    /// Replica-side only: the apply loop's durable frontier. When set,
-    /// [`crate::protocol::Request::ReadAt`] waits (up to
-    /// [`ServerConfig::read_at_wait`]) for the frontier to reach the
-    /// request's token before reading; when `None` (a primary), every read
-    /// is trivially fresh.
-    pub applied_watermark: Option<Arc<AtomicU64>>,
-    /// How long a [`crate::protocol::Request::ReadAt`] may wait for the
-    /// apply frontier before the server gives up with [`Response::Lagging`].
-    /// The session parks; its reactor keeps serving everyone else.
-    pub read_at_wait: Duration,
     /// Participant-side 2PC recovery oracle: answers
     /// [`crate::protocol::Request::ShardStatus`] from the coordinator's
     /// decision log. `None` on servers that never act as 2PC participants
     /// (status queries then return an error).
     pub decision_source: Option<DecisionSource>,
-    /// Primary-side replication group: term, follower acks, fencing. Set on
-    /// servers that ship log to subscribers; the ship path consults it for
-    /// the term handshake and feeds follower acks into it.
-    pub repl_group: Option<Arc<ReplGroup>>,
-    /// Semi-sync commit mode: when set (and `repl_group` is too), a commit
-    /// acknowledgment additionally waits until `k` followers have acked
-    /// durability at the commit LSN, degrading to a typed
-    /// [`Response::QuorumTimeout`] when the bound expires. The wait is a
-    /// *parked session state*, not a blocked thread: the reactor keeps
-    /// draining follower acks (possibly on the very same reactor) while the
-    /// committing session waits, so quorum can never deadlock the server.
-    pub quorum: Option<QuorumPolicy>,
-    /// Replica-side only: the feed thread's liveness flag. When the feed is
-    /// dead (`false`), a [`crate::protocol::Request::ReadAt`] the frontier
-    /// cannot satisfy answers [`Response::Lagging`] immediately instead of
-    /// burning the full [`ServerConfig::read_at_wait`] — the frontier is not
-    /// going to move.
-    pub feed_live: Option<Arc<AtomicBool>>,
-    /// Replica-side only: the replica's snapshot pin. The apply loop holds
-    /// the write side while it applies a batch of redo; a
-    /// [`crate::protocol::Request::Query`] executes its whole plan under the
-    /// read side, so it observes the heap only between apply batches — and
-    /// since the paired [`ServerConfig::applied_watermark`] advances only at
-    /// transaction-consistent cuts, a pinned plan can never see a torn
-    /// transaction. `None` (with a watermark set) degrades queries to
-    /// unpinned reads; both `None` on a primary.
-    pub apply_gate: Option<Arc<parking_lot::RwLock<()>>>,
     /// Stalled-peer budget: a session whose peer has sent part of a frame
     /// and then gone quiet for this long is closed with a typed
     /// [`crate::protocol::FrameError::Timeout`] error frame instead of
     /// holding its session slot forever. `None` keeps the historic
     /// wait-forever behavior.
     pub stall_timeout: Option<Duration>,
-    /// Routing-table observation source, answering
-    /// [`crate::protocol::Request::RoutingSnapshot`]. `None` on unsharded
-    /// servers (the request then returns a typed error).
-    pub routing_source: Option<RoutingSource>,
-    /// Rebalancing ownership gate consulted before transactional work; see
-    /// [`OwnershipCheck`]. `None` means the server owns every slot.
-    pub ownership_check: Option<OwnershipCheck>,
+    /// Primary, semi-sync primary or follower.
+    pub role: Role,
+    /// The routing table and slot-ownership rule of a sharded server; see
+    /// [`SlotGate`].
+    pub slot_gate: Option<Arc<dyn SlotGate>>,
 }
 
 impl Default for ServerConfig {
@@ -156,16 +166,10 @@ impl Default for ServerConfig {
             max_sessions: 64,
             reactors: default_reactors(),
             poll_interval: Duration::from_millis(20),
-            applied_watermark: None,
-            read_at_wait: Duration::from_millis(500),
             decision_source: None,
-            repl_group: None,
-            quorum: None,
-            feed_live: None,
-            apply_gate: None,
             stall_timeout: None,
-            routing_source: None,
-            ownership_check: None,
+            role: Role::Primary,
+            slot_gate: None,
         }
     }
 }

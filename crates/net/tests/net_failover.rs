@@ -4,7 +4,7 @@
 
 use esdb_core::{Database, EngineConfig, QuorumPolicy, ReplGroup};
 use esdb_net::protocol::FrameError;
-use esdb_net::{Client, NetError, Server, ServerConfig};
+use esdb_net::{Client, Follower, NetError, Role, SemiSync, Server, ServerConfig};
 use esdb_workload::{TxnSpec, WorkloadOp};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -133,8 +133,10 @@ fn semisync_commit_degrades_typed_and_recovers_on_ack() {
         Arc::clone(&db),
         "127.0.0.1:0",
         ServerConfig {
-            repl_group: Some(Arc::clone(&group)),
-            quorum: Some(QuorumPolicy { k: 1, timeout: Duration::from_millis(60) }),
+            role: Role::SemiSync(SemiSync {
+                group: Arc::clone(&group),
+                policy: QuorumPolicy { k: 1, timeout: Duration::from_millis(60) },
+            }),
             ..ServerConfig::default()
         },
     )
@@ -178,8 +180,10 @@ fn higher_term_subscriber_fences_the_primary() {
         Arc::clone(&db),
         "127.0.0.1:0",
         ServerConfig {
-            repl_group: Some(Arc::clone(&group)),
-            quorum: Some(QuorumPolicy { k: 1, timeout: Duration::from_millis(60) }),
+            role: Role::SemiSync(SemiSync {
+                group: Arc::clone(&group),
+                policy: QuorumPolicy { k: 1, timeout: Duration::from_millis(60) },
+            }),
             ..ServerConfig::default()
         },
     )
@@ -237,9 +241,12 @@ fn dead_feed_answers_lagging_immediately() {
         Arc::clone(&db),
         "127.0.0.1:0",
         ServerConfig {
-            applied_watermark: Some(Arc::clone(&watermark)),
-            feed_live: Some(Arc::clone(&feed_live)),
-            read_at_wait: Duration::from_secs(3),
+            role: Role::Follower(Follower {
+                applied: Arc::clone(&watermark),
+                feed_live: Arc::clone(&feed_live),
+                gate: Arc::default(),
+                read_at_wait: Duration::from_secs(3),
+            }),
             ..ServerConfig::default()
         },
     )
@@ -285,11 +292,13 @@ fn single_reactor_commit_is_acked_by_a_feed_on_the_same_reactor() {
         "127.0.0.1:0",
         ServerConfig {
             reactors: 1,
-            repl_group: Some(Arc::clone(&group)),
-            // Generous timeout: on a correct server the ack arrives in
-            // milliseconds; on a deadlocked one we'd burn all of it and
-            // fail typed below.
-            quorum: Some(QuorumPolicy { k: 1, timeout: Duration::from_secs(5) }),
+            role: Role::SemiSync(SemiSync {
+                group: Arc::clone(&group),
+                // Generous timeout: on a correct server the ack arrives in
+                // milliseconds; on a deadlocked one we'd burn all of it and
+                // fail typed below.
+                policy: QuorumPolicy { k: 1, timeout: Duration::from_secs(5) },
+            }),
             poll_interval: Duration::from_millis(2),
             ..ServerConfig::default()
         },

@@ -6,10 +6,11 @@
 //! wire, and one refresh-and-retry lands it on the new owner.
 
 use esdb_core::{slot_of, Database, EngineConfig, RoutingTable};
-use esdb_net::{Client, NetError, OwnershipCheck, RoutingSource, Server, ServerConfig};
+use esdb_net::{Client, NetError, Server, ServerConfig};
 use esdb_rebal::{Migration, MigrationEnv, MigrationLog, MigrationSpec, Phase, ShardHandle};
 use esdb_shard::{
-    DecisionLog, NetShard, ShardBackend, ShardError, ShardOwnership, ShardRouter, SharedRouting,
+    DecisionLog, NetShard, OwnedShard, ShardBackend, ShardError, ShardOwnership, ShardRouter,
+    SharedRouting,
 };
 use esdb_workload::{TxnSpec, WorkloadOp};
 use std::net::SocketAddr;
@@ -19,29 +20,6 @@ const SLOTS: u32 = 8;
 const MOVING: u32 = 0;
 const T: u32 = 0;
 
-/// A server config wired to the live routing table and a shard's
-/// ownership gate: `RoutingSnapshot` answers from the shared table, and
-/// every write is admission-checked — unowned *or fenced* slots get the
-/// typed `WrongShard` refusal instead of silently serving stale keys.
-fn hooked_config(routing: &Arc<SharedRouting>, own: &Arc<ShardOwnership>) -> ServerConfig {
-    let r = Arc::clone(routing);
-    let routing_source = RoutingSource(Arc::new(move || r.snapshot()));
-    let (r, o) = (Arc::clone(routing), Arc::clone(own));
-    let ownership_check = OwnershipCheck(Arc::new(move |table, key| {
-        let t = r.current();
-        let slot = t.slot_for(table, key);
-        if o.owns(slot) && !o.fenced(slot) {
-            None
-        } else {
-            Some((t.epoch, t.slots.get(slot as usize).copied().unwrap_or(0)))
-        }
-    }));
-    ServerConfig {
-        routing_source: Some(routing_source),
-        ownership_check: Some(ownership_check),
-        ..ServerConfig::default()
-    }
-}
 
 struct WireCluster {
     dbs: Vec<Arc<Database>>,
@@ -62,12 +40,18 @@ impl WireCluster {
             let db = Arc::new(Database::open(EngineConfig::default()));
             db.create_table("t", 1).unwrap();
             let own = Arc::new(ShardOwnership::for_shard(&table, shard));
-            let server = Server::start(
-                Arc::clone(&db),
-                "127.0.0.1:0",
-                hooked_config(&routing, &own),
-            )
-            .expect("bind ephemeral port");
+            // `RoutingSnapshot` answers from the shared table, and every
+            // write is admission-checked: unowned *or fenced* slots get the
+            // typed `WrongShard` refusal instead of silently serving stale
+            // keys.
+            let gate = OwnedShard {
+                db: Arc::clone(&db),
+                own: Arc::clone(&own),
+                routing: Arc::clone(&routing),
+            };
+            let config = ServerConfig { slot_gate: Some(Arc::new(gate)), ..ServerConfig::default() };
+            let server =
+                Server::start(Arc::clone(&db), "127.0.0.1:0", config).expect("bind ephemeral port");
             dbs.push(db);
             owns.push(own);
             servers.push(server);

@@ -134,14 +134,14 @@ pub struct Replica {
     /// committed.
     resolved: HashMap<u64, bool>,
     /// The commit-consistent apply frontier, published for follower reads
-    /// (`ServerConfig::applied_watermark`).
+    /// (`esdb_net::Follower::applied`).
     applied: Arc<AtomicU64>,
     /// Highest replication term observed: chunk stamps fed through
     /// [`Replica::ingest_term`] and `TermChange` records in the stream.
     term: u64,
     /// Snapshot pin for OLAP reads: `advance_frontier` holds the write side
     /// while applying a batch of redo, and a pinned query (an
-    /// [`crate::HtapView`], or a server's `ServerConfig::apply_gate`) holds
+    /// [`crate::HtapView`], or a server's `esdb_net::Follower::gate`) holds
     /// the read side across its whole plan — so a query only ever observes
     /// the heap *between* consistent cuts, never mid-apply.
     gate: Arc<RwLock<()>>,
@@ -184,7 +184,7 @@ impl Replica {
     }
 
     /// The apply frontier watermark, shared with a serving
-    /// [`esdb_net::ServerConfig::applied_watermark`].
+    /// [`esdb_net::Follower::applied`].
     pub fn watermark(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.applied)
     }
@@ -207,7 +207,7 @@ impl Replica {
     }
 
     /// The snapshot pin, shared with a serving
-    /// `esdb_net::ServerConfig::apply_gate`.
+    /// [`esdb_net::Follower::gate`].
     pub fn apply_gate(&self) -> Arc<RwLock<()>> {
         Arc::clone(&self.gate)
     }

@@ -6,7 +6,7 @@ use crate::htap::HtapView;
 use crate::replica::{Replica, ReplError};
 use esdb_core::config::EngineConfig;
 use esdb_core::Database;
-use esdb_net::{Client, ReconnectPolicy};
+use esdb_net::{Client, Follower, ReconnectPolicy};
 use parking_lot::RwLock;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,22 +27,14 @@ pub struct ReplicaHandle {
 
 impl ReplicaHandle {
     /// The replica database. Hand a clone to an [`esdb_net::Server`]
-    /// together with [`ReplicaHandle::watermark`] to serve follower reads.
+    /// together with [`ReplicaHandle::follower`] to serve follower reads.
     pub fn db(&self) -> &Arc<Database> {
         &self.db
     }
 
-    /// The apply frontier, for `ServerConfig::applied_watermark`.
+    /// The apply frontier.
     pub fn watermark(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.applied)
-    }
-
-    /// The apply pin gate, for `ServerConfig::apply_gate`: the feed thread
-    /// holds the write side for each redo batch, so a server (or an
-    /// [`HtapView`]) holding the read side observes the heap only at
-    /// transaction-consistent cuts.
-    pub fn apply_gate(&self) -> Arc<RwLock<()>> {
-        Arc::clone(&self.gate)
     }
 
     /// A commit-consistent analytical view over this replica, for in-process
@@ -56,13 +48,21 @@ impl ReplicaHandle {
         self.applied.load(Ordering::Acquire)
     }
 
-    /// Liveness of the feed thread, for `ServerConfig::feed_live`: `true`
-    /// while the apply loop is running, flipped to `false` the moment it
-    /// exits for any reason. A server gating `ReadAt` on this answers
-    /// `Lagging` immediately once the watermark can no longer advance,
-    /// instead of burning the caller's full wait budget.
-    pub fn feed_live(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.feed_live)
+    /// The server role that serves this replica's reads: its apply
+    /// frontier, its apply gate (the feed thread holds the write side for
+    /// each redo batch, and every wire query runs under the read side, so it
+    /// observes the heap only at transaction-consistent cuts), and the feed
+    /// thread's liveness, `true` while the apply loop runs and `false`
+    /// the moment it exits for any reason, so a token the frontier can no
+    /// longer reach answers `Lagging` at once instead of after
+    /// `read_at_wait`.
+    pub fn follower(&self, read_at_wait: Duration) -> Follower {
+        Follower {
+            applied: self.watermark(),
+            feed_live: Arc::clone(&self.feed_live),
+            gate: Arc::clone(&self.gate),
+            read_at_wait,
+        }
     }
 
     /// Stops the feed thread and returns its verdict: `Ok(())` for a clean

@@ -4,7 +4,7 @@
 
 use esdb_core::config::EngineConfig;
 use esdb_core::{Database, QuorumPolicy, ReplGroup};
-use esdb_net::{Client, NetError, ReconnectPolicy, Server, ServerConfig};
+use esdb_net::{Client, NetError, ReconnectPolicy, Role, SemiSync, Server, ServerConfig};
 use esdb_repl::start_replica;
 use esdb_workload::{TxnSpec, WorkloadOp};
 use std::sync::Arc;
@@ -27,8 +27,10 @@ fn live_replica_feed_satisfies_quorum_and_its_death_degrades_typed() {
         Arc::clone(&db),
         "127.0.0.1:0",
         ServerConfig {
-            repl_group: Some(Arc::clone(&group)),
-            quorum: Some(QuorumPolicy { k: 1, timeout: Duration::from_millis(150) }),
+            role: Role::SemiSync(SemiSync {
+                group: Arc::clone(&group),
+                policy: QuorumPolicy { k: 1, timeout: Duration::from_millis(150) },
+            }),
             ..ServerConfig::default()
         },
     )
@@ -72,15 +74,12 @@ fn live_replica_feed_satisfies_quorum_and_its_death_degrades_typed() {
     assert_eq!(group.followers(), 1);
 
     // Follower reads ride the same machinery end to end.
+    let role = replica.follower(Duration::from_secs(5));
+    let feed_live = Arc::clone(&role.feed_live);
     let follower = Server::start(
         Arc::clone(replica.db()),
         "127.0.0.1:0",
-        ServerConfig {
-            applied_watermark: Some(replica.watermark()),
-            feed_live: Some(replica.feed_live()),
-            read_at_wait: Duration::from_secs(5),
-            ..ServerConfig::default()
-        },
+        ServerConfig { role: Role::Follower(role), ..ServerConfig::default() },
     )
     .unwrap();
     let token = client.commit_token().unwrap();
@@ -94,7 +93,6 @@ fn live_replica_feed_satisfies_quorum_and_its_death_degrades_typed() {
     // The replica dies. Its ack slot leaves the group, so commits degrade
     // typed again — and the follower's dead feed answers Lagging instantly
     // instead of burning the 5s wait budget.
-    let feed_live = replica.feed_live();
     replica.shutdown().expect("clean replica stop");
     assert!(!feed_live.load(std::sync::atomic::Ordering::Acquire));
     let deadline = Instant::now() + Duration::from_secs(10);

@@ -5,7 +5,7 @@
 
 use esdb_core::config::EngineConfig;
 use esdb_core::Database;
-use esdb_net::{Client, ReconnectPolicy, Server, ServerConfig};
+use esdb_net::{Client, ReconnectPolicy, Role, Server, ServerConfig};
 use esdb_repl::start_replica;
 use esdb_workload::tpcb::{ACCOUNTS, BRANCHES, HISTORY, TELLERS};
 use esdb_workload::{Tpcb, Workload};
@@ -45,8 +45,7 @@ fn tcp_replica_converges_and_serves_ryw_reads() {
         Arc::clone(replica.db()),
         "127.0.0.1:0",
         ServerConfig {
-            applied_watermark: Some(replica.watermark()),
-            read_at_wait: Duration::from_secs(5),
+            role: Role::Follower(replica.follower(Duration::from_secs(5))),
             ..ServerConfig::default()
         },
     )
@@ -85,8 +84,7 @@ fn tcp_replica_converges_and_serves_ryw_reads() {
         Arc::clone(replica.db()),
         "127.0.0.1:0",
         ServerConfig {
-            applied_watermark: Some(replica.watermark()),
-            read_at_wait: Duration::from_millis(50),
+            role: Role::Follower(replica.follower(Duration::from_millis(50))),
             ..ServerConfig::default()
         },
     )

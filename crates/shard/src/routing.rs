@@ -19,6 +19,7 @@ use crate::router::ShardBackend;
 use crate::ShardError;
 use esdb_core::spec_exec::SpecOutcome;
 use esdb_core::{Database, RoutingTable};
+use esdb_net::SlotGate;
 use esdb_workload::{TxnSpec, WorkloadOp};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -130,13 +131,14 @@ impl ShardOwnership {
         self.state.lock().unwrap().owned.get(slot as usize).copied().unwrap_or(false)
     }
 
-    /// Whether `slot` is currently fenced (mid-migration write block).
-    /// Wire-facing admission (`esdb_net::OwnershipCheck`) treats a fenced
-    /// slot as refusable — a remote writer gets the typed `WrongShard`
-    /// and retries after the cutover, instead of blocking a reactor
-    /// thread on the fence.
-    pub fn fenced(&self, slot: u32) -> bool {
-        self.state.lock().unwrap().fenced.get(slot as usize).copied().unwrap_or(false)
+    /// Whether `slot` is owned and not fenced (mid-migration write block).
+    /// Wire-facing admission ([`OwnedShard`]'s [`SlotGate`]) refuses
+    /// anything else: a remote writer gets the typed `WrongShard` and
+    /// retries after the cutover, instead of blocking a reactor thread on
+    /// the fence.
+    pub fn admits(&self, slot: u32) -> bool {
+        let st = self.state.lock().unwrap();
+        st.owned.get(slot as usize).copied().unwrap_or(false) && !st.fenced[slot as usize]
     }
 
     /// Admits a transaction touching `slots`: errors with the offending
@@ -290,6 +292,22 @@ impl OwnedShard {
     }
 }
 
+/// The same gate on the wire: a server over this shard answers
+/// `RoutingSnapshot` from the shared table and refuses a key whose slot
+/// [`ShardOwnership::admits`] does not, where [`ShardBackend::one_shot`]
+/// would wait out a fence.
+impl SlotGate for OwnedShard {
+    fn routing(&self) -> (u64, Vec<u32>) {
+        self.routing.snapshot()
+    }
+
+    fn refusal(&self, table: u32, key: u64) -> Option<(u64, u32)> {
+        let current = self.routing.current();
+        let admitted = self.own.admits(current.slot_for(table, key));
+        (!admitted).then(|| (current.epoch, current.shard_of(table, key)))
+    }
+}
+
 impl ShardBackend for OwnedShard {
     fn one_shot(&mut self, spec: &TxnSpec) -> Result<SpecOutcome, ShardError> {
         let slots = self.slots_of(&spec.ops);
@@ -394,24 +412,27 @@ mod tests {
             own: Arc::new(ShardOwnership::for_shard(&table, 0)),
             routing,
         };
-        // Find a key shard 0 does not own under the uniform table.
-        let key = (0..100u64).find(|&k| table.shard_of(0, k) == 1).unwrap();
-        let spec = TxnSpec {
+        // A key shard 0 does not own under the uniform table, and one it does.
+        let foreign = (0..100u64).find(|&k| table.shard_of(0, k) == 1).unwrap();
+        let owned = (0..100u64).find(|&k| table.shard_of(0, k) == 0).unwrap();
+        let insert = |key| TxnSpec {
             kind: "t",
             ops: vec![WorkloadOp::Insert { table: 0, key, row: vec![1] }],
             may_fail: false,
         };
-        match shard.one_shot(&spec) {
+        match shard.one_shot(&insert(foreign)) {
             Err(ShardError::WrongShard { epoch: 0, hint: 1 }) => {}
             other => panic!("expected WrongShard, got {other:?}"),
         }
-        // A key it does own commits normally.
-        let key = (0..100u64).find(|&k| table.shard_of(0, k) == 0).unwrap();
-        let spec = TxnSpec {
-            kind: "t",
-            ops: vec![WorkloadOp::Insert { table: 0, key, row: vec![1] }],
-            may_fail: false,
-        };
-        assert!(shard.one_shot(&spec).unwrap().is_committed());
+        assert!(shard.one_shot(&insert(owned)).unwrap().is_committed());
+
+        // The wire gate states the same rule per key: owned is admitted,
+        // unowned is refused with `(epoch, owner)`.
+        assert_eq!(shard.routing(), (0, table.slots.clone()));
+        assert_eq!(shard.refusal(0, owned), None);
+        assert_eq!(shard.refusal(0, foreign), Some((0, 1)));
+        // A fenced slot is refused too, where the backend would wait.
+        shard.own.fence(table.slot_for(0, owned));
+        assert_eq!(shard.refusal(0, owned), Some((0, 0)));
     }
 }

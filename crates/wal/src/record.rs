@@ -16,7 +16,6 @@
 
 use crate::crc::Crc32;
 use crate::Lsn;
-use bytes::BufMut;
 use esdb_storage::rid::Rid;
 use esdb_storage::schema::TableId;
 
@@ -293,9 +292,9 @@ pub struct SalvagedLog {
 }
 
 fn put_row(out: &mut Vec<u8>, row: &[i64]) {
-    out.put_u16_le(row.len() as u16);
+    out.extend_from_slice(&(row.len() as u16).to_le_bytes());
     for v in row {
-        out.put_i64_le(*v);
+        out.extend_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -303,11 +302,10 @@ fn put_row(out: &mut Vec<u8>, row: &[i64]) {
 /// the length and checksum patched in.
 fn frame(out: &mut Vec<u8>, txn_id: u64, prev_lsn: Lsn, tag: u8, body: impl FnOnce(&mut Vec<u8>)) {
     let at = out.len();
-    out.put_u32_le(0); // length patched below
-    out.put_u32_le(0); // crc patched below
-    out.put_u64_le(txn_id);
-    out.put_u64_le(prev_lsn);
-    out.put_u8(tag);
+    out.extend_from_slice(&[0; 8]); // length and crc patched below
+    out.extend_from_slice(&txn_id.to_le_bytes());
+    out.extend_from_slice(&prev_lsn.to_le_bytes());
+    out.push(tag);
     body(out);
     let len = (out.len() - at) as u32;
     out[at..at + 4].copy_from_slice(&len.to_le_bytes());
@@ -334,9 +332,9 @@ pub fn encode_row_op_into(
         RowOp::Delete { before } => (3, before, None),
     };
     frame(out, txn_id, prev_lsn, tag, |out| {
-        out.put_u32_le(table);
-        out.put_u64_le(key);
-        out.put_u64_le(rid.to_u64());
+        out.extend_from_slice(&table.to_le_bytes());
+        out.extend_from_slice(&key.to_le_bytes());
+        out.extend_from_slice(&rid.to_u64().to_le_bytes());
         put_row(out, first);
         if let Some(row) = second {
             put_row(out, row);
@@ -350,21 +348,21 @@ pub fn encode_into(out: &mut Vec<u8>, txn_id: u64, prev_lsn: Lsn, body: &LogBody
         LogBody::Begin => frame(out, txn_id, prev_lsn, 0, |_| {}),
         LogBody::Commit => frame(out, txn_id, prev_lsn, 4, |_| {}),
         LogBody::Abort => frame(out, txn_id, prev_lsn, 5, |_| {}),
-        LogBody::Checkpoint { redo_lsn } => frame(out, txn_id, prev_lsn, 6, |out| out.put_u64_le(*redo_lsn)),
-        LogBody::Prepare { gtid } => frame(out, txn_id, prev_lsn, 7, |out| out.put_u64_le(*gtid)),
+        LogBody::Checkpoint { redo_lsn } => frame(out, txn_id, prev_lsn, 6, |out| out.extend_from_slice(&redo_lsn.to_le_bytes())),
+        LogBody::Prepare { gtid } => frame(out, txn_id, prev_lsn, 7, |out| out.extend_from_slice(&gtid.to_le_bytes())),
         LogBody::Decide { gtid, commit } => frame(out, txn_id, prev_lsn, 8, |out| {
-            out.put_u64_le(*gtid);
-            out.put_u8(u8::from(*commit));
+            out.extend_from_slice(&gtid.to_le_bytes());
+            out.push(u8::from(*commit));
         }),
-        LogBody::GtidWatermark { next } => frame(out, txn_id, prev_lsn, 9, |out| out.put_u64_le(*next)),
-        LogBody::TermChange { term } => frame(out, txn_id, prev_lsn, 10, |out| out.put_u64_le(*term)),
+        LogBody::GtidWatermark { next } => frame(out, txn_id, prev_lsn, 9, |out| out.extend_from_slice(&next.to_le_bytes())),
+        LogBody::TermChange { term } => frame(out, txn_id, prev_lsn, 10, |out| out.extend_from_slice(&term.to_le_bytes())),
         LogBody::MigrationStep { mid, phase, slot, from, to, mark } => frame(out, txn_id, prev_lsn, 11, |out| {
-            out.put_u64_le(*mid);
-            out.put_u8(*phase);
-            out.put_u32_le(*slot);
-            out.put_u32_le(*from);
-            out.put_u32_le(*to);
-            out.put_u64_le(*mark);
+            out.extend_from_slice(&mid.to_le_bytes());
+            out.push(*phase);
+            out.extend_from_slice(&slot.to_le_bytes());
+            out.extend_from_slice(&from.to_le_bytes());
+            out.extend_from_slice(&to.to_le_bytes());
+            out.extend_from_slice(&mark.to_le_bytes());
         }),
         row => {
             let (table, key, rid, op) = row.row().expect("every other tag is a row record");

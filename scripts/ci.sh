@@ -72,6 +72,16 @@ if [ "$(echo "$io_read" | grep -c .)" -ne 2 ] || [ "$(echo "$io_read" | grep -c 
     exit 1
 fi
 
+echo "== seam: no unwrap or expect in the reactor or the server =="
+# ROADMAP item 16's ratchet. A reactor thread has no catch_unwind, so a
+# panic there kills every session on that reactor: neither file may hold an
+# `.unwrap()` or an `.expect(`. A config the types allow is handled, not
+# asserted away.
+if grep -nE '\.unwrap\(\)|\.expect\(' crates/net/src/reactor.rs crates/net/src/server.rs; then
+    echo "FAIL: unwrap/expect in crates/net/src/reactor.rs or server.rs" >&2
+    exit 1
+fi
+
 echo "== smoke: fig1_scaling (reduced sweep) =="
 FIG1_CONTEXTS="1,4" FIG1_SUBSCRIBERS=1000 \
     cargo run --release -p esdb-bench --bin fig1_scaling

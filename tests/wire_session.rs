@@ -1,17 +1,18 @@
 //! Tier-1 reaches the wire: one loopback server driven through every session
 //! mechanism of `esdb::net` — the pipelined batch under one group-commit
 //! flush, an interactive transaction, the obs frame, a follower freshness
-//! wait that times out and one that parks and resolves, and a graceful
-//! shutdown with a burst in flight.
+//! wait that times out and one that parks and resolves, a follower query
+//! held behind the apply gate, a primary's typed refusal of a query, and a
+//! graceful shutdown with a burst in flight.
 
 use esdb::core::spec_exec::SpecOutcome;
 use esdb::core::{Database, EngineConfig};
 use esdb::net::protocol::{decode_response, encode_request};
-use esdb::net::{Client, Request, Response, Server, ServerConfig, WirePlan};
+use esdb::net::{Client, Follower, NetError, Request, Response, Role, Server, ServerConfig, WirePlan};
 use esdb::workload::{TxnSpec, WorkloadOp};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -94,8 +95,12 @@ fn follower_freshness_wait_lags_then_parks_and_resolves() {
     let watermark = Arc::new(AtomicU64::new(50));
     let wait = Duration::from_millis(250);
     let (db, t, server) = start(ServerConfig {
-        applied_watermark: Some(Arc::clone(&watermark)),
-        read_at_wait: wait,
+        role: Role::Follower(Follower {
+            applied: Arc::clone(&watermark),
+            feed_live: Arc::new(AtomicBool::new(true)),
+            gate: Arc::default(),
+            read_at_wait: wait,
+        }),
         ..ServerConfig::default()
     });
     db.execute(|txn| txn.insert(t, 1, &[7])).unwrap();
@@ -126,6 +131,63 @@ fn follower_freshness_wait_lags_then_parks_and_resolves() {
     let advance = arriving(70);
     assert_eq!(client.query_at(65, &scan).unwrap(), Ok(vec![vec![1, 7]]));
     advance.join().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn primary_refuses_a_query_and_the_session_goes_on() {
+    let (_db, t, server) = start(ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    match client.query_at(0, &WirePlan::Scan { table: t }) {
+        Err(NetError::Server(msg)) => assert!(msg.contains("followers"), "{msg}"),
+        other => panic!("expected the typed refusal, got {other:?}"),
+    }
+    let outcome = client.one_shot(&TxnSpec {
+        kind: "kv",
+        ops: vec![insert(t, 1, vec![3])],
+        may_fail: false,
+    });
+    assert!(outcome.unwrap().is_committed());
+    assert_eq!(client.read_at(t, 1, 0).unwrap(), Ok(vec![3]));
+    server.shutdown();
+}
+
+#[test]
+fn follower_query_waits_for_the_apply_gate() {
+    let follower = Follower {
+        applied: Arc::new(AtomicU64::new(0)),
+        feed_live: Arc::new(AtomicBool::new(true)),
+        gate: Arc::default(),
+        read_at_wait: Duration::from_secs(1),
+    };
+    let gate = Arc::clone(&follower.gate);
+    let (db, t, server) =
+        start(ServerConfig { role: Role::Follower(follower), ..ServerConfig::default() });
+    db.execute(|txn| txn.insert(t, 1, &[7])).unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let mut greeting = [0u8; 5];
+    raw.read_exact(&mut greeting).unwrap(); // Hello
+
+    // An apply batch is in progress: the plan must not see its heap.
+    let applying = gate.write();
+    let mut wire = Vec::new();
+    encode_request(&Request::Query { min_lsn: 0, plan: WirePlan::Scan { table: t } }, &mut wire);
+    raw.write_all(&wire).unwrap();
+    raw.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+    let mut replies = vec![0u8; 64];
+    assert!(raw.read(&mut replies).is_err(), "a query answered inside an apply batch");
+
+    // The batch ends; the pinned plan runs and answers with the rows.
+    drop(applying);
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut got = 0;
+    loop {
+        got += raw.read(&mut replies[got..]).unwrap();
+        if let Some((resp, _)) = decode_response(&replies[..got]).unwrap() {
+            assert_eq!(resp, Response::Rows(vec![vec![1, 7]]));
+            break;
+        }
+    }
     server.shutdown();
 }
 
