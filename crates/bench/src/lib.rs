@@ -25,6 +25,8 @@
 //! fig6b's simulator cells are pinned by exact equality in `esdb-core`'s
 //! `simbridge` tests.
 
+#![deny(unsafe_code)]
+
 use std::time::Instant;
 
 /// Prints a series header (figure id + column names).

@@ -37,6 +37,8 @@
 //! assert!(report.failure.is_none(), "{}", report.failure.unwrap());
 //! ```
 
+#![deny(unsafe_code)]
+
 mod dist;
 mod history;
 mod migrate;

@@ -27,6 +27,8 @@
 //! assert_eq!(db.read_committed(accounts, 1).unwrap(), vec![100, 0]);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod config;
 pub mod db;
 pub mod metrics;

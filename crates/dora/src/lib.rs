@@ -32,6 +32,8 @@
 //! forced before the keys are released, or (ELR) after, and always before
 //! the client acknowledges.
 
+#![deny(unsafe_code)]
+
 pub mod action;
 pub mod executor;
 pub mod router;

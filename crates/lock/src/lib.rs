@@ -18,6 +18,8 @@
 //! centralized manager the scalability ceiling — which is what
 //! `esdb-dora` then removes by design.
 
+#![deny(unsafe_code)]
+
 pub mod deadlock;
 pub mod id;
 pub mod manager;

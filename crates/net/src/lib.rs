@@ -37,6 +37,8 @@
 //! server.shutdown();
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod client;
 pub mod protocol;
 pub mod reactor;

@@ -24,6 +24,8 @@
 //! timestamp reads too; `scripts/ci.sh` gates the enabled build to within 5%
 //! of the disabled build's throughput.
 
+#![deny(unsafe_code)]
+
 mod histogram;
 mod profile;
 

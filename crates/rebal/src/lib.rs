@@ -28,6 +28,8 @@
 //!
 //! [`DecisionLog`]: esdb_shard::DecisionLog
 
+#![deny(unsafe_code)]
+
 pub mod log;
 pub mod migrate;
 

@@ -35,6 +35,8 @@
 //!
 //! See `DESIGN.md` ("Replication") for the invariants and their arguments.
 
+#![deny(unsafe_code)]
+
 pub mod htap;
 pub mod range;
 pub mod replica;

@@ -41,6 +41,8 @@
 //! then asks the coordinator's [`DecisionLog`]; no durable commit verdict
 //! means abort.
 
+#![deny(unsafe_code)]
+
 pub mod coordinator;
 pub mod partition;
 pub mod recovery;

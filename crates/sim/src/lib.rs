@@ -31,6 +31,8 @@
 //! no OS threads, no hash-iteration-order decisions — the same inputs
 //! produce bit-identical outputs on every run.
 
+#![deny(unsafe_code)]
+
 pub mod cache;
 pub mod dbmodel;
 pub mod engine;

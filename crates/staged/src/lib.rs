@@ -26,6 +26,8 @@
 //! against each other, including with property-based random plans over
 //! literal rows and over stored, multi-page tables.
 
+#![deny(unsafe_code)]
+
 pub mod engine;
 pub mod plan;
 pub mod volcano;

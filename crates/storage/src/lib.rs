@@ -18,10 +18,9 @@
 //! * [`heap`] — heap files of slotted pages addressed by [`rid::Rid`].
 //! * [`btree`] — an in-memory B+tree with per-node latches and latch
 //!   crabbing, mapping `u64` keys to values.
-//! * [`hashindex`] — a partitioned hash index (used for DORA-local indexes)
-//!   plus the partitioned multimap backing secondary hash indexes.
-//! * [`secondary`] — secondary indexes over single columns (hash and range),
-//!   maintained with idempotent set semantics so WAL redo can replay them.
+//! * [`secondary`] — secondary indexes over single columns (hash and range,
+//!   one latched postings map per partition), maintained with idempotent set
+//!   semantics so WAL redo can replay them.
 //! * [`schema`] — minimal catalog types. Tuples are fixed-arity `i64` rows;
 //!   this is sufficient for the TATP/TPC-C-style workloads the keynote's
 //!   experiments use and keeps tuple (de)serialization trivial.
@@ -38,12 +37,14 @@
 //! assert_eq!(table.get(7).unwrap(), vec![100, 1]);
 //! ```
 
+#![deny(unsafe_code)]
+
+#[allow(unsafe_code)]
 pub mod btree;
 pub mod buffer;
 pub mod disk;
 pub mod error;
 pub mod fault;
-pub mod hashindex;
 pub mod heap;
 pub mod page;
 pub mod rid;

@@ -19,7 +19,7 @@
 //! * **Spin-then-park hybrid** ([`HybridLock`]) — bounded spinning followed by
 //!   parking, the policy Shore-MT converged on for most latches.
 //! * **Reader–writer latch** ([`RwLatch`]) — writer-preferring spin latch used
-//!   to protect pages and index nodes.
+//!   to protect index nodes; [`Latched<T>`] pairs one with the data it guards.
 //!
 //! All primitives implement the [`RawLock`] trait so higher layers (buffer
 //! pool, lock manager, log buffer) can be instantiated with any policy, and
@@ -38,11 +38,15 @@
 //! lock.unlock();
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod backoff;
 pub mod block;
 pub mod hybrid;
+#[allow(unsafe_code)]
 pub mod mcs;
 pub mod policy;
+#[allow(unsafe_code)]
 pub mod rwlatch;
 pub mod sched;
 pub mod spin;
@@ -53,7 +57,7 @@ pub use block::BlockLock;
 pub use hybrid::HybridLock;
 pub use mcs::McsLock;
 pub use policy::{LatchPolicy, PolicyLock};
-pub use rwlatch::{RwLatch, RwReadGuard, RwWriteGuard};
+pub use rwlatch::{Latched, RwLatch};
 pub use sched::{SchedHook, YieldPoint};
 pub use spin::{TasLock, TatasLock, TicketLock};
 pub use stats::LockStats;

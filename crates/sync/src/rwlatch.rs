@@ -3,10 +3,13 @@
 //! Pages, index nodes, and catalog entries are read far more often than they
 //! are written; a reader-writer latch lets readers proceed in parallel while
 //! still giving writers a bounded wait (incoming readers stand aside once a
-//! writer announces itself). The latch exposes both RAII guards and raw
-//! acquire/release calls — the B+tree's latch-crabbing needs the latter.
+//! writer announces itself). [`RwLatch`] itself has only raw acquire/release
+//! calls, which the B+tree's latch crabbing needs; [`Latched<T>`] pairs one
+//! with the data it guards and hands out RAII guards.
 
 use crate::Backoff;
+use std::cell::UnsafeCell;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Writer-held marker in the reader-count word.
@@ -98,20 +101,6 @@ impl RwLatch {
         debug_assert_eq!(prev, WRITER, "unlock_exclusive without exclusive hold");
     }
 
-    /// Attempts to upgrade a single shared hold to exclusive. Fails (keeping
-    /// the shared hold) if other readers are present.
-    pub fn try_upgrade(&self) -> bool {
-        self.state
-            .compare_exchange(1, WRITER, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    /// Downgrades an exclusive hold to shared without releasing.
-    pub fn downgrade(&self) {
-        let prev = self.state.swap(1, Ordering::Release);
-        debug_assert_eq!(prev, WRITER, "downgrade without exclusive hold");
-    }
-
     /// Returns `true` if currently write-held (racy; diagnostics only).
     pub fn is_write_locked(&self) -> bool {
         self.state.load(Ordering::Relaxed) == WRITER
@@ -126,39 +115,86 @@ impl RwLatch {
             s
         }
     }
+}
 
-    /// RAII shared acquisition.
-    pub fn read(&self) -> RwReadGuard<'_> {
-        self.lock_shared();
-        RwReadGuard { latch: self }
+/// Data guarded by an [`RwLatch`], reachable only through its guards — the
+/// latch owns what it protects, as `std::sync::RwLock` does, so no caller
+/// touches a raw pointer.
+#[derive(Default)]
+pub struct Latched<T> {
+    latch: RwLatch,
+    data: UnsafeCell<T>,
+}
+
+// SAFETY: the same bounds as `std::sync::RwLock`. The latch admits either
+// one writer (`&mut T` on one thread) or many readers (`&T` on many).
+unsafe impl<T: Send> Send for Latched<T> {}
+unsafe impl<T: Send + Sync> Sync for Latched<T> {}
+
+impl<T> Latched<T> {
+    /// Wraps `data` behind an unlatched latch.
+    pub const fn new(data: T) -> Self {
+        Latched {
+            latch: RwLatch::new(),
+            data: UnsafeCell::new(data),
+        }
     }
 
-    /// RAII exclusive acquisition.
-    pub fn write(&self) -> RwWriteGuard<'_> {
-        self.lock_exclusive();
-        RwWriteGuard { latch: self }
+    /// Shared acquisition: the guard derefs to `&T`.
+    pub fn read(&self) -> ReadGuard<'_, T> {
+        self.latch.lock_shared();
+        ReadGuard { owner: self }
+    }
+
+    /// Exclusive acquisition: the guard derefs to `&mut T`.
+    pub fn write(&self) -> WriteGuard<'_, T> {
+        self.latch.lock_exclusive();
+        WriteGuard { owner: self }
     }
 }
 
-/// RAII guard for a shared hold.
-pub struct RwReadGuard<'a> {
-    latch: &'a RwLatch,
+/// A shared hold on a [`Latched`]; releases on drop.
+pub struct ReadGuard<'a, T> {
+    owner: &'a Latched<T>,
 }
 
-impl Drop for RwReadGuard<'_> {
+impl<T> Deref for ReadGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        // SAFETY: a shared hold excludes every writer.
+        unsafe { &*self.owner.data.get() }
+    }
+}
+
+impl<T> Drop for ReadGuard<'_, T> {
     fn drop(&mut self) {
-        self.latch.unlock_shared();
+        self.owner.latch.unlock_shared();
     }
 }
 
-/// RAII guard for an exclusive hold.
-pub struct RwWriteGuard<'a> {
-    latch: &'a RwLatch,
+/// An exclusive hold on a [`Latched`]; releases on drop.
+pub struct WriteGuard<'a, T> {
+    owner: &'a Latched<T>,
 }
 
-impl Drop for RwWriteGuard<'_> {
+impl<T> Deref for WriteGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        // SAFETY: an exclusive hold excludes every other holder.
+        unsafe { &*self.owner.data.get() }
+    }
+}
+
+impl<T> DerefMut for WriteGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: as above, and `&mut self` makes this borrow unique.
+        unsafe { &mut *self.owner.data.get() }
+    }
+}
+
+impl<T> Drop for WriteGuard<'_, T> {
     fn drop(&mut self) {
-        self.latch.unlock_exclusive();
+        self.owner.latch.unlock_exclusive();
     }
 }
 
@@ -192,45 +228,50 @@ mod tests {
     }
 
     #[test]
-    fn upgrade_succeeds_only_as_sole_reader() {
-        let l = RwLatch::new();
-        l.lock_shared();
-        assert!(l.try_upgrade());
-        assert!(l.is_write_locked());
-        l.unlock_exclusive();
-
-        l.lock_shared();
-        l.lock_shared();
-        assert!(!l.try_upgrade());
-        l.unlock_shared();
-        l.unlock_shared();
-    }
-
-    #[test]
-    fn downgrade_keeps_shared_hold() {
-        let l = RwLatch::new();
-        l.lock_exclusive();
-        l.downgrade();
-        assert_eq!(l.reader_count(), 1);
-        // Another reader may now join.
-        assert!(l.try_lock_shared());
-        l.unlock_shared();
-        l.unlock_shared();
-    }
-
-    #[test]
     fn guards_release_on_drop() {
-        let l = RwLatch::new();
+        let l = Latched::new(7u32);
         {
-            let _r = l.read();
-            assert_eq!(l.reader_count(), 1);
+            let r = l.read();
+            assert_eq!(*r, 7);
+            assert_eq!(l.latch.reader_count(), 1);
         }
-        assert_eq!(l.reader_count(), 0);
+        assert_eq!(l.latch.reader_count(), 0);
         {
-            let _w = l.write();
-            assert!(l.is_write_locked());
+            let mut w = l.write();
+            *w += 1;
+            assert!(l.latch.is_write_locked());
         }
-        assert!(!l.is_write_locked());
+        assert!(!l.latch.is_write_locked());
+        assert_eq!(*l.read(), 8);
+    }
+
+    #[test]
+    fn latched_pair_is_never_seen_torn() {
+        // Writers bump both fields of a pair in two steps; readers must never
+        // see them differ, which would mean a read overlapped a write.
+        let pair = Arc::new(Latched::new((0u64, 0u64)));
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let pair = Arc::clone(&pair);
+                std::thread::spawn(move || {
+                    for _ in 0..2_000 {
+                        if t % 2 == 0 {
+                            let mut w = pair.write();
+                            w.0 += 1;
+                            std::hint::black_box(&mut *w);
+                            w.1 += 1;
+                        } else {
+                            let r = pair.read();
+                            assert_eq!(r.0, r.1, "reader saw a torn pair");
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(*pair.read(), (4_000, 4_000));
     }
 
     #[test]

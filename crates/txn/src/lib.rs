@@ -22,6 +22,8 @@
 //! locks — and therefore inserts its own commit record — strictly after ours,
 //! so its durability wait covers ours.
 
+#![deny(unsafe_code)]
+
 pub mod manager;
 
 pub use manager::{commit_rule, PreparedTxn, Txn, TxnError, TxnManager, TxnResult, TxnStats, UndoOp};

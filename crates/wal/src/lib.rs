@@ -21,9 +21,13 @@
 //! [`Wal`], which adds record framing, commit-time group flush, and feeds
 //! [`recovery`] (ARIES-style analysis / redo / undo over the storage layer).
 
+#![deny(unsafe_code)]
+
+#[allow(unsafe_code)]
 pub mod buffer;
 pub mod consolidated;
 pub mod crc;
+#[allow(unsafe_code)]
 pub mod decoupled;
 pub mod record;
 pub mod recovery;

@@ -17,6 +17,8 @@
 //! into DORA action lists, so both execution models run *identical* request
 //! streams.
 
+#![deny(unsafe_code)]
+
 pub mod rng;
 pub mod spec;
 pub mod tatp;

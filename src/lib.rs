@@ -25,6 +25,8 @@
 //! assert_eq!(db.read_committed(accounts, 1).unwrap()[0], 100);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub use esdb_core as core;
 pub use esdb_dora as dora;
 pub use esdb_lock as lock;

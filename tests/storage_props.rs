@@ -1,11 +1,11 @@
 //! Property-based tests of the storage substrates against model oracles.
 
 use esdb::storage::btree::BTree;
-use esdb::storage::hashindex::HashIndex;
 use esdb::storage::page::Page;
 use esdb::storage::schema::{decode_row, encode_row};
+use esdb::storage::{IndexDef, IndexKind, SecondaryIndex};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Clone)]
 enum MapOp {
@@ -23,6 +23,38 @@ fn arb_map_op() -> impl Strategy<Value = MapOp> {
         (0u64..500).prop_map(MapOp::Remove),
         (0u64..500).prop_map(MapOp::Get),
         (0u64..500, 0u64..500).prop_map(|(a, b)| MapOp::Range(a.min(b), a.max(b))),
+    ]
+}
+
+#[derive(Debug, Clone)]
+enum IxOp {
+    Insert(u64, i64),
+    Remove(u64, i64),
+    Update(u64, i64, i64),
+    Eq(i64),
+    Range(i64, i64),
+}
+
+/// Column values: a dense middle where pks collide, plus the `i64` edges.
+fn arb_ix_value() -> impl Strategy<Value = i64> {
+    (0u8..12, -20i64..20).prop_map(|(pick, x)| match pick {
+        0 => i64::MIN,
+        1 => i64::MIN + 1,
+        2 => i64::MAX - 1,
+        3 => i64::MAX,
+        _ => x,
+    })
+}
+
+fn arb_ix_op() -> impl Strategy<Value = IxOp> {
+    let v = arb_ix_value;
+    prop_oneof![
+        (0u64..40, v()).prop_map(|(pk, x)| IxOp::Insert(pk, x)),
+        (0u64..40, v()).prop_map(|(pk, x)| IxOp::Remove(pk, x)),
+        (0u64..40, v(), v()).prop_map(|(pk, a, b)| IxOp::Update(pk, a, b)),
+        v().prop_map(IxOp::Eq),
+        // Unordered on purpose: `lo > hi` is an empty window.
+        (v(), v()).prop_map(|(lo, hi)| IxOp::Range(lo, hi)),
     ]
 }
 
@@ -85,27 +117,62 @@ proptest! {
         prop_assert!(tree.range(0, u64::MAX).into_iter().eq(model.into_iter()));
     }
 
-    /// The partitioned hash index agrees with a plain map.
+    /// Both secondary-index kinds agree with a postings model under
+    /// idempotent maintenance, at the `i64` edges and for empty windows.
     #[test]
-    fn hashindex_matches_model(ops in prop::collection::vec(arb_map_op(), 1..300)) {
-        let idx = HashIndex::new(8);
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        for op in ops {
-            match op {
-                MapOp::Insert(k, v) => {
-                    prop_assert_eq!(idx.insert(k, v), model.insert(k, v));
+    fn secondary_matches_model(ops in prop::collection::vec(arb_ix_op(), 1..300)) {
+        for kind in [IndexKind::Hash, IndexKind::Range] {
+            let ix = SecondaryIndex::new(IndexDef { id: 0, name: "ix".into(), col: 1, kind });
+            let mut model: BTreeMap<i64, BTreeSet<u64>> = BTreeMap::new();
+            let unindex = |model: &mut BTreeMap<i64, BTreeSet<u64>>, v: i64, pk: u64| {
+                if let Some(set) = model.get_mut(&v) {
+                    set.remove(&pk);
+                    if set.is_empty() {
+                        model.remove(&v);
+                    }
                 }
-                MapOp::Remove(k) => {
-                    prop_assert_eq!(idx.remove(k), model.remove(&k));
+            };
+            for op in &ops {
+                match *op {
+                    IxOp::Insert(pk, v) => {
+                        ix.insert_row(pk, &[0, v]);
+                        model.entry(v).or_default().insert(pk);
+                    }
+                    IxOp::Remove(pk, v) => {
+                        ix.remove_row(pk, &[0, v]);
+                        unindex(&mut model, v, pk);
+                    }
+                    IxOp::Update(pk, old, new) => {
+                        ix.update_row(pk, &[0, old], &[0, new]);
+                        if old != new {
+                            unindex(&mut model, old, pk);
+                            model.entry(new).or_default().insert(pk);
+                        }
+                    }
+                    IxOp::Eq(v) => {
+                        let want: Vec<u64> = model.get(&v).into_iter().flatten().copied().collect();
+                        prop_assert_eq!(ix.lookup_eq(v), want);
+                    }
+                    IxOp::Range(lo, hi) => {
+                        let want = (kind == IndexKind::Range).then(|| {
+                            let mut pks: Vec<u64> = if lo > hi {
+                                Vec::new()
+                            } else {
+                                model.range(lo..=hi).flat_map(|(_, s)| s.iter().copied()).collect()
+                            };
+                            pks.sort_unstable();
+                            pks.dedup();
+                            pks
+                        });
+                        prop_assert_eq!(ix.lookup_range(lo, hi), want);
+                    }
                 }
-                MapOp::Get(k) => {
-                    prop_assert_eq!(idx.get(k), model.get(&k).copied());
-                }
-                // unordered structure, with no conditional insert
-                MapOp::Range(..) | MapOp::InsertIfAbsent(..) => {}
+                prop_assert_eq!(ix.len(), model.values().map(|s| s.len()).sum::<usize>());
             }
+            let want: Vec<(i64, Vec<u64>)> =
+                model.iter().map(|(v, s)| (*v, s.iter().copied().collect())).collect();
+            prop_assert_eq!(ix.entries(), want);
         }
-        prop_assert_eq!(idx.len(), model.len());
     }
 
     /// Slotted pages never lose or corrupt live tuples under arbitrary
