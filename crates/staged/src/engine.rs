@@ -12,10 +12,16 @@
 //! on `finish`. Rows become [`Row`]s only in the final result.
 //!
 //! A stored table is decoded a heap page at a time, straight from the page
-//! bytes into columns, and only the columns something above the scan reads
-//! (`needs` in [`compile`]). The page is pinned and latched inside
-//! `Table::scan_page_into` and nowhere else: **no operator runs under a page
-//! latch or pin**, so an OLTP writer never waits for an analytics operator.
+//! bytes into the outgoing packet. The `Filter`s directly above a scan are
+//! the scan's own (`filtered_scan`): `Table::scan_page_into` tests them on
+//! each tuple's bytes, then decodes only the rows that pass, one column at a
+//! time, and only the columns something above reads (`needs` in
+//! [`compile`]). When a page overflows the packet, only the rows past `batch`
+//! are copied, into the next one. The page is pinned and latched inside
+//! `scan_page_into` and nowhere else. Under the latch run the pushed
+//! comparisons and the column copies, which neither block, nor allocate per
+//! row, nor emit; **no operator runs under a page latch or pin**, so an OLTP
+//! writer never waits for an analytics operator.
 //!
 //! Two drivers run the same operators over the same packets:
 //!
@@ -27,8 +33,9 @@
 //!   exploits pipeline parallelism across cores.
 
 use crate::plan::{index_scan_rows, AggFunc, CmpOp, PlanNode, Row};
+use esdb_storage::schema::RowRef;
 use esdb_storage::Table;
-use std::collections::HashMap;
+use esdb_sync::IntMap;
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 
@@ -60,6 +67,12 @@ impl Packet {
         self.len += n;
     }
 
+    /// Keeps the first `n` rows.
+    fn truncate(&mut self, n: usize) {
+        self.cols.iter_mut().for_each(|col| col.truncate(n));
+        self.len = n;
+    }
+
     /// Fills the columns from `at` on with `rows` of `from`.
     fn gather(&mut self, at: usize, from: &[Vec<i64>], rows: impl ExactSizeIterator<Item = usize> + Clone) {
         for (to, from) in self.cols[at..].iter_mut().zip(from) {
@@ -77,9 +90,24 @@ impl Packet {
 /// change the packet or take its buffers: `reset` it before refilling.
 type Emit<'a> = &'a mut dyn FnMut(&mut Packet);
 
+/// `row[col] OP value`.
+#[derive(Clone, Copy)]
+struct Predicate {
+    col: usize,
+    op: CmpOp,
+    value: i64,
+}
+
+impl Predicate {
+    fn holds(self, v: i64) -> bool {
+        self.op.eval(v, self.value)
+    }
+}
+
 enum Source {
-    /// A stored table and the fields of `[key, col0, ..]` to decode.
-    Scan { table: Arc<Table>, fields: Vec<usize> },
+    /// A stored table, the fields of `[key, col0, ..]` to decode, and the
+    /// conjunction a row must pass to be decoded at all.
+    Scan { table: Arc<Table>, fields: Vec<usize>, filters: Vec<Predicate> },
     /// Literal rows: `Values`, an index scan's fetch, a blocking operator's output.
     Rows(Arc<Vec<Row>>),
 }
@@ -89,24 +117,22 @@ impl Source {
     fn run(self, batch: usize, emit: Emit) {
         let mut out = Packet::default();
         match self {
-            Source::Scan { table, fields } => {
+            Source::Scan { table, fields, filters } => {
                 let arity = table.schema().arity + 1;
-                let (mut cursor, mut page) = (table.scan_cursor(), Packet::default());
+                let keep = |row: RowRef| filters.iter().all(|p| p.holds(row.field(p.col)));
+                let (mut cursor, mut tail) = (table.scan_cursor(), Packet::default());
                 out.reset(arity);
-                page.reset(arity);
-                while let Some(rows) = table.scan_page_into(&mut cursor, &fields, &mut page.cols).expect("scan") {
-                    // The page is unpinned and unlatched again: operators may run.
-                    let mut at = 0;
-                    while at < rows {
-                        let n = (batch - out.len).min(rows - at);
-                        out.append(&page, at, n);
-                        at += n;
-                        if out.len == batch {
-                            emit(&mut out);
-                            out.reset(arity);
-                        }
+                while let Some(rows) = table.scan_page_into(&mut cursor, &fields, keep, &mut out.cols).expect("scan") {
+                    // The page is unpinned and unlatched again: operators may
+                    // run. Only the rows past a full packet are copied.
+                    out.len += rows;
+                    while out.len >= batch {
+                        tail.reset(arity);
+                        tail.append(&out, batch, out.len - batch);
+                        out.truncate(batch);
+                        emit(&mut out);
+                        std::mem::swap(&mut out, &mut tail);
                     }
-                    page.reset(arity);
                 }
                 if out.len > 0 {
                     emit(&mut out);
@@ -136,19 +162,19 @@ trait Operator: Send {
     fn finish(&mut self, _emit: Emit) {}
 }
 
+/// A filter over anything but a stored table's scan, which tests its
+/// filters as it decodes (see [`filtered_scan`]).
 struct Filter {
-    col: usize,
-    op: CmpOp,
-    value: i64,
+    predicate: Predicate,
     keep: Vec<usize>,
 }
 
 impl Operator for Filter {
     fn push(&mut self, input: &mut Packet, emit: Emit) {
-        let (op, value) = (self.op, self.value);
-        let tested = input.cols[self.col].iter().enumerate();
+        let predicate = self.predicate;
+        let tested = input.cols[predicate.col].iter().enumerate();
         self.keep.clear();
-        self.keep.extend(tested.filter(|(_, &v)| op.eval(v, value)).map(|(r, _)| r));
+        self.keep.extend(tested.filter(|(_, &v)| predicate.holds(v)).map(|(r, _)| r));
         for col in input.cols.iter_mut().filter(|col| !col.is_empty()) {
             for (to, &from) in self.keep.iter().enumerate() {
                 col[to] = col[from];
@@ -182,7 +208,7 @@ impl Operator for Project {
 /// first build row with that key, `next[row]` the next one after `row`.
 struct Probe {
     built: Packet,
-    head: HashMap<i64, usize>,
+    head: IntMap<i64, usize>,
     next: Vec<Option<usize>>,
     right_col: usize,
     batch: usize,
@@ -196,7 +222,7 @@ impl Probe {
     fn build(left: &PlanNode, left_col: usize, right_col: usize, batch: usize) -> Probe {
         let mut built = Packet::default();
         run_inline(compile(left, None, batch), batch, &mut |p| built.append(p, 0, p.len));
-        let (mut head, mut next) = (HashMap::new(), vec![None; built.len]);
+        let (mut head, mut next) = (IntMap::default(), vec![None; built.len]);
         for row in (0..built.len).rev() {
             next[row] = head.insert(built.cols[left_col][row], row);
         }
@@ -236,7 +262,7 @@ struct Aggregate {
     agg_col: usize,
     func: AggFunc,
     batch: usize,
-    groups: HashMap<i64, i64>,
+    groups: IntMap<i64, i64>,
     single: Option<i64>,
 }
 
@@ -250,7 +276,7 @@ impl Operator for Aggregate {
                     acc.and_modify(|acc| *acc = func.fold(Some(*acc), v)).or_insert_with(|| func.fold(None, v));
                 }
             }
-            None => self.single = values.iter().fold(self.single, |acc, &v| Some(func.fold(acc, v))),
+            None => self.single = func.fold_slice(self.single, values),
         }
     }
 
@@ -291,23 +317,40 @@ impl Operator for Sort {
 /// A compiled plan: a source and the operator chain above it, first to last.
 type Pipeline = (Source, Vec<Box<dyn Operator>>);
 
+/// A `Scan` under a chain of zero or more `Filter`s: the table, and the
+/// filters' predicates, lowest first. `None` for any other plan.
+fn filtered_scan(plan: &PlanNode) -> Option<(&Arc<Table>, Vec<Predicate>)> {
+    match plan {
+        PlanNode::Scan(table) => Some((table, Vec::new())),
+        PlanNode::Filter { input, col, op, value } => {
+            let (table, mut filters) = filtered_scan(input)?;
+            filters.push(Predicate { col: *col, op: *op, value: *value });
+            Some((table, filters))
+        }
+        _ => None,
+    }
+}
+
 /// Compiles `plan`, passing down which of its output columns anything above
 /// reads (`needs`; `None` = all of them) so that a scan decodes only those.
-/// Build sides of joins run eagerly, mirroring StagedDB's build service.
+/// The filters right above a scan are the scan's: it tests them on the page
+/// bytes, so a column only they read is never decoded. Build sides of joins
+/// run eagerly, mirroring StagedDB's build service.
 fn compile(plan: &PlanNode, needs: Option<Vec<usize>>, batch: usize) -> Pipeline {
     let source = |source| (source, Vec::new());
+    if let Some((table, filters)) = filtered_scan(plan) {
+        let read = |f: &usize| needs.as_ref().is_none_or(|needs| needs.contains(f));
+        let fields = (0..=table.schema().arity).filter(read).collect();
+        return source(Source::Scan { table: table.clone(), fields, filters });
+    }
     let (input, needs, op): (_, _, Box<dyn Operator>) = match plan {
-        PlanNode::Scan(table) => {
-            let read = |f: &usize| needs.as_ref().is_none_or(|needs| needs.contains(f));
-            let fields = (0..=table.schema().arity).filter(read).collect();
-            return source(Source::Scan { table: table.clone(), fields });
-        }
+        PlanNode::Scan(_) => unreachable!("a scan is a filtered scan with no filters"),
         PlanNode::IndexScan { table, index, lo, hi } => {
             return source(Source::Rows(Arc::new(index_scan_rows(table, *index, *lo, *hi))));
         }
         PlanNode::Values(rows) => return source(Source::Rows(rows.clone())),
         PlanNode::Filter { input, col, op, value } => {
-            let filter = Filter { col: *col, op: *op, value: *value, keep: Vec::new() };
+            let filter = Filter { predicate: Predicate { col: *col, op: *op, value: *value }, keep: Vec::new() };
             (input, needs.map(|needs| [needs, vec![*col]].concat()), Box::new(filter))
         }
         PlanNode::Project { input, cols } => {
@@ -323,7 +366,7 @@ fn compile(plan: &PlanNode, needs: Option<Vec<usize>>, batch: usize) -> Pipeline
         PlanNode::Aggregate { input, group_col, agg_col, func } => {
             let read = group_col.iter().chain([agg_col]).copied().collect();
             let (group_col, agg_col, func) = (*group_col, *agg_col, *func);
-            (input, Some(read), Box::new(Aggregate { group_col, agg_col, func, batch, groups: HashMap::new(), single: None }))
+            (input, Some(read), Box::new(Aggregate { group_col, agg_col, func, batch, groups: IntMap::default(), single: None }))
         }
         PlanNode::Sort { input, col } => {
             (input, None, Box::new(Sort { col: *col, batch, buffer: Packet::default(), out: Packet::default() }))
@@ -483,11 +526,29 @@ mod tests {
         assert_eq!(decoded(scan()), [0, 1, 2, 3]);
         assert_eq!(decoded(scan().aggregate(None, 2, AggFunc::Sum)), [2]);
         assert_eq!(decoded(scan().filter(1, CmpOp::Lt, 10).aggregate(Some(1), 2, AggFunc::Sum).sort(0)), [1, 2]);
-        assert_eq!(decoded(scan().filter(1, CmpOp::Eq, 7).project(vec![0, 2]).sort(0)), [0, 1, 2]);
+        // A pushed filter tests its column on the page; nothing decodes it.
+        assert_eq!(decoded(scan().filter(1, CmpOp::Eq, 7).project(vec![0, 2]).sort(0)), [0, 2]);
+        assert_eq!(decoded(scan().filter(1, CmpOp::Ge, 2).filter(3, CmpOp::Lt, 0).aggregate(None, 2, AggFunc::Count)), [2]);
         assert_eq!(decoded(scan().project(vec![3, 3, 0]).aggregate(Some(0), 1, AggFunc::Max)), [3]);
+        // A filter above a projection is not pushed, so its column is read.
+        assert_eq!(decoded(scan().project(vec![1, 2]).filter(0, CmpOp::Eq, 7).aggregate(None, 1, AggFunc::Sum)), [1, 2]);
         // A sort orders by the whole row and a join emits it: both read everything.
         assert_eq!(decoded(scan().sort(1).project(vec![2])), [0, 1, 2, 3]);
         assert_eq!(decoded(PlanNode::values(vec![]).hash_join(scan(), 0, 1).project(vec![0])), [0, 1, 2, 3]);
+        // Which filters the scan tests itself, and how many operators remain.
+        let pushed = |plan: PlanNode| match compile(&plan, None, DEFAULT_BATCH) {
+            (Source::Scan { filters, .. }, ops) => (filters.iter().map(|p| (p.col, p.op, p.value)).collect::<Vec<_>>(), ops.len()),
+            (Source::Rows(_), _) => panic!("a stored-table plan scans"),
+        };
+        assert_eq!(pushed(scan()), (vec![], 0));
+        let one = scan().filter(1, CmpOp::Eq, 7).project(vec![0, 2]);
+        assert_eq!(pushed(one), (vec![(1, CmpOp::Eq, 7)], 1), "only the projection runs as an operator");
+        let stacked = scan().filter(1, CmpOp::Ge, 2).filter(3, CmpOp::Lt, 0);
+        assert_eq!(pushed(stacked), (vec![(1, CmpOp::Ge, 2), (3, CmpOp::Lt, 0)], 0), "lowest first, both pushed");
+        let above_project = scan().project(vec![1, 2]).filter(0, CmpOp::Eq, 7);
+        assert_eq!(pushed(above_project), (vec![], 2));
+        let above_sort = scan().filter(2, CmpOp::Gt, 4).sort(1).filter(0, CmpOp::Gt, 3);
+        assert_eq!(pushed(above_sort), (vec![(2, CmpOp::Gt, 4)], 2), "the filter below the sort is pushed, the one above is not");
     }
 
     /// The latch rule. The sink below writes to a row of the page the packet

@@ -67,6 +67,26 @@ impl AggFunc {
             (AggFunc::Max, Some(a)) => a.max(value),
         }
     }
+
+    /// Folds every value of `values` into `acc`, as [`AggFunc::fold`] one
+    /// value at a time would, in one loop specialised to the function.
+    pub fn fold_slice(self, acc: Option<i64>, values: &[i64]) -> Option<i64> {
+        let (acc, rest) = match (acc, values.split_first()) {
+            (Some(acc), _) => (acc, values),
+            (None, Some((&first, rest))) => (self.fold(None, first), rest),
+            (None, None) => return None,
+        };
+        #[inline(always)]
+        fn each(func: AggFunc, acc: i64, values: &[i64]) -> i64 {
+            values.iter().fold(acc, |acc, &v| func.fold(Some(acc), v))
+        }
+        Some(match self {
+            AggFunc::Sum => each(AggFunc::Sum, acc, rest),
+            AggFunc::Count => each(AggFunc::Count, acc, rest),
+            AggFunc::Min => each(AggFunc::Min, acc, rest),
+            AggFunc::Max => each(AggFunc::Max, acc, rest),
+        })
+    }
 }
 
 /// A logical query plan node.
@@ -324,6 +344,19 @@ mod tests {
         assert_eq!(AggFunc::Count.fold(Some(3), 99), 4);
         assert_eq!(AggFunc::Min.fold(Some(3), 1), 1);
         assert_eq!(AggFunc::Max.fold(Some(3), 9), 9);
+    }
+
+    #[test]
+    fn a_slice_folds_as_its_values_one_at_a_time() {
+        let values = [5, i64::MAX, -3, 1, i64::MIN, 0];
+        for func in [AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Max] {
+            for acc in [None, Some(7), Some(i64::MAX)] {
+                for n in 0..=values.len() {
+                    let one_at_a_time = values[..n].iter().fold(acc, |acc, &v| Some(func.fold(acc, v)));
+                    assert_eq!(func.fold_slice(acc, &values[..n]), one_at_a_time, "{func:?} from {acc:?} over {n}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -58,8 +58,11 @@ fn arb_step() -> impl Strategy<Value = Step> {
         Just(CmpOp::Ge)
     ];
     let agg = prop_oneof![Just(AggFunc::Sum), Just(AggFunc::Count), Just(AggFunc::Min), Just(AggFunc::Max)];
+    // Column values (listed twice: drawn more often), the key range
+    // (0..1,200) and the edges of i64.
+    let constant = prop_oneof![-12i64..12, -12i64..12, 0i64..1_200, Just(i64::MIN), Just(i64::MAX)];
     prop_oneof![
-        (0usize..12, cmp, -12i64..12).prop_map(|(c, op, v)| Step::Filter(c, op, v)),
+        (0usize..12, cmp, constant).prop_map(|(c, op, v)| Step::Filter(c, op, v)),
         prop::collection::vec(0usize..12, 1..4).prop_map(Step::Project),
         (proptest::bool::ANY, 0usize..12, 0usize..12, agg).prop_map(|(g, gc, c, f)| Step::Aggregate(g.then_some(gc), c, f)),
         (0usize..12).prop_map(Step::Sort),

@@ -254,28 +254,20 @@ impl HeapFile {
         self.replay(rid, lsn, gated, |page| Ok(page.delete(rid.slot).is_some()))
     }
 
-    /// Number of pages in the file right now.
-    pub(crate) fn page_count(&self) -> usize {
-        self.state.lock().pages.len()
-    }
-
-    /// Runs `f` on the `index`-th page of the file under one pin and one
-    /// shared latch, both released before this returns; `None` past the end.
-    pub(crate) fn read_page<R>(&self, index: usize, f: impl FnOnce(PageId, &Page) -> R) -> Result<Option<R>> {
-        let Some(page_id) = self.state.lock().pages.get(index).copied() else {
-            return Ok(None);
-        };
+    /// Runs `f` on page `page_id` of the file under one pin and one shared
+    /// latch, both released before this returns.
+    pub(crate) fn read_page<R>(&self, page_id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R> {
         let pin = self.pool.pin(page_id)?;
         let page = pin.read();
-        Ok(Some(f(page_id, &page)))
+        Ok(f(&page))
     }
 
     /// Full scan: invokes `f` for every live tuple of the pages the file has
     /// when the scan starts. Pages are latched shared one at a time, so the
     /// scan interleaves with concurrent updates.
     pub fn scan(&self, mut f: impl FnMut(Rid, &[u8])) -> Result<()> {
-        for index in 0..self.page_count() {
-            self.read_page(index, |page_id, page| {
+        for page_id in self.pages() {
+            self.read_page(page_id, |page| {
                 for (slot, data) in page.live_slots() {
                     f(Rid::new(page_id, slot), data);
                 }
@@ -357,8 +349,8 @@ mod tests {
         assert!(h.modify(rid, |t| { t[0] = b'z'; Ok(Some(4)) }).unwrap());
         assert!(!h.modify(rid, |_| Ok(None)).unwrap());
         assert_eq!(h.get(rid).unwrap(), b"zbcd");
-        let lsn = h.read_page(0, |_, page| page.lsn()).unwrap();
-        assert_eq!(lsn, Some(4), "the refusal left the stamp alone");
+        let lsn = h.read_page(rid.page, |page| page.lsn()).unwrap();
+        assert_eq!(lsn, 4, "the refusal left the stamp alone");
         h.delete(rid, |_| 5).unwrap();
         assert_eq!(h.modify(rid, |_| unreachable!()).unwrap_err(), StorageError::RecordNotFound(rid));
     }

@@ -136,6 +136,16 @@ impl<'a> RowRef<'a> {
         Ok(RowRef(bytes))
     }
 
+    /// Validates `bytes` as an encoded row of exactly `arity` columns: the
+    /// width a table's schema fixes for every tuple it stores.
+    #[inline]
+    pub fn with_arity(bytes: &'a [u8], arity: usize) -> crate::Result<Self> {
+        if bytes.len() != 8 * (arity + 1) {
+            return Err(StorageError::CorruptRow { len: bytes.len() });
+        }
+        Ok(RowRef(bytes))
+    }
+
     /// Number of columns (the key excluded).
     pub fn arity(self) -> usize {
         self.0.len() / 8 - 1
@@ -143,11 +153,13 @@ impl<'a> RowRef<'a> {
 
     /// Field `i` of the row read as `[key, col0, col1, ..]` — the shape a
     /// query plan sees. Panics if `i > arity`.
+    #[inline]
     pub fn field(self, i: usize) -> i64 {
-        i64::from_le_bytes(self.0[8 * i..8 * i + 8].try_into().expect("8-byte field"))
+        field_at(self.0, 0, i)
     }
 
     /// The primary key.
+    #[inline]
     pub fn key(self) -> u64 {
         self.field(0) as u64
     }
@@ -156,6 +168,15 @@ impl<'a> RowRef<'a> {
     pub fn cols(self) -> impl Iterator<Item = i64> + 'a {
         self.0[8..].chunks_exact(8).map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk")))
     }
+}
+
+/// Field `i`, as [`RowRef::field`] reads it, of the row encoded at byte
+/// `row` of `bytes`: how a scan that has validated a page's tuples decodes
+/// one column of all of them.
+#[inline]
+pub(crate) fn field_at(bytes: &[u8], row: usize, i: usize) -> i64 {
+    let at = row + 8 * i;
+    i64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte field"))
 }
 
 /// Decodes a row produced by [`encode_row`] into owned `(key, columns)`.

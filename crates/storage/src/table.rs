@@ -13,18 +13,20 @@
 use crate::btree::BTree;
 use crate::buffer::BufferPool;
 use crate::heap::HeapFile;
-use crate::rid::Rid;
-use crate::schema::{decode_row, encode_row, IndexDef, IndexId, RowRef, Schema, TableId};
+use crate::rid::{PageId, Rid};
+use crate::schema::{decode_row, encode_row, field_at, IndexDef, IndexId, RowRef, Schema, TableId};
 use crate::secondary::SecondaryIndex;
 use crate::{Result, StorageError};
 use std::sync::Arc;
 
-/// Position of a [`Table::scan_page_into`] scan: the next heap page to decode
-/// and the page count the table had when the scan started.
+/// Position of a [`Table::scan_page_into`] scan: the heap pages the table had
+/// when the scan started, in heap order, from the next one to decode on.
 #[derive(Debug)]
 pub struct ScanCursor {
-    next: usize,
-    end: usize,
+    pages: std::vec::IntoIter<PageId>,
+    /// Offsets within the page being decoded of the tuples its predicate
+    /// kept; one buffer for the whole scan.
+    kept: Vec<usize>,
 }
 
 /// A keyed table of fixed-arity `i64` rows.
@@ -238,10 +240,7 @@ impl Table {
         // after-image costs no allocation of its own.
         let mut images = Vec::new();
         let added = self.heap.modify(rid, |tuple| {
-            let row = RowRef::new(tuple)?;
-            if row.arity() != arity {
-                return Err(StorageError::CorruptRow { len: tuple.len() });
-            }
+            let row = RowRef::with_arity(tuple, arity)?;
             images.reserve_exact(2 * arity);
             images.extend(row.cols());
             let Some(sum) = images[col].checked_add(delta) else { return Ok(None) };
@@ -333,46 +332,54 @@ impl Table {
     }
 
     /// Starts a page-at-a-time scan over the heap pages the table has now.
+    /// The page list is read once, here: a page the heap adopts later, at
+    /// whatever position, is not scanned, and none is scanned twice.
     pub fn scan_cursor(&self) -> ScanCursor {
-        ScanCursor { next: 0, end: self.heap.page_count() }
+        ScanCursor { pages: self.heap.pages().into_iter(), kept: Vec::new() }
     }
 
-    /// Decodes the cursor's next heap page column-wise: for every live tuple
-    /// and every `f` in `fields`, field `f` of the row read as
-    /// `[key, col0, col1, ..]` is appended to `out[f]`; columns not listed
-    /// are left alone. Returns the number of rows decoded, `None` once the
-    /// cursor is exhausted.
+    /// Decodes the rows of the cursor's next heap page that `keep` passes,
+    /// column-wise: for every such row and every `f` in `fields`, field `f`
+    /// of the row read as `[key, col0, col1, ..]` is appended to `out[f]`;
+    /// columns not listed are left alone. `keep` sees every live tuple and
+    /// reads whichever of its fields it tests. Returns the number of rows
+    /// kept, `None` once the cursor is exhausted.
     ///
-    /// The page is pinned and latched shared only inside this call, so
-    /// whatever the caller does with the columns runs under neither. A tuple
-    /// whose width is not the schema's fails the call with
-    /// [`StorageError::CorruptRow`] (and leaves `out` partly filled).
+    /// Two passes under one pin and one shared latch: the first walks the
+    /// slot directory, checks each live tuple's width and runs `keep` on it,
+    /// noting the offsets of the rows kept; the second decodes one requested
+    /// field of all of them at a time. The page is pinned and latched only
+    /// inside this call, so whatever the caller does with the columns runs
+    /// under neither, and `keep` should do no more than compare: it runs
+    /// under the latch. A tuple whose width is not the schema's fails the
+    /// call with [`StorageError::CorruptRow`], whether or not `keep` would
+    /// have passed it, and leaves `out` as it was.
     pub fn scan_page_into(
         &self,
         cursor: &mut ScanCursor,
         fields: &[usize],
+        mut keep: impl FnMut(RowRef) -> bool,
         out: &mut [Vec<i64>],
     ) -> Result<Option<usize>> {
-        if cursor.next >= cursor.end {
-            return Ok(None);
-        }
-        assert!(fields.iter().all(|&f| f <= self.schema.arity), "scan of a field the schema lacks");
-        let decoded = self.heap.read_page(cursor.next, |_, page| {
-            let mut rows = 0;
-            for (_, bytes) in page.live_slots() {
-                let row = RowRef::new(bytes)?;
-                if row.arity() != self.schema.arity {
-                    return Err(StorageError::CorruptRow { len: bytes.len() });
+        let Some(page_id) = cursor.pages.next() else { return Ok(None) };
+        let arity = self.schema.arity;
+        assert!(fields.iter().all(|&f| f <= arity), "scan of a field the schema lacks");
+        let kept = &mut cursor.kept;
+        kept.clear();
+        self.heap.read_page(page_id, |page| {
+            let bytes = page.as_bytes();
+            kept.reserve(page.slot_count().into());
+            for tuple in page.live_ranges() {
+                let at = tuple.start;
+                if keep(RowRef::with_arity(&bytes[tuple], arity)?) {
+                    kept.push(at);
                 }
-                for &f in fields {
-                    out[f].push(row.field(f));
-                }
-                rows += 1;
             }
-            Ok(rows)
-        })?;
-        cursor.next += 1;
-        decoded.transpose()
+            for &f in fields {
+                out[f].extend(kept.iter().map(|&row| field_at(bytes, row, f)));
+            }
+            Ok(Some(kept.len()))
+        })?
     }
 
     /// Number of live rows.
@@ -399,7 +406,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::InMemoryDisk;
+    use crate::disk::{InMemoryDisk, PageStore};
 
     fn table(arity: usize) -> Table {
         let disk = Arc::new(InMemoryDisk::new());
@@ -476,7 +483,7 @@ mod tests {
         }
         let mut out = vec![Vec::new(), vec![7], Vec::new()];
         let (mut cursor, mut calls, mut rows) = (t.scan_cursor(), 0, 0);
-        while let Some(n) = t.scan_page_into(&mut cursor, &[0, 2], &mut out).unwrap() {
+        while let Some(n) = t.scan_page_into(&mut cursor, &[0, 2], |_| true, &mut out).unwrap() {
             calls += 1;
             rows += n;
         }
@@ -487,7 +494,7 @@ mod tests {
         assert_eq!(out[0], keys);
         assert_eq!(out[1], [7], "a column not asked for is left alone");
         assert_eq!(out[2], keys.iter().map(|k| -k).collect::<Vec<_>>());
-        assert_eq!(t.scan_page_into(&mut cursor, &[0], &mut out).unwrap(), None, "exhausted stays exhausted");
+        assert_eq!(t.scan_page_into(&mut cursor, &[0], |_| true, &mut out).unwrap(), None, "exhausted stays exhausted");
     }
 
     #[test]
@@ -500,10 +507,77 @@ mod tests {
             t.heap().update(t.rid_of(1).unwrap(), &bad, |_| 0).unwrap();
             let mut out = vec![Vec::new(); 3];
             assert_eq!(
-                t.scan_page_into(&mut t.scan_cursor(), &[2], &mut out).unwrap_err(),
+                t.scan_page_into(&mut t.scan_cursor(), &[2], |_| true, &mut out).unwrap_err(),
                 StorageError::CorruptRow { len: bad.len() }
             );
         }
+    }
+
+    #[test]
+    fn page_scan_keeps_exactly_the_rows_its_predicate_passes() {
+        let t = table(2);
+        for k in 0..1_000u64 {
+            t.insert(k, &[(k % 7) as i64, -(k as i64)]).unwrap();
+        }
+        for k in (0..1_000).step_by(3) {
+            t.delete(k).unwrap();
+        }
+        let mut out = vec![vec![-1], Vec::new(), Vec::new()];
+        let (mut cursor, mut tested, mut rows) = (t.scan_cursor(), 0, 0);
+        let mut keep = |row: RowRef| {
+            tested += 1;
+            row.field(1) == 4 && row.field(2) > -900
+        };
+        while let Some(n) = t.scan_page_into(&mut cursor, &[0, 2], &mut keep, &mut out).unwrap() {
+            rows += n;
+        }
+        let keys: Vec<i64> = (0..1_000).filter(|k| k % 3 != 0 && k % 7 == 4 && *k < 900).collect();
+        assert_eq!(tested as u64, t.len(), "the predicate sees every live tuple, no tombstone");
+        assert_eq!(rows, keys.len());
+        assert_eq!(out[0], [[-1].as_slice(), &keys].concat(), "appended after what was there");
+        assert!(out[1].is_empty(), "a column not asked for is left alone, even one the predicate reads");
+        assert_eq!(out[2], keys.iter().map(|k| -k).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_ragged_tuple_is_reported_even_when_its_row_would_be_filtered_out() {
+        let t = table(2);
+        for k in 0..3u64 {
+            t.insert(k, &[1, 2]).unwrap();
+        }
+        let bad = encode_row(1, &[5, 6, 7]);
+        t.heap().update(t.rid_of(1).unwrap(), &bad, |_| 0).unwrap();
+        let mut out = vec![Vec::new(); 3];
+        assert_eq!(
+            t.scan_page_into(&mut t.scan_cursor(), &[0, 1, 2], |_| false, &mut out).unwrap_err(),
+            StorageError::CorruptRow { len: bad.len() }
+        );
+        let mut out = vec![Vec::new(); 3];
+        let all_but_key_1 = |row: RowRef| row.key() != 1;
+        assert!(t.scan_page_into(&mut t.scan_cursor(), &[0, 1], all_but_key_1, &mut out).is_err());
+        assert!(out.iter().all(Vec::is_empty), "a failed page decodes nothing");
+    }
+
+    /// Replay adopts a page at its sorted position in the heap's page list,
+    /// which can be below pages a running scan has yet to read. The cursor
+    /// read the list when it was made, so nothing shifts under it.
+    #[test]
+    fn a_page_adopted_below_a_running_scan_shifts_nothing() {
+        let disk = Arc::new(InMemoryDisk::new());
+        disk.allocate(); // page 0: on the store, not yet the heap's
+        let t = Table::create(1, "t", 1, Arc::new(BufferPool::new(128, disk)));
+        for k in 0..2_000u64 {
+            t.insert(k, &[k as i64]).unwrap();
+        }
+        assert!(t.heap().pages().len() >= 3 && t.heap().pages()[0] > 0);
+        let mut out = vec![Vec::new(), Vec::new()];
+        let mut cursor = t.scan_cursor();
+        t.scan_page_into(&mut cursor, &[0], |_| true, &mut out).unwrap().unwrap();
+        t.heap().insert_at(Rid::new(0, 0), &encode_row(9_999, &[0]), 1, true).unwrap();
+        assert_eq!(t.heap().pages()[0], 0, "adopted below the pages already read");
+        while t.scan_page_into(&mut cursor, &[0], |_| true, &mut out).unwrap().is_some() {}
+        out[0].sort_unstable();
+        assert_eq!(out[0], (0..2_000).collect::<Vec<i64>>(), "every row present at the start, once");
     }
 
     #[test]

@@ -90,6 +90,9 @@ impl std::hash::Hasher for IntHasher {
 }
 
 /// A `HashMap` keyed by engine-assigned integers, hashed by [`IntHasher`].
+/// The staged engine's group-by and join build also key one by client
+/// values: a key set crafted to collide slows that query alone, which holds
+/// no latch or lock while it probes.
 pub type IntMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<IntHasher>>;
 
 /// A raw (non-RAII, non-poisoning) mutual-exclusion primitive.

@@ -36,6 +36,11 @@
 //! printed 33,601 allocations (6.03 MB, 60.32 B/key), made by 12,500 of its
 //! 100,000 inserts, at the same height 4; every other count was the same as
 //! now.
+//!
+//! At the parent of the change that tested a scan's filters on the page
+//! bytes and decoded straight into the outgoing packet, the same run printed
+//! 22, 72 and 2,072 allocations for scan_agg, filter_group and filter_sort;
+//! pins, lock visits and log bytes were the same as now.
 
 use esdb::core::query::QueryEngine;
 use esdb::core::{Database, EngineConfig};
@@ -213,9 +218,9 @@ fn olap_counts_are_pinned() {
     let scan = || db.scan_plan(id);
     // (name, plan, result rows, allocation ceiling)
     let plans = [
-        ("olap.scan_agg", scan().aggregate(None, 2, AggFunc::Sum), 1, 22),
-        ("olap.filter_group", scan().filter(1, CmpOp::Lt, 10).aggregate(Some(1), 2, AggFunc::Sum).sort(0), 10, 72),
-        ("olap.filter_sort", scan().filter(1, CmpOp::Eq, 7).project(vec![0, 2]).sort(0), 2_000, 2_072),
+        ("olap.scan_agg", scan().aggregate(None, 2, AggFunc::Sum), 1, 21),
+        ("olap.filter_group", scan().filter(1, CmpOp::Lt, 10).aggregate(Some(1), 2, AggFunc::Sum).sort(0), 10, 70),
+        ("olap.filter_sort", scan().filter(1, CmpOp::Eq, 7).project(vec![0, 2]).sort(0), 2_000, 2_064),
     ];
     for (name, plan, result_rows, alloc_limit) in plans {
         let engine = QueryEngine::Staged { batch: DEFAULT_BATCH };
