@@ -72,14 +72,20 @@ impl DecisionLog {
 
     /// Records the verdict for `gtid`. Commit verdicts are forced to the
     /// log before this returns; abort verdicts are fire-and-forget.
+    ///
+    /// The state lock is held across the append, so [`DecisionLog::decision`]
+    /// never reports a commit that a crash could still lose: a query during
+    /// the force waits for it instead of reading `None`, which a participant
+    /// would take as abort.
     pub fn decide(&self, gtid: u64, commit: bool) {
-        self.state.lock().decisions.insert(gtid, commit);
+        let mut s = self.state.lock();
         let verdict = LogBody::Decide { gtid, commit };
         if commit {
             self.wal.append_forced(&verdict);
         } else {
             self.wal.append(0, NULL_LSN, &verdict);
         }
+        s.decisions.insert(gtid, commit);
     }
 
     /// The verdict for `gtid`, if one was reached (and, after a crash, was
@@ -175,6 +181,25 @@ mod tests {
         // Never decided: presumed abort.
         assert_eq!(recovered.decision(c), None);
         assert!(!recovered.resolve(c));
+    }
+
+    #[test]
+    fn a_commit_verdict_is_visible_only_once_durable() {
+        // A participant asking between the verdict and its force must not
+        // learn "commit": a crash at that moment presumes abort.
+        for _ in 0..2_000 {
+            let log = Arc::new(DecisionLog::new());
+            let gtid = log.allocate();
+            let decider = {
+                let log = Arc::clone(&log);
+                std::thread::spawn(move || log.decide(gtid, true))
+            };
+            while log.decision(gtid) != Some(true) {
+                std::hint::spin_loop();
+            }
+            assert_eq!(log.recover().decision(gtid), Some(true), "commit visible before durable");
+            decider.join().unwrap();
+        }
     }
 
     #[test]
