@@ -18,12 +18,9 @@
 /// single slot is a modest fraction of the data.
 pub const DEFAULT_SLOTS: u32 = 16;
 
-/// The slot owning `(table, key)` out of `slots` — the same Fibonacci
-/// multiplicative hash the static [`HashPartitioner`] uses, so a routing
-/// table built with [`RoutingTable::uniform`] places keys exactly where the
-/// static partitioner did.
-///
-/// [`HashPartitioner`]: https://en.wikipedia.org/wiki/Hash_function#Fibonacci_hashing
+/// The slot owning `(table, key)` out of `slots`: a Fibonacci
+/// multiplicative hash of the pair, so keys spread evenly over the ring
+/// whatever their order.
 pub fn slot_of(table: u32, key: u64, slots: u32) -> u32 {
     let x = (u64::from(table) << 56) ^ key;
     let h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -94,13 +91,16 @@ mod tests {
 
     #[test]
     fn uniform_table_covers_every_shard() {
-        let t = RoutingTable::uniform(3, 16);
-        assert_eq!(t.epoch, 0);
-        for shard in 0..3u32 {
-            assert!(t.slots.contains(&shard), "shard {shard} owns no slot");
-        }
-        for key in 0..100u64 {
-            assert!(t.shard_of(0, key) < 3);
+        // One shard owns everything; three each own some slot.
+        for n in [1u32, 3] {
+            let t = RoutingTable::uniform(n, 16);
+            assert_eq!(t.epoch, 0);
+            for shard in 0..n {
+                assert!(t.slots.contains(&shard), "shard {shard} owns no slot");
+            }
+            for key in 0..100u64 {
+                assert!(t.shard_of(0, key) < n);
+            }
         }
     }
 
