@@ -52,7 +52,7 @@ if grep -q chaos <<<"$features"; then
 fi
 NET_SCALE_CONNS=1000 cargo test --release -q "${shipped[@]}"
 CHECK_SCHEDULES=300 cargo test --release -q -p esdb-check -p esdb-repl -p esdb-rebal
-cargo build --release -q -p esdb-bench --bench staged_vs_volcano
+cargo build --release -q -p esdb-bench --benches
 
 echo "== seam: sockets are named only in esdb-net, and read in one function =="
 # ROADMAP item 4's premise (a Transport + Clock seam under the sessions is a
