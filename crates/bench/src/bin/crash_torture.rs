@@ -16,10 +16,9 @@
 //! `CRASH_BRANCHES` (2), `CRASH_THREADS` (2), `CRASH_TXNS` (per thread, 100).
 
 use esdb_bench::{header, row};
-use esdb_core::config::LogChoice;
 use esdb_core::{Database, EngineConfig};
 use esdb_storage::FaultRng;
-use esdb_wal::LogFault;
+use esdb_wal::{LogFault, LogPolicy};
 use esdb_wal::recovery;
 use esdb_workload::{tpcb, Tpcb};
 use std::sync::Arc;
@@ -62,7 +61,7 @@ struct IterOutcome {
 
 fn torture_iteration(
     mode: usize,
-    log: LogChoice,
+    log: LogPolicy,
     rng: &mut FaultRng,
     branches: u64,
     threads: usize,
@@ -180,11 +179,10 @@ fn main() {
 
     let mut rng = FaultRng::new(seed);
     let mut agg: Vec<ModeAgg> = (0..MODES.len()).map(|_| ModeAgg::default()).collect();
-    let policies = [LogChoice::Serial, LogChoice::Decoupled, LogChoice::Consolidated];
     let t = Instant::now();
     for iter in 0..iters {
         let mode = (iter % MODES.len() as u64) as usize;
-        let log = policies[((iter / MODES.len() as u64) % policies.len() as u64) as usize];
+        let log = LogPolicy::ALL[(iter / MODES.len() as u64) as usize % LogPolicy::ALL.len()];
         let out = torture_iteration(mode, log, &mut rng, branches, threads, txns);
         let a = &mut agg[mode];
         a.iters += 1;

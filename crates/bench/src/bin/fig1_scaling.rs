@@ -11,8 +11,8 @@
 //! stack (DORA + consolidated log + ELR).
 
 use esdb_bench::{header, row, CONTEXT_SWEEP};
-use esdb_core::config::LogChoice;
 use esdb_core::{run_sim_workload, EngineConfig, ExecutionModel, SimRunConfig};
+use esdb_wal::LogPolicy;
 use esdb_workload::Tatp;
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
             "dora+serial-log",
             EngineConfig {
                 execution: ExecutionModel::Dora { partitions: 64 },
-                log: LogChoice::Serial,
+                log: LogPolicy::Serial,
                 elr: false,
                 ..EngineConfig::default()
             },

@@ -11,9 +11,8 @@
 //!    this measures contention overhead, not parallel speedup).
 
 use esdb_bench::{header, median_secs, row, CONTEXT_SWEEP};
-use esdb_core::config::LogChoice;
 use esdb_core::{run_sim_workload, EngineConfig, ExecutionModel, SimRunConfig};
-use esdb_wal::{ConsolidatedLogBuffer, DecoupledLogBuffer, LogBuffer, SerialLogBuffer};
+use esdb_wal::{ConsolidatedLogBuffer, DecoupledLogBuffer, LogBuffer, LogPolicy, SerialLogBuffer};
 use esdb_workload::Tpcb;
 use std::sync::Arc;
 
@@ -23,10 +22,9 @@ fn sim_part() {
         "log-bound TPC-B throughput vs contexts (simulated, txn/Mcycle)",
         &["contexts", "serial", "decoupled", "consolidated"],
     );
-    let logs = [LogChoice::Serial, LogChoice::Decoupled, LogChoice::Consolidated];
     for &contexts in &CONTEXT_SWEEP {
         let mut vals = vec![contexts.to_string()];
-        for log in logs {
+        for log in LogPolicy::ALL {
             let cfg = EngineConfig {
                 execution: ExecutionModel::Dora { partitions: 256 },
                 log,

@@ -24,7 +24,6 @@ fn run(chip: ChipConfig) -> f64 {
         &cfg,
         &SimRunConfig {
             chip,
-            clients: 0,
             horizon: 3_000_000,
             flush_latency: 0,
         },

@@ -23,11 +23,11 @@
 //! builds each cell exactly as `sim_cell` below does.
 
 use esdb_bench::{header, row};
-use esdb_core::config::LogChoice;
 use esdb_core::{
     run_sim_workload, sim_wait_profile, Database, EngineConfig, ExecutionModel, SimRunConfig,
 };
 use esdb_obs::WaitProfile;
+use esdb_wal::LogPolicy;
 use esdb_workload::Tpcb;
 use std::sync::Arc;
 
@@ -59,7 +59,7 @@ fn shares(b: &WaitProfile) -> Vec<String> {
     ]
 }
 
-fn cell(label: &str, log: LogChoice, threads: usize) -> Vec<String> {
+fn cell(label: &str, log: LogPolicy, threads: usize) -> Vec<String> {
     // Best-of-N over identical request streams: keep the rep least perturbed
     // by scheduler noise, and report its obs snapshot so the shares describe
     // the same run as the throughput.
@@ -98,7 +98,7 @@ fn cell(label: &str, log: LogChoice, threads: usize) -> Vec<String> {
     out
 }
 
-fn sim_cell(label: &str, log: LogChoice, contexts: usize) -> Vec<String> {
+fn sim_cell(label: &str, log: LogPolicy, contexts: usize) -> Vec<String> {
     // Partition execution away (DORA) so the log is the only shared
     // structure — the isolation the keynote's figure 6 argues from.
     let cfg = EngineConfig {
@@ -134,11 +134,11 @@ fn main() {
         ],
     );
     for threads in THREADS {
-        row(&cell("serial", LogChoice::Serial, threads));
+        row(&cell("serial", LogPolicy::Serial, threads));
     }
     println!();
     for threads in THREADS {
-        row(&cell("consolidated", LogChoice::Consolidated, threads));
+        row(&cell("consolidated", LogPolicy::Consolidated, threads));
     }
 
     println!();
@@ -148,11 +148,11 @@ fn main() {
         &["log", "contexts", "tpmc", "useful", "lock", "latch", "log_wait", "flush", "io"],
     );
     for contexts in CONTEXTS {
-        row(&sim_cell("serial", LogChoice::Serial, contexts));
+        row(&sim_cell("serial", LogPolicy::Serial, contexts));
     }
     println!();
     for contexts in CONTEXTS {
-        row(&sim_cell("consolidated", LogChoice::Consolidated, contexts));
+        row(&sim_cell("consolidated", LogPolicy::Consolidated, contexts));
     }
     println!(
         "\nexpected shape (keynote fig. 6, asserted by the claim6 test in\n\

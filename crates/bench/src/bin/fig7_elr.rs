@@ -9,15 +9,15 @@
 //! device's flush latency, ELR off vs on.
 
 use esdb_bench::{header, row};
-use esdb_core::config::LogChoice;
 use esdb_core::{run_sim_workload, EngineConfig, ExecutionModel, SimRunConfig};
 use esdb_sim::ChipConfig;
+use esdb_wal::LogPolicy;
 use esdb_workload::Tpcb;
 
 fn run(elr: bool, flush_latency: u64) -> f64 {
     let cfg = EngineConfig {
         execution: ExecutionModel::Conventional { lock_partitions: 64 },
-        log: LogChoice::Consolidated,
+        log: LogPolicy::Consolidated,
         elr,
         ..EngineConfig::default()
     };
@@ -28,7 +28,6 @@ fn run(elr: bool, flush_latency: u64) -> f64 {
         &cfg,
         &SimRunConfig {
             chip: ChipConfig::with_contexts(32),
-            clients: 0,
             horizon: 6_000_000,
             flush_latency,
         },

@@ -527,7 +527,6 @@ fn run_schedule(scenario: &Scenario, mut schedule: Box<dyn Schedule>, cfg: &Chec
         let script = script.clone();
         let recorder = Arc::clone(&recorder);
         let panicked = Arc::clone(&panicked);
-        let retries = scenario.config.retries;
         let record = conventional;
         let deferred = finishes_deferred(seed);
         let (hs, handle) = spawn_vthread(tag as u64, move || {
@@ -548,7 +547,7 @@ fn run_schedule(scenario: &Scenario, mut schedule: Box<dyn Schedule>, cfg: &Chec
                         }
                         recorder.commit(id);
                     };
-                    spec_exec::run_conventional(db.txn_manager(), retries, spec, observe, finish).0
+                    spec_exec::run_conventional(db.txn_manager(), spec, observe, finish).0
                 }));
                 match result {
                     Ok(outcome) => outcomes.push(outcome),

@@ -153,7 +153,7 @@ impl Database {
     /// crash-torture harness uses to slide a
     /// [`esdb_storage::FaultInjector`] under the buffer pool.
     pub fn open_on(config: EngineConfig, disk: Arc<dyn PageStore>) -> Self {
-        let wal = Wal::new(config.log.into(), config.flush_latency);
+        let wal = Wal::new(config.log, config.flush_latency);
         Self::restore(config, disk, wal, &[], &[]).expect("nothing to recover").0
     }
 
@@ -183,7 +183,7 @@ impl Database {
             ExecutionModel::Conventional { lock_partitions } => lock_partitions,
             ExecutionModel::Dora { .. } => 16,
         };
-        let locks = Arc::new(LockManager::with_timeout(lock_partitions, config.lock_timeout));
+        let locks = Arc::new(LockManager::new(lock_partitions));
         let txn_mgr = Arc::new(TxnManager::new(locks, wal, config.elr));
         for image in tables {
             let heap = HeapFile::from_pages(pool.clone(), image.pages.clone());
@@ -279,7 +279,7 @@ impl Database {
             "closure transactions require the conventional execution model; \
              use run_spec on DORA databases"
         );
-        self.txn_mgr.run(self.config.retries, f)
+        self.txn_mgr.run(spec_exec::RETRIES, f)
     }
 
     /// Executes one engine-agnostic transaction spec on whichever execution
@@ -313,8 +313,7 @@ impl Database {
     ) -> (SpecOutcome, Option<esdb_wal::Lsn>) {
         match self.config.execution {
             ExecutionModel::Conventional { .. } => {
-                let (outcome, owed) =
-                    spec_exec::run_conventional(&self.txn_mgr, self.config.retries, spec, unobserved, finish);
+                let (outcome, owed) = spec_exec::run_conventional(&self.txn_mgr, spec, unobserved, finish);
                 (outcome, owed.flatten())
             }
             ExecutionModel::Dora { .. } => (spec_exec::run_dora(self.dora(), spec), None),
@@ -357,8 +356,7 @@ impl Database {
             return (SpecOutcome::LogicalFailure, None);
         }
         let prepare = |txn: Txn| txn.prepare_deferred(gtid);
-        let (vote, prepared) =
-            spec_exec::run_conventional(&self.txn_mgr, self.config.retries, spec, unobserved, prepare);
+        let (vote, prepared) = spec_exec::run_conventional(&self.txn_mgr, spec, unobserved, prepare);
         let Some((handle, lsn)) = prepared else {
             return (vote, None);
         };
@@ -456,7 +454,7 @@ impl Database {
     /// executors only for transactional reads).
     pub fn read_committed(&self, table: TableId, key: u64) -> TxnResult<Vec<i64>> {
         match self.config.execution {
-            ExecutionModel::Conventional { .. } => self.txn_mgr.run(self.config.retries, |t| t.read(table, key)),
+            ExecutionModel::Conventional { .. } => self.txn_mgr.run(spec_exec::RETRIES, |t| t.read(table, key)),
             ExecutionModel::Dora { .. } => {
                 let outcome = self.run_spec(&esdb_workload::TxnSpec {
                     kind: "read",
@@ -609,7 +607,7 @@ impl Database {
         // What survives: the page store and the durable log prefix — and,
         // until the catalog is logged, the live catalog.
         let records = self.wal().durable_records();
-        let wal = self.wal().successor(self.config.log.into(), self.config.flush_latency);
+        let wal = self.wal().successor(self.config.log, self.config.flush_latency);
         Database::restore(self.config.clone(), self.disk.clone(), wal, &self.catalog(), &records)
             .expect("recovery I/O on the surviving page store")
     }

@@ -5,9 +5,10 @@
 //! scalability figures sweep hardware contexts far beyond the host machine
 //! while running the *same* request streams as the native engine.
 
-use crate::config::{EngineConfig, ExecutionModel, LatchChoice, LogChoice};
+use crate::config::{EngineConfig, ExecutionModel};
 use esdb_sim::dbmodel::{compile, DbModelConfig, EngineKind, LogKind, SimTxn};
 use esdb_sim::{ChipConfig, SimReport, Simulation, WaitPolicy};
+use esdb_wal::LogPolicy;
 use esdb_workload::{Workload, WorkloadOp};
 
 /// Converts a workload spec into the simulator's read/write-set form.
@@ -37,21 +38,12 @@ pub fn sim_model_config(cfg: &EngineConfig) -> DbModelConfig {
             },
         },
         log: match cfg.log {
-            LogChoice::Serial => LogKind::Serial,
-            LogChoice::Decoupled => LogKind::Decoupled,
-            LogChoice::Consolidated => LogKind::Consolidated,
+            LogPolicy::Serial => LogKind::Serial,
+            LogPolicy::Decoupled => LogKind::Decoupled,
+            LogPolicy::Consolidated => LogKind::Consolidated,
         },
         elr: cfg.elr,
         ..DbModelConfig::default()
-    }
-}
-
-/// Maps the latch choice to the simulator wait policy.
-pub fn sim_wait_policy(cfg: &EngineConfig) -> WaitPolicy {
-    match cfg.latch {
-        LatchChoice::Spin => WaitPolicy::Spin,
-        LatchChoice::Block => WaitPolicy::Block,
-        LatchChoice::Hybrid => WaitPolicy::DEFAULT_HYBRID,
     }
 }
 
@@ -60,8 +52,6 @@ pub fn sim_wait_policy(cfg: &EngineConfig) -> WaitPolicy {
 pub struct SimRunConfig {
     /// Chip to simulate.
     pub chip: ChipConfig,
-    /// Closed-loop clients (defaults to one per context if 0).
-    pub clients: usize,
     /// Simulated cycles.
     pub horizon: u64,
     /// Commit flush latency in cycles.
@@ -73,7 +63,6 @@ impl SimRunConfig {
     pub fn at_contexts(contexts: usize) -> Self {
         SimRunConfig {
             chip: ChipConfig::with_contexts(contexts),
-            clients: 0,
             horizon: 3_000_000,
             flush_latency: 0,
         }
@@ -100,22 +89,18 @@ pub fn sim_wait_profile(r: &SimReport) -> esdb_obs::WaitProfile {
     }
 }
 
-/// Runs `workload` on the simulator under `engine_cfg` and returns the
-/// report. Deterministic for a given workload seed.
+/// Runs `workload` on the simulator under `engine_cfg`, one closed-loop
+/// client per hardware context, latches spinning then blocking
+/// ([`WaitPolicy::DEFAULT_HYBRID`]), and returns the report. Deterministic
+/// for a given workload seed.
 pub fn run_sim_workload(
     workload: &mut dyn Workload,
     engine_cfg: &EngineConfig,
     run: &SimRunConfig,
 ) -> SimReport {
     let model = sim_model_config(engine_cfg);
-    let policy = sim_wait_policy(engine_cfg);
-    let clients = if run.clients == 0 {
-        run.chip.contexts
-    } else {
-        run.clients
-    };
-    let mut sim = Simulation::new(run.chip.clone(), policy, run.flush_latency);
-    for i in 0..clients {
+    let mut sim = Simulation::new(run.chip.clone(), WaitPolicy::DEFAULT_HYBRID, run.flush_latency);
+    for i in 0..run.chip.contexts {
         let mut gen = workload.fork();
         sim.add_task(move |n| {
             let spec = gen.next_txn();
@@ -178,7 +163,7 @@ mod tests {
     /// One fig6b cell, built exactly as `fig6_breakdown`'s `sim_cell` builds
     /// it: TPC-B (1024 branches, seed 11) on DORA-64, so the log is the only
     /// shared structure. Returns `(tpmc, log_wait_share)`.
-    fn fig6b_cell(log: LogChoice, contexts: usize) -> (f64, f64) {
+    fn fig6b_cell(log: LogPolicy, contexts: usize) -> (f64, f64) {
         let cfg = EngineConfig {
             execution: ExecutionModel::Dora { partitions: 64 },
             log,
@@ -198,9 +183,9 @@ mod tests {
         // shared structure left. Under a serial log head its wait share must
         // grow with contexts; the consolidation array must hold it near zero.
         let share = |log, contexts| fig6b_cell(log, contexts).1;
-        let serial_small = share(LogChoice::Serial, 4);
-        let serial_big = share(LogChoice::Serial, 32);
-        let consolidated_big = share(LogChoice::Consolidated, 32);
+        let serial_small = share(LogPolicy::Serial, 4);
+        let serial_big = share(LogPolicy::Serial, 32);
+        let consolidated_big = share(LogPolicy::Consolidated, 32);
         assert!(
             serial_big > serial_small * 2.0 && serial_big > 0.10,
             "serial log share must grow: {serial_small:.3} -> {serial_big:.3}"
@@ -218,12 +203,12 @@ mod tests {
         // deterministic, so a changed value is a model change, to be
         // re-recorded there, never a tolerance to widen.
         let pinned = [
-            (LogChoice::Serial, 4, 561.0, 0.03165279374303225),
-            (LogChoice::Serial, 16, 1234.3333333333333, 0.5495920739918579),
-            (LogChoice::Serial, 32, 1228.0, 0.5254621658869959),
-            (LogChoice::Consolidated, 4, 561.6666666666666, 0.0),
-            (LogChoice::Consolidated, 32, 4561.0, 0.0),
-            (LogChoice::Consolidated, 64, 8398.333333333334, 0.0),
+            (LogPolicy::Serial, 4, 561.0, 0.03165279374303225),
+            (LogPolicy::Serial, 16, 1234.3333333333333, 0.5495920739918579),
+            (LogPolicy::Serial, 32, 1228.0, 0.5254621658869959),
+            (LogPolicy::Consolidated, 4, 561.6666666666666, 0.0),
+            (LogPolicy::Consolidated, 32, 4561.0, 0.0),
+            (LogPolicy::Consolidated, 64, 8398.333333333334, 0.0),
         ];
         for (log, contexts, tpmc, log_wait_share) in pinned {
             assert_eq!(

@@ -175,7 +175,7 @@ pub struct LockManager {
 
 impl LockManager {
     /// Default lock-wait timeout.
-    pub const DEFAULT_TIMEOUT: Duration = Duration::from_millis(500);
+    pub const DEFAULT_TIMEOUT: Duration = Duration::from_millis(200);
 
     /// Creates a manager with `partitions` lock-table shards.
     pub fn new(partitions: usize) -> Self {

@@ -597,7 +597,7 @@ fn install_snapshot(snapshot: &Snapshot, config: EngineConfig) -> Result<Arc<Dat
         page.as_bytes_mut().copy_from_slice(bytes);
         disk.write(*pid, &page)?;
     }
-    let wal = Wal::new_at(1 << 62, config.log.into(), config.flush_latency);
+    let wal = Wal::new_at(1 << 62, config.log, config.flush_latency);
     let (db, _) = Database::restore(config, disk, wal, &tables, &[])?;
     Ok(Arc::new(db))
 }

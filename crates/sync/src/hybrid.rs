@@ -2,7 +2,8 @@
 //!
 //! The keynote's resolution of the spinning/blocking tradeoff: spin just long
 //! enough to ride out short critical sections, then park so a waiting context
-//! stops burning cycles. This is the default latch policy of the engine.
+//! stops burning cycles. The simulator models every engine run's latches this
+//! way (`esdb_sim::WaitPolicy::DEFAULT_HYBRID`).
 //!
 //! The state machine is the classic three-state futex mutex (0 = free,
 //! 1 = held, 2 = held with possible waiters), with a `Mutex`/`Condvar` pair

@@ -21,10 +21,12 @@
 //! * **Reader–writer latch** ([`RwLatch`]) — writer-preferring spin latch used
 //!   to protect index nodes; [`Latched<T>`] pairs one with the data it guards.
 //!
-//! All primitives implement the [`RawLock`] trait so higher layers (buffer
-//! pool, lock manager, log buffer) can be instantiated with any policy, and
-//! all optionally record contention statistics ([`LockStats`]) that the
-//! benchmark harness turns into the spin-vs-block figures.
+//! All primitives implement the [`RawLock`] trait, through which fig3 and the
+//! `sync_primitives` bench sweep them. Inside the engine, the decoupled log
+//! buffer's allocation lock is a [`TatasLock`], B+tree nodes are
+//! [`RwLatch`]es and secondary indexes are [`Latched`]; the other mutexes are
+//! `parking_lot`'s. The spin/block/hybrid choice at many contexts is swept on
+//! the simulator (`esdb_sim::WaitPolicy`).
 //!
 //! ## Example
 //!
@@ -45,22 +47,18 @@ pub mod block;
 pub mod hybrid;
 #[allow(unsafe_code)]
 pub mod mcs;
-pub mod policy;
 #[allow(unsafe_code)]
 pub mod rwlatch;
 pub mod sched;
 pub mod spin;
-pub mod stats;
 
 pub use backoff::Backoff;
 pub use block::BlockLock;
 pub use hybrid::HybridLock;
 pub use mcs::McsLock;
-pub use policy::{LatchPolicy, PolicyLock};
 pub use rwlatch::{Latched, RwLatch};
 pub use sched::{SchedHook, YieldPoint};
 pub use spin::{TasLock, TatasLock, TicketLock};
-pub use stats::LockStats;
 
 /// Multiplicative hasher for the engine's own integer keys (`LockId`,
 /// `PageId`, `TxnId`, `TableId`): one rotate-xor-multiply per word where
@@ -202,13 +200,6 @@ mod tests {
     #[test]
     fn hybrid_mutual_exclusion() {
         exercise(HybridLock::new());
-    }
-
-    #[test]
-    fn policy_locks_mutual_exclusion() {
-        for policy in [LatchPolicy::Spin, LatchPolicy::Block, LatchPolicy::Hybrid] {
-            exercise(PolicyLock::new(policy));
-        }
     }
 
     #[test]

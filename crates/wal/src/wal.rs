@@ -9,7 +9,6 @@ use crate::{Lsn, NULL_LSN};
 use esdb_storage::rid::Rid;
 use esdb_storage::schema::TableId;
 use std::cell::RefCell;
-use std::str::FromStr;
 use std::time::Duration;
 
 thread_local! {
@@ -42,21 +41,6 @@ impl std::fmt::Display for LogPolicy {
             LogPolicy::Decoupled => "decoupled",
             LogPolicy::Consolidated => "consolidated",
         })
-    }
-}
-
-impl FromStr for LogPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "serial" => Ok(LogPolicy::Serial),
-            "decoupled" => Ok(LogPolicy::Decoupled),
-            "consolidated" => Ok(LogPolicy::Consolidated),
-            other => Err(format!(
-                "unknown log policy {other:?} (expected serial|decoupled|consolidated)"
-            )),
-        }
     }
 }
 
@@ -297,14 +281,6 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn policy_roundtrip() {
-        for p in LogPolicy::ALL {
-            assert_eq!(p.to_string().parse::<LogPolicy>().unwrap(), p);
-        }
-        assert!("raft".parse::<LogPolicy>().is_err());
-    }
 
     #[test]
     fn append_and_replay_across_policies() {
