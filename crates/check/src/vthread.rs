@@ -202,10 +202,6 @@ impl CheckHook {
 }
 
 impl SchedHook for CheckHook {
-    fn is_virtual(&self) -> bool {
-        CURRENT.with(|c| c.borrow().as_ref().map_or(false, |v| !v.detached.get()))
-    }
-
     fn yield_now(&self, point: YieldPoint) {
         let Some(hs) = current_handshake() else { return };
         loop {

@@ -24,7 +24,9 @@ pub enum SpecOutcome {
     },
     /// Aborted on a logical error (missing/duplicate key).
     LogicalFailure,
-    /// Aborted after exhausting conflict retries.
+    /// Aborted after exhausting conflict retries, or (a cross-shard 2PC)
+    /// because an in-doubt inquiry took the abort verdict before the
+    /// coordinator could commit.
     ConflictFailure,
 }
 

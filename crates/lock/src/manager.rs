@@ -411,11 +411,6 @@ impl LockManager {
             .and_then(|e| e.granted.iter().find(|&&(t, _)| t == txn).map(|&(_, m)| m))
     }
 
-    /// Number of lock-table shards.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> LockStatsSnapshot {
         LockStatsSnapshot {

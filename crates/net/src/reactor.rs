@@ -856,13 +856,10 @@ fn exec_one(shared: &Arc<Shared>, conn: &mut Conn, req: Request, now: Instant, i
             Response::Ok
         }
         // Participant recovery asks the coordinator's decision log what
-        // became of an in-doubt gtid; no durable decision means abort
-        // (presumed abort).
+        // became of an in-doubt gtid; the source answers the verdict that
+        // holds (an undecided gtid takes abort).
         Request::ShardStatus { gtid } => match &shared.config.decision_source {
-            Some(source) => Response::ShardDecision {
-                gtid,
-                commit: (source.0)(gtid).unwrap_or(false),
-            },
+            Some(source) => Response::ShardDecision { gtid, commit: (source.0)(gtid) },
             None => Response::Error("no coordinator decision source configured".into()),
         },
         Request::ShardInDoubt => Response::ShardGtids(db.prepared_gtids()),

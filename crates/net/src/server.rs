@@ -33,13 +33,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Where a participant server looks up a coordinator's durable verdict for
-/// an in-doubt transaction ([`crate::protocol::Request::ShardStatus`]). The
-/// closure returns `Some(commit)` when the coordinator logged a decision and
-/// `None` when it never did — which, under presumed abort, the server
-/// reports as an abort.
+/// Where a participant server looks up a coordinator's verdict for an
+/// in-doubt transaction ([`crate::protocol::Request::ShardStatus`]). The
+/// closure returns the verdict that holds; for an undecided gtid the
+/// coordinator takes abort (presumed abort) and never commits it afterwards.
 #[derive(Clone)]
-pub struct DecisionSource(pub Arc<dyn Fn(u64) -> Option<bool> + Send + Sync>);
+pub struct DecisionSource(pub Arc<dyn Fn(u64) -> bool + Send + Sync>);
 
 impl std::fmt::Debug for DecisionSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

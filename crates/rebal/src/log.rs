@@ -1,5 +1,6 @@
-//! The migration coordinator's durable state: a WAL-backed log of
-//! state-machine transitions, modeled on the 2PC coordinator's
+//! The migration coordinator's durable state: a log of state-machine
+//! transitions on an [`esdb_wal::DurableFsm`], the same durable state
+//! machine that carries the 2PC coordinator's
 //! [`DecisionLog`](esdb_shard::DecisionLog).
 //!
 //! Every phase transition of a migration is **forced** before the
@@ -18,8 +19,7 @@
 //! that onto the idempotent restart rule: anything before `CutOver`
 //! restarts the copy; `CutOver` and later roll forward.
 
-use esdb_wal::{LogBody, LogPolicy, Wal};
-use parking_lot::Mutex;
+use esdb_wal::{DurableFsm, Fsm, LogBody};
 use std::collections::HashMap;
 
 /// The migration state machine. Ordinals are the durable wire form (the
@@ -88,28 +88,29 @@ impl std::fmt::Display for Phase {
 /// [`Phase`] ordinal space.
 pub const FENCE_MARK: u8 = 0xFE;
 
-/// The migration coordinator's write-ahead log: one forced
-/// [`LogBody::MigrationStep`] per state-machine transition.
-pub struct MigrationLog {
-    wal: Wal,
-    /// Latest `(phase, mark)` per migration id, this incarnation plus
-    /// whatever recovery salvaged.
-    state: Mutex<HashMap<u64, (Phase, u64)>>,
-}
+/// Latest `(phase, mark)` per migration id.
+#[derive(Default)]
+struct Phases(HashMap<u64, (Phase, u64)>);
 
-impl Default for MigrationLog {
-    fn default() -> Self {
-        MigrationLog::new()
+impl Fsm for Phases {
+    fn apply(&mut self, record: &LogBody) {
+        if let LogBody::MigrationStep { mid, phase, mark, .. } = *record {
+            if let Some(p) = Phase::from_u8(phase) {
+                self.0.insert(mid, (p, mark));
+            }
+        }
     }
 }
+
+/// The migration coordinator's write-ahead log: one forced
+/// [`LogBody::MigrationStep`] per state-machine transition.
+#[derive(Default)]
+pub struct MigrationLog(DurableFsm<Phases>);
 
 impl MigrationLog {
     /// A fresh coordinator log.
     pub fn new() -> MigrationLog {
-        MigrationLog {
-            wal: Wal::new(LogPolicy::Serial, None),
-            state: Mutex::new(HashMap::new()),
-        }
+        MigrationLog::default()
     }
 
     /// Forces a transition record for migration `mid` and returns once it
@@ -117,14 +118,13 @@ impl MigrationLog {
     /// returns — write-ahead, like every other log in the system.
     pub fn record(&self, mid: u64, phase: Phase, slot: u32, from: u32, to: u32, mark: u64) {
         let step = LogBody::MigrationStep { mid, phase: phase.as_u8(), slot, from, to, mark };
-        self.wal.append_forced(&step);
-        self.state.lock().insert(mid, (phase, mark));
+        self.0.step(|_| ((), Some((step, true))));
     }
 
     /// The latest durable `(phase, mark)` for `mid`, if any transition was
     /// ever recorded.
     pub fn latest(&self, mid: u64) -> Option<(Phase, u64)> {
-        self.state.lock().get(&mid).copied()
+        self.0.read(|s| s.0.get(&mid).copied())
     }
 
     /// Simulates a coordinator crash: a new incarnation rebuilt from the
@@ -133,18 +133,7 @@ impl MigrationLog {
     /// visible state — at worst it is ahead of unfinished work, and every
     /// phase's work is idempotent to redo.
     pub fn recover(&self) -> MigrationLog {
-        let mut state = HashMap::new();
-        for r in self.wal.durable_records() {
-            if let LogBody::MigrationStep { mid, phase, mark, .. } = r.body {
-                if let Some(p) = Phase::from_u8(phase) {
-                    state.insert(mid, (p, mark));
-                }
-            }
-        }
-        MigrationLog {
-            wal: self.wal.successor(LogPolicy::Serial, None),
-            state: Mutex::new(state),
-        }
+        MigrationLog(self.0.recover())
     }
 }
 

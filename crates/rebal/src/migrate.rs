@@ -308,10 +308,11 @@ impl Migration {
 
     /// CatchUp → Fenced: the only write-unavailable window. Fence the slot
     /// on the source, resolve in-doubt prepared slices (their verdicts
-    /// come from the 2PC coordinator — presumed abort), drain in-flight
-    /// writers, append a fence marker to the source WAL, ship everything
-    /// up to the marker, and flush the destination so the copied base
-    /// survives a destination crash after cutover.
+    /// come from the 2PC coordinator — presumed abort, which the fence's
+    /// inquiry takes, so a router still voting on the gtid finds abort
+    /// too), drain in-flight writers, append a fence marker to the source
+    /// WAL, ship everything up to the marker, and flush the destination so
+    /// the copied base survives a destination crash after cutover.
     fn do_fence(&mut self) -> Result<(), MigrateError> {
         let MigrationSpec { mid, slot, from, to } = self.spec;
         self.log.record(mid, Phase::Fenced, slot, from, to, 0);

@@ -452,7 +452,8 @@ fn clean_migration_under_load() {
 
 /// The fence resolves in-doubt prepared 2PC slices from the coordinator's
 /// durable verdicts: a forced commit lands on the destination, an
-/// undecided prepare is presumed aborted and its effects rolled back.
+/// undecided prepare is presumed aborted and its effects rolled back, and
+/// that abort is the verdict that holds.
 #[test]
 fn fence_resolves_in_doubt_slices_from_the_coordinator() {
     let cluster = Cluster::new();
@@ -487,6 +488,10 @@ fn fence_resolves_in_doubt_slices_from_the_coordinator() {
     let dest = cluster.dbs[1].table(T).unwrap();
     assert_eq!(dest.get(k_commit).unwrap(), vec![111], "forced commit must survive the move");
     assert_eq!(dest.get(k_abort).unwrap(), vec![2], "presumed abort must roll back");
+    // The fence's inquiry took abort for g_abort: a router still voting on
+    // it cannot commit the slice the fence already rolled back.
+    assert!(!cluster.coord.decide(g_abort, true), "a late commit must find abort");
+    assert!(!cluster.coord.recover().resolve(g_abort));
 }
 
 /// Writes are blocked *only* during the fence window: a writer that hits

@@ -11,9 +11,10 @@
 //! * [`router`] — [`ShardRouter`] classifies each transaction. Single-shard
 //!   transactions take the existing one-shot fast path on their home shard,
 //!   untouched. Cross-shard transactions run two-phase commit.
-//! * [`coordinator`] — [`DecisionLog`]: the coordinator's WAL. Commit
-//!   decisions are forced; abort decisions are *presumed* — a crash that
-//!   loses them still resolves correctly.
+//! * [`coordinator`] — [`DecisionLog`]: the coordinator's WAL, an
+//!   [`esdb_wal::DurableFsm`]. Commit decisions are forced; abort decisions
+//!   are *presumed* — a crash that loses them still resolves correctly. The
+//!   first verdict recorded for a gtid is the one that holds.
 //! * [`recovery`] — resolving a participant's in-doubt transactions after a
 //!   crash, from the coordinator's durable verdicts.
 //! * [`workload`] — [`ShardedTpcb`]: TPC-B with a tunable cross-shard
@@ -39,8 +40,10 @@
 //!
 //! A participant that crashes between Prepare and Decide recovers the
 //! transaction *in doubt*: redone, not undone, locks conceptually held. It
-//! then asks the coordinator's [`DecisionLog`]; no durable commit verdict
-//! means abort.
+//! then asks the coordinator's [`DecisionLog`], which answers the verdict
+//! that holds. An undecided gtid *takes* abort there (presumed abort), so a
+//! router still voting on it finds abort at its decision point, posts abort
+//! to every yes-voter and reports `ConflictFailure` to its client.
 
 #![deny(unsafe_code)]
 

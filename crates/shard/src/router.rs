@@ -97,7 +97,7 @@ pub struct TwoPcTrace {
     pub gtid: u64,
     /// Shards that voted yes and are holding locks for this gtid.
     pub prepared: Vec<usize>,
-    /// The logged decision, if the protocol got that far.
+    /// The verdict that holds, if the protocol got that far.
     pub decision: Option<bool>,
     /// The client-visible outcome, if the protocol ran to completion.
     pub outcome: Option<SpecOutcome>,
@@ -112,7 +112,8 @@ pub struct RouterStats {
     pub cross_shard: u64,
     /// Cross-shard transactions that committed.
     pub cross_commits: u64,
-    /// Cross-shard transactions that aborted (any participant voted no).
+    /// Cross-shard transactions that aborted (a participant voted no, or an
+    /// inquiry took the abort verdict first).
     pub cross_aborts: u64,
     /// `WrongShard` refusals absorbed by a routing refresh + retry.
     pub wrong_shard_retries: u64,
@@ -341,17 +342,18 @@ impl ShardRouter {
             return Ok(TwoPcTrace { gtid, prepared, decision: None, outcome: None });
         }
         // The decision point: a forced log record for commit, a lazy one
-        // for abort (presumed abort makes losing it harmless).
-        self.coord.decide(gtid, all_yes);
+        // for abort (presumed abort makes losing it harmless). The verdict
+        // that holds may be an abort an inquiry took while we were voting.
+        let commit = self.coord.decide(gtid, all_yes);
         if crash == Some(CrashPoint::AfterDecision) {
-            return Ok(TwoPcTrace { gtid, prepared, decision: Some(all_yes), outcome: None });
+            return Ok(TwoPcTrace { gtid, prepared, decision: Some(commit), outcome: None });
         }
         // The outcome is now fixed — the forced verdict *is* the commit —
         // so phase two is off the caller's critical path: yes-voters are sent
         // the verdict (a no-voter already rolled itself back while voting)
         // and nobody waits for them to apply it.
-        self.post_verdict(gtid, all_yes, &prepared);
-        let outcome = if all_yes {
+        self.post_verdict(gtid, commit, &prepared);
+        let outcome = if commit {
             let mut reads = vec![None; spec.ops.len()];
             for ((_, idxs), (_, vote)) in groups.iter().zip(&votes) {
                 if let SpecOutcome::Committed { reads: shard_reads } = vote {
@@ -361,10 +363,12 @@ impl ShardRouter {
                 }
             }
             SpecOutcome::Committed { reads }
+        } else if all_yes {
+            SpecOutcome::ConflictFailure
         } else {
             votes.pop().expect("a no-vote ended phase one").1
         };
-        Ok(TwoPcTrace { gtid, prepared, decision: Some(all_yes), outcome: Some(outcome) })
+        Ok(TwoPcTrace { gtid, prepared, decision: Some(commit), outcome: Some(outcome) })
     }
 
     /// Sends the logged verdict for `gtid` to each of `voters`. Called only

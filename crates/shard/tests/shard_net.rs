@@ -10,7 +10,8 @@ use esdb_shard::{
     ShardRouter, ShardedTpcb,
 };
 use esdb_workload::{tpcb, TxnSpec, Workload, WorkloadOp};
-use std::sync::Arc;
+use std::net::SocketAddr;
+use std::sync::{Arc, Mutex};
 
 const SHARDS: usize = 2;
 const BRANCHES: u64 = 4;
@@ -187,6 +188,72 @@ fn a_verdict_lost_with_its_connection_is_resolved_from_the_decision_log() {
     assert!(resolver.shard_status(in_doubt[0]).unwrap(), "a forced commit verdict");
     resolver.shard_decide(in_doubt[0], true).unwrap();
     assert!(resolver.shard_in_doubt().unwrap().is_empty());
+    assert_conservation(&dbs);
+}
+
+/// A [`NetShard`] that, right after its prepare, asks the *other* server
+/// for the gtid's status: a participant's `ShardStatus` arriving between
+/// the router's two prepares. Only the first prepare across the wrappers
+/// sharing `answer` asks, and its answer is kept there.
+struct AskMidway {
+    inner: NetShard,
+    other: SocketAddr,
+    answer: Arc<Mutex<Option<bool>>>,
+}
+
+impl ShardBackend for AskMidway {
+    fn one_shot(&mut self, spec: &TxnSpec) -> Result<SpecOutcome, ShardError> {
+        self.inner.one_shot(spec)
+    }
+    fn prepare(&mut self, gtid: u64, ops: Vec<WorkloadOp>) -> Result<SpecOutcome, ShardError> {
+        let vote = self.inner.prepare(gtid, ops)?;
+        let mut answer = self.answer.lock().unwrap();
+        if answer.is_none() {
+            *answer = Some(Client::connect(self.other)?.shard_status(gtid)?);
+        }
+        Ok(vote)
+    }
+    fn decide(&mut self, gtid: u64, commit: bool) -> Result<(), ShardError> {
+        self.inner.decide(gtid, commit)
+    }
+    fn settle(&mut self) -> Result<(), ShardError> {
+        self.inner.settle()
+    }
+}
+
+#[test]
+fn an_inquiry_between_the_prepares_takes_the_abort_verdict() {
+    let w = ShardedTpcb::new(BRANCHES, ACCOUNTS_PER_BRANCH, 100, SHARDS, 11);
+    let part = w.partitioner();
+    let coord = Arc::new(DecisionLog::new());
+    let (dbs, servers) = start_cluster(&w, &coord);
+    let answer = Arc::new(Mutex::new(None));
+    let shards: Vec<Box<dyn ShardBackend>> = (0..SHARDS)
+        .map(|idx| {
+            Box::new(AskMidway {
+                inner: NetShard(Client::connect(servers[idx].local_addr()).unwrap()),
+                other: servers[1 - idx].local_addr(),
+                answer: Arc::clone(&answer),
+            }) as Box<dyn ShardBackend>
+        })
+        .collect();
+    let mut router = ShardRouter::new(shards, Arc::new(part), Arc::clone(&coord)).unwrap();
+    let mut gen = ShardedTpcb::new(BRANCHES, ACCOUNTS_PER_BRANCH, 100, SHARDS, 12);
+
+    // Both shards vote yes, but the inquiry came first: the coordinator
+    // keeps the abort it answered, and the client sees the abort.
+    let outcome = router.execute(&next_cross_shard(&mut gen)).unwrap();
+    assert_eq!(*answer.lock().unwrap(), Some(false), "the inquiry is answered abort");
+    assert_eq!(outcome, SpecOutcome::ConflictFailure);
+    assert_eq!(router.stats().cross_aborts, 1);
+    // No inquiry this time: the next transaction commits.
+    assert!(router.execute(&next_cross_shard(&mut gen)).unwrap().is_committed());
+
+    router.settle().unwrap();
+    for server in &servers {
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        assert!(client.shard_in_doubt().unwrap().is_empty(), "a participant left prepared");
+    }
     assert_conservation(&dbs);
 }
 

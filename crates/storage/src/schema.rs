@@ -99,11 +99,6 @@ impl Schema {
             indexes,
         }
     }
-
-    /// Encoded byte width of one row: 8-byte key + 8 bytes per column.
-    pub fn row_width(&self) -> usize {
-        8 + 8 * self.arity
-    }
 }
 
 /// Encodes `key` and `row` into the on-page byte representation.
@@ -215,13 +210,6 @@ mod tests {
     fn empty_row_is_just_a_key() {
         let bytes = encode_row(7, &[]);
         assert_eq!(decode_row(&bytes).unwrap(), (7, vec![]));
-    }
-
-    #[test]
-    fn schema_row_width() {
-        let s = Schema::new(1, "t", 3);
-        assert_eq!(s.row_width(), 32);
-        assert_eq!(s.name, "t");
     }
 
     #[test]

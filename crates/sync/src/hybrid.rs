@@ -25,7 +25,6 @@ pub struct HybridLock {
     cv: Condvar,
     spin_rounds: u32,
     parks: AtomicU64,
-    spins: AtomicU64,
 }
 
 impl Default for HybridLock {
@@ -52,13 +51,7 @@ impl HybridLock {
             cv: Condvar::new(),
             spin_rounds: rounds,
             parks: AtomicU64::new(0),
-            spins: AtomicU64::new(0),
         }
-    }
-
-    /// Total backoff pauses executed across all acquisitions.
-    pub fn spin_count(&self) -> u64 {
-        self.spins.load(Ordering::Relaxed)
     }
 
     /// Total park (sleep) events across all acquisitions.
@@ -80,7 +73,6 @@ impl HybridLock {
                 return;
             }
             backoff.pause();
-            self.spins.fetch_add(1, Ordering::Relaxed);
         }
         // Phase 2: park. From here on we always mark the lock CONTENDED so the
         // releaser knows to wake someone.
@@ -167,7 +159,6 @@ mod tests {
         lock.unlock();
         h.join().unwrap();
         assert!(lock.park_count() >= 1);
-        assert_eq!(lock.spin_count(), 0);
     }
 
     #[test]

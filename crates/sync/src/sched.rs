@@ -73,8 +73,6 @@ impl YieldPoint {
 /// The pluggable scheduler seam. Implemented by `esdb-check`; never
 /// implemented in production builds.
 pub trait SchedHook: Send + Sync {
-    /// Is the *calling thread* governed by the deterministic scheduler?
-    fn is_virtual(&self) -> bool;
     /// Cooperative yield at `point`. No-op for non-virtual threads.
     fn yield_now(&self, point: YieldPoint);
     /// Block at `point` until `ready()` holds. Returns `false` if the thread
@@ -133,17 +131,6 @@ fn yield_slow(point: YieldPoint) {
     }
 }
 
-/// Is the calling thread a live virtual thread? Free when no hook installed.
-#[inline(always)]
-pub fn virtualized() -> bool {
-    active() && virtualized_slow()
-}
-
-#[cold]
-fn virtualized_slow() -> bool {
-    current().map_or(false, |h| h.is_virtual())
-}
-
 /// Block at `point` until `ready()` holds, under the scheduler. Returns
 /// `false` when the thread is not governed — the caller must then block on
 /// its ordinary OS primitive. Free when no hook is installed.
@@ -194,16 +181,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    // Declines governance (is_virtual false, block_until false) so that a
+    // Declines governance (block_until false) so that a
     // brief install window cannot disturb concurrently running lock tests.
     struct CountingHook {
         yields: AtomicUsize,
     }
 
     impl SchedHook for CountingHook {
-        fn is_virtual(&self) -> bool {
-            false
-        }
         fn yield_now(&self, _point: YieldPoint) {
             self.yields.fetch_add(1, Ordering::SeqCst);
         }
@@ -228,7 +212,6 @@ mod tests {
         assert!(hook.yields.load(Ordering::SeqCst) >= 1);
         // A hook that declines governance sends callers to their OS paths.
         assert!(!block_until(YieldPoint::LockWait, || true));
-        assert!(!virtualized());
         uninstall();
         assert!(!active());
         assert!(!block_until(YieldPoint::Park, || true));

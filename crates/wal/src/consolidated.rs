@@ -79,8 +79,6 @@ pub struct ConsolidatedLogBuffer {
     slots: Vec<Slot>,
     /// Group byte cap: min(MAX_GROUP_BYTES, ring capacity / 4).
     max_group: u32,
-    /// Diagnostic counter for the benchmark harness.
-    groups: AtomicU64,
 }
 
 impl ConsolidatedLogBuffer {
@@ -103,14 +101,7 @@ impl ConsolidatedLogBuffer {
             inner: DecoupledLogBuffer::with_capacity_at(base, capacity, flush_latency),
             max_group: MAX_GROUP_BYTES.min((capacity / 4).max(1) as u32),
             slots: (0..slots.max(1)).map(|_| Slot::new()).collect(),
-            groups: AtomicU64::new(0),
         }
-    }
-
-    /// Number of leader groups formed (allocation mutex acquisitions via the
-    /// array path).
-    pub fn group_count(&self) -> u64 {
-        self.groups.load(Ordering::Relaxed)
     }
 
     /// Number of physical flush operations issued.
@@ -175,7 +166,6 @@ impl ConsolidatedLogBuffer {
         };
         let base = self.inner.allocate_locked(total as u64);
         self.inner.alloc_lock.unlock();
-        self.groups.fetch_add(1, Ordering::Relaxed);
 
         // Publish the base so followers can fill.
         slot.base.store(base, Ordering::Release);
@@ -377,7 +367,5 @@ mod tests {
             6 * 2_000 * 48,
             "all bytes must survive consolidation"
         );
-        // Groups + direct-path inserts account for every record.
-        assert!(b.group_count() > 0);
     }
 }

@@ -20,6 +20,8 @@
 //! All three implement [`LogBuffer`] and are interchangeable beneath
 //! [`Wal`], which adds record framing, commit-time group flush, and feeds
 //! [`recovery`] (ARIES-style analysis / redo / undo over the storage layer).
+//! [`fsm::DurableFsm`] puts a private serial `Wal` under a coordinator's
+//! state, for the 2PC decision log and the migration log.
 
 #![deny(unsafe_code)]
 
@@ -29,6 +31,7 @@ pub mod consolidated;
 pub mod crc;
 #[allow(unsafe_code)]
 pub mod decoupled;
+pub mod fsm;
 pub mod record;
 pub mod recovery;
 pub mod serial;
@@ -37,6 +40,7 @@ pub mod wal;
 pub use buffer::{LogBuffer, LogFault, LsnRange};
 pub use consolidated::ConsolidatedLogBuffer;
 pub use decoupled::DecoupledLogBuffer;
+pub use fsm::{DurableFsm, Fsm};
 pub use record::{LogBody, LogRecord, SalvagedLog, WalError};
 pub use recovery::{checkpoint_redo_lsn, redo, slice_from_checkpoint};
 pub use serial::SerialLogBuffer;

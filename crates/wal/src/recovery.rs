@@ -572,7 +572,8 @@ mod tests {
         let i = h.wal.append(1, b.start, &LogBody::Insert { table: 1, key: 5, rid, row: vec![10] });
         h.wal.commit(1, i.start, true);
         h.pool.flush_all().unwrap();
-        h.wal.append_forced(&LogBody::Checkpoint { redo_lsn: h.wal.current_lsn() });
+        let c = h.wal.append(0, NULL_LSN, &LogBody::Checkpoint { redo_lsn: h.wal.current_lsn() });
+        h.wal.wait_durable(c.end);
         // A committed update whose page never reached the store.
         let b2 = h.wal.append(2, NULL_LSN, &LogBody::Begin);
         let before = h.table.update_logged(5, &[11], |_, _| b2.end).unwrap();

@@ -5,7 +5,7 @@ use crate::consolidated::ConsolidatedLogBuffer;
 use crate::decoupled::DecoupledLogBuffer;
 use crate::record::{self, LogBody, LogRecord, RowOp};
 use crate::serial::SerialLogBuffer;
-use crate::{Lsn, NULL_LSN};
+use crate::Lsn;
 use esdb_storage::rid::Rid;
 use esdb_storage::schema::TableId;
 use std::cell::RefCell;
@@ -143,14 +143,6 @@ impl Wal {
         esdb_obs::record_component(esdb_obs::Component::WalFlush, wait.stop());
     }
 
-    /// Appends one stand-alone record (no transaction, no chain) and returns
-    /// once it is durable — the write-ahead step of a coordinator log, whose
-    /// caller acts on the record only after this returns.
-    pub fn append_forced(&self, body: &LogBody) {
-        let range = self.append(0, NULL_LSN, body);
-        self.wait_durable(range.end);
-    }
-
     /// Appends a commit record. With `force` it returns once the record is
     /// durable (group commit: one physical flush may cover many concurrent
     /// committers; the wait counts as `commit_flush`) and owes nothing;
@@ -281,6 +273,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NULL_LSN;
 
     #[test]
     fn append_and_replay_across_policies() {

@@ -35,16 +35,6 @@ impl Ycsb {
             rng: Rng::new(seed),
         }
     }
-
-    /// Workload A preset: 50/50 read/update, moderate skew.
-    pub fn workload_a(records: u64, seed: u64) -> Self {
-        Self::new(records, 50, 0.8, 1, seed)
-    }
-
-    /// Workload C preset: read-only.
-    pub fn workload_c(records: u64, seed: u64) -> Self {
-        Self::new(records, 100, 0.8, 1, seed)
-    }
 }
 
 impl Workload for Ycsb {
@@ -116,16 +106,6 @@ mod tests {
     fn ops_per_txn_respected() {
         let mut w = Ycsb::new(100, 50, 0.5, 4, 2);
         assert_eq!(w.next_txn().ops.len(), 4);
-    }
-
-    #[test]
-    fn presets_differ_in_read_share() {
-        let mut a = Ycsb::workload_a(1_000, 3);
-        let mut c = Ycsb::workload_c(1_000, 3);
-        let reads_a = (0..2_000).filter(|_| a.next_txn().ops[0].is_read()).count();
-        let reads_c = (0..2_000).filter(|_| c.next_txn().ops[0].is_read()).count();
-        assert_eq!(reads_c, 2_000);
-        assert!(reads_a < 1_300);
     }
 
     #[test]

@@ -72,6 +72,15 @@ if [ "$(echo "$io_read" | grep -c .)" -ne 2 ] || [ "$(echo "$io_read" | grep -c 
     exit 1
 fi
 
+echo "== seam: a coordinator log in shard or rebal is a DurableFsm =="
+# ROADMAP item 11(b)'s ratchet. esdb_wal::DurableFsm owns the write-ahead
+# order and the recovery fold for every coordinator log; a private Wal or a
+# hand-written successor stream in these crates is a second copy of both.
+if grep -rnE 'Wal::new\(|\.successor\(' crates/shard/src crates/rebal/src --include='*.rs'; then
+    echo "FAIL: a private Wal in crates/shard/src or crates/rebal/src; use esdb_wal::DurableFsm" >&2
+    exit 1
+fi
+
 echo "== seam: no unwrap or expect in the reactor or the server =="
 # ROADMAP item 16's ratchet. A reactor thread has no catch_unwind, so a
 # panic there kills every session on that reactor: neither file may hold an
