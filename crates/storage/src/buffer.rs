@@ -1,4 +1,14 @@
-//! Buffer pool: fixed frame array, clock eviction, pin counts, frame latches.
+//! Buffer pool: a dense frame table, page memory materialized in chunks on
+//! first use, clock eviction, pin counts, frame latches.
+//!
+//! A frame's bookkeeping (page id, pin count, dirty bit, clock reference bit)
+//! sits in a frame table of 16 B a frame, apart from its page: the clock sweep
+//! and a pin's bookkeeping touch only that table, and four frames share a
+//! cache line. Page memory is held in chunks of `CHUNK` frames (2 MiB), each
+//! one allocation, formatted the first time `pin` hands out one of its frames.
+//! The clock takes never-used frames in index order, so a pool that never
+//! fills pays only for the chunks it has used, and opening a database formats
+//! no page at all.
 //!
 //! Each frame guards its page with a reader–writer lock, so page accesses
 //! from different worker threads proceed in parallel unless they touch the
@@ -14,17 +24,27 @@ use crate::{Result, StorageError};
 use esdb_sync::IntMap;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const NO_PAGE: u64 = u64::MAX;
 
+/// Frames per chunk of page memory (256 × 8 KiB = 2 MiB). A chunk is one
+/// allocation: a box per frame would add an allocation to every transaction
+/// that first touches a frame.
+const CHUNK: usize = 256;
+
+/// One frame's entry in the frame table; its page lives in a chunk.
 struct Frame {
-    data: RwLock<Page>,
     page_id: AtomicU64,
     pin: AtomicU32,
     dirty: AtomicBool,
     refbit: AtomicBool,
 }
+
+const _: () = assert!(std::mem::size_of::<Frame>() == 16);
+
+/// The pages of up to `CHUNK` consecutive frames.
+type Chunk = Box<[RwLock<Page>]>;
 
 struct MapState {
     table: IntMap<PageId, usize>,
@@ -54,7 +74,10 @@ pub type LsnBarrier = Box<dyn Fn(u64) + Send + Sync>;
 
 /// A fixed-capacity page cache in front of a [`PageStore`].
 pub struct BufferPool {
-    frames: Vec<Frame>,
+    frames: Box<[Frame]>,
+    /// Page memory of frames `i * CHUNK ..`, built on first use; the last
+    /// chunk holds only the frames the capacity leaves it.
+    chunks: Box<[OnceLock<Chunk>]>,
     map: Mutex<MapState>,
     disk: Arc<dyn PageStore>,
     lsn_barrier: parking_lot::RwLock<Option<LsnBarrier>>,
@@ -70,7 +93,6 @@ impl BufferPool {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         let frames = (0..capacity)
             .map(|_| Frame {
-                data: RwLock::new(Page::new()),
                 page_id: AtomicU64::new(NO_PAGE),
                 pin: AtomicU32::new(0),
                 dirty: AtomicBool::new(false),
@@ -79,6 +101,7 @@ impl BufferPool {
             .collect();
         BufferPool {
             frames,
+            chunks: (0..capacity.div_ceil(CHUNK)).map(|_| OnceLock::new()).collect(),
             map: Mutex::new(MapState {
                 table: IntMap::default(),
                 hand: 0,
@@ -147,6 +170,22 @@ impl BufferPool {
         }
     }
 
+    /// Frame `idx`'s page, materializing its chunk on first use.
+    fn page(&self, idx: usize) -> &RwLock<Page> {
+        let chunk = idx / CHUNK;
+        let pages = self.chunks[chunk].get_or_init(|| {
+            let len = CHUNK.min(self.frames.len() - chunk * CHUNK);
+            (0..len).map(|_| RwLock::new(Page::new())).collect()
+        });
+        &pages[idx % CHUNK]
+    }
+
+    /// Chunks of page memory built so far.
+    #[cfg(test)]
+    fn materialized_chunks(&self) -> usize {
+        self.chunks.iter().filter(|c| c.get().is_some()).count()
+    }
+
     /// Number of frames.
     pub fn capacity(&self) -> usize {
         self.frames.len()
@@ -168,10 +207,11 @@ impl BufferPool {
     pub fn pin(&self, id: PageId) -> Result<PinnedPage<'_>> {
         let mut map = self.map.lock();
         if let Some(&idx) = map.table.get(&id) {
-            self.frames[idx].pin.fetch_add(1, Ordering::Relaxed);
-            self.frames[idx].refbit.store(true, Ordering::Relaxed);
+            let frame = &self.frames[idx];
+            frame.pin.fetch_add(1, Ordering::Relaxed);
+            frame.refbit.store(true, Ordering::Relaxed);
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(PinnedPage { pool: self, idx });
+            return Ok(PinnedPage { frame, page: self.page(idx) });
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let miss_start = esdb_obs::enabled().then(std::time::Instant::now);
@@ -179,11 +219,12 @@ impl BufferPool {
 
         // Evict the old occupant (unpinned by construction).
         let frame = &self.frames[idx];
+        let data = self.page(idx);
         let old_id = frame.page_id.load(Ordering::Relaxed);
         if old_id != NO_PAGE {
             map.table.remove(&old_id);
             if frame.dirty.swap(false, Ordering::Relaxed) {
-                let page = frame.data.read();
+                let page = data.read();
                 self.wal_fence(page.lsn());
                 self.write_retrying(old_id, &page)?;
                 self.writebacks.fetch_add(1, Ordering::Relaxed);
@@ -192,7 +233,7 @@ impl BufferPool {
 
         // Load the new page.
         {
-            let mut page = frame.data.write();
+            let mut page = data.write();
             self.read_retrying(id, &mut page)?;
         }
         frame.page_id.store(id, Ordering::Relaxed);
@@ -205,11 +246,15 @@ impl BufferPool {
                 start.elapsed().as_nanos() as u64,
             );
         }
-        Ok(PinnedPage { pool: self, idx })
+        Ok(PinnedPage { frame, page: data })
     }
 
-    /// Clock sweep over the frames; two full passes give every referenced
-    /// frame a second chance before declaring the pool exhausted.
+    /// Clock sweep over the frame table; two full passes give every
+    /// referenced frame a second chance before declaring the pool exhausted.
+    /// A never-used frame is neither pinned nor referenced, and the hand
+    /// starts at frame 0 and moves one frame per victim, so until the pool
+    /// fills the victims are frames 0, 1, 2, … in order and only their chunks
+    /// are materialized.
     fn find_victim(&self, map: &mut MapState) -> Result<usize> {
         let n = self.frames.len();
         for _ in 0..2 * n {
@@ -255,10 +300,10 @@ impl BufferPool {
         let _map = self.map.lock();
         let mut guards: Vec<(PageId, RwLockReadGuard<'_, Page>)> = Vec::new();
         let mut max_lsn = 0u64;
-        for frame in &self.frames {
+        for (idx, frame) in self.frames.iter().enumerate() {
             let id = frame.page_id.load(Ordering::Relaxed);
             if id != NO_PAGE && frame.dirty.swap(false, Ordering::Relaxed) {
-                let page = frame.data.read();
+                let page = self.page(idx).read();
                 max_lsn = max_lsn.max(page.lsn());
                 guards.push((id, page));
             }
@@ -290,10 +335,11 @@ impl BufferPool {
 ///
 /// Reading or writing the page content still requires taking the frame latch
 /// via [`PinnedPage::read`] / [`PinnedPage::write`]; pin and latch are
-/// deliberately separate, as in any real buffer manager.
+/// deliberately separate, as in any real buffer manager. The frame's page is
+/// resolved once, at pin time, so the latch calls do no chunk lookup.
 pub struct PinnedPage<'a> {
-    pool: &'a BufferPool,
-    idx: usize,
+    frame: &'a Frame,
+    page: &'a RwLock<Page>,
 }
 
 impl std::fmt::Debug for PinnedPage<'_> {
@@ -305,26 +351,25 @@ impl std::fmt::Debug for PinnedPage<'_> {
 impl PinnedPage<'_> {
     /// The id of the pinned page.
     pub fn page_id(&self) -> PageId {
-        self.pool.frames[self.idx].page_id.load(Ordering::Relaxed)
+        self.frame.page_id.load(Ordering::Relaxed)
     }
 
     /// Takes the frame latch in shared mode.
     pub fn read(&self) -> RwLockReadGuard<'_, Page> {
-        self.pool.frames[self.idx].data.read()
+        self.page.read()
     }
 
     /// Takes the frame latch in exclusive mode and marks the page dirty.
     pub fn write(&self) -> RwLockWriteGuard<'_, Page> {
-        let frame = &self.pool.frames[self.idx];
-        let guard = frame.data.write();
-        frame.dirty.store(true, Ordering::Relaxed);
+        let guard = self.page.write();
+        self.frame.dirty.store(true, Ordering::Relaxed);
         guard
     }
 }
 
 impl Drop for PinnedPage<'_> {
     fn drop(&mut self) {
-        self.pool.frames[self.idx].pin.fetch_sub(1, Ordering::Relaxed);
+        self.frame.pin.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -466,5 +511,63 @@ mod tests {
         let before = pool.stats().misses;
         drop(pool.pin(hot).unwrap());
         assert_eq!(pool.stats().misses, before, "hot page should still be resident");
+    }
+
+    #[test]
+    fn first_touch_materializes_only_used_chunks() {
+        let (_disk, pool) = pool(4 * CHUNK);
+        assert_eq!(pool.materialized_chunks(), 0, "opening formats no page");
+        for _ in 0..CHUNK + 1 {
+            let (_, p) = pool.new_page().unwrap();
+            drop(p);
+        }
+        assert_eq!(pool.materialized_chunks(), 2);
+    }
+
+    #[test]
+    fn partial_last_chunk_evicts_and_writes_back() {
+        let (_disk, pool) = pool(CHUNK + 3);
+        let ids: Vec<PageId> = (0..2 * (CHUNK as u64 + 3))
+            .map(|i| {
+                let (id, p) = pool.new_page().unwrap();
+                p.write().insert(&i.to_le_bytes()).unwrap();
+                id
+            })
+            .collect();
+        assert_eq!(pool.materialized_chunks(), 2);
+        assert!(pool.stats().writebacks >= CHUNK as u64 + 3, "the first round was evicted dirty");
+        for (i, id) in ids.iter().enumerate() {
+            let pin = pool.pin(*id).unwrap();
+            assert_eq!(pin.read().get(0).unwrap(), (i as u64).to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn concurrent_first_touch_of_one_chunk() {
+        const THREADS: u64 = 4;
+        const PAGES: u64 = 16;
+        let (_disk, pool) = pool(2 * CHUNK);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (pool, start) = (&pool, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let ids: Vec<PageId> = (0..PAGES)
+                        .map(|i| {
+                            let (id, p) = pool.new_page().unwrap();
+                            p.write().insert(&(t * PAGES + i).to_le_bytes()).unwrap();
+                            id
+                        })
+                        .collect();
+                    for (i, id) in ids.into_iter().enumerate() {
+                        let pin = pool.pin(id).unwrap();
+                        assert_eq!(pin.read().get(0).unwrap(), (t * PAGES + i as u64).to_le_bytes());
+                    }
+                });
+            }
+        });
+        assert_eq!(pool.materialized_chunks(), 1);
+        assert_eq!(pool.stats().misses, THREADS * PAGES);
     }
 }

@@ -41,11 +41,18 @@
 //! bytes and decoded straight into the outgoing packet, the same run printed
 //! 22, 72 and 2,072 allocations for scan_agg, filter_group and filter_sort;
 //! pins, lock visits and log bytes were the same as now.
+//!
+//! At the parent of the change that split the buffer pool into a dense frame
+//! table and page memory materialized in 2 MiB chunks on first use, the
+//! `open` row printed 9 allocations (67,374,376 B: one array of 8,192
+//! formatted frames, page and bookkeeping together); the `ycsb.spill` row
+//! printed the same counts as now, and every other row was unchanged.
 
 use esdb::core::query::QueryEngine;
 use esdb::core::{Database, EngineConfig};
 use esdb::staged::{AggFunc, CmpOp, DEFAULT_BATCH};
 use esdb::storage::btree::BTree;
+use esdb::storage::page::PAGE_SIZE;
 use esdb::workload::{Tatp, Tpcb, TxnSpec, Workload, Ycsb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,6 +102,8 @@ struct Counters {
     lock_visits: u64,
     lock_waits: u64,
     pins: u64,
+    misses: u64,
+    writebacks: u64,
     wal_bytes: u64,
     wal_flushes: u64,
     allocs: u64,
@@ -108,6 +117,8 @@ fn snapshot(db: &Database) -> Counters {
         lock_visits: locks.acquisitions,
         lock_waits: locks.waits,
         pins: pool.hits + pool.misses,
+        misses: pool.misses,
+        writebacks: pool.writebacks,
         wal_bytes: db.wal().current_lsn(),
         wal_flushes: db.wal().flush_count(),
         allocs: ALLOCS.load(Ordering::Relaxed),
@@ -122,13 +133,20 @@ struct Row {
     lock_waits: u64,
     wal_bytes: u64,
     wal_flushes: u64,
+    misses: u64,
+    writebacks: u64,
+    store_pages: u64,
     pins: f64,
     allocs: f64,
     alloc_bytes: f64,
 }
 
 fn measure(workload: &mut dyn Workload, keep: impl Fn(&TxnSpec) -> bool) -> Row {
-    let db = Database::open(EngineConfig::conventional_baseline());
+    measure_on(EngineConfig::conventional_baseline(), workload, keep)
+}
+
+fn measure_on(config: EngineConfig, workload: &mut dyn Workload, keep: impl Fn(&TxnSpec) -> bool) -> Row {
+    let db = Database::open(config);
     db.load_population(workload).expect("population load");
     let specs: Vec<TxnSpec> = std::iter::repeat_with(|| workload.next_txn())
         .filter(keep)
@@ -149,6 +167,9 @@ fn measure(workload: &mut dyn Workload, keep: impl Fn(&TxnSpec) -> bool) -> Row 
         lock_waits: after.lock_waits - before.lock_waits,
         wal_bytes: after.wal_bytes - before.wal_bytes,
         wal_flushes: after.wal_flushes - before.wal_flushes,
+        misses: after.misses - before.misses,
+        writebacks: after.writebacks - before.writebacks,
+        store_pages: db.pool().disk().num_pages(),
         pins: per_txn(after.pins, before.pins),
         allocs: per_txn(after.allocs, before.allocs),
         alloc_bytes: per_txn(after.alloc_bytes, before.alloc_bytes),
@@ -243,6 +264,62 @@ fn olap_counts_are_pinned() {
     }
 }
 
+/// One `Database::open` at the default 8,192 frames, before it holds a row:
+/// what a database costs to open. `conventional_baseline()`, like every row
+/// here; `EngineConfig::default()`'s consolidated log adds its 4 MiB ring.
+fn open_counts_are_pinned() {
+    // The frame table (16 B a frame) and a slot for each 2 MiB chunk of pages.
+    const ALLOCS_LIMIT: u64 = 10;
+    const BYTES_LIMIT: u64 = 135_216;
+    let (allocs, bytes) = (ALLOCS.load(Ordering::Relaxed), ALLOC_BYTES.load(Ordering::Relaxed));
+    let db = Database::open(EngineConfig::conventional_baseline());
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs;
+    let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes;
+    let frames = db.pool().capacity();
+    println!("open: {frames} frames, {allocs} allocations ({bytes} B)");
+    assert_eq!(frames, 8_192);
+    assert!(allocs <= ALLOCS_LIMIT, "open: allocations = {allocs} > {ALLOCS_LIMIT}");
+    assert!(bytes <= BYTES_LIMIT, "open: allocated bytes = {bytes} > {BYTES_LIMIT}");
+}
+
+/// The referee's `engine.ycsb.spill` mix (95 % reads, 4 operations a
+/// transaction, θ = 0.5) over 40,000 rows in a 64-frame pool: the table is
+/// more than twice the pool, so pins miss, evict and write back. The pool
+/// counts and log flushes are totals over the measured transactions and
+/// repeat exactly for the seed. Bytes copied are the page images the misses
+/// read and the write-backs write, 8 KiB each.
+fn ycsb_spill_counts_are_pinned() {
+    const FRAMES: usize = 64;
+    // Totals over the measured transactions: pins, misses, write-backs, flushes.
+    const EXACT: (u64, u64, u64, u64) = (40_000, 16_461, 1_691, 1_865);
+    // Per-transaction ceilings: allocations, allocated bytes.
+    const LIMIT: (f64, f64) = (10.39, 890.0);
+    let config = EngineConfig { buffer_frames: FRAMES, ..EngineConfig::conventional_baseline() };
+    let row = measure_on(config, &mut Ycsb::new(40_000, 95, 0.5, 4, 42), |_| true);
+    let n = MEASURED as f64;
+    let copied = (row.misses + row.writebacks) * PAGE_SIZE as u64;
+    println!(
+        "ycsb.spill: {} store pages in {FRAMES} frames, pins {:.4}, misses {:.4}, write-backs {:.4}, copied {:.0} B, allocations {:.3} ({:.0} B), {:.4} flushes",
+        row.store_pages,
+        row.pins,
+        row.misses as f64 / n,
+        row.writebacks as f64 / n,
+        copied as f64 / n,
+        row.allocs,
+        row.alloc_bytes,
+        row.wal_flushes as f64 / n,
+    );
+    assert!(row.store_pages >= 2 * FRAMES as u64, "ycsb.spill: the table must be at least twice the pool");
+    assert_eq!(row.lock_waits, 0, "ycsb.spill: one thread never waits for a lock");
+    assert_eq!(
+        (row.pins, row.misses, row.writebacks, row.wal_flushes),
+        (EXACT.0 as f64 / n, EXACT.1, EXACT.2, EXACT.3),
+        "ycsb.spill: (pins, misses, write-backs, WAL flushes) over {MEASURED} txns"
+    );
+    assert!(row.allocs <= LIMIT.0, "ycsb.spill: allocations per txn = {:.3} > {}", row.allocs, LIMIT.0);
+    assert!(row.alloc_bytes <= LIMIT.1, "ycsb.spill: allocated bytes per txn = {:.0} > {}", row.alloc_bytes, LIMIT.1);
+}
+
 /// 100,000 key-ordered inserts into a fresh `BTree`: a table population, or
 /// TPC-B's `history` appends. A node is one allocation and the append split
 /// leaves every node full, so the allocations are exactly the nodes made:
@@ -293,6 +370,8 @@ fn per_transaction_counts_are_pinned() {
     // YCSB update: one `Add` on a 2-column row; Begin 25 + Update 81 + Commit 25 B.
     measure(&mut Ycsb::new(10_000, 0, 0.5, 1, 42), |_| true)
         .check("ycsb.update", (3, 131, 1), (1.0, 6.01, 1_110.0));
+    ycsb_spill_counts_are_pinned();
     olap_counts_are_pinned();
     btree_append_counts_are_pinned();
+    open_counts_are_pinned();
 }
