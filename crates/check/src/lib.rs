@@ -50,9 +50,9 @@ mod vthread;
 pub use dist::{DistEvent, DistViolation, FailoverOracle};
 pub use migrate::{MigEvent, MigViolation, MigrationOracle};
 pub use history::{Event, Recorder};
+pub use esdb_sync::Mutation;
 pub use runner::{
-    check, replay, CheckConfig, CheckReport, FailureReport, Mutation, ScheduleRunPublic,
-    Violation,
+    check, replay, CheckConfig, CheckReport, FailureReport, ScheduleRunPublic, Violation,
 };
 pub use scenario::{
     htap_snapshot, tpcb_micro, tpcb_tables, transfer_snapshot, Invariant, RunView, Scenario,

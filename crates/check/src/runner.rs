@@ -29,20 +29,12 @@ use crate::schedule::{
 use crate::vthread::{adopt_and_wait, finish, CheckHook, Cmd, Handshake, Report};
 use esdb_core::spec_exec::{self, SpecOutcome};
 use esdb_core::{Database, ExecutionModel};
+use esdb_sync::Mutation;
 use esdb_txn::Txn;
 use esdb_workload::{TxnSpec, WorkloadOp};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-
-/// Which seeded engine mutation to enable (chaos feature flags).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mutation {
-    /// `esdb-txn`: release all locks after every operation (breaks 2PL).
-    ReleaseLocksEarly,
-    /// `esdb-dora`: ignore wait-die conflicts (co-own keys).
-    DisableWaitDie,
-}
 
 /// Checker configuration.
 #[derive(Debug, Clone)]
@@ -180,26 +172,10 @@ pub(crate) struct ScheduleRun {
     pub committed: u64,
 }
 
-// The process-global run lock: checked runs install a process-wide hook and
-// flip process-wide chaos flags, so they must not overlap.
+// The process-global run lock: a checked run installs the process-wide
+// scheduler hook, which also answers the engine's mutation sites, so runs
+// must not overlap.
 static RUN_LOCK: Mutex<()> = Mutex::new(());
-
-struct ChaosGuard;
-
-impl ChaosGuard {
-    fn set(mutation: Option<Mutation>) -> Self {
-        esdb_txn::chaos::set_release_locks_early(mutation == Some(Mutation::ReleaseLocksEarly));
-        esdb_dora::chaos::set_disable_wait_die(mutation == Some(Mutation::DisableWaitDie));
-        ChaosGuard
-    }
-}
-
-impl Drop for ChaosGuard {
-    fn drop(&mut self) {
-        esdb_txn::chaos::set_release_locks_early(false);
-        esdb_dora::chaos::set_disable_wait_die(false);
-    }
-}
 
 struct HookGuard;
 
@@ -452,8 +428,7 @@ fn finishes_deferred(seed: u64) -> bool {
 
 fn run_schedule(scenario: &Scenario, mut schedule: Box<dyn Schedule>, cfg: &CheckConfig, seed: u64) -> ScheduleRun {
     let _run = RUN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let _chaos = ChaosGuard::set(cfg.mutation);
-    let hook = Arc::new(CheckHook::new());
+    let hook = Arc::new(CheckHook::new(cfg.mutation));
     esdb_sync::sched::install(hook.clone() as Arc<dyn esdb_sync::SchedHook>);
     let _uninstall = HookGuard;
 

@@ -193,7 +193,7 @@ const TRANSFER_INITIAL: i64 = 100;
 /// Money transfers between 4 accounts plus a snapshot-reading client: each
 /// reader transaction reads all accounts and must observe the invariant
 /// total (any torn view is a serializability violation). This is the
-/// scenario whose invariants the chaos mutations visibly break.
+/// scenario whose invariants the engine mutations visibly break.
 pub fn transfer_snapshot(
     config: EngineConfig,
     writers: usize,

@@ -8,7 +8,7 @@
 //! ever changes under a scheduler-chosen step — which is what makes a seeded
 //! schedule replay byte-identically.
 
-use esdb_sync::sched::{SchedHook, YieldPoint};
+use esdb_sync::sched::{Mutation, SchedHook, YieldPoint};
 use std::cell::{Cell, RefCell};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -178,10 +178,12 @@ struct Registry {
 pub(crate) struct CheckHook {
     reg: Mutex<Registry>,
     reg_cv: Condvar,
+    /// The run's seeded engine mutation (`CheckConfig::mutation`).
+    mutation: Option<Mutation>,
 }
 
 impl CheckHook {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(mutation: Option<Mutation>) -> Self {
         CheckHook {
             reg: Mutex::new(Registry {
                 pending: Vec::new(),
@@ -189,6 +191,7 @@ impl CheckHook {
                 expected: 0,
             }),
             reg_cv: Condvar::new(),
+            mutation,
         }
     }
 
@@ -283,6 +286,10 @@ impl SchedHook for CheckHook {
         while reg.total < reg.expected {
             reg = self.reg_cv.wait(reg).unwrap();
         }
+    }
+
+    fn mutated(&self, m: Mutation) -> bool {
+        self.mutation == Some(m)
     }
 }
 

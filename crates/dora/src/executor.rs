@@ -12,13 +12,13 @@
 
 use crate::action::{Action, ActionOp};
 use crate::rvp::{FailKind, Rvp};
-use crossbeam::channel::Receiver;
 use esdb_storage::schema::TableId;
 use esdb_storage::{Rid, Table};
 use esdb_txn::UndoOp;
 use esdb_wal::record::RowOp;
 use esdb_wal::Wal;
 use std::collections::HashMap;
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 
 /// A transaction's actions destined for one partition.
@@ -128,25 +128,26 @@ impl Executor {
 
     /// Receives the next message. Under deterministic checking this blocks on
     /// the scheduler seam (one message handled per scheduler step); otherwise
-    /// it is a plain blocking receive.
+    /// it is a plain blocking receive. The governed predicate receives into
+    /// `stash` (std's channel has no non-consuming readiness probe), and a
+    /// disconnected channel counts as ready so the loop can end.
     fn next_msg(rx: &Receiver<Msg>) -> Option<Msg> {
-        if !esdb_sync::sched::active() {
-            return rx.recv().ok();
-        }
-        loop {
-            let governed = esdb_sync::sched::block_until(
-                esdb_sync::YieldPoint::ExecutorRecv,
-                || !rx.is_empty() || rx.is_disconnected(),
-            );
-            if !governed {
-                return rx.recv().ok();
-            }
-            match rx.try_recv() {
-                Ok(msg) => return Some(msg),
-                Err(crossbeam::channel::TryRecvError::Disconnected) => return None,
-                // Lost a race with nobody (single scheduler): just re-block.
-                Err(crossbeam::channel::TryRecvError::Empty) => {}
-            }
+        let mut stash = None;
+        let governed = esdb_sync::sched::block_until(esdb_sync::YieldPoint::ExecutorRecv, || {
+            stash.is_some()
+                || match rx.try_recv() {
+                    Ok(msg) => {
+                        stash = Some(msg);
+                        true
+                    }
+                    Err(TryRecvError::Disconnected) => true,
+                    Err(TryRecvError::Empty) => false,
+                }
+        });
+        match stash {
+            Some(msg) => Some(msg),
+            None if governed => None,
+            None => rx.recv().ok(),
         }
     }
 
@@ -161,10 +162,9 @@ impl Executor {
                 }
                 Some(&(owner, _)) if owner == pkg.txn => {}
                 Some(&(_, owner_prio)) => {
-                    #[cfg(feature = "chaos")]
-                    if crate::chaos::wait_die_disabled() {
-                        // Chaos mutation: ignore the conflict and co-own the
-                        // key — two transactions now race on the same rows.
+                    if esdb_sync::sched::mutated(esdb_sync::Mutation::DisableWaitDie) {
+                        // Checker mutation: ignore the conflict and co-own
+                        // the key — two transactions now race on the same rows.
                         self.owned.entry(pkg.txn).or_default().push(k);
                         continue;
                     }

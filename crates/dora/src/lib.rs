@@ -43,22 +43,3 @@ pub mod system;
 pub use action::{Action, ActionOp};
 pub use router::Router;
 pub use system::{DoraError, DoraStats, DoraSystem};
-
-/// Test-only fault seams (feature `chaos`). Runtime flags, default off:
-/// compiling the feature in changes nothing until a checker flips a flag.
-#[cfg(feature = "chaos")]
-pub mod chaos {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static DISABLE_WAIT_DIE: AtomicBool = AtomicBool::new(false);
-
-    /// Break wait-die conflict resolution: conflicting transactions co-own
-    /// keys instead of parking/dying. Used by esdb-check's mutation tests.
-    pub fn set_disable_wait_die(on: bool) {
-        DISABLE_WAIT_DIE.store(on, Ordering::SeqCst);
-    }
-
-    pub(crate) fn wait_die_disabled() -> bool {
-        DISABLE_WAIT_DIE.load(Ordering::SeqCst)
-    }
-}

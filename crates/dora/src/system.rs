@@ -4,13 +4,13 @@ use crate::action::Action;
 use crate::executor::{Executor, ExecutorStats, Msg, Package};
 use crate::router::Router;
 use crate::rvp::{FailKind, Rvp, Verdict};
-use crossbeam::channel::{unbounded, Sender};
 use esdb_storage::schema::TableId;
 use esdb_storage::Table;
 use esdb_txn::commit_rule;
 use esdb_wal::{LogBody, Wal, NULL_LSN};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -78,7 +78,7 @@ impl DoraSystem {
         let mut senders = Vec::with_capacity(partitions);
         let mut handles = Vec::with_capacity(partitions);
         for i in 0..partitions {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let exec = Executor::new(i, rx, tables.clone(), Arc::clone(&wal));
             senders.push(tx);
             handles.push(std::thread::spawn(move || exec.run()));

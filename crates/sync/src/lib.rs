@@ -57,7 +57,7 @@ pub use block::BlockLock;
 pub use hybrid::HybridLock;
 pub use mcs::McsLock;
 pub use rwlatch::{Latched, RwLatch};
-pub use sched::{SchedHook, YieldPoint};
+pub use sched::{Mutation, SchedHook, YieldPoint};
 pub use spin::{TasLock, TatasLock, TicketLock};
 
 /// Multiplicative hasher for the engine's own integer keys (`LockId`,

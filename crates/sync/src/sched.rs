@@ -20,6 +20,9 @@
 //!   freshly spawned thread can never race its spawner.
 //! * [`SchedHook::sync_spawned`] is the spawner-side barrier: it blocks until
 //!   `count` further threads have registered.
+//! * [`SchedHook::mutated`] switches on a seeded engine [`Mutation`] for the
+//!   hook's run. The engine asks [`mutated`] at each mutation site, so a
+//!   mutation exists only while a hook that answers `true` is installed.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
@@ -70,6 +73,16 @@ impl YieldPoint {
     }
 }
 
+/// A deliberate engine fault the checker switches on through
+/// [`SchedHook::mutated`], to prove its oracles catch the damage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Mutation {
+    /// `esdb-txn`: release all locks after every operation (breaks 2PL).
+    ReleaseLocksEarly,
+    /// `esdb-dora`: ignore wait-die conflicts (co-own keys).
+    DisableWaitDie,
+}
+
 /// The pluggable scheduler seam. Implemented by `esdb-check`; never
 /// implemented in production builds.
 pub trait SchedHook: Send + Sync {
@@ -86,6 +99,10 @@ pub trait SchedHook: Send + Sync {
     fn deregister_spawned(&self);
     /// Spawner-side barrier: wait until `count` more threads registered.
     fn sync_spawned(&self, count: usize);
+    /// Is mutation `m` switched on for this hook's run?
+    fn mutated(&self, _m: Mutation) -> bool {
+        false
+    }
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -150,6 +167,18 @@ fn block_slow(point: YieldPoint, ready: &mut dyn FnMut() -> bool) -> bool {
     }
 }
 
+/// Is engine mutation `m` switched on? Only an installed hook can say yes;
+/// without one this is the same single relaxed load as [`yield_now`].
+#[inline(always)]
+pub fn mutated(m: Mutation) -> bool {
+    active() && mutated_slow(m)
+}
+
+#[cold]
+fn mutated_slow(m: Mutation) -> bool {
+    current().is_some_and(|h| h.mutated(m))
+}
+
 /// Adopt the calling thread as a virtual thread (see [`SchedHook`]).
 pub fn register_spawned(tag: u64) -> bool {
     if !active() {
@@ -181,8 +210,11 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    const MUTATIONS: [Mutation; 2] = [Mutation::ReleaseLocksEarly, Mutation::DisableWaitDie];
+
     // Declines governance (block_until false) so that a
     // brief install window cannot disturb concurrently running lock tests.
+    // Leaves `mutated` at its default.
     struct CountingHook {
         yields: AtomicUsize,
     }
@@ -204,17 +236,22 @@ mod tests {
     #[test]
     fn hook_lifecycle() {
         // Before install (tests elsewhere in this crate never install one):
-        // every entry point is inert and reports "not governed".
+        // every entry point is inert, reports "not governed", and no
+        // mutation exists.
         yield_now(YieldPoint::Park);
+        assert!(MUTATIONS.iter().all(|&m| !mutated(m)));
         let hook = Arc::new(CountingHook { yields: AtomicUsize::new(0) });
         install(hook.clone());
         yield_now(YieldPoint::CommitLog);
         assert!(hook.yields.load(Ordering::SeqCst) >= 1);
         // A hook that declines governance sends callers to their OS paths.
         assert!(!block_until(YieldPoint::LockWait, || true));
+        // A hook that does not override `mutated` switches nothing on.
+        assert!(MUTATIONS.iter().all(|&m| !mutated(m)));
         uninstall();
         assert!(!active());
         assert!(!block_until(YieldPoint::Park, || true));
         assert!(!register_spawned(7));
+        assert!(MUTATIONS.iter().all(|&m| !mutated(m)));
     }
 }

@@ -27,22 +27,3 @@
 pub mod manager;
 
 pub use manager::{commit_rule, PreparedTxn, Txn, TxnError, TxnManager, TxnResult, TxnStats, UndoOp};
-
-/// Test-only fault seams (feature `chaos`). Runtime flags, default off:
-/// compiling the feature in changes nothing until a checker flips a flag.
-#[cfg(feature = "chaos")]
-pub mod chaos {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static RELEASE_LOCKS_EARLY: AtomicBool = AtomicBool::new(false);
-
-    /// Break strict 2PL: release all of a transaction's locks after every
-    /// operation instead of at commit. Used by esdb-check's mutation tests.
-    pub fn set_release_locks_early(on: bool) {
-        RELEASE_LOCKS_EARLY.store(on, Ordering::SeqCst);
-    }
-
-    pub(crate) fn release_locks_early() -> bool {
-        RELEASE_LOCKS_EARLY.load(Ordering::SeqCst)
-    }
-}

@@ -314,19 +314,16 @@ impl Txn {
         self.mgr.locks.release_all(&mut self.held);
     }
 
-    /// Test-only fault seam: with the `chaos` feature on and the flag set,
-    /// drop every lock after each op — deliberately breaking strict 2PL so
-    /// the deterministic checker can prove its oracle detects the damage.
-    #[cfg(feature = "chaos")]
+    /// Checker mutation seam: while an installed scheduler hook switches on
+    /// [`esdb_sync::Mutation::ReleaseLocksEarly`], drop every lock after
+    /// each op — deliberately breaking strict 2PL so the deterministic
+    /// checker can prove its oracle detects the damage.
+    #[inline(always)]
     fn chaos_release_early(&mut self) {
-        if crate::chaos::release_locks_early() {
+        if esdb_sync::sched::mutated(esdb_sync::Mutation::ReleaseLocksEarly) {
             self.release_locks();
         }
     }
-
-    #[cfg(not(feature = "chaos"))]
-    #[inline(always)]
-    fn chaos_release_early(&mut self) {}
 
     /// Reads the row for `key` under a shared lock.
     pub fn read(&mut self, table: TableId, key: u64) -> TxnResult<Vec<i64>> {

@@ -29,10 +29,6 @@ pub struct LsnRange {
 
 /// A multi-producer log buffer with explicit durability control.
 pub trait LogBuffer: Send + Sync {
-    /// First LSN of this log (offsets before it belong to a pre-crash
-    /// incarnation of the log).
-    fn start_lsn(&self) -> Lsn;
-
     /// Appends `payload` to the log stream, returning its LSN range. The
     /// payload is *not* durable until a flush covers it.
     fn insert(&self, payload: &[u8]) -> LsnRange;
@@ -46,19 +42,29 @@ pub trait LogBuffer: Send + Sync {
     /// LSN that the next insert would receive (end of allocated log).
     fn current_lsn(&self) -> Lsn;
 
-    /// Copies the durable byte range `[from, durable_lsn())` (for recovery).
-    fn read_durable(&self, from: Lsn) -> Vec<u8>;
-
-    /// Number of physical device flushes so far — the group-commit metric:
-    /// `commits / flushes` is the average commit-batch size.
-    fn flush_count(&self) -> u64;
-
     /// Implementation name for benchmark output.
     fn name(&self) -> &'static str;
 
     /// The durable log store behind this buffer (fault injection and the
     /// crash-torture harness reach the device through here).
     fn store(&self) -> &LogStore;
+
+    /// First LSN of this log (offsets before it belong to a pre-crash
+    /// incarnation of the log).
+    fn start_lsn(&self) -> Lsn {
+        self.store().base()
+    }
+
+    /// Copies the durable byte range `[from, durable_lsn())` (for recovery).
+    fn read_durable(&self, from: Lsn) -> Vec<u8> {
+        self.store().read_from(from)
+    }
+
+    /// Number of physical device flushes so far — the group-commit metric:
+    /// `commits / flushes` is the average commit-batch size.
+    fn flush_count(&self) -> u64 {
+        self.store().flush_count()
+    }
 }
 
 /// A planned log-device crash: a *lying* device that acknowledges appends
@@ -264,7 +270,10 @@ impl Ring {
     /// Creates a ring of `capacity` bytes.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
-        let data = (0..capacity).map(|_| UnsafeCell::new(0u8)).collect();
+        // One zeroed allocation, not `capacity` separate element writes.
+        // SAFETY: `UnsafeCell<u8>` is `repr(transparent)` over `u8`, for
+        // which all-zero bytes are a valid value.
+        let data = unsafe { Box::<[UnsafeCell<u8>]>::new_zeroed_slice(capacity).assume_init() };
         Ring {
             data,
             capacity: capacity as u64,

@@ -104,11 +104,6 @@ impl ConsolidatedLogBuffer {
         }
     }
 
-    /// Number of physical flush operations issued.
-    pub fn flush_count(&self) -> u64 {
-        self.inner.flush_count()
-    }
-
     fn try_join(&self, slot: &Slot, len: u32) -> Join {
         loop {
             let s = slot.state.load(Ordering::Acquire);
@@ -270,20 +265,8 @@ impl LogBuffer for ConsolidatedLogBuffer {
         self.inner.current_lsn()
     }
 
-    fn read_durable(&self, from: Lsn) -> Vec<u8> {
-        self.inner.read_durable(from)
-    }
-
-    fn flush_count(&self) -> u64 {
-        self.inner.flush_count()
-    }
-
     fn name(&self) -> &'static str {
         "consolidated"
-    }
-
-    fn start_lsn(&self) -> Lsn {
-        self.inner.start_lsn()
     }
 
     fn store(&self) -> &LogStore {

@@ -56,11 +56,6 @@ impl DecoupledLogBuffer {
         }
     }
 
-    /// Number of physical flush operations issued.
-    pub fn flush_count(&self) -> u64 {
-        self.store.flush_count()
-    }
-
     /// Allocates `len` bytes of log space. Must be called with `alloc_lock`
     /// held; flushes to make ring space if needed.
     pub(crate) fn allocate_locked(&self, len: u64) -> Lsn {
@@ -148,20 +143,8 @@ impl LogBuffer for DecoupledLogBuffer {
         self.tail.load(Ordering::Acquire)
     }
 
-    fn read_durable(&self, from: Lsn) -> Vec<u8> {
-        self.store.read_from(from)
-    }
-
-    fn flush_count(&self) -> u64 {
-        self.store.flush_count()
-    }
-
     fn name(&self) -> &'static str {
         "decoupled"
-    }
-
-    fn start_lsn(&self) -> Lsn {
-        self.store.base()
     }
 
     fn store(&self) -> &LogStore {

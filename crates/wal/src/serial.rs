@@ -48,11 +48,6 @@ impl SerialLogBuffer {
             batch: Mutex::new(Vec::new()),
         }
     }
-
-    /// Number of physical flush operations issued.
-    pub fn flush_count(&self) -> u64 {
-        self.store.flush_count()
-    }
 }
 
 impl Default for SerialLogBuffer {
@@ -110,20 +105,8 @@ impl LogBuffer for SerialLogBuffer {
         self.state.lock().tail
     }
 
-    fn read_durable(&self, from: Lsn) -> Vec<u8> {
-        self.store.read_from(from)
-    }
-
-    fn flush_count(&self) -> u64 {
-        self.store.flush_count()
-    }
-
     fn name(&self) -> &'static str {
         "serial"
-    }
-
-    fn start_lsn(&self) -> Lsn {
-        self.store.base()
     }
 
     fn store(&self) -> &LogStore {

@@ -7,11 +7,10 @@
 # default-members; the vendored stand-ins stay out) at the sizes that keep
 # a debug run near 80 s of summed test time. The workspace stage below runs
 # the same suites once more in release with the full-size knobs (300 checker
-# schedules, a 1000-session idle herd), and without the checker's fault
-# seams compiled into the engine wherever no test needs them. The referee
-# builds and tests itself, then runs every workload once at --quick size
-# with every output oracle; the obs overhead gate runs one of its workloads
-# with obs compiled in and out. Smokes (seconds, not minutes) run the fig1,
+# schedules, a 1000-session idle herd). The referee builds and tests itself,
+# then runs every workload once at --quick size with every output oracle;
+# the obs overhead gate runs one of its workloads with obs compiled in and
+# out. Smokes (seconds, not minutes) run the fig1,
 # crash_torture and tab_htap binaries at reduced sizes via the env knobs
 # they expose.
 set -euo pipefail
@@ -32,30 +31,25 @@ echo "== referee: benchmark package builds against the program and passes its ow
 # benchmark/src/sut.rs must fail here, not in the next refereed run.
 (cd benchmark && cargo build --release --offline && cargo test --offline -q)
 
-echo "== workspace: every suite in release, full-size knobs, engine as shipped =="
-# Two runs that together cover tier 1's default-members once, so a new
-# crate or test file is covered without naming it here. They split on the
-# `chaos` feature. esdb-check turns on esdb-txn's and esdb-dora's fault
-# seams (runtime flags, off unless a mutation test sets one), and cargo
-# unifies features over every package a run selects, so tier 1's own run
-# compiles the engine with the seams in. The first run selects neither the
-# checker nor the two crates that test through it, and checks that nothing
-# else turns the seams on: it tests the engine as it ships, net_scale's idle
-# herd of 1000 sessions against an active one (p99 bounded) included. The
-# second runs those three: the checker's clean sweep over 300 seeded
-# schedules, and both mutations (early lock release, wait-die disabled)
-# caught with a replayed, shrunk trace.
-shipped=(--workspace --exclude esdb-check --exclude esdb-repl --exclude esdb-rebal)
-# Each vendored stand-in's directory is named after its package.
-for dir in vendor/*/; do shipped+=(--exclude "$(basename "$dir")"); done
-features=$(cargo tree -q -e features -i esdb-txn -i esdb-dora "${shipped[@]}")
-if grep -q chaos <<<"$features"; then
-    echo "FAIL: a package outside esdb-check, esdb-repl and esdb-rebal turns on the chaos seams" >&2
+echo "== workspace: every suite in release, full-size knobs =="
+# One run over tier 1's default-members, so a new crate or test file is
+# covered without naming it here: the checker's clean sweep over 300 seeded
+# schedules with both mutations (early lock release, wait-die disabled)
+# caught with a replayed, shrunk trace, and net_scale's idle herd of 1000
+# sessions against an active one (p99 bounded). The mutations are answers of
+# the checker's scheduler hook, not Cargo features, so this builds the
+# engine exactly as it ships.
+NET_SCALE_CONNS=1000 CHECK_SCHEDULES=300 cargo test --release -q
+
+echo "== seam: one engine build, no Cargo features =="
+# ROADMAP item 14's ratchet. Cargo applies one feature set to a whole build,
+# so a feature that a test-only crate turns on changes the engine every
+# workspace run compiles. A fault the checker needs is a runtime answer of
+# esdb_sync::sched::mutated instead.
+if grep -nE '^[[:space:]]*\[features\]' crates/*/Cargo.toml || grep -rn 'cfg(feature' crates/*/src; then
+    echo "FAIL: a Cargo feature in crates/; put a checker fault on esdb_sync::sched::mutated" >&2
     exit 1
 fi
-NET_SCALE_CONNS=1000 cargo test --release -q "${shipped[@]}"
-CHECK_SCHEDULES=300 cargo test --release -q -p esdb-check -p esdb-repl -p esdb-rebal
-cargo build --release -q -p esdb-bench --benches
 
 echo "== seam: sockets are named only in esdb-net, and read in one function =="
 # ROADMAP item 4's premise (a Transport + Clock seam under the sessions is a
