@@ -12,7 +12,8 @@
 use esdb_bench::{header, median_secs, row};
 use esdb_sim::dbmodel::critical_section_txn;
 use esdb_sim::{ChipConfig, Simulation, WaitPolicy};
-use esdb_sync::{BlockLock, HybridLock, McsLock, RawLock, TatasLock, TicketLock};
+use esdb_sync::primitives::{BlockLock, HybridLock, McsLock, TicketLock};
+use esdb_sync::{RawLock, TatasLock};
 use std::sync::Arc;
 
 fn sim_run(policy: WaitPolicy, cs: u64, contexts: usize, tasks: usize) -> f64 {

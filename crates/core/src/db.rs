@@ -11,7 +11,7 @@ use esdb_storage::schema::{Schema, TableId};
 use esdb_storage::{BufferPool, InMemoryDisk, PageId, Table};
 use esdb_txn::{PreparedTxn, Txn, TxnManager, TxnResult};
 use esdb_wal::Wal;
-use parking_lot::Mutex;
+use esdb_sync::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;

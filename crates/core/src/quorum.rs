@@ -11,9 +11,9 @@
 //! group-commit flush point adds in semi-sync mode. It never blocks
 //! unboundedly; the failure modes are the typed [`QuorumError`] variants.
 
+use esdb_sync::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// How many follower acks a commit needs, and how long to wait for them.
@@ -122,13 +122,13 @@ impl ReplGroup {
         self.fenced_by.fetch_max(higher_term, Ordering::AcqRel);
         // Grab the lock so a waiter between its check and its sleep cannot
         // miss the wakeup.
-        let _guard = self.table.lock().expect("repl group lock poisoned");
+        let _guard = self.table.lock();
         self.cond.notify_all();
     }
 
     /// Registers a connected follower and returns its ack-slot id.
     pub fn register_follower(&self) -> u64 {
-        let mut t = self.table.lock().expect("repl group lock poisoned");
+        let mut t = self.table.lock();
         t.next_id += 1;
         let id = t.next_id;
         t.acks.insert(id, 0);
@@ -139,7 +139,7 @@ impl ReplGroup {
     /// losing a follower can only shrink the ack count, never satisfy a
     /// quorum, but they may now be able to give up against a dead set.
     pub fn deregister_follower(&self, id: u64) {
-        let mut t = self.table.lock().expect("repl group lock poisoned");
+        let mut t = self.table.lock();
         t.acks.remove(&id);
         self.cond.notify_all();
     }
@@ -151,7 +151,7 @@ impl ReplGroup {
             self.fence(term);
             return;
         }
-        let mut t = self.table.lock().expect("repl group lock poisoned");
+        let mut t = self.table.lock();
         if let Some(slot) = t.acks.get_mut(&id) {
             *slot = (*slot).max(lsn);
         }
@@ -160,13 +160,13 @@ impl ReplGroup {
 
     /// Followers whose durable ack is at or past `lsn`.
     pub fn acked(&self, lsn: u64) -> u32 {
-        let t = self.table.lock().expect("repl group lock poisoned");
+        let t = self.table.lock();
         t.acks.values().filter(|&&a| a >= lsn).count() as u32
     }
 
     /// Connected followers.
     pub fn followers(&self) -> usize {
-        self.table.lock().expect("repl group lock poisoned").acks.len()
+        self.table.lock().acks.len()
     }
 
     /// The quorum rule, the one place it is written: a fenced group fails
@@ -175,7 +175,7 @@ impl ReplGroup {
     /// parked waits poll this each tick; [`ReplGroup::wait_quorum`] blocks
     /// on it.
     pub fn quorum_verdict(&self, lsn: u64, policy: &QuorumPolicy, expired: bool) -> Verdict {
-        let t = self.table.lock().expect("repl group lock poisoned");
+        let t = self.table.lock();
         self.verdict(&t, lsn, policy, expired)
     }
 
@@ -194,17 +194,13 @@ impl ReplGroup {
     /// `policy.timeout` as the bound.
     pub fn wait_quorum(&self, lsn: u64, policy: &QuorumPolicy) -> Result<(), QuorumError> {
         let deadline = Instant::now() + policy.timeout;
-        let mut t = self.table.lock().expect("repl group lock poisoned");
+        let mut t = self.table.lock();
         loop {
             let now = Instant::now();
             if let Some(verdict) = self.verdict(&t, lsn, policy, now >= deadline) {
                 return verdict;
             }
-            let (guard, _) = self
-                .cond
-                .wait_timeout(t, deadline - now)
-                .expect("repl group lock poisoned");
-            t = guard;
+            t = self.cond.wait_timeout(t, deadline - now).0;
         }
     }
 }

@@ -4,7 +4,7 @@
 //! executor reports its package's outcome, and the submitting client blocks
 //! on the RVP until either all packages succeeded or any one failed.
 
-use std::sync::{Condvar, Mutex};
+use esdb_sync::{Condvar, Mutex};
 
 /// Why a package failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +54,7 @@ impl Rvp {
 
     /// An executor reports a successful package, depositing its reads.
     pub fn complete(&self, reads: Vec<(usize, Vec<i64>)>) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         for (idx, row) in reads {
             st.results[idx] = Some(row);
         }
@@ -67,7 +67,7 @@ impl Rvp {
     /// An executor reports failure: the transaction aborts immediately,
     /// without waiting for the other packages.
     pub fn fail(&self, kind: FailKind) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         // A logical failure verdict must not be masked by a later conflict.
         if st.aborted != Some(FailKind::Logical) {
             st.aborted = Some(kind);
@@ -80,18 +80,18 @@ impl Rvp {
         // Deterministic checking: a virtual client blocks on the scheduler
         // seam so the rendezvous becomes an explorable interleaving edge.
         if esdb_sync::sched::block_until(esdb_sync::YieldPoint::RvpWait, || {
-            let st = self.state.lock().unwrap();
+            let st = self.state.lock();
             st.remaining == 0 || st.aborted.is_some()
         }) {
-            let st = self.state.lock().unwrap();
+            let st = self.state.lock();
             return match st.aborted {
                 Some(kind) => Verdict::Abort(kind),
                 None => Verdict::Commit,
             };
         }
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         while st.remaining > 0 && st.aborted.is_none() {
-            st = self.cv.wait(st).unwrap();
+            st = self.cv.wait(st);
         }
         match st.aborted {
             Some(kind) => Verdict::Abort(kind),
@@ -101,7 +101,7 @@ impl Rvp {
 
     /// Takes the collected read results (call after a `Commit` verdict).
     pub fn take_results(&self) -> Vec<Option<Vec<i64>>> {
-        std::mem::take(&mut self.state.lock().unwrap().results)
+        std::mem::take(&mut self.state.lock().results)
     }
 }
 

@@ -8,11 +8,11 @@
 //! Shore-style engines ship.
 
 use crate::TxnId;
-use parking_lot::Mutex;
+use esdb_sync::Mutex;
 use std::collections::{HashMap, HashSet};
 
 /// A concurrent waits-for graph.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct WaitsForGraph {
     edges: Mutex<HashMap<TxnId, HashSet<TxnId>>>,
 }

@@ -4,11 +4,10 @@ use crate::deadlock::WaitsForGraph;
 use crate::id::LockId;
 use crate::mode::LockMode;
 use crate::TxnId;
-use esdb_sync::IntMap;
-use parking_lot::Mutex;
+use esdb_sync::{Condvar, IntMap, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Why a lock acquisition failed.
@@ -40,7 +39,7 @@ enum WaitState {
 }
 
 struct WaitSlot {
-    state: StdMutex<WaitState>,
+    state: Mutex<WaitState>,
     cv: Condvar,
 }
 
@@ -84,7 +83,7 @@ impl Entry {
             } else {
                 self.granted.push((req.txn, req.mode));
             }
-            let mut st = req.slot.state.lock().unwrap();
+            let mut st = req.slot.state.lock();
             *st = WaitState::Granted;
             drop(st);
             signals.push(req.slot);
@@ -243,7 +242,7 @@ impl LockManager {
                 }
                 // Queue the upgrade at the front (it blocks everyone anyway).
                 slot = Arc::new(WaitSlot {
-                    state: StdMutex::new(WaitState::Waiting),
+                    state: Mutex::new(WaitState::Waiting),
                     cv: Condvar::new(),
                 });
                 entry.queue.push_front(Request {
@@ -261,7 +260,7 @@ impl LockManager {
                     return Ok(mode);
                 }
                 slot = Arc::new(WaitSlot {
-                    state: StdMutex::new(WaitState::Waiting),
+                    state: Mutex::new(WaitState::Waiting),
                     cv: Condvar::new(),
                 });
                 entry.queue.push_back(Request {
@@ -306,7 +305,7 @@ impl LockManager {
         // and never times out — wait-die/at-block detection already ran above,
         // and the checker's stuck detection subsumes the wall-clock timeout.
         if esdb_sync::sched::block_until(esdb_sync::YieldPoint::LockWait, || {
-            *slot.state.lock().unwrap() == WaitState::Granted
+            *slot.state.lock() == WaitState::Granted
         }) {
             self.graph.clear(txn);
             let waited = start.elapsed().as_nanos() as u64;
@@ -314,12 +313,9 @@ impl LockManager {
             esdb_obs::record_component(esdb_obs::Component::LockWait, waited);
             return Ok(want);
         }
-        let mut st = slot.slot_state();
+        let mut st = slot.state.lock();
         while *st == WaitState::Waiting {
-            let (guard, timed_out) = slot
-                .cv
-                .wait_timeout(st, self.timeout)
-                .expect("lock wait poisoned");
+            let (guard, timed_out) = slot.cv.wait_timeout(st, self.timeout);
             st = guard;
             if timed_out.timed_out() && *st == WaitState::Waiting {
                 drop(st);
@@ -327,7 +323,7 @@ impl LockManager {
                 // granted in the meantime.
                 let mut part = self.partition(id).lock();
                 let granted_late = {
-                    let s = slot.state.lock().unwrap();
+                    let s = slot.state.lock();
                     *s == WaitState::Granted
                 };
                 if !granted_late {
@@ -348,7 +344,7 @@ impl LockManager {
                     return Err(LockError::Timeout);
                 }
                 drop(part);
-                st = slot.slot_state();
+                st = slot.state.lock();
             }
         }
         self.graph.clear(txn);
@@ -422,12 +418,6 @@ impl LockManager {
             timeouts: self.timeouts.load(Ordering::Relaxed),
             wait_nanos: self.wait_nanos.load(Ordering::Relaxed),
         }
-    }
-}
-
-impl WaitSlot {
-    fn slot_state(&self) -> std::sync::MutexGuard<'_, WaitState> {
-        self.state.lock().unwrap()
     }
 }
 

@@ -79,7 +79,7 @@ use esdb_txn::Txn;
 use esdb_wal::Lsn;
 use esdb_workload::{TxnSpec, WorkloadOp};
 use minipoll::{Event, Interest, Poller, WakeHandle, Waker};
-use parking_lot::Mutex;
+use esdb_sync::Mutex;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read as IoRead, Write as IoWrite};
 use std::marker::PhantomData;
@@ -979,7 +979,7 @@ const MAX_QUERY_CELLS: usize = 100_000;
 /// side keeps the apply loop out of its write section for the whole plan,
 /// so every operator sees the heap at one applied frontier — and the
 /// frontier only advances at transaction-consistent cuts.
-fn run_query(db: &Arc<Database>, gate: &parking_lot::RwLock<()>, plan: &WirePlan) -> Response {
+fn run_query(db: &Arc<Database>, gate: &esdb_sync::RwLock<()>, plan: &WirePlan) -> Response {
     let _pin = gate.read();
     let node = match compile_wire(db, plan) {
         Ok((node, _)) => node,

@@ -117,7 +117,7 @@ pub struct Follower {
     /// side, so it sees the heap only between apply batches, and since
     /// [`Follower::applied`] advances only at transaction-consistent cuts,
     /// never a torn transaction.
-    pub gate: Arc<parking_lot::RwLock<()>>,
+    pub gate: Arc<esdb_sync::RwLock<()>>,
     /// How long a token-gated request may wait for the frontier before the
     /// server gives up with [`Response::Lagging`]. The session parks; its
     /// reactor keeps serving everyone else.

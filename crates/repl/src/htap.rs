@@ -19,7 +19,7 @@
 use esdb_core::Database;
 use esdb_staged::{execute_staged, PlanNode, Row, DEFAULT_BATCH};
 use esdb_wal::Lsn;
-use parking_lot::RwLock;
+use esdb_sync::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

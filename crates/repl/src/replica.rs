@@ -11,7 +11,7 @@ use esdb_storage::{IndexDef, IndexKind, InMemoryDisk, StorageError};
 use esdb_wal::buffer::LogStore;
 use esdb_wal::record::decode_stream_checked;
 use esdb_wal::{redo, LogBody, LogRecord, Lsn, Wal, WalError};
-use parking_lot::RwLock;
+use esdb_sync::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

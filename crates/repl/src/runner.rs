@@ -7,7 +7,7 @@ use crate::replica::{Replica, ReplError};
 use esdb_core::config::EngineConfig;
 use esdb_core::Database;
 use esdb_net::{Client, Follower, ReconnectPolicy};
-use parking_lot::RwLock;
+use esdb_sync::RwLock;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

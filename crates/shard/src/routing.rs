@@ -20,10 +20,10 @@ use crate::ShardError;
 use esdb_core::spec_exec::SpecOutcome;
 use esdb_core::{Database, RoutingTable};
 use esdb_net::SlotGate;
+use esdb_sync::{Condvar, Mutex, RwLock};
 use esdb_workload::{TxnSpec, WorkloadOp};
-use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 /// A [`RoutingTable`] shared by reference between the router, the migration
 /// coordinator, and the shards. Installation is epoch-fenced: only a table
@@ -128,7 +128,7 @@ impl ShardOwnership {
 
     /// Whether this shard currently owns `slot`.
     pub fn owns(&self, slot: u32) -> bool {
-        self.state.lock().unwrap().owned.get(slot as usize).copied().unwrap_or(false)
+        self.state.lock().owned.get(slot as usize).copied().unwrap_or(false)
     }
 
     /// Whether `slot` is owned and not fenced (mid-migration write block).
@@ -137,7 +137,7 @@ impl ShardOwnership {
     /// retries after the cutover, instead of blocking a reactor thread on
     /// the fence.
     pub fn admits(&self, slot: u32) -> bool {
-        let st = self.state.lock().unwrap();
+        let st = self.state.lock();
         st.owned.get(slot as usize).copied().unwrap_or(false) && !st.fenced[slot as usize]
     }
 
@@ -147,7 +147,7 @@ impl ShardOwnership {
     /// [`ShardOwnership::end`] (or park the count under a gtid with
     /// [`ShardOwnership::note_prepared`]).
     pub fn begin(&self, slots: &[u32]) -> Result<(), u32> {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         loop {
             if let Some(&s) = slots
                 .iter()
@@ -160,7 +160,7 @@ impl ShardOwnership {
                 // delta ship), so waiting beats bouncing the caller. If the
                 // slot is released while we wait, the owned check above
                 // turns the wake-up into a typed refusal.
-                st = self.wake.wait(st).unwrap();
+                st = self.wake.wait(st);
                 continue;
             }
             for &s in slots {
@@ -172,7 +172,7 @@ impl ShardOwnership {
 
     /// Ends a transaction admitted by [`ShardOwnership::begin`].
     pub fn end(&self, slots: &[u32]) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         for &s in slots {
             st.inflight[s as usize] = st.inflight[s as usize].saturating_sub(1);
         }
@@ -183,13 +183,13 @@ impl ShardOwnership {
     /// Transfers an admitted transaction's in-flight counts to `gtid`: a
     /// prepared 2PC slice keeps its slots busy until the decision arrives.
     pub fn note_prepared(&self, gtid: u64, slots: Vec<u32>) {
-        self.state.lock().unwrap().prepared.insert(gtid, slots);
+        self.state.lock().prepared.insert(gtid, slots);
     }
 
     /// Releases the in-flight counts parked under `gtid` (decision applied,
     /// or the gtid was never parked here — idempotent).
     pub fn end_prepared(&self, gtid: u64) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         if let Some(slots) = st.prepared.remove(&gtid) {
             for s in slots {
                 st.inflight[s as usize] = st.inflight[s as usize].saturating_sub(1);
@@ -201,7 +201,7 @@ impl ShardOwnership {
 
     /// Gtids currently holding prepared (in-doubt) counts on `slot`.
     pub fn prepared_on(&self, slot: u32) -> Vec<u64> {
-        let st = self.state.lock().unwrap();
+        let st = self.state.lock();
         let mut gtids: Vec<u64> = st
             .prepared
             .iter()
@@ -214,22 +214,22 @@ impl ShardOwnership {
 
     /// Starts the fence: new transactions touching `slot` wait.
     pub fn fence(&self, slot: u32) {
-        self.state.lock().unwrap().fenced[slot as usize] = true;
+        self.state.lock().fenced[slot as usize] = true;
     }
 
     /// Waits until no transaction is in flight on `slot` (call after
     /// [`ShardOwnership::fence`], and after resolving in-doubt gtids —
     /// a prepared slice counts as in-flight until its decision).
     pub fn drain(&self, slot: u32) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         while st.inflight[slot as usize] > 0 {
-            st = self.wake.wait(st).unwrap();
+            st = self.wake.wait(st);
         }
     }
 
     /// Adopts `slot` (destination side of a cutover). Clears any fence.
     pub fn adopt(&self, slot: u32) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         if (slot as usize) < st.owned.len() {
             st.owned[slot as usize] = true;
             st.fenced[slot as usize] = false;
@@ -241,7 +241,7 @@ impl ShardOwnership {
     /// Releases `slot` (source side of a cutover). Writers parked on the
     /// fence wake up, find the slot unowned, and get the typed refusal.
     pub fn release(&self, slot: u32) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         if (slot as usize) < st.owned.len() {
             st.owned[slot as usize] = false;
             st.fenced[slot as usize] = false;

@@ -22,7 +22,7 @@ use crate::page::Page;
 use crate::rid::PageId;
 use crate::{Result, StorageError};
 use esdb_sync::IntMap;
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use esdb_sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -80,7 +80,7 @@ pub struct BufferPool {
     chunks: Box<[OnceLock<Chunk>]>,
     map: Mutex<MapState>,
     disk: Arc<dyn PageStore>,
-    lsn_barrier: parking_lot::RwLock<Option<LsnBarrier>>,
+    lsn_barrier: RwLock<Option<LsnBarrier>>,
     hits: AtomicU64,
     misses: AtomicU64,
     writebacks: AtomicU64,
@@ -107,7 +107,7 @@ impl BufferPool {
                 hand: 0,
             }),
             disk,
-            lsn_barrier: parking_lot::RwLock::new(None),
+            lsn_barrier: RwLock::new(None),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             writebacks: AtomicU64::new(0),

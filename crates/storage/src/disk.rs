@@ -9,7 +9,7 @@
 use crate::page::Page;
 use crate::rid::PageId;
 use crate::{Result, StorageError};
-use parking_lot::Mutex;
+use esdb_sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 

@@ -15,7 +15,7 @@ use crate::error::IoOp;
 use crate::page::{Page, PAGE_SIZE};
 use crate::rid::PageId;
 use crate::{Result, StorageError};
-use parking_lot::Mutex;
+use esdb_sync::Mutex;
 use std::sync::Arc;
 
 /// A tiny self-contained xorshift64* generator for fault decisions.

@@ -20,7 +20,7 @@ use crate::buffer::BufferPool;
 use crate::page::Page;
 use crate::rid::{PageId, Rid};
 use crate::{Result, StorageError};
-use parking_lot::Mutex;
+use esdb_sync::Mutex;
 use std::sync::Arc;
 
 /// Monotone page-LSN stamp: never regresses an already-higher LSN.

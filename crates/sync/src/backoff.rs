@@ -7,9 +7,8 @@
 
 /// Exponential backoff state for one acquisition attempt.
 ///
-/// The sequence of waits is `1, 2, 4, ... , MAX_SPINS` spin-loop hints. Once
-/// the cap is reached [`Backoff::is_saturated`] returns `true`, which the
-/// hybrid lock uses as its cue to stop spinning and park the thread.
+/// The sequence of waits is `1, 2, 4, ... , 2^MAX_SHIFT` spin-loop hints;
+/// once the cap is reached every further pause is the longest one.
 #[derive(Debug)]
 pub struct Backoff {
     step: u32,
@@ -37,12 +36,6 @@ impl Backoff {
         }
     }
 
-    /// Returns `true` once the ladder has reached its maximum pause length.
-    #[inline]
-    pub fn is_saturated(&self) -> bool {
-        self.step >= Self::MAX_SHIFT
-    }
-
     /// Number of pauses performed so far.
     #[inline]
     pub fn steps(&self) -> u32 {
@@ -63,16 +56,14 @@ mod tests {
     #[test]
     fn saturates_after_bounded_steps() {
         let mut b = Backoff::new();
-        assert!(!b.is_saturated());
         for _ in 0..Backoff::MAX_SHIFT {
             b.pause();
         }
-        assert!(b.is_saturated());
+        assert_eq!(b.steps(), Backoff::MAX_SHIFT);
         // Further pauses keep it saturated without overflowing.
         for _ in 0..4 {
             b.pause();
         }
-        assert!(b.is_saturated());
         assert_eq!(b.steps(), Backoff::MAX_SHIFT);
     }
 

@@ -5,28 +5,25 @@
 //! mechanism to access critical sections become crucial: spinning wastes
 //! cycles, while blocking incurs high overhead".
 //!
-//! This crate provides the full menu of primitives that discussion refers to:
+//! The engine takes every lock it holds from this crate:
 //!
-//! * **Test-and-set / test-and-test-and-set spinlocks** ([`TasLock`],
-//!   [`TatasLock`]) — minimal latency under low contention, pathological
-//!   coherence traffic under high contention.
-//! * **Ticket lock** ([`TicketLock`]) — FIFO-fair spinning, still a single
-//!   contended cache line.
-//! * **MCS queue lock** ([`McsLock`]) — each waiter spins on a private cache
-//!   line; the canonical scalable spinlock.
-//! * **Blocking lock** ([`BlockLock`]) — OS-assisted parking; pays a context
-//!   switch but wastes no cycles.
-//! * **Spin-then-park hybrid** ([`HybridLock`]) — bounded spinning followed by
-//!   parking, the policy Shore-MT converged on for most latches.
-//! * **Reader–writer latch** ([`RwLatch`]) — writer-preferring spin latch used
-//!   to protect index nodes; [`Latched<T>`] pairs one with the data it guards.
+//! * **Mutex, reader–writer lock, condition variable** ([`Mutex`],
+//!   [`RwLock`], [`Condvar`]) — `std`'s, with loud poisoning: an acquire
+//!   after a holder panicked panics at once instead of handing out
+//!   half-updated state (see [`lock`]). The buffer pool's frame map and page
+//!   latches, the heap, the lock table, the WAL buffers and every other
+//!   engine mutex are these.
+//! * **Test-and-test-and-set spinlock** ([`TatasLock`]) — the decoupled log
+//!   buffer's allocation lock.
+//! * **Reader–writer latch** ([`RwLatch`]) — writer-preferring spin latch that
+//!   protects B+tree nodes; [`Latched<T>`] pairs one with the data it guards
+//!   (secondary indexes).
 //!
-//! All primitives implement the [`RawLock`] trait, through which fig3 and the
-//! `sync_primitives` bench sweep them. Inside the engine, the decoupled log
-//! buffer's allocation lock is a [`TatasLock`], B+tree nodes are
-//! [`RwLatch`]es and secondary indexes are [`Latched`]; the other mutexes are
-//! `parking_lot`'s. The spin/block/hybrid choice at many contexts is swept on
-//! the simulator (`esdb_sim::WaitPolicy`).
+//! [`primitives`] holds the rest of the menu that discussion refers to — the
+//! ticket, MCS, blocking and spin-then-park locks. They implement
+//! [`RawLock`], through which `fig3_sync` sweeps them against [`TatasLock`];
+//! the engine does not import them. The spin/block/hybrid choice at many
+//! contexts is swept on the simulator (`esdb_sim::WaitPolicy`).
 //!
 //! ## Example
 //!
@@ -43,22 +40,41 @@
 #![deny(unsafe_code)]
 
 pub mod backoff;
-pub mod block;
-pub mod hybrid;
+mod block;
+mod hybrid;
+pub mod lock;
 #[allow(unsafe_code)]
-pub mod mcs;
+mod mcs;
 #[allow(unsafe_code)]
 pub mod rwlatch;
 pub mod sched;
-pub mod spin;
+mod spin;
 
 pub use backoff::Backoff;
-pub use block::BlockLock;
-pub use hybrid::HybridLock;
-pub use mcs::McsLock;
+pub use lock::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 pub use rwlatch::{Latched, RwLatch};
 pub use sched::{Mutation, SchedHook, YieldPoint};
-pub use spin::{TasLock, TatasLock, TicketLock};
+pub use spin::TatasLock;
+
+pub mod primitives {
+    //! Claim 4's exhibit: the lock primitives `fig3_sync` sweeps against
+    //! [`TatasLock`](crate::TatasLock) and the simulator's wait policies. The engine does not
+    //! import them.
+    //!
+    //! * **Ticket lock** ([`TicketLock`]) — FIFO-fair spinning, still a single
+    //!   contended cache line.
+    //! * **MCS queue lock** ([`McsLock`]) — each waiter spins on a private cache
+    //!   line; the canonical scalable spinlock.
+    //! * **Blocking lock** ([`BlockLock`]) — OS-assisted parking; pays a context
+    //!   switch but wastes no cycles.
+    //! * **Spin-then-park hybrid** ([`HybridLock`]) — bounded spinning followed by
+    //!   parking, the policy Shore-MT converged on for most latches.
+
+    pub use crate::block::BlockLock;
+    pub use crate::hybrid::HybridLock;
+    pub use crate::mcs::McsLock;
+    pub use crate::spin::TicketLock;
+}
 
 /// Multiplicative hasher for the engine's own integer keys (`LockId`,
 /// `PageId`, `TxnId`, `TableId`): one rotate-xor-multiply per word where
@@ -97,8 +113,7 @@ pub type IntMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDe
 ///
 /// The engine uses raw locks internally because latches are frequently
 /// acquired in one function and released in another (e.g. latch crabbing in
-/// the B+tree), which does not fit guard lifetimes. A RAII adapter is
-/// available via [`RawLock::guard`].
+/// the B+tree), which does not fit guard lifetimes.
 pub trait RawLock: Send + Sync {
     /// Acquires the lock, waiting (by whatever strategy) until it is held.
     fn lock(&self);
@@ -108,38 +123,11 @@ pub trait RawLock: Send + Sync {
     fn unlock(&self);
     /// Human-readable primitive name, used in benchmark output.
     fn name(&self) -> &'static str;
-
-    /// Runs `f` while holding the lock.
-    fn with<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.lock();
-        let r = f();
-        self.unlock();
-        r
-    }
-
-    /// Acquires the lock and returns a guard that releases it on drop.
-    fn guard(&self) -> LockGuard<'_, Self>
-    where
-        Self: Sized,
-    {
-        self.lock();
-        LockGuard { lock: self }
-    }
-}
-
-/// RAII guard returned by [`RawLock::guard`].
-pub struct LockGuard<'a, L: RawLock> {
-    lock: &'a L,
-}
-
-impl<L: RawLock> Drop for LockGuard<'_, L> {
-    fn drop(&mut self) {
-        self.lock.unlock();
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::primitives::*;
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -173,11 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn tas_mutual_exclusion() {
-        exercise(TasLock::new());
-    }
-
-    #[test]
     fn tatas_mutual_exclusion() {
         exercise(TatasLock::new());
     }
@@ -203,24 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn guard_releases_on_drop() {
-        let lock = TatasLock::new();
-        {
-            let _g = lock.guard();
-            assert!(!lock.try_lock());
-        }
-        assert!(lock.try_lock());
-        lock.unlock();
-    }
-
-    #[test]
-    fn with_returns_value() {
-        let lock = TicketLock::new();
-        let v = lock.with(|| 41 + 1);
-        assert_eq!(v, 42);
-    }
-
-    #[test]
     fn try_lock_contended_fails() {
         let lock = HybridLock::new();
         lock.lock();
@@ -233,7 +198,6 @@ mod tests {
     #[test]
     fn names_are_distinct() {
         let names = [
-            TasLock::new().name(),
             TatasLock::new().name(),
             TicketLock::new().name(),
             McsLock::new().name(),

@@ -100,21 +100,6 @@ impl RwLatch {
         let prev = self.state.swap(0, Ordering::Release);
         debug_assert_eq!(prev, WRITER, "unlock_exclusive without exclusive hold");
     }
-
-    /// Returns `true` if currently write-held (racy; diagnostics only).
-    pub fn is_write_locked(&self) -> bool {
-        self.state.load(Ordering::Relaxed) == WRITER
-    }
-
-    /// Current reader count (racy; diagnostics only). Zero when write-held.
-    pub fn reader_count(&self) -> u32 {
-        let s = self.state.load(Ordering::Relaxed);
-        if s == WRITER {
-            0
-        } else {
-            s
-        }
-    }
 }
 
 /// Data guarded by an [`RwLatch`], reachable only through its guards — the
@@ -207,10 +192,10 @@ mod tests {
     fn multiple_readers_coexist() {
         let l = RwLatch::new();
         l.lock_shared();
-        l.lock_shared();
-        assert_eq!(l.reader_count(), 2);
+        assert!(l.try_lock_shared(), "a second reader is admitted");
         assert!(!l.try_lock_exclusive());
         l.unlock_shared();
+        assert!(!l.try_lock_exclusive(), "one reader still holds the latch");
         l.unlock_shared();
         assert!(l.try_lock_exclusive());
         l.unlock_exclusive();
@@ -220,8 +205,8 @@ mod tests {
     fn writer_excludes_readers() {
         let l = RwLatch::new();
         l.lock_exclusive();
-        assert!(l.is_write_locked());
         assert!(!l.try_lock_shared());
+        assert!(!l.try_lock_exclusive());
         l.unlock_exclusive();
         assert!(l.try_lock_shared());
         l.unlock_shared();
@@ -233,15 +218,17 @@ mod tests {
         {
             let r = l.read();
             assert_eq!(*r, 7);
-            assert_eq!(l.latch.reader_count(), 1);
+            assert!(!l.latch.try_lock_exclusive(), "a read guard holds the latch");
         }
-        assert_eq!(l.latch.reader_count(), 0);
+        assert!(l.latch.try_lock_exclusive());
+        l.latch.unlock_exclusive();
         {
             let mut w = l.write();
             *w += 1;
-            assert!(l.latch.is_write_locked());
+            assert!(!l.latch.try_lock_shared(), "a write guard holds the latch");
         }
-        assert!(!l.latch.is_write_locked());
+        assert!(l.latch.try_lock_shared());
+        l.latch.unlock_shared();
         assert_eq!(*l.read(), 8);
     }
 

@@ -1,4 +1,4 @@
-//! Pure spinning locks: test-and-set, test-and-test-and-set, and ticket.
+//! Pure spinning locks: test-and-test-and-set and ticket.
 //!
 //! These primitives never sleep. Under low contention they acquire in a
 //! handful of cycles — far cheaper than any OS-assisted lock — but every
@@ -7,48 +7,6 @@
 
 use crate::{Backoff, RawLock};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-
-/// Naive test-and-set spinlock.
-///
-/// Every acquisition attempt is an atomic swap, so under contention all
-/// waiters keep pulling the lock's cache line into modified state. Kept as
-/// the pedagogical worst case for the sync-primitive benchmarks.
-#[derive(Debug, Default)]
-pub struct TasLock {
-    locked: AtomicBool,
-}
-
-impl TasLock {
-    /// Creates an unlocked lock.
-    pub const fn new() -> Self {
-        TasLock {
-            locked: AtomicBool::new(false),
-        }
-    }
-}
-
-impl RawLock for TasLock {
-    #[inline]
-    fn lock(&self) {
-        while self.locked.swap(true, Ordering::Acquire) {
-            std::hint::spin_loop();
-        }
-    }
-
-    #[inline]
-    fn try_lock(&self) -> bool {
-        !self.locked.swap(true, Ordering::Acquire)
-    }
-
-    #[inline]
-    fn unlock(&self) {
-        self.locked.store(false, Ordering::Release);
-    }
-
-    fn name(&self) -> &'static str {
-        "tas"
-    }
-}
 
 /// Test-and-test-and-set spinlock with exponential backoff.
 ///
@@ -123,13 +81,6 @@ impl TicketLock {
             serving: AtomicU32::new(0),
         }
     }
-
-    /// Number of threads currently waiting or holding (approximate).
-    pub fn queue_depth(&self) -> u32 {
-        self.next
-            .load(Ordering::Relaxed)
-            .wrapping_sub(self.serving.load(Ordering::Relaxed))
-    }
 }
 
 impl RawLock for TicketLock {
@@ -167,32 +118,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ticket_queue_depth_tracks_holders() {
-        let l = TicketLock::new();
-        assert_eq!(l.queue_depth(), 0);
-        l.lock();
-        assert_eq!(l.queue_depth(), 1);
-        l.unlock();
-        assert_eq!(l.queue_depth(), 0);
-    }
-
-    #[test]
     fn ticket_try_lock_only_when_free() {
         let l = TicketLock::new();
         assert!(l.try_lock());
         assert!(!l.try_lock());
         l.unlock();
         assert!(l.try_lock());
-        l.unlock();
-    }
-
-    #[test]
-    fn tas_reentrancy_is_not_allowed() {
-        // A second try_lock by the same thread must fail: these are latches,
-        // not re-entrant mutexes.
-        let l = TasLock::new();
-        assert!(l.try_lock());
-        assert!(!l.try_lock());
         l.unlock();
     }
 
@@ -204,6 +135,9 @@ mod tests {
             l.unlock();
         }
         assert!(l.try_lock());
+        // A second try_lock by the same thread must fail: these are latches,
+        // not re-entrant mutexes.
+        assert!(!l.try_lock());
         l.unlock();
     }
 }

@@ -6,7 +6,7 @@ use esdb_storage::{Rid, StorageError, Table};
 use esdb_sync::IntMap;
 use esdb_wal::record::RowOp;
 use esdb_wal::{LogBody, Lsn, Wal, NULL_LSN};
-use parking_lot::{Mutex, RwLock};
+use esdb_sync::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -9,7 +9,7 @@
 
 use crate::Lsn;
 use esdb_storage::FaultRng;
-use parking_lot::Mutex;
+use esdb_sync::Mutex;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

@@ -13,7 +13,7 @@
 //!   drift from the live path.
 
 use crate::{LogBody, LogPolicy, Wal, NULL_LSN};
-use parking_lot::Mutex;
+use esdb_sync::Mutex;
 
 /// A coordinator's in-memory state, built by folding its log records.
 pub trait Fsm: Default {
@@ -70,5 +70,41 @@ impl<S: Fsm> DurableFsm<S> {
             state.apply(&r.body);
         }
         DurableFsm { wal: self.wal.successor(LogPolicy::Serial, None), state: Mutex::new(state) }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    /// Two fields a plan moves together; a plan that dies between them
+    /// leaves them apart.
+    #[derive(Default)]
+    struct Pair {
+        a: u64,
+        b: u64,
+    }
+
+    impl Fsm for Pair {
+        fn apply(&mut self, _: &LogBody) {}
+    }
+
+    #[test]
+    fn a_step_after_a_plan_panicked_panics_and_names_the_state() {
+        let fsm = Arc::new(DurableFsm::<Pair>::default());
+        let f = Arc::clone(&fsm);
+        let dying = std::thread::spawn(move || {
+            f.step::<()>(|s| {
+                s.a += 1;
+                panic!("plan died between a and b");
+            })
+        });
+        assert!(dying.join().is_err());
+        let f = Arc::clone(&fsm);
+        let next = std::thread::spawn(move || f.step(|s| (s.a == s.b, None)));
+        let payload = next.join().expect_err("a step on a half-updated state must panic, not read it");
+        let msg = payload.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+        assert!(msg.contains(std::any::type_name::<Pair>()), "{msg}");
     }
 }

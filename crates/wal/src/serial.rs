@@ -6,7 +6,7 @@
 
 use crate::buffer::{LogBuffer, LogStore, LsnRange, LOG_START};
 use crate::Lsn;
-use parking_lot::Mutex;
+use esdb_sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 

@@ -78,6 +78,27 @@ if grep -rnE 'Wal::new\(|\.successor\(' crates/shard/src crates/rebal/src --incl
     exit 1
 fi
 
+echo "== seam: every engine lock is esdb_sync's =="
+# ROADMAP item 26's ratchet. esdb_sync::{Mutex, RwLock, Condvar} make a
+# poisoned lock panic instead of handing out half-updated state, and are
+# the one place a checker yield point on every acquire will go. A
+# parking_lot stand-in would recover poison silently; a std lock would need
+# its own unwrap at every site. Only esdb_sync, which wraps std, and the
+# checker, whose scheduler sits under the hook, name std's locks. The grep
+# reads each file whole (-z), so a brace import split over lines, or an
+# `as` rename, is caught too.
+if grep -rn parking_lot Cargo.toml Cargo.lock crates src tests vendor; then
+    echo "FAIL: parking_lot is named; use esdb_sync::{Mutex, RwLock}" >&2
+    exit 1
+fi
+std_locks=$(grep -rPzl --include='*.rs' '\bsync::(\{[^}]*)?\b(Mutex|RwLock|Condvar)' crates/*/src \
+    | grep -vE '^crates/(sync|check)/' || true)
+if [ -n "$std_locks" ]; then
+    echo "FAIL: a std::sync Mutex/RwLock/Condvar outside crates/sync and crates/check; use esdb_sync's:" >&2
+    echo "$std_locks" >&2
+    exit 1
+fi
+
 echo "== seam: no unwrap or expect in the reactor or the server =="
 # ROADMAP item 16's ratchet. A reactor thread has no catch_unwind, so a
 # panic there kills every session on that reactor: neither file may hold an
