@@ -248,7 +248,7 @@ impl Database {
 
     /// Looks up a table handle.
     pub fn table(&self, id: TableId) -> Option<Arc<Table>> {
-        self.txn_mgr.table(id).ok()
+        self.txn_mgr.table(id).ok().cloned()
     }
 
     fn dora(&self) -> &DoraSystem {
@@ -617,6 +617,31 @@ impl Database {
 mod tests {
     use super::*;
     use esdb_workload::{TxnSpec, WorkloadOp};
+
+    #[test]
+    fn a_database_reopened_after_a_crash_runs_on_the_same_thread() {
+        // The thread alternates between two databases, then restarts one:
+        // each lock manager keeps one agent for it, and the restarted one
+        // binds a fresh agent whose first transaction takes its own locks.
+        let config = EngineConfig::conventional_baseline;
+        let (db, other) = (Database::open(config()), Database::open(config()));
+        let (t, u) = (db.create_table("t", 1).unwrap(), other.create_table("u", 1).unwrap());
+        for k in 0..10 {
+            db.execute(|txn| txn.insert(t, k, &[k as i64])).unwrap();
+            other.execute(|txn| txn.insert(u, k, &[k as i64])).unwrap();
+        }
+        let db = db.simulate_crash(false);
+        for k in 10..20 {
+            db.execute(|txn| txn.insert(t, k, &[k as i64])).unwrap();
+            other.execute(|txn| txn.insert(u, k, &[k as i64])).unwrap();
+        }
+        for (db, t) in [(&db, t), (&other, u)] {
+            assert_eq!(db.execute(|txn| txn.range(t, 0, 100)).unwrap().len(), 20);
+            assert_eq!(db.txn_manager().locks().agent_count(), 1);
+        }
+        // After the restart: database + table once, then each insert's row.
+        assert_eq!(db.txn_manager().locks().stats().acquisitions, 2 + 10 + 1);
+    }
 
     #[test]
     fn open_create_execute_read() {

@@ -81,6 +81,10 @@ pub enum Mutation {
     ReleaseLocksEarly,
     /// `esdb-dora`: ignore wait-die conflicts (co-own keys).
     DisableWaitDie,
+    /// `esdb-lock`: an agent keeps its inherited intention grants across a
+    /// moved revoke epoch, so its next transaction writes under a table
+    /// lock a scan has already taken away.
+    InheritAcrossRevoke,
 }
 
 /// The pluggable scheduler seam. Implemented by `esdb-check`; never
@@ -210,7 +214,8 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    const MUTATIONS: [Mutation; 2] = [Mutation::ReleaseLocksEarly, Mutation::DisableWaitDie];
+    const MUTATIONS: [Mutation; 3] =
+        [Mutation::ReleaseLocksEarly, Mutation::DisableWaitDie, Mutation::InheritAcrossRevoke];
 
     // Declines governance (block_until false) so that a
     // brief install window cannot disturb concurrently running lock tests.

@@ -3,13 +3,12 @@
 use esdb_lock::{HeldLocks, LockError, LockManager, LockMode};
 use esdb_storage::schema::TableId;
 use esdb_storage::{Rid, StorageError, Table};
-use esdb_sync::IntMap;
+use esdb_sync::{IntMap, Mutex};
 use esdb_wal::record::RowOp;
 use esdb_wal::{LogBody, Lsn, Wal, NULL_LSN};
-use esdb_sync::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Errors surfaced to transaction code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,13 +121,59 @@ impl UndoOp {
     }
 }
 
+/// Registered tables by id, append-only: a table is registered once and
+/// never removed, so a lookup reads three `OnceLock`s — no lock, no
+/// refcount. Chunk `k` holds ids `2^k - 1 ..= 2^(k+1) - 2` and is built when
+/// the first of them registers; the chunk array itself, when the first
+/// table does, so a manager with no table allocates nothing for it.
+#[derive(Default)]
+struct Registry(OnceLock<Box<[OnceLock<Chunk>; 33]>>);
+
+/// One chunk of table slots.
+type Chunk = Box<[OnceLock<Arc<Table>>]>;
+
+impl Registry {
+    /// (chunk, index in chunk) of table `id`.
+    fn slot(id: TableId) -> (usize, usize) {
+        let n = u64::from(id) + 1;
+        let k = n.ilog2();
+        (k as usize, (n - (1 << k)) as usize)
+    }
+
+    fn get(&self, id: TableId) -> Option<&Arc<Table>> {
+        let (k, i) = Self::slot(id);
+        self.0.get()?[k].get()?[i].get()
+    }
+
+    fn register(&self, table: Arc<Table>) {
+        let id = table.id();
+        let (k, i) = Self::slot(id);
+        let chunks = self.0.get_or_init(|| Box::new(std::array::from_fn(|_| OnceLock::new())));
+        let chunk = chunks[k].get_or_init(|| (0..1usize << k).map(|_| OnceLock::new()).collect());
+        assert!(chunk[i].set(table).is_ok(), "table {id} registered twice");
+    }
+
+    /// One past the highest registered id: the last built chunk holds it.
+    fn len(&self) -> usize {
+        let Some(chunks) = self.0.get() else { return 0 };
+        chunks
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(k, chunk)| {
+                let last = chunk.get()?.iter().rposition(|t| t.get().is_some())?;
+                Some((1 << k) + last)
+            })
+            .unwrap_or(0)
+    }
+}
+
 /// The transaction manager: owns the table registry, the lock manager, and
 /// the WAL. Cheap to share (`Arc`).
 pub struct TxnManager {
     locks: Arc<LockManager>,
     wal: Arc<Wal>,
-    /// Registered tables, indexed by their (dense, small) id.
-    tables: RwLock<Vec<Option<Arc<Table>>>>,
+    tables: Registry,
     next_txn: AtomicU64,
     elr: bool,
     commits: AtomicU64,
@@ -147,7 +192,7 @@ impl TxnManager {
         TxnManager {
             locks,
             wal,
-            tables: RwLock::new(Vec::new()),
+            tables: Registry::default(),
             next_txn: AtomicU64::new(1),
             elr,
             commits: AtomicU64::new(0),
@@ -167,34 +212,26 @@ impl TxnManager {
         active.values().copied().min().map_or(cur, |m| m.min(cur))
     }
 
-    /// Registers a table for transactional access.
+    /// Registers a table for transactional access. Each id registers once.
     pub fn register_table(&self, table: Arc<Table>) {
-        let mut tables = self.tables.write();
-        let slot = table.id() as usize;
-        if tables.len() <= slot {
-            tables.resize(slot + 1, None);
-        }
-        tables[slot] = Some(table);
+        self.tables.register(table);
     }
 
     /// Looks up a registered table.
-    pub fn table(&self, id: TableId) -> TxnResult<Arc<Table>> {
-        self.tables
-            .read()
-            .get(id as usize)
-            .cloned()
-            .flatten()
-            .ok_or(TxnError::UnknownTable(id))
+    pub fn table(&self, id: TableId) -> TxnResult<&Arc<Table>> {
+        self.tables.get(id).ok_or(TxnError::UnknownTable(id))
     }
 
     /// One past the highest registered table id: the id a new table takes.
     pub fn next_table_id(&self) -> TableId {
-        self.tables.read().len() as TableId
+        self.tables.len() as TableId
     }
 
     /// All registered tables (recovery needs the full map).
     pub fn tables(&self) -> HashMap<TableId, Arc<Table>> {
-        self.tables.read().iter().flatten().map(|t| (t.id(), Arc::clone(t))).collect()
+        (0..self.tables.len() as TableId)
+            .filter_map(|id| self.tables.get(id).map(|t| (id, Arc::clone(t))))
+            .collect()
     }
 
     /// The WAL beneath this manager.
@@ -207,13 +244,14 @@ impl TxnManager {
         &self.locks
     }
 
-    /// Begins a new transaction.
+    /// Begins a new transaction, borrowing the calling thread's lock agent
+    /// when it is idle ([`LockManager::begin`]).
     pub fn begin(self: &Arc<Self>) -> Txn {
         let id = self.next_txn.fetch_add(1, Ordering::Relaxed);
         Txn {
             mgr: Arc::clone(self),
             id,
-            held: HeldLocks::new(id),
+            held: self.locks.begin(id),
             last_lsn: NULL_LSN,
             undo: Vec::new(),
             finished: false,
@@ -270,7 +308,9 @@ pub struct Txn {
     mgr: Arc<TxnManager>,
     id: u64,
     /// Every lock this transaction holds: the list the lock manager is
-    /// spared a visit by, and the list it releases from.
+    /// spared a visit by, and the list it releases from. It may borrow the
+    /// beginning thread's agent, and it keeps that binding wherever the
+    /// transaction finishes.
     held: HeldLocks,
     last_lsn: Lsn,
     undo: Vec<UndoOp>,
@@ -283,30 +323,18 @@ impl Txn {
         self.id
     }
 
-    /// Appends one row-mutation record to this transaction's chain. Runs
-    /// under the page latch of the row it describes (the `*_logged` closures
-    /// below), so the page never carries a change its LSN does not cover.
-    fn log_row(&mut self, table: TableId, key: u64, rid: Rid, op: RowOp<'_>) -> Lsn {
-        let prev = if self.last_lsn == NULL_LSN {
-            // First record: write Begin implicitly. The active-set lock is
-            // held across the append so a concurrent checkpoint either sees
-            // this entry or captures an end-of-log at or below our LSN.
-            let mut active = self.mgr.active.lock();
-            let b = self.mgr.wal.append(self.id, NULL_LSN, &LogBody::Begin);
-            active.insert(self.id, b.start);
-            drop(active);
-            b.start
-        } else {
-            self.last_lsn
-        };
-        let r = self.mgr.wal.append_row(self.id, prev, table, key, rid, op);
-        self.last_lsn = r.start;
-        r.start
-    }
-
-    fn lock_row(&mut self, table: TableId, key: u64, mode: LockMode) -> TxnResult<Arc<Table>> {
-        let t = self.mgr.table(table)?;
-        self.mgr.locks.lock_row(&mut self.held, table, key, mode)?;
+    /// The registered table `table`, once `held` has `key`'s row lock in
+    /// `mode`. Borrows only the manager, so the row operation's logging
+    /// closure can still take the transaction's log chain.
+    fn lock_row<'m>(
+        mgr: &'m TxnManager,
+        held: &mut HeldLocks,
+        table: TableId,
+        key: u64,
+        mode: LockMode,
+    ) -> TxnResult<&'m Table> {
+        let t = mgr.table(table)?;
+        mgr.locks.lock_row(held, table, key, mode)?;
         Ok(t)
     }
 
@@ -327,7 +355,7 @@ impl Txn {
 
     /// Reads the row for `key` under a shared lock.
     pub fn read(&mut self, table: TableId, key: u64) -> TxnResult<Vec<i64>> {
-        let row = self.lock_row(table, key, LockMode::S)?.get(key)?;
+        let row = Self::lock_row(&self.mgr, &mut self.held, table, key, LockMode::S)?.get(key)?;
         self.chaos_release_early();
         Ok(row)
     }
@@ -335,15 +363,17 @@ impl Txn {
     /// Reads the row for `key` under an exclusive lock (read-for-update;
     /// avoids the S→X upgrade deadlocks of read-then-write patterns).
     pub fn read_for_update(&mut self, table: TableId, key: u64) -> TxnResult<Vec<i64>> {
-        let row = self.lock_row(table, key, LockMode::X)?.get(key)?;
+        let row = Self::lock_row(&self.mgr, &mut self.held, table, key, LockMode::X)?.get(key)?;
         self.chaos_release_early();
         Ok(row)
     }
 
     /// Inserts `key → row`.
     pub fn insert(&mut self, table: TableId, key: u64, row: &[i64]) -> TxnResult<()> {
-        let t = self.lock_row(table, key, LockMode::X)?;
-        t.insert_logged(key, row, |rid| self.log_row(table, key, rid, RowOp::Insert { row }))?;
+        let t = Self::lock_row(&self.mgr, &mut self.held, table, key, LockMode::X)?;
+        t.insert_logged(key, row, |rid| {
+            log_row(&self.mgr, self.id, &mut self.last_lsn, table, key, rid, RowOp::Insert { row })
+        })?;
         self.undo.push(UndoOp::Insert { table, key });
         self.chaos_release_early();
         Ok(())
@@ -351,9 +381,9 @@ impl Txn {
 
     /// Updates the row for `key`, returning the before-image.
     pub fn update(&mut self, table: TableId, key: u64, row: &[i64]) -> TxnResult<Vec<i64>> {
-        let t = self.lock_row(table, key, LockMode::X)?;
+        let t = Self::lock_row(&self.mgr, &mut self.held, table, key, LockMode::X)?;
         let before = t.update_logged(key, row, |rid, before| {
-            self.log_row(table, key, rid, RowOp::Update { before, after: row })
+            log_row(&self.mgr, self.id, &mut self.last_lsn, table, key, rid, RowOp::Update { before, after: row })
         })?;
         self.undo.push(UndoOp::Update { table, key, before: before.clone() });
         self.chaos_release_early();
@@ -365,10 +395,10 @@ impl Txn {
     /// before-image. An overflowing sum is [`TxnError::Overflow`] and
     /// changes nothing.
     pub fn add(&mut self, table: TableId, key: u64, col: usize, delta: i64) -> TxnResult<Vec<i64>> {
-        let t = self.lock_row(table, key, LockMode::X)?;
+        let t = Self::lock_row(&self.mgr, &mut self.held, table, key, LockMode::X)?;
         let before = t
             .add_logged(key, col, delta, |rid, before, after| {
-                self.log_row(table, key, rid, RowOp::Update { before, after })
+                log_row(&self.mgr, self.id, &mut self.last_lsn, table, key, rid, RowOp::Update { before, after })
             })?
             .ok_or(TxnError::Overflow { table, key })?;
         self.undo.push(UndoOp::Update { table, key, before: before.clone() });
@@ -378,9 +408,10 @@ impl Txn {
 
     /// Deletes the row for `key`, returning the before-image.
     pub fn delete(&mut self, table: TableId, key: u64) -> TxnResult<Vec<i64>> {
-        let t = self.lock_row(table, key, LockMode::X)?;
-        let before =
-            t.delete_logged(key, |rid, before| self.log_row(table, key, rid, RowOp::Delete { before }))?;
+        let t = Self::lock_row(&self.mgr, &mut self.held, table, key, LockMode::X)?;
+        let before = t.delete_logged(key, |rid, before| {
+            log_row(&self.mgr, self.id, &mut self.last_lsn, table, key, rid, RowOp::Delete { before })
+        })?;
         self.undo.push(UndoOp::Delete { table, key, before: before.clone() });
         self.chaos_release_early();
         Ok(before)
@@ -464,7 +495,7 @@ impl Txn {
         for op in undo.iter().rev() {
             let (table, key) = op.target();
             let Ok(t) = self.mgr.table(table) else { continue };
-            op.compensate(&t, |rid, row| self.log_row(table, key, rid, row));
+            op.compensate(t, |rid, row| log_row(&self.mgr, self.id, &mut self.last_lsn, table, key, rid, row));
         }
         if self.last_lsn != NULL_LSN {
             self.mgr.wal.append(self.id, self.last_lsn, &LogBody::Abort);
@@ -472,6 +503,28 @@ impl Txn {
         }
         self.release_locks();
     }
+}
+
+/// Appends one row-mutation record to transaction `id`'s chain, whose last
+/// record is at `last_lsn`. Runs under the page latch of the row it
+/// describes (the `*_logged` closures above), so the page never carries a
+/// change its LSN does not cover.
+fn log_row(mgr: &TxnManager, id: u64, last_lsn: &mut Lsn, table: TableId, key: u64, rid: Rid, op: RowOp<'_>) -> Lsn {
+    let prev = if *last_lsn == NULL_LSN {
+        // First record: write Begin implicitly. The active-set lock is held
+        // across the append so a concurrent checkpoint either sees this
+        // entry or captures an end-of-log at or below our LSN.
+        let mut active = mgr.active.lock();
+        let b = mgr.wal.append(id, NULL_LSN, &LogBody::Begin);
+        active.insert(id, b.start);
+        drop(active);
+        b.start
+    } else {
+        *last_lsn
+    };
+    let r = mgr.wal.append_row(id, prev, table, key, rid, op);
+    *last_lsn = r.start;
+    r.start
 }
 
 impl Drop for Txn {
@@ -825,6 +878,39 @@ mod tests {
         let rows = mgr.run(0, |t| t.range(1, 3, 6)).unwrap();
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0].0, 3);
+    }
+
+    #[test]
+    fn one_thread_alternating_between_two_managers_inherits_in_both() {
+        let ((a, _), (b, _)) = (setup(false), setup(false));
+        for k in 0..50u64 {
+            for mgr in [&a, &b] {
+                mgr.run(0, |t| t.insert(1, k, &[k as i64, 0])).unwrap();
+            }
+        }
+        for mgr in [&a, &b] {
+            assert_eq!(mgr.locks().agent_count(), 1);
+            let s = mgr.locks().stats();
+            assert_eq!((s.acquisitions, s.releases), (2 + 50, 50), "database and table once, then rows");
+        }
+    }
+
+    #[test]
+    fn a_prepared_transaction_finishes_against_its_own_agent_on_another_thread() {
+        let (mgr, table) = setup(false);
+        mgr.run(0, |t| t.insert(1, 1, &[10, 0])).unwrap();
+        let mut t = mgr.begin();
+        t.update(1, 1, &[11, 0]).unwrap();
+        let prepared = prepare(t, 5);
+        // The agent is lent out, so this transaction takes its own intentions.
+        mgr.run(0, |t| t.insert(1, 2, &[20, 0])).unwrap();
+        std::thread::spawn(move || prepared.commit_decided(Txn::commit)).join().unwrap();
+        assert_eq!(table.get(1).unwrap(), vec![11, 0]);
+        // The agent is free again: the next transaction inherits and visits its row alone.
+        let before = mgr.locks().stats().acquisitions;
+        mgr.run(0, |t| t.update(1, 2, &[21, 0]).map(drop)).unwrap();
+        assert_eq!(mgr.locks().stats().acquisitions - before, 1);
+        assert_eq!(mgr.locks().agent_count(), 1, "the deciding thread never began a transaction");
     }
 
     #[test]

@@ -24,6 +24,10 @@ echo "== tier 1: tests (the whole workspace) =="
 # not a gate.
 cargo test -q 2>&1 | tee target/tier1-tests.log
 awk '/finished in/ { sub(/s$/, "", $NF); t += $NF } END { printf "tier 1: %.1f s of summed test time\n", t }' target/tier1-tests.log
+# The per-transaction counts tests/critical_path.rs pins (lock and release
+# visits, pins, allocations, log bytes and flushes per row), so a count that
+# moves shows in the log. A report, not a gate: the test itself is the gate.
+cargo test -q --test critical_path -- --nocapture 2>&1 | grep -E '^[a-z][a-z_.]*: ' || true
 
 echo "== referee: benchmark package builds against the program and passes its own tests =="
 # benchmark/ is a package of its own (path-deps on crates/*), so tier 1 never

@@ -1,6 +1,6 @@
 //! Critical-path counts: what one transaction costs, in things that repeat
-//! exactly — lock-table visits, buffer-pool pins, heap allocations, log bytes
-//! and log flushes — on `EngineConfig::conventional_baseline()`, one thread.
+//! exactly — lock-table visits to acquire and to release, buffer-pool pins,
+//! heap allocations, log bytes and log flushes — on `EngineConfig::conventional_baseline()`, one thread.
 //!
 //! Alone in its binary: it installs a counting global allocator, and every
 //! row runs inside the one `#[test]` so no other thread allocates meanwhile.
@@ -47,6 +47,17 @@
 //! `open` row printed 9 allocations (67,374,376 B: one array of 8,192
 //! formatted frames, page and bookkeeping together); the `ycsb.spill` row
 //! printed the same counts as now, and every other row was unchanged.
+//!
+//! At the parent of the change that let a thread's transactions inherit the
+//! database and table intention grants (speculative lock inheritance) and
+//! reuse a reclaimed row entry's granted set, the same run printed 9 lock
+//! visits and 9 release visits per TPC-B transaction (database, 4 tables, 4
+//! rows) and 3 and 3 per TATP read and per YCSB update (database, table,
+//! row). It printed 14.037 allocations (2,243 B) per TPC-B transaction,
+//! 4.000 (504 B) per TATP read, 6.000 (1,109 B) per YCSB update and 10.386
+//! (890 B) per `ycsb.spill` transaction: one of them the fresh lock list,
+//! and one each row lock's granted set. Pins, log bytes and flushes, and the
+//! `open` row, were the same as now.
 
 use esdb::core::query::QueryEngine;
 use esdb::core::{Database, EngineConfig};
@@ -100,6 +111,7 @@ const MEASURED: usize = 10_000;
 #[derive(Clone, Copy)]
 struct Counters {
     lock_visits: u64,
+    lock_releases: u64,
     lock_waits: u64,
     pins: u64,
     misses: u64,
@@ -115,6 +127,7 @@ fn snapshot(db: &Database) -> Counters {
     let pool = db.pool().stats();
     Counters {
         lock_visits: locks.acquisitions,
+        lock_releases: locks.releases,
         lock_waits: locks.waits,
         pins: pool.hits + pool.misses,
         misses: pool.misses,
@@ -130,6 +143,7 @@ fn snapshot(db: &Database) -> Counters {
 /// counts, so equality is integer equality).
 struct Row {
     lock_visits: u64,
+    lock_releases: u64,
     lock_waits: u64,
     wal_bytes: u64,
     wal_flushes: u64,
@@ -164,6 +178,7 @@ fn measure_on(config: EngineConfig, workload: &mut dyn Workload, keep: impl Fn(&
     let per_txn = |a: u64, b: u64| (a - b) as f64 / MEASURED as f64;
     Row {
         lock_visits: after.lock_visits - before.lock_visits,
+        lock_releases: after.lock_releases - before.lock_releases,
         lock_waits: after.lock_waits - before.lock_waits,
         wal_bytes: after.wal_bytes - before.wal_bytes,
         wal_flushes: after.wal_flushes - before.wal_flushes,
@@ -177,13 +192,15 @@ fn measure_on(config: EngineConfig, workload: &mut dyn Workload, keep: impl Fn(&
 }
 
 impl Row {
-    /// `exact` = per-transaction (lock visits, WAL bytes, WAL flushes);
-    /// `limit` = per-transaction ceilings (pins, allocations, allocated bytes).
-    fn check(&self, name: &str, exact: (u64, u64, u64), limit: (f64, f64, f64)) {
+    /// `exact` = per-transaction (lock visits, release visits, WAL bytes,
+    /// WAL flushes); `limit` = per-transaction ceilings (pins, allocations,
+    /// allocated bytes).
+    fn check(&self, name: &str, exact: (u64, u64, u64, u64), limit: (f64, f64, f64)) {
         let n = MEASURED as u64;
         println!(
-            "{name}: lock visits {:.3}, pins {:.3}, allocations {:.3} ({:.0} B), wal {:.1} B in {:.3} flushes",
+            "{name}: lock visits {:.3}, release visits {:.3}, pins {:.3}, allocations {:.3} ({:.0} B), wal {:.1} B in {:.3} flushes",
             self.lock_visits as f64 / n as f64,
+            self.lock_releases as f64 / n as f64,
             self.pins,
             self.allocs,
             self.alloc_bytes,
@@ -199,18 +216,25 @@ impl Row {
             exact.0
         );
         assert_eq!(
-            self.wal_bytes,
+            self.lock_releases,
             exact.1 * n,
-            "{name}: WAL bytes per txn = {:.3}, pinned at {}",
-            self.wal_bytes as f64 / n as f64,
+            "{name}: lock-table release visits per txn = {:.3}, pinned at {}",
+            self.lock_releases as f64 / n as f64,
             exact.1
         );
         assert_eq!(
-            self.wal_flushes,
+            self.wal_bytes,
             exact.2 * n,
+            "{name}: WAL bytes per txn = {:.3}, pinned at {}",
+            self.wal_bytes as f64 / n as f64,
+            exact.2
+        );
+        assert_eq!(
+            self.wal_flushes,
+            exact.3 * n,
             "{name}: WAL flushes per txn = {:.3}, pinned at {}",
             self.wal_flushes as f64 / n as f64,
-            exact.2
+            exact.3
         );
         assert!(self.pins <= limit.0, "{name}: buffer-pool pins per txn = {:.3} > {}", self.pins, limit.0);
         assert!(self.allocs <= limit.1, "{name}: allocations per txn = {:.3} > {}", self.allocs, limit.1);
@@ -293,7 +317,7 @@ fn ycsb_spill_counts_are_pinned() {
     // Totals over the measured transactions: pins, misses, write-backs, flushes.
     const EXACT: (u64, u64, u64, u64) = (40_000, 16_461, 1_691, 1_865);
     // Per-transaction ceilings: allocations, allocated bytes.
-    const LIMIT: (f64, f64) = (10.39, 890.0);
+    const LIMIT: (f64, f64) = (5.39, 251.0);
     let config = EngineConfig { buffer_frames: FRAMES, ..EngineConfig::conventional_baseline() };
     let row = measure_on(config, &mut Ycsb::new(40_000, 95, 0.5, 4, 42), |_| true);
     let n = MEASURED as f64;
@@ -362,14 +386,16 @@ fn btree_append_counts_are_pinned() {
 #[test]
 fn per_transaction_counts_are_pinned() {
     // TPC-B: 3 `Add` + 1 `Insert` = 9 distinct locks (database, 4 tables,
-    // 4 rows); Begin 25 + Update 65 + 81 + 81 + Insert 71 + Commit 25 B.
-    measure(&mut Tpcb::new(2, 42), |_| true).check("tpcb", (9, 348, 1), (4.01, 14.04, 2_300.0));
+    // 4 rows), of which the 5 intention locks are inherited from the
+    // previous transaction on the thread: 4 row visits, 4 releases.
+    // Begin 25 + Update 65 + 81 + 81 + Insert 71 + Commit 25 B.
+    measure(&mut Tpcb::new(2, 42), |_| true).check("tpcb", (4, 4, 348, 1), (4.01, 9.04, 1_610.0));
     // TATP GetSubscriberData: one read, nothing logged.
     measure(&mut Tatp::new(1_000, 42), |s| s.kind == "GetSubscriberData")
-        .check("tatp.read", (3, 0, 0), (1.0, 4.01, 504.0));
+        .check("tatp.read", (1, 1, 0, 0), (1.0, 2.01, 56.0));
     // YCSB update: one `Add` on a 2-column row; Begin 25 + Update 81 + Commit 25 B.
     measure(&mut Ycsb::new(10_000, 0, 0.5, 1, 42), |_| true)
-        .check("ycsb.update", (3, 131, 1), (1.0, 6.01, 1_110.0));
+        .check("ycsb.update", (1, 1, 131, 1), (1.0, 4.01, 662.0));
     ycsb_spill_counts_are_pinned();
     olap_counts_are_pinned();
     btree_append_counts_are_pinned();
