@@ -55,7 +55,7 @@ pub use runner::{
     check, replay, CheckConfig, CheckReport, FailureReport, ScheduleRunPublic, Violation,
 };
 pub use scenario::{
-    htap_snapshot, tpcb_micro, tpcb_tables, transfer_snapshot, Invariant, RunView, Scenario,
-    HTAP_ACCOUNTS, TRANSFER_ACCOUNTS,
+    htap_snapshot, tpcb_micro, tpcb_tables, transfer_scan, transfer_snapshot, Invariant, RunView,
+    Scenario, HTAP_ACCOUNTS, TRANSFER_ACCOUNTS,
 };
 pub use schedule::{Strategy, Trace, TraceStep};

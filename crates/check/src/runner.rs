@@ -22,7 +22,7 @@
 //! joined, a bounded leak on the failing diagnostic path only.
 
 use crate::history::Recorder;
-use crate::scenario::{RunView, Scenario};
+use crate::scenario::{RunView, Scenario, RANGE_SUM, TRANSFER_ACCOUNTS};
 use crate::schedule::{
     shrink_trace, MinTag, Pct, RandomWalk, ReplaySchedule, Schedule, Strategy, Trace,
 };
@@ -30,7 +30,7 @@ use crate::vthread::{adopt_and_wait, finish, CheckHook, Cmd, Handshake, Report};
 use esdb_core::spec_exec::{self, SpecOutcome};
 use esdb_core::{Database, ExecutionModel};
 use esdb_sync::Mutation;
-use esdb_txn::Txn;
+use esdb_txn::{Txn, TxnError, TxnManager, TxnResult};
 use esdb_workload::{TxnSpec, WorkloadOp};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -205,11 +205,11 @@ pub fn check(scenario: &Scenario, cfg: &CheckConfig) -> CheckReport {
             };
             let shrunk_choices = shrink_trace(
                 &run.trace.choices(),
+                run.trace.steps.len(),
                 kind,
                 |choices| {
-                    replay(scenario, cfg, seed, choices)
-                        .violation
-                        .map(|v| v.kind().to_string())
+                    let r = replay(scenario, cfg, seed, choices);
+                    r.violation.map(|v| (v.kind().to_string(), r.trace.steps.len()))
                 },
                 cfg.shrink_budget,
             );
@@ -426,6 +426,37 @@ fn finishes_deferred(seed: u64) -> bool {
     seed % 2 == 1
 }
 
+/// Runs a [`RANGE_SUM`] transaction the way `spec_exec::run_conventional`
+/// runs a spec, lock victims retried: a whole-table range sum, a point read
+/// of account 0 (a lock-table visit, so a schedule can run other clients
+/// while the table S lock is held), and the range sum again; every row
+/// access is observed. The committed reads are the two sums.
+fn range_sum(
+    mgr: &Arc<TxnManager>,
+    mut observe: impl FnMut(u64, u32, u64, bool),
+    finish: impl FnOnce(Txn),
+) -> SpecOutcome {
+    let sums = |txn: &mut Txn| -> TxnResult<Vec<Option<Vec<i64>>>> {
+        let id = txn.id();
+        let mut sums = Vec::new();
+        for pass in 0..2 {
+            if pass == 1 {
+                txn.read(TRANSFER_ACCOUNTS, 0)?;
+                observe(id, TRANSFER_ACCOUNTS, 0, false);
+            }
+            let rows = txn.range(TRANSFER_ACCOUNTS, 0, u64::MAX)?;
+            rows.iter().for_each(|&(key, _)| observe(id, TRANSFER_ACCOUNTS, key, false));
+            sums.push(Some(vec![rows.iter().map(|(_, row)| row[0]).sum()]));
+        }
+        Ok(sums)
+    };
+    match mgr.run_then(spec_exec::RETRIES, sums, finish) {
+        Ok((reads, ())) => SpecOutcome::Committed { reads },
+        Err(TxnError::Lock(_)) => SpecOutcome::ConflictFailure,
+        Err(_) => SpecOutcome::LogicalFailure,
+    }
+}
+
 fn run_schedule(scenario: &Scenario, mut schedule: Box<dyn Schedule>, cfg: &CheckConfig, seed: u64) -> ScheduleRun {
     let _run = RUN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let hook = Arc::new(CheckHook::new(cfg.mutation));
@@ -522,6 +553,9 @@ fn run_schedule(scenario: &Scenario, mut schedule: Box<dyn Schedule>, cfg: &Chec
                         }
                         recorder.commit(id);
                     };
+                    if spec.kind == RANGE_SUM {
+                        return range_sum(db.txn_manager(), observe, finish);
+                    }
                     spec_exec::run_conventional(db.txn_manager(), spec, observe, finish).0
                 }));
                 match result {

@@ -255,19 +255,20 @@ pub fn transfer_snapshot(
             Invariant::new("snapshot-total", move |v| {
                 for (client, script) in v.clients.iter().enumerate() {
                     for (i, spec) in script.iter().enumerate() {
-                        if spec.kind != "snapshot-read" {
-                            continue;
-                        }
                         let Some(SpecOutcome::Committed { reads }) =
                             v.outcomes.get(client).and_then(|o| o.get(i))
                         else {
                             continue;
                         };
-                        let sum: i64 = reads
-                            .iter()
-                            .map(|r| r.as_ref().map_or(0, |row| row[0]))
-                            .sum();
-                        if sum != total {
+                        let row0 = |r: &Option<Vec<i64>>| r.as_ref().map_or(0, |row| row[0]);
+                        // A point reader's reads sum to the total; each of a
+                        // range reader's two sums is the total.
+                        let sums: Vec<i64> = match spec.kind {
+                            "snapshot-read" => vec![reads.iter().map(row0).sum()],
+                            RANGE_SUM => reads.iter().map(row0).collect(),
+                            _ => continue,
+                        };
+                        if let Some(sum) = sums.into_iter().find(|&sum| sum != total) {
                             return Err(format!(
                                 "client {client} txn {i} saw torn snapshot: {sum} != {total}"
                             ));
@@ -278,6 +279,34 @@ pub fn transfer_snapshot(
             }),
         ],
     }
+}
+
+/// The `kind` of a transaction that sums the whole [`TRANSFER_ACCOUNTS`]
+/// table by range (`Txn::range`, under a table S lock), reads account 0,
+/// and sums it again. No `WorkloadOp` scans, so the checker's conventional
+/// client runs it itself; its outcome's reads are the two sums, each a
+/// one-column row.
+pub(crate) const RANGE_SUM: &str = "range-sum";
+
+/// [`transfer_snapshot`] with a range reader in place of the point reader:
+/// each of its `scans` transactions sums the table twice by range, and
+/// both sums must be the total. Its
+/// table S request meets the writers' inherited intention grants, so a
+/// schedule drives revokes of idle agents' grants and waits on live ones.
+/// Conventional engines only.
+pub fn transfer_scan(
+    config: EngineConfig,
+    writers: usize,
+    txns_per_writer: usize,
+    scans: usize,
+    seed: u64,
+) -> Scenario {
+    let mut scenario = transfer_snapshot(config, writers, txns_per_writer, scans, seed);
+    scenario.name = "transfer-scan";
+    for spec in scenario.clients.last_mut().expect("the reader client") {
+        *spec = TxnSpec { kind: RANGE_SUM, ops: Vec::new(), may_fail: false };
+    }
+    scenario
 }
 
 // ---------------------------------------------------------------------------

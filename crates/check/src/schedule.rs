@@ -200,16 +200,21 @@ impl Trace {
 
 /// Greedily shrinks a failing choice sequence: repeatedly try deleting each
 /// maximal same-thread segment and keep any deletion under which `replay`
-/// still reports a failure of the same kind. `replay` returns the failure
-/// kind label (or `None` if the shrunk schedule no longer fails). Bounded by
-/// `budget` replays.
+/// still reports a failure of the same kind in no more steps. `replay`
+/// returns the failure kind label and the replayed trace's step count (or
+/// `None` if the shrunk schedule no longer fails); `steps` is the original
+/// trace's. Fewer choices can replay into more steps (the threads fall back
+/// to a different interleaving), so the step count is checked too. Bounded
+/// by `budget` replays.
 pub(crate) fn shrink_trace(
     choices: &[u64],
+    steps: usize,
     target_kind: &str,
-    mut replay: impl FnMut(&[u64]) -> Option<String>,
+    mut replay: impl FnMut(&[u64]) -> Option<(String, usize)>,
     budget: usize,
 ) -> Vec<u64> {
     let mut best: Vec<u64> = choices.to_vec();
+    let mut best_steps = steps;
     let mut replays = 0;
     let mut progress = true;
     while progress && replays < budget {
@@ -236,8 +241,10 @@ pub(crate) fn shrink_trace(
             candidate.extend_from_slice(&best[..a]);
             candidate.extend_from_slice(&best[b..]);
             replays += 1;
-            if replay(&candidate).as_deref() == Some(target_kind) {
+            let shrunk = replay(&candidate).filter(|(kind, n)| kind == target_kind && *n <= best_steps);
+            if let Some((_, n)) = shrunk {
                 best = candidate;
+                best_steps = n;
                 progress = true;
                 break; // segment indices are stale; recompute
             }
@@ -311,9 +318,9 @@ mod tests {
         let choices = [1, 1, 2, 1, 1, 3, 1];
         let replay = |c: &[u64]| {
             let first2 = c.iter().position(|&t| t == 2)?;
-            c[first2..].iter().any(|&t| t == 3).then(|| "bug".to_string())
+            c[first2..].contains(&3).then(|| ("bug".to_string(), c.len()))
         };
-        let shrunk = shrink_trace(&choices, "bug", replay, 100);
+        let shrunk = shrink_trace(&choices, choices.len(), "bug", replay, 100);
         assert_eq!(shrunk, vec![2, 3]);
     }
 }

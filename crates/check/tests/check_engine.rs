@@ -7,8 +7,8 @@
 //! release.
 
 use esdb_check::{
-    check, htap_snapshot, replay, tpcb_micro, transfer_snapshot, CheckConfig, Mutation, Strategy,
-    Violation,
+    check, htap_snapshot, replay, tpcb_micro, transfer_scan, transfer_snapshot, CheckConfig,
+    Mutation, Strategy, Violation,
 };
 use esdb_core::{EngineConfig, ExecutionModel};
 use esdb_workload::TxnSpec;
@@ -78,6 +78,17 @@ fn clean_engine_passes_seeded_schedules() {
             Strategy::Pct { depth: 3 },
         );
     }
+}
+
+/// The range reader's cell: its table S requests revoke the writers'
+/// inherited intention grants (or wait for live ones) under the same
+/// per-cell budget as the sweep above.
+#[test]
+fn clean_engine_passes_seeded_range_schedules() {
+    let per_cell = (total_schedules() / 12).max(1);
+    let scenario = transfer_scan(conv_config(), 2, 3, 2, 17);
+    run_cell("conv/scan/walk", &scenario, per_cell, Strategy::RandomWalk);
+    run_cell("conv/scan/pct", &scenario, per_cell, Strategy::Pct { depth: 3 });
 }
 
 /// A failing seed must replay byte-identically: same trace, same violation.
@@ -164,6 +175,43 @@ fn detects_wait_die_disabled_mutation() {
     );
     assert_eq!(failure.shrunk_violation.kind(), failure.violation.kind());
     eprintln!("--- wait-die-disabled mutation detected ---\n{failure}");
+}
+
+/// Mutation smoke: an agent that keeps its inherited intention grants
+/// across a revoke writes rows under a range reader's table S lock; the
+/// serializability or snapshot oracle must notice, the failing seed must
+/// replay byte-identically, and the shrunk trace must fail the same way.
+#[test]
+fn detects_inherit_across_revoke_mutation() {
+    let scenario = transfer_scan(conv_config(), 2, 3, 2, 61);
+    let cfg = CheckConfig {
+        schedules: 300,
+        base_seed: 0x1a2,
+        strategy: Strategy::RandomWalk,
+        mutation: Some(Mutation::InheritAcrossRevoke),
+        ..CheckConfig::default()
+    };
+    let report = check(&scenario, &cfg);
+    let failure = report
+        .failure
+        .expect("inheriting across a revoke must be caught within the seed budget");
+    assert!(
+        matches!(
+            failure.violation,
+            Violation::Serializability { .. } | Violation::Invariant { .. }
+        ),
+        "unexpected violation class: {}",
+        failure.violation
+    );
+    assert!(failure.replayed, "replay diverged: {failure}");
+    let again = replay(&scenario, &cfg, failure.seed, &failure.trace.choices());
+    assert_eq!(again.violation.as_ref(), Some(&failure.violation));
+    assert!(
+        failure.shrunk.steps.len() <= failure.trace.steps.len(),
+        "shrinker grew the trace"
+    );
+    assert_eq!(failure.shrunk_violation.kind(), failure.violation.kind());
+    eprintln!("--- inherit-across-revoke mutation detected ---\n{failure}");
 }
 
 /// Same seed, same scenario ⇒ the explored schedule itself is reproducible

@@ -5,129 +5,94 @@
 //! the engine in process, a reactor, a checker vthread. At commit its
 //! transaction keeps the IS/IX grants it took on the database and table
 //! granules; they stay in the lock table under the agent's owner id
-//! ([`AGENT_BASE`] and up, a range no transaction id reaches) and the next
+//! (`AGENT_BASE` and up, a range no transaction id reaches) and the next
 //! transaction the agent begins starts with them already in its
-//! [`HeldLocks`](crate::HeldLocks), so it never visits those entries. The
-//! manager finds a thread's agent through a small thread-local cache, with
-//! no lock; its agent table is built on the first `begin`.
+//! [`HeldLocks`](crate::HeldLocks), so it never visits those entries.
+//!
+//! To the manager an agent is that id and one `live` word, which revoking
+//! requesters read by id with no lock. The list of inherited grants has one
+//! owner: the thread's binding to the agent, a small thread-local cache,
+//! holds it between transactions and lends it to the live one. The agent
+//! table is built on the first `begin`.
 
 use crate::manager::Held;
 use crate::TxnId;
-use esdb_sync::Mutex;
+use esdb_sync::{Mutex, Registry};
 use std::cell::RefCell;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Weak};
 
 /// Owner ids at or above this are agents, not transactions: transaction ids
 /// count up from 1 and never reach it.
-pub const AGENT_BASE: TxnId = 1 << 63;
+pub(crate) const AGENT_BASE: TxnId = 1 << 63;
 
 /// `true` when `owner` names an agent rather than a transaction.
 pub(crate) fn is_agent(owner: TxnId) -> bool {
     owner >= AGENT_BASE
 }
 
-/// One agent of one lock manager.
-pub(crate) struct Agent {
-    /// The agent's owner id in the lock table's granted sets.
-    pub(crate) id: TxnId,
-    /// The transaction the agent lends its grants to, or 0 when idle. Claimed
-    /// by compare-and-swap at `begin`, cleared at the end of the
-    /// transaction; a revoking requester reads it to tell an idle agent
-    /// (whose grant it removes) from a live one (which it waits for).
-    pub(crate) live: AtomicU64,
-    /// The inherited grants while no transaction borrows them.
-    pub(crate) parked: Mutex<Parked>,
-}
-
-/// An agent's grants between transactions.
-pub(crate) struct Parked {
-    /// The inherited grants; also the buffer the next transaction's
-    /// `HeldLocks` reuses.
-    pub(crate) locks: Vec<Held>,
-    /// The manager's revoke epoch these grants were last checked against.
-    pub(crate) epoch: u64,
-}
-
-impl std::fmt::Debug for Agent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Agent")
-            .field("id", &(self.id - AGENT_BASE))
-            .field("live", &self.live)
-            .finish()
-    }
-}
-
-/// A manager's agent table: every agent it made, indexed by id, and the ones
-/// no thread has bound. A thread that drops its binding (it exits, or its
-/// cache evicts the binding) returns the agent here for the next thread, so
-/// the table never outgrows the number of threads bound at once.
+/// A manager's agent table: every agent's `live` word by number, and the
+/// agents no thread has bound. A thread that drops its binding (it exits,
+/// or its cache evicts the binding) returns the agent, with the grants it
+/// still holds, for the next thread, so the table never outgrows the number
+/// of threads bound at once.
 #[derive(Default)]
 pub(crate) struct Agents {
     /// The revoke epoch: bumped by every request that must take an agent's
     /// grant away; agents drop their inheritance when they see it move.
     pub(crate) epoch: AtomicU64,
-    slots: Mutex<Slots>,
-}
-
-#[derive(Default)]
-struct Slots {
-    all: Vec<Arc<Agent>>,
-    free: Vec<Arc<Agent>>,
+    /// The transaction each agent lends its grants to, or 0 when idle.
+    /// Claimed by compare-and-swap at `begin`, cleared at the end of the
+    /// transaction; a revoking requester reads it to tell an idle agent
+    /// (whose grant it removes) from a live one (which it waits for).
+    live: Registry<AtomicU64>,
+    /// Unbound agents and their grants; locked only to bind and unbind.
+    free: Mutex<Vec<(TxnId, Vec<Held>)>>,
 }
 
 impl Agents {
-    /// A free agent, or a new one. A free agent is retired first: an epoch
-    /// no revoke reaches makes its next borrower drop what it inherited, so
-    /// the thread taking it over starts as one with a fresh agent would.
-    fn take(&self) -> Arc<Agent> {
-        let mut slots = self.slots.lock();
-        if let Some(agent) = slots.free.pop() {
-            drop(slots);
-            agent.parked.lock().epoch = RETIRED;
-            return agent;
-        }
-        let agent = Arc::new(Agent {
-            id: AGENT_BASE + slots.all.len() as u64,
-            live: AtomicU64::new(0),
-            parked: Mutex::new(Parked {
-                locks: Vec::with_capacity(16),
-                epoch: 0,
-            }),
-        });
-        slots.all.push(Arc::clone(&agent));
-        agent
-    }
-
-    /// The agent with owner id `id`.
-    pub(crate) fn get(&self, id: TxnId) -> Arc<Agent> {
-        Arc::clone(&self.slots.lock().all[(id - AGENT_BASE) as usize])
+    /// Agent `id`'s `live` word.
+    pub(crate) fn live(&self, id: TxnId) -> &AtomicU64 {
+        self.live
+            .get((id - AGENT_BASE) as usize)
+            .expect("an agent's live word is registered when it is made")
     }
 
     /// Number of agents made so far.
     pub(crate) fn len(&self) -> usize {
-        self.slots.lock().all.len()
+        self.live.len()
     }
 }
 
-/// A thread's binding to one manager's agent. The manager is known by the
-/// address of its agent table, which the binding's `Weak` keeps from being
-/// reused while the binding lives.
-struct Binding {
-    agent: Arc<Agent>,
+/// A thread's binding to one manager's agent: the agent's id and, while no
+/// transaction borrows it, its inherited grants. The manager is known by
+/// the address of its agent table, which the `Weak` keeps from being reused
+/// while the binding lives.
+pub(crate) struct Binding {
     agents: Weak<Agents>,
+    pub(crate) id: TxnId,
+    /// The inherited grants; also the buffer the next transaction's
+    /// `HeldLocks` reuses. Empty while a transaction borrows them.
+    pub(crate) locks: Vec<Held>,
+    /// The revoke epoch `locks` was last checked against.
+    pub(crate) epoch: u64,
 }
 
 impl Drop for Binding {
     fn drop(&mut self) {
         if let Some(agents) = self.agents.upgrade() {
-            agents.slots.lock().free.push(Arc::clone(&self.agent));
+            agents
+                .free
+                .lock()
+                .push((self.id, std::mem::take(&mut self.locks)));
         }
     }
 }
 
-/// The epoch of a retired agent's grants; the revoke epoch counts up from 0
-/// and never reaches it.
+/// The epoch of a new binding's grants; the revoke epoch counts up from 0
+/// and never reaches it, so the first borrower drops what a free agent
+/// still held and the thread taking it over starts as one with a fresh
+/// agent would.
 const RETIRED: u64 = u64::MAX;
 
 /// Managers a thread keeps an agent bound for. A thread that alternates
@@ -139,27 +104,44 @@ thread_local! {
     static BOUND: RefCell<Vec<Binding>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The calling thread's agent in `agents`, bound on first use. `None`
-/// while the thread is being torn down.
-pub(crate) fn current(agents: &Arc<Agents>) -> Option<Arc<Agent>> {
+/// Runs `f` on the calling thread's binding to `agents`; with `bind`, one
+/// is made first if there is none, with a free agent or a new one. `None`
+/// when there is no binding, or while the thread is being torn down.
+pub(crate) fn with_binding<R>(
+    agents: &Arc<Agents>,
+    bind: bool,
+    f: impl FnOnce(&mut Binding) -> R,
+) -> Option<R> {
     BOUND
         .try_with(|bound| {
             let mut bound = bound.try_borrow_mut().ok()?;
-            if let Some(b) = bound
+            let at = match bound
                 .iter()
-                .find(|b| Weak::as_ptr(&b.agents) == Arc::as_ptr(agents))
+                .position(|b| Weak::as_ptr(&b.agents) == Arc::as_ptr(agents))
             {
-                return Some(Arc::clone(&b.agent));
-            }
-            let agent = agents.take();
-            if bound.len() == BINDINGS {
-                bound.remove(0);
-            }
-            bound.push(Binding {
-                agent: Arc::clone(&agent),
-                agents: Arc::downgrade(agents),
-            });
-            Some(agent)
+                Some(at) => at,
+                None if bind => {
+                    let mut free = agents.free.lock();
+                    let (id, locks) = free.pop().unwrap_or_else(|| {
+                        let n = agents.live.len();
+                        agents.live.register(n, AtomicU64::new(0));
+                        (AGENT_BASE + n as u64, Vec::with_capacity(16))
+                    });
+                    drop(free);
+                    if bound.len() == BINDINGS {
+                        bound.remove(0);
+                    }
+                    bound.push(Binding {
+                        agents: Arc::downgrade(agents),
+                        id,
+                        locks,
+                        epoch: RETIRED,
+                    });
+                    bound.len() - 1
+                }
+                None => return None,
+            };
+            Some(f(&mut bound[at]))
         })
         .ok()
         .flatten()

@@ -33,7 +33,6 @@ pub mod id;
 pub mod manager;
 pub mod mode;
 
-pub use agent::AGENT_BASE;
 pub use id::LockId;
 pub use manager::{HeldLocks, LockError, LockManager, LockStatsSnapshot};
 pub use mode::LockMode;

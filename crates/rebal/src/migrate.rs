@@ -349,30 +349,33 @@ impl Migration {
     }
 
     /// Fenced → CutOver: force the cutover record carrying the new routing
-    /// epoch, then make it visible — install, release, adopt. Release
-    /// precedes adopt so no instant has two write-admitting owners; a
-    /// writer caught in the one-statement gap gets the typed refusal and
-    /// retries through the refreshed table.
+    /// epoch, then make it visible — adopt, install, release. The
+    /// destination admits the slot before the new table points at it, so a
+    /// writer routed by that table is never refused there; the source stays
+    /// fenced (owning, admitting nothing) until its release, so no instant
+    /// has two write-admitting owners. A writer parked on the source's
+    /// fence wakes at the release, gets the typed refusal, and retries
+    /// through the installed table.
     fn do_cutover(&mut self) {
         let MigrationSpec { mid, slot, from, to } = self.spec;
         let next = self.env.routing.current().with_slot_moved(slot, to);
         self.log.record(mid, Phase::CutOver, slot, from, to, next.epoch);
+        self.env.dest.own.adopt(slot);
         self.env.routing.install(next);
         self.env.source.own.release(slot);
-        self.env.dest.own.adopt(slot);
         self.phase = Phase::CutOver;
     }
 
-    /// Re-applies a durable cutover after a crash. Every piece is
-    /// idempotent: the install is epoch-fenced (`logged_epoch` is the
-    /// epoch the dead incarnation forced), release/adopt are absolute.
+    /// Re-applies a durable cutover after a crash, in the same order. Every
+    /// piece is idempotent: the install is epoch-fenced (`logged_epoch` is
+    /// the epoch the dead incarnation forced), adopt/release are absolute.
     fn roll_forward_cutover(&mut self, logged_epoch: u64) {
         let MigrationSpec { slot, to, .. } = self.spec;
+        self.env.dest.own.adopt(slot);
         if self.env.routing.epoch() < logged_epoch {
             self.env.routing.install(self.env.routing.current().with_slot_moved(slot, to));
         }
         self.env.source.own.release(slot);
-        self.env.dest.own.adopt(slot);
     }
 
     /// CutOver → Done: delete the source's copy of the slot (it no longer

@@ -15,8 +15,7 @@ use esdb_check::{MigEvent, MigrationOracle};
 use esdb_core::{slot_of, Database, EngineConfig, RoutingTable};
 use esdb_rebal::{Migration, MigrationEnv, MigrationLog, MigrationSpec, Phase, ShardHandle};
 use esdb_shard::{
-    DecisionLog, OwnedShard, ShardBackend, ShardError, ShardOwnership, ShardRouter,
-    SharedRouting,
+    DecisionLog, OwnedShard, ShardBackend, ShardOwnership, ShardRouter, SharedRouting,
 };
 use esdb_workload::{TxnSpec, WorkloadOp};
 use std::collections::HashSet;
@@ -239,7 +238,9 @@ impl Harness {
     }
 
     /// Records ownership transitions of the moving slot since last look —
-    /// releases before adoptions, matching the cutover's own order.
+    /// releases before adoptions: the source admits no write from its
+    /// fence on, so the destination's adopt never overlaps a source that
+    /// admits, though the source keeps (fenced) ownership until just after.
     fn observe(&mut self) {
         let now = [
             self.cluster.owns[0].owns(MOVING),
@@ -582,17 +583,13 @@ fn fence_window_stays_bounded_under_concurrent_writers() {
                         ops.push(WorkloadOp::Write { table: T, key: (k + 1) % ROWS, row: vec![1] });
                     }
                     let spec = TxnSpec { kind: "w", ops, may_fail: false };
-                    // Between the cutover's routing install and the
-                    // destination's adopt, the new table already points at
-                    // a shard that still refuses the slot, so a writer that
-                    // lands there is refused on its retry too and gets the
-                    // typed `RoutingStale`; it tries again.
-                    loop {
-                        match router.execute(&spec) {
-                            Ok(outcome) => break assert!(outcome.is_committed()),
-                            Err(ShardError::RoutingStale { .. }) => {}
-                            Err(e) => panic!("foreground write: {e}"),
-                        }
+                    // The destination adopts the slot before the cutover
+                    // installs the table that points at it, so a write
+                    // refused by the released source lands on its one
+                    // retry: any error, `RoutingStale` included, fails.
+                    match router.execute(&spec) {
+                        Ok(outcome) => assert!(outcome.is_committed()),
+                        Err(e) => panic!("foreground write: {e}"),
                     }
                     committed.fetch_add(1, Ordering::SeqCst);
                     i += 2;

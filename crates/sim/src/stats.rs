@@ -31,15 +31,6 @@ impl CycleBreakdown {
     pub fn busy(&self) -> u64 {
         self.compute + self.mem_stall + self.spin + self.switch_overhead
     }
-
-    /// Fraction of busy cycles that were useful compute.
-    pub fn useful_fraction(&self) -> f64 {
-        if self.busy() == 0 {
-            0.0
-        } else {
-            self.compute as f64 / self.busy() as f64
-        }
-    }
 }
 
 /// Task wait-time split by the subsystem waited on (cycles).
@@ -88,6 +79,17 @@ impl SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CycleBreakdown {
+        /// Fraction of busy cycles that were useful compute.
+        fn useful_fraction(&self) -> f64 {
+            if self.busy() == 0 {
+                0.0
+            } else {
+                self.compute as f64 / self.busy() as f64
+            }
+        }
+    }
 
     #[test]
     fn tpmc_math() {

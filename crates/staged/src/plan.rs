@@ -175,44 +175,6 @@ impl PlanNode {
         PlanNode::IndexScan { table, index, lo, hi }
     }
 
-    /// Plans a single-predicate scan over a *table* column (0-based into the
-    /// row, key excluded): picks a declared secondary index that can serve
-    /// `col OP value` and builds an [`PlanNode::IndexScan`], or falls back to
-    /// `Scan + Filter`. Either shape yields identical full rows
-    /// `[key, col0, ...]`.
-    pub fn scan_filtered(table: Arc<Table>, col: usize, op: CmpOp, value: i64) -> Self {
-        let pick = table
-            .secondaries()
-            .iter()
-            .find(|ix| {
-                ix.def().col == col
-                    && match ix.def().kind {
-                        esdb_storage::IndexKind::Hash => op == CmpOp::Eq,
-                        esdb_storage::IndexKind::Range => op != CmpOp::Ne,
-                    }
-            })
-            .map(|ix| ix.def().id);
-        let Some(index) = pick else {
-            // Plan column = table column + 1: Scan emits the key at 0.
-            return PlanNode::scan(table).filter(col + 1, op, value);
-        };
-        let (lo, hi) = match op {
-            CmpOp::Eq => (value, value),
-            CmpOp::Le => (i64::MIN, value),
-            CmpOp::Ge => (value, i64::MAX),
-            CmpOp::Lt => match value.checked_sub(1) {
-                Some(hi) => (i64::MIN, hi),
-                None => return PlanNode::values(Vec::new()), // x < i64::MIN
-            },
-            CmpOp::Gt => match value.checked_add(1) {
-                Some(lo) => (lo, i64::MAX),
-                None => return PlanNode::values(Vec::new()), // x > i64::MAX
-            },
-            CmpOp::Ne => unreachable!("Ne never picks an index"),
-        };
-        PlanNode::IndexScan { table, index, lo, hi }
-    }
-
     /// Values helper.
     pub fn values(rows: Vec<Row>) -> Self {
         PlanNode::Values(Arc::new(rows))
@@ -324,6 +286,46 @@ pub(crate) fn index_scan_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PlanNode {
+        /// Plans a single-predicate scan over a *table* column (0-based
+        /// into the row, key excluded): picks a declared secondary index
+        /// that can serve `col OP value` and builds an
+        /// [`PlanNode::IndexScan`], or falls back to `Scan + Filter`. Either
+        /// shape yields identical full rows `[key, col0, ...]`.
+        fn scan_filtered(table: Arc<Table>, col: usize, op: CmpOp, value: i64) -> Self {
+            let pick = table
+                .secondaries()
+                .iter()
+                .find(|ix| {
+                    ix.def().col == col
+                        && match ix.def().kind {
+                            esdb_storage::IndexKind::Hash => op == CmpOp::Eq,
+                            esdb_storage::IndexKind::Range => op != CmpOp::Ne,
+                        }
+                })
+                .map(|ix| ix.def().id);
+            let Some(index) = pick else {
+                // Plan column = table column + 1: Scan emits the key at 0.
+                return PlanNode::scan(table).filter(col + 1, op, value);
+            };
+            let (lo, hi) = match op {
+                CmpOp::Eq => (value, value),
+                CmpOp::Le => (i64::MIN, value),
+                CmpOp::Ge => (value, i64::MAX),
+                CmpOp::Lt => match value.checked_sub(1) {
+                    Some(hi) => (i64::MIN, hi),
+                    None => return PlanNode::values(Vec::new()), // x < i64::MIN
+                },
+                CmpOp::Gt => match value.checked_add(1) {
+                    Some(lo) => (lo, i64::MAX),
+                    None => return PlanNode::values(Vec::new()), // x > i64::MAX
+                },
+                CmpOp::Ne => unreachable!("Ne never picks an index"),
+            };
+            PlanNode::IndexScan { table, index, lo, hi }
+        }
+    }
 
     #[test]
     fn cmp_ops() {

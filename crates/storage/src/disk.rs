@@ -3,8 +3,8 @@
 //! The engine is main-memory-oriented (like Shore-MT configured with a
 //! memory-resident buffer pool), but the buffer pool still talks to a
 //! [`PageStore`] so that eviction, write-back, and recovery exercise real
-//! code paths. [`InMemoryDisk`] is the standard implementation; it can inject
-//! a fixed per-I/O latency to model slower devices in experiments.
+//! code paths. [`InMemoryDisk`] is the standard implementation; its unit tests
+//! inject a fixed per-I/O latency to model a slower device.
 
 use crate::page::Page;
 use crate::rid::PageId;
@@ -55,7 +55,8 @@ pub struct DiskStats {
     /// amortization a reactor tick achieves.
     pub batch_writes: u64,
     /// Device latencies paid: one per read, per write and per batch on a
-    /// store built [`InMemoryDisk::with_latency`], none without one.
+    /// store with injected latency (the unit tests build one), none
+    /// without.
     pub latency_payments: u64,
 }
 
@@ -85,15 +86,6 @@ impl InMemoryDisk {
             batch_writes: AtomicU64::new(0),
             latency_payments: AtomicU64::new(0),
             latency: None,
-        }
-    }
-
-    /// Creates a store that busy-waits `latency` on every read and write,
-    /// modelling a slow device for ELR/group-commit experiments.
-    pub fn with_latency(latency: Duration) -> Self {
-        InMemoryDisk {
-            latency: Some(latency),
-            ..Self::new()
         }
     }
 
@@ -181,6 +173,13 @@ impl PageStore for InMemoryDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl InMemoryDisk {
+        /// A store that busy-waits `latency` on every read and write.
+        fn with_latency(latency: Duration) -> Self {
+            InMemoryDisk { latency: Some(latency), ..Self::new() }
+        }
+    }
 
     #[test]
     fn allocate_read_write_roundtrip() {

@@ -18,6 +18,9 @@
 //! * **Reader–writer latch** ([`RwLatch`]) — writer-preferring spin latch that
 //!   protects B+tree nodes; [`Latched<T>`] pairs one with the data it guards
 //!   (secondary indexes).
+//! * **Append-only registry** ([`Registry`]) — values by dense index, read
+//!   with no lock: the transaction manager's tables, the lock manager's
+//!   agents.
 //!
 //! [`primitives`] holds the rest of the menu that discussion refers to — the
 //! ticket, MCS, blocking and spin-then-park locks. They implement
@@ -47,11 +50,13 @@ pub mod lock;
 mod mcs;
 #[allow(unsafe_code)]
 pub mod rwlatch;
+mod registry;
 pub mod sched;
 mod spin;
 
 pub use backoff::Backoff;
 pub use lock::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub use registry::Registry;
 pub use rwlatch::{Latched, RwLatch};
 pub use sched::{Mutation, SchedHook, YieldPoint};
 pub use spin::TatasLock;

@@ -39,6 +39,10 @@ pub enum YieldPoint {
     LockWait,
     /// Entry to `LockManager::release_all`.
     LockRelease,
+    /// Entry to `LockManager::begin`, before the thread's agent is claimed:
+    /// between two of a thread's transactions the agent is idle here, and a
+    /// revoke may take its inherited grants.
+    LockBegin,
     /// Parked on a `RawLock` slow path (BlockLock / HybridLock).
     Park,
     /// Just released a contended `RawLock` (the wake side of `Park`).
@@ -63,6 +67,7 @@ impl YieldPoint {
             YieldPoint::LockAcquire => "lock-acquire",
             YieldPoint::LockWait => "lock-wait",
             YieldPoint::LockRelease => "lock-release",
+            YieldPoint::LockBegin => "lock-begin",
             YieldPoint::Park => "park",
             YieldPoint::Unpark => "unpark",
             YieldPoint::CommitLog => "commit-log",
@@ -81,9 +86,9 @@ pub enum Mutation {
     ReleaseLocksEarly,
     /// `esdb-dora`: ignore wait-die conflicts (co-own keys).
     DisableWaitDie,
-    /// `esdb-lock`: an agent keeps its inherited intention grants across a
-    /// moved revoke epoch, so its next transaction writes under a table
-    /// lock a scan has already taken away.
+    /// `esdb-lock`: a transaction that begins keeps its agent's inherited
+    /// intention grants across a moved revoke epoch, so it writes under a
+    /// table lock a scan has already taken away.
     InheritAcrossRevoke,
 }
 

@@ -3,12 +3,12 @@
 use esdb_lock::{HeldLocks, LockError, LockManager, LockMode};
 use esdb_storage::schema::TableId;
 use esdb_storage::{Rid, StorageError, Table};
-use esdb_sync::{IntMap, Mutex};
+use esdb_sync::{IntMap, Mutex, Registry};
 use esdb_wal::record::RowOp;
 use esdb_wal::{LogBody, Lsn, Wal, NULL_LSN};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Errors surfaced to transaction code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,59 +121,13 @@ impl UndoOp {
     }
 }
 
-/// Registered tables by id, append-only: a table is registered once and
-/// never removed, so a lookup reads three `OnceLock`s — no lock, no
-/// refcount. Chunk `k` holds ids `2^k - 1 ..= 2^(k+1) - 2` and is built when
-/// the first of them registers; the chunk array itself, when the first
-/// table does, so a manager with no table allocates nothing for it.
-#[derive(Default)]
-struct Registry(OnceLock<Box<[OnceLock<Chunk>; 33]>>);
-
-/// One chunk of table slots.
-type Chunk = Box<[OnceLock<Arc<Table>>]>;
-
-impl Registry {
-    /// (chunk, index in chunk) of table `id`.
-    fn slot(id: TableId) -> (usize, usize) {
-        let n = u64::from(id) + 1;
-        let k = n.ilog2();
-        (k as usize, (n - (1 << k)) as usize)
-    }
-
-    fn get(&self, id: TableId) -> Option<&Arc<Table>> {
-        let (k, i) = Self::slot(id);
-        self.0.get()?[k].get()?[i].get()
-    }
-
-    fn register(&self, table: Arc<Table>) {
-        let id = table.id();
-        let (k, i) = Self::slot(id);
-        let chunks = self.0.get_or_init(|| Box::new(std::array::from_fn(|_| OnceLock::new())));
-        let chunk = chunks[k].get_or_init(|| (0..1usize << k).map(|_| OnceLock::new()).collect());
-        assert!(chunk[i].set(table).is_ok(), "table {id} registered twice");
-    }
-
-    /// One past the highest registered id: the last built chunk holds it.
-    fn len(&self) -> usize {
-        let Some(chunks) = self.0.get() else { return 0 };
-        chunks
-            .iter()
-            .enumerate()
-            .rev()
-            .find_map(|(k, chunk)| {
-                let last = chunk.get()?.iter().rposition(|t| t.get().is_some())?;
-                Some((1 << k) + last)
-            })
-            .unwrap_or(0)
-    }
-}
-
 /// The transaction manager: owns the table registry, the lock manager, and
 /// the WAL. Cheap to share (`Arc`).
 pub struct TxnManager {
     locks: Arc<LockManager>,
     wal: Arc<Wal>,
-    tables: Registry,
+    /// Registered tables by id: a lookup takes no lock and no refcount.
+    tables: Registry<Arc<Table>>,
     next_txn: AtomicU64,
     elr: bool,
     commits: AtomicU64,
@@ -214,12 +168,12 @@ impl TxnManager {
 
     /// Registers a table for transactional access. Each id registers once.
     pub fn register_table(&self, table: Arc<Table>) {
-        self.tables.register(table);
+        self.tables.register(table.id() as usize, table);
     }
 
     /// Looks up a registered table.
     pub fn table(&self, id: TableId) -> TxnResult<&Arc<Table>> {
-        self.tables.get(id).ok_or(TxnError::UnknownTable(id))
+        self.tables.get(id as usize).ok_or(TxnError::UnknownTable(id))
     }
 
     /// One past the highest registered table id: the id a new table takes.
@@ -230,7 +184,7 @@ impl TxnManager {
     /// All registered tables (recovery needs the full map).
     pub fn tables(&self) -> HashMap<TableId, Arc<Table>> {
         (0..self.tables.len() as TableId)
-            .filter_map(|id| self.tables.get(id).map(|t| (id, Arc::clone(t))))
+            .filter_map(|id| self.tables.get(id as usize).map(|t| (id, Arc::clone(t))))
             .collect()
     }
 
@@ -309,8 +263,8 @@ pub struct Txn {
     id: u64,
     /// Every lock this transaction holds: the list the lock manager is
     /// spared a visit by, and the list it releases from. It may borrow the
-    /// beginning thread's agent, and it keeps that binding wherever the
-    /// transaction finishes.
+    /// beginning thread's agent; finished on another thread, it gives the
+    /// agent's grants up.
     held: HeldLocks,
     last_lsn: Lsn,
     undo: Vec<UndoOp>,
@@ -896,7 +850,7 @@ mod tests {
     }
 
     #[test]
-    fn a_prepared_transaction_finishes_against_its_own_agent_on_another_thread() {
+    fn a_prepared_transaction_decided_on_another_thread_gives_its_agents_grants_up() {
         let (mgr, table) = setup(false);
         mgr.run(0, |t| t.insert(1, 1, &[10, 0])).unwrap();
         let mut t = mgr.begin();
@@ -906,10 +860,12 @@ mod tests {
         mgr.run(0, |t| t.insert(1, 2, &[20, 0])).unwrap();
         std::thread::spawn(move || prepared.commit_decided(Txn::commit)).join().unwrap();
         assert_eq!(table.get(1).unwrap(), vec![11, 0]);
-        // The agent is free again: the next transaction inherits and visits its row alone.
+        // The deciding thread is not the agent's, so the commit gave the
+        // agent's grants up: the agent is free again, with nothing inherited,
+        // and the next transaction visits the database and table too.
         let before = mgr.locks().stats().acquisitions;
         mgr.run(0, |t| t.update(1, 2, &[21, 0]).map(drop)).unwrap();
-        assert_eq!(mgr.locks().stats().acquisitions - before, 1);
+        assert_eq!(mgr.locks().stats().acquisitions - before, 3);
         assert_eq!(mgr.locks().agent_count(), 1, "the deciding thread never began a transaction");
     }
 

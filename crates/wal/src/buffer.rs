@@ -135,11 +135,6 @@ impl LogStore {
         });
     }
 
-    /// `true` once the armed fault has fired (the device stopped persisting).
-    pub fn fault_tripped(&self) -> bool {
-        self.fault.lock().as_ref().is_some_and(|s| s.dead)
-    }
-
     /// Appends the concatenation of `parts` as one device write, paying the
     /// configured device latency once. (Parts, so a flusher can hand over
     /// the two halves of a wrapped ring range without joining them first.)
@@ -331,6 +326,14 @@ impl Ring {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LogStore {
+        /// `true` once the armed fault has fired (the device stopped
+        /// persisting).
+        fn fault_tripped(&self) -> bool {
+            self.fault.lock().as_ref().is_some_and(|s| s.dead)
+        }
+    }
 
     #[test]
     fn ring_roundtrip_with_wraparound() {

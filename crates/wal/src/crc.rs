@@ -104,16 +104,16 @@ impl Default for Crc32 {
     }
 }
 
-/// One-shot CRC-32 of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One-shot CRC-32 of `bytes`.
+    fn crc32(bytes: &[u8]) -> u32 {
+        let mut c = Crc32::new();
+        c.update(bytes);
+        c.finish()
+    }
 
     #[test]
     fn known_vectors() {

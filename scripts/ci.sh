@@ -38,12 +38,30 @@ echo "== referee: benchmark package builds against the program and passes its ow
 echo "== workspace: every suite in release, full-size knobs =="
 # One run over tier 1's default-members, so a new crate or test file is
 # covered without naming it here: the checker's clean sweep over 300 seeded
-# schedules with both mutations (early lock release, wait-die disabled)
-# caught with a replayed, shrunk trace, and net_scale's idle herd of 1000
+# schedules with the three mutations (early lock release, wait-die
+# disabled, inheritance kept across a revoke) caught with a replayed, shrunk
+# trace, and net_scale's idle herd of 1000
 # sessions against an active one (p99 bounded). The mutations are answers of
 # the checker's scheduler hook, not Cargo features, so this builds the
 # engine exactly as it ships.
 NET_SCALE_CONNS=1000 CHECK_SCHEDULES=300 cargo test --release -q
+
+echo "== guard: the cutover order (the fence test, 30 release runs) =="
+# A migration's cutover adopts the slot on the destination, installs the new
+# routing table, then releases the source, so a writer parked on the
+# source's fence lands on its one retry. With the table installed before
+# the adopt, this test failed 16 of 30 release runs; here one failure fails
+# the stage. Prints the stage's wall time.
+guard_start=$(date +%s.%N)
+for run in $(seq 30); do
+    if ! cargo test --release -q -p esdb-rebal --test migration_torture -- --exact \
+        fence_blocks_writers_until_cutover_then_retries_to_the_destination >target/cutover-guard.log 2>&1; then
+        cat target/cutover-guard.log >&2
+        echo "FAIL: the fence test failed on release run $run of 30" >&2
+        exit 1
+    fi
+done
+awk -v s="$guard_start" -v e="$(date +%s.%N)" 'BEGIN { printf "cutover guard: 30 runs in %.1f s\n", e - s }'
 
 echo "== seam: one engine build, no Cargo features =="
 # ROADMAP item 14's ratchet. Cargo applies one feature set to a whole build,
