@@ -412,7 +412,7 @@ fn follower_cuts_hold(db: &Database, total: i64) -> Result<(), String> {
         return Ok(());
     }
     let (bytes, s0) = wal
-        .durable_tail(start)
+        .durable_tail(start, usize::MAX)
         .ok_or_else(|| "durable tail unavailable".to_string())?;
     let avail = ((durable - s0) as usize).min(bytes.len());
     let mut cuts = Rng::new(0x47A9 ^ avail as u64);

@@ -542,7 +542,8 @@ impl Client {
 
     /// Blocks for the next shipped log span `(term, start_lsn, bytes)`.
     /// `term` is the primary's replication term for the span; a fenced
-    /// primary answers [`NetError::Fenced`] instead of shipping.
+    /// primary answers [`NetError::Fenced`] instead of shipping, and one
+    /// that reclaimed the log past the feed's cursor [`NetError::Server`].
     pub fn next_chunk(&mut self) -> Result<(u64, u64, Vec<u8>), NetError> {
         match self.recv()? {
             Response::LogChunk { term, start, bytes } => Ok((term, start, bytes)),

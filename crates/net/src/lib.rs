@@ -46,7 +46,7 @@ pub mod server;
 
 pub use client::{run_load, Client, LoadConfig, NetError, ReconnectPolicy, Snapshot};
 pub use protocol::{FrameError, Request, Response, ServerStats, WirePlan, MAX_FRAME};
-pub use reactor::FrameCursor;
+pub use reactor::{FrameCursor, SHIP_ROUND_BYTES};
 pub use server::{DecisionSource, Follower, Role, SemiSync, Server, ServerConfig, SlotGate};
 
 use esdb_core::WorkloadReport;

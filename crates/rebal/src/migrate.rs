@@ -269,10 +269,13 @@ impl Migration {
     /// Planned → Copying: fuzzy bulk copy. The delta-ship start LSN is
     /// taken *before* the heap scan (heap writes precede their record's
     /// append, so every mutation the scan misses has a record at or after
-    /// it), and is durable in the log before any row moves.
+    /// it), is durable in the log before any row moves, and is pinned in
+    /// the source's log before it is read, so the source's checkpoint
+    /// schedule never reclaims the cursor under a long copy.
     fn do_copy(&mut self) -> Result<(), MigrateError> {
         let MigrationSpec { mid, slot, from, to } = self.spec;
         let slot_count = self.env.routing.slot_count();
+        let pin = self.env.source.db.wal().pin();
         let start = self.env.source.db.wal().current_lsn();
         self.log.record(mid, Phase::Copying, slot, from, to, start);
 
@@ -301,7 +304,7 @@ impl Migration {
                 apply_range_op(&self.env.dest.db, &RangeOp::Upsert { table: tid, key, row })?;
             }
         }
-        self.ship = Some(RangeShip::new(start, slot, slot_count));
+        self.ship = Some(RangeShip::new(pin, start, slot, slot_count));
         self.phase = Phase::Copying;
         Ok(())
     }

@@ -31,7 +31,7 @@
 use esdb_core::{slot_of, Database};
 use esdb_storage::StorageError;
 use esdb_wal::record::{decode_stream_checked, RowOp};
-use esdb_wal::{Lsn, Wal};
+use esdb_wal::{LogPin, Lsn, Wal};
 
 /// One idempotent slot mutation replayed from the source WAL. Absolute
 /// images, so re-applying any suffix (crash + resume) is harmless.
@@ -77,7 +77,7 @@ pub fn range_rows(
 /// filtered to one slot, as [`RangeOp`]s. Crash-safe by construction — the
 /// coordinator persists the cursor (or restarts the copy) and re-applying
 /// already-shipped ops is idempotent.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RangeShip {
     /// Next stream offset to decode from.
     pub next: Lsn,
@@ -85,12 +85,18 @@ pub struct RangeShip {
     pub slot: u32,
     /// Ring size the slot lives in.
     pub slot_count: u32,
+    /// Holds the source log from `next` on against its checkpoint schedule,
+    /// so a copy that outlasts a checkpoint interval still finds its cursor.
+    pin: LogPin,
 }
 
 impl RangeShip {
-    /// A cursor starting at `from` (the copy's `start_lsn`).
-    pub fn new(from: Lsn, slot: u32, slot_count: u32) -> RangeShip {
-        RangeShip { next: from, slot, slot_count }
+    /// A cursor starting at `from` (the copy's `start_lsn`), holding the
+    /// source log by `pin` — taken from the source's WAL before `from` was
+    /// read, so nothing from `from` on can have been reclaimed since.
+    pub fn new(pin: LogPin, from: Lsn, slot: u32, slot_count: u32) -> RangeShip {
+        pin.advance(from);
+        RangeShip { next: from, slot, slot_count, pin }
     }
 
     /// Bytes of durable log not yet shipped — the migration's catch-up lag.
@@ -115,7 +121,7 @@ impl RangeShip {
         if durable <= self.next {
             return Ok(0);
         }
-        let Some((bytes, start)) = wal.durable_tail(self.next) else {
+        let Some((bytes, start)) = wal.durable_tail(self.next, usize::MAX) else {
             return Err(RangeShipError::Gap { expected: self.next, got: wal.start_lsn() });
         };
         if start != self.next {
@@ -141,6 +147,7 @@ impl RangeShip {
             emitted += 1;
         }
         self.next = start + salvaged.valid_len;
+        self.pin.advance(self.next);
         Ok(emitted)
     }
 }
@@ -241,6 +248,7 @@ mod tests {
     fn pump_replays_the_slots_mutations_in_order() {
         let db = Database::open(EngineConfig::default());
         db.create_table("t", 1).unwrap();
+        let pin = db.wal().pin();
         let start = db.wal().current_lsn();
         let keys = keys_in_slot(5, 3);
         db.execute(|txn| txn.insert(0, keys[0], &[1])).unwrap();
@@ -255,7 +263,7 @@ mod tests {
         db.execute(|txn| txn.insert(0, other, &[99])).unwrap();
         db.wal().wait_durable(db.wal().current_lsn());
 
-        let mut ship = RangeShip::new(start, 5, DEFAULT_SLOTS);
+        let mut ship = RangeShip::new(pin, start, 5, DEFAULT_SLOTS);
         let mut got = Vec::new();
         ship.pump(db.wal(), |op| got.push(op)).unwrap();
         assert_eq!(
@@ -278,6 +286,7 @@ mod tests {
         db.create_table("t", 1).unwrap();
         let keys = keys_in_slot(2, 2);
         db.execute(|txn| txn.insert(0, keys[0], &[7])).unwrap();
+        let pin = db.wal().pin();
         let start = db.wal().current_lsn();
         // An explicit abort: the update's image ships, then its
         // compensation ships right behind it — the dest ends at [7].
@@ -292,9 +301,36 @@ mod tests {
         let dest = Database::open(EngineConfig::default());
         dest.create_table("t", 1).unwrap();
         dest.table(0).unwrap().insert(keys[0], &[7]).unwrap();
-        let mut ship = RangeShip::new(start, 2, DEFAULT_SLOTS);
+        let mut ship = RangeShip::new(pin, start, 2, DEFAULT_SLOTS);
         ship.pump(db.wal(), |op| apply_range_op(&dest, &op).unwrap()).unwrap();
         assert_eq!(dest.table(0).unwrap().get(keys[0]).unwrap(), vec![7]);
+    }
+
+    #[test]
+    fn the_ship_cursor_holds_the_source_log_through_a_checkpoint() {
+        let db = Database::open(EngineConfig::default());
+        db.create_table("t", 1).unwrap();
+        let keys = keys_in_slot(4, 2);
+        let start = db.wal().current_lsn();
+        let mut ship = RangeShip::new(db.wal().pin(), start, 4, DEFAULT_SLOTS);
+        db.execute(|txn| txn.insert(0, keys[0], &[1])).unwrap();
+        // A checkpoint past the cursor: its truncation waits for the ship.
+        db.wal().truncate_before(db.checkpoint().unwrap());
+        assert!(db.wal().start_lsn() <= start);
+        db.execute(|txn| txn.insert(0, keys[1], &[2])).unwrap();
+        db.wal().wait_durable(db.wal().current_lsn());
+        let mut got = Vec::new();
+        ship.pump(db.wal(), |op| got.push(op)).unwrap();
+        assert_eq!(
+            got,
+            vec![
+                RangeOp::Upsert { table: 0, key: keys[0], row: vec![1] },
+                RangeOp::Upsert { table: 0, key: keys[1], row: vec![2] },
+            ]
+        );
+        // Pumped past both marks, the ship lets the next truncation through.
+        db.wal().truncate_before(db.checkpoint().unwrap());
+        assert_eq!(db.wal().start_lsn(), ship.next);
     }
 
     #[test]
@@ -305,7 +341,7 @@ mod tests {
         let crashed = db.simulate_crash(true);
         // The rebuilt engine's WAL starts on a fresh, higher stream: a
         // cursor from the old stream must see a typed gap, not garbage.
-        let mut ship = RangeShip::new(8, 0, DEFAULT_SLOTS);
+        let mut ship = RangeShip::new(crashed.wal().pin(), 8, 0, DEFAULT_SLOTS);
         crashed.execute(|txn| txn.insert(0, 2, &[2])).unwrap();
         crashed.wal().wait_durable(crashed.wal().current_lsn());
         match ship.pump(crashed.wal(), |_| {}) {

@@ -486,7 +486,7 @@ fn promotion_term_must_ratchet() {
     // A second follower that already heard of term 2 via a chunk stamp
     // cannot be promoted at 2 again (or anything lower).
     let mut b = Replica::bootstrap(snap, engine()).unwrap();
-    let (bytes, start) = primary.wal().durable_tail(b.subscribe_from()).unwrap();
+    let (bytes, start) = primary.wal().durable_tail(b.subscribe_from(), usize::MAX).unwrap();
     b.ingest_term(2, start, &bytes[..(primary.wal().durable_lsn() - start) as usize])
         .unwrap();
     assert_eq!(b.term(), 2);
@@ -503,7 +503,7 @@ fn stale_term_chunk_is_refused() {
     let snap = Snapshot::take(&primary).unwrap();
     let mut r = Replica::bootstrap(snap, engine()).unwrap();
     commit_key(&primary, t, KEY0);
-    let (bytes, start) = primary.wal().durable_tail(r.subscribe_from()).unwrap();
+    let (bytes, start) = primary.wal().durable_tail(r.subscribe_from(), usize::MAX).unwrap();
     let avail = (primary.wal().durable_lsn() - start) as usize;
     r.ingest_term(3, start, &bytes[..avail / 2]).unwrap();
     let before = r.subscribe_from();

@@ -93,7 +93,7 @@ fn chunk_torn_mid_record_stalls_then_resumes() {
     mutate(&db, t, 30);
     let wal = db.wal();
     let from = replica.subscribe_from();
-    let (bytes, start) = wal.durable_tail(from).unwrap();
+    let (bytes, start) = wal.durable_tail(from, usize::MAX).unwrap();
     let avail = ((wal.durable_lsn() - start) as usize).min(bytes.len());
     assert!(avail > 100);
     // Deliver a cut that lands mid-record: decoding must stop at the torn
@@ -119,7 +119,7 @@ fn replica_cursor_crash_mid_apply_resumes_idempotently() {
         .cursor_store()
         .set_fault(LogFault { seed: 7, crash_on_append: 2, flip_bit: false });
     let from = replica.subscribe_from();
-    let (bytes, start) = wal.durable_tail(from).unwrap();
+    let (bytes, start) = wal.durable_tail(from, usize::MAX).unwrap();
     let avail = ((wal.durable_lsn() - start) as usize).min(bytes.len());
     let mut crash = None;
     let mut off = 0usize;
@@ -269,7 +269,7 @@ fn follower_crash_mid_index_maintenance_double_restart_converges() {
         .cursor_store()
         .set_fault(LogFault { seed: 11, crash_on_append: 3, flip_bit: false });
     let from = replica.subscribe_from();
-    let (bytes, start) = wal.durable_tail(from).unwrap();
+    let (bytes, start) = wal.durable_tail(from, usize::MAX).unwrap();
     let avail = ((wal.durable_lsn() - start) as usize).min(bytes.len());
     let mut off = 0usize;
     for chunk in bytes[..avail].chunks(193) {
@@ -331,7 +331,7 @@ fn follower_crash_mid_index_build_converges() {
     // reopen() discards all volatile state and rebuilds indexes from zero.
     let wal = db.wal();
     let from = replica.subscribe_from();
-    let (bytes, start) = wal.durable_tail(from).unwrap();
+    let (bytes, start) = wal.durable_tail(from, usize::MAX).unwrap();
     let avail = ((wal.durable_lsn() - start) as usize).min(bytes.len());
     replica.ingest(start, &bytes[..avail / 3]).unwrap();
     let replica = replica.reopen().unwrap();
@@ -382,7 +382,7 @@ fn overlapping_reship_is_deduplicated() {
     mutate(&db, t, 20);
     let wal = db.wal();
     let from = replica.subscribe_from();
-    let (bytes, start) = wal.durable_tail(from).unwrap();
+    let (bytes, start) = wal.durable_tail(from, usize::MAX).unwrap();
     let avail = ((wal.durable_lsn() - start) as usize).min(bytes.len());
     replica.ingest(start, &bytes[..avail]).unwrap();
     // A reconnecting primary replays its tail from an older offset: the

@@ -44,7 +44,7 @@ pub use fsm::{DurableFsm, Fsm};
 pub use record::{LogBody, LogRecord, SalvagedLog, WalError};
 pub use recovery::{checkpoint_redo_lsn, redo, slice_from_checkpoint};
 pub use serial::SerialLogBuffer;
-pub use wal::{LogPolicy, Wal};
+pub use wal::{LogPin, LogPolicy, Wal};
 
 /// Log sequence number: a byte offset into the log stream. `0` is reserved as
 /// the null LSN (the log begins at [`buffer::LOG_START`]).
