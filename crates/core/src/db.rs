@@ -8,7 +8,7 @@ use esdb_lock::LockManager;
 use esdb_storage::disk::PageStore;
 use esdb_storage::heap::HeapFile;
 use esdb_storage::schema::{Schema, TableId};
-use esdb_storage::{BufferPool, InMemoryDisk, PageId, Table};
+use esdb_storage::{BufferPool, InMemoryDisk, PageId, Table, TableLoader};
 use esdb_txn::{PreparedTxn, Txn, TxnManager, TxnResult};
 use esdb_wal::Wal;
 use esdb_sync::Mutex;
@@ -564,14 +564,47 @@ impl Database {
     /// durable before any crash is survivable, and a fault-injecting page
     /// store can legitimately fail it — hence the typed error.
     pub fn load_population(&self, workload: &dyn esdb_workload::Workload) -> Result<(), DbError> {
-        for def in workload.tables() {
-            let id = self.create_table(&def.name, def.arity)?;
+        self.load_population_where(workload, |_, _| true)
+    }
+
+    /// [`Database::load_population`] of the rows `keep(table, key)` passes
+    /// (a shard's slice). Creates the workload's tables and fills each in
+    /// bulk ([`TableLoader`]): rows stream from the generator straight into
+    /// full heap pages, and each primary index is built bottom-up once its
+    /// rows are in. A table is registered only when it is whole, so no other
+    /// thread sees one half loaded; the DDL fence is held throughout. If the
+    /// load fails, no table is registered.
+    pub fn load_population_where(
+        &self,
+        workload: &dyn esdb_workload::Workload,
+        keep: impl Fn(u32, u64) -> bool,
+    ) -> Result<(), DbError> {
+        let defs = workload.tables();
+        let frozen = self.frozen.lock();
+        if *frozen {
+            let name = defs.first().map_or_else(String::new, |def| def.name.clone());
+            return Err(DbError::TablesFrozen { name });
+        }
+        let first = self.txn_mgr.next_table_id();
+        let mut loaders = Vec::with_capacity(defs.len());
+        for (id, def) in (first..).zip(defs) {
             debug_assert_eq!(id, def.id, "workload table ids must be dense from 0");
+            loaders.push(TableLoader::new(Schema::new(id, def.name, def.arity), &self.pool)?);
         }
-        let tables = self.txn_mgr.tables();
-        for (table, key, row) in workload.population() {
-            tables[&table].insert(key, &row)?;
+        let mut failed = None;
+        workload.population(&mut |table, key, row| {
+            if failed.is_none() && keep(table, key) {
+                failed = loaders[(table - first) as usize].push(key, row).err();
+            }
+        });
+        if let Some(e) = failed {
+            return Err(e.into());
         }
+        let tables = loaders.into_iter().map(TableLoader::finish).collect::<Result<Vec<_>, _>>()?;
+        for table in tables {
+            self.txn_mgr.register_table(Arc::new(table));
+        }
+        drop(frozen);
         self.pool.flush_all().map_err(DbError::CheckpointIo)
     }
 

@@ -93,18 +93,16 @@ impl Workload for ShardedTpcb {
         ]
     }
 
-    fn population(&self) -> Vec<(u32, u64, Vec<i64>)> {
-        let mut rows = Vec::new();
+    fn population(&self, emit: &mut dyn FnMut(u32, u64, &[i64])) {
         for b in 0..self.branches {
-            rows.push((BRANCHES, b, vec![0]));
+            emit(BRANCHES, b, &[0]);
             for t in 0..TELLERS_PER_BRANCH {
-                rows.push((TELLERS, b * TELLERS_PER_BRANCH + t, vec![b as i64, 0]));
+                emit(TELLERS, b * TELLERS_PER_BRANCH + t, &[b as i64, 0]);
             }
             for a in 0..self.accounts_per_branch {
-                rows.push((ACCOUNTS, b * self.accounts_per_branch + a, vec![b as i64, 0]));
+                emit(ACCOUNTS, b * self.accounts_per_branch + a, &[b as i64, 0]);
             }
         }
-        rows
     }
 
     fn next_txn(&mut self) -> TxnSpec {
@@ -153,19 +151,7 @@ pub fn load_shard_population(
     idx: usize,
     n: usize,
 ) -> Result<(), DbError> {
-    for def in workload.tables() {
-        let id = db.create_table(&def.name, def.arity)?;
-        debug_assert_eq!(id, def.id, "workload table ids must be dense from 0");
-    }
-    for (table, key, row) in workload.population() {
-        if part.shard_of(table, key, n) == idx {
-            db.table(table)
-                .expect("table just created")
-                .insert(key, &row)
-                .map_err(DbError::CheckpointIo)?;
-        }
-    }
-    db.pool().flush_all().map_err(DbError::CheckpointIo)
+    db.load_population_where(workload, |table, key| part.shard_of(table, key, n) == idx)
 }
 
 #[cfg(test)]
@@ -227,12 +213,13 @@ mod tests {
     fn shard_slices_partition_the_population_exactly() {
         let w = ShardedTpcb::new(4, 50, 10, 2, 3);
         let part = w.partitioner();
-        let full = w.population();
+        let mut full = Vec::new();
+        w.population(&mut |t, k, _| full.push((t, k)));
         let mut covered = 0;
         for idx in 0..2 {
             covered += full
                 .iter()
-                .filter(|(t, k, _)| part.shard_of(*t, *k, 2) == idx)
+                .filter(|&&(t, k)| part.shard_of(t, k, 2) == idx)
                 .count();
         }
         assert_eq!(covered, full.len(), "slices must cover the population once each");

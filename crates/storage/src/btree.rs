@@ -30,6 +30,10 @@
 //! that each held 16 keys when they split: 16 levels ([`MAX_HEIGHT`]) index
 //! 2^64 keys.
 //!
+//! **Bulk build.** [`BTree::from_sorted`] builds the same full-node shape
+//! bottom-up from key-ordered pairs: full leaves, then full internal levels
+//! up to one root, each node made once, with no descent, latch or split.
+//!
 //! Structural simplification: deletion is *lazy* (keys are removed from
 //! leaves, but nodes are never merged or freed before the tree drops), as in
 //! several production engines. This keeps removal structurally read-only
@@ -66,24 +70,25 @@ struct Node {
 }
 
 impl Node {
-    fn alloc(kind: Kind) -> *mut Node {
+    /// A node holding the first `len` of `keys`.
+    fn alloc(len: usize, keys: [u64; MAX_KEYS + 1], kind: Kind) -> *mut Node {
         Box::into_raw(Box::new(Node {
             latch: RwLatch::new(),
-            len: 0,
-            keys: [0; MAX_KEYS + 1],
+            len: len as u32,
+            keys,
             kind,
         }))
     }
 
     fn new_leaf(next: *mut Node) -> *mut Node {
-        Node::alloc(Kind::Leaf {
+        Node::alloc(0, [0; MAX_KEYS + 1], Kind::Leaf {
             values: [0; MAX_KEYS + 1],
             next,
         })
     }
 
     fn new_internal() -> *mut Node {
-        Node::alloc(Kind::Internal {
+        Node::alloc(0, [0; MAX_KEYS + 1], Kind::Internal {
             children: [std::ptr::null_mut(); MAX_KEYS + 2],
         })
     }
@@ -136,11 +141,14 @@ pub struct BTree {
     meta: RwLatch,
     root: std::cell::UnsafeCell<*mut Node>,
     len: AtomicU64,
+    /// Nodes allocated; lazy deletion frees none before the tree drops.
+    nodes: AtomicU64,
 }
 
 // SAFETY: the tree owns every node it points to. `root` is read under `meta`
 // and written only with `meta` held exclusively; a node's fields are read
-// under its latch and written only with it held exclusively; `len` is atomic.
+// under its latch and written only with it held exclusively; `len` and
+// `nodes` are atomic.
 unsafe impl Send for BTree {}
 // SAFETY: as for `Send`: every shared access goes through a latch or an atomic.
 unsafe impl Sync for BTree {}
@@ -158,7 +166,62 @@ impl BTree {
             meta: RwLatch::new(),
             root: std::cell::UnsafeCell::new(Node::new_leaf(std::ptr::null_mut())),
             len: AtomicU64::new(0),
+            nodes: AtomicU64::new(1),
         }
+    }
+
+    /// Builds a tree of `pairs`, whose keys must strictly ascend, bottom-up:
+    /// leaves of [`MAX_KEYS`] keys linked in key order, then internal levels
+    /// of `MAX_KEYS + 1` children, each level's last node holding the rest,
+    /// up to a single root — the shape key-ordered inserts leave (module
+    /// doc), with every separator the first key of the subtree to its right.
+    /// The tree is private to the caller until it publishes it.
+    pub fn from_sorted(pairs: &[(u64, u64)]) -> Self {
+        assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "keys must strictly ascend");
+        if pairs.is_empty() {
+            return Self::new();
+        }
+        // `(first key, node)` of each node of a level, in key order. The
+        // leaves are made last to first, so each links to the one after it.
+        let mut level = Vec::with_capacity(pairs.len().div_ceil(MAX_KEYS));
+        let mut next = std::ptr::null_mut();
+        for chunk in pairs.chunks(MAX_KEYS).rev() {
+            let (mut keys, mut values) = ([0; MAX_KEYS + 1], [0; MAX_KEYS + 1]);
+            for (i, &(key, value)) in chunk.iter().enumerate() {
+                (keys[i], values[i]) = (key, value);
+            }
+            next = Node::alloc(chunk.len(), keys, Kind::Leaf { values, next });
+            level.push((chunk[0].0, next));
+        }
+        level.reverse();
+        let mut nodes = level.len();
+        while level.len() > 1 {
+            level = level
+                .chunks(MAX_KEYS + 1)
+                .map(|group| {
+                    let (mut keys, mut children) = ([0; MAX_KEYS + 1], [std::ptr::null_mut(); MAX_KEYS + 2]);
+                    for (i, &(first, child)) in group.iter().enumerate() {
+                        children[i] = child;
+                        if i > 0 {
+                            keys[i - 1] = first;
+                        }
+                    }
+                    (group[0].0, Node::alloc(group.len() - 1, keys, Kind::Internal { children }))
+                })
+                .collect();
+            nodes += level.len();
+        }
+        BTree {
+            meta: RwLatch::new(),
+            root: std::cell::UnsafeCell::new(level[0].1),
+            len: AtomicU64::new(pairs.len() as u64),
+            nodes: AtomicU64::new(nodes as u64),
+        }
+    }
+
+    /// Number of nodes in the tree, 560 B each (diagnostics).
+    pub fn node_count(&self) -> u64 {
+        self.nodes.load(Ordering::Relaxed)
     }
 
     /// Number of live keys.
@@ -296,6 +359,7 @@ impl BTree {
         let mut pending = (leaf.len as usize > MAX_KEYS).then(|| Self::split(leaf_ptr, append));
         let mut level = held.len();
         while let Some((sep, right)) = pending.take() {
+            self.nodes.fetch_add(1, Ordering::Relaxed);
             level = level
                 .checked_sub(1)
                 .expect("split reached above the held chain");
@@ -304,6 +368,7 @@ impl BTree {
                 // and we must still hold the meta latch.
                 debug_assert!(meta_held, "root split without meta latch");
                 let new_root = Node::new_internal();
+                self.nodes.fetch_add(1, Ordering::Relaxed);
                 let node = unsafe { &mut *new_root };
                 let Kind::Internal { children } = &mut node.kind else {
                     unreachable!()
@@ -477,18 +542,22 @@ impl BTree {
     /// every subtree lies within its separators; all leaves are at one depth,
     /// at most [`MAX_HEIGHT`]; every internal node below the root and off the
     /// right spine is at least half full; and the leaf chain visits the
-    /// leaves in order and yields `range(0, u64::MAX)`, `len()` pairs.
-    /// `&mut self` keeps every writer out while it walks. For tests.
+    /// leaves in order and yields `range(0, u64::MAX)`, `len()` pairs; and
+    /// there are [`BTree::node_count`] nodes. Returns the number of nodes at
+    /// each level, leaves first. `&mut self` keeps every writer out while it
+    /// walks. For tests.
     #[doc(hidden)]
-    pub fn assert_invariants(&mut self) {
-        /// Checks the subtree under `ptr`, whose keys lie in `lo..hi`, and
-        /// appends its leaves in key order; returns its height.
+    pub fn assert_invariants(&mut self) -> Vec<usize> {
+        /// Checks the subtree under `ptr`, whose keys lie in `lo..hi`,
+        /// appends its leaves in key order and counts its nodes by height
+        /// in `levels`; returns its height.
         fn walk(
             ptr: *mut Node,
             lo: u64,
             hi: Option<u64>,
             spine: bool,
             leaves: &mut Vec<*mut Node>,
+            levels: &mut Vec<usize>,
         ) -> usize {
             // SAFETY: the caller holds the tree exclusively, so no latch is
             // needed, and every child pointer names a live node.
@@ -511,6 +580,7 @@ impl BTree {
             }
             let Kind::Internal { children } = &node.kind else {
                 leaves.push(ptr);
+                count(levels, 1);
                 return 1;
             };
             let n = keys.len();
@@ -521,16 +591,23 @@ impl BTree {
             let mut heights = (0..=n).map(|i| {
                 let lo = if i == 0 { lo } else { keys[i - 1] };
                 let hi = if i == n { hi } else { Some(keys[i]) };
-                walk(children[i], lo, hi, spine && i == n, leaves)
+                walk(children[i], lo, hi, spine && i == n, leaves, levels)
             });
             let h = heights.next().expect("an internal node has a child");
             assert!(heights.all(|x| x == h), "leaves at different depths");
+            count(levels, h + 1);
             h + 1
         }
+        fn count(levels: &mut Vec<usize>, height: usize) {
+            if levels.len() < height {
+                levels.resize(height, 0);
+            }
+            levels[height - 1] += 1;
+        }
         let root = *self.root.get_mut();
-        let mut leaves = Vec::new();
+        let (mut leaves, mut levels) = (Vec::new(), Vec::new());
         // The root may be as empty as the right spine.
-        let height = walk(root, 0, None, true, &mut leaves);
+        let height = walk(root, 0, None, true, &mut leaves, &mut levels);
         assert!(height <= MAX_HEIGHT, "height {height} > {MAX_HEIGHT}");
         assert_eq!(height, self.height());
         let mut chained = Vec::new();
@@ -560,6 +637,8 @@ impl BTree {
             "len() disagrees with the leaves"
         );
         assert_eq!(pairs, self.range(0, u64::MAX));
+        assert_eq!(levels.iter().sum::<usize>() as u64, self.node_count(), "node_count() disagrees with the walk");
+        levels
     }
 }
 
@@ -798,6 +877,45 @@ mod tests {
         );
         assert!(t.range(0, u64::MAX).into_iter().map(|p| p.0).eq(0..n));
         t.assert_invariants();
+    }
+
+    /// A built tree answers as an insert-built one and has its shape, at
+    /// the sizes where a leaf, an internal node and the root fill.
+    #[test]
+    fn a_built_tree_matches_key_ordered_inserts() {
+        assert_eq!(std::mem::size_of::<Node>(), 560);
+        for n in [0u64, 1, 32, 33, 1_056, 1_057, 100_000] {
+            let pairs: Vec<(u64, u64)> = (0..n).map(|i| (3 * i + 1, i)).collect();
+            let mut built = BTree::from_sorted(&pairs);
+            let mut inserted = BTree::new();
+            for &(k, v) in &pairs {
+                inserted.insert(k, v);
+            }
+            let levels = built.assert_invariants();
+            assert_eq!(levels, inserted.assert_invariants(), "{n} keys: nodes per level");
+            assert_eq!((built.len(), built.height(), built.node_count()), (n, inserted.height(), inserted.node_count()));
+            assert_eq!(built.range(0, u64::MAX), pairs);
+            let probes = (0..n.min(2_000)).chain([n / 2, 3 * n, 3 * n + 1]);
+            for k in probes.flat_map(|i| [3 * i, 3 * i + 1]) {
+                assert_eq!(built.get(k), inserted.get(k), "{n} keys: get({k})");
+                assert_eq!(built.range(k, k + 100), inserted.range(k, k + 100), "{n} keys: range from {k}");
+            }
+            if n == 100_000 {
+                assert_eq!(levels, [3_125, 95, 3, 1], "the btree.append shape");
+                assert_eq!(built.height(), 4);
+            }
+            // The built tree takes inserts and removals like any other.
+            built.insert(0, 7);
+            built.insert(3 * n + 5, 8);
+            assert_eq!(built.remove(1), n.checked_sub(1).map(|_| 0));
+            built.assert_invariants();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascend")]
+    fn a_build_refuses_unordered_keys() {
+        BTree::from_sorted(&[(2, 0), (1, 0)]);
     }
 
     #[test]

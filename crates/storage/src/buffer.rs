@@ -196,15 +196,23 @@ impl BufferPool {
         &self.disk
     }
 
-    /// Allocates a fresh page on the store and pins it.
+    /// Allocates a fresh page on the store and pins it. The page is
+    /// formatted in its frame, not read from the store; it still counts as a
+    /// miss.
     pub fn new_page(&self) -> Result<(PageId, PinnedPage<'_>)> {
         let id = self.disk.allocate();
-        let pin = self.pin(id)?;
+        let pin = self.pin_or_format(id, true)?;
         Ok((id, pin))
     }
 
     /// Pins page `id` into a frame, reading it from the store on a miss.
     pub fn pin(&self, id: PageId) -> Result<PinnedPage<'_>> {
+        self.pin_or_format(id, false)
+    }
+
+    /// [`BufferPool::pin`]; with `fresh`, a miss formats the frame instead
+    /// of reading the store.
+    fn pin_or_format(&self, id: PageId, fresh: bool) -> Result<PinnedPage<'_>> {
         let mut map = self.map.lock();
         if let Some(&idx) = map.table.get(&id) {
             let frame = &self.frames[idx];
@@ -234,7 +242,11 @@ impl BufferPool {
         // Load the new page.
         {
             let mut page = data.write();
-            self.read_retrying(id, &mut page)?;
+            if fresh {
+                page.format();
+            } else {
+                self.read_retrying(id, &mut page)?;
+            }
         }
         frame.page_id.store(id, Ordering::Relaxed);
         frame.pin.store(1, Ordering::Relaxed);
@@ -367,6 +379,45 @@ impl PinnedPage<'_> {
     }
 }
 
+impl<'a> PinnedPage<'a> {
+    /// Takes the frame latch in exclusive mode and keeps it, with the pin,
+    /// for as long as the returned guard lives.
+    pub fn into_write(self) -> PinnedPageMut<'a> {
+        let lock: &'a RwLock<Page> = self.page;
+        PinnedPageMut { page: lock.write(), pin: self }
+    }
+}
+
+/// A pinned page held under its exclusive frame latch — a bulk load's open
+/// page, filled a page at a time. A mutable access marks the page dirty.
+pub struct PinnedPageMut<'a> {
+    // Declared first, so the latch is released before the pin.
+    page: RwLockWriteGuard<'a, Page>,
+    pin: PinnedPage<'a>,
+}
+
+impl PinnedPageMut<'_> {
+    /// The id of the pinned page.
+    pub fn page_id(&self) -> PageId {
+        self.pin.page_id()
+    }
+}
+
+impl std::ops::Deref for PinnedPageMut<'_> {
+    type Target = Page;
+
+    fn deref(&self) -> &Page {
+        &self.page
+    }
+}
+
+impl std::ops::DerefMut for PinnedPageMut<'_> {
+    fn deref_mut(&mut self) -> &mut Page {
+        self.pin.frame.dirty.store(true, Ordering::Relaxed);
+        &mut self.page
+    }
+}
+
 impl Drop for PinnedPage<'_> {
     fn drop(&mut self) {
         self.frame.pin.fetch_sub(1, Ordering::Relaxed);
@@ -394,6 +445,41 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
+    }
+
+    #[test]
+    fn a_new_page_is_a_miss_that_reads_nothing() {
+        let (disk, pool) = pool(2);
+        let (id, p) = pool.new_page().unwrap();
+        assert!(p.read().as_bytes() == Page::new().as_bytes());
+        drop(p);
+        let (other, p) = pool.new_page().unwrap();
+        drop(p);
+        // A third new page evicts one of the first two, which is clean.
+        drop(pool.new_page().unwrap());
+        assert_eq!(disk.stats().reads, 0, "new pages are formatted, not read");
+        assert_eq!(disk.stats().writes, 0, "clean new pages are never written back");
+        assert_eq!(pool.stats().misses, 3);
+        // The clock evicted the first; pinning it again reads it as new.
+        assert!(pool.pin(id).unwrap().read().as_bytes() == Page::new().as_bytes());
+        assert_eq!(disk.stats().reads, 1);
+        drop(pool.pin(other).unwrap());
+    }
+
+    #[test]
+    fn a_held_write_marks_dirty_on_change_and_unpins_after_unlatching() {
+        let (disk, pool) = pool(1);
+        let (id, p) = pool.new_page().unwrap();
+        let mut open = p.into_write();
+        assert_eq!(open.page_id(), id);
+        assert_eq!(pool.new_page().unwrap_err(), StorageError::PoolExhausted, "the open page stays pinned");
+        open.insert(b"row").unwrap();
+        drop(open);
+        // Evicting the page writes it back: the insert marked it dirty.
+        drop(pool.new_page().unwrap());
+        let mut stored = Page::new();
+        disk.read(id, &mut stored).unwrap();
+        assert_eq!(stored.get(0).unwrap(), b"row");
     }
 
     #[test]

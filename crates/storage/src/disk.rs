@@ -15,7 +15,8 @@ use std::time::Duration;
 
 /// A flat array of pages with explicit allocation.
 pub trait PageStore: Send + Sync {
-    /// Allocates a fresh, zeroed page and returns its id.
+    /// Allocates a fresh page and returns its id; until it is first
+    /// written, the page reads as [`Page::new`] formats it.
     fn allocate(&self) -> PageId;
     /// Copies page `id` into `out`.
     fn read(&self, id: PageId, out: &mut Page) -> Result<()>;
@@ -61,8 +62,12 @@ pub struct DiskStats {
 }
 
 /// A heap-resident page store with optional injected latency.
+///
+/// Allocation only reserves an id: a page's memory is built at its first
+/// write, and a read of a page never written returns [`Page::new`]'s bytes.
 pub struct InMemoryDisk {
-    pages: Mutex<Vec<Box<Page>>>,
+    /// `None` for a page allocated but never written.
+    pages: Mutex<Vec<Option<Box<Page>>>>,
     reads: AtomicU64,
     writes: AtomicU64,
     batch_writes: AtomicU64,
@@ -112,10 +117,19 @@ impl InMemoryDisk {
     }
 }
 
+/// Copies `page` into a stored slot, building the slot's memory at its
+/// first write.
+fn store(slot: &mut Option<Box<Page>>, page: &Page) {
+    match slot {
+        Some(dst) => dst.as_bytes_mut().copy_from_slice(page.as_bytes()),
+        None => *slot = Some(Box::new(page.clone())),
+    }
+}
+
 impl PageStore for InMemoryDisk {
     fn allocate(&self) -> PageId {
         let mut pages = self.pages.lock();
-        pages.push(Box::new(Page::new()));
+        pages.push(None);
         (pages.len() - 1) as PageId
     }
 
@@ -123,10 +137,10 @@ impl PageStore for InMemoryDisk {
         self.pay_latency();
         self.reads.fetch_add(1, Ordering::Relaxed);
         let pages = self.pages.lock();
-        let page = pages
-            .get(id as usize)
-            .ok_or(StorageError::PageNotFound(id))?;
-        out.as_bytes_mut().copy_from_slice(page.as_bytes());
+        match pages.get(id as usize).ok_or(StorageError::PageNotFound(id))? {
+            Some(page) => out.as_bytes_mut().copy_from_slice(page.as_bytes()),
+            None => out.format(),
+        }
         Ok(())
     }
 
@@ -137,7 +151,7 @@ impl PageStore for InMemoryDisk {
         let dst = pages
             .get_mut(id as usize)
             .ok_or(StorageError::PageNotFound(id))?;
-        dst.as_bytes_mut().copy_from_slice(page.as_bytes());
+        store(dst, page);
         Ok(())
     }
 
@@ -160,7 +174,7 @@ impl PageStore for InMemoryDisk {
             }
         }
         for (id, page) in batch {
-            pages[*id as usize].as_bytes_mut().copy_from_slice(page.as_bytes());
+            store(&mut pages[*id as usize], page);
         }
         Ok(())
     }
@@ -195,6 +209,22 @@ mod tests {
         disk.read(id, &mut back).unwrap();
         assert_eq!(back.get(0).unwrap(), b"persisted");
         assert_eq!(back.lsn(), 42);
+    }
+
+    #[test]
+    fn a_page_never_written_reads_as_new_and_holds_no_memory() {
+        let disk = InMemoryDisk::new();
+        let id = disk.allocate();
+        assert!(disk.pages.lock()[id as usize].is_none(), "allocation builds no page");
+        let mut page = Page::new();
+        page.insert(b"stale").unwrap();
+        disk.read(id, &mut page).unwrap();
+        assert!(page.as_bytes() == Page::new().as_bytes());
+        page.insert(b"first write").unwrap();
+        disk.write(id, &page).unwrap();
+        let mut back = Page::new();
+        disk.read(id, &mut back).unwrap();
+        assert_eq!(back.get(0).unwrap(), b"first write");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! order is page latch → log buffer; the log flusher and the fence never
 //! take a page latch, so the nesting cannot cycle.
 
-use crate::buffer::BufferPool;
-use crate::page::Page;
+use crate::buffer::{BufferPool, PinnedPageMut};
+use crate::page::{Page, MAX_TUPLE};
 use crate::rid::{PageId, Rid};
 use crate::{Result, StorageError};
 use esdb_sync::Mutex;
@@ -28,6 +28,14 @@ fn stamp(page: &mut Page, lsn: u64) {
     if lsn > page.lsn() {
         page.set_lsn(lsn);
     }
+}
+
+/// Fails a tuple no page can hold.
+fn check_len(len: usize) -> Result<()> {
+    if len > MAX_TUPLE {
+        return Err(StorageError::TupleTooLarge { size: len, max: MAX_TUPLE });
+    }
+    Ok(())
 }
 
 /// An unordered tuple container over the buffer pool.
@@ -76,17 +84,18 @@ impl HeapFile {
         self.state.lock().pages.clone()
     }
 
-    /// Places `data` in a page with room and asks `admit` — under the page
-    /// latch, before anyone else can see the tuple — whether it stays:
-    /// `Some(lsn)` keeps it and stamps the page, `None` withdraws it.
-    /// Returns the record id of a kept tuple.
-    pub fn insert(&self, data: &[u8], admit: impl FnOnce(Rid) -> Option<u64>) -> Result<Option<Rid>> {
-        if data.len() > crate::page::MAX_TUPLE {
-            return Err(StorageError::TupleTooLarge {
-                size: data.len(),
-                max: crate::page::MAX_TUPLE,
-            });
-        }
+    /// Places a `len`-byte tuple, which `fill` writes in place, in a page
+    /// with room and asks `admit` — under the page latch, before anyone
+    /// else can see the tuple — whether it stays: `Some(lsn)` keeps it and
+    /// stamps the page, `None` withdraws it. Returns the record id of a
+    /// kept tuple.
+    pub fn insert(
+        &self,
+        len: usize,
+        fill: impl Fn(&mut [u8]),
+        admit: impl FnOnce(Rid) -> Option<u64>,
+    ) -> Result<Option<Rid>> {
+        check_len(len)?;
         loop {
             // Snapshot the target page, then operate on it without holding
             // the heap mutex so unrelated inserts only collide on page latch.
@@ -97,7 +106,7 @@ impl HeapFile {
             if let Some(page_id) = target {
                 let pin = self.pool.pin(page_id)?;
                 let mut page = pin.write();
-                if let Some(slot) = page.insert(data) {
+                if let Some(slot) = page.insert_with(len, &fill) {
                     let rid = Rid::new(page_id, slot);
                     return Ok(match admit(rid) {
                         Some(lsn) => {
@@ -284,6 +293,52 @@ impl HeapFile {
     }
 }
 
+/// Fills a new heap file page by page, for a load no other thread can see
+/// yet: the open page stays pinned and exclusively latched while tuples land
+/// on it, one pin and one latch a page where [`HeapFile::insert`] takes one
+/// of each a tuple. A page is allocated when the tuple before it no longer
+/// fits, and each tuple takes the slot an insert would, so the pages come out
+/// byte for byte as a tuple-at-a-time load leaves them.
+pub struct HeapAppender<'a> {
+    pool: &'a Arc<BufferPool>,
+    pages: Vec<PageId>,
+    /// The last page, `None` only while the next one is allocated.
+    open: Option<PinnedPageMut<'a>>,
+}
+
+impl<'a> HeapAppender<'a> {
+    /// Starts a file with one fresh page, as [`HeapFile::create`] does.
+    pub fn new(pool: &'a Arc<BufferPool>) -> Result<Self> {
+        let (id, pin) = pool.new_page()?;
+        Ok(HeapAppender { pool, pages: vec![id], open: Some(pin.into_write()) })
+    }
+
+    /// Places a `len`-byte tuple that `fill` writes in place on the open
+    /// page, or on a new one if it does not fit there; returns its address.
+    pub fn append(&mut self, len: usize, fill: impl Fn(&mut [u8])) -> Result<Rid> {
+        check_len(len)?;
+        loop {
+            if let Some(page) = &mut self.open {
+                if let Some(slot) = page.insert_with(len, &fill) {
+                    return Ok(Rid::new(page.page_id(), slot));
+                }
+            }
+            // The full page is let go before the next is allocated, as an
+            // insert lets it go: the clock sees the same pool either way.
+            self.open = None;
+            let (id, pin) = self.pool.new_page()?;
+            self.pages.push(id);
+            self.open = Some(pin.into_write());
+        }
+    }
+
+    /// The heap file of the appended pages, its insert cursor on the last.
+    pub fn finish(self) -> HeapFile {
+        drop(self.open);
+        HeapFile::from_pages(Arc::clone(self.pool), self.pages)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,7 +351,7 @@ mod tests {
     }
 
     fn put(h: &HeapFile, data: &[u8], lsn: u64) -> Rid {
-        h.insert(data, |_| Some(lsn)).unwrap().expect("admitted")
+        h.insert(data.len(), |t| t.copy_from_slice(data), |_| Some(lsn)).unwrap().expect("admitted")
     }
 
     #[test]
@@ -304,7 +359,11 @@ mod tests {
         let h = heap();
         let kept = put(&h, b"kept", 7);
         let mut offered = None;
-        assert_eq!(h.insert(b"withdrawn", |rid| { offered = Some(rid); None }).unwrap(), None);
+        let withdrawn = h.insert(9, |t| t.copy_from_slice(b"withdrawn"), |rid| {
+            offered = Some(rid);
+            None
+        });
+        assert_eq!(withdrawn.unwrap(), None);
         let offered = offered.expect("admit saw the placed tuple");
         assert_eq!(h.get(offered).unwrap_err(), StorageError::RecordNotFound(offered));
         assert_eq!(h.count().unwrap(), 1);
@@ -473,9 +532,33 @@ mod tests {
     }
 
     #[test]
+    fn an_append_fills_pages_as_inserts_do() {
+        let disk = Arc::new(InMemoryDisk::new());
+        let pool = Arc::new(BufferPool::new(4, disk.clone()));
+        let inserted = HeapFile::create(pool.clone()).unwrap();
+        let mut appender = HeapAppender::new(&pool).unwrap();
+        for i in 0..2_000u64 {
+            let tuple = [i as u8; 40];
+            let rid = appender.append(tuple.len(), |t| t.copy_from_slice(&tuple)).unwrap();
+            assert_eq!(rid.slot, put(&inserted, &tuple, 0).slot);
+        }
+        let appended = appender.finish();
+        let (a, b) = (appended.pages(), inserted.pages());
+        assert_eq!(a.len(), b.len());
+        assert!(a.len() > 4, "the load went through eviction");
+        for (a, b) in a.into_iter().zip(b) {
+            let bytes = |h: &HeapFile, id| h.read_page(id, |p| *p.as_bytes()).unwrap();
+            assert!(bytes(&appended, a) == bytes(&inserted, b), "page {a} differs from page {b}");
+        }
+        assert_eq!(put(&appended, b"next", 1).page, *appended.pages().last().unwrap());
+        let e = HeapAppender::new(&pool).unwrap().append(MAX_TUPLE + 1, |_| unreachable!()).unwrap_err();
+        assert!(matches!(e, StorageError::TupleTooLarge { .. }));
+    }
+
+    #[test]
     fn oversized_insert_rejected() {
         let h = heap();
-        let e = h.insert(&vec![0u8; crate::page::MAX_TUPLE + 1], |_| Some(1)).unwrap_err();
+        let e = h.insert(MAX_TUPLE + 1, |_| unreachable!(), |_| Some(1)).unwrap_err();
         assert!(matches!(e, StorageError::TupleTooLarge { .. }));
     }
 }

@@ -24,7 +24,8 @@
 //! * [`schema`] — minimal catalog types. Tuples are fixed-arity `i64` rows;
 //!   this is sufficient for the TATP/TPC-C-style workloads the keynote's
 //!   experiments use and keeps tuple (de)serialization trivial.
-//! * [`table`] — the composition: heap file + primary B+tree index.
+//! * [`table`] — the composition: heap file + primary B+tree index, and
+//!   its bulk loader.
 //!
 //! ```
 //! use esdb_storage::{buffer::BufferPool, disk::InMemoryDisk, table::Table};
@@ -59,7 +60,7 @@ pub use fault::{FaultConfig, FaultInjector, FaultRng, FaultStats};
 pub use rid::{PageId, Rid};
 pub use schema::{IndexDef, IndexId, IndexKind};
 pub use secondary::SecondaryIndex;
-pub use table::Table;
+pub use table::{Table, TableLoader};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, StorageError>;

@@ -7,12 +7,22 @@
 //!
 //! Every page carries a `page_lsn`, the LSN of the last log record that
 //! modified it — the hook ARIES-style recovery needs to make redo idempotent.
+//!
+//! An insert takes the lowest tombstoned slot, else appends one. A header
+//! flag says whether the page *may* hold a tombstone: a delete, and the gap
+//! slots of [`Page::insert_at_slot`], set it; an insert that scans the slot
+//! directory and finds none clears it; and an insert into a page without the
+//! flag appends its slot without reading the directory. A page that never
+//! had a tombstone keeps the flag byte at zero.
 
 /// Size of every page in bytes.
 pub const PAGE_SIZE: usize = 8192;
 
-/// Header: lsn (8) + slot_count (2) + free_upper (2) + reserved (4).
+/// Header: lsn (8) + slot_count (2) + free_upper (2) + tombstone flag (1) +
+/// reserved (3).
 const HEADER_SIZE: usize = 16;
+/// Header byte that is non-zero while the page may hold a tombstone.
+const MAY_HOLD_TOMBSTONE: usize = 12;
 /// Each slot directory entry: offset (2) + len (2).
 const SLOT_SIZE: usize = 4;
 /// Tombstone marker in a slot's offset field.
@@ -54,6 +64,12 @@ impl Page {
         let mut p = Page { bytes: [0u8; PAGE_SIZE] };
         p.set_free_upper(PAGE_SIZE as u16);
         p
+    }
+
+    /// Formats this page in place as [`Page::new`] would make it.
+    pub fn format(&mut self) {
+        self.bytes.fill(0);
+        self.set_free_upper(PAGE_SIZE as u16);
     }
 
     /// Raw byte access (for the page store).
@@ -109,6 +125,14 @@ impl Page {
         (self.read_u16(base), self.read_u16(base + 2))
     }
 
+    fn may_hold_tombstone(&self) -> bool {
+        self.bytes[MAY_HOLD_TOMBSTONE] != 0
+    }
+
+    fn set_may_hold_tombstone(&mut self, may: bool) {
+        self.bytes[MAY_HOLD_TOMBSTONE] = may.into();
+    }
+
     fn set_slot_entry(&mut self, slot: u16, offset: u16, len: u16) {
         let base = HEADER_SIZE + slot as usize * SLOT_SIZE;
         self.write_u16(base, offset);
@@ -137,18 +161,29 @@ impl Page {
     /// Inserts a tuple, compacting if fragmentation requires it. Returns the
     /// slot index, or `None` if the page genuinely lacks space.
     pub fn insert(&mut self, data: &[u8]) -> Option<u16> {
-        if data.len() > MAX_TUPLE {
+        self.insert_with(data.len(), |tuple| tuple.copy_from_slice(data))
+    }
+
+    /// [`Page::insert`] of a `len`-byte tuple that `fill` writes in place;
+    /// `fill` runs only if the tuple is placed.
+    pub fn insert_with(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) -> Option<u16> {
+        if len > MAX_TUPLE {
             return None;
         }
-        // Reuse a tombstoned slot entry if one exists, else append one.
-        let slot = (0..self.slot_count())
-            .find(|&s| self.slot_entry(s).0 == TOMBSTONE)
-            .unwrap_or_else(|| self.slot_count());
-        let need_new_slot = slot == self.slot_count();
-        let slot_cost = if need_new_slot { SLOT_SIZE } else { 0 };
+        // Reuse the lowest tombstoned slot entry if one exists, else append one.
+        let count = self.slot_count();
+        let mut slot = count;
+        if self.may_hold_tombstone() {
+            match (0..count).find(|&s| self.slot_entry(s).0 == TOMBSTONE) {
+                Some(s) => slot = s,
+                None => self.set_may_hold_tombstone(false),
+            }
+        }
+        let need_new_slot = slot == count;
+        let need = len + if need_new_slot { SLOT_SIZE } else { 0 };
 
-        if self.free_space() < data.len() + slot_cost {
-            if self.reclaimable_space() < data.len() + slot_cost {
+        if self.free_space() < need {
+            if self.reclaimable_space() < need {
                 return None;
             }
             self.compact();
@@ -156,10 +191,10 @@ impl Page {
         if need_new_slot {
             self.set_slot_count(slot + 1);
         }
-        let new_upper = self.free_upper() as usize - data.len();
-        self.bytes[new_upper..new_upper + data.len()].copy_from_slice(data);
+        let new_upper = self.free_upper() as usize - len;
+        fill(&mut self.bytes[new_upper..new_upper + len]);
         self.set_free_upper(new_upper as u16);
-        self.set_slot_entry(slot, new_upper as u16, data.len() as u16);
+        self.set_slot_entry(slot, new_upper as u16, len as u16);
         Some(slot)
     }
 
@@ -190,6 +225,9 @@ impl Page {
             self.set_slot_count(slot + 1);
             for s in old..slot {
                 self.set_slot_entry(s, TOMBSTONE, 0);
+            }
+            if old < slot {
+                self.set_may_hold_tombstone(true);
             }
         }
         let new_upper = self.free_upper() as usize - data.len();
@@ -256,6 +294,7 @@ impl Page {
     pub fn delete(&mut self, slot: u16) -> Option<Vec<u8>> {
         let old = self.get(slot)?.to_vec();
         self.set_slot_entry(slot, TOMBSTONE, 0);
+        self.set_may_hold_tombstone(true);
         Some(old)
     }
 
@@ -299,6 +338,95 @@ impl Page {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The insert rule before the tombstone flag: scan the whole slot
+    /// directory for the lowest tombstone on every insert.
+    fn scanning_insert(p: &mut Page, data: &[u8]) -> Option<u16> {
+        if data.len() > MAX_TUPLE {
+            return None;
+        }
+        let slot = (0..p.slot_count()).find(|&s| p.slot_entry(s).0 == TOMBSTONE).unwrap_or(p.slot_count());
+        let need = data.len() + if slot == p.slot_count() { SLOT_SIZE } else { 0 };
+        if p.free_space() < need {
+            if p.reclaimable_space() < need {
+                return None;
+            }
+            p.compact();
+        }
+        if slot == p.slot_count() {
+            p.set_slot_count(slot + 1);
+        }
+        let new_upper = p.free_upper() as usize - data.len();
+        p.bytes[new_upper..new_upper + data.len()].copy_from_slice(data);
+        p.set_free_upper(new_upper as u16);
+        p.set_slot_entry(slot, new_upper as u16, data.len() as u16);
+        Some(slot)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random tapes of insert, delete, `insert_at_slot`, update and
+        /// compact: every insert takes the slot the scanning rule takes, and
+        /// the page bytes match the scanning reference's but for the flag.
+        #[test]
+        fn flagged_insert_matches_the_scanning_rule(
+            tape in prop::collection::vec((0u8..6, 0u16..48, prop::collection::vec(any::<u8>(), 1..200)), 1..400)
+        ) {
+            let (mut page, mut reference) = (Page::new(), Page::new());
+            for (op, slot, data) in tape {
+                match op {
+                    0 | 1 => prop_assert_eq!(page.insert(&data), scanning_insert(&mut reference, &data)),
+                    2 => prop_assert_eq!(page.delete(slot), reference.delete(slot)),
+                    3 => prop_assert_eq!(page.insert_at_slot(slot, &data), reference.insert_at_slot(slot, &data)),
+                    4 => prop_assert_eq!(page.update(slot, &data), reference.update(slot, &data)),
+                    _ => {
+                        page.compact();
+                        reference.compact();
+                    }
+                }
+                let strip = |p: &Page| {
+                    let mut b = p.bytes;
+                    b[MAY_HOLD_TOMBSTONE] = 0;
+                    b
+                };
+                prop_assert!(strip(&page) == strip(&reference), "page bytes diverge after op {}", op);
+                let has_tombstone = (0..page.slot_count()).any(|s| page.slot_entry(s).0 == TOMBSTONE);
+                prop_assert!(!has_tombstone || page.may_hold_tombstone(), "a tombstone without the flag");
+            }
+        }
+    }
+
+    #[test]
+    fn a_page_without_tombstones_keeps_the_flag_clear_and_reuses_after_delete() {
+        let mut p = Page::new();
+        for i in 0..10u8 {
+            assert_eq!(p.insert(&[i; 8]), Some(i.into()));
+        }
+        assert_eq!(p.as_bytes()[MAY_HOLD_TOMBSTONE], 0);
+        p.delete(3);
+        p.delete(7);
+        assert!(p.may_hold_tombstone());
+        assert_eq!(p.insert(b"x"), Some(3));
+        assert_eq!(p.insert(b"y"), Some(7));
+        assert!(p.may_hold_tombstone(), "only a scan that finds none clears it");
+        assert_eq!(p.insert(b"z"), Some(10));
+        assert!(!p.may_hold_tombstone());
+        let mut gap = Page::new();
+        assert!(gap.insert_at_slot(2, b"two"));
+        assert!(gap.may_hold_tombstone(), "gap slots are tombstones");
+        assert_eq!(gap.insert(b"zero"), Some(0));
+    }
+
+    #[test]
+    fn format_rebuilds_a_new_page() {
+        let mut p = Page::new();
+        p.insert(b"data").unwrap();
+        p.set_lsn(9);
+        p.format();
+        assert!(p.as_bytes() == Page::new().as_bytes());
+    }
 
     #[test]
     fn insert_then_get_roundtrips() {

@@ -103,12 +103,24 @@ impl Schema {
 
 /// Encodes `key` and `row` into the on-page byte representation.
 pub fn encode_row(key: u64, row: &[i64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 8 * row.len());
-    out.extend_from_slice(&key.to_le_bytes());
-    for v in row {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    let mut out = vec![0; encoded_len(row)];
+    encode_row_into(key, row, &mut out);
     out
+}
+
+/// Length of [`encode_row`]'s encoding of `row`.
+pub fn encoded_len(row: &[i64]) -> usize {
+    8 + 8 * row.len()
+}
+
+/// [`encode_row`] into `out`, which is [`encoded_len`] bytes long: how a
+/// tuple is written straight into its page.
+pub fn encode_row_into(key: u64, row: &[i64], out: &mut [u8]) {
+    let (head, cols) = out.split_at_mut(8);
+    head.copy_from_slice(&key.to_le_bytes());
+    for (dst, v) in cols.chunks_exact_mut(8).zip(row) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 /// A borrowed, validated view of one encoded row: the key and the columns

@@ -12,9 +12,11 @@
 
 use crate::btree::BTree;
 use crate::buffer::BufferPool;
-use crate::heap::HeapFile;
+use crate::heap::{HeapAppender, HeapFile};
 use crate::rid::{PageId, Rid};
-use crate::schema::{decode_row, encode_row, field_at, IndexDef, IndexId, RowRef, Schema, TableId};
+use crate::schema::{
+    decode_row, encode_row, encode_row_into, encoded_len, field_at, IndexDef, IndexId, RowRef, Schema, TableId,
+};
 use crate::secondary::SecondaryIndex;
 use crate::{Result, StorageError};
 use std::sync::Arc;
@@ -27,6 +29,68 @@ pub struct ScanCursor {
     /// Offsets within the page being decoded of the tuples its predicate
     /// kept; one buffer for the whole scan.
     kept: Vec<usize>,
+}
+
+fn check_arity(schema: &Schema, row: &[i64]) -> Result<()> {
+    if row.len() != schema.arity {
+        return Err(StorageError::ArityMismatch {
+            expected: schema.arity,
+            got: row.len(),
+        });
+    }
+    Ok(())
+}
+
+/// Loads a new table in bulk, before any other thread can see it: each row
+/// is encoded straight into the open heap page ([`HeapAppender`]), its
+/// `(key, rid)` pair is kept, and [`TableLoader::finish`] builds the primary
+/// index bottom-up from the pairs ([`BTree::from_sorted`]). Rows land where
+/// [`Table::insert`] would put them, and key-ordered rows leave the index
+/// in the shape their inserts would, so the loaded table is the one a
+/// row-at-a-time load makes.
+pub struct TableLoader<'a> {
+    schema: Schema,
+    heap: HeapAppender<'a>,
+    pairs: Vec<(u64, u64)>,
+    secondaries: Vec<Arc<SecondaryIndex>>,
+}
+
+impl<'a> TableLoader<'a> {
+    /// Starts loading a table of `schema`, allocating its first heap page
+    /// as [`Table::create`] does.
+    pub fn new(schema: Schema, pool: &'a Arc<BufferPool>) -> Result<Self> {
+        let secondaries = build_secondaries(&schema);
+        Ok(TableLoader { schema, heap: HeapAppender::new(pool)?, pairs: Vec::new(), secondaries })
+    }
+
+    /// Appends `key → row`. A repeated key is found by
+    /// [`TableLoader::finish`].
+    pub fn push(&mut self, key: u64, row: &[i64]) -> Result<()> {
+        check_arity(&self.schema, row)?;
+        let rid = self.heap.append(encoded_len(row), |tuple| encode_row_into(key, row, tuple))?;
+        self.pairs.push((key, rid.to_u64()));
+        for ix in &self.secondaries {
+            ix.insert_row(key, row);
+        }
+        Ok(())
+    }
+
+    /// The loaded table, ready to register. Fails with
+    /// [`StorageError::DuplicateKey`] (the lowest repeated key) if a key was
+    /// pushed twice; keys may arrive in any order.
+    pub fn finish(mut self) -> Result<Table> {
+        // Linear on the key-ordered populations: the sort finds one run.
+        self.pairs.sort_unstable_by_key(|&(key, _)| key);
+        if let Some(w) = self.pairs.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(StorageError::DuplicateKey(w[0].0));
+        }
+        Ok(Table {
+            schema: self.schema,
+            heap: self.heap.finish(),
+            index: BTree::from_sorted(&self.pairs),
+            secondaries: self.secondaries,
+        })
+    }
 }
 
 /// A keyed table of fixed-arity `i64` rows.
@@ -146,16 +210,6 @@ impl Table {
         self.schema.id
     }
 
-    fn check_arity(&self, row: &[i64]) -> Result<()> {
-        if row.len() != self.schema.arity {
-            return Err(StorageError::ArityMismatch {
-                expected: self.schema.arity,
-                got: row.len(),
-            });
-        }
-        Ok(())
-    }
-
     /// Inserts `key → row`. Fails with [`StorageError::DuplicateKey`] if the
     /// key exists.
     pub fn insert(&self, key: u64, row: &[i64]) -> Result<Rid> {
@@ -168,10 +222,11 @@ impl Table {
     /// key is never overwritten — the loser of a same-key race withdraws its
     /// own tuple and nothing else), and only then is the record written.
     pub fn insert_logged(&self, key: u64, row: &[i64], log: impl FnOnce(Rid) -> u64) -> Result<Rid> {
-        self.check_arity(row)?;
+        check_arity(&self.schema, row)?;
+        let encode = |tuple: &mut [u8]| encode_row_into(key, row, tuple);
         let rid = self
             .heap
-            .insert(&encode_row(key, row), |rid| {
+            .insert(encoded_len(row), encode, |rid| {
                 self.index.insert_if_absent(key, rid.to_u64()).is_none().then(|| log(rid))
             })?
             .ok_or(StorageError::DuplicateKey(key))?;
@@ -207,7 +262,7 @@ impl Table {
         row: &[i64],
         log: impl FnOnce(Rid, &[i64]) -> u64,
     ) -> Result<Vec<i64>> {
-        self.check_arity(row)?;
+        check_arity(&self.schema, row)?;
         let rid = self.rid_of(key)?;
         let mut before = None;
         self.heap.update(rid, &encode_row(key, row), |old| Self::log_before(&mut before, old, rid, log))?;

@@ -103,8 +103,9 @@ pub trait Workload: Send {
     fn name(&self) -> &'static str;
     /// Schema.
     fn tables(&self) -> Vec<TableDef>;
-    /// Initial rows: `(table, key, row)` triples.
-    fn population(&self) -> Vec<(u32, u64, Vec<i64>)>;
+    /// Streams the initial rows to `emit` as `(table, key, row)`, each
+    /// table's in key order, allocating nothing per row.
+    fn population(&self, emit: &mut dyn FnMut(u32, u64, &[i64]));
     /// Next transaction in this generator's deterministic stream.
     fn next_txn(&mut self) -> TxnSpec;
     /// An independent generator for another worker thread.

@@ -58,18 +58,16 @@ impl Workload for Tpcb {
         ]
     }
 
-    fn population(&self) -> Vec<(u32, u64, Vec<i64>)> {
-        let mut rows = Vec::new();
+    fn population(&self, emit: &mut dyn FnMut(u32, u64, &[i64])) {
         for b in 0..self.branches {
-            rows.push((BRANCHES, b, vec![0]));
+            emit(BRANCHES, b, &[0]);
             for t in 0..TELLERS_PER_BRANCH {
-                rows.push((TELLERS, b * TELLERS_PER_BRANCH + t, vec![b as i64, 0]));
+                emit(TELLERS, b * TELLERS_PER_BRANCH + t, &[b as i64, 0]);
             }
             for a in 0..ACCOUNTS_PER_BRANCH {
-                rows.push((ACCOUNTS, b * ACCOUNTS_PER_BRANCH + a, vec![b as i64, 0]));
+                emit(ACCOUNTS, b * ACCOUNTS_PER_BRANCH + a, &[b as i64, 0]);
             }
         }
-        rows
     }
 
     fn next_txn(&mut self) -> TxnSpec {
@@ -116,8 +114,9 @@ mod tests {
     #[test]
     fn population_sizes() {
         let w = Tpcb::new(2, 1);
-        let pop = w.population();
-        let count = |t: u32| pop.iter().filter(|(tt, _, _)| *tt == t).count() as u64;
+        let mut pop = Vec::new();
+        w.population(&mut |t, _, _| pop.push(t));
+        let count = |t: u32| pop.iter().filter(|&&tt| tt == t).count() as u64;
         assert_eq!(count(BRANCHES), 2);
         assert_eq!(count(TELLERS), 2 * TELLERS_PER_BRANCH);
         assert_eq!(count(ACCOUNTS), 2 * ACCOUNTS_PER_BRANCH);

@@ -166,21 +166,19 @@ impl Workload for TpccLite {
         ]
     }
 
-    fn population(&self) -> Vec<(u32, u64, Vec<i64>)> {
-        let mut rows = Vec::new();
+    fn population(&self, emit: &mut dyn FnMut(u32, u64, &[i64])) {
         for w in 0..self.warehouses {
-            rows.push((WAREHOUSE, w, vec![0]));
+            emit(WAREHOUSE, w, &[0]);
             for d in 0..DISTRICTS_PER_WH {
-                rows.push((DISTRICT, Self::district_key(w, d), vec![0, 0]));
+                emit(DISTRICT, Self::district_key(w, d), &[0, 0]);
                 for c in 0..CUSTOMERS_PER_DISTRICT {
-                    rows.push((CUSTOMER, Self::customer_key(w, d, c), vec![0, 0]));
+                    emit(CUSTOMER, Self::customer_key(w, d, c), &[0, 0]);
                 }
             }
             for i in 0..ITEMS {
-                rows.push((STOCK, Self::stock_key(w, i), vec![0, 100]));
+                emit(STOCK, Self::stock_key(w, i), &[0, 100]);
             }
         }
-        rows
     }
 
     fn next_txn(&mut self) -> TxnSpec {
@@ -209,8 +207,9 @@ mod tests {
     #[test]
     fn population_counts() {
         let w = TpccLite::new(2, 1);
-        let pop = w.population();
-        let count = |t: u32| pop.iter().filter(|(tt, _, _)| *tt == t).count() as u64;
+        let mut pop = Vec::new();
+        w.population(&mut |t, _, _| pop.push(t));
+        let count = |t: u32| pop.iter().filter(|&&tt| tt == t).count() as u64;
         assert_eq!(count(WAREHOUSE), 2);
         assert_eq!(count(DISTRICT), 2 * DISTRICTS_PER_WH);
         assert_eq!(count(CUSTOMER), 2 * DISTRICTS_PER_WH * CUSTOMERS_PER_DISTRICT);

@@ -50,10 +50,10 @@ impl Workload for Ycsb {
         }]
     }
 
-    fn population(&self) -> Vec<(u32, u64, Vec<i64>)> {
-        (0..self.records)
-            .map(|k| (USERTABLE, k, vec![k as i64, 0]))
-            .collect()
+    fn population(&self, emit: &mut dyn FnMut(u32, u64, &[i64])) {
+        for k in 0..self.records {
+            emit(USERTABLE, k, &[k as i64, 0]);
+        }
     }
 
     fn next_txn(&mut self) -> TxnSpec {
@@ -111,6 +111,8 @@ mod tests {
     #[test]
     fn population_matches_records() {
         let w = Ycsb::new(123, 50, 0.5, 1, 4);
-        assert_eq!(w.population().len(), 123);
+        let mut keys = Vec::new();
+        w.population(&mut |_, k, _| keys.push(k));
+        assert!(keys.into_iter().eq(0..123));
     }
 }

@@ -45,8 +45,9 @@ echo "== workspace: every suite in release, full-size knobs =="
 # the checker's scheduler hook, not Cargo features, so this builds the
 # engine exactly as it ships.
 NET_SCALE_CONNS=1000 CHECK_SCHEDULES=300 cargo test --release -q
-# The one #[ignore]d test: the engine's checkpoint schedule at its real
-# threshold (64 MiB of log, three times over), live log bytes bounded.
+# The #[ignore]d tests: the engine's checkpoint schedule at its real
+# threshold (64 MiB of log, three times over), live log bytes bounded; and
+# the referee's 4,000,000-row YCSB population loaded in bulk, counted.
 cargo test --release -q --test critical_path -- --ignored
 
 echo "== guard: the cutover order (the fence test, 30 release runs) =="

@@ -3,7 +3,9 @@
 //! heap allocations, log bytes and log flushes — on `EngineConfig::conventional_baseline()`, one thread.
 //!
 //! Alone in its binary: it installs a counting global allocator, and every
-//! row runs inside the one `#[test]` so no other thread allocates meanwhile.
+//! row runs inside the one `#[test]`, so no other thread allocates
+//! meanwhile; the `#[ignore]`d tests take the same [`ALONE`] lock, so a run
+//! that includes them still counts one test at a time.
 //! Specs are generated before the counted region; the counts are the
 //! engine's (`Database::run_spec`), not the generator's. The limits are the
 //! numbers the engine reaches today (the fractions are heap-page and B-tree
@@ -67,6 +69,15 @@
 //! 56 B of its `Wal` allocation (135,208 B without it). The
 //! `#[ignore]`d test below drives the engine's checkpoint schedule at its
 //! real threshold (`scripts/ci.sh` runs it in release with `--ignored`).
+//!
+//! At the parent of the change that loaded a population in bulk (rows
+//! streamed into full heap pages, each primary index built bottom-up),
+//! encoded an insert's row straight into its page, and built a store page's
+//! memory at its first write, the same run printed 9.037 allocations (777 B)
+//! per TPC-B transaction: one of them the encoded row, and 0.004 the store
+//! page of each new `history` page. Every other row was the same as now; the
+//! `load.ycsb` row and the second `#[ignore]`d test, the same load at the
+//! referee's 4,000,000 rows, are new with it.
 
 use esdb::core::query::QueryEngine;
 use esdb::core::{Database, EngineConfig};
@@ -77,6 +88,8 @@ use esdb::wal::buffer::{RECYCLE_SEGMENTS, SEGMENT_BYTES};
 use esdb::workload::{Tatp, Tpcb, TxnSpec, Workload, Ycsb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
 
 struct Counting;
 
@@ -118,6 +131,13 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// Held by each test for its whole run: the counters are process-wide.
+static ALONE: Mutex<()> = Mutex::new(());
+
+fn alone() -> MutexGuard<'static, ()> {
+    ALONE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 const WARM_UP: usize = 10_000;
 const MEASURED: usize = 10_000;
@@ -398,13 +418,49 @@ fn btree_append_counts_are_pinned() {
     assert_eq!(tree.height(), 4);
 }
 
+/// `Database::load_population` of the referee's YCSB table shape (two
+/// columns, 28 B a tuple and its slot, 292 rows a heap page) at 40,000 rows,
+/// the default 8,192 frames. A bulk load takes one pin per heap page, no
+/// lock and no log byte, and allocates per B+tree node and per heap page
+/// (its store image, built at the closing flush) plus a fixed set of
+/// vectors and pool chunks: nothing per row.
+fn ycsb_load_counts_are_pinned() {
+    const ROWS: u64 = 40_000;
+    // 137 heap pages; 1,250 leaves + 38 + 2 + 1 internal nodes.
+    const SHAPE: (u64, u64, usize) = (137, 1_291, 4);
+    // The tables' names and vectors, the doublings of the vectors that
+    // grow with the load, a pool chunk, the flush's batch.
+    const OTHER_ALLOCS: u64 = 57;
+    let db = Database::open(EngineConfig::conventional_baseline());
+    let workload = Ycsb::new(ROWS, 95, 0.5, 4, 42);
+    let before = snapshot(&db);
+    db.load_population(&workload).expect("population load");
+    let after = snapshot(&db);
+    let table = db.table(0).expect("the loaded table");
+    let (pages, nodes) = (table.heap().pages().len() as u64, table.index().node_count());
+    let height = table.index().height();
+    let (pins, allocs) = (after.pins - before.pins, after.allocs - before.allocs);
+    println!(
+        "load.ycsb: {ROWS} rows, {pages} heap pages, {nodes} index nodes at height {height}, pins {pins}, allocations {allocs} ({} B), lock visits {}, wal {} B",
+        after.alloc_bytes - before.alloc_bytes,
+        after.lock_visits - before.lock_visits,
+        after.wal_bytes - before.wal_bytes,
+    );
+    assert_eq!((pages, nodes, height), SHAPE, "load.ycsb: (heap pages, index nodes, height)");
+    assert_eq!(pins, pages, "load.ycsb: one pin per heap page");
+    assert_eq!(allocs, nodes + pages + OTHER_ALLOCS, "load.ycsb: allocations = nodes + pages + {OTHER_ALLOCS}");
+    assert_eq!(after.lock_visits, before.lock_visits, "load.ycsb: a load takes no lock");
+    assert_eq!(after.wal_bytes, before.wal_bytes, "load.ycsb: a load logs nothing");
+}
+
 #[test]
 fn per_transaction_counts_are_pinned() {
+    let _alone = alone();
     // TPC-B: 3 `Add` + 1 `Insert` = 9 distinct locks (database, 4 tables,
     // 4 rows), of which the 5 intention locks are inherited from the
     // previous transaction on the thread: 4 row visits, 4 releases.
     // Begin 25 + Update 65 + 81 + 81 + Insert 71 + Commit 25 B.
-    measure(&mut Tpcb::new(2, 42), |_| true).check("tpcb", (4, 4, 348, 1), (4.01, 9.04, 780.0));
+    measure(&mut Tpcb::new(2, 42), |_| true).check("tpcb", (4, 4, 348, 1), (4.01, 8.04, 710.0));
     // TATP GetSubscriberData: one read, nothing logged.
     measure(&mut Tatp::new(1_000, 42), |s| s.kind == "GetSubscriberData")
         .check("tatp.read", (1, 1, 0, 0), (1.0, 2.01, 56.0));
@@ -414,6 +470,7 @@ fn per_transaction_counts_are_pinned() {
     ycsb_spill_counts_are_pinned();
     olap_counts_are_pinned();
     btree_append_counts_are_pinned();
+    ycsb_load_counts_are_pinned();
     open_counts_are_pinned();
 }
 
@@ -425,6 +482,7 @@ fn per_transaction_counts_are_pinned() {
 #[test]
 #[ignore]
 fn the_checkpoint_schedule_bounds_the_log() {
+    let _alone = alone();
     const THRESHOLD: u64 = (SEGMENT_BYTES * RECYCLE_SEGMENTS) as u64;
     let db = Database::open(EngineConfig::conventional_baseline());
     let mut tpcb = Tpcb::new(2, 42);
@@ -450,4 +508,49 @@ fn the_checkpoint_schedule_bounds_the_log() {
     );
     assert!(peak < THRESHOLD + SEGMENT_BYTES as u64, "live log peaked at {peak} B");
     assert_eq!(fresh, 0, "appends after the first checkpoint reuse freed segments");
+}
+
+/// The referee's `engine.ycsb.spill` set-up at its own size: 4,000,000 rows
+/// into the default 8,192 frames, a table of about twice the pool. Counts as
+/// the `load.ycsb` row does, and prints the set-up split into opening the
+/// database, streaming the population alone, and the load. Slow in debug;
+/// `scripts/ci.sh` runs it in release.
+#[test]
+#[ignore]
+fn a_referee_sized_load_pins_each_heap_page_once() {
+    let _alone = alone();
+    const ROWS: u64 = 4_000_000;
+    // 13,699 heap pages of 292 rows; 125,000 leaves + 3,788 + 115 + 4 + 1.
+    const SHAPE: (u64, u64, usize) = (13_699, 128_908, 5);
+    // As `load.ycsb`'s, with more doublings and 32 pool chunks.
+    const OTHER_ALLOCS: u64 = 118;
+    let start = Instant::now();
+    let db = Database::open(EngineConfig::conventional_baseline());
+    let open = start.elapsed();
+    let workload = Ycsb::new(ROWS, 95, 0.5, 4, 42);
+    let start = Instant::now();
+    let mut streamed = 0;
+    workload.population(&mut |_, key, row| streamed += key as usize + row.len());
+    let population = start.elapsed();
+    let before = snapshot(&db);
+    let start = Instant::now();
+    db.load_population(&workload).expect("population load");
+    let load = start.elapsed();
+    let after = snapshot(&db);
+    let table = db.table(0).expect("the loaded table");
+    let (pages, nodes) = (table.heap().pages().len() as u64, table.index().node_count());
+    let height = table.index().height();
+    let (pins, allocs) = (after.pins - before.pins, after.allocs - before.allocs);
+    println!(
+        "load.ycsb.4m: {ROWS} rows in {} frames, {pages} heap pages, {nodes} index nodes at height {height}, pins {pins}, write-backs {}, allocations {allocs} ({} B); open {open:?}, population {population:?} ({streamed}), load {load:?}",
+        db.pool().capacity(),
+        after.writebacks - before.writebacks,
+        after.alloc_bytes - before.alloc_bytes,
+    );
+    assert_eq!(db.pool().capacity(), 8_192);
+    assert_eq!((pages, nodes, height), SHAPE, "load.ycsb.4m: (heap pages, index nodes, height)");
+    assert_eq!(pins, pages, "load.ycsb.4m: one pin per heap page");
+    assert_eq!(allocs, nodes + pages + OTHER_ALLOCS, "load.ycsb.4m: allocations = nodes + pages + {OTHER_ALLOCS}");
+    assert_eq!(after.lock_visits, before.lock_visits, "load.ycsb.4m: a load takes no lock");
+    assert_eq!(after.wal_bytes, before.wal_bytes, "load.ycsb.4m: a load logs nothing");
 }
