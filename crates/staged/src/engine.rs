@@ -13,15 +13,19 @@
 //!
 //! A stored table is decoded a heap page at a time, straight from the page
 //! bytes into the outgoing packet. The `Filter`s directly above a scan are
-//! the scan's own (`filtered_scan`): `Table::scan_page_into` tests them on
-//! each tuple's bytes, then decodes only the rows that pass, one column at a
-//! time, and only the columns something above reads (`needs` in
-//! [`compile`]). When a page overflows the packet, only the rows past `batch`
-//! are copied, into the next one. The page is pinned and latched inside
-//! `scan_page_into` and nowhere else. Under the latch run the pushed
-//! comparisons and the column copies, which neither block, nor allocate per
-//! row, nor emit; **no operator runs under a page latch or pin**, so an OLTP
-//! writer never waits for an analytics operator.
+//! the scan's own (`filtered_scan`), held as data: their [`Predicate`]s are
+//! the storage layer's filter type, and go to `Table::scan_page_into` as
+//! they stand. That kernel is compiled once, in `esdb-storage`, and not per
+//! caller: per page it walks the slot directory once, checking every live
+//! tuple's extent and width and testing the first filter; narrows the kept
+//! rows by each further filter; then gathers, one column at a time, only the
+//! columns something above reads (`needs` in [`compile`]). When a page
+//! overflows the packet, only the rows past `batch` are copied, into the
+//! next one. The page is pinned and latched inside `scan_page_into` and
+//! nowhere else. Under the latch run the pushed comparisons and the column
+//! copies, which neither block, nor allocate per row, nor emit; **no
+//! operator runs under a page latch or pin**, so an OLTP writer never waits
+//! for an analytics operator.
 //!
 //! Two drivers run the same operators over the same packets:
 //!
@@ -32,9 +36,8 @@
 //!   by bounded packet queues: the service-oriented deployment that also
 //!   exploits pipeline parallelism across cores.
 
-use crate::plan::{index_scan_rows, AggFunc, CmpOp, PlanNode, Row};
-use esdb_storage::schema::RowRef;
-use esdb_storage::Table;
+use crate::plan::{index_scan_rows, AggFunc, PlanNode, Row};
+use esdb_storage::{Predicate, Table};
 use esdb_sync::IntMap;
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
@@ -90,20 +93,6 @@ impl Packet {
 /// change the packet or take its buffers: `reset` it before refilling.
 type Emit<'a> = &'a mut dyn FnMut(&mut Packet);
 
-/// `row[col] OP value`.
-#[derive(Clone, Copy)]
-struct Predicate {
-    col: usize,
-    op: CmpOp,
-    value: i64,
-}
-
-impl Predicate {
-    fn holds(self, v: i64) -> bool {
-        self.op.eval(v, self.value)
-    }
-}
-
 enum Source {
     /// A stored table, the fields of `[key, col0, ..]` to decode, and the
     /// conjunction a row must pass to be decoded at all.
@@ -119,10 +108,9 @@ impl Source {
         match self {
             Source::Scan { table, fields, filters } => {
                 let arity = table.schema().arity + 1;
-                let keep = |row: RowRef| filters.iter().all(|p| p.holds(row.field(p.col)));
                 let (mut cursor, mut tail) = (table.scan_cursor(), Packet::default());
                 out.reset(arity);
-                while let Some(rows) = table.scan_page_into(&mut cursor, &fields, keep, &mut out.cols).expect("scan") {
+                while let Some(rows) = table.scan_page_into(&mut cursor, &fields, &filters, &mut out.cols).expect("scan") {
                     // The page is unpinned and unlatched again: operators may
                     // run. Only the rows past a full packet are copied.
                     out.len += rows;
@@ -172,7 +160,7 @@ struct Filter {
 impl Operator for Filter {
     fn push(&mut self, input: &mut Packet, emit: Emit) {
         let predicate = self.predicate;
-        let tested = input.cols[predicate.col].iter().enumerate();
+        let tested = input.cols[predicate.field].iter().enumerate();
         self.keep.clear();
         self.keep.extend(tested.filter(|(_, &v)| predicate.holds(v)).map(|(r, _)| r));
         for col in input.cols.iter_mut().filter(|col| !col.is_empty()) {
@@ -324,7 +312,7 @@ fn filtered_scan(plan: &PlanNode) -> Option<(&Arc<Table>, Vec<Predicate>)> {
         PlanNode::Scan(table) => Some((table, Vec::new())),
         PlanNode::Filter { input, col, op, value } => {
             let (table, mut filters) = filtered_scan(input)?;
-            filters.push(Predicate { col: *col, op: *op, value: *value });
+            filters.push(Predicate { field: *col, op: *op, value: *value });
             Some((table, filters))
         }
         _ => None,
@@ -350,7 +338,7 @@ fn compile(plan: &PlanNode, needs: Option<Vec<usize>>, batch: usize) -> Pipeline
         }
         PlanNode::Values(rows) => return source(Source::Rows(rows.clone())),
         PlanNode::Filter { input, col, op, value } => {
-            let filter = Filter { predicate: Predicate { col: *col, op: *op, value: *value }, keep: Vec::new() };
+            let filter = Filter { predicate: Predicate { field: *col, op: *op, value: *value }, keep: Vec::new() };
             (input, needs.map(|needs| [needs, vec![*col]].concat()), Box::new(filter))
         }
         PlanNode::Project { input, cols } => {
@@ -438,6 +426,7 @@ pub fn execute_staged_parallel(plan: &PlanNode, batch: usize) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::CmpOp;
     use crate::volcano::execute_volcano;
 
     fn sample_plan() -> PlanNode {
@@ -537,7 +526,7 @@ mod tests {
         assert_eq!(decoded(PlanNode::values(vec![]).hash_join(scan(), 0, 1).project(vec![0])), [0, 1, 2, 3]);
         // Which filters the scan tests itself, and how many operators remain.
         let pushed = |plan: PlanNode| match compile(&plan, None, DEFAULT_BATCH) {
-            (Source::Scan { filters, .. }, ops) => (filters.iter().map(|p| (p.col, p.op, p.value)).collect::<Vec<_>>(), ops.len()),
+            (Source::Scan { filters, .. }, ops) => (filters.iter().map(|p| (p.field, p.op, p.value)).collect::<Vec<_>>(), ops.len()),
             (Source::Rows(_), _) => panic!("a stored-table plan scans"),
         };
         assert_eq!(pushed(scan()), (vec![], 0));

@@ -1,42 +1,11 @@
 //! Logical query plans shared by the Volcano and staged engines.
 
+pub use esdb_storage::CmpOp;
 use esdb_storage::Table;
 use std::sync::Arc;
 
 /// A row: positional `i64` columns (the storage layer's tuple model).
 pub type Row = Vec<i64>;
-
-/// Comparison operators for filters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    /// Equal.
-    Eq,
-    /// Not equal.
-    Ne,
-    /// Less than.
-    Lt,
-    /// Less than or equal.
-    Le,
-    /// Greater than.
-    Gt,
-    /// Greater than or equal.
-    Ge,
-}
-
-impl CmpOp {
-    /// Evaluates `lhs OP rhs`.
-    #[inline]
-    pub fn eval(self, lhs: i64, rhs: i64) -> bool {
-        match self {
-            CmpOp::Eq => lhs == rhs,
-            CmpOp::Ne => lhs != rhs,
-            CmpOp::Lt => lhs < rhs,
-            CmpOp::Le => lhs <= rhs,
-            CmpOp::Gt => lhs > rhs,
-            CmpOp::Ge => lhs >= rhs,
-        }
-    }
-}
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -60,7 +60,7 @@ pub use fault::{FaultConfig, FaultInjector, FaultRng, FaultStats};
 pub use rid::{PageId, Rid};
 pub use schema::{IndexDef, IndexId, IndexKind};
 pub use secondary::SecondaryIndex;
-pub use table::{Table, TableLoader};
+pub use table::{CmpOp, Predicate, Table, TableLoader};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, StorageError>;

@@ -15,6 +15,9 @@
 //! flag appends its slot without reading the directory. A page that never
 //! had a tombstone keeps the flag byte at zero.
 
+use crate::{Result, StorageError};
+use std::ops::Range;
+
 /// Size of every page in bytes.
 pub const PAGE_SIZE: usize = 8192;
 
@@ -238,7 +241,7 @@ impl Page {
     }
 
     /// Byte range of the tuple in `slot`, if live.
-    fn tuple_range(&self, slot: u16) -> Option<std::ops::Range<usize>> {
+    fn tuple_range(&self, slot: u16) -> Option<Range<usize>> {
         if slot >= self.slot_count() {
             return None;
         }
@@ -298,18 +301,36 @@ impl Page {
         Some(old)
     }
 
-    /// Iterator over `(slot, tuple)` pairs for live slots.
-    pub fn live_slots(&self) -> impl Iterator<Item = (u16, &[u8])> {
+    /// `(slot, tuple)` pairs for live slots, for the page's own compaction;
+    /// readers use [`Page::try_for_each_live`], which checks each extent.
+    fn live_slots(&self) -> impl Iterator<Item = (u16, &[u8])> {
         let live = self.directory().enumerate().filter(|&(_, (off, _))| off != TOMBSTONE);
         live.map(|(slot, (off, len))| (slot as u16, &self.bytes[off as usize..off as usize + len as usize]))
     }
 
-    /// Byte ranges within [`Page::as_bytes`] of the live tuples, in slot
-    /// order: one pass over the slot directory, no per-slot lookup.
+    /// Hands `each` the slot and the byte range within [`Page::as_bytes`] of
+    /// every live tuple, in slot order: one pass over the slot directory, no
+    /// per-slot lookup. Each range is checked to lie inside the page first;
+    /// the walk stops at one that does not, with
+    /// [`StorageError::CorruptRow`] (carrying the entry's length), or at the
+    /// first error `each` returns. Returns the number of live tuples. Every
+    /// heap scan reads the directory through this, so a corrupt entry fails
+    /// the scan instead of panicking it.
     #[inline]
-    pub fn live_ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-        let live = self.directory().filter(|&(off, _)| off != TOMBSTONE);
-        live.map(|(off, len)| off as usize..off as usize + len as usize)
+    pub fn try_for_each_live(&self, mut each: impl FnMut(u16, Range<usize>) -> Result<()>) -> Result<usize> {
+        let mut live = 0;
+        for (slot, (off, len)) in self.directory().enumerate() {
+            if off == TOMBSTONE {
+                continue;
+            }
+            let (at, len) = (off as usize, len as usize);
+            if at + len > PAGE_SIZE {
+                return Err(StorageError::CorruptRow { len });
+            }
+            each(slot as u16, at..at + len)?;
+            live += 1;
+        }
+        Ok(live)
     }
 
     /// `(offset, len)` of every slot directory entry, tombstones included.
@@ -332,6 +353,15 @@ impl Page {
             self.set_slot_entry(slot, upper as u16, data.len() as u16);
         }
         self.set_free_upper(upper as u16);
+    }
+}
+
+#[cfg(test)]
+impl Page {
+    /// Overwrites `slot`'s directory entry with whatever `(offset, len)` a
+    /// test plants, checked or not.
+    pub(crate) fn plant_slot_entry(&mut self, slot: u16, offset: u16, len: u16) {
+        self.set_slot_entry(slot, offset, len);
     }
 }
 
@@ -508,8 +538,36 @@ mod tests {
         p.delete(s1);
         let live: Vec<u16> = p.live_slots().map(|(s, _)| s).collect();
         assert_eq!(live, vec![s0, 2]);
-        let bytes: Vec<&[u8]> = p.live_ranges().map(|r| &p.as_bytes()[r]).collect();
-        assert_eq!(bytes, [b"x", b"z"]);
+        let mut tuples = Vec::new();
+        p.try_for_each_live(|slot, at| {
+            tuples.push((slot, &p.as_bytes()[at]));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(tuples, [(s0, b"x".as_slice()), (2, b"z")]);
+    }
+
+    #[test]
+    fn a_live_entry_past_the_page_end_is_a_corrupt_row_not_a_panic() {
+        let mut p = Page::new();
+        p.insert(b"first").unwrap();
+        p.insert(b"second").unwrap();
+        p.insert(b"third").unwrap();
+        p.delete(2);
+        for (off, len) in [(PAGE_SIZE as u16 - 4, 5), (8, u16::MAX), (u16::MAX - 1, 1)] {
+            p.set_slot_entry(1, off, len);
+            let mut seen = Vec::new();
+            let walked = p.try_for_each_live(|slot, at| {
+                seen.push((slot, at));
+                Ok(())
+            });
+            assert_eq!(walked, Err(StorageError::CorruptRow { len: len.into() }));
+            assert_eq!(seen, [(0, PAGE_SIZE - 5..PAGE_SIZE)], "the walk stops at the corrupt entry");
+        }
+        p.set_slot_entry(1, PAGE_SIZE as u16 - 1, 1);
+        assert_eq!(p.try_for_each_live(|_, _| Ok(())), Ok(2), "a tuple ending at the page end is inside it");
+        let stop = StorageError::CorruptRow { len: 0 };
+        assert_eq!(p.try_for_each_live(|_, _| Err(stop.clone())), Err(stop.clone()), "the caller's error stops it");
     }
 
     #[test]

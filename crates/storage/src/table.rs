@@ -13,22 +13,121 @@
 use crate::btree::BTree;
 use crate::buffer::BufferPool;
 use crate::heap::{HeapAppender, HeapFile};
+use crate::page::Page;
 use crate::rid::{PageId, Rid};
 use crate::schema::{
     decode_row, encode_row, encode_row_into, encoded_len, field_at, IndexDef, IndexId, RowRef, Schema, TableId,
 };
 use crate::secondary::SecondaryIndex;
 use crate::{Result, StorageError};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Comparison operators for filters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CmpOp {
+    /// Equal.
+    Eq,
+    /// Not equal.
+    Ne,
+    /// Less than.
+    Lt,
+    /// Less than or equal.
+    Le,
+    /// Greater than.
+    Gt,
+    /// Greater than or equal.
+    Ge,
+}
+
+impl CmpOp {
+    /// Evaluates `lhs OP rhs`.
+    #[inline]
+    pub fn eval(self, lhs: i64, rhs: i64) -> bool {
+        match self {
+            CmpOp::Eq => lhs == rhs,
+            CmpOp::Ne => lhs != rhs,
+            CmpOp::Lt => lhs < rhs,
+            CmpOp::Le => lhs <= rhs,
+            CmpOp::Gt => lhs > rhs,
+            CmpOp::Ge => lhs >= rhs,
+        }
+    }
+}
+
+/// `row[field] OP value`, over a row read as `[key, col0, col1, ..]`: a
+/// filter a stored scan tests on the page bytes ([`Table::scan_page_into`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Predicate {
+    /// Field tested: 0 is the key, `i + 1` column `i`.
+    pub field: usize,
+    /// Comparison.
+    pub op: CmpOp,
+    /// Constant operand.
+    pub value: i64,
+}
+
+impl Predicate {
+    /// Whether a field holding `v` passes.
+    #[inline]
+    pub fn holds(self, v: i64) -> bool {
+        self.op.eval(v, self.value)
+    }
+
+    /// The same test as one range check, whatever the operator, so that a
+    /// page's loop compares the same way for every row.
+    fn range_check(self) -> RangeCheck {
+        let (lo, hi, outside) = match self.op {
+            CmpOp::Eq => (self.value, self.value, false),
+            CmpOp::Ne => (self.value, self.value, true),
+            CmpOp::Le => (i64::MIN, self.value, false),
+            CmpOp::Ge => (self.value, i64::MAX, false),
+            CmpOp::Lt => self.value.checked_sub(1).map_or((i64::MIN, i64::MAX, true), |hi| (i64::MIN, hi, false)),
+            CmpOp::Gt => self.value.checked_add(1).map_or((i64::MIN, i64::MAX, true), |lo| (lo, i64::MAX, false)),
+        };
+        RangeCheck { field: self.field, lo, span: hi.wrapping_sub(lo) as u64, outside }
+    }
+}
+
+/// A [`Predicate`] as `lo <= row[field] <= lo + span`, or its complement
+/// when `outside`.
+#[derive(Clone, Copy)]
+struct RangeCheck {
+    field: usize,
+    lo: i64,
+    span: u64,
+    outside: bool,
+}
+
+impl RangeCheck {
+    /// Whether the row encoded at byte `row` of `bytes` passes.
+    #[inline]
+    fn holds(self, bytes: &[u8], row: usize) -> bool {
+        (field_at(bytes, row, self.field).wrapping_sub(self.lo) as u64 <= self.span) != self.outside
+    }
+}
+
+/// What scans have read: live tuples tested, and rows kept (those that
+/// passed every pushed filter).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanCounts {
+    /// Live tuples the scan tested.
+    pub tested: u64,
+    /// Tuples that passed its filters, so were decoded.
+    pub kept: u64,
+}
 
 /// Position of a [`Table::scan_page_into`] scan: the heap pages the table had
 /// when the scan started, in heap order, from the next one to decode on.
 #[derive(Debug)]
 pub struct ScanCursor {
     pages: std::vec::IntoIter<PageId>,
-    /// Offsets within the page being decoded of the tuples its predicate
+    /// Offsets within the page being decoded of the tuples its filters
     /// kept; one buffer for the whole scan.
     kept: Vec<usize>,
+    /// The pages read so far; added to the table's totals when the scan
+    /// ends.
+    counts: ScanCounts,
 }
 
 fn check_arity(schema: &Schema, row: &[i64]) -> Result<()> {
@@ -89,6 +188,7 @@ impl<'a> TableLoader<'a> {
             heap: self.heap.finish(),
             index: BTree::from_sorted(&self.pairs),
             secondaries: self.secondaries,
+            scanned: ScanTotals::default(),
         })
     }
 }
@@ -102,6 +202,14 @@ pub struct Table {
     /// Like the primary B+tree these are derived, in-memory state: never
     /// checkpointed, rebuilt from the heap after recovery or bootstrap.
     secondaries: Vec<Arc<SecondaryIndex>>,
+    /// The summed [`ScanCounts`] of finished page-at-a-time scans.
+    scanned: ScanTotals,
+}
+
+#[derive(Default)]
+struct ScanTotals {
+    tested: AtomicU64,
+    kept: AtomicU64,
 }
 
 fn build_secondaries(schema: &Schema) -> Vec<Arc<SecondaryIndex>> {
@@ -133,6 +241,7 @@ impl Table {
             heap: HeapFile::create(pool).expect("allocating first heap page"),
             index: BTree::new(),
             secondaries,
+            scanned: ScanTotals::default(),
         }
     }
 
@@ -148,6 +257,7 @@ impl Table {
             heap,
             index: BTree::new(),
             secondaries,
+            scanned: ScanTotals::default(),
         }
     }
 
@@ -390,51 +500,60 @@ impl Table {
     /// The page list is read once, here: a page the heap adopts later, at
     /// whatever position, is not scanned, and none is scanned twice.
     pub fn scan_cursor(&self) -> ScanCursor {
-        ScanCursor { pages: self.heap.pages().into_iter(), kept: Vec::new() }
+        ScanCursor { pages: self.heap.pages().into_iter(), kept: Vec::new(), counts: ScanCounts::default() }
     }
 
-    /// Decodes the rows of the cursor's next heap page that `keep` passes,
-    /// column-wise: for every such row and every `f` in `fields`, field `f`
-    /// of the row read as `[key, col0, col1, ..]` is appended to `out[f]`;
-    /// columns not listed are left alone. `keep` sees every live tuple and
-    /// reads whichever of its fields it tests. Returns the number of rows
-    /// kept, `None` once the cursor is exhausted.
+    /// Decodes the rows of the cursor's next heap page that pass every one
+    /// of `filters`, column-wise: for every such row and every `f` in
+    /// `fields`, field `f` of the row read as `[key, col0, col1, ..]` is
+    /// appended to `out[f]`; columns not listed are left alone. Returns the
+    /// number of rows kept, `None` once the cursor is exhausted, when the
+    /// scan's [`ScanCounts`] join the table's ([`Table::scan_counts`]).
     ///
-    /// Two passes under one pin and one shared latch: the first walks the
-    /// slot directory, checks each live tuple's width and runs `keep` on it,
-    /// noting the offsets of the rows kept; the second decodes one requested
-    /// field of all of them at a time. The page is pinned and latched only
-    /// inside this call, so whatever the caller does with the columns runs
-    /// under neither, and `keep` should do no more than compare: it runs
-    /// under the latch. A tuple whose width is not the schema's fails the
-    /// call with [`StorageError::CorruptRow`], whether or not `keep` would
-    /// have passed it, and leaves `out` as it was.
+    /// Three passes under one pin and one shared latch, each a tight loop
+    /// over data: the first walks the slot directory, checks that every
+    /// live tuple lies inside the page and has the schema's width, and
+    /// tests the first filter, noting the offsets of the rows it keeps; each
+    /// further filter narrows those offsets; then each requested field of
+    /// the rows left is gathered into its column in one `extend`. A filter
+    /// becomes one range check per page, so the loops do not branch on its
+    /// operator. The page is pinned and latched only inside this call, so
+    /// whatever the caller does with the columns runs under neither. A
+    /// tuple of the wrong width or extent fails the call with
+    /// [`StorageError::CorruptRow`], whether or not the filters would have
+    /// passed it, and leaves `out` as it was.
+    ///
+    /// Panics on a field or a filter past the schema's arity.
     pub fn scan_page_into(
         &self,
         cursor: &mut ScanCursor,
         fields: &[usize],
-        mut keep: impl FnMut(RowRef) -> bool,
+        filters: &[Predicate],
         out: &mut [Vec<i64>],
     ) -> Result<Option<usize>> {
-        let Some(page_id) = cursor.pages.next() else { return Ok(None) };
+        let Some(page_id) = cursor.pages.next() else {
+            let ScanCounts { tested, kept } = std::mem::take(&mut cursor.counts);
+            self.scanned.tested.fetch_add(tested, Ordering::Relaxed);
+            self.scanned.kept.fetch_add(kept, Ordering::Relaxed);
+            return Ok(None);
+        };
         let arity = self.schema.arity;
-        assert!(fields.iter().all(|&f| f <= arity), "scan of a field the schema lacks");
-        let kept = &mut cursor.kept;
-        kept.clear();
+        let mut named = fields.iter().chain(filters.iter().map(|p| &p.field));
+        assert!(named.all(|&f| f <= arity), "scan of a field the schema lacks");
+        let (kept, counts) = (&mut cursor.kept, &mut cursor.counts);
         self.heap.read_page(page_id, |page| {
-            let bytes = page.as_bytes();
-            kept.reserve(page.slot_count().into());
-            for tuple in page.live_ranges() {
-                let at = tuple.start;
-                if keep(RowRef::with_arity(&bytes[tuple], arity)?) {
-                    kept.push(at);
-                }
-            }
-            for &f in fields {
-                out[f].extend(kept.iter().map(|&row| field_at(bytes, row, f)));
-            }
+            let tested = scan_page(page, arity, fields, filters, kept, out)?;
+            counts.tested += tested as u64;
+            counts.kept += kept.len() as u64;
             Ok(Some(kept.len()))
         })?
+    }
+
+    /// What every scan of this table run to its end has read, summed
+    /// ([`Table::scan_page_into`]).
+    pub fn scan_counts(&self) -> ScanCounts {
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        ScanCounts { tested: load(&self.scanned.tested), kept: load(&self.scanned.kept) }
     }
 
     /// Number of live rows.
@@ -458,10 +577,60 @@ impl Table {
     }
 }
 
+/// [`Table::scan_page_into`] on one latched page of `arity`-column rows:
+/// leaves the offsets of the rows kept in `kept` and returns the number of
+/// live tuples tested.
+fn scan_page(
+    page: &Page,
+    arity: usize,
+    fields: &[usize],
+    filters: &[Predicate],
+    kept: &mut Vec<usize>,
+    out: &mut [Vec<i64>],
+) -> Result<usize> {
+    let bytes = page.as_bytes();
+    let width = 8 * (arity + 1);
+    let tested = match filters.first() {
+        None => keep_live(page, width, kept, |_| true)?,
+        Some(first) => {
+            let first = first.range_check();
+            keep_live(page, width, kept, |row| first.holds(bytes, row))?
+        }
+    };
+    for filter in filters.iter().skip(1) {
+        let filter = filter.range_check();
+        kept.retain(|&row| filter.holds(bytes, row));
+    }
+    for &f in fields {
+        out[f].extend(kept.iter().map(|&row| field_at(bytes, row, f)));
+    }
+    Ok(tested)
+}
+
+/// The directory pass of [`scan_page`]: checks that every live tuple is
+/// `width` bytes long, and puts the offsets of those `keep` passes in
+/// `kept`. Returns the number of live tuples.
+#[inline(always)]
+fn keep_live(page: &Page, width: usize, kept: &mut Vec<usize>, keep: impl Fn(usize) -> bool) -> Result<usize> {
+    kept.clear();
+    kept.reserve(page.slot_count().into());
+    page.try_for_each_live(|_, tuple| {
+        if tuple.len() != width {
+            return Err(StorageError::CorruptRow { len: tuple.len() });
+        }
+        if keep(tuple.start) {
+            kept.push(tuple.start);
+        }
+        Ok(())
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::disk::{InMemoryDisk, PageStore};
+    use crate::page::PAGE_SIZE;
+    use proptest::prelude::*;
 
     fn table(arity: usize) -> Table {
         let disk = Arc::new(InMemoryDisk::new());
@@ -527,6 +696,102 @@ mod tests {
         assert_eq!(sum, (0..500).sum());
     }
 
+    /// The scan rule before the page kernel, row at a time: every live
+    /// tuple's width is checked and its row run through each filter in
+    /// turn; then the requested fields of the rows kept are decoded. Returns
+    /// the live tuples tested and the rows kept.
+    fn row_at_a_time(
+        page: &Page,
+        arity: usize,
+        fields: &[usize],
+        filters: &[Predicate],
+        out: &mut [Vec<i64>],
+    ) -> Result<(usize, usize)> {
+        let (mut tested, mut kept) = (0, Vec::new());
+        for slot in 0..page.slot_count() {
+            let Some(tuple) = page.get(slot) else { continue };
+            let row = RowRef::with_arity(tuple, arity)?;
+            tested += 1;
+            if filters.iter().all(|p| p.holds(row.field(p.field))) {
+                kept.push(row);
+            }
+        }
+        for &f in fields {
+            out[f].extend(kept.iter().map(|row| row.field(f)));
+        }
+        Ok((tested, kept.len()))
+    }
+
+    const OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+
+    /// Small values, so that filters both pass and fail, and the edges
+    /// where a range check could wrap.
+    fn value() -> impl Strategy<Value = i64> {
+        prop_oneof![-3i64..3, Just(i64::MIN), Just(i64::MIN + 1), Just(i64::MAX - 1), Just(i64::MAX)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Pages built from inserts, deletes and `insert_at_slot` gaps, so
+        /// with tombstones; 0–3 filters over any field with any operator;
+        /// any set of fields. The kernel keeps the rows and fills the
+        /// columns the row-at-a-time rule does. A tuple of the wrong width
+        /// or one running past the page fails it with `CorruptRow` and
+        /// leaves `out` as it was.
+        #[test]
+        fn the_page_kernel_matches_the_row_at_a_time_rule(
+            arity in 0usize..4,
+            tape in prop::collection::vec((0u8..4, 0u16..300, value(), (value(), value(), value())), 0..200),
+            filters in prop::collection::vec((0usize..4, 0usize..6, value()), 0..=3),
+            wanted in 0u8..16,
+            corrupt in (0u8..3, any::<usize>(), 1u16..40),
+        ) {
+            let mut page = Page::new();
+            for (op, slot, key, (a, b, c)) in tape {
+                let row = encode_row(key as u64, &[a, b, c][..arity]);
+                match op {
+                    0 | 1 => drop(page.insert(&row)),
+                    2 => drop(page.delete(slot % (page.slot_count() + 1))),
+                    _ => drop(page.insert_at_slot(slot, &row)),
+                }
+            }
+            let width = 8 * (arity + 1);
+            let mut bad_extent = None;
+            let live: Vec<u16> = (0..page.slot_count()).filter(|&s| page.get(s).is_some()).collect();
+            match corrupt {
+                // A ragged tuple, at whatever slot an insert gives it.
+                (1, _, len) if usize::from(len) != width => drop(page.insert(&vec![7; len.into()])),
+                // A live slot moved so that it runs one byte past the page.
+                (2, pick, _) if !live.is_empty() => {
+                    page.plant_slot_entry(live[pick % live.len()], (PAGE_SIZE - width + 1) as u16, width as u16);
+                    bad_extent = Some(width);
+                }
+                _ => {}
+            }
+            let filters: Vec<Predicate> = filters
+                .into_iter()
+                .map(|(field, op, value)| Predicate { field: field % (arity + 1), op: OPS[op], value })
+                .collect();
+            let fields: Vec<usize> = (0..=arity).filter(|&f| wanted & (1 << f) != 0).collect();
+            let before: Vec<Vec<i64>> = (0..=arity).map(|f| vec![-(f as i64)]).collect();
+            let (mut out, mut kept) = (before.clone(), Vec::new());
+            let got = scan_page(&page, arity, &fields, &filters, &mut kept, &mut out);
+            if let Some(len) = bad_extent {
+                prop_assert_eq!(got, Err(StorageError::CorruptRow { len }));
+                prop_assert_eq!(out, before, "a failed page decodes nothing");
+            } else {
+                let mut expect = before.clone();
+                let reference = row_at_a_time(&page, arity, &fields, &filters, &mut expect);
+                prop_assert_eq!(got.map(|tested| (tested, kept.len())), reference.clone());
+                prop_assert_eq!(&out, &expect);
+                if reference.is_err() {
+                    prop_assert_eq!(out, before, "a failed page decodes nothing");
+                }
+            }
+        }
+    }
+
     #[test]
     fn page_scan_fills_the_requested_columns_one_page_per_call() {
         let t = table(2);
@@ -538,7 +803,7 @@ mod tests {
         }
         let mut out = vec![Vec::new(), vec![7], Vec::new()];
         let (mut cursor, mut calls, mut rows) = (t.scan_cursor(), 0, 0);
-        while let Some(n) = t.scan_page_into(&mut cursor, &[0, 2], |_| true, &mut out).unwrap() {
+        while let Some(n) = t.scan_page_into(&mut cursor, &[0, 2], &[], &mut out).unwrap() {
             calls += 1;
             rows += n;
         }
@@ -549,7 +814,8 @@ mod tests {
         assert_eq!(out[0], keys);
         assert_eq!(out[1], [7], "a column not asked for is left alone");
         assert_eq!(out[2], keys.iter().map(|k| -k).collect::<Vec<_>>());
-        assert_eq!(t.scan_page_into(&mut cursor, &[0], |_| true, &mut out).unwrap(), None, "exhausted stays exhausted");
+        assert_eq!(t.scan_page_into(&mut cursor, &[0], &[], &mut out).unwrap(), None, "exhausted stays exhausted");
+        assert_eq!(t.scan_counts(), ScanCounts { tested: t.len(), kept: t.len() }, "counted once");
     }
 
     #[test]
@@ -562,7 +828,7 @@ mod tests {
             t.heap().update(t.rid_of(1).unwrap(), &bad, |_| 0).unwrap();
             let mut out = vec![Vec::new(); 3];
             assert_eq!(
-                t.scan_page_into(&mut t.scan_cursor(), &[2], |_| true, &mut out).unwrap_err(),
+                t.scan_page_into(&mut t.scan_cursor(), &[2], &[], &mut out).unwrap_err(),
                 StorageError::CorruptRow { len: bad.len() }
             );
         }
@@ -578,17 +844,16 @@ mod tests {
             t.delete(k).unwrap();
         }
         let mut out = vec![vec![-1], Vec::new(), Vec::new()];
-        let (mut cursor, mut tested, mut rows) = (t.scan_cursor(), 0, 0);
-        let mut keep = |row: RowRef| {
-            tested += 1;
-            row.field(1) == 4 && row.field(2) > -900
-        };
-        while let Some(n) = t.scan_page_into(&mut cursor, &[0, 2], &mut keep, &mut out).unwrap() {
+        let (mut cursor, mut rows) = (t.scan_cursor(), 0);
+        let filters = [Predicate { field: 1, op: CmpOp::Eq, value: 4 }, Predicate { field: 2, op: CmpOp::Gt, value: -900 }];
+        while let Some(n) = t.scan_page_into(&mut cursor, &[0, 2], &filters, &mut out).unwrap() {
             rows += n;
         }
         let keys: Vec<i64> = (0..1_000).filter(|k| k % 3 != 0 && k % 7 == 4 && *k < 900).collect();
-        assert_eq!(tested as u64, t.len(), "the predicate sees every live tuple, no tombstone");
+        let counts = t.scan_counts();
+        assert_eq!(counts.tested, t.len(), "the predicate sees every live tuple, no tombstone");
         assert_eq!(rows, keys.len());
+        assert_eq!(counts.kept, keys.len() as u64);
         assert_eq!(out[0], [[-1].as_slice(), &keys].concat(), "appended after what was there");
         assert!(out[1].is_empty(), "a column not asked for is left alone, even one the predicate reads");
         assert_eq!(out[2], keys.iter().map(|k| -k).collect::<Vec<_>>());
@@ -603,14 +868,35 @@ mod tests {
         let bad = encode_row(1, &[5, 6, 7]);
         t.heap().update(t.rid_of(1).unwrap(), &bad, |_| 0).unwrap();
         let mut out = vec![Vec::new(); 3];
+        let none = [Predicate { field: 0, op: CmpOp::Lt, value: i64::MIN }];
         assert_eq!(
-            t.scan_page_into(&mut t.scan_cursor(), &[0, 1, 2], |_| false, &mut out).unwrap_err(),
+            t.scan_page_into(&mut t.scan_cursor(), &[0, 1, 2], &none, &mut out).unwrap_err(),
             StorageError::CorruptRow { len: bad.len() }
         );
         let mut out = vec![Vec::new(); 3];
-        let all_but_key_1 = |row: RowRef| row.key() != 1;
-        assert!(t.scan_page_into(&mut t.scan_cursor(), &[0, 1], all_but_key_1, &mut out).is_err());
+        let all_but_key_1 = [Predicate { field: 0, op: CmpOp::Ne, value: 1 }];
+        assert!(t.scan_page_into(&mut t.scan_cursor(), &[0, 1], &all_but_key_1, &mut out).is_err());
         assert!(out.iter().all(Vec::is_empty), "a failed page decodes nothing");
+    }
+
+    /// A live slot whose tuple runs past the end of its page: every heap
+    /// scan reports it, none panics.
+    #[test]
+    fn a_slot_past_its_page_is_a_corrupt_row_in_every_scan() {
+        let pool = Arc::new(BufferPool::new(128, Arc::new(InMemoryDisk::new())));
+        let t = Table::create(1, "t", 2, pool.clone());
+        for k in 0..3u64 {
+            t.insert(k, &[1, 2]).unwrap();
+        }
+        let rid = t.rid_of(1).unwrap();
+        pool.pin(rid.page).unwrap().write().plant_slot_entry(rid.slot, PAGE_SIZE as u16 - 8, 24);
+        let corrupt = StorageError::CorruptRow { len: 24 };
+        let mut out = vec![Vec::new(); 3];
+        assert_eq!(t.scan_page_into(&mut t.scan_cursor(), &[0, 2], &[], &mut out), Err(corrupt.clone()));
+        assert!(out.iter().all(Vec::is_empty), "a failed page decodes nothing");
+        assert_eq!(t.scan(|_, _| {}), Err(corrupt.clone()));
+        assert_eq!(t.rebuild_index(), Err(corrupt.clone()));
+        assert_eq!(t.heap().count(), Err(corrupt));
     }
 
     /// Replay adopts a page at its sorted position in the heap's page list,
@@ -627,10 +913,10 @@ mod tests {
         assert!(t.heap().pages().len() >= 3 && t.heap().pages()[0] > 0);
         let mut out = vec![Vec::new(), Vec::new()];
         let mut cursor = t.scan_cursor();
-        t.scan_page_into(&mut cursor, &[0], |_| true, &mut out).unwrap().unwrap();
+        t.scan_page_into(&mut cursor, &[0], &[], &mut out).unwrap().unwrap();
         t.heap().insert_at(Rid::new(0, 0), &encode_row(9_999, &[0]), 1, true).unwrap();
         assert_eq!(t.heap().pages()[0], 0, "adopted below the pages already read");
-        while t.scan_page_into(&mut cursor, &[0], |_| true, &mut out).unwrap().is_some() {}
+        while t.scan_page_into(&mut cursor, &[0], &[], &mut out).unwrap().is_some() {}
         out[0].sort_unstable();
         assert_eq!(out[0], (0..2_000).collect::<Vec<i64>>(), "every row present at the start, once");
     }

@@ -12,7 +12,7 @@
 # the obs overhead gate runs one of its workloads with obs compiled in and
 # out. Smokes (seconds, not minutes) run the fig1,
 # crash_torture and tab_htap binaries at reduced sizes via the env knobs
-# they expose.
+# they expose, and fig5_staged at its full size.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -142,6 +142,12 @@ FIG1_CONTEXTS="1,4" FIG1_SUBSCRIBERS=1000 \
 echo "== smoke: crash_torture (seeded, reduced iterations) =="
 CRASH_ITERS=10 CRASH_SEED=42 CRASH_TXNS=50 \
     cargo run --release -p esdb-bench --bin crash_torture
+
+echo "== smoke: fig5_staged (full size, about a second) =="
+# The binary asserts that every engine and packet size returns Volcano's
+# rows. Over its stored table (fig5b) that is a cross-engine oracle for the
+# page scan kernel's two-filter path.
+cargo run --release -q -p esdb-bench --bin fig5_staged
 
 echo "== gate: obs overhead (referee wire.tatp.d1, enabled within 5% of compiled-out) =="
 # Reuses the referee stage's build for the obs-enabled side.
