@@ -16,14 +16,14 @@
 //! the scan's own (`filtered_scan`), held as data: their [`Predicate`]s are
 //! the storage layer's filter type, and go to `Table::scan_page_into` as
 //! they stand. That kernel is compiled once, in `esdb-storage`, and not per
-//! caller: per page it walks the slot directory once, checking every live
-//! tuple's extent and width and testing the first filter; narrows the kept
-//! rows by each further filter; then gathers, one column at a time, only the
-//! columns something above reads (`needs` in [`compile`]). When a page
-//! overflows the packet, only the rows past `batch` are copied, into the
-//! next one. The page is pinned and latched inside `scan_page_into` and
-//! nowhere else. Under the latch run the pushed comparisons and the column
-//! copies, which neither block, nor allocate per row, nor emit; **no
+//! caller: per page it checks the whole slot directory in one pass (every
+//! live tuple's extent and width) and lists the live tuples; narrows them by
+//! each filter in turn; then gathers, one column at a time, only the columns
+//! something above reads (`needs` in [`compile`]). When a page overflows the
+//! packet, only the rows past `batch` are copied, into the next one. The
+//! page is pinned and latched inside `scan_page_into` and nowhere else.
+//! Under the latch run the directory check, the pushed comparisons and the
+//! column copies, which neither block, nor allocate per row, nor emit; **no
 //! operator runs under a page latch or pin**, so an OLTP writer never waits
 //! for an analytics operator.
 //!

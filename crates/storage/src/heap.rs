@@ -274,14 +274,15 @@ impl HeapFile {
     /// Full scan: invokes `f` for every live tuple of the pages the file has
     /// when the scan starts. Pages are latched shared one at a time, so the
     /// scan interleaves with concurrent updates. A slot whose tuple runs past
-    /// its page ends the scan with [`StorageError::CorruptRow`].
+    /// its page ends the scan with [`StorageError::CorruptRow`], before any
+    /// tuple of that page reaches `f`.
     pub fn scan(&self, mut f: impl FnMut(Rid, &[u8])) -> Result<()> {
         for page_id in self.pages() {
             self.read_page(page_id, |page| {
-                page.try_for_each_live(|slot, at| {
+                for (slot, at) in page.live_tuples(None)?.iter() {
                     f(Rid::new(page_id, slot), &page.as_bytes()[at]);
-                    Ok(())
-                })
+                }
+                Ok(())
             })??;
         }
         Ok(())

@@ -302,42 +302,52 @@ impl Page {
     }
 
     /// `(slot, tuple)` pairs for live slots, for the page's own compaction;
-    /// readers use [`Page::try_for_each_live`], which checks each extent.
+    /// readers use [`Page::live_tuples`], which checks each extent.
     fn live_slots(&self) -> impl Iterator<Item = (u16, &[u8])> {
         let live = self.directory().enumerate().filter(|&(_, (off, _))| off != TOMBSTONE);
         live.map(|(slot, (off, len))| (slot as u16, &self.bytes[off as usize..off as usize + len as usize]))
     }
 
-    /// Hands `each` the slot and the byte range within [`Page::as_bytes`] of
-    /// every live tuple, in slot order: one pass over the slot directory, no
-    /// per-slot lookup. Each range is checked to lie inside the page first;
-    /// the walk stops at one that does not, with
-    /// [`StorageError::CorruptRow`] (carrying the entry's length), or at the
-    /// first error `each` returns. Returns the number of live tuples. Every
-    /// heap scan reads the directory through this, so a corrupt entry fails
-    /// the scan instead of panicking it.
+    /// Checks the slot directory in one pass and returns its live tuples.
+    /// Every live entry must lie inside the page and, given `width`, be
+    /// `width` bytes long; otherwise the page fails with
+    /// [`StorageError::CorruptRow`], carrying the length of the first such
+    /// entry in slot order. Every heap scan reads the directory through
+    /// this, so a corrupt entry fails the scan instead of panicking it.
     #[inline]
-    pub fn try_for_each_live(&self, mut each: impl FnMut(u16, Range<usize>) -> Result<()>) -> Result<usize> {
-        let mut live = 0;
-        for (slot, (off, len)) in self.directory().enumerate() {
-            if off == TOMBSTONE {
-                continue;
-            }
-            let (at, len) = (off as usize, len as usize);
-            if at + len > PAGE_SIZE {
-                return Err(StorageError::CorruptRow { len });
-            }
-            each(slot as u16, at..at + len)?;
-            live += 1;
+    pub(crate) fn live_tuples(&self, width: Option<usize>) -> Result<LiveTuples<'_>> {
+        let entries = self.entries();
+        // Entries read as `offset | len << 16`, so that the pass compiles to
+        // vector code.
+        let (any_width, width) = (width.is_none(), width.map_or(0, |w| u32::try_from(w).unwrap_or(u32::MAX)));
+        let corrupt = |entry: u32| {
+            let (at, len) = (entry & 0xFFFF, entry >> 16);
+            (at != TOMBSTONE.into()) & ((at + len > PAGE_SIZE as u32) | (!any_width & (len != width)))
+        };
+        let (mut tombstones, mut any_corrupt) = (false, false);
+        for &e in entries {
+            let entry = u32::from_le_bytes(e);
+            tombstones |= entry & 0xFFFF == TOMBSTONE.into();
+            any_corrupt |= corrupt(entry);
         }
-        Ok(live)
+        if any_corrupt {
+            let first = entries.iter().map(|&e| u32::from_le_bytes(e)).find(|&entry| corrupt(entry));
+            return Err(StorageError::CorruptRow { len: first.map_or(0, |entry| (entry >> 16) as usize) });
+        }
+        Ok(LiveTuples { entries, tombstones })
+    }
+
+    /// The slot directory's raw entries, tombstones included.
+    #[inline]
+    fn entries(&self) -> &[[u8; SLOT_SIZE]] {
+        let (entries, _) = self.bytes[HEADER_SIZE..].as_chunks::<SLOT_SIZE>();
+        &entries[..entries.len().min(self.slot_count().into())]
     }
 
     /// `(offset, len)` of every slot directory entry, tombstones included.
     #[inline]
     fn directory(&self) -> impl Iterator<Item = (u16, u16)> + '_ {
-        let entries = self.bytes[HEADER_SIZE..].chunks_exact(SLOT_SIZE).take(self.slot_count() as usize);
-        entries.map(|e| (u16::from_le_bytes([e[0], e[1]]), u16::from_le_bytes([e[2], e[3]])))
+        self.entries().iter().map(|&e| decode_entry(e))
     }
 
     /// Rewrites the data heap contiguously, dropping dead tuple space.
@@ -353,6 +363,41 @@ impl Page {
             self.set_slot_entry(slot, upper as u16, data.len() as u16);
         }
         self.set_free_upper(upper as u16);
+    }
+}
+
+/// `(offset, len)` of a slot directory entry.
+#[inline]
+fn decode_entry([o0, o1, l0, l1]: [u8; SLOT_SIZE]) -> (u16, u16) {
+    (u16::from_le_bytes([o0, o1]), u16::from_le_bytes([l0, l1]))
+}
+
+/// A page's slot directory, checked by [`Page::live_tuples`]: every live
+/// entry lies inside the page.
+pub(crate) struct LiveTuples<'a> {
+    entries: &'a [[u8; SLOT_SIZE]],
+    /// Whether some entry is a tombstone.
+    tombstones: bool,
+}
+
+impl LiveTuples<'_> {
+    /// The slot and the byte range within [`Page::as_bytes`] of every live
+    /// tuple, in slot order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u16, Range<usize>)> + '_ {
+        let live = self.entries.iter().map(|&e| decode_entry(e)).enumerate().filter(|&(_, (off, _))| off != TOMBSTONE);
+        live.map(|(slot, (off, len))| (slot as u16, usize::from(off)..usize::from(off) + usize::from(len)))
+    }
+
+    /// Appends the offset within the page of every live tuple, in slot
+    /// order, to `to`.
+    #[inline]
+    pub(crate) fn offsets_into(&self, to: &mut Vec<usize>) {
+        if self.tombstones {
+            to.extend(self.iter().map(|(_, at)| at.start));
+        } else {
+            // Nothing to skip: a straight copy, in vector code.
+            to.extend(self.entries.iter().map(|&e| usize::from(decode_entry(e).0)));
+        }
     }
 }
 
@@ -538,13 +583,16 @@ mod tests {
         p.delete(s1);
         let live: Vec<u16> = p.live_slots().map(|(s, _)| s).collect();
         assert_eq!(live, vec![s0, 2]);
-        let mut tuples = Vec::new();
-        p.try_for_each_live(|slot, at| {
-            tuples.push((slot, &p.as_bytes()[at]));
-            Ok(())
-        })
-        .unwrap();
+        let live = p.live_tuples(None).unwrap();
+        let tuples: Vec<(u16, &[u8])> = live.iter().map(|(s, at)| (s, &p.as_bytes()[at])).collect();
         assert_eq!(tuples, [(s0, b"x".as_slice()), (2, b"z")]);
+        let mut offsets = vec![7];
+        p.live_tuples(None).unwrap().offsets_into(&mut offsets);
+        assert_eq!(offsets, [7, PAGE_SIZE - 1, PAGE_SIZE - 3], "appended, tombstone skipped");
+        p.insert(b"y").unwrap();
+        let mut offsets = Vec::new();
+        p.live_tuples(Some(1)).unwrap().offsets_into(&mut offsets);
+        assert_eq!(offsets, [PAGE_SIZE - 1, PAGE_SIZE - 4, PAGE_SIZE - 3], "no tombstone left");
     }
 
     #[test]
@@ -556,18 +604,19 @@ mod tests {
         p.delete(2);
         for (off, len) in [(PAGE_SIZE as u16 - 4, 5), (8, u16::MAX), (u16::MAX - 1, 1)] {
             p.set_slot_entry(1, off, len);
-            let mut seen = Vec::new();
-            let walked = p.try_for_each_live(|slot, at| {
-                seen.push((slot, at));
-                Ok(())
-            });
-            assert_eq!(walked, Err(StorageError::CorruptRow { len: len.into() }));
-            assert_eq!(seen, [(0, PAGE_SIZE - 5..PAGE_SIZE)], "the walk stops at the corrupt entry");
+            for width in [None, Some(5)] {
+                let walked = p.live_tuples(width).map(|live| live.iter().count());
+                assert_eq!(walked, Err(StorageError::CorruptRow { len: len.into() }));
+            }
         }
         p.set_slot_entry(1, PAGE_SIZE as u16 - 1, 1);
-        assert_eq!(p.try_for_each_live(|_, _| Ok(())), Ok(2), "a tuple ending at the page end is inside it");
-        let stop = StorageError::CorruptRow { len: 0 };
-        assert_eq!(p.try_for_each_live(|_, _| Err(stop.clone())), Err(stop.clone()), "the caller's error stops it");
+        let ranges: Vec<_> = p.live_tuples(None).unwrap().iter().collect();
+        assert_eq!(ranges, [(0, PAGE_SIZE - 5..PAGE_SIZE), (1, PAGE_SIZE - 1..PAGE_SIZE)], "ending at the page end");
+        let first_of_wrong_width = p.live_tuples(Some(5)).map(|_| ());
+        assert_eq!(first_of_wrong_width, Err(StorageError::CorruptRow { len: 1 }));
+        p.set_slot_entry(0, PAGE_SIZE as u16 - 5, 2);
+        let first_in_slot_order = p.live_tuples(Some(5)).map(|_| ());
+        assert_eq!(first_in_slot_order, Err(StorageError::CorruptRow { len: 2 }));
     }
 
     #[test]

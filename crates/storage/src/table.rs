@@ -511,11 +511,11 @@ impl Table {
     /// scan's [`ScanCounts`] join the table's ([`Table::scan_counts`]).
     ///
     /// Three passes under one pin and one shared latch, each a tight loop
-    /// over data: the first walks the slot directory, checks that every
-    /// live tuple lies inside the page and has the schema's width, and
-    /// tests the first filter, noting the offsets of the rows it keeps; each
-    /// further filter narrows those offsets; then each requested field of
-    /// the rows left is gathered into its column in one `extend`. A filter
+    /// over data: the first checks the whole slot directory, that every
+    /// live tuple lies inside the page and has the schema's width
+    /// (`Page::live_tuples`), and notes the live tuples' offsets; each
+    /// filter narrows those offsets; then each requested field of the rows
+    /// left is gathered into its column in one `extend`. A filter
     /// becomes one range check per page, so the loops do not branch on its
     /// operator. The page is pinned and latched only inside this call, so
     /// whatever the caller does with the columns runs under neither. A
@@ -589,15 +589,10 @@ fn scan_page(
     out: &mut [Vec<i64>],
 ) -> Result<usize> {
     let bytes = page.as_bytes();
-    let width = 8 * (arity + 1);
-    let tested = match filters.first() {
-        None => keep_live(page, width, kept, |_| true)?,
-        Some(first) => {
-            let first = first.range_check();
-            keep_live(page, width, kept, |row| first.holds(bytes, row))?
-        }
-    };
-    for filter in filters.iter().skip(1) {
+    kept.clear();
+    page.live_tuples(Some(8 * (arity + 1)))?.offsets_into(kept);
+    let tested = kept.len();
+    for filter in filters {
         let filter = filter.range_check();
         kept.retain(|&row| filter.holds(bytes, row));
     }
@@ -605,24 +600,6 @@ fn scan_page(
         out[f].extend(kept.iter().map(|&row| field_at(bytes, row, f)));
     }
     Ok(tested)
-}
-
-/// The directory pass of [`scan_page`]: checks that every live tuple is
-/// `width` bytes long, and puts the offsets of those `keep` passes in
-/// `kept`. Returns the number of live tuples.
-#[inline(always)]
-fn keep_live(page: &Page, width: usize, kept: &mut Vec<usize>, keep: impl Fn(usize) -> bool) -> Result<usize> {
-    kept.clear();
-    kept.reserve(page.slot_count().into());
-    page.try_for_each_live(|_, tuple| {
-        if tuple.len() != width {
-            return Err(StorageError::CorruptRow { len: tuple.len() });
-        }
-        if keep(tuple.start) {
-            kept.push(tuple.start);
-        }
-        Ok(())
-    })
 }
 
 #[cfg(test)]
